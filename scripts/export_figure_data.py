@@ -25,7 +25,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qseq.cli import format_series_lines, seed_row, write_text
+from qseq.cli import SeriesText, seed_row, write_text
 from qseq.diagnostics import log_profile, selfsim_profile, series
 from qseq.engine import Perturbation, RecursionConfig, Seed, run
 from qseq.frequency import build_frequency, peak_scan
@@ -39,12 +39,12 @@ def log_grid(n_max: int, samples_per_octave: int) -> np.ndarray:
     return np.unique(n)
 
 
-def strided(ser, max_points: int):
+def strided(ser, max_points: int) -> SeriesText:
     step = max(1, len(ser.x) // max_points)
-    return type(ser)(x=ser.x[::step], y=ser.y[::step], halves=ser.halves)
+    return SeriesText(ser.x[::step], ser.y[::step], ser.halves)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="figure-data")
     parser.add_argument("--horizon", type=int, default=10**7)
@@ -56,14 +56,14 @@ def main() -> int:
     parser.add_argument("--samples-per-octave", type=int, default=64)
     parser.add_argument("--max-points", type=int, default=200_000,
                         help="stride long series down to roughly this many rows")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out = Path(args.out_dir)
     written = []
 
     def emit(name: str, lines) -> None:
         path = out / name
-        write_text(path, list(lines))
+        write_text(path, lines)
         written.append(path)
         print(f"wrote {path}")
 
@@ -71,22 +71,19 @@ def main() -> int:
     trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=args.horizon))
 
     grid = log_grid(args.horizon, args.samples_per_octave)
-    q = trace.values
-    emit("growth.dat", (f"{n} {int(q[n])}" for n in grid))
-    emit("fluct_log.dat",
-         format_series_lines(log_profile(trace, args.samples_per_octave)))
+    emit("growth.dat", SeriesText(grid, trace.values[grid]))
+    emit("fluct_log.dat", SeriesText.of(log_profile(trace, args.samples_per_octave)))
 
     for k in range(0, args.levels + 1):
-        profile = strided(selfsim_profile(trace, k), args.max_points)
-        emit(f"selfsim_k{k}.dat", format_series_lines(profile))
+        emit(f"selfsim_k{k}.dat", strided(selfsim_profile(trace, k), args.max_points))
 
     for name, code in (("renorm_odd.dat", "Rodd"), ("renorm_even.dat", "Reven")):
-        emit(name, format_series_lines(strided(series(trace, code), args.max_points)))
+        emit(name, strided(series(trace, code), args.max_points))
 
     print("building the frequency table ...")
     table = build_frequency(trace)
     m_hi = 2 ** (args.kmax + 1) - 1
-    emit("freq_F.dat", (f"{m} {int(table.counts[m])}" for m in range(1, m_hi + 1)))
+    emit("freq_F.dat", SeriesText(range(1, m_hi + 1), table.counts[1 : m_hi + 1]))
 
     peak_lines = []
     for info in peak_scan(table, 0, args.kmax):

@@ -16,16 +16,19 @@ Layout (all little-endian):
     ...  raw values Q(1..len), width bytes each
     I    crc32 of everything above
 
-Files are written to a temp file in the target directory and renamed
-into place, so a crash never leaves a half-written checkpoint behind.
+Files are written to a temp file in the target directory, fsynced and
+renamed into place, so a crash never leaves a half-written checkpoint
+behind.  atomic_write does this for every output file, text included.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import tempfile
 import zlib
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +51,40 @@ _KIND_CODES = {OutcomeKind.ALIVE: 0, OutcomeKind.WEAK_DEATH: 1, OutcomeKind.STRO
 _KIND_FROM = {v: k for k, v in _KIND_CODES.items()}
 
 
-def save(trace: Trace, path: str | Path) -> None:
-    """Write the trace atomically to path."""
+def atomic_write(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Stream chunks into path so that a crash leaves the old file or the new one.
+
+    The chunks go to a temp file beside path, which gets mode 0o666 & ~umask,
+    is fsynced, and is renamed over path; then the directory is fsynced so
+    the rename itself is durable.  On any error the temp file is removed.
+    """
     path = Path(path)
+    parent = path.parent
+    parent.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0)
+    os.umask(umask)
+    fd, tmp_name = tempfile.mkstemp(dir=parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.chmod(fh.fileno(), 0o666 & ~umask)  # mkstemp creates it 0o600
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+    dir_fd = os.open(parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
+def save(trace: Trace, path: str | Path) -> None:
+    """Write the trace atomically to path, streaming its values without a copy."""
     cfg = trace.config
     out = trace.outcome
     flags = (1 if out.bad_t1 else 0) | (2 if out.bad_t2 else 0)
@@ -67,24 +101,16 @@ def save(trace: Trace, path: str | Path) -> None:
         trace.len,
     )
     seed_bytes = struct.pack(f"<{len(cfg.seed)}Q", *cfg.seed)
-    payload = trace.values[1:].astype(cfg.dtype, copy=False).tobytes()
-    body = header + seed_bytes + payload
-    crc = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    payload = memoryview(trace.values[1:].view(np.uint8))
 
-    parent = path.parent if str(path.parent) else Path(".")
-    parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(body)
-            fh.write(crc)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    def chunks():
+        crc = 0
+        for part in (header, seed_bytes, payload):
+            crc = zlib.crc32(part, crc)
+            yield part
+        yield struct.pack("<I", crc)
+
+    atomic_write(path, chunks())
 
 
 def load(path: str | Path) -> Trace:

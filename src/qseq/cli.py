@@ -16,9 +16,10 @@ analysis precondition, 3 the run died before the requested horizon,
 Data files are whitespace-separated two-column plain text: integers bare,
 half-integer series with exactly one decimal digit, normalized positions
 with eight.  Identical flags produce byte-identical files; files are
-written atomically (temp file + rename).  Default filenames land in the
-directory named by --data-dir, or the QSEQ_DATA_DIR environment variable,
-or ./qseq-data; explicit paths are used as given.
+written atomically and durably, with mode 0o666 & ~umask (see
+checkpoint.atomic_write).  Default filenames land in the directory named
+by --data-dir, or the QSEQ_DATA_DIR environment variable, or ./qseq-data;
+explicit paths are used as given.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
+import numpy as np
+
 from . import checkpoint
-from .diagnostics import SERIES_CODES, series, series_domain
+from .diagnostics import SERIES_CODES, Series, series, series_domain
 from .engine import (
     OutcomeKind,
     Perturbation,
@@ -71,36 +74,131 @@ EXIT_IO = 5
 
 # ------------------------------------------------------------- formatting
 
-def half_str(doubled: int) -> str:
-    """Exact decimal for a half-integer stored doubled: 3 -> '1.5', -1 -> '-0.5'."""
-    sign = "-" if doubled < 0 else ""
-    magnitude = abs(int(doubled))
-    return f"{sign}{magnitude // 2}.{'5' if magnitude % 2 else '0'}"
+BLOCK_ROWS = 1 << 18  # rows per text block: bounds memory, amortises NumPy calls
+_PAD = 0              # filler byte in the digit matrices; never part of the text
+_NL, _SP, _DOT, _MINUS, _ZERO = b"\n .-0"
+_SCALE = 10**8        # '.8f' positions are written as rint(x * 1e8) / 1e8
+_FLOAT_LIMIT = 2.0**52 / _SCALE  # below it, x * 1e8 resolves halves exactly
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
 
 
-def format_series_lines(ser) -> list[str]:
-    lines = []
-    x_is_int = ser.x.dtype.kind in "iu"
-    for x, y in zip(ser.x, ser.y):
-        x_txt = str(int(x)) if x_is_int else f"{float(x):.8f}"
-        y_txt = half_str(int(y)) if ser.halves else str(int(y))
-        lines.append(f"{x_txt} {y_txt}")
-    return lines
+def _digits(mag: np.ndarray, fixed: int = 1) -> np.ndarray:
+    """Decimal digits of non-negative integers, one right-aligned row each.
+
+    Leading zeros become _PAD, except in the last `fixed` columns.
+    """
+    top = int(mag.max())
+    width = max(len(str(top)), fixed)
+    rest = mag.astype(np.uint32 if top < 2**32 else np.uint64)
+    out = np.empty((width, mag.size), np.uint8)  # one contiguous row per digit place
+    for j in range(width - 1, -1, -1):
+        out[j] = rest % 10
+        rest //= 10
+    out += _ZERO
+    if width > fixed:
+        shown = np.maximum(np.searchsorted(_POW10, mag, side="right"), fixed)
+        out[np.arange(width)[:, None] < width - shown] = _PAD
+    return out.T
 
 
-def write_text(path: Path, lines: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write("\n".join(lines))
-            if lines:
-                handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _sign(negative: np.ndarray) -> list[np.ndarray]:
+    """A minus-sign column, or none when no row is negative."""
+    if not negative.any():
+        return []
+    return [np.where(negative, _MINUS, _PAD).astype(np.uint8)[:, None]]
+
+
+def _column(byte: int, rows: int) -> np.ndarray:
+    return np.full((rows, 1), byte, np.uint8)
+
+
+def _int_columns(v: np.ndarray, halves: bool = False) -> list[np.ndarray]:
+    """An integer column bare, or (halves) a doubled one as -?I.0 / -?I.5."""
+    if v.dtype.kind == "u":
+        negative, mag = None, v.astype(np.uint64)
+    else:
+        v = v.astype(np.int64, copy=False)
+        negative, mag = v < 0, np.abs(v).view(np.uint64)
+    cols = [] if negative is None else _sign(negative)
+    if not halves:
+        return cols + [_digits(mag)]
+    half = np.where(mag & 1, ord("5"), ord("0")).astype(np.uint8)[:, None]
+    return cols + [_digits(mag >> 1), _column(_DOT, v.size), half]
+
+
+def _float_columns(x: np.ndarray) -> list[np.ndarray]:
+    """A float column exactly as f"{x:.8f}" writes it."""
+    x = x.astype(np.float64, copy=False)
+    magnitude = np.abs(x)
+    if not np.all(magnitude < _FLOAT_LIMIT):
+        raise ValueError(f"float column needs finite values below {_FLOAT_LIMIT:g}")
+    scaled = magnitude * _SCALE
+    fixed = np.rint(scaled).astype(np.uint64)
+    # rint agrees with the correctly rounded decimal except where the
+    # product lies within its rounding error of a tie; ask Python there.
+    near = np.abs(scaled - np.floor(scaled) - 0.5) <= scaled * 2.0**-50
+    for i in np.flatnonzero(near):
+        fixed[i] = int(f"{magnitude[i]:.8f}".replace(".", ""))
+    return _sign(np.signbit(x)) + [_digits(fixed // _SCALE), _column(_DOT, x.size),
+                                   _digits(fixed % _SCALE, fixed=8)]
+
+
+def format_series_lines(ser) -> bytes:
+    """The rows of a series as text, one "x y" line each.
+
+    Integers are written bare, doubled half-integers (ser.halves) with one
+    decimal, float x with eight.  Every line ends in a newline.
+    """
+    rows = len(ser.y)
+    if rows == 0:
+        return b""
+    x_cols = (_int_columns(ser.x) if ser.x.dtype.kind in "iu"
+              else _float_columns(ser.x))
+    flat = np.concatenate(
+        x_cols + [_column(_SP, rows)] + _int_columns(ser.y, ser.halves)
+        + [_column(_NL, rows)], axis=1).ravel()  # ravel is row-major, as the text
+    return flat[flat != _PAD].tobytes()
+
+
+class SeriesText(Sequence):
+    """The text of x/y columns as a sequence of blocks of BLOCK_ROWS rows.
+
+    A block is formatted only when it is read, so write_text streams a long
+    series in O(BLOCK_ROWS) memory.  x may be a range, made an array one
+    block at a time.
+    """
+
+    def __init__(self, x, y: np.ndarray, halves: bool = False):
+        if len(x) != len(y):
+            raise ValueError(f"x has {len(x)} rows, y has {len(y)}")
+        self.x, self.y, self.halves = x, y, halves
+        self.block = BLOCK_ROWS
+
+    @classmethod
+    def of(cls, ser: Series) -> "SeriesText":
+        return cls(ser.x, ser.y, ser.halves)
+
+    def __len__(self) -> int:
+        return -(-len(self.y) // self.block)
+
+    def __getitem__(self, i: int) -> bytes:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        rows = slice(i * self.block, (i + 1) * self.block)
+        x = self.x[rows]
+        if isinstance(x, range):
+            x = np.arange(x.start, x.stop, x.step, dtype=np.int64)
+        return format_series_lines(Series(x, self.y[rows], self.halves))
+
+
+def write_text(path: Path, lines: Sequence[str | bytes]) -> None:
+    """Write a text file atomically.
+
+    A str item is one line; a bytes item is a block of whole lines, as
+    SeriesText yields them.
+    """
+    checkpoint.atomic_write(path, (
+        line if isinstance(line, bytes) else f"{line}\n".encode() for line in lines))
 
 
 # ------------------------------------------------------------- plumbing
@@ -182,8 +280,7 @@ def cmd_compute(args) -> int:
             args, args.export or None,
             f"values_{trace_tag(config)}_n{config.horizon}.dat",
         )
-        q = trace.values
-        write_text(export_path, [f"{n} {int(q[n])}" for n in range(1, trace.len + 1)])
+        write_text(export_path, SeriesText(range(1, trace.len + 1), trace.values[1:]))
         print(f"wrote {export_path} ({trace.len} lines)")
     if not trace.outcome.is_alive:
         report_death(trace)
@@ -204,7 +301,7 @@ def cmd_diagnose(args) -> int:
         args, args.out,
         f"series_{args.series}_{trace_tag(config)}_n{config.horizon}.dat",
     )
-    write_text(out_path, format_series_lines(ser))
+    write_text(out_path, SeriesText.of(ser))
     print(f"wrote {out_path} ({len(ser)} lines)")
     return EXIT_OK
 
@@ -251,7 +348,7 @@ def cmd_selfsim(args) -> int:
             out_path = resolve(
                 args, None, f"selfsim_k{k}_{trace_tag(config)}_n{config.horizon}.dat"
             )
-        write_text(out_path, format_series_lines(ser))
+        write_text(out_path, SeriesText.of(ser))
         print(f"wrote {out_path} ({len(ser)} lines)")
     return EXIT_OK
 
@@ -304,8 +401,7 @@ def cmd_freq(args) -> int:
     m_hi = 2 ** (k_max + 1) - 1
     data_path = resolve(args, args.data_out, f"freq_F_{trace_tag(config)}"
                                              f"_n{config.horizon}_k{k_max}.dat")
-    counts = table.counts
-    write_text(data_path, [f"{m} {int(counts[m])}" for m in range(1, m_hi + 1)])
+    write_text(data_path, SeriesText(range(1, m_hi + 1), table.counts[1 : m_hi + 1]))
     print(f"wrote {data_path} ({m_hi} lines)")
     return EXIT_OK
 

@@ -26,6 +26,7 @@ Series codes used by the CLI and the registry here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,6 +62,12 @@ def _check_range(name: str, n: int, lo: int, hi: int) -> None:
 
 def _q64(trace: Trace) -> np.ndarray:
     return trace.values.astype(np.int64)
+
+
+def _q_at(trace: Trace, idx: np.ndarray) -> np.ndarray:
+    """Q at an index array as int64, widened after indexing: the copy is
+    the size of idx, not of the trace."""
+    return trace.values[idx].astype(np.int64, copy=False)
 
 
 def assert_all_odd(trace: Trace, n_max: int | None = None) -> None:
@@ -152,36 +159,36 @@ def series(trace: Trace, code: str, lo: int | None = None, hi: int | None = None
     if not (d_lo <= lo <= hi <= d_hi):
         raise RangeError(f"series {code}: range [{lo}, {hi}] outside domain [{d_lo}, {d_hi}]")
 
-    q = _q64(trace)
+    q = functools.partial(_q_at, trace)
     n = np.arange(lo, hi + 1, dtype=np.int64)
     if code == "E":
-        y = 2 * q[n] - n
+        y = 2 * q(n) - n
     elif code == "S":
-        y = n - np.maximum(q[n - 1], q[n - 2])
+        y = n - np.maximum(q(n - 1), q(n - 2))
     elif code == "D":
-        y = q[n + 1] - q[n]
+        y = q(n + 1) - q(n)
     elif code == "t1":
-        y = n - q[n - 1]
+        y = n - q(n - 1)
     elif code == "t2":
-        y = n - q[n - 2]
+        y = n - q(n - 2)
     elif code == "R":
-        y = q[2 * n] - 2 * q[n]
+        y = q(2 * n) - 2 * q(n)
     elif code == "Rodd":
-        y = q[4 * n - 2] - 2 * q[2 * n - 1]
+        y = q(4 * n - 2) - 2 * q(2 * n - 1)
     elif code == "Reven":
-        y = q[4 * n] - 2 * q[2 * n]
+        y = q(4 * n) - 2 * q(2 * n)
     elif code == "A":
-        y = q[2 * n - 1]
+        y = q(2 * n - 1)
     elif code == "B":
-        y = q[2 * n]
+        y = q(2 * n)
     elif code == "a":
-        y = q[2 * n - 1] - n
+        y = q(2 * n - 1) - n
     elif code == "b":
-        y = q[2 * n] - n
+        y = q(2 * n) - n
     elif code == "s":
-        y = q[2 * n - 1] + q[2 * n] - 2 * n
+        y = q(2 * n - 1) + q(2 * n) - 2 * n
     elif code == "d":
-        y = q[2 * n] - q[2 * n - 1]
+        y = q(2 * n) - q(2 * n - 1)
     return Series(x=n, y=y, halves=code in _HALF_SERIES)
 
 
@@ -295,8 +302,7 @@ def selfsim_profile(trace: Trace, k: int) -> Series:
         raise RangeError(f"2^{k} exceeds trace length {trace.len}")
     m = np.arange(1, count + 1, dtype=np.int64)
     idx = m << k
-    q = _q64(trace)
-    y = 2 * q[idx] - idx
+    y = 2 * _q_at(trace, idx) - idx
     return Series(x=m / count, y=y, halves=True)
 
 
@@ -309,6 +315,5 @@ def log_profile(trace: Trace, samples_per_octave: int = 64) -> Series:
     i_max = math.floor(samples_per_octave * math.log2(trace.len))
     x = np.arange(i_max + 1, dtype=np.float64) / samples_per_octave
     n = np.clip(np.rint(np.exp2(x)).astype(np.int64), 1, trace.len)
-    q = _q64(trace)
-    y = 2 * q[n] - n
+    y = 2 * _q_at(trace, n) - n
     return Series(x=x, y=y, halves=True)

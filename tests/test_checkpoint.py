@@ -1,5 +1,9 @@
 """Checkpoint format: round trips, determinism, corruption detection."""
 
+import os
+import stat
+from pathlib import Path
+
 import pytest
 
 from qseq import checkpoint
@@ -110,3 +114,39 @@ def test_flipped_payload_byte_fails_checksum(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointChecksumError):
         checkpoint.load(path)
+
+
+# ------------------------------------------------------------- atomic_write
+
+def test_atomic_write_fsyncs_file_then_renames_then_fsyncs_directory(tmp_path,
+                                                                     monkeypatch):
+    events = []
+    real_fsync, real_replace = checkpoint.os.fsync, checkpoint.os.replace
+
+    def fsync(fd):
+        events.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode)))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", Path(dst).name))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "fsync", fsync)
+    monkeypatch.setattr(checkpoint.os, "replace", replace)
+    checkpoint.atomic_write(tmp_path / "out.dat", [b"a\n", b"b\n"])
+    assert events == [("fsync", False), ("replace", "out.dat"), ("fsync", True)]
+    assert (tmp_path / "out.dat").read_bytes() == b"a\nb\n"
+
+
+def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path):
+    path = tmp_path / "out.dat"
+    path.write_bytes(b"old\n")
+
+    def chunks():
+        yield b"new, half written"
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        checkpoint.atomic_write(path, chunks())
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.dat"]

@@ -1,11 +1,25 @@
 """End-to-end CLI behaviour: exit codes, file formats, checkpoint reuse."""
 
+import os
+import stat
+
+import numpy as np
 import pytest
 
 import frozen_values as frozen
 import oracle
 from qseq import checkpoint
-from qseq.cli import EXIT_CONFIG, EXIT_DEATH, EXIT_IO, EXIT_OK, EXIT_OVERFLOW, half_str, main
+from qseq.cli import (
+    EXIT_CONFIG,
+    EXIT_DEATH,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_OVERFLOW,
+    SeriesText,
+    format_series_lines,
+    main,
+)
+from qseq.diagnostics import Series
 from qseq.engine import RecursionConfig, Seed, run
 
 
@@ -137,11 +151,18 @@ def test_checkpoint_for_other_seed_is_not_reused(tmp_path, capsys):
 
 # ------------------------------------------------------------- diagnose
 
-def test_half_str_formatting():
-    assert half_str(3) == "1.5"
-    assert half_str(-1) == "-0.5"
-    assert half_str(0) == "0.0"
-    assert half_str(-4) == "-2.0"
+def test_half_integer_formatting():
+    doubled = np.array([3, -1, 0, -4])
+    text = format_series_lines(Series(np.arange(1, 5), doubled, halves=True))
+    assert text == b"1 1.5\n2 -0.5\n3 0.0\n4 -2.0\n"
+
+
+def test_text_rejects_what_it_cannot_write_exactly():
+    with pytest.raises(ValueError):
+        SeriesText(range(1, 4), np.arange(2))
+    for bad in (np.nan, np.inf, 1e9):
+        with pytest.raises(ValueError):
+            format_series_lines(Series(np.array([0.5, bad]), np.arange(2)))
 
 
 def test_diagnose_half_integer_series(tmp_path):
@@ -342,3 +363,16 @@ def test_verify_rejects_garbage_criterion_list(capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert "bad criterion list entry 'banana'" in err
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_outputs_get_the_umask_mode(tmp_path, umask, capsys):
+    previous = os.umask(umask)
+    try:
+        code = main(["--data-dir", str(tmp_path), "compute", "--horizon", "50", "--export"])
+    finally:
+        os.umask(previous)
+    assert code == EXIT_OK
+    written = {p.suffix: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert written == {".qtr": 0o666 & ~umask, ".dat": 0o666 & ~umask}
+    capsys.readouterr()

@@ -4,12 +4,13 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracle
 from qseq import checkpoint
-from qseq.cli import half_str
-from qseq.diagnostics import SERIES_CODES, series, series_domain
+from qseq import cli
+from qseq.cli import SeriesText, format_series_lines, write_text
+from qseq.diagnostics import SERIES_CODES, Series, series, series_domain
 from qseq.engine import (
     Outcome,
     OutcomeKind,
@@ -104,12 +105,93 @@ def test_checkpoint_round_trip(tmp_path_factory, vals, horizon, width, alternati
     assert path.read_bytes() == first_bytes
 
 
-@given(doubled=st.integers(min_value=-(10**30), max_value=10**30))
-def test_half_str_is_exact(doubled):
-    with localcontext() as ctx:
-        ctx.prec = 60
-        expected = f"{Decimal(doubled) / 2:.1f}"
-    assert half_str(doubled) == expected
+def reference_text(x, y, halves=False) -> bytes:
+    """The series text, one f-string per row, halves through Decimal."""
+    def x_txt(v):
+        return str(int(v)) if x.dtype.kind in "iu" else f"{float(v):.8f}"
+
+    def y_txt(v):
+        if not halves:
+            return str(int(v))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            return f"{Decimal(int(v)) / 2:.1f}"
+
+    return "".join(f"{x_txt(a)} {y_txt(b)}\n" for a, b in zip(x, y)).encode()
+
+
+int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1) | st.sampled_from(
+    [0, 1, -1, 9, 10, -10, 2**62, -(2**62), 2**62 - 1, 1 - 2**62])
+int_columns = st.lists(int64s, min_size=1, max_size=40).map(
+    lambda v: np.array(v, dtype=np.int64))
+positions = (
+    st.floats(min_value=0, max_value=64, exclude_max=True)
+    | st.floats(min_value=-64, max_value=0)
+    | st.integers(min_value=0, max_value=64 * 512 - 1).map(lambda k: k / 512)
+    | st.integers(min_value=1, max_value=999999).map(lambda m: m / 999999)
+    | st.builds(lambda k, j: k / 2**j, st.integers(0, 2**20), st.integers(14, 40))
+    | st.integers(min_value=0, max_value=64 * 10**8 - 1).map(lambda k: float(f"{k}5e-9"))
+)
+float_columns = st.lists(positions, min_size=1, max_size=40).map(np.array)
+
+
+@given(doubled=int_columns)
+def test_half_integer_formatting_is_exact(doubled):
+    x = np.arange(1, doubled.size + 1)
+    ser = Series(x, doubled, halves=True)
+    assert format_series_lines(ser) == reference_text(x, doubled, halves=True)
+
+
+@given(x=int_columns, data=st.data())
+def test_integer_columns_are_exact(x, data):
+    y = data.draw(st.lists(int64s, min_size=x.size, max_size=x.size))
+    y = np.array(y, dtype=np.int64)
+    assert format_series_lines(Series(x, y)) == reference_text(x, y)
+
+
+@given(y=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_unsigned_columns_are_exact(y):
+    y = np.array(y, dtype=np.uint64)
+    x = y.astype(np.uint32)
+    assert format_series_lines(Series(x, y)) == reference_text(x, y)
+
+
+@given(x=float_columns, halves=st.booleans(), data=st.data())
+def test_float_positions_are_exact(x, halves, data):
+    y = np.array(data.draw(st.lists(int64s, min_size=x.size, max_size=x.size)),
+                 dtype=np.int64)
+    ser = Series(x, y, halves=halves)
+    assert format_series_lines(ser) == reference_text(x, y, halves)
+
+
+def test_near_tie_positions_follow_python():
+    """Doubles nearest to a decimal tie (k + 0.5) / 1e8, where rint(x * 1e8)
+    is wrong for many, must still match f"{x:.8f}"."""
+    x = np.array([float(f"{k}5e-9") for k in range(0, 64 * 10**8, 3_200_017)])
+    python_fixed = [int(f"{v:.8f}".replace(".", "")) for v in x]
+    assert np.count_nonzero(np.rint(x * 1e8) != python_fixed) > 100
+    y = np.arange(x.size, dtype=np.int64)
+    assert format_series_lines(Series(x, y)) == reference_text(x, y)
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(block=st.integers(min_value=1, max_value=9), rows=st.integers(0, 60),
+       floats=st.booleans())
+def test_blocks_stream_the_whole_text(block, rows, floats, monkeypatch,
+                                      tmp_path_factory):
+    monkeypatch.setattr(cli, "BLOCK_ROWS", block)
+    y = np.arange(rows, dtype=np.int64) * 37 - 500
+    x = np.arange(1, rows + 1) / max(rows, 1) if floats else np.arange(1, rows + 1)
+    expected = reference_text(x, y, halves=True)
+    text = SeriesText(x, y, halves=True)
+    assert len(text) == -(-rows // block)
+    assert b"".join(text) == expected
+    path = tmp_path_factory.mktemp("blocks") / "series.dat"
+    write_text(path, text)
+    assert path.read_bytes() == expected
+    ranged = SeriesText(range(1, rows + 1), y)
+    assert b"".join(ranged) == reference_text(np.arange(1, rows + 1), y)
 
 
 @given(vals=seed_values)
