@@ -70,6 +70,14 @@ def main(argv: list[str] | None = None) -> int:
     print(f"running seed (1,1) to n = {args.horizon:,} ...")
     trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=args.horizon))
 
+    # Checked before the first file is written, so a horizon too short for
+    # --kmax fails without leaving a partial set of files.
+    print("building the frequency table ...")
+    table = build_frequency(trace)
+    peaks = peak_scan(table, 0, args.kmax)
+    m_hi = 2 ** (args.kmax + 1) - 1
+    freq_text = SeriesText(range(1, m_hi + 1), table.counts[1 : m_hi + 1])
+
     grid = log_grid(args.horizon, args.samples_per_octave)
     emit("growth.dat", SeriesText(grid, trace.values[grid]))
     emit("fluct_log.dat", SeriesText.of(log_profile(trace, args.samples_per_octave)))
@@ -80,13 +88,10 @@ def main(argv: list[str] | None = None) -> int:
     for name, code in (("renorm_odd.dat", "Rodd"), ("renorm_even.dat", "Reven")):
         emit(name, strided(series(trace, code), args.max_points))
 
-    print("building the frequency table ...")
-    table = build_frequency(trace)
-    m_hi = 2 ** (args.kmax + 1) - 1
-    emit("freq_F.dat", SeriesText(range(1, m_hi + 1), table.counts[1 : m_hi + 1]))
+    emit("freq_F.dat", freq_text)
 
     peak_lines = []
-    for info in peak_scan(table, 0, args.kmax):
+    for info in peaks:
         gap = float(abs(info.ratio - Fraction(4, 3)))
         peak_lines.append(f"{info.k} {info.peak_m} {info.peak_count}"
                           f" {float(info.ratio):.6f} {gap:.6f}")

@@ -19,6 +19,14 @@ Layout (all little-endian):
 Files are written to a temp file in the target directory, fsynced and
 renamed into place, so a crash never leaves a half-written checkpoint
 behind.  atomic_write does this for every output file, text included.
+
+read_header parses and checks the header and seed alone, so a caller can
+tell which run a file holds without reading its values.  load reads the
+values once, straight into the returned array (1x memory), with the CRC
+computed as they arrive.  Both reject a header that contradicts itself: a
+live trace holds exactly `horizon` values; a dead one holds `step - 1`,
+dies after its seed and by its horizon, and has the strong/weak kind that
+Outcome.death gives its step; the stored Q(1..seed_len) equal the seed.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import tempfile
 import zlib
 from collections.abc import Iterable
 from pathlib import Path
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -44,6 +53,7 @@ MAGIC = b"QSEQTRC\x00"
 VERSION = 1
 
 _HEADER = struct.Struct("<8sHBBBBHQQQ")
+_READ_CHUNK = 1 << 22  # bytes per readinto: the CRC runs over each while it is cached
 
 _PERT_CODES = {Perturbation.NONE: 0, Perturbation.ALTERNATING: 1}
 _PERT_FROM = {v: k for k, v in _PERT_CODES.items()}
@@ -113,52 +123,96 @@ def save(trace: Trace, path: str | Path) -> None:
     atomic_write(path, chunks())
 
 
-def load(path: str | Path) -> Trace:
-    """Read a trace written by save()."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
+class Header(NamedTuple):
+    """What a checkpoint holds, from its header and seed alone."""
+
+    config: RecursionConfig
+    outcome: Outcome
+    length: int  # values stored, Q(1..length)
+    crc: int     # crc32 of the header and seed bytes, to continue over the values
+
+
+def read_header(fh: BinaryIO, path: str | Path) -> Header:
+    """Parse and check the header and seed of the open trace file fh.
+
+    Leaves fh at the first value.  path only names the file in errors.
+    """
+    fixed = fh.read(_HEADER.size)
+    if len(fixed) < _HEADER.size:
         raise CheckpointTruncatedError(f"{path}: shorter than the fixed header")
     (magic, version, width, pert_code, kind_code, flags,
-     seed_len, step, horizon, length) = _HEADER.unpack_from(raw)
+     seed_len, step, horizon, length) = _HEADER.unpack(fixed)
     if magic != MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise CheckpointFormatError(f"{path}: unsupported version {version}")
     if width not in (4, 8) or pert_code not in _PERT_FROM or kind_code not in _KIND_FROM:
         raise CheckpointFormatError(f"{path}: malformed header fields")
+    seed_bytes = fh.read(8 * seed_len)
+    if len(seed_bytes) < 8 * seed_len:
+        raise CheckpointTruncatedError(f"{path}: ends inside the {seed_len}-entry seed")
 
-    expected = _HEADER.size + 8 * seed_len + width * length + 4
-    if len(raw) < expected:
-        raise CheckpointTruncatedError(
-            f"{path}: need {expected} bytes for the declared payload, have {len(raw)}"
-        )
-    if len(raw) > expected:
-        raise CheckpointFormatError(f"{path}: {len(raw) - expected} trailing bytes")
-
-    (stored_crc,) = struct.unpack_from("<I", raw, expected - 4)
-    if zlib.crc32(raw[: expected - 4]) & 0xFFFFFFFF != stored_crc:
-        raise CheckpointChecksumError(f"{path}: checksum mismatch")
-
-    seed_vals = struct.unpack_from(f"<{seed_len}Q", raw, _HEADER.size)
     try:
         config = RecursionConfig(
-            seed=Seed(tuple(int(v) for v in seed_vals)),
-            horizon=int(horizon),
+            seed=Seed(struct.unpack(f"<{seed_len}Q", seed_bytes)),
+            horizon=horizon,
             perturbation=_PERT_FROM[pert_code],
-            width=int(width),
+            width=width,
         )
     except Exception as exc:
         raise CheckpointFormatError(f"{path}: inconsistent header ({exc})") from exc
 
     kind = _KIND_FROM[kind_code]
-    outcome = (
-        Outcome.alive()
-        if kind is OutcomeKind.ALIVE
-        else Outcome(kind, int(step), bool(flags & 1), bool(flags & 2))
-    )
+    if kind is OutcomeKind.ALIVE:
+        if length != horizon or step != 0 or flags != 0:
+            raise CheckpointFormatError(
+                f"{path}: live trace with {length} values, horizon {horizon},"
+                f" death step {step}, flags {flags}")
+        outcome = Outcome.alive()
+    else:
+        if not seed_len < step <= horizon or length != step - 1 or flags not in (1, 2, 3):
+            raise CheckpointFormatError(
+                f"{path}: death at step {step} with {length} values, horizon {horizon},"
+                f" seed length {seed_len}, flags {flags}")
+        outcome = Outcome.death(step, seed_len, bool(flags & 1), bool(flags & 2))
+        if outcome.kind is not kind:
+            raise CheckpointFormatError(
+                f"{path}: {kind.value} at step {step}, but a seed of length"
+                f" {seed_len} makes that a {outcome.kind.value}")
+    return Header(config, outcome, length, zlib.crc32(fixed + seed_bytes))
 
-    start = _HEADER.size + 8 * seed_len
-    vals = np.frombuffer(raw, dtype=config.dtype, count=length, offset=start)
-    arr = np.zeros(length + 1, dtype=config.dtype)
-    arr[1:] = vals
-    return Trace(config, arr, outcome)
+
+def load(path: str | Path) -> Trace:
+    """Read a trace written by save(), in one pass into the returned array."""
+    with open(path, "rb") as fh:
+        head = read_header(fh, path)
+        config = head.config
+        expected = fh.tell() + config.width * head.length + 4
+        size = os.fstat(fh.fileno()).st_size
+        if size < expected:
+            raise CheckpointTruncatedError(
+                f"{path}: need {expected} bytes for the declared payload, have {size}"
+            )
+        if size > expected:
+            raise CheckpointFormatError(f"{path}: {size - expected} trailing bytes")
+
+        values = np.empty(head.length + 1, dtype=config.dtype)
+        values[0] = 0
+        payload = memoryview(values[1:].view(np.uint8))
+        crc = head.crc
+        for start in range(0, len(payload), _READ_CHUNK):
+            part = payload[start : start + _READ_CHUNK]
+            if fh.readinto(part) != len(part):
+                raise CheckpointTruncatedError(f"{path}: ended while being read")
+            crc = zlib.crc32(part, crc)
+        trailer = fh.read(4)
+        if len(trailer) != 4:
+            raise CheckpointTruncatedError(f"{path}: ended while being read")
+    if struct.unpack("<I", trailer)[0] != crc:
+        raise CheckpointChecksumError(f"{path}: checksum mismatch")
+
+    seed = config.seed.values
+    if values[1 : len(seed) + 1].tolist() != list(seed):
+        raise CheckpointFormatError(
+            f"{path}: stored Q(1..{len(seed)}) differ from the seed {seed}")
+    return Trace(config, values, head.outcome)

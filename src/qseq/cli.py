@@ -35,10 +35,12 @@ import numpy as np
 from . import checkpoint
 from .diagnostics import SERIES_CODES, Series, series, series_domain
 from .engine import (
+    Outcome,
     OutcomeKind,
     Perturbation,
     RecursionConfig,
     Seed,
+    Trace,
     extend,
     run,
 )
@@ -228,29 +230,41 @@ def trace_tag(config: RecursionConfig) -> str:
     return f"s{seed_part}_{config.perturbation.value}_w{config.width}"
 
 
-def obtain_trace(config: RecursionConfig, trace_path: Path | None, save: bool):
-    """Load a matching checkpoint, extend it, or run fresh; optionally save."""
-    trace = None
-    if trace_path is not None and trace_path.exists():
+def obtain_trace(config: RecursionConfig, trace_path: Path | None):
+    """The trace for config, and whether trace_path was (re)written.
+
+    A checkpoint of the same seed, perturbation and width serves every
+    horizon it covers: a longer live trace as a prefix view, a death at or
+    before the horizon as that death.  A shorter live one is extended and
+    saved.  A file of another configuration is replaced by a fresh run
+    without its values being read; so is an unreadable one.  So the store
+    never shortens a checkpoint.
+    """
+    if trace_path is None:
+        return run(config), False
+    stored = None
+    if trace_path.exists():
         try:
-            stored = checkpoint.load(trace_path)
+            with open(trace_path, "rb") as fh:
+                head = checkpoint.read_header(fh, trace_path)
+            if (head.config.seed, head.config.perturbation, head.config.width) == (
+                    config.seed, config.perturbation, config.width):
+                stored = checkpoint.load(trace_path)
+            else:
+                print(f"note: replacing checkpoint {trace_path}"
+                      " (seed/perturbation/width differ)", file=sys.stderr)
         except CheckpointError as exc:
             print(f"note: ignoring unreadable checkpoint {trace_path}: {exc}",
                   file=sys.stderr)
-            stored = None
-        if stored is not None and (
-            stored.config.seed == config.seed
-            and stored.config.perturbation is config.perturbation
-            and stored.config.width == config.width
-        ):
-            if stored.config.horizon == config.horizon:
-                return stored, False
-            if stored.outcome.is_alive and stored.config.horizon < config.horizon:
-                trace = extend(stored, config.horizon)
-    if trace is None:
+    if stored is None:
         trace = run(config)
-    if save and trace_path is not None:
-        checkpoint.save(trace, trace_path)
+    elif not stored.outcome.is_alive and stored.outcome.step <= config.horizon:
+        return Trace(config, stored.values, stored.outcome), False
+    elif stored.len >= config.horizon:
+        return Trace(config, stored.values[: config.horizon + 1], Outcome.alive()), False
+    else:
+        trace = extend(stored, config.horizon)
+    checkpoint.save(trace, trace_path)
     return trace, True
 
 
@@ -270,8 +284,8 @@ def report_death(trace) -> None:
 def cmd_compute(args) -> int:
     config = config_from(args)
     trace_path = resolve(args, args.trace, f"trace_{trace_tag(config)}.qtr")
-    trace, fresh = obtain_trace(config, trace_path, save=True)
-    if not fresh:
+    trace, wrote = obtain_trace(config, trace_path)
+    if not wrote:
         print(f"reusing checkpoint {trace_path}")
     else:
         print(f"wrote checkpoint {trace_path} ({trace.len} values)")
@@ -291,7 +305,7 @@ def cmd_compute(args) -> int:
 def cmd_diagnose(args) -> int:
     config = config_from(args)
     trace_path = Path(args.trace) if args.trace else None
-    trace, _ = obtain_trace(config, trace_path, save=trace_path is not None)
+    trace, _ = obtain_trace(config, trace_path)
     if not trace.outcome.is_alive:
         report_death(trace)
         return EXIT_DEATH
@@ -336,7 +350,7 @@ def cmd_selfsim(args) -> int:
             f"level {max(levels)} needs horizon >= {2 ** max(levels)}, have {config.horizon}"
         )
     trace_path = Path(args.trace) if args.trace else None
-    trace, _ = obtain_trace(config, trace_path, save=trace_path is not None)
+    trace, _ = obtain_trace(config, trace_path)
     if not trace.outcome.is_alive:
         report_death(trace)
         return EXIT_DEATH
@@ -374,7 +388,7 @@ def block_lines(report: BlockReport) -> list[str]:
 def cmd_freq(args) -> int:
     config = config_from(args)
     trace_path = Path(args.trace) if args.trace else None
-    trace, _ = obtain_trace(config, trace_path, save=trace_path is not None)
+    trace, _ = obtain_trace(config, trace_path)
     if not trace.outcome.is_alive:
         report_death(trace)
         return EXIT_DEATH
@@ -463,7 +477,7 @@ def add_trace_flags(sub, default_horizon: int) -> None:
                      default=Perturbation.ALTERNATING.value)
     sub.add_argument("--width", type=int, choices=(4, 8), default=4,
                      help="bytes per stored value")
-    sub.add_argument("--trace", help="checkpoint path to reuse / maintain")
+    sub.add_argument("--trace", help="checkpoint to reuse, extend, or create; never shrink")
 
 
 def build_parser() -> argparse.ArgumentParser:

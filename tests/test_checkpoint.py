@@ -1,7 +1,10 @@
 """Checkpoint format: round trips, determinism, corruption detection."""
 
 import os
+import re
 import stat
+import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -114,6 +117,68 @@ def test_flipped_payload_byte_fails_checksum(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointChecksumError):
         checkpoint.load(path)
+
+
+_FIELDS = ("magic", "version", "width", "pert", "kind", "flags",
+           "seed_len", "step", "horizon", "length")
+
+
+def forge(path, q1=None, **fields):
+    """Rewrite header fields (and optionally the stored Q(1)) of the file at
+    path, with a valid CRC, so that only a check of meaning can reject it."""
+    raw = path.read_bytes()
+    head = dict(zip(_FIELDS, checkpoint._HEADER.unpack_from(raw)))
+    head.update(fields)
+    body = bytearray(checkpoint._HEADER.pack(*head.values())
+                     + raw[checkpoint._HEADER.size:-4])
+    if q1 is not None:
+        first = checkpoint._HEADER.size + 8 * head["seed_len"]
+        body[first : first + head["width"]] = q1.to_bytes(head["width"], "little")
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+
+
+LIVE = RecursionConfig(seed=Seed((1, 1)), horizon=100)
+DEAD = RecursionConfig(seed=Seed((1, 2, 1)), horizon=100)  # weak death at step 41
+
+
+@pytest.mark.parametrize("config,forged,message", [
+    (LIVE, dict(horizon=101), "live trace with 100 values, horizon 101"),
+    (LIVE, dict(step=50), "death step 50"),
+    (LIVE, dict(flags=1), "flags 1"),
+    (DEAD, dict(step=45), "death at step 45 with 40 values"),
+    (DEAD, dict(horizon=40), "death at step 41 with 40 values, horizon 40"),
+    (DEAD, dict(flags=0), "flags 0"),
+    (DEAD, dict(kind=2), "strong_death at step 41"),
+    (LIVE, dict(q1=2), "stored Q(1..2) differ from the seed (1, 1)"),
+    (DEAD, dict(q1=3), "stored Q(1..3) differ from the seed (1, 2, 1)"),
+], ids=["live-length", "live-step", "live-flags", "dead-length", "dead-beyond-horizon",
+        "dead-no-index", "dead-kind", "live-seed", "dead-seed"])
+def test_header_that_contradicts_itself_is_rejected(tmp_path, config, forged, message):
+    _, path = roundtrip(run(config), tmp_path)
+    forge(path, **forged)
+    with pytest.raises(CheckpointFormatError, match=re.escape(message)):
+        checkpoint.load(path)
+
+
+def test_header_is_read_without_the_values(tmp_path):
+    trace = run(RecursionConfig(seed=Seed((1, 2, 1)), horizon=100))
+    _, path = roundtrip(trace, tmp_path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[: checkpoint._HEADER.size + 8 * 3])  # header and seed only
+    with open(path, "rb") as fh:
+        head = checkpoint.read_header(fh, path)
+        assert fh.read() == b""
+    assert (head.config, head.outcome, head.length) == (trace.config, trace.outcome, 40)
+    assert head.crc == zlib.crc32(raw[: checkpoint._HEADER.size + 8 * 3])
+    with pytest.raises(CheckpointTruncatedError):
+        checkpoint.load(path)
+
+
+def test_load_reads_in_chunks(tmp_path, monkeypatch):
+    trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=1000, width=8))
+    _, path = roundtrip(trace, tmp_path)
+    monkeypatch.setattr(checkpoint, "_READ_CHUNK", 24)  # 8000 bytes: many, and a short last
+    assert checkpoint.load(path) == trace
 
 
 # ------------------------------------------------------------- atomic_write

@@ -124,10 +124,10 @@ def test_checkpoint_reuse_extend_and_recompute(tmp_path, capsys):
     assert main(base + ["--horizon", "200"]) == EXIT_OK
     assert checkpoint.load(trace_path) == run(RecursionConfig(seed=Seed((1, 1)), horizon=200))
 
-    # a shorter request cannot reuse the longer checkpoint: fresh run, resaved
+    # a shorter request is served from the longer checkpoint, which stays
     assert main(base + ["--horizon", "150"]) == EXIT_OK
-    assert checkpoint.load(trace_path).len == 150
-    capsys.readouterr()
+    assert "reusing checkpoint" in capsys.readouterr().out
+    assert checkpoint.load(trace_path).len == 200
 
 
 def test_corrupt_checkpoint_triggers_recompute(tmp_path, capsys):
@@ -146,7 +146,77 @@ def test_checkpoint_for_other_seed_is_not_reused(tmp_path, capsys):
                  "--trace", str(trace_path)]) == EXIT_OK
     reloaded = checkpoint.load(trace_path)
     assert reloaded.seed.values == (1, 1)
+    err = capsys.readouterr().err
+    assert f"note: replacing checkpoint {trace_path} (seed/perturbation/width differ)" in err
+
+
+def test_shorter_diagnose_leaves_a_longer_checkpoint_alone(tmp_path, capsys):
+    big = tmp_path / "big.qtr"
+    assert main(["compute", "--horizon", "100000", "--trace", str(big)]) == EXIT_OK
+    before = big.read_bytes()
+    out = tmp_path / "e.dat"
+    assert main(["diagnose", "--horizon", "500", "--series", "E", "--trace", str(big),
+                 "--out", str(out)]) == EXIT_OK
+    assert big.read_bytes() == before
+    assert main(["diagnose", "--horizon", "500", "--series", "E",
+                 "--out", str(tmp_path / "fresh.dat")]) == EXIT_OK
+    assert out.read_bytes() == (tmp_path / "fresh.dat").read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("verb", [
+    ["freq", "--kmax", "7"],
+    ["compute", "--export"],
+])
+def test_shorter_horizon_outputs_match_a_run_without_trace(tmp_path, verb, capsys):
+    trace_path = tmp_path / "t.qtr"
+    assert main(["compute", "--horizon", "3000", "--trace", str(trace_path)]) == EXIT_OK
+    served, fresh = tmp_path / "served", tmp_path / "fresh"
+    assert main(["--data-dir", str(served), *verb, "--horizon", "1000",
+                 "--trace", str(trace_path)]) == EXIT_OK
+    assert main(["--data-dir", str(fresh), *verb, "--horizon", "1000"]) == EXIT_OK
+    if verb[0] == "compute":
+        (fresh / "trace_s1-1_alternating_w4.qtr").unlink()
+    assert {p.name: p.read_bytes() for p in served.iterdir()} == {
+        p.name: p.read_bytes() for p in fresh.iterdir()}
+    assert checkpoint.load(trace_path).len == 3000
+    capsys.readouterr()
+
+
+def test_stored_death_answers_a_longer_or_shorter_request(tmp_path, capsys):
+    trace_path = tmp_path / "t.qtr"
+    dying = ["compute", "--seed", "1,2,1", "--trace", str(trace_path)]
+    assert main(dying + ["--horizon", "100"]) == EXIT_DEATH
+    stored = trace_path.read_bytes()
+    capsys.readouterr()
+    for horizon in ("41", "60", "1000"):
+        assert main(["--data-dir", str(tmp_path / f"fresh{horizon}"), "compute",
+                     "--seed", "1,2,1", "--horizon", horizon]) == EXIT_DEATH
+        fresh_err = capsys.readouterr().err
+        assert main(dying + ["--horizon", horizon]) == EXIT_DEATH
+        captured = capsys.readouterr()
+        assert captured.err == fresh_err
+        assert f"reusing checkpoint {trace_path}" in captured.out
+        assert trace_path.read_bytes() == stored
+    # a horizon before the death is served as a live prefix
+    assert main(dying + ["--horizon", "40"]) == EXIT_OK
+    assert trace_path.read_bytes() == stored
+    capsys.readouterr()
+
+
+def test_other_configuration_is_replaced_without_loading_it(tmp_path, monkeypatch, capsys):
+    trace_path = tmp_path / "t.qtr"
+    assert main(["compute", "--horizon", "500", "--trace", str(trace_path)]) == EXIT_OK
+
+    def refuse(path):
+        raise AssertionError(f"loaded {path}")
+
+    monkeypatch.setattr(checkpoint, "load", refuse)
+    assert main(["compute", "--horizon", "500", "--width", "8",
+                 "--trace", str(trace_path)]) == EXIT_OK
+    monkeypatch.undo()
+    assert checkpoint.load(trace_path).config.width == 8
+    assert "note: replacing checkpoint" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- diagnose

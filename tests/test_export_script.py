@@ -4,6 +4,10 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from qseq.errors import SaturationError
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "export_figure_data.py"
 
 # sha256 of each file at --horizon 20000 --survey-horizon 20000 --kmax 10,
@@ -28,10 +32,15 @@ GOLDEN = {
 }
 
 
-def test_export_figure_data_writes_the_golden_files(tmp_path, capsys):
+def load_script():
     spec = importlib.util.spec_from_file_location("export_figure_data", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_export_figure_data_writes_the_golden_files(tmp_path, capsys):
+    script = load_script()
     # --kmax 10: peak_scan needs every block up to kmax complete at 20000 terms
     assert script.main(["--out-dir", str(tmp_path), "--horizon", "20000",
                         "--survey-horizon", "20000", "--kmax", "10"]) == 0
@@ -39,3 +48,13 @@ def test_export_figure_data_writes_the_golden_files(tmp_path, capsys):
                for p in tmp_path.iterdir()}
     assert written == GOLDEN
     assert "done: 16 files" in capsys.readouterr().out
+
+
+def test_too_short_a_horizon_for_kmax_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "figs"
+    # the default --kmax 15 needs block 15 complete, which 20000 terms do not give
+    with pytest.raises(SaturationError):
+        load_script().main(["--out-dir", str(out), "--horizon", "20000",
+                            "--survey-horizon", "20000"])
+    assert not out.exists()
+    assert "wrote" not in capsys.readouterr().out
