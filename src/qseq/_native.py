@@ -22,6 +22,14 @@ from types import ModuleType
 
 COMPILE_TIMEOUT_S = 120
 
+# Status codes of the kernel's loops, as ``#define ST_*`` in _qkernel.c; the
+# pure-Python fallbacks return the same codes.
+ST_OK = 0
+ST_DEATH = 1
+ST_OVERFLOW = 2
+ST_PARITY = 3
+ST_COUNT_OVERFLOW = 4
+
 
 class KernelBuildError(RuntimeError):
     """The C source could not be compiled here."""

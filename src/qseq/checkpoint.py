@@ -21,17 +21,19 @@ renamed into place, so a crash never leaves a half-written checkpoint
 behind.  atomic_write does this for every output file, text included.
 
 read_header parses and checks the header and seed alone, so a caller can
-tell which run a file holds without reading its values.  load reads the
-values once, straight into the returned array (1x memory), with the CRC
-computed as they arrive.  Both reject a header that contradicts itself: a
-live trace holds exactly `horizon` values; a dead one holds `step - 1`,
-dies after its seed and by its horizon, and has the strong/weak kind that
-Outcome.death gives its step; the stored Q(1..seed_len) equal the seed.
+tell which run a file holds without reading its values.  load streams the
+values once through a fixed buffer to check the CRC, then maps the file
+copy-on-write, so a trace keeps in memory only the terms a caller reads.
+Both reject a header that contradicts itself: a live trace holds exactly
+`horizon` values; a dead one holds `step - 1`, dies after its seed and by
+its horizon, and has the strong/weak kind that Outcome.death gives its
+step; the stored Q(1..seed_len) equal the seed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import mmap
 import os
 import struct
 import tempfile
@@ -53,7 +55,7 @@ MAGIC = b"QSEQTRC\x00"
 VERSION = 1
 
 _HEADER = struct.Struct("<8sHBBBBHQQQ")
-_READ_CHUNK = 1 << 22  # bytes per readinto: the CRC runs over each while it is cached
+_READ_CHUNK = 1 << 22  # bytes of load's CRC buffer: the CRC runs over each read while cached
 
 _PERT_CODES = {Perturbation.NONE: 0, Perturbation.ALTERNATING: 1}
 _PERT_FROM = {v: k for k, v in _PERT_CODES.items()}
@@ -183,11 +185,25 @@ def read_header(fh: BinaryIO, path: str | Path) -> Header:
 
 
 def load(path: str | Path) -> Trace:
-    """Read a trace written by save(), in one pass into the returned array."""
+    """Read a trace written by save(), its values mapped from the file.
+
+    The header, the file size and the CRC over every value (read through
+    one _READ_CHUNK buffer) are checked first.  The values are then a
+    copy-on-write mapping of the file, so a caller keeps in memory only the
+    pages it reads.  Slot 0 overlays the last seed bytes; it is zeroed in a
+    private page, and the file is never written.
+
+    The mapping keeps the file's inode alive, so a later save() to the same
+    path, which renames a new file into place, leaves this trace intact.
+    A file truncated in place while mapped raises SIGBUS when a lost page is
+    read; qseq never truncates a file in place.
+    """
     with open(path, "rb") as fh:
         head = read_header(fh, path)
         config = head.config
-        expected = fh.tell() + config.width * head.length + 4
+        payload_offset = fh.tell()
+        payload_len = config.width * head.length
+        expected = payload_offset + payload_len + 4
         size = os.fstat(fh.fileno()).st_size
         if size < expected:
             raise CheckpointTruncatedError(
@@ -196,21 +212,23 @@ def load(path: str | Path) -> Trace:
         if size > expected:
             raise CheckpointFormatError(f"{path}: {size - expected} trailing bytes")
 
-        values = np.empty(head.length + 1, dtype=config.dtype)
-        values[0] = 0
-        payload = memoryview(values[1:].view(np.uint8))
+        buffer = memoryview(bytearray(min(_READ_CHUNK, payload_len)))
         crc = head.crc
-        for start in range(0, len(payload), _READ_CHUNK):
-            part = payload[start : start + _READ_CHUNK]
+        for start in range(0, payload_len, _READ_CHUNK):
+            part = buffer[: min(_READ_CHUNK, payload_len - start)]
             if fh.readinto(part) != len(part):
                 raise CheckpointTruncatedError(f"{path}: ended while being read")
             crc = zlib.crc32(part, crc)
         trailer = fh.read(4)
         if len(trailer) != 4:
             raise CheckpointTruncatedError(f"{path}: ended while being read")
-    if struct.unpack("<I", trailer)[0] != crc:
-        raise CheckpointChecksumError(f"{path}: checksum mismatch")
+        if struct.unpack("<I", trailer)[0] != crc:
+            raise CheckpointChecksumError(f"{path}: checksum mismatch")
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
 
+    values = np.frombuffer(mapped, dtype=config.dtype, count=head.length + 1,
+                           offset=payload_offset - config.width)
+    values[0] = 0
     seed = config.seed.values
     if values[1 : len(seed) + 1].tolist() != list(seed):
         raise CheckpointFormatError(

@@ -533,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_seeds)
 
     sub = commands.add_parser("verify", help="run the reproducibility checklist")
-    sub.add_argument("--suite", choices=("paper",), default="paper")
     sub.add_argument("--only", help="criterion numbers, e.g. 1..5 or 7,12")
     sub.set_defaults(func=cmd_verify)
 

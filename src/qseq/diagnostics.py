@@ -35,6 +35,8 @@ import numpy as np
 from .engine import Trace
 from .errors import ConfigError, ParityError, RangeError
 
+_BLOCK = 1 << 16  # indices per block in the parity and identity checks
+
 
 @dataclass(frozen=True)
 class Series:
@@ -60,10 +62,6 @@ def _check_range(name: str, n: int, lo: int, hi: int) -> None:
         raise RangeError(f"{name}={n} outside valid range [{lo}, {hi}]")
 
 
-def _q64(trace: Trace) -> np.ndarray:
-    return trace.values.astype(np.int64)
-
-
 def _q_at(trace: Trace, idx: np.ndarray) -> np.ndarray:
     """Q at an index array as int64, widened after indexing: the copy is
     the size of idx, not of the trace."""
@@ -72,10 +70,11 @@ def _q_at(trace: Trace, idx: np.ndarray) -> np.ndarray:
 
 def assert_all_odd(trace: Trace, n_max: int | None = None) -> None:
     n_max = trace.len if n_max is None else n_max
-    vals = trace.values[1 : n_max + 1]
-    even = np.flatnonzero(vals % 2 == 0)
-    if even.size:
-        raise ParityError(f"even value Q({even[0] + 1})={int(vals[even[0]])}")
+    for lo in range(1, n_max + 1, _BLOCK):
+        even = np.flatnonzero(trace.values[lo : min(lo + _BLOCK, n_max + 1)] % 2 == 0)
+        if even.size:
+            n = lo + int(even[0])
+            raise ParityError(f"even value Q({n})={int(trace.values[n])}")
 
 
 # ---------------------------------------------------------------- scalars
@@ -209,10 +208,9 @@ def subsequences(trace: Trace) -> Subsequences:
     k_hi = trace.len // 2
     if k_hi < 1:
         raise RangeError("trace too short for interleaved subsequences")
-    q = _q64(trace)
     k = np.arange(1, k_hi + 1, dtype=np.int64)
-    a_vals = q[2 * k - 1]
-    b_vals = q[2 * k]
+    a_vals = _q_at(trace, 2 * k - 1)
+    b_vals = _q_at(trace, 2 * k)
 
     def one_based(arr):
         out = np.zeros(k_hi + 1, dtype=np.int64)
@@ -240,7 +238,9 @@ def check_subsequence_identities(trace: Trace, k_lo: int = 2,
         B(k) = A((2k-A(k)+1)/2)   + A((2k-B(k-1)+1)/2) + 1
 
     Returns the (expected empty) array of violating k; an identity whose
-    inner index falls outside the trace counts as a violation.
+    inner index falls outside the trace counts as a violation.  k runs in
+    blocks of _BLOCK, so the extra memory is bounded by the block, not
+    the trace.
     """
     L = trace.len
     if k_hi is None:
@@ -250,40 +250,37 @@ def check_subsequence_identities(trace: Trace, k_lo: int = 2,
     if 2 * k_hi > L:
         raise RangeError(f"k_hi={k_hi} needs trace length >= {2 * k_hi}, have {L}")
     assert_all_odd(trace)
+    return np.concatenate([
+        _identity_violations(trace, lo, min(lo + _BLOCK - 1, k_hi))
+        for lo in range(k_lo, k_hi + 1, _BLOCK)
+    ])
 
-    q = _q64(trace)
+
+def _identity_violations(trace: Trace, k_lo: int, k_hi: int) -> np.ndarray:
+    """check_subsequence_identities on one block of k."""
+    q = functools.partial(_q_at, trace)
     k = np.arange(k_lo, k_hi + 1, dtype=np.int64)
-    a_k = q[2 * k - 1]
-    b_k = q[2 * k]
-    a_prev = q[2 * k - 3]
-    b_prev = q[2 * k - 2]
+    a_k = q(2 * k - 1)
+    b_k = q(2 * k)
+    a_prev = q(2 * k - 3)
+    b_prev = q(2 * k - 2)
 
     ja1 = (2 * k - 1 - b_prev) >> 1
     ja2 = (2 * k - 1 - a_prev) >> 1
     jb1 = (2 * k - a_k + 1) >> 1
     jb2 = (2 * k - b_prev + 1) >> 1
 
-    b_hi = L // 2
-    a_hi = (L + 1) // 2
-    out_of_range = (
+    b_hi = trace.len // 2
+    a_hi = (trace.len + 1) // 2
+    bad = (
         (ja1 < 1) | (ja1 > b_hi) | (ja2 < 1) | (ja2 > b_hi)
         | (jb1 < 1) | (jb1 > a_hi) | (jb2 < 1) | (jb2 > a_hi)
     )
-
-    def b_at(j):
-        return q[np.clip(2 * j, 1, L)]
-
-    def a_at(j):
-        return q[np.clip(2 * j - 1, 1, L)]
-
-    bad = out_of_range.copy()
-    ok = ~out_of_range
-    lhs_a = a_k[ok]
-    lhs_b = b_k[ok]
-    rhs_a = b_at(ja1[ok]) + b_at(ja2[ok]) - 1
-    rhs_b = a_at(jb1[ok]) + a_at(jb2[ok]) + 1
-    inner_bad = (lhs_a != rhs_a) | (lhs_b != rhs_b)
-    bad[np.flatnonzero(ok)[inner_bad]] = True
+    ok = np.flatnonzero(~bad)
+    # in range, 2j <= L and 2j - 1 <= L: B(j) = Q(2j) and A(j) = Q(2j-1) exist
+    rhs_a = q(2 * ja1[ok]) + q(2 * ja2[ok]) - 1
+    rhs_b = q(2 * jb1[ok] - 1) + q(2 * jb2[ok] - 1) + 1
+    bad[ok] = (a_k[ok] != rhs_a) | (b_k[ok] != rhs_b)
     return k[bad]
 
 

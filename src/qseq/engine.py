@@ -20,6 +20,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._native import ST_DEATH, ST_OK, ST_OVERFLOW
 from ._native import kernel as _qkernel
 from .errors import ConfigError, RangeError, TraceStateError, ValueOverflowError
 
@@ -28,10 +29,6 @@ MAX_SEED_LEN = 8
 _WIDTH_DTYPES = {4: np.dtype("<u4"), 8: np.dtype("<u8")}
 # arithmetic runs in signed 64-bit, so the 8-byte cap stays below 2**63
 _WIDTH_CAPS = {4: 2**32 - 1, 8: 2**63 - 1}
-
-_ST_OK = 0
-_ST_DEATH = 1
-_ST_OVERFLOW = 2
 
 
 class Perturbation(Enum):
@@ -203,12 +200,12 @@ def _advance_python(q: np.ndarray, start: int, horizon: int,
         t1 = n - int(q[n - 1])
         t2 = n - int(q[n - 2])
         if t1 <= 0 or t2 <= 0:
-            return _ST_DEATH, n, t1 <= 0, t2 <= 0
+            return ST_DEATH, n, t1 <= 0, t2 <= 0
         val = int(q[t1]) + int(q[t2]) + (eps_even if n % 2 == 0 else eps_odd)
         if val > cap:
-            return _ST_OVERFLOW, n, False, False
+            return ST_OVERFLOW, n, False, False
         q[n] = val
-    return _ST_OK, 0, False, False
+    return ST_OK, 0, False, False
 
 
 def have_native_kernel() -> bool:
@@ -224,9 +221,9 @@ def _advance(q: np.ndarray, start: int, horizon: int,
 
 def _finish(config: RecursionConfig, arr: np.ndarray, status: int, step: int,
             bad1: bool, bad2: bool) -> Trace:
-    if status == _ST_OK:
+    if status == ST_OK:
         return Trace(config, arr, Outcome.alive())
-    if status == _ST_DEATH:
+    if status == ST_DEATH:
         outcome = Outcome.death(step, len(config.seed), bool(bad1), bool(bad2))
         return Trace(config, arr[:step].copy(), outcome)
     msg = f"value at step n={step} exceeds the {config.width}-byte range"

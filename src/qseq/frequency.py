@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._native import ST_COUNT_OVERFLOW, ST_OK, ST_PARITY
 from ._native import kernel as _qkernel
 from .engine import Trace
 from .errors import (
@@ -25,10 +26,6 @@ from .errors import (
     RangeError,
     SaturationError,
 )
-
-_ST_OK = 0
-_ST_PARITY = 3
-_ST_COUNT_OVERFLOW = 4
 
 
 @dataclass(frozen=True)
@@ -65,16 +62,16 @@ def _count_python(q: np.ndarray, n_max: int, counts: np.ndarray,
     for n in range(1, n_max + 1):
         v = int(q[n])
         if v % 2 == 0:
-            return _ST_PARITY, n
+            return ST_PARITY, n
         m = (v + 1) // 2
         if m <= m_cap:
             if counts[m] == 255:
-                return _ST_COUNT_OVERFLOW, m
+                return ST_COUNT_OVERFLOW, m
             counts[m] += 1
             last[m] = n
         else:
             overflow += 1
-    return _ST_OK, overflow
+    return ST_OK, overflow
 
 
 def build_frequency(trace: Trace, m_cap: int | None = None,
@@ -96,9 +93,9 @@ def build_frequency(trace: Trace, m_cap: int | None = None,
     else:
         status, aux = _count_python(trace.values, n_max, counts, last, m_cap)
 
-    if status == _ST_PARITY:
+    if status == ST_PARITY:
         raise ParityError(f"even value Q({aux})={trace.value_at(int(aux))}")
-    if status == _ST_COUNT_OVERFLOW:
+    if status == ST_COUNT_OVERFLOW:
         raise CountOverflowError(f"count slot for m={aux} passed 255")
     counts.flags.writeable = False
     last.flags.writeable = False

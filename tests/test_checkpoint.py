@@ -181,6 +181,45 @@ def test_load_reads_in_chunks(tmp_path, monkeypatch):
     assert checkpoint.load(path) == trace
 
 
+def test_flipped_last_value_byte_fails_checksum(tmp_path, monkeypatch):
+    trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=1000))
+    _, path = roundtrip(trace, tmp_path)
+    raw = bytearray(path.read_bytes())
+    raw[-5] ^= 0x01  # the last byte before the 4-byte CRC
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointChecksumError):
+        checkpoint.load(path)
+    monkeypatch.setattr(checkpoint, "_READ_CHUNK", 24)  # the flip lands in a short last read
+    with pytest.raises(CheckpointChecksumError):
+        checkpoint.load(path)
+
+
+@pytest.mark.parametrize("width", [4, 8])
+def test_loaded_values_are_read_only_with_slot_zero_clear(tmp_path, width):
+    # slot 0 overlays the last seed bytes: at width 8 that is the stored 2
+    trace = run(RecursionConfig(seed=Seed((3, 1, 2)), horizon=1000, width=width))
+    loaded, path = roundtrip(trace, tmp_path)
+    saved = path.read_bytes()
+    assert loaded.values[0] == 0
+    assert loaded.values[1:4].tolist() == [3, 1, 2]
+    assert not loaded.values.flags.writeable
+    with pytest.raises(ValueError):
+        loaded.values[1] = 7
+    assert loaded == trace
+    assert path.read_bytes() == saved
+
+
+def test_loaded_trace_outlives_the_store_replacing_its_file(tmp_path):
+    from qseq.cli import obtain_trace
+
+    short = run(RecursionConfig(seed=Seed((1, 1)), horizon=1000))
+    loaded, path = roundtrip(short, tmp_path)
+    longer, wrote = obtain_trace(RecursionConfig(seed=Seed((1, 1)), horizon=5000), path)
+    assert wrote and checkpoint.load(path) == longer
+    assert loaded.len == 1000
+    assert loaded == short
+
+
 # ------------------------------------------------------------- atomic_write
 
 def test_atomic_write_fsyncs_file_then_renames_then_fsyncs_directory(tmp_path,

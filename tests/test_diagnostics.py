@@ -5,6 +5,7 @@ import pytest
 
 import frozen_values as frozen
 import oracle
+from qseq import diagnostics
 from qseq.diagnostics import (
     SERIES_CODES,
     assert_all_odd,
@@ -117,6 +118,20 @@ def test_parity_guard(short_trace, classical_trace):
         assert_all_odd(classical_trace)
 
 
+def test_parity_guard_names_the_first_even_value_across_blocks(short_trace, monkeypatch):
+    from qseq.engine import Trace
+
+    values = short_trace.values.copy()
+    values[[4321, 4500]] += 1
+    trace = Trace(short_trace.config, values, short_trace.outcome)
+    monkeypatch.setattr(diagnostics, "_BLOCK", 7)
+    with pytest.raises(ParityError, match=rf"^even value Q\(4321\)={values[4321]}$"):
+        assert_all_odd(trace)
+    with pytest.raises(ParityError):
+        assert_all_odd(trace, 4321)
+    assert_all_odd(trace, 4320)
+
+
 def test_subsequences_structure(short_trace):
     subs = subsequences(short_trace)
     k_hi = short_trace.len // 2
@@ -145,6 +160,27 @@ def test_identities_catch_a_corrupted_trace(short_trace):
     tampered[100] += 2  # keep parity, break the recursion
     broken = Trace(short_trace.config, tampered, short_trace.outcome)
     assert check_subsequence_identities(broken).size > 0
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("forge", [{}, {100: 2}, {3001: 8000}],
+                         ids=["intact", "inner-violation", "index-out-of-range"])
+def test_identities_in_blocks_match_one_pass(short_trace, monkeypatch, forge, block):
+    from qseq.engine import Trace
+
+    values = short_trace.values.copy()
+    for n, delta in forge.items():
+        values[n] += delta  # even deltas keep every value odd
+    trace = Trace(short_trace.config, values, short_trace.outcome)
+    whole = check_subsequence_identities(trace, 2, 2500)  # one block
+    monkeypatch.setattr(diagnostics, "_BLOCK", block)
+    blocked = check_subsequence_identities(trace, 2, 2500)
+    assert blocked.tolist() == whole.tolist()
+    assert (whole.size == 0) == (not forge)
+    if 3001 not in forge:  # the oracle reads a negative index from the end
+        assert whole.tolist() == oracle.identity_violations(values.tolist(), 2, 2500)
+    else:
+        assert 1501 in whole.tolist()
 
 
 def test_selfsim_profile_shapes(short_trace):

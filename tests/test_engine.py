@@ -1,6 +1,7 @@
 """Engine behaviour against known prefixes and the naive oracle."""
 
 import os
+import re
 import subprocess
 import sys
 import sysconfig
@@ -31,6 +32,15 @@ def values_list(trace):
 
 def test_native_kernel_is_built():
     assert have_native_kernel(), _native.reason
+
+
+def test_status_codes_match_the_kernel_source():
+    source = Path(_native.__file__).with_name("_qkernel.c").read_text()
+    in_c = {name: int(code) for name, code in
+            re.findall(r"^#define (ST_\w+) (\d+)$", source, flags=re.MULTILINE)}
+    in_python = {name: code for name, code in vars(_native).items() if name.startswith("ST_")}
+    assert in_c == in_python
+    assert len(in_c) == 5
 
 
 def test_first_twenty_values():
