@@ -41,7 +41,7 @@ def log_grid(n_max: int, samples_per_octave: int) -> np.ndarray:
 
 def strided(ser, max_points: int) -> SeriesText:
     step = max(1, len(ser.x) // max_points)
-    return SeriesText(ser.x[::step], ser.y[::step], ser.halves)
+    return SeriesText.of(ser.x[::step], ser.y[::step], ser.halves)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -76,11 +76,12 @@ def main(argv: list[str] | None = None) -> int:
     table = build_frequency(trace)
     peaks = peak_scan(table, 0, args.kmax)
     m_hi = 2 ** (args.kmax + 1) - 1
-    freq_text = SeriesText(range(1, m_hi + 1), table.counts[1 : m_hi + 1])
+    freq_text = SeriesText.of(range(1, m_hi + 1), table.counts[1 : m_hi + 1])
 
     grid = log_grid(args.horizon, args.samples_per_octave)
-    emit("growth.dat", SeriesText(grid, trace.values[grid]))
-    emit("fluct_log.dat", SeriesText.of(log_profile(trace, args.samples_per_octave)))
+    emit("growth.dat", SeriesText.of(grid, trace.values[grid]))
+    fluct = log_profile(trace, args.samples_per_octave)
+    emit("fluct_log.dat", SeriesText.of(fluct.x, fluct.y, fluct.halves))
 
     for k in range(0, args.levels + 1):
         emit(f"selfsim_k{k}.dat", strided(selfsim_profile(trace, k), args.max_points))
@@ -91,10 +92,10 @@ def main(argv: list[str] | None = None) -> int:
     emit("freq_F.dat", freq_text)
 
     peak_lines = []
-    for info in peaks:
-        gap = float(abs(info.ratio - Fraction(4, 3)))
-        peak_lines.append(f"{info.k} {info.peak_m} {info.peak_count}"
-                          f" {float(info.ratio):.6f} {gap:.6f}")
+    for rep in peaks:
+        gap = float(abs(rep.peak_ratio - Fraction(4, 3)))
+        peak_lines.append(f"{rep.k} {rep.peak_m} {rep.peak_count}"
+                          f" {float(rep.peak_ratio):.6f} {gap:.6f}")
     emit("peaks.dat", peak_lines)
 
     print(f"classifying seeds at horizon {args.survey_horizon:,} ...")

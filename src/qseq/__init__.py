@@ -12,20 +12,12 @@ from .checkpoint import load, save
 from .diagnostics import (
     SERIES_CODES,
     Series,
-    Subsequences,
     assert_all_odd,
     check_subsequence_identities,
-    clock_indices,
-    difference,
-    fluctuation2,
     log_profile,
-    renorm_residual,
-    renorm_residual_split,
-    safety_margin,
     selfsim_profile,
     series,
     series_domain,
-    subsequences,
 )
 from .engine import (
     MAX_SEED_LEN,
@@ -57,7 +49,6 @@ from .frequency import (
     BlockReport,
     FrequencyTable,
     LawCheck,
-    PeakInfo,
     average_check,
     block_report,
     build_frequency,
@@ -96,7 +87,6 @@ __all__ = [
     "Outcome",
     "OutcomeKind",
     "ParityError",
-    "PeakInfo",
     "Perturbation",
     "QseqError",
     "RangeError",
@@ -106,7 +96,6 @@ __all__ = [
     "SeedClass",
     "SeedReport",
     "Series",
-    "Subsequences",
     "TableReport",
     "Trace",
     "TraceStateError",
@@ -118,28 +107,21 @@ __all__ = [
     "check_dyadic_law",
     "check_subsequence_identities",
     "classify",
-    "clock_indices",
     "detect_merge",
     "detect_ramp_orbit",
-    "difference",
     "enumerate_seeds",
     "extend",
-    "fluctuation2",
     "format_report",
     "have_native_kernel",
     "law_prediction",
     "load",
     "log_profile",
     "peak_scan",
-    "renorm_residual",
-    "renorm_residual_split",
     "run",
     "run_criteria",
-    "safety_margin",
     "save",
     "selfsim_profile",
     "series",
     "series_domain",
-    "subsequences",
     "table_report",
 ]

@@ -27,13 +27,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint
-from .diagnostics import SERIES_CODES, Series, series, series_domain
+from .diagnostics import (
+    SERIES_CODES,
+    Series,
+    selfsim_profile,
+    selfsim_window,
+    series,
+    series_window,
+)
 from .engine import (
     Outcome,
     OutcomeKind,
@@ -163,34 +170,40 @@ def format_series_lines(ser) -> bytes:
 
 
 class SeriesText(Sequence):
-    """The text of x/y columns as a sequence of blocks of BLOCK_ROWS rows.
+    """The text of count rows as a sequence of blocks of BLOCK_ROWS rows.
 
-    A block is formatted only when it is read, so write_text streams a long
-    series in O(BLOCK_ROWS) memory.  x may be a range, made an array one
-    block at a time.
+    rows(a, b) returns the Series of rows [a, b).  A block is computed and
+    formatted only when it is read, so write_text streams a long series in
+    O(BLOCK_ROWS) memory.
     """
 
-    def __init__(self, x, y: np.ndarray, halves: bool = False):
-        if len(x) != len(y):
-            raise ValueError(f"x has {len(x)} rows, y has {len(y)}")
-        self.x, self.y, self.halves = x, y, halves
+    def __init__(self, count: int, rows: Callable[[int, int], Series]):
+        self.count, self.rows = count, rows
         self.block = BLOCK_ROWS
 
     @classmethod
-    def of(cls, ser: Series) -> "SeriesText":
-        return cls(ser.x, ser.y, ser.halves)
+    def of(cls, x, y: np.ndarray, halves: bool = False) -> "SeriesText":
+        """The text of columns x and y, sliced one block at a time.  x may
+        be a range, made an array one block at a time."""
+        if len(x) != len(y):
+            raise ValueError(f"x has {len(x)} rows, y has {len(y)}")
+
+        def rows(a: int, b: int) -> Series:
+            xs = x[a:b]
+            if isinstance(xs, range):
+                xs = np.arange(xs.start, xs.stop, xs.step, dtype=np.int64)
+            return Series(xs, y[a:b], halves)
+
+        return cls(len(y), rows)
 
     def __len__(self) -> int:
-        return -(-len(self.y) // self.block)
+        return -(-self.count // self.block)
 
     def __getitem__(self, i: int) -> bytes:
         if not 0 <= i < len(self):
             raise IndexError(i)
-        rows = slice(i * self.block, (i + 1) * self.block)
-        x = self.x[rows]
-        if isinstance(x, range):
-            x = np.arange(x.start, x.stop, x.step, dtype=np.int64)
-        return format_series_lines(Series(x, self.y[rows], self.halves))
+        a = i * self.block
+        return format_series_lines(self.rows(a, min(a + self.block, self.count)))
 
 
 def write_text(path: Path, lines: Sequence[str | bytes]) -> None:
@@ -268,15 +281,25 @@ def obtain_trace(config: RecursionConfig, trace_path: Path | None):
     return trace, True
 
 
-def report_death(trace) -> None:
-    out = trace.outcome
-    kind = "strong" if out.kind is OutcomeKind.STRONG_DEATH else "weak"
-    bad = ",".join(out.bad_indices)
-    print(
-        f"{kind} death at step {out.step} (non-positive feedback index: {bad}); "
-        f"{trace.len} of {trace.config.horizon} values computed",
-        file=sys.stderr,
-    )
+class RunDied(Exception):
+    """The run died before the horizon: main prints this and exits EXIT_DEATH."""
+
+    def __init__(self, trace: Trace):
+        out = trace.outcome
+        kind = "strong" if out.kind is OutcomeKind.STRONG_DEATH else "weak"
+        super().__init__(
+            f"{kind} death at step {out.step} (non-positive feedback index:"
+            f" {','.join(out.bad_indices)}); {trace.len} of {trace.config.horizon}"
+            " values computed")
+
+
+def live_trace(args, config: RecursionConfig) -> Trace:
+    """The trace an analysis verb reads, through the --trace checkpoint if
+    given.  Raises RunDied if the run died before the horizon."""
+    trace, _ = obtain_trace(config, Path(args.trace) if args.trace else None)
+    if not trace.outcome.is_alive:
+        raise RunDied(trace)
+    return trace
 
 
 # ------------------------------------------------------------- handlers
@@ -294,29 +317,29 @@ def cmd_compute(args) -> int:
             args, args.export or None,
             f"values_{trace_tag(config)}_n{config.horizon}.dat",
         )
-        write_text(export_path, SeriesText(range(1, trace.len + 1), trace.values[1:]))
+        write_text(export_path, SeriesText.of(range(1, trace.len + 1), trace.values[1:]))
         print(f"wrote {export_path} ({trace.len} lines)")
     if not trace.outcome.is_alive:
-        report_death(trace)
-        return EXIT_DEATH
+        raise RunDied(trace)
     return EXIT_OK
 
 
 def cmd_diagnose(args) -> int:
     config = config_from(args)
-    trace_path = Path(args.trace) if args.trace else None
-    trace, _ = obtain_trace(config, trace_path)
-    if not trace.outcome.is_alive:
-        report_death(trace)
-        return EXIT_DEATH
-    ser = series(trace, args.series, args.lo, args.hi,
-                 samples_per_octave=args.samples_per_octave)
+    trace = live_trace(args, config)
+    code = args.series
+    if code == "G":  # a log grid of about 1.5k rows, built whole
+        ser = series(trace, code, samples_per_octave=args.samples_per_octave)
+        text = SeriesText.of(ser.x, ser.y, ser.halves)
+    else:
+        lo, hi = series_window(trace, code, args.lo, args.hi)
+        text = SeriesText(hi - lo + 1, lambda a, b: series(trace, code, lo + a, lo + b - 1))
     out_path = resolve(
         args, args.out,
-        f"series_{args.series}_{trace_tag(config)}_n{config.horizon}.dat",
+        f"series_{code}_{trace_tag(config)}_n{config.horizon}.dat",
     )
-    write_text(out_path, SeriesText.of(ser))
-    print(f"wrote {out_path} ({len(ser)} lines)")
+    write_text(out_path, text)
+    print(f"wrote {out_path} ({text.count} lines)")
     return EXIT_OK
 
 
@@ -341,29 +364,24 @@ def parse_levels(text: str, label: str = "level") -> list[int]:
 
 
 def cmd_selfsim(args) -> int:
-    from .diagnostics import selfsim_profile
-
     config = config_from(args)
     levels = parse_levels(args.levels)
     if 2 ** max(levels) > config.horizon:
         raise RangeError(
             f"level {max(levels)} needs horizon >= {2 ** max(levels)}, have {config.horizon}"
         )
-    trace_path = Path(args.trace) if args.trace else None
-    trace, _ = obtain_trace(config, trace_path)
-    if not trace.outcome.is_alive:
-        report_death(trace)
-        return EXIT_DEATH
+    trace = live_trace(args, config)
     for k in levels:
-        ser = selfsim_profile(trace, k)
+        _, count = selfsim_window(trace, k)
+        text = SeriesText(count, lambda a, b: selfsim_profile(trace, k, a + 1, b))
         if args.out_dir is not None:
             out_path = Path(args.out_dir) / f"selfsim_k{k}.dat"
         else:
             out_path = resolve(
                 args, None, f"selfsim_k{k}_{trace_tag(config)}_n{config.horizon}.dat"
             )
-        write_text(out_path, SeriesText.of(ser))
-        print(f"wrote {out_path} ({len(ser)} lines)")
+        write_text(out_path, text)
+        print(f"wrote {out_path} ({count} lines)")
     return EXIT_OK
 
 
@@ -387,11 +405,7 @@ def block_lines(report: BlockReport) -> list[str]:
 
 def cmd_freq(args) -> int:
     config = config_from(args)
-    trace_path = Path(args.trace) if args.trace else None
-    trace, _ = obtain_trace(config, trace_path)
-    if not trace.outcome.is_alive:
-        report_death(trace)
-        return EXIT_DEATH
+    trace = live_trace(args, config)
     table = build_frequency(trace, m_cap=args.m_cap)
     k_max = args.kmax
     if 2 ** (k_max + 1) - 1 > table.m_cap:
@@ -415,7 +429,7 @@ def cmd_freq(args) -> int:
     m_hi = 2 ** (k_max + 1) - 1
     data_path = resolve(args, args.data_out, f"freq_F_{trace_tag(config)}"
                                              f"_n{config.horizon}_k{k_max}.dat")
-    write_text(data_path, SeriesText(range(1, m_hi + 1), table.counts[1 : m_hi + 1]))
+    write_text(data_path, SeriesText.of(range(1, m_hi + 1), table.counts[1 : m_hi + 1]))
     print(f"wrote {data_path} ({m_hi} lines)")
     return EXIT_OK
 
@@ -544,6 +558,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except RunDied as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_DEATH
     except (ConfigError, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,11 +1,17 @@
 """Derived series and structural probes over a computed trace.
 
 Half-integer quantities (the fluctuation 2Q(n) - n lives on a half-grid)
-are kept exact by storing doubled values: every function or series whose
-name or ``halves`` flag says so returns 2x the mathematical value.  The
-CLI divides by two only at the text boundary.
+are kept exact by storing doubled values: a series whose ``halves`` flag
+is set holds 2x the mathematical value.  The CLI divides by two only at
+the text boundary.
 
-Series codes used by the CLI and the registry here:
+Each series code but G is one row of the table _SERIES: its domain, its
+formula over an index array and its halves flag.  series() evaluates the
+formula on any window [lo, hi] of the domain, and selfsim_profile() takes
+the same window over its samples, so a caller can evaluate a long series
+one block of rows at a time, as the CLI does.
+
+Series codes used by the CLI:
 
     E     fluctuation, doubled:   2Q(n) - n
     S     safety margin:          n - max(Q(n-1), Q(n-2))
@@ -57,11 +63,6 @@ class Series:
         return zip(self.x.tolist(), self.y.tolist())
 
 
-def _check_range(name: str, n: int, lo: int, hi: int) -> None:
-    if not lo <= n <= hi:
-        raise RangeError(f"{name}={n} outside valid range [{lo}, {hi}]")
-
-
 def _q_at(trace: Trace, idx: np.ndarray) -> np.ndarray:
     """Q at an index array as int64, widened after indexing: the copy is
     the size of idx, not of the trace."""
@@ -77,74 +78,51 @@ def assert_all_odd(trace: Trace, n_max: int | None = None) -> None:
             raise ParityError(f"even value Q({n})={int(trace.values[n])}")
 
 
-# ---------------------------------------------------------------- scalars
-
-def fluctuation2(trace: Trace, n: int) -> int:
-    """2Q(n) - n, i.e. the doubled fluctuation around n/2."""
-    _check_range("n", n, 1, trace.len)
-    return 2 * trace.value_at(n) - n
-
-
-def safety_margin(trace: Trace, n: int) -> int:
-    _check_range("n", n, 3, trace.len)
-    return n - max(trace.value_at(n - 1), trace.value_at(n - 2))
-
-
-def difference(trace: Trace, n: int) -> int:
-    _check_range("n", n, 1, trace.len - 1)
-    return trace.value_at(n + 1) - trace.value_at(n)
-
-
-def clock_indices(trace: Trace, n: int) -> tuple[int, int]:
-    """(n - Q(n-1), n - Q(n-2)): where step n reads its two summands."""
-    _check_range("n", n, 3, trace.len)
-    return n - trace.value_at(n - 1), n - trace.value_at(n - 2)
-
-
-def renorm_residual(trace: Trace, n: int) -> int:
-    """Q(2n) - 2Q(n): the defect of exact factor-two self-similarity."""
-    _check_range("n", n, 1, trace.len // 2)
-    return trace.value_at(2 * n) - 2 * trace.value_at(n)
-
-
-def renorm_residual_split(trace: Trace, k: int) -> tuple[int, int]:
-    """Residuals along odd and even input indices: (Q(4k-2) - 2Q(2k-1), Q(4k) - 2Q(2k))."""
-    _check_range("k", k, 1, trace.len // 4)
-    return (
-        trace.value_at(4 * k - 2) - 2 * trace.value_at(2 * k - 1),
-        trace.value_at(4 * k) - 2 * trace.value_at(2 * k),
-    )
-
-
 # ------------------------------------------------------------- bulk series
 
-_INT_SERIES = ("S", "D", "t1", "t2", "R", "Rodd", "Reven", "A", "B", "a", "b")
-_HALF_SERIES = ("E", "s", "d", "G")
-SERIES_CODES = _HALF_SERIES[:1] + _INT_SERIES + _HALF_SERIES[1:]
+# code -> (domain(L): the valid index range [lo, hi] on a trace of length L,
+#          formula(q, n): the values at an index array n, read through q,
+#          halves: whether the values are doubled half-integers)
+_SERIES = {
+    "E": (lambda L: (1, L), lambda q, n: 2 * q(n) - n, True),
+    "S": (lambda L: (3, L), lambda q, n: n - np.maximum(q(n - 1), q(n - 2)), False),
+    "D": (lambda L: (1, L - 1), lambda q, n: q(n + 1) - q(n), False),
+    "t1": (lambda L: (3, L), lambda q, n: n - q(n - 1), False),
+    "t2": (lambda L: (3, L), lambda q, n: n - q(n - 2), False),
+    "R": (lambda L: (1, L // 2), lambda q, n: q(2 * n) - 2 * q(n), False),
+    "Rodd": (lambda L: (1, L // 4), lambda q, n: q(4 * n - 2) - 2 * q(2 * n - 1), False),
+    "Reven": (lambda L: (1, L // 4), lambda q, n: q(4 * n) - 2 * q(2 * n), False),
+    "A": (lambda L: (1, (L + 1) // 2), lambda q, n: q(2 * n - 1), False),
+    "B": (lambda L: (1, L // 2), lambda q, n: q(2 * n), False),
+    "a": (lambda L: (1, (L + 1) // 2), lambda q, n: q(2 * n - 1) - n, False),
+    "b": (lambda L: (1, L // 2), lambda q, n: q(2 * n) - n, False),
+    "s": (lambda L: (1, L // 2), lambda q, n: q(2 * n - 1) + q(2 * n) - 2 * n, True),
+    "d": (lambda L: (1, L // 2), lambda q, n: q(2 * n) - q(2 * n - 1), True),
+}
+SERIES_CODES = (*_SERIES, "G")
 
 
 def series_domain(trace: Trace, code: str) -> tuple[int, int]:
     """Valid index range [lo, hi] for a series code on this trace."""
-    L = trace.len
-    domains = {
-        "E": (1, L),
-        "S": (3, L),
-        "D": (1, L - 1),
-        "t1": (3, L),
-        "t2": (3, L),
-        "R": (1, L // 2),
-        "Rodd": (1, L // 4),
-        "Reven": (1, L // 4),
-        "A": (1, (L + 1) // 2),
-        "B": (1, L // 2),
-        "a": (1, (L + 1) // 2),
-        "b": (1, L // 2),
-        "s": (1, L // 2),
-        "d": (1, L // 2),
-    }
-    if code not in domains:
+    if code not in _SERIES:
         raise ConfigError(f"unknown series code {code!r}")
-    return domains[code]
+    return _SERIES[code][0](trace.len)
+
+
+def _window(what: str, lo: int | None, hi: int | None,
+            d_lo: int, d_hi: int) -> tuple[int, int]:
+    lo = d_lo if lo is None else lo
+    hi = d_hi if hi is None else hi
+    if not d_lo <= lo <= hi <= d_hi:
+        raise RangeError(f"{what}: range [{lo}, {hi}] outside domain [{d_lo}, {d_hi}]")
+    return lo, hi
+
+
+def series_window(trace: Trace, code: str, lo: int | None = None,
+                  hi: int | None = None) -> tuple[int, int]:
+    """[lo, hi] for series(trace, code, lo, hi), a None end taken from the
+    domain; RangeError if the window leaves the domain or is empty."""
+    return _window(f"series {code}", lo, hi, *series_domain(trace, code))
 
 
 def series(trace: Trace, code: str, lo: int | None = None, hi: int | None = None,
@@ -152,80 +130,10 @@ def series(trace: Trace, code: str, lo: int | None = None, hi: int | None = None
     """Build the named series over [lo, hi] (defaults: the full domain)."""
     if code == "G":
         return log_profile(trace, samples_per_octave)
-    d_lo, d_hi = series_domain(trace, code)
-    lo = d_lo if lo is None else lo
-    hi = d_hi if hi is None else hi
-    if not (d_lo <= lo <= hi <= d_hi):
-        raise RangeError(f"series {code}: range [{lo}, {hi}] outside domain [{d_lo}, {d_hi}]")
-
-    q = functools.partial(_q_at, trace)
+    lo, hi = series_window(trace, code, lo, hi)
+    _, formula, halves = _SERIES[code]
     n = np.arange(lo, hi + 1, dtype=np.int64)
-    if code == "E":
-        y = 2 * q(n) - n
-    elif code == "S":
-        y = n - np.maximum(q(n - 1), q(n - 2))
-    elif code == "D":
-        y = q(n + 1) - q(n)
-    elif code == "t1":
-        y = n - q(n - 1)
-    elif code == "t2":
-        y = n - q(n - 2)
-    elif code == "R":
-        y = q(2 * n) - 2 * q(n)
-    elif code == "Rodd":
-        y = q(4 * n - 2) - 2 * q(2 * n - 1)
-    elif code == "Reven":
-        y = q(4 * n) - 2 * q(2 * n)
-    elif code == "A":
-        y = q(2 * n - 1)
-    elif code == "B":
-        y = q(2 * n)
-    elif code == "a":
-        y = q(2 * n - 1) - n
-    elif code == "b":
-        y = q(2 * n) - n
-    elif code == "s":
-        y = q(2 * n - 1) + q(2 * n) - 2 * n
-    elif code == "d":
-        y = q(2 * n) - q(2 * n - 1)
-    return Series(x=n, y=y, halves=code in _HALF_SERIES)
-
-
-@dataclass(frozen=True)
-class Subsequences:
-    """Odd/even interleaves and their drifts away from k (s2/d2 doubled)."""
-
-    odd: np.ndarray        # A(k) = Q(2k-1)
-    even: np.ndarray       # B(k) = Q(2k)
-    odd_drift: np.ndarray  # a(k) = A(k) - k
-    even_drift: np.ndarray  # b(k) = B(k) - k
-    drift_mean2: np.ndarray  # 2s(k) = a(k) + b(k)
-    drift_gap2: np.ndarray   # 2d(k) = b(k) - a(k)
-
-
-def subsequences(trace: Trace) -> Subsequences:
-    """All six interleave series over k = 1..len//2 (1-based: slot 0 unused)."""
-    k_hi = trace.len // 2
-    if k_hi < 1:
-        raise RangeError("trace too short for interleaved subsequences")
-    k = np.arange(1, k_hi + 1, dtype=np.int64)
-    a_vals = _q_at(trace, 2 * k - 1)
-    b_vals = _q_at(trace, 2 * k)
-
-    def one_based(arr):
-        out = np.zeros(k_hi + 1, dtype=np.int64)
-        out[1:] = arr
-        out.flags.writeable = False
-        return out
-
-    return Subsequences(
-        odd=one_based(a_vals),
-        even=one_based(b_vals),
-        odd_drift=one_based(a_vals - k),
-        even_drift=one_based(b_vals - k),
-        drift_mean2=one_based(a_vals + b_vals - 2 * k),
-        drift_gap2=one_based(b_vals - a_vals),
-    )
+    return Series(x=n, y=formula(functools.partial(_q_at, trace), n), halves=halves)
 
 
 def check_subsequence_identities(trace: Trace, k_lo: int = 2,
@@ -286,21 +194,30 @@ def _identity_violations(trace: Trace, k_lo: int, k_hi: int) -> np.ndarray:
 
 # ----------------------------------------------------------------- profiles
 
-def selfsim_profile(trace: Trace, k: int) -> Series:
-    """Fluctuation sampled on the 2^k-decimated grid, x normalized to (0, 1].
-
-    Sample m carries y = 2Q(2^k m) - 2^k m (doubled residual against the
-    half-slope ramp) at x = m / floor(len / 2^k).
-    """
+def selfsim_window(trace: Trace, k: int, lo: int | None = None,
+                   hi: int | None = None) -> tuple[int, int]:
+    """[lo, hi] for selfsim_profile(trace, k, lo, hi), as series_window."""
     if k < 0:
         raise ConfigError(f"k must be >= 0, got {k}")
     count = trace.len >> k
     if count < 1:
         raise RangeError(f"2^{k} exceeds trace length {trace.len}")
-    m = np.arange(1, count + 1, dtype=np.int64)
+    return _window(f"selfsim level {k}", lo, hi, 1, count)
+
+
+def selfsim_profile(trace: Trace, k: int, lo: int | None = None,
+                    hi: int | None = None) -> Series:
+    """Fluctuation sampled on the 2^k-decimated grid, x normalized to (0, 1].
+
+    Sample m carries y = 2Q(2^k m) - 2^k m (doubled residual against the
+    half-slope ramp) at x = m / floor(len / 2^k); m runs over [lo, hi]
+    (defaults: every sample, 1 .. floor(len / 2^k)).
+    """
+    lo, hi = selfsim_window(trace, k, lo, hi)
+    m = np.arange(lo, hi + 1, dtype=np.int64)
     idx = m << k
     y = 2 * _q_at(trace, idx) - idx
-    return Series(x=m / count, y=y, halves=True)
+    return Series(x=m / (trace.len >> k), y=y, halves=True)
 
 
 def log_profile(trace: Trace, samples_per_octave: int = 64) -> Series:

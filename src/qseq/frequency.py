@@ -189,20 +189,8 @@ def average_check(report: BlockReport) -> Fraction:
     return report.average - (4 - Fraction(1, 2**report.k))
 
 
-@dataclass(frozen=True)
-class PeakInfo:
-    k: int
-    peak_m: int
-    peak_count: int
-    tie_count: int
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.peak_m, 2**self.k)
-
-
-def peak_scan(table: FrequencyTable, k_lo: int, k_hi: int) -> list[PeakInfo]:
-    """Per-block argmax over k in [k_lo, k_hi]; blocks must be complete."""
+def peak_scan(table: FrequencyTable, k_lo: int, k_hi: int) -> list[BlockReport]:
+    """The reports of blocks k_lo..k_hi, for their peaks; blocks must be complete."""
     if k_lo > k_hi:
         raise ConfigError(f"empty k range [{k_lo}, {k_hi}]")
     out = []
@@ -210,6 +198,5 @@ def peak_scan(table: FrequencyTable, k_lo: int, k_hi: int) -> list[PeakInfo]:
         rep = block_report(table, k)
         if not rep.complete:
             raise SaturationError(f"block k={k} is not complete at N={table.n_max}")
-        out.append(PeakInfo(k=k, peak_m=rep.peak_m, peak_count=rep.peak_count,
-                            tie_count=rep.tie_count))
+        out.append(rep)
     return out

@@ -183,17 +183,6 @@ class TableReport:
     def survivors(self) -> tuple[SeedReport, ...]:
         return self.original + self.merges + self.shifted + self.orbit + self.irregular
 
-    def to_dict(self) -> dict:
-        return {
-            "original": [r.to_row() for r in self.original],
-            "merges_into_original": [r.to_row() for r in self.merges],
-            "shifted_original": [r.to_row() for r in self.shifted],
-            "ramp_orbit": [r.to_row() for r in self.orbit],
-            "long_lived_irregular": [r.to_row() for r in self.irregular],
-            "strong_deaths": [r.to_row() for r in self.strong_deaths],
-            "weak_deaths": [r.to_row() for r in self.weak_deaths],
-        }
-
 
 def table_report(reports: list[SeedReport]) -> TableReport:
     """Group the full 27-triple survey; partial surveys are refused."""

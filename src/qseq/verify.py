@@ -26,7 +26,6 @@ from pathlib import Path
 from . import _native, checkpoint
 from .diagnostics import assert_all_odd, check_subsequence_identities, series
 from .engine import (
-    Perturbation,
     RecursionConfig,
     Seed,
     extend,
@@ -203,19 +202,20 @@ def check_dyadic_blocks(art: Artifacts) -> CriterionResult:
 
 
 def check_peaks(art: Artifacts) -> CriterionResult:
-    infos = peak_scan(art.freq_table, 5, 15)
+    reports = peak_scan(art.freq_table, 5, 15)
     problems = []
-    got = tuple(info.peak_m for info in infos[:7])
+    got = tuple(rep.peak_m for rep in reports[:7])
     if got != PEAKS_5_TO_11:
         problems.append(f"peaks k=5..11 are {list(got)}")
-    for info in infos:
-        gap = abs(info.ratio - Fraction(4, 3))
+    for rep in reports:
+        gap = abs(rep.peak_ratio - Fraction(4, 3))
         if gap > PEAK_RATIO_TOLERANCE:
-            problems.append(f"k={info.k} ratio {float(info.ratio):.4f} off 4/3 by {float(gap):.4f}")
-        if info.tie_count != 1:
-            problems.append(f"k={info.k} peak tied {info.tie_count} ways")
+            problems.append(f"k={rep.k} ratio {float(rep.peak_ratio):.4f}"
+                            f" off 4/3 by {float(gap):.4f}")
+        if rep.tie_count != 1:
+            problems.append(f"k={rep.k} peak tied {rep.tie_count} ways")
     ok = not problems
-    worst = max(abs(info.ratio - Fraction(4, 3)) for info in infos)
+    worst = max(abs(rep.peak_ratio - Fraction(4, 3)) for rep in reports)
     return _result(8, "frequency peak locations", ok,
                    f"peaks exact, max |ratio - 4/3| = {float(worst):.4f}" if ok
                    else "; ".join(problems))

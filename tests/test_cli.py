@@ -8,7 +8,7 @@ import pytest
 
 import frozen_values as frozen
 import oracle
-from qseq import checkpoint
+from qseq import checkpoint, cli
 from qseq.cli import (
     EXIT_CONFIG,
     EXIT_DEATH,
@@ -19,8 +19,9 @@ from qseq.cli import (
     format_series_lines,
     main,
 )
-from qseq.diagnostics import Series
+from qseq.diagnostics import SERIES_CODES, Series, selfsim_profile, series
 from qseq.engine import RecursionConfig, Seed, run
+from qseq.errors import RangeError
 
 
 def read_lines(path):
@@ -229,7 +230,7 @@ def test_half_integer_formatting():
 
 def test_text_rejects_what_it_cannot_write_exactly():
     with pytest.raises(ValueError):
-        SeriesText(range(1, 4), np.arange(2))
+        SeriesText.of(range(1, 4), np.arange(2))
     for bad in (np.nan, np.inf, 1e9):
         with pytest.raises(ValueError):
             format_series_lines(Series(np.array([0.5, bad]), np.arange(2)))
@@ -269,11 +270,31 @@ def test_diagnose_renorm_split_matches_oracle(tmp_path, code, picker):
     assert out.read_bytes() == expected.encode()
 
 
-def test_diagnose_range_error(tmp_path, capsys):
+@pytest.mark.parametrize("lo,hi", [(1, 100), (0, 10), (11, 10)],
+                         ids=["hi-past-domain", "lo-below-domain", "lo-above-hi"])
+def test_diagnose_range_error(tmp_path, capsys, lo, hi):
     code = main(["diagnose", "--horizon", "100", "--series", "D",
-                 "--lo", "1", "--hi", "100", "--out", str(tmp_path / "x.dat")])
+                 "--lo", str(lo), "--hi", str(hi), "--out", str(tmp_path / "x.dat")])
     assert code == EXIT_CONFIG  # D stops at horizon - 1
-    assert "error:" in capsys.readouterr().err
+    with pytest.raises(RangeError) as raised:
+        series(run(RecursionConfig(seed=Seed((1, 1)), horizon=100)), "D", lo, hi)
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+    assert list(tmp_path.iterdir()) == []  # neither the file nor its temp file
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_blocks_write_the_whole_series(short_trace, tmp_path, monkeypatch, capsys, block):
+    monkeypatch.setattr(cli, "BLOCK_ROWS", block)
+    horizon = ["--horizon", str(short_trace.len)]
+    for code in SERIES_CODES:
+        out = tmp_path / f"{code}.dat"
+        assert main(["diagnose", *horizon, "--series", code, "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == format_series_lines(series(short_trace, code)), code
+    assert main(["selfsim", *horizon, "--levels", "0..3", "--out-dir", str(tmp_path)]) == EXIT_OK
+    for k in range(4):
+        assert (tmp_path / f"selfsim_k{k}.dat").read_bytes() == format_series_lines(
+            selfsim_profile(short_trace, k))
+    capsys.readouterr()
 
 
 def test_diagnose_death_before_analysis(tmp_path, capsys):

@@ -10,17 +10,10 @@ from qseq.diagnostics import (
     SERIES_CODES,
     assert_all_odd,
     check_subsequence_identities,
-    clock_indices,
-    difference,
-    fluctuation2,
     log_profile,
-    renorm_residual,
-    renorm_residual_split,
-    safety_margin,
     selfsim_profile,
     series,
     series_domain,
-    subsequences,
 )
 from qseq.errors import ConfigError, ParityError, RangeError
 
@@ -32,31 +25,15 @@ def oracle_values(short_trace):
     return q
 
 
-def test_scalar_diagnostics_match_oracle(short_trace, oracle_values):
-    q = oracle_values
-    for n in (3, 4, 17, 100, 999, 2500, 5000):
-        assert fluctuation2(short_trace, n) == oracle.fluctuation2(q, n)
-        assert safety_margin(short_trace, n) == oracle.safety(q, n)
-        assert clock_indices(short_trace, n) == oracle.clocks(q, n)
-    for n in (1, 2, 100, 4999):
-        assert difference(short_trace, n) == oracle.difference(q, n)
-    for n in (1, 2, 100, 2500):
-        assert renorm_residual(short_trace, n) == oracle.renorm(q, n)
-    for k in (1, 2, 100, 1250):
-        assert renorm_residual_split(short_trace, k) == oracle.renorm_split(q, k)
-
-
-def test_scalar_range_checks(short_trace):
-    with pytest.raises(RangeError):
-        fluctuation2(short_trace, 0)
-    with pytest.raises(RangeError):
-        safety_margin(short_trace, 2)
-    with pytest.raises(RangeError):
-        difference(short_trace, short_trace.len)
-    with pytest.raises(RangeError):
-        renorm_residual(short_trace, short_trace.len // 2 + 1)
-    with pytest.raises(RangeError):
-        renorm_residual_split(short_trace, short_trace.len // 4 + 1)
+def test_series_range_checks(short_trace):
+    for code in SERIES_CODES:
+        if code == "G":  # a log grid, no index window
+            continue
+        lo, hi = series_domain(short_trace, code)
+        with pytest.raises(RangeError):
+            series(short_trace, code, lo - 1, lo)
+        with pytest.raises(RangeError):
+            series(short_trace, code, hi, hi + 1)
 
 
 def test_every_series_matches_oracle(short_trace, oracle_values):
@@ -132,18 +109,6 @@ def test_parity_guard_names_the_first_even_value_across_blocks(short_trace, monk
     assert_all_odd(trace, 4320)
 
 
-def test_subsequences_structure(short_trace):
-    subs = subsequences(short_trace)
-    k_hi = short_trace.len // 2
-    assert subs.odd[1:11].tolist() == [1, 1, 3, 5, 5, 5, 7, 7, 9, 11]
-    assert subs.even[1:10].tolist() == [1, 3, 3, 5, 7, 9, 9, 11, 11]
-    k = np.arange(1, k_hi + 1)
-    assert (subs.odd_drift[1:] == subs.odd[1:] - k).all()
-    assert (subs.even_drift[1:] == subs.even[1:] - k).all()
-    assert (subs.drift_mean2[1:] == subs.odd_drift[1:] + subs.even_drift[1:]).all()
-    assert (subs.drift_gap2[1:] == subs.even[1:] - subs.odd[1:]).all()
-
-
 def test_identities_hold_and_match_oracle(short_trace, oracle_values):
     assert check_subsequence_identities(short_trace).size == 0
     assert oracle.identity_violations(oracle_values, 2, short_trace.len // 2) == []
@@ -192,6 +157,12 @@ def test_selfsim_profile_shapes(short_trace):
     count = short_trace.len // 2
     assert prof1.x[1] == pytest.approx(2 / count)
     assert prof1.y[1] == 2  # doubled residual at n=4: 2*3 - 4
+    window = selfsim_profile(short_trace, 1, 2, 5)
+    assert window.x.tolist() == prof1.x[1:5].tolist()
+    assert window.y.tolist() == prof1.y[1:5].tolist()
+    for lo, hi in ((0, 5), (5, 4), (count, count + 1)):
+        with pytest.raises(RangeError):
+            selfsim_profile(short_trace, 1, lo, hi)
     with pytest.raises(RangeError):
         selfsim_profile(short_trace, 40)
     with pytest.raises(ConfigError):
@@ -226,7 +197,7 @@ def test_frozen_renorm_split_maxima(main_trace):
 
 
 def test_frozen_fluctuation(main_trace):
-    assert fluctuation2(main_trace, 10**6) == frozen.FLUCT2_AT_1E6
+    assert series(main_trace, "E", 10**6, 10**6).y[0] == frozen.FLUCT2_AT_1E6
 
 
 def test_frozen_difference_summary(main_trace):

@@ -157,7 +157,7 @@ def test_peak_scan_positions_and_ratios(freq_table):
     tolerance = Fraction(11, 1000)
     for p in peaks:
         assert p.tie_count == 1
-        assert abs(p.ratio - Fraction(4, 3)) <= tolerance, f"k={p.k}: ratio={p.ratio}"
+        assert abs(p.peak_ratio - Fraction(4, 3)) <= tolerance, f"k={p.k}: ratio={p.peak_ratio}"
 
 
 def test_peak_scan_refuses_incomplete_blocks(freq_table):

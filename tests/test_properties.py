@@ -184,13 +184,13 @@ def test_blocks_stream_the_whole_text(block, rows, floats, monkeypatch,
     y = np.arange(rows, dtype=np.int64) * 37 - 500
     x = np.arange(1, rows + 1) / max(rows, 1) if floats else np.arange(1, rows + 1)
     expected = reference_text(x, y, halves=True)
-    text = SeriesText(x, y, halves=True)
+    text = SeriesText.of(x, y, halves=True)
     assert len(text) == -(-rows // block)
     assert b"".join(text) == expected
     path = tmp_path_factory.mktemp("blocks") / "series.dat"
     write_text(path, text)
     assert path.read_bytes() == expected
-    ranged = SeriesText(range(1, rows + 1), y)
+    ranged = SeriesText.of(range(1, rows + 1), y)
     assert b"".join(ranged) == reference_text(np.arange(1, rows + 1), y)
 
 

@@ -195,10 +195,6 @@ def test_table_report_grouping(survey):
     assert seeds(table.weak_deaths) == [(1, 2, 1), (1, 2, 3), (3, 2, 1)]
     assert len(table.survivors) == 10
 
-    as_dict = table.to_dict()
-    assert sum(len(rows) for rows in as_dict.values()) == 27
-    assert as_dict["shifted_original"][0]["shift"] == 2
-
 
 def test_table_report_requires_full_survey(survey):
     reports = [survey[s] for s in survey if len(s) == 3]
