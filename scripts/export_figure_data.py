@@ -26,17 +26,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qseq.cli import SeriesText, seed_row, write_text
-from qseq.diagnostics import log_profile, selfsim_profile, series
+from qseq.diagnostics import log_grid, log_profile, selfsim_profile, series
 from qseq.engine import Perturbation, RecursionConfig, Seed, run
 from qseq.frequency import build_frequency, peak_scan
-from qseq.seedlab import DEFAULT_MAX_SHIFT, classify, enumerate_seeds
-
-
-def log_grid(n_max: int, samples_per_octave: int) -> np.ndarray:
-    count = int(samples_per_octave * np.log2(n_max)) + 1
-    x = np.arange(count) / samples_per_octave
-    n = np.clip(np.rint(np.exp2(x)).astype(np.int64), 1, n_max)
-    return np.unique(n)
+from qseq.seedlab import MAX_SHIFT, classify, enumerate_seeds
 
 
 def strided(ser, max_points: int) -> SeriesText:
@@ -78,7 +71,8 @@ def main(argv: list[str] | None = None) -> int:
     m_hi = 2 ** (args.kmax + 1) - 1
     freq_text = SeriesText.of(range(1, m_hi + 1), table.counts[1 : m_hi + 1])
 
-    grid = log_grid(args.horizon, args.samples_per_octave)
+    _, n = log_grid(args.horizon, args.samples_per_octave)
+    grid = np.unique(n)
     emit("growth.dat", SeriesText.of(grid, trace.values[grid]))
     fluct = log_profile(trace, args.samples_per_octave)
     emit("fluct_log.dat", SeriesText.of(fluct.x, fluct.y, fluct.halves))
@@ -100,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"classifying seeds at horizon {args.survey_horizon:,} ...")
     reference = run(RecursionConfig(
-        seed=Seed((1, 1)), horizon=args.survey_horizon + DEFAULT_MAX_SHIFT,
+        seed=Seed((1, 1)), horizon=args.survey_horizon + MAX_SHIFT,
         perturbation=Perturbation.ALTERNATING,
     ))
     rows = [seed_row(classify(seed, reference, horizon=args.survey_horizon))

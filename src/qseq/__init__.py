@@ -48,7 +48,6 @@ from .errors import (
 from .frequency import (
     BlockReport,
     FrequencyTable,
-    LawCheck,
     average_check,
     block_report,
     build_frequency,
@@ -59,7 +58,6 @@ from .frequency import (
 from .seedlab import (
     SeedClass,
     SeedReport,
-    TableReport,
     classify,
     detect_merge,
     detect_ramp_orbit,
@@ -83,7 +81,6 @@ __all__ = [
     "CountOverflowError",
     "CriterionResult",
     "FrequencyTable",
-    "LawCheck",
     "Outcome",
     "OutcomeKind",
     "ParityError",
@@ -96,7 +93,6 @@ __all__ = [
     "SeedClass",
     "SeedReport",
     "Series",
-    "TableReport",
     "Trace",
     "TraceStateError",
     "ValueOverflowError",

@@ -66,7 +66,7 @@ from .frequency import (
     law_prediction,
 )
 from .seedlab import (
-    DEFAULT_MAX_SHIFT,
+    MAX_SHIFT,
     SeedReport,
     classify,
     enumerate_seeds,
@@ -329,7 +329,7 @@ def cmd_diagnose(args) -> int:
     trace = live_trace(args, config)
     code = args.series
     if code == "G":  # a log grid of about 1.5k rows, built whole
-        ser = series(trace, code, samples_per_octave=args.samples_per_octave)
+        ser = series(trace, code, args.lo, args.hi, args.samples_per_octave)
         text = SeriesText.of(ser.x, ser.y, ser.halves)
     else:
         lo, hi = series_window(trace, code, args.lo, args.hi)
@@ -388,7 +388,7 @@ def cmd_selfsim(args) -> int:
 def block_lines(report: BlockReport) -> list[str]:
     lo, hi = 2**report.k, 2 ** (report.k + 1) - 1
     if report.complete:
-        verdict = "pass" if check_dyadic_law(report).passed else "fail"
+        verdict = "fail" if check_dyadic_law(report) else "pass"
     else:
         verdict = "unchecked"
     head = (
@@ -435,15 +435,13 @@ def cmd_freq(args) -> int:
 
 
 def seed_row(report: SeedReport) -> str:
-    row = report.to_row()
-    growth = "-" if row["growth"] is None else f"{row['growth']:.6f}"
-    death = "-" if row["death_step"] is None else str(row["death_step"])
-    bad = ",".join(row["bad_indices"]) or "-"
-    shift = "-" if row["shift"] is None else str(row["shift"])
-    merge = "-" if row["merge_index"] is None else str(row["merge_index"])
-    seed_txt = ",".join(str(v) for v in row["seed"])
+    growth = "-" if report.growth2 is None else f"{float(report.growth2) / 2:.6f}"
+    death = "-" if report.death_step is None else str(report.death_step)
+    bad = ",".join(report.bad_indices) or "-"
+    shift = "-" if report.shift is None else str(report.shift)
+    merge = "-" if report.merge_index is None else str(report.merge_index)
     return (
-        f"seed {seed_txt} class {row['class']} death {death} bad {bad}"
+        f"seed {report.seed} class {report.classification.value} death {death} bad {bad}"
         f" shift {shift} merge_n {merge} growth {growth}"
     )
 
@@ -451,7 +449,7 @@ def seed_row(report: SeedReport) -> str:
 def cmd_seeds(args) -> int:
     reference = run(RecursionConfig(
         seed=Seed((1, 1)),
-        horizon=args.horizon + DEFAULT_MAX_SHIFT,
+        horizon=args.horizon + MAX_SHIFT,
         perturbation=Perturbation(args.perturbation),
     ))
     rows = []

@@ -127,8 +127,13 @@ def series_window(trace: Trace, code: str, lo: int | None = None,
 
 def series(trace: Trace, code: str, lo: int | None = None, hi: int | None = None,
            samples_per_octave: int = 64) -> Series:
-    """Build the named series over [lo, hi] (defaults: the full domain)."""
+    """Build the named series over [lo, hi] (defaults: the full domain).
+
+    G is always its whole log grid; RangeError if lo or hi is given for it.
+    """
     if code == "G":
+        if lo is not None or hi is not None:
+            raise RangeError(f"series G: the log grid takes no range, got [{lo}, {hi}]")
         return log_profile(trace, samples_per_octave)
     lo, hi = series_window(trace, code, lo, hi)
     _, formula, halves = _SERIES[code]
@@ -220,14 +225,21 @@ def selfsim_profile(trace: Trace, k: int, lo: int | None = None,
     return Series(x=m / (trace.len >> k), y=y, halves=True)
 
 
-def log_profile(trace: Trace, samples_per_octave: int = 64) -> Series:
-    """Doubled fluctuation at n = round(2^x) for x on a uniform log grid."""
+def log_grid(length: int, samples_per_octave: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform log grid x = i / samples_per_octave, i = 0, 1, ... while
+    2^x <= length, and its indices n = round(2^x) clipped to [1, length].
+    Neighbouring n repeat where the grid is finer than the integers."""
     if samples_per_octave < 1:
         raise ConfigError(f"samples_per_octave must be >= 1, got {samples_per_octave}")
-    if trace.len < 1:
+    if length < 1:
         raise RangeError("empty trace")
-    i_max = math.floor(samples_per_octave * math.log2(trace.len))
+    i_max = math.floor(samples_per_octave * math.log2(length))
     x = np.arange(i_max + 1, dtype=np.float64) / samples_per_octave
-    n = np.clip(np.rint(np.exp2(x)).astype(np.int64), 1, trace.len)
+    return x, np.clip(np.rint(np.exp2(x)).astype(np.int64), 1, length)
+
+
+def log_profile(trace: Trace, samples_per_octave: int = 64) -> Series:
+    """Doubled fluctuation at n = round(2^x) for x on log_grid."""
+    x, n = log_grid(trace.len, samples_per_octave)
     y = 2 * _q_at(trace, n) - n
     return Series(x=x, y=y, halves=True)

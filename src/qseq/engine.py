@@ -44,13 +44,12 @@ class Perturbation(Enum):
 @dataclass(frozen=True)
 class Seed:
     values: tuple[int, ...]
-    max_len: int = MAX_SEED_LEN
 
     def __post_init__(self) -> None:
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
-        if not 2 <= len(vals) <= self.max_len:
-            raise ConfigError(f"seed length must be in [2, {self.max_len}], got {len(vals)}")
+        if not 2 <= len(vals) <= MAX_SEED_LEN:
+            raise ConfigError(f"seed length must be in [2, {MAX_SEED_LEN}], got {len(vals)}")
         for v in vals:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ConfigError(f"seed entries must be integers >= 1, got {v!r}")

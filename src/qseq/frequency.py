@@ -1,12 +1,15 @@
 """How often each odd value appears, organized into dyadic blocks.
 
 Value v = 2m - 1 is binned at index m; block k holds m in
-[2^k, 2^{k+1} - 1].  Counts live in 1-byte slots (observed counts at
+[2^k, 2^{k+1} - 1].  A FrequencyTable covers the whole trace, n_max
+values, and callers index its arrays directly: counts[m] and
+last_occurrence[m].  Counts live in 1-byte slots (observed counts at
 desk scale stay below thirty) and abort loudly rather than wrap.  A
 block is *complete* once every member value has appeared and none has
 appeared after n_max/2: values cluster near n/2, so a half-horizon
 quiet period means the block's counts are final.  Law and peak checks
-refuse incomplete blocks.
+refuse incomplete blocks; check_dyadic_law returns the deviations from
+the law, empty when it holds.
 """
 
 from __future__ import annotations
@@ -43,18 +46,6 @@ class FrequencyTable:
     last_occurrence: np.ndarray  # uint32, 0 = never seen
     overflow_count: int
 
-    def count(self, m: int) -> int:
-        self._check_m(m)
-        return int(self.counts[m])
-
-    def last(self, m: int) -> int:
-        self._check_m(m)
-        return int(self.last_occurrence[m])
-
-    def _check_m(self, m: int) -> None:
-        if not 1 <= m <= self.m_cap:
-            raise RangeError(f"m={m} outside [1, {self.m_cap}]")
-
 
 def _count_python(q: np.ndarray, n_max: int, counts: np.ndarray,
                   last: np.ndarray, m_cap: int):
@@ -74,12 +65,9 @@ def _count_python(q: np.ndarray, n_max: int, counts: np.ndarray,
     return ST_OK, overflow
 
 
-def build_frequency(trace: Trace, m_cap: int | None = None,
-                    n_max: int | None = None) -> FrequencyTable:
-    """Single pass over Q(1..n_max) (default: the whole trace)."""
-    n_max = trace.len if n_max is None else n_max
-    if not 1 <= n_max <= trace.len:
-        raise RangeError(f"n_max={n_max} outside [1, {trace.len}]")
+def build_frequency(trace: Trace, m_cap: int | None = None) -> FrequencyTable:
+    """Single pass over the whole trace, Q(1..n_max) with n_max = trace.len."""
+    n_max = trace.len
     if n_max >= 2**32:
         raise ConfigError("last-occurrence slots are 4-byte; n_max must stay below 2^32")
     m_cap = max(1, n_max // 2) if m_cap is None else m_cap
@@ -161,15 +149,12 @@ def law_prediction(k: int) -> dict[int, int]:
     return pred
 
 
-@dataclass(frozen=True)
-class LawCheck:
-    k: int
-    passed: bool
-    deviations: dict[int, tuple[int, int]]  # r -> (observed, predicted)
+def check_dyadic_law(report: BlockReport) -> dict[int, tuple[int, int]]:
+    """Compare a complete block's histogram against the dyadic prediction.
 
-
-def check_dyadic_law(report: BlockReport) -> LawCheck:
-    """Compare a complete block's histogram against the dyadic prediction."""
+    Returns r -> (observed, predicted) for every count r where the two
+    differ; an empty dict means the law holds.
+    """
     if not report.complete:
         raise SaturationError(f"block k={report.k} is not complete at N={report.n_max}")
     predicted = law_prediction(report.k)
@@ -179,7 +164,7 @@ def check_dyadic_law(report: BlockReport) -> LawCheck:
         p = predicted.get(r, 0)
         if o != p:
             deviations[r] = (o, p)
-    return LawCheck(k=report.k, passed=not deviations, deviations=deviations)
+    return deviations
 
 
 def average_check(report: BlockReport) -> Fraction:

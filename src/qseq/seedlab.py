@@ -11,7 +11,9 @@ Every seed lands in exactly one bucket:
   * WEAK_DEATH             dies later
 
 Merge claims are re-verified by a direct array comparison over the full
-claimed span before they are reported.
+claimed span before they are reported.  The search limits (MAX_SHIFT,
+PROBE_WINDOW, ORBIT_SPAN) are fixed for every survey.  table_report groups
+the 27-triple survey as a dict keyed by SeedClass.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from fractions import Fraction
 import numpy as np
 
 from .engine import OutcomeKind, Perturbation, RecursionConfig, Seed, Trace, run
-from .errors import ConfigError, RangeError
+from .errors import ConfigError
 
 DEFAULT_HORIZON = 10**6
-DEFAULT_MAX_SHIFT = 8
-DEFAULT_PROBE_WINDOW = 10**4
-DEFAULT_ORBIT_SPAN = 10**5
+MAX_SHIFT = 8            # largest |shift| a merge may have
+PROBE_WINDOW = 10**4     # trailing agreement a merge claim needs
+ORBIT_SPAN = 10**5       # largest m the ramp-orbit test reads
 
 
 class SeedClass(Enum):
@@ -53,18 +55,6 @@ class SeedReport:
     merge_index: int | None = None
     growth2: Fraction | None = None  # 2 Q(H) / H, present only for survivors
 
-    def to_row(self) -> dict:
-        return {
-            "seed": list(self.seed.values),
-            "class": self.classification.value,
-            "horizon": self.horizon,
-            "death_step": self.death_step,
-            "bad_indices": list(self.bad_indices),
-            "shift": self.shift,
-            "merge_index": self.merge_index,
-            "growth": None if self.growth2 is None else float(self.growth2) / 2,
-        }
-
 
 def enumerate_seeds(length: int, max_value: int) -> list[Seed]:
     """All seeds of the given length with entries 1..max_value, lexicographic."""
@@ -75,50 +65,44 @@ def enumerate_seeds(length: int, max_value: int) -> list[Seed]:
     return [Seed(vals) for vals in itertools.product(range(1, max_value + 1), repeat=length)]
 
 
-def detect_ramp_orbit(trace: Trace, m_lo: int = 2, m_hi: int | None = None) -> bool:
-    """True when Q(2m) = 2m and Q(2m+1) = 2 for every m in [m_lo, m_hi]."""
-    if m_hi is None:
-        m_hi = (trace.len - 1) // 2
-    if m_lo < 1 or 2 * m_hi + 1 > trace.len:
-        raise RangeError(f"orbit window [{m_lo}, {m_hi}] outside trace of length {trace.len}")
-    if m_hi < m_lo:
+def detect_ramp_orbit(trace: Trace) -> bool:
+    """True when Q(2m) = 2m and Q(2m+1) = 2 for every m in
+    [2, min(ORBIT_SPAN, (len - 1) // 2)]; False when that window is empty."""
+    m_hi = min(ORBIT_SPAN, (trace.len - 1) // 2)
+    if m_hi < 2:
         return False
-    m = np.arange(m_lo, m_hi + 1, dtype=np.int64)
+    m = np.arange(2, m_hi + 1, dtype=np.int64)
     q = trace.values
     return bool((q[2 * m] == 2 * m).all() and (q[2 * m + 1] == 2).all())
 
 
-def detect_merge(trace: Trace, reference: Trace,
-                 max_shift: int = DEFAULT_MAX_SHIFT,
-                 probe_window: int = DEFAULT_PROBE_WINDOW) -> tuple[int, int] | None:
+def detect_merge(trace: Trace, reference: Trace) -> tuple[int, int] | None:
     """Find (shift, n0) with trace(n) = reference(n + shift) for all n >= n0.
 
-    Shifts are scanned in order 0, +1, -1, ..., +max_shift, -max_shift;
-    the first shift whose trailing agreement span reaches probe_window
+    Shifts are scanned in order 0, +1, -1, ..., +MAX_SHIFT, -MAX_SHIFT;
+    the first shift whose trailing agreement span reaches PROBE_WINDOW
     wins, with n0 the smallest starting index.  Returns None when no
     shift qualifies.
     """
-    if probe_window < 1 or max_shift < 0:
-        raise ConfigError("need probe_window >= 1 and max_shift >= 0")
     tr = trace.values
     ref = reference.values
     len_tr, len_ref = trace.len, reference.len
 
     shifts = [0]
-    for s in range(1, max_shift + 1):
+    for s in range(1, MAX_SHIFT + 1):
         shifts.extend((s, -s))
     for s in shifts:
         n_start = max(1, 1 - s)
         n_end = min(len_tr, len_ref - s)
-        if n_end - n_start + 1 < probe_window:
+        if n_end - n_start + 1 < PROBE_WINDOW:
             continue
         a = tr[n_start : n_end + 1]
         b = ref[n_start + s : n_end + s + 1]
-        if not np.array_equal(a[-probe_window:], b[-probe_window:]):
+        if not np.array_equal(a[-PROBE_WINDOW:], b[-PROBE_WINDOW:]):
             continue
         mismatch = np.flatnonzero(a != b)
         n0 = n_start + (int(mismatch[-1]) + 1 if mismatch.size else 0)
-        if n_end - n0 + 1 < probe_window:
+        if n_end - n0 + 1 < PROBE_WINDOW:
             continue
         # re-verify the claim over its full span
         if np.array_equal(tr[n0 : n_end + 1], ref[n0 + s : n_end + s + 1]):
@@ -128,20 +112,15 @@ def detect_merge(trace: Trace, reference: Trace,
 
 def classify(seed: Seed, reference: Trace,
              horizon: int = DEFAULT_HORIZON,
-             perturbation: Perturbation = Perturbation.ALTERNATING,
-             max_shift: int = DEFAULT_MAX_SHIFT,
-             probe_window: int = DEFAULT_PROBE_WINDOW,
-             orbit_span: int = DEFAULT_ORBIT_SPAN,
-             width: int = 4) -> SeedReport:
+             perturbation: Perturbation = Perturbation.ALTERNATING) -> SeedReport:
     """Run the seed to the horizon and classify the outcome."""
     if reference.seed.values != (1, 1) or reference.config.perturbation is not perturbation:
         raise ConfigError("reference must be the (1,1) trace with the same perturbation")
-    if reference.len < horizon + max_shift:
+    if reference.len < horizon + MAX_SHIFT:
         raise ConfigError(
-            f"reference length {reference.len} < horizon + max_shift = {horizon + max_shift}"
+            f"reference length {reference.len} < horizon + MAX_SHIFT = {horizon + MAX_SHIFT}"
         )
-    trace = run(RecursionConfig(seed=seed, horizon=horizon,
-                                perturbation=perturbation, width=width))
+    trace = run(RecursionConfig(seed=seed, horizon=horizon, perturbation=perturbation))
     out = trace.outcome
     if out.kind is OutcomeKind.STRONG_DEATH:
         return SeedReport(seed, SeedClass.STRONG_DEATH, horizon,
@@ -151,10 +130,9 @@ def classify(seed: Seed, reference: Trace,
                           death_step=out.step, bad_indices=out.bad_indices)
 
     growth2 = Fraction(2 * trace.value_at(horizon), horizon)
-    m_hi = min(orbit_span, (trace.len - 1) // 2)
-    if detect_ramp_orbit(trace, 2, m_hi):
+    if detect_ramp_orbit(trace):
         return SeedReport(seed, SeedClass.RAMP_ORBIT, horizon, growth2=growth2)
-    merge = detect_merge(trace, reference, max_shift, probe_window)
+    merge = detect_merge(trace, reference)
     if merge is not None:
         shift, n0 = merge
         if shift == 0 and n0 == 1:
@@ -167,25 +145,9 @@ def classify(seed: Seed, reference: Trace,
     return SeedReport(seed, SeedClass.LONG_LIVED_IRREGULAR, horizon, growth2=growth2)
 
 
-@dataclass(frozen=True)
-class TableReport:
-    """The 27-triple survey grouped the way the survivor table reads."""
-
-    original: tuple[SeedReport, ...]
-    merges: tuple[SeedReport, ...]
-    shifted: tuple[SeedReport, ...]
-    orbit: tuple[SeedReport, ...]
-    irregular: tuple[SeedReport, ...]
-    strong_deaths: tuple[SeedReport, ...]
-    weak_deaths: tuple[SeedReport, ...]
-
-    @property
-    def survivors(self) -> tuple[SeedReport, ...]:
-        return self.original + self.merges + self.shifted + self.orbit + self.irregular
-
-
-def table_report(reports: list[SeedReport]) -> TableReport:
-    """Group the full 27-triple survey; partial surveys are refused."""
+def table_report(reports: list[SeedReport]) -> dict[SeedClass, tuple[SeedReport, ...]]:
+    """The full 27-triple survey by class, every class a key, each group in
+    seed order; partial surveys are refused."""
     expected = {vals for vals in itertools.product((1, 2, 3), repeat=3)}
     got = {r.seed.values for r in reports}
     if got != expected:
@@ -193,15 +155,5 @@ def table_report(reports: list[SeedReport]) -> TableReport:
     if any(r.horizon < 10**5 for r in reports):
         raise ConfigError("table_report needs classification horizon >= 1e5")
 
-    by_class: dict[SeedClass, list[SeedReport]] = {cls: [] for cls in SeedClass}
-    for rep in sorted(reports, key=lambda r: r.seed.values):
-        by_class[rep.classification].append(rep)
-    return TableReport(
-        original=tuple(by_class[SeedClass.ORIGINAL]),
-        merges=tuple(by_class[SeedClass.MERGES_INTO_ORIGINAL]),
-        shifted=tuple(by_class[SeedClass.SHIFTED_ORIGINAL]),
-        orbit=tuple(by_class[SeedClass.RAMP_ORBIT]),
-        irregular=tuple(by_class[SeedClass.LONG_LIVED_IRREGULAR]),
-        strong_deaths=tuple(by_class[SeedClass.STRONG_DEATH]),
-        weak_deaths=tuple(by_class[SeedClass.WEAK_DEATH]),
-    )
+    ordered = sorted(reports, key=lambda r: r.seed.values)
+    return {cls: tuple(r for r in ordered if r.classification is cls) for cls in SeedClass}

@@ -4,7 +4,10 @@ Each check pins one empirical claim about the perturbed recursion —
 prefix values, parity, interleave identities, the dyadic frequency law,
 peak locations, the seed survey, performance, and trace round-trips.
 The CLI ``verify`` command and the acceptance test suite both run the
-checks through this module so they cannot drift apart.
+checks through this module so they cannot drift apart.  Artifacts builds
+the shared inputs once, at MAIN_HORIZON and SURVEY_HORIZON; the seed
+table is read as the dict ``seedlab.table_report`` returns.  Criterion 12
+times the native kernel in a child process that runs ``perf_probe``.
 
 The short prefix constants below are small enough to check by hand;
 larger-scale constants were frozen from the independent reference
@@ -18,6 +21,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,7 +44,7 @@ from .frequency import (
     check_dyadic_law,
     peak_scan,
 )
-from .seedlab import SeedClass, classify, enumerate_seeds, table_report
+from .seedlab import SeedClass, SeedReport, classify, enumerate_seeds, table_report
 
 # ----------------------------------------------------------- expectations
 
@@ -99,14 +103,9 @@ class CriterionResult:
 class Artifacts:
     """Shared expensive inputs, computed once and reused across checks."""
 
-    def __init__(self, main_horizon: int = MAIN_HORIZON,
-                 survey_horizon: int = SURVEY_HORIZON):
-        self.main_horizon = main_horizon
-        self.survey_horizon = survey_horizon
-
     @cached_property
     def main_trace(self):
-        return run(RecursionConfig(seed=Seed((1, 1)), horizon=self.main_horizon))
+        return run(RecursionConfig(seed=Seed((1, 1)), horizon=MAIN_HORIZON))
 
     @cached_property
     def short_trace(self):
@@ -119,7 +118,7 @@ class Artifacts:
     @cached_property
     def survey(self):
         reports = [
-            classify(seed, self.main_trace, horizon=self.survey_horizon)
+            classify(seed, self.main_trace, horizon=SURVEY_HORIZON)
             for seed in enumerate_seeds(3, 3)
         ]
         return table_report(reports)
@@ -127,7 +126,7 @@ class Artifacts:
     @cached_property
     def pair_reports(self):
         return {
-            seed.values: classify(seed, self.main_trace, horizon=self.survey_horizon)
+            seed.values: classify(seed, self.main_trace, horizon=SURVEY_HORIZON)
             for seed in (Seed((1, 1)), Seed((2, 1)))
         }
 
@@ -189,9 +188,9 @@ def check_dyadic_blocks(art: Artifacts) -> CriterionResult:
         if not rep.complete:
             problems.append(f"k={k} incomplete")
             continue
-        law = check_dyadic_law(rep)
-        if not law.passed:
-            problems.append(f"k={k} deviates {law.deviations}")
+        deviations = check_dyadic_law(rep)
+        if deviations:
+            problems.append(f"k={k} deviates {deviations}")
         if rep.total != 2 ** (k + 2) - 1:
             problems.append(f"k={k} total {rep.total} != {2 ** (k + 2) - 1}")
         if average_check(rep) != 0:
@@ -221,37 +220,37 @@ def check_peaks(art: Artifacts) -> CriterionResult:
                    else "; ".join(problems))
 
 
+def survivors(table: dict[SeedClass, tuple[SeedReport, ...]]) -> list[SeedReport]:
+    """The reports of a survey table whose class is not a death."""
+    deaths = (SeedClass.STRONG_DEATH, SeedClass.WEAK_DEATH)
+    return [r for cls, reports in table.items() if cls not in deaths for r in reports]
+
+
 def check_seed_table(art: Artifacts) -> CriterionResult:
     table = art.survey
     problems = []
 
-    strong = {r.seed.values for r in table.strong_deaths}
+    strong = {r.seed.values for r in table[SeedClass.STRONG_DEATH]}
     if strong != STRONG_DEATH_SEEDS:
         problems.append(f"strong-death set mismatch: {sorted(strong)}")
-    for r in table.strong_deaths:
+    for r in table[SeedClass.STRONG_DEATH]:
         if r.death_step != 5:
             problems.append(f"{r.seed} strong death at {r.death_step} != 5")
 
-    weak = {r.seed.values: r.death_step for r in table.weak_deaths}
+    weak = {r.seed.values: r.death_step for r in table[SeedClass.WEAK_DEATH]}
     if weak != WEAK_DEATH_STEPS:
         problems.append(f"weak deaths {weak}")
 
-    survivors = {r.seed.values for r in table.survivors}
-    if survivors != SURVIVOR_SEEDS:
-        problems.append(f"survivor set mismatch: {sorted(survivors)}")
+    alive = {r.seed.values for r in survivors(table)}
+    if alive != SURVIVOR_SEEDS:
+        problems.append(f"survivor set mismatch: {sorted(alive)}")
 
     for cls, expected in TABLE_GROUPS.items():
-        got = {r.seed.values for r in getattr(table, {
-            SeedClass.ORIGINAL: "original",
-            SeedClass.MERGES_INTO_ORIGINAL: "merges",
-            SeedClass.SHIFTED_ORIGINAL: "shifted",
-            SeedClass.RAMP_ORBIT: "orbit",
-            SeedClass.LONG_LIVED_IRREGULAR: "irregular",
-        }[cls])}
+        got = {r.seed.values for r in table[cls]}
         if got != expected:
             problems.append(f"{cls.value} group {sorted(got)} != {sorted(expected)}")
 
-    shifted = {r.seed.values: r.shift for r in table.shifted}
+    shifted = {r.seed.values: r.shift for r in table[SeedClass.SHIFTED_ORIGINAL]}
     if shifted.get((1, 3, 3)) != 2:
         problems.append(f"(1,3,3) shift {shifted.get((1, 3, 3))} != 2")
 
@@ -261,7 +260,7 @@ def check_seed_table(art: Artifacts) -> CriterionResult:
 
 
 def check_growth(art: Artifacts) -> CriterionResult:
-    reports = list(art.survey.survivors) + list(art.pair_reports.values())
+    reports = survivors(art.survey) + list(art.pair_reports.values())
     checked, failures = 0, []
     for rep in reports:
         if rep.classification is SeedClass.RAMP_ORBIT:
@@ -290,28 +289,30 @@ def check_renorm_split(art: Artifacts) -> CriterionResult:
     return _result(11, "renormalization parity split", ok, detail)
 
 
-_PERF_PROBE = """
-import json, resource, sys, time
-from qseq import _native
-from qseq.engine import RecursionConfig, Seed, run
-if _native.kernel is None:
-    print(json.dumps({{"kernel": "python", "reason": _native.reason}}))
-    sys.exit()
-t0 = time.perf_counter()
-trace = run(RecursionConfig(seed=Seed((1, 1)), horizon={horizon}, width=4))
-elapsed = time.perf_counter() - t0
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-peak_mb = rss / 1024 if sys.platform != "darwin" else rss / 1024 ** 2
-print(json.dumps({{"kernel": "native", "endpoint": int(trace.value_at({horizon})),
-                   "seconds": elapsed, "peak_mb": peak_mb}}))
-"""
+def perf_probe(horizon: int) -> None:
+    """Run seed (1,1) to horizon in 4-byte slots and print one JSON line:
+    the endpoint, seconds and this process's peak RSS, or the reason the
+    Python fallback would run instead.  Criterion 12 runs it in a fresh
+    process, so the peak is the run's own."""
+    import resource  # only the probe's process reads its peak RSS
+
+    if _native.kernel is None:
+        print(json.dumps({"kernel": "python", "reason": _native.reason}))
+        return
+    t0 = time.perf_counter()
+    trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=horizon, width=4))
+    elapsed = time.perf_counter() - t0
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_mb = rss / 1024 if sys.platform != "darwin" else rss / 1024 ** 2
+    print(json.dumps({"kernel": "native", "endpoint": int(trace.value_at(horizon)),
+                      "seconds": elapsed, "peak_mb": peak_mb}))
 
 
 def check_performance(art: Artifacts) -> CriterionResult:
     title = "performance envelope (1e8 terms)"
     if not have_native_kernel():
         return _result(12, title, False, f"native kernel not built: {_native.reason}")
-    probe = _PERF_PROBE.format(horizon=PERF_HORIZON)
+    probe = f"from qseq.verify import perf_probe; perf_probe({PERF_HORIZON})"
     try:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               text=True, timeout=3 * TIME_BUDGET_SECONDS)

@@ -10,8 +10,10 @@ stated 0.1 bound.  Both the production engine and the independent naive
 oracle agree on the value, so the honest result is red.
 """
 
+import json
+
 import frozen_values as frozen
-from qseq import verify
+from qseq import _native, verify
 from qseq.seedlab import SeedClass
 from qseq.verify import (
     check_block_histograms,
@@ -84,6 +86,15 @@ def test_criterion_12_performance_envelope(artifacts):
     report(check_performance(artifacts))
 
 
+def test_perf_probe_reports_the_python_fallback(monkeypatch, capsys):
+    """Criterion 12's probe, run in process: without the kernel it says so
+    and why, instead of timing the fallback."""
+    monkeypatch.setattr(_native, "kernel", None)
+    monkeypatch.setattr(_native, "reason", "no compiler")
+    verify.perf_probe(1000)
+    assert json.loads(capsys.readouterr().out) == {"kernel": "python", "reason": "no compiler"}
+
+
 def test_criterion_13_checkpoint_round_trip(artifacts):
     report(check_round_trip(artifacts))
 
@@ -103,7 +114,7 @@ def test_growth_failure_is_exactly_the_known_edge_case(artifacts):
     assert "0.100914" in result.detail
 
     tolerance = verify.GROWTH_TOLERANCE
-    for rep in list(artifacts.survey.survivors) + list(artifacts.pair_reports.values()):
+    for rep in verify.survivors(artifacts.survey) + list(artifacts.pair_reports.values()):
         if rep.classification is SeedClass.RAMP_ORBIT:
             continue
         deviation = abs(rep.growth2 - 1)

@@ -270,14 +270,16 @@ def test_diagnose_renorm_split_matches_oracle(tmp_path, code, picker):
     assert out.read_bytes() == expected.encode()
 
 
-@pytest.mark.parametrize("lo,hi", [(1, 100), (0, 10), (11, 10)],
-                         ids=["hi-past-domain", "lo-below-domain", "lo-above-hi"])
-def test_diagnose_range_error(tmp_path, capsys, lo, hi):
-    code = main(["diagnose", "--horizon", "100", "--series", "D",
+@pytest.mark.parametrize("series_code,lo,hi", [("D", 1, 100), ("D", 0, 10), ("D", 11, 10),
+                                               ("G", 50, 3)],
+                         ids=["hi-past-domain", "lo-below-domain", "lo-above-hi",
+                              "log-grid-takes-no-range"])
+def test_diagnose_range_error(tmp_path, capsys, series_code, lo, hi):
+    code = main(["diagnose", "--horizon", "100", "--series", series_code,
                  "--lo", str(lo), "--hi", str(hi), "--out", str(tmp_path / "x.dat")])
-    assert code == EXIT_CONFIG  # D stops at horizon - 1
+    assert code == EXIT_CONFIG  # D stops at horizon - 1; G is never windowed
     with pytest.raises(RangeError) as raised:
-        series(run(RecursionConfig(seed=Seed((1, 1)), horizon=100)), "D", lo, hi)
+        series(run(RecursionConfig(seed=Seed((1, 1)), horizon=100)), series_code, lo, hi)
     assert capsys.readouterr().err == f"error: {raised.value}\n"
     assert list(tmp_path.iterdir()) == []  # neither the file nor its temp file
 

@@ -230,4 +230,4 @@ def test_frequency_conservation(vals, horizon, m_cap):
     values = trace.values[1 : trace.len + 1].astype(np.int64)
     m = (values + 1) // 2
     probe = int(np.clip(m[0], 1, m_cap))
-    assert table.count(probe) == int((m == probe).sum())
+    assert table.counts[probe] == int((m == probe).sum())

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 import frozen_values as frozen
+from qseq.cli import seed_row
 from qseq.engine import Perturbation, RecursionConfig, Seed, run
-from qseq.errors import ConfigError, RangeError
+from qseq.errors import ConfigError
 from qseq.seedlab import (
     SeedClass,
     classify,
@@ -16,6 +17,7 @@ from qseq.seedlab import (
     enumerate_seeds,
     table_report,
 )
+from qseq.verify import survivors
 
 HORIZON = 10**6
 
@@ -86,16 +88,10 @@ def test_two_entry_seeds_die_weakly(survey):
 
 
 def test_report_rows(survey):
-    dead = survey[(2, 2, 2)].to_row()
-    assert dead["class"] == "strong_death"
-    assert dead["death_step"] == 5
-    assert dead["bad_indices"] == ["t1"]
-    assert dead["growth"] is None
-
-    orbit = survey[(1, 1, 2)].to_row()
-    assert orbit["class"] == "ramp_orbit"
-    assert orbit["growth"] == 1.0
-    assert orbit["death_step"] is None
+    assert seed_row(survey[(2, 2, 2)]) == (
+        "seed 2,2,2 class strong_death death 5 bad t1 shift - merge_n - growth -")
+    assert seed_row(survey[(1, 1, 2)]) == (
+        "seed 1,1,2 class ramp_orbit death - bad - shift - merge_n - growth 1.000000")
 
 
 def test_detect_merge_on_itself():
@@ -121,35 +117,16 @@ def test_detect_merge_none_for_irregular(main_trace):
 
 def test_detect_merge_window_larger_than_overlap(main_trace):
     trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=100))
-    assert detect_merge(trace, main_trace, probe_window=10**4) is None
-
-
-def test_detect_merge_parameter_validation(main_trace, short_trace):
-    with pytest.raises(ConfigError):
-        detect_merge(short_trace, main_trace, probe_window=0)
-    with pytest.raises(ConfigError):
-        detect_merge(short_trace, main_trace, max_shift=-1)
+    assert detect_merge(trace, main_trace) is None  # 100 terms < PROBE_WINDOW
 
 
 def test_detect_ramp_orbit():
     trace = run(RecursionConfig(seed=Seed((1, 1, 2)), horizon=5000))
     assert detect_ramp_orbit(trace)
-    assert detect_ramp_orbit(trace, 2, 100)
 
 
 def test_detect_ramp_orbit_false_on_reference(short_trace):
     assert not detect_ramp_orbit(short_trace)
-
-
-def test_detect_ramp_orbit_empty_window(short_trace):
-    assert not detect_ramp_orbit(short_trace, 5, 4)
-
-
-def test_detect_ramp_orbit_range_errors(short_trace):
-    with pytest.raises(RangeError):
-        detect_ramp_orbit(short_trace, 0, 10)
-    with pytest.raises(RangeError):
-        detect_ramp_orbit(short_trace, 2, short_trace.len)  # needs 2*m_hi+1
 
 
 def test_enumerate_seeds():
@@ -185,15 +162,18 @@ def test_classify_requires_matching_reference(main_trace, short_trace):
 def test_table_report_grouping(survey):
     reports = [survey[s] for s in survey if len(s) == 3]
     table = table_report(reports)
-    seeds = lambda group: [r.seed.values for r in group]
-    assert seeds(table.original) == [(1, 1, 1)]
-    assert seeds(table.merges) == [(2, 1, 1), (3, 1, 1)]
-    assert seeds(table.shifted) == [(1, 3, 3)]
-    assert seeds(table.orbit) == [(1, 1, 2)]
-    assert seeds(table.irregular) == [(1, 3, 1), (2, 1, 2), (2, 2, 1), (2, 3, 1), (3, 1, 2)]
-    assert len(table.strong_deaths) == 14
-    assert seeds(table.weak_deaths) == [(1, 2, 1), (1, 2, 3), (3, 2, 1)]
-    assert len(table.survivors) == 10
+    seeds = {cls: [r.seed.values for r in group] for cls, group in table.items()}
+    assert list(seeds) == list(SeedClass)
+    assert seeds[SeedClass.ORIGINAL] == [(1, 1, 1)]
+    assert seeds[SeedClass.MERGES_INTO_ORIGINAL] == [(2, 1, 1), (3, 1, 1)]
+    assert seeds[SeedClass.SHIFTED_ORIGINAL] == [(1, 3, 3)]
+    assert seeds[SeedClass.RAMP_ORBIT] == [(1, 1, 2)]
+    assert seeds[SeedClass.LONG_LIVED_IRREGULAR] == [
+        (1, 3, 1), (2, 1, 2), (2, 2, 1), (2, 3, 1), (3, 1, 2)]
+    assert len(seeds[SeedClass.STRONG_DEATH]) == 14
+    assert seeds[SeedClass.WEAK_DEATH] == [(1, 2, 1), (1, 2, 3), (3, 2, 1)]
+    assert [r.seed.values for r in survivors(table)] == [
+        s for cls in list(SeedClass)[:5] for s in seeds[cls]]
 
 
 def test_table_report_requires_full_survey(survey):
