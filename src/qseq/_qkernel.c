@@ -1,13 +1,14 @@
-/* Hot loops for the Q-recursion engine.
+/* Hot loops for the Q-recursion engine, and the text writer of its series.
  *
  * Arrays are passed via the buffer protocol, so this file has no numpy
  * dependency.  Value buffers are 1-based: slot 0 is unused, slot n holds
  * Q(n).  Both 4-byte and 8-byte unsigned layouts are supported; arithmetic
  * runs in signed 64-bit, which cannot overflow for values below the caps
- * enforced here.
+ * enforced here.  format_rows writes the two-column text of a series.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
 #include <stdint.h>
 
 #define ST_OK 0
@@ -162,9 +163,115 @@ done_err:
     return NULL;
 }
 
+/* ------------------------------------------------------------- text */
+
+#define ROW_MAX 48  /* longest row: 20 (x) + ' ' + 22 (y) + '\n', and snprintf's NUL */
+
+/* The kind of a 1-D C-contiguous column of 8-byte native items: 'q'
+ * int64, 'Q' uint64 or 'd' float64; 0, with ValueError set, otherwise. */
+static char
+column_kind(const Py_buffer *v)
+{
+    const char *f = v->format ? v->format : "B";
+    f += (*f == '@' || *f == '=' || (PY_LITTLE_ENDIAN && *f == '<'));
+    if (v->itemsize == 8 && v->ndim == 1 && PyBuffer_IsContiguous(v, 'C')
+        && f[0] && !f[1] && strchr("qlQLd", f[0]))
+        return f[0] == 'l' ? 'q' : f[0] == 'L' ? 'Q' : f[0];
+    PyErr_SetString(PyExc_ValueError, "columns must be 1-D C-contiguous int64, uint64 or float64");
+    return 0;
+}
+
+static char *
+put_uint(char *out, uint64_t v)
+{
+    char tmp[20], *p = tmp + 20;
+    do *--p = (char)('0' + v % 10); while (v /= 10);
+    memcpy(out, p, (size_t)(tmp + 20 - p));
+    return out + (tmp + 20 - p);
+}
+
+/* Cell i of a column: an integer bare, or (halves) doubled as -?I.0 / -?I.5;
+ * a float as "%.8f", from rint(|x| * 1e8), which is the correctly rounded
+ * decimal except within the product's rounding error of a tie, where
+ * snprintf rounds exactly (its decimal point is LC_NUMERIC's, which qseq
+ * leaves at "C").  NULL unless a float is finite and below 2^52/1e8. */
+static char *
+put_cell(char *out, const Py_buffer *v, char kind, Py_ssize_t i, int halves)
+{
+    uint64_t mag = ((const uint64_t *)v->buf)[i];
+    if (kind == 'd') {
+        double x = ((const double *)v->buf)[i], scaled = fabs(x) * 1e8;
+        if (!(fabs(x) < 4503599627370496.0 / 1e8))
+            return NULL;
+        if (signbit(x))
+            *out++ = '-';
+        if (fabs(scaled - floor(scaled) - 0.5) <= scaled * 0x1p-50)
+            return out + snprintf(out, 24, "%.8f", fabs(x));
+        uint64_t fixed = (uint64_t)rint(scaled);
+        out = put_uint(out, fixed / 100000000);
+        out = put_uint(out, fixed % 100000000 + 100000000);  /* "1" and 8 digits */
+        out[-9] = '.';
+        return out;
+    }
+    if (kind == 'q' && (int64_t)mag < 0) {
+        *out++ = '-';
+        mag = 0 - mag;
+    }
+    if (!halves)
+        return put_uint(out, mag);
+    out = put_uint(out, mag >> 1);
+    memcpy(out, (mag & 1) ? ".5" : ".0", 2);
+    return out + 2;
+}
+
+/* format_rows(x, y, halves) -> bytes
+ *
+ * One "x y\n" line per row of two equal-length columns (see column_kind);
+ * y holds integers, doubled half-integers when halves is true.
+ */
+static PyObject *
+format_rows(PyObject *self, PyObject *args)
+{
+    PyObject *xo, *yo, *text = NULL;
+    Py_buffer xv, yv;
+    int halves;
+
+    if (!PyArg_ParseTuple(args, "OOp", &xo, &yo, &halves)
+        || PyObject_GetBuffer(xo, &xv, PyBUF_RECORDS_RO) < 0)
+        return NULL;
+    if (PyObject_GetBuffer(yo, &yv, PyBUF_RECORDS_RO) < 0) {
+        PyBuffer_Release(&xv);
+        return NULL;
+    }
+    char kx = column_kind(&xv), ky = kx ? column_kind(&yv) : 0;
+    Py_ssize_t rows = xv.len / 8;
+    if (ky == 'd' || (ky && yv.len != xv.len))
+        PyErr_SetString(PyExc_ValueError, "y must be an integer column as long as x");
+    else if (ky && rows > PY_SSIZE_T_MAX / ROW_MAX)
+        PyErr_NoMemory();
+    else if (ky && (text = PyBytes_FromStringAndSize(NULL, rows * ROW_MAX)) != NULL) {
+        char *start = PyBytes_AS_STRING(text), *out = start;
+        for (Py_ssize_t i = 0; i < rows && (out = put_cell(out, &xv, kx, i, 0)) != NULL; i++) {
+            *out++ = ' ';
+            out = put_cell(out, &yv, ky, i, halves);
+            *out++ = '\n';
+        }
+        if (out == NULL) {
+            PyErr_SetString(PyExc_ValueError, "float column needs finite values below 2^52/1e8");
+            Py_CLEAR(text);
+        } else {
+            _PyBytes_Resize(&text, out - start);
+        }
+    }
+    PyBuffer_Release(&xv);
+    PyBuffer_Release(&yv);
+    return text;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"advance", advance, METH_VARARGS, "run the recursion in place"},
     {"count_values", count_values, METH_VARARGS, "tally odd values into dyadic bins"},
+    {"format_rows", format_rows, METH_VARARGS, "write rows of two columns as text"},
     {NULL, NULL, 0, NULL}
 };
 

@@ -15,11 +15,13 @@ analysis precondition, 3 the run died before the requested horizon,
 
 Data files are whitespace-separated two-column plain text: integers bare,
 half-integer series with exactly one decimal digit, normalized positions
-with eight.  Identical flags produce byte-identical files; files are
-written atomically and durably, with mode 0o666 & ~umask (see
-checkpoint.atomic_write).  Default filenames land in the directory named
-by --data-dir, or the QSEQ_DATA_DIR environment variable, or ./qseq-data;
-explicit paths are used as given.
+with eight, as f"{x:.8f}" writes them.  Series text is written in blocks of
+BLOCK_ROWS rows, each formatted by format_rows in the C kernel; without the
+kernel, by one f-string per row, slower but the same bytes.  Identical
+flags produce byte-identical files; files are written atomically and
+durably, with mode 0o666 & ~umask (see checkpoint.atomic_write).  Default
+filenames land in the directory named by --data-dir, or the QSEQ_DATA_DIR
+environment variable, or ./qseq-data; explicit paths are used as given.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
+from ._native import kernel as _qkernel
 from .diagnostics import (
     SERIES_CODES,
     Series,
@@ -83,90 +86,30 @@ EXIT_IO = 5
 
 # ------------------------------------------------------------- formatting
 
-BLOCK_ROWS = 1 << 18  # rows per text block: bounds memory, amortises NumPy calls
-_PAD = 0              # filler byte in the digit matrices; never part of the text
-_NL, _SP, _DOT, _MINUS, _ZERO = b"\n .-0"
-_SCALE = 10**8        # '.8f' positions are written as rint(x * 1e8) / 1e8
-_FLOAT_LIMIT = 2.0**52 / _SCALE  # below it, x * 1e8 resolves halves exactly
-_POW10 = 10 ** np.arange(20, dtype=np.uint64)
-
-
-def _digits(mag: np.ndarray, fixed: int = 1) -> np.ndarray:
-    """Decimal digits of non-negative integers, one right-aligned row each.
-
-    Leading zeros become _PAD, except in the last `fixed` columns.
-    """
-    top = int(mag.max())
-    width = max(len(str(top)), fixed)
-    rest = mag.astype(np.uint32 if top < 2**32 else np.uint64)
-    out = np.empty((width, mag.size), np.uint8)  # one contiguous row per digit place
-    for j in range(width - 1, -1, -1):
-        out[j] = rest % 10
-        rest //= 10
-    out += _ZERO
-    if width > fixed:
-        shown = np.maximum(np.searchsorted(_POW10, mag, side="right"), fixed)
-        out[np.arange(width)[:, None] < width - shown] = _PAD
-    return out.T
-
-
-def _sign(negative: np.ndarray) -> list[np.ndarray]:
-    """A minus-sign column, or none when no row is negative."""
-    if not negative.any():
-        return []
-    return [np.where(negative, _MINUS, _PAD).astype(np.uint8)[:, None]]
-
-
-def _column(byte: int, rows: int) -> np.ndarray:
-    return np.full((rows, 1), byte, np.uint8)
-
-
-def _int_columns(v: np.ndarray, halves: bool = False) -> list[np.ndarray]:
-    """An integer column bare, or (halves) a doubled one as -?I.0 / -?I.5."""
-    if v.dtype.kind == "u":
-        negative, mag = None, v.astype(np.uint64)
-    else:
-        v = v.astype(np.int64, copy=False)
-        negative, mag = v < 0, np.abs(v).view(np.uint64)
-    cols = [] if negative is None else _sign(negative)
-    if not halves:
-        return cols + [_digits(mag)]
-    half = np.where(mag & 1, ord("5"), ord("0")).astype(np.uint8)[:, None]
-    return cols + [_digits(mag >> 1), _column(_DOT, v.size), half]
-
-
-def _float_columns(x: np.ndarray) -> list[np.ndarray]:
-    """A float column exactly as f"{x:.8f}" writes it."""
-    x = x.astype(np.float64, copy=False)
-    magnitude = np.abs(x)
-    if not np.all(magnitude < _FLOAT_LIMIT):
-        raise ValueError(f"float column needs finite values below {_FLOAT_LIMIT:g}")
-    scaled = magnitude * _SCALE
-    fixed = np.rint(scaled).astype(np.uint64)
-    # rint agrees with the correctly rounded decimal except where the
-    # product lies within its rounding error of a tie; ask Python there.
-    near = np.abs(scaled - np.floor(scaled) - 0.5) <= scaled * 2.0**-50
-    for i in np.flatnonzero(near):
-        fixed[i] = int(f"{magnitude[i]:.8f}".replace(".", ""))
-    return _sign(np.signbit(x)) + [_digits(fixed // _SCALE), _column(_DOT, x.size),
-                                   _digits(fixed % _SCALE, fixed=8)]
+BLOCK_ROWS = 1 << 18  # rows per text block: bounds memory, amortises per-call overhead
+_FLOAT_LIMIT = 2.0**52 / 10**8  # below it, x * 1e8 resolves halves exactly
+_COLUMN_DTYPES = {"i": np.int64, "u": np.uint64, "f": np.float64}
 
 
 def format_series_lines(ser) -> bytes:
     """The rows of a series as text, one "x y" line each.
 
     Integers are written bare, doubled half-integers (ser.halves) with one
-    decimal, float x with eight.  Every line ends in a newline.
+    decimal, float x with eight, exactly as f"{x:.8f}".  Every line ends in
+    a newline.  ValueError if a float is not finite or not below
+    _FLOAT_LIMIT.
     """
-    rows = len(ser.y)
-    if rows == 0:
-        return b""
-    x_cols = (_int_columns(ser.x) if ser.x.dtype.kind in "iu"
-              else _float_columns(ser.x))
-    flat = np.concatenate(
-        x_cols + [_column(_SP, rows)] + _int_columns(ser.y, ser.halves)
-        + [_column(_NL, rows)], axis=1).ravel()  # ravel is row-major, as the text
-    return flat[flat != _PAD].tobytes()
+    x, y = (np.ascontiguousarray(col, _COLUMN_DTYPES[col.dtype.kind])
+            for col in (ser.x, ser.y))
+    if x.dtype.kind == "f" and not np.all(np.abs(x) < _FLOAT_LIMIT):
+        raise ValueError(f"float column needs finite values below {_FLOAT_LIMIT:g}")
+    if _qkernel is not None:
+        return _qkernel.format_rows(x, y, ser.halves)
+    spec = ".8f" if x.dtype.kind == "f" else "d"
+    ys = y.tolist()
+    if ser.halves:
+        ys = (f"{'-' if v < 0 else ''}{abs(v) >> 1}.{5 if v & 1 else 0}" for v in ys)
+    return "".join(f"{a:{spec}} {b}\n" for a, b in zip(x.tolist(), ys, strict=True)).encode()
 
 
 class SeriesText(Sequence):
@@ -405,9 +348,11 @@ def block_lines(report: BlockReport) -> list[str]:
 
 def cmd_freq(args) -> int:
     config = config_from(args)
+    k_max = args.kmax
+    if k_max < 0:
+        raise RangeError(f"kmax must be >= 0, got {k_max}")
     trace = live_trace(args, config)
     table = build_frequency(trace, m_cap=args.m_cap)
-    k_max = args.kmax
     if 2 ** (k_max + 1) - 1 > table.m_cap:
         raise RangeError(
             f"kmax {k_max} needs m_cap >= {2 ** (k_max + 1) - 1}, have {table.m_cap}"

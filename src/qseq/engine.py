@@ -15,6 +15,7 @@ Which of the two indices failed is recorded separately.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -247,7 +248,8 @@ def extend(trace: Trace, new_horizon: int) -> Trace:
     """Resume a live trace up to new_horizon.
 
     A target at or below the computed length returns the trace unchanged.
-    The result is identical to a fresh run at new_horizon.
+    The result is identical to a fresh run at new_horizon.  A trace mapped
+    from a checkpoint gives its pages back to the OS once copied.
     """
     if not trace.outcome.is_alive:
         raise TraceStateError(
@@ -258,6 +260,11 @@ def extend(trace: Trace, new_horizon: int) -> Trace:
     config = replace(trace.config, horizon=new_horizon)
     arr = np.zeros(new_horizon + 1, dtype=config.dtype)
     arr[: trace.len + 1] = trace.values
+    mapped = getattr(trace.values.base, "obj", None)  # checkpoint.load maps the file
+    if isinstance(mapped, mmap.mmap) and len(mapped) > mmap.PAGESIZE:
+        # a page read again comes back from the file; the first one holds
+        # slot 0, zeroed in a private copy that MADV_DONTNEED would drop
+        mapped.madvise(mmap.MADV_DONTNEED, mmap.PAGESIZE)
     eps_even, eps_odd = config.perturbation.eps
     status, step, bad1, bad2 = _advance(
         arr, trace.len + 1, new_horizon, eps_even, eps_odd, config.cap

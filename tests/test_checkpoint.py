@@ -5,12 +5,13 @@ import re
 import stat
 import struct
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from qseq import checkpoint
-from qseq.engine import Perturbation, RecursionConfig, Seed, run
+from qseq.engine import Perturbation, RecursionConfig, Seed, extend, run
 from qseq.errors import (
     CheckpointChecksumError,
     CheckpointFormatError,
@@ -218,6 +219,22 @@ def test_loaded_trace_outlives_the_store_replacing_its_file(tmp_path):
     assert wrote and checkpoint.load(path) == longer
     assert loaded.len == 1000
     assert loaded == short
+
+
+def test_extending_a_loaded_trace_leaves_it_readable(tmp_path):
+    """extend gives the mapped source's pages back to the OS; the source
+    still reads 0 at slot 0 and its values, and the extended file is the
+    fresh run's."""
+    # 8-byte slots: slot 0 then overlays a whole seed entry, Q(2) = 1 in the file
+    config = RecursionConfig(seed=Seed((1, 1)), horizon=3 * 10**6, width=8)
+    short = run(replace(config, horizon=10**6))
+    loaded, path = roundtrip(short, tmp_path)
+    longer = extend(loaded, config.horizon)
+    assert loaded.values[0] == 0
+    assert loaded == short
+    checkpoint.save(longer, path)
+    _, fresh = roundtrip(run(config), tmp_path, "fresh.qtr")
+    assert path.read_bytes() == fresh.read_bytes()
 
 
 # ------------------------------------------------------------- atomic_write

@@ -236,6 +236,25 @@ def test_text_rejects_what_it_cannot_write_exactly():
             format_series_lines(Series(np.array([0.5, bad]), np.arange(2)))
 
 
+def test_format_rows_refuses_buffers_it_cannot_read():
+    format_rows = cli._qkernel.format_rows
+    x = np.arange(1, 7, dtype=np.int64)
+    assert format_rows(x[:3], -x[:3], True) == b"1 -0.5\n2 -1.0\n3 -1.5\n"
+    for bad_x, bad_y in [
+        (x.astype(np.int32), x),      # narrower than 8 bytes
+        (x.astype(">i8"), x),         # foreign byte order
+        (x, x.astype(np.float64)),    # float y
+        (x[::2], x[:3]),              # strided view
+        (x, x[:5]),                   # length mismatch
+        (x.reshape(2, 3), x.reshape(2, 3)),
+        (b"12345678", x[:1]),         # bytes carry no item format
+    ]:
+        with pytest.raises((ValueError, TypeError)):
+            format_rows(bad_x, bad_y, False)
+    with pytest.raises(ValueError):
+        format_rows(np.array([1e300]), x[:1], False)
+
+
 def test_diagnose_half_integer_series(tmp_path):
     out = tmp_path / "e.dat"
     code = main(["diagnose", "--horizon", "20", "--series", "E",
@@ -377,6 +396,14 @@ def test_freq_kmax_needs_enough_m_cap(tmp_path, capsys):
     code = main(["--data-dir", str(tmp_path), "freq", "--horizon", "100", "--kmax", "15"])
     assert code == EXIT_CONFIG
     assert "needs m_cap" in capsys.readouterr().err
+
+
+def test_freq_rejects_negative_kmax_before_writing(tmp_path, capsys):
+    code = main(["--data-dir", str(tmp_path / "out"), "freq", "--horizon", "1000",
+                 "--kmax", "-1", "--trace", str(tmp_path / "out" / "t.qtr")])
+    assert code == EXIT_CONFIG
+    assert "kmax" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_freq_rejects_classical_values(tmp_path, capsys):

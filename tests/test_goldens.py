@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from qseq import cli
 from qseq.cli import EXIT_DEATH, EXIT_OK, main
 from qseq.diagnostics import SERIES_CODES
 
@@ -117,3 +118,9 @@ def test_every_output_file_is_pinned(produced):
 def test_output_matches_golden(produced, name):
     assert produced.get(name) == GOLDEN[name]
 
+
+def test_fallback_formatter_writes_the_same_files(tmp_path, monkeypatch):
+    """Without the C kernel's formatter, the per-row fallback writes every
+    file byte for byte the same."""
+    monkeypatch.setattr(cli, "_qkernel", None)
+    assert produce(tmp_path) == GOLDEN

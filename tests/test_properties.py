@@ -120,6 +120,18 @@ def reference_text(x, y, halves=False) -> bytes:
     return "".join(f"{x_txt(a)} {y_txt(b)}\n" for a, b in zip(x, y)).encode()
 
 
+def assert_exact(ser, x, y, halves=False):
+    """format_series_lines(ser) equals reference_text, both through the C
+    kernel and through the per-row fallback that runs without it."""
+    assert cli._qkernel is not None, "the C formatter is not loaded"
+    expected = reference_text(x, y, halves)
+    native = format_series_lines(ser)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_qkernel", None)
+        python = format_series_lines(ser)
+    assert {"native": native, "python": python} == {"native": expected, "python": expected}
+
+
 int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1) | st.sampled_from(
     [0, 1, -1, 9, 10, -10, 2**62, -(2**62), 2**62 - 1, 1 - 2**62])
 int_columns = st.lists(int64s, min_size=1, max_size=40).map(
@@ -138,30 +150,28 @@ float_columns = st.lists(positions, min_size=1, max_size=40).map(np.array)
 @given(doubled=int_columns)
 def test_half_integer_formatting_is_exact(doubled):
     x = np.arange(1, doubled.size + 1)
-    ser = Series(x, doubled, halves=True)
-    assert format_series_lines(ser) == reference_text(x, doubled, halves=True)
+    assert_exact(Series(x, doubled, halves=True), x, doubled, halves=True)
 
 
 @given(x=int_columns, data=st.data())
 def test_integer_columns_are_exact(x, data):
     y = data.draw(st.lists(int64s, min_size=x.size, max_size=x.size))
     y = np.array(y, dtype=np.int64)
-    assert format_series_lines(Series(x, y)) == reference_text(x, y)
+    assert_exact(Series(x, y), x, y)
 
 
 @given(y=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
 def test_unsigned_columns_are_exact(y):
     y = np.array(y, dtype=np.uint64)
     x = y.astype(np.uint32)
-    assert format_series_lines(Series(x, y)) == reference_text(x, y)
+    assert_exact(Series(x, y), x, y)
 
 
 @given(x=float_columns, halves=st.booleans(), data=st.data())
 def test_float_positions_are_exact(x, halves, data):
     y = np.array(data.draw(st.lists(int64s, min_size=x.size, max_size=x.size)),
                  dtype=np.int64)
-    ser = Series(x, y, halves=halves)
-    assert format_series_lines(ser) == reference_text(x, y, halves)
+    assert_exact(Series(x, y, halves=halves), x, y, halves)
 
 
 def test_near_tie_positions_follow_python():
@@ -171,7 +181,7 @@ def test_near_tie_positions_follow_python():
     python_fixed = [int(f"{v:.8f}".replace(".", "")) for v in x]
     assert np.count_nonzero(np.rint(x * 1e8) != python_fixed) > 100
     y = np.arange(x.size, dtype=np.int64)
-    assert format_series_lines(Series(x, y)) == reference_text(x, y)
+    assert_exact(Series(x, y), x, y)
 
 
 @settings(deadline=None, max_examples=40,
