@@ -8,6 +8,7 @@ dyadic self-similarity, a geometric law for value frequencies, seed-dependent
 survival), and bundles the empirical claims into a verification checklist.
 """
 
+from ._native import have_native_kernel
 from .checkpoint import load, save
 from .diagnostics import (
     SERIES_CODES,
@@ -28,7 +29,6 @@ from .engine import (
     Seed,
     Trace,
     extend,
-    have_native_kernel,
     run,
 )
 from .errors import (

@@ -1,16 +1,16 @@
-"""Find the C kernel (``_qkernel.c``) for this process.
+"""Bind the kernel of this process: ``_qkernel.c`` compiled, or its twin.
 
-Tried in order:
+Tried in order, once, on import:
 
 1. the built extension ``qseq._qkernel`` (installed or built in place);
 2. a copy of ``_qkernel.c`` compiled with the compiler and headers that
    ``sysconfig`` reports, cached under ``$XDG_CACHE_HOME/qseq/<key>/``
    (else ``~/.cache/qseq/<key>/``), where the key hashes the C source and
    the interpreter ABI, so an edited source or another Python compiles anew;
-3. none: the engine and the counter use their pure-Python loops, and
-   ``reason`` says why, after one ``RuntimeWarning``.
+3. its pure-Python twin ``_pykernel``; ``reason`` says why, after one
+   ``RuntimeWarning``.
 
-``kernel`` is the loaded module or ``None``; the search runs once, on import.
+Callers read ``kernel`` at each call; ``compiled`` is the C module or None.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from types import ModuleType
 COMPILE_TIMEOUT_S = 120
 
 # Status codes of the kernel's loops, as ``#define ST_*`` in _qkernel.c; the
-# pure-Python fallbacks return the same codes.
+# twin returns the same codes.
 ST_OK = 0
 ST_DEATH = 1
 ST_OVERFLOW = 2
@@ -102,10 +102,16 @@ def _find() -> tuple[ModuleType | None, str | None]:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-kernel, reason = _find()
-if kernel is None:
+compiled, reason = _find()
+kernel = compiled
+if compiled is None:
     import warnings
 
-    warnings.warn(f"qseq: the C kernel is unavailable ({reason}); "
-                  "using the pure-Python fallback, about 100x slower",
-                  RuntimeWarning)
+    warnings.warn(f"qseq: the C kernel is unavailable ({reason}); using its "
+                  "pure-Python twin, about 100x slower", RuntimeWarning)
+    from . import _pykernel as kernel
+
+
+def have_native_kernel() -> bool:
+    """Whether calls go through the compiled C kernel, not its twin."""
+    return kernel is compiled

@@ -5,6 +5,7 @@
  * Q(n).  Both 4-byte and 8-byte unsigned layouts are supported; arithmetic
  * runs in signed 64-bit, which cannot overflow for values below the caps
  * enforced here.  format_rows writes the two-column text of a series.
+ * _pykernel.py is this file's pure-Python twin, entry for entry.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

@@ -9,19 +9,19 @@ Verbs:
   seeds     classify seeds and render the survey table
   verify    run the thirteen reproducibility checks
 
-Exit codes: 0 success, 1 verification failure, 2 invalid configuration or
-analysis precondition, 3 the run died before the requested horizon,
-4 value overflow, 5 I/O or checkpoint-format failure.
+Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
+analysis precondition or not enough memory for it, 3 the run died before
+the requested horizon, 4 value overflow, 5 I/O or checkpoint-format failure.
 
 Data files are whitespace-separated two-column plain text: integers bare,
 half-integer series with exactly one decimal digit, normalized positions
 with eight, as f"{x:.8f}" writes them.  Series text is written in blocks of
-BLOCK_ROWS rows, each formatted by format_rows in the C kernel; without the
-kernel, by one f-string per row, slower but the same bytes.  Identical
-flags produce byte-identical files; files are written atomically and
-durably, with mode 0o666 & ~umask (see checkpoint.atomic_write).  Default
-filenames land in the directory named by --data-dir, or the QSEQ_DATA_DIR
-environment variable, or ./qseq-data; explicit paths are used as given.
+BLOCK_ROWS rows, each formatted by the kernel's format_rows (the C kernel's
+twin writes one f-string per row: slower, the same bytes).  Identical flags
+produce byte-identical files; files are written atomically and durably,
+with mode 0o666 & ~umask (see checkpoint.atomic_write).  Default filenames
+land in the directory named by --data-dir, or the QSEQ_DATA_DIR environment
+variable, or ./qseq-data; explicit paths are used as given.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checkpoint
-from ._native import kernel as _qkernel
+from . import _native, checkpoint
 from .diagnostics import (
     SERIES_CODES,
     Series,
@@ -87,7 +86,6 @@ EXIT_IO = 5
 # ------------------------------------------------------------- formatting
 
 BLOCK_ROWS = 1 << 18  # rows per text block: bounds memory, amortises per-call overhead
-_FLOAT_LIMIT = 2.0**52 / 10**8  # below it, x * 1e8 resolves halves exactly
 _COLUMN_DTYPES = {"i": np.int64, "u": np.uint64, "f": np.float64}
 
 
@@ -96,20 +94,11 @@ def format_series_lines(ser) -> bytes:
 
     Integers are written bare, doubled half-integers (ser.halves) with one
     decimal, float x with eight, exactly as f"{x:.8f}".  Every line ends in
-    a newline.  ValueError if a float is not finite or not below
-    _FLOAT_LIMIT.
+    a newline.  ValueError if a float is not finite or not below 2^52/1e8.
     """
     x, y = (np.ascontiguousarray(col, _COLUMN_DTYPES[col.dtype.kind])
             for col in (ser.x, ser.y))
-    if x.dtype.kind == "f" and not np.all(np.abs(x) < _FLOAT_LIMIT):
-        raise ValueError(f"float column needs finite values below {_FLOAT_LIMIT:g}")
-    if _qkernel is not None:
-        return _qkernel.format_rows(x, y, ser.halves)
-    spec = ".8f" if x.dtype.kind == "f" else "d"
-    ys = y.tolist()
-    if ser.halves:
-        ys = (f"{'-' if v < 0 else ''}{abs(v) >> 1}.{5 if v & 1 else 0}" for v in ys)
-    return "".join(f"{a:{spec}} {b}\n" for a, b in zip(x.tolist(), ys, strict=True)).encode()
+    return _native.kernel.format_rows(x, y, ser.halves)
 
 
 class SeriesText(Sequence):
@@ -275,7 +264,7 @@ def cmd_diagnose(args) -> int:
         ser = series(trace, code, args.lo, args.hi, args.samples_per_octave)
         text = SeriesText.of(ser.x, ser.y, ser.halves)
     else:
-        lo, hi = series_window(trace, code, args.lo, args.hi)
+        lo, hi = series_window(trace, code, args.lo, args.hi, args.samples_per_octave)
         text = SeriesText(hi - lo + 1, lambda a, b: series(trace, code, lo + a, lo + b - 1))
     out_path = resolve(
         args, args.out,
@@ -457,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--series", required=True, choices=list(SERIES_CODES))
     sub.add_argument("--lo", type=int, default=None)
     sub.add_argument("--hi", type=int, default=None)
-    sub.add_argument("--samples-per-octave", type=int, default=64,
-                     help="log-grid density (profile series only)")
+    sub.add_argument("--samples-per-octave", type=int, default=None,
+                     help="log-grid density (series G only; default 64)")
     sub.add_argument("--out", help="output path")
     sub.set_defaults(func=cmd_diagnose)
 
@@ -515,6 +504,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except QseqError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -118,24 +118,29 @@ def _window(what: str, lo: int | None, hi: int | None,
     return lo, hi
 
 
-def series_window(trace: Trace, code: str, lo: int | None = None,
-                  hi: int | None = None) -> tuple[int, int]:
+def series_window(trace: Trace, code: str, lo: int | None = None, hi: int | None = None,
+                  samples_per_octave: int | None = None) -> tuple[int, int]:
     """[lo, hi] for series(trace, code, lo, hi), a None end taken from the
-    domain; RangeError if the window leaves the domain or is empty."""
+    domain; RangeError if the window leaves the domain or is empty, or if
+    samples_per_octave is given: only G has a grid."""
+    if samples_per_octave is not None:
+        raise RangeError(f"series {code}: only the log grid G takes samples_per_octave,"
+                         f" got {samples_per_octave}")
     return _window(f"series {code}", lo, hi, *series_domain(trace, code))
 
 
 def series(trace: Trace, code: str, lo: int | None = None, hi: int | None = None,
-           samples_per_octave: int = 64) -> Series:
+           samples_per_octave: int | None = None) -> Series:
     """Build the named series over [lo, hi] (defaults: the full domain).
 
-    G is always its whole log grid; RangeError if lo or hi is given for it.
+    G is always its whole log grid, of samples_per_octave (default 64);
+    RangeError if lo or hi is given for it, or samples_per_octave for another.
     """
     if code == "G":
         if lo is not None or hi is not None:
             raise RangeError(f"series G: the log grid takes no range, got [{lo}, {hi}]")
-        return log_profile(trace, samples_per_octave)
-    lo, hi = series_window(trace, code, lo, hi)
+        return log_profile(trace, 64 if samples_per_octave is None else samples_per_octave)
+    lo, hi = series_window(trace, code, lo, hi, samples_per_octave)
     _, formula, halves = _SERIES[code]
     n = np.arange(lo, hi + 1, dtype=np.int64)
     return Series(x=n, y=formula(functools.partial(_q_at, trace), n), halves=halves)

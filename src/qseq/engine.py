@@ -21,8 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from ._native import ST_DEATH, ST_OK, ST_OVERFLOW
-from ._native import kernel as _qkernel
+from . import _native
+from ._native import ST_DEATH, ST_OK
 from .errors import ConfigError, RangeError, TraceStateError, ValueOverflowError
 
 MAX_SEED_LEN = 8
@@ -193,34 +193,10 @@ class Trace:
         return f"Trace(seed=({self.seed}), {self.config.perturbation.value}, len={self.len}, {state})"
 
 
-def _advance_python(q: np.ndarray, start: int, horizon: int,
-                    eps_even: int, eps_odd: int, cap: int):
-    """Pure-Python kernel, used only when the C extension is unavailable."""
-    for n in range(start, horizon + 1):
-        t1 = n - int(q[n - 1])
-        t2 = n - int(q[n - 2])
-        if t1 <= 0 or t2 <= 0:
-            return ST_DEATH, n, t1 <= 0, t2 <= 0
-        val = int(q[t1]) + int(q[t2]) + (eps_even if n % 2 == 0 else eps_odd)
-        if val > cap:
-            return ST_OVERFLOW, n, False, False
-        q[n] = val
-    return ST_OK, 0, False, False
-
-
-def have_native_kernel() -> bool:
-    return _qkernel is not None
-
-
-def _advance(q: np.ndarray, start: int, horizon: int,
-             eps_even: int, eps_odd: int, cap: int):
-    if _qkernel is not None:
-        return _qkernel.advance(q, start, horizon, eps_even, eps_odd, cap)
-    return _advance_python(q, start, horizon, eps_even, eps_odd, cap)
-
-
-def _finish(config: RecursionConfig, arr: np.ndarray, status: int, step: int,
-            bad1: bool, bad2: bool) -> Trace:
+def _run_from(config: RecursionConfig, arr: np.ndarray, start: int) -> Trace:
+    """Run the kernel in place over arr[start..config.horizon]; the Trace it leaves."""
+    status, step, bad1, bad2 = _native.kernel.advance(
+        arr, start, config.horizon, *config.perturbation.eps, config.cap)
     if status == ST_OK:
         return Trace(config, arr, Outcome.alive())
     if status == ST_DEATH:
@@ -237,11 +213,7 @@ def run(config: RecursionConfig) -> Trace:
     seed_len = len(config.seed)
     arr = np.zeros(config.horizon + 1, dtype=config.dtype)
     arr[1 : seed_len + 1] = tuple(config.seed)
-    eps_even, eps_odd = config.perturbation.eps
-    status, step, bad1, bad2 = _advance(
-        arr, seed_len + 1, config.horizon, eps_even, eps_odd, config.cap
-    )
-    return _finish(config, arr, status, step, bad1, bad2)
+    return _run_from(config, arr, seed_len + 1)
 
 
 def extend(trace: Trace, new_horizon: int) -> Trace:
@@ -265,8 +237,4 @@ def extend(trace: Trace, new_horizon: int) -> Trace:
         # a page read again comes back from the file; the first one holds
         # slot 0, zeroed in a private copy that MADV_DONTNEED would drop
         mapped.madvise(mmap.MADV_DONTNEED, mmap.PAGESIZE)
-    eps_even, eps_odd = config.perturbation.eps
-    status, step, bad1, bad2 = _advance(
-        arr, trace.len + 1, new_horizon, eps_even, eps_odd, config.cap
-    )
-    return _finish(config, arr, status, step, bad1, bad2)
+    return _run_from(config, arr, trace.len + 1)

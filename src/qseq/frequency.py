@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._native import ST_COUNT_OVERFLOW, ST_OK, ST_PARITY
-from ._native import kernel as _qkernel
+from . import _native
+from ._native import ST_COUNT_OVERFLOW, ST_PARITY
 from .engine import Trace
 from .errors import (
     ConfigError,
@@ -47,39 +47,19 @@ class FrequencyTable:
     overflow_count: int
 
 
-def _count_python(q: np.ndarray, n_max: int, counts: np.ndarray,
-                  last: np.ndarray, m_cap: int):
-    overflow = 0
-    for n in range(1, n_max + 1):
-        v = int(q[n])
-        if v % 2 == 0:
-            return ST_PARITY, n
-        m = (v + 1) // 2
-        if m <= m_cap:
-            if counts[m] == 255:
-                return ST_COUNT_OVERFLOW, m
-            counts[m] += 1
-            last[m] = n
-        else:
-            overflow += 1
-    return ST_OK, overflow
-
-
 def build_frequency(trace: Trace, m_cap: int | None = None) -> FrequencyTable:
     """Single pass over the whole trace, Q(1..n_max) with n_max = trace.len."""
     n_max = trace.len
     if n_max >= 2**32:
         raise ConfigError("last-occurrence slots are 4-byte; n_max must stay below 2^32")
+    m_top = (trace.config.cap + 1) // 2  # the bin of the largest value a slot holds
     m_cap = max(1, n_max // 2) if m_cap is None else m_cap
-    if m_cap < 1:
-        raise ConfigError(f"m_cap must be >= 1, got {m_cap}")
+    if not 1 <= m_cap <= m_top:
+        raise ConfigError(f"m_cap must be in [1, {m_top}], got {m_cap}")
 
     counts = np.zeros(m_cap + 1, dtype=np.uint8)
     last = np.zeros(m_cap + 1, dtype=np.uint32)
-    if _qkernel is not None:
-        status, aux = _qkernel.count_values(trace.values, n_max, counts, last, m_cap)
-    else:
-        status, aux = _count_python(trace.values, n_max, counts, last, m_cap)
+    status, aux = _native.kernel.count_values(trace.values, n_max, counts, last, m_cap)
 
     if status == ST_PARITY:
         raise ParityError(f"even value Q({aux})={trace.value_at(int(aux))}")

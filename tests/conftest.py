@@ -2,9 +2,19 @@
 
 import pytest
 
+from qseq import _native, _pykernel
 from qseq.engine import Perturbation, RecursionConfig, Seed, run
 from qseq.frequency import build_frequency
 from qseq.verify import Artifacts
+
+
+@pytest.fixture(params=["c", "python"])
+def kernel(request, monkeypatch):
+    """The C kernel, then its pure-Python twin, bound as _native.kernel."""
+    module = {"c": _native.compiled, "python": _pykernel}[request.param]
+    assert module is not None, f"the C kernel is not loaded: {_native.reason}"
+    monkeypatch.setattr(_native, "kernel", module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ oracle agree on the value, so the honest result is red.
 import json
 
 import frozen_values as frozen
+import oracle
 from qseq import _native, verify
 from qseq.seedlab import SeedClass
 from qseq.verify import (
@@ -86,13 +87,16 @@ def test_criterion_12_performance_envelope(artifacts):
     report(check_performance(artifacts))
 
 
-def test_perf_probe_reports_the_python_fallback(monkeypatch, capsys):
-    """Criterion 12's probe, run in process: without the kernel it says so
-    and why, instead of timing the fallback."""
-    monkeypatch.setattr(_native, "kernel", None)
+def test_perf_probe_names_its_kernel(kernel, monkeypatch, capsys):
+    """Criterion 12's probe, run in process: it times the C kernel; with the
+    twin bound it says so and why, instead of timing the twin."""
     monkeypatch.setattr(_native, "reason", "no compiler")
     verify.perf_probe(1000)
-    assert json.loads(capsys.readouterr().out) == {"kernel": "python", "reason": "no compiler"}
+    stats = json.loads(capsys.readouterr().out)
+    if kernel is _native.compiled:
+        assert (stats["kernel"], stats["endpoint"]) == ("native", oracle.naive_q_at((1, 1), 1000))
+    else:
+        assert stats == {"kernel": "python", "reason": "no compiler"}
 
 
 def test_criterion_13_checkpoint_round_trip(artifacts):

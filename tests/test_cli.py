@@ -8,7 +8,7 @@ import pytest
 
 import frozen_values as frozen
 import oracle
-from qseq import checkpoint, cli
+from qseq import _native, checkpoint, cli
 from qseq.cli import (
     EXIT_CONFIG,
     EXIT_DEATH,
@@ -237,7 +237,7 @@ def test_text_rejects_what_it_cannot_write_exactly():
 
 
 def test_format_rows_refuses_buffers_it_cannot_read():
-    format_rows = cli._qkernel.format_rows
+    format_rows = _native.compiled.format_rows
     x = np.arange(1, 7, dtype=np.int64)
     assert format_rows(x[:3], -x[:3], True) == b"1 -0.5\n2 -1.0\n3 -1.5\n"
     for bad_x, bad_y in [
@@ -289,16 +289,19 @@ def test_diagnose_renorm_split_matches_oracle(tmp_path, code, picker):
     assert out.read_bytes() == expected.encode()
 
 
-@pytest.mark.parametrize("series_code,lo,hi", [("D", 1, 100), ("D", 0, 10), ("D", 11, 10),
-                                               ("G", 50, 3)],
-                         ids=["hi-past-domain", "lo-below-domain", "lo-above-hi",
-                              "log-grid-takes-no-range"])
-def test_diagnose_range_error(tmp_path, capsys, series_code, lo, hi):
-    code = main(["diagnose", "--horizon", "100", "--series", series_code,
-                 "--lo", str(lo), "--hi", str(hi), "--out", str(tmp_path / "x.dat")])
-    assert code == EXIT_CONFIG  # D stops at horizon - 1; G is never windowed
+@pytest.mark.parametrize("series_code,lo,hi,grid", [
+    ("D", 1, 100, None), ("D", 0, 10, None), ("D", 11, 10, None), ("G", 50, 3, None),
+    ("E", None, None, 0), ("E", 1, 10, 64),
+], ids=["hi-past-domain", "lo-below-domain", "lo-above-hi", "log-grid-takes-no-range",
+        "grid-density-is-for-G-only", "grid-density-is-for-G-only-at-its-default"])
+def test_diagnose_range_error(tmp_path, capsys, series_code, lo, hi, grid):
+    flags = [f"--{flag}={value}" for flag, value in
+             (("lo", lo), ("hi", hi), ("samples-per-octave", grid)) if value is not None]
+    code = main(["diagnose", "--horizon", "100", "--series", series_code, *flags,
+                 "--out", str(tmp_path / "x.dat")])
+    assert code == EXIT_CONFIG  # D stops at horizon - 1; only G is a grid, never windowed
     with pytest.raises(RangeError) as raised:
-        series(run(RecursionConfig(seed=Seed((1, 1)), horizon=100)), series_code, lo, hi)
+        series(run(RecursionConfig(seed=Seed((1, 1)), horizon=100)), series_code, lo, hi, grid)
     assert capsys.readouterr().err == f"error: {raised.value}\n"
     assert list(tmp_path.iterdir()) == []  # neither the file nor its temp file
 
@@ -396,6 +399,33 @@ def test_freq_kmax_needs_enough_m_cap(tmp_path, capsys):
     code = main(["--data-dir", str(tmp_path), "freq", "--horizon", "100", "--kmax", "15"])
     assert code == EXIT_CONFIG
     assert "needs m_cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m_cap", [10**15, 10**23])
+def test_freq_rejects_an_m_cap_no_value_reaches(tmp_path, capsys, m_cap):
+    """A 4-byte value is below 2^32, so m = (v+1)/2 stays at or below 2^31;
+    a larger cap is refused before its slots are allocated."""
+    code = main(["--data-dir", str(tmp_path), "freq", "--horizon", "1000", "--kmax", "3",
+                 "--m-cap", str(m_cap)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: m_cap must be in [1, {2**31}], got {m_cap}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("message,line", [
+    ("Unable to allocate 11.2 GiB for an array with shape (3000000001,) and data type uint32",
+     "Unable to allocate 11.2 GiB for an array with shape (3000000001,) and data type uint32"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+def test_memory_error_is_one_line_and_exit_2(tmp_path, monkeypatch, capsys, message, line):
+    def out_of_memory(config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run", out_of_memory)
+    code = main(["--data-dir", str(tmp_path), "compute", "--horizon", "3000000000"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_freq_rejects_negative_kmax_before_writing(tmp_path, capsys):

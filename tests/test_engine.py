@@ -12,7 +12,7 @@ import pytest
 
 import frozen_values as frozen
 import oracle
-from qseq import _native, engine
+from qseq import _native, _pykernel, engine
 from qseq.engine import (
     Outcome,
     OutcomeKind,
@@ -20,7 +20,6 @@ from qseq.engine import (
     RecursionConfig,
     Seed,
     extend,
-    have_native_kernel,
     run,
 )
 from qseq.errors import ConfigError, RangeError, TraceStateError, ValueOverflowError
@@ -31,7 +30,7 @@ def values_list(trace):
 
 
 def test_native_kernel_is_built():
-    assert have_native_kernel(), _native.reason
+    assert _native.have_native_kernel(), _native.reason
 
 
 def test_status_codes_match_the_kernel_source():
@@ -200,16 +199,36 @@ def test_extend_dead_trace_rejected():
         extend(dead, 1000)
 
 
+def test_run_through_each_kernel(kernel):
+    """run and extend reach whichever kernel _native binds, with one result."""
+    assert _native.have_native_kernel() is (kernel is _native.compiled)
+    live = run(RecursionConfig(seed=Seed((1, 1)), horizon=2000))
+    q, death = oracle.naive_run((1, 1), 2000)
+    assert death is None and values_list(live) == q[1:]
+    assert extend(run(RecursionConfig(seed=Seed((1, 1)), horizon=500)), 2000) == live
+    dead = run(RecursionConfig(seed=Seed((1, 2, 1)), horizon=2000))
+    assert values_list(dead) == frozen.SEED_121_VALUES
+    assert dead.outcome.step == frozen.SEED_121_DEATH[0]
+    with pytest.raises(ValueOverflowError):
+        run(RecursionConfig(seed=Seed((2**31, 2**31 + 1, 3, 4)), horizon=5, width=4))
+
+
 def test_python_fallback_agrees(monkeypatch):
-    monkeypatch.setattr(engine, "_qkernel", None)
-    assert not have_native_kernel()
+    """The pure-Python twin gives the C kernel's trace, live or dead."""
+    monkeypatch.setattr(_native, "kernel", _pykernel)
+    assert not _native.have_native_kernel()
     pure = run(RecursionConfig(seed=Seed((1, 1)), horizon=2000))
     pure_dead = run(RecursionConfig(seed=Seed((1, 2, 1)), horizon=2000))
     monkeypatch.undo()
-    native = run(RecursionConfig(seed=Seed((1, 1)), horizon=2000))
-    assert pure == native
+    assert run(RecursionConfig(seed=Seed((1, 1)), horizon=2000)) == pure
     assert values_list(pure_dead) == frozen.SEED_121_VALUES
     assert pure_dead.outcome.step == frozen.SEED_121_DEATH[0]
+
+
+def test_python_fallback_overflow(monkeypatch):
+    monkeypatch.setattr(_native, "kernel", _pykernel)
+    with pytest.raises(ValueOverflowError):
+        run(RecursionConfig(seed=Seed((2**31, 2**31 + 1, 3, 4)), horizon=5, width=4))
 
 
 needs_compiler = pytest.mark.skipif(
@@ -227,11 +246,12 @@ def test_kernel_compiles_into_cache(tmp_path, monkeypatch):
     assert _native.compile_kernel() == path
     assert [p.name for p in path.parent.iterdir()] == [path.name]
     module = _native.load_file(path)
-    assert callable(module.advance) and callable(module.count_values)
+    assert all(callable(getattr(module, entry))
+               for entry in ("advance", "count_values", "format_rows"))
     config = RecursionConfig(seed=Seed((1, 1)), horizon=2000)
-    monkeypatch.setattr(engine, "_qkernel", None)
+    monkeypatch.setattr(_native, "kernel", _pykernel)
     pure = run(config)
-    monkeypatch.setattr(engine, "_qkernel", module)
+    monkeypatch.setattr(_native, "kernel", module)
     assert run(config) == pure
 
 
@@ -239,15 +259,9 @@ def test_kernel_compiles_into_cache(tmp_path, monkeypatch):
 def test_concurrent_first_imports_all_load_the_kernel(tmp_path):
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
                PYTHONPATH=str(Path(engine.__file__).parents[1]))
-    probe = "from qseq import _native; print(_native.kernel is not None, _native.reason)"
+    probe = "from qseq import _native; print(_native.have_native_kernel(), _native.reason)"
     procs = [subprocess.Popen([sys.executable, "-c", probe], env=env,
                               stdout=subprocess.PIPE, text=True) for _ in range(3)]
     outputs = [proc.communicate(timeout=120)[0] for proc in procs]
     assert outputs == ["True None\n"] * 3
     assert all(len(list(d.iterdir())) == 1 for d in (tmp_path / "qseq").iterdir())
-
-
-def test_python_fallback_overflow(monkeypatch):
-    monkeypatch.setattr(engine, "_qkernel", None)
-    with pytest.raises(ValueOverflowError):
-        run(RecursionConfig(seed=Seed((2**31, 2**31 + 1, 3, 4)), horizon=5, width=4))

@@ -7,7 +7,6 @@ import pytest
 
 import frozen_values as frozen
 import oracle
-from qseq import frequency
 from qseq.engine import Outcome, Perturbation, RecursionConfig, Seed, Trace, run
 from qseq.errors import (
     ConfigError,
@@ -67,15 +66,15 @@ def test_matches_oracle_at_1e5(trace_1e5):
     assert table.overflow_count == exp_overflow
 
 
-def test_python_counter_matches_kernel(trace_1e5, monkeypatch):
+def test_counter_through_each_kernel(trace_1e5, kernel):
     n_max = 10**5
-    with_kernel = build_frequency(trace_1e5)
-    monkeypatch.setattr(frequency, "_qkernel", None)
-    pure = build_frequency(trace_1e5)
-    assert np.array_equal(with_kernel.counts, pure.counts)
-    assert np.array_equal(with_kernel.last_occurrence, pure.last_occurrence)
-    assert with_kernel.overflow_count == pure.overflow_count
-    assert with_kernel.m_cap == pure.m_cap == n_max // 2
+    table = build_frequency(trace_1e5)
+    q, _ = oracle.naive_run((1, 1), n_max)
+    exp_counts, exp_last, exp_overflow = oracle.frequency(q, n_max, n_max // 2)
+    assert table.m_cap == n_max // 2
+    assert table.counts[1:].tolist() == exp_counts[1:]
+    assert table.last_occurrence[1:].tolist() == exp_last[1:]
+    assert table.overflow_count == exp_overflow
 
 
 def test_small_m_cap_overflows_but_conserves(short_trace):
@@ -177,13 +176,7 @@ def test_build_rejects_bad_ranges(short_trace):
         build_frequency(short_trace, m_cap=0)
 
 
-def test_classical_values_are_rejected(classical_trace):
-    with pytest.raises(ParityError, match="even value"):
-        build_frequency(classical_trace)
-
-
-def test_classical_values_are_rejected_pure_python(classical_trace, monkeypatch):
-    monkeypatch.setattr(frequency, "_qkernel", None)
+def test_classical_values_are_rejected(classical_trace, kernel):
     with pytest.raises(ParityError, match="even value"):
         build_frequency(classical_trace)
 
@@ -195,10 +188,7 @@ def constant_one_trace(length):
     return Trace(config, values, Outcome.alive())
 
 
-@pytest.mark.parametrize("pure_python", [False, True])
-def test_count_slots_refuse_to_wrap(monkeypatch, pure_python):
-    if pure_python:
-        monkeypatch.setattr(frequency, "_qkernel", None)
+def test_count_slots_refuse_to_wrap(kernel):
     assert build_frequency(constant_one_trace(255)).counts[1] == 255
     with pytest.raises(CountOverflowError, match="m=1"):
         build_frequency(constant_one_trace(600))

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from qseq import cli
 from qseq.cli import EXIT_DEATH, EXIT_OK, main
 from qseq.diagnostics import SERIES_CODES
 
@@ -119,8 +118,7 @@ def test_output_matches_golden(produced, name):
     assert produced.get(name) == GOLDEN[name]
 
 
-def test_fallback_formatter_writes_the_same_files(tmp_path, monkeypatch):
-    """Without the C kernel's formatter, the per-row fallback writes every
-    file byte for byte the same."""
-    monkeypatch.setattr(cli, "_qkernel", None)
+def test_each_kernel_writes_the_same_files(tmp_path, kernel):
+    """The C kernel and its pure-Python twin write every file byte for byte
+    the same."""
     assert produce(tmp_path) == GOLDEN

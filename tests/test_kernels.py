@@ -1,0 +1,164 @@
+"""One contract, two kernels: the C kernel and its pure-Python twin.
+
+Each test runs once per kernel (the ``kernel`` fixture) and compares what
+that kernel returns with what the C kernel returns for the same input:
+results, status codes, the buffers it writes, and its ValueErrors.
+"""
+
+import json
+import re
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from qseq import _native, _pykernel, verify
+from qseq._native import ST_COUNT_OVERFLOW, ST_DEATH, ST_OK, ST_OVERFLOW, ST_PARITY
+from qseq.cli import EXIT_OK, main
+
+C = _native.compiled
+CAPS = {4: 2**32 - 1, 8: 2**63 - 1}
+
+
+def same_error(c_error):
+    """pytest.raises for the ValueError the C kernel raised, message and all."""
+    return pytest.raises(ValueError, match=f"^{re.escape(str(c_error.value))}$")
+
+
+def advance(module, seed, horizon, width=4, eps=(1, -1)):
+    """One advance call on a fresh value buffer: (result, the buffer's values)."""
+    q = np.zeros(horizon + 1, dtype=f"<u{width}")
+    q[1 : len(seed) + 1] = seed
+    result = module.advance(q, len(seed) + 1, horizon, *eps, CAPS[width])
+    return result, q.tolist()
+
+
+@pytest.mark.parametrize("seed,horizon,width,eps,status", [
+    ((1, 1), 2000, 4, (1, -1), ST_OK),
+    ((1, 1), 2000, 8, (0, 0), ST_OK),
+    ((2, 2, 2), 100, 4, (1, -1), ST_DEATH),
+    ((1, 2, 1), 100, 4, (1, -1), ST_DEATH),
+    ((2**31, 2**31 + 1, 3, 4), 5, 4, (1, -1), ST_OVERFLOW),
+], ids=["live", "live-classical-wide", "strong-death", "weak-death", "overflow"])
+def test_advance_agrees(kernel, seed, horizon, width, eps, status):
+    got = advance(kernel, seed, horizon, width, eps)
+    assert got == advance(C, seed, horizon, width, eps)
+    assert got[0][0] == status
+
+
+@pytest.mark.parametrize("buffer,horizon", [
+    (np.zeros(10, dtype=np.uint16), 5),
+    (np.zeros(10, dtype=np.uint32), 10),
+], ids=["two-byte-items", "shorter-than-horizon"])
+def test_advance_errors_agree(kernel, buffer, horizon):
+    with pytest.raises(ValueError) as c_error:
+        C.advance(buffer.copy(), 3, horizon, 1, -1, CAPS[4])
+    with same_error(c_error):
+        kernel.advance(buffer.copy(), 3, horizon, 1, -1, CAPS[4])
+
+
+def count(module, values, n_max, m_cap):
+    """One count_values call on fresh slots: (result, counts, last occurrences)."""
+    counts = np.zeros(m_cap + 1, dtype=np.uint8)
+    last = np.zeros(m_cap + 1, dtype=np.uint32)
+    result = module.count_values(values, n_max, counts, last, m_cap)
+    return result, counts.tolist(), last.tolist()
+
+
+def ones(length):
+    values = np.ones(length + 1, dtype=np.uint32)
+    values[0] = 0
+    return values
+
+
+@pytest.mark.parametrize("case,status", [
+    ("tally", ST_OK), ("classical", ST_PARITY), ("600-ones", ST_COUNT_OVERFLOW),
+])
+def test_count_values_agrees(kernel, short_trace, classical_trace, case, status):
+    values, n_max, m_cap = {
+        "tally": (short_trace.values, 5000, 50),
+        "classical": (classical_trace.values, 5000, 2500),
+        "600-ones": (ones(600), 600, 300),
+    }[case]
+    got = count(kernel, values, n_max, m_cap)
+    assert got == count(C, values, n_max, m_cap)
+    assert got[0][0] == status
+    if case == "tally":  # conservation: the overflow tally holds the rest
+        assert got[0][1] > 0 and sum(got[1]) + got[0][1] == n_max
+
+
+@pytest.mark.parametrize("slots", [
+    (np.zeros(11, dtype=np.uint16), np.zeros(11, dtype=np.uint32)),
+    (np.zeros(11, dtype=np.uint8), np.zeros(11, dtype=np.uint64)),
+    (np.zeros(5, dtype=np.uint8), np.zeros(11, dtype=np.uint32)),
+    (np.zeros(11, dtype=np.uint8), np.zeros(5, dtype=np.uint32)),
+], ids=["wide-counts", "wide-last", "short-counts", "short-last"])
+def test_count_values_errors_agree(kernel, slots):
+    def call(module):
+        module.count_values(ones(20), 20, *(slot.copy() for slot in slots), 10)
+
+    with pytest.raises(ValueError) as c_error:
+        call(C)
+    with same_error(c_error):
+        call(kernel)
+
+
+ROWS = np.arange(1, 7, dtype=np.int64)
+FORMAT_CASES = {
+    "int64": (np.array([1, -2, 0, 2**63 - 1, -(2**63), 10]), -ROWS, False),
+    "uint64": (np.array([0, 1, 2**64 - 1], dtype=np.uint64),
+               np.array([2**64 - 1, 0, 7], dtype=np.uint64), False),
+    "halves": (ROWS, np.array([3, -1, 0, -4, 2**63 - 1, -(2**63)]), True),
+    "floats": (np.array([0.0, -0.0, 0.5, 1 / 3, -2.75, 45035996.27]), ROWS, False),
+    "near-tie-floats": (np.array([0.123456785, 1.000000005, 0.000000015, -2.5e-9,
+                                  float("12345675e-9"), 7 / 2**30]), ROWS, True),
+    "empty": (np.array([], dtype=np.float64), np.array([], dtype=np.int64), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORMAT_CASES))
+def test_format_rows_agrees(kernel, case):
+    x, y, halves = FORMAT_CASES[case]
+    assert kernel.format_rows(x, y, halves) == C.format_rows(x, y, halves)
+
+
+@pytest.mark.parametrize("x,y", [
+    (np.array([0.5, np.nan]), ROWS[:2]),
+    (np.array([np.inf, 0.5]), ROWS[:2]),
+    (np.array([-np.inf]), ROWS[:1]),
+    (np.array([2.0**52 / 1e8]), ROWS[:1]),
+    (np.array([-1e9]), ROWS[:1]),
+    (ROWS, ROWS.astype(np.float64)),
+    (ROWS, ROWS[:5]),
+], ids=["nan", "inf", "minus-inf", "at-bound", "past-bound", "float-y", "length-mismatch"])
+def test_format_rows_errors_agree(kernel, x, y):
+    with pytest.raises(ValueError) as c_error:
+        C.format_rows(x, y, False)
+    with same_error(c_error):
+        kernel.format_rows(x, y, False)
+
+
+def test_every_entry_goes_through_the_binding(tmp_path, monkeypatch, capsys):
+    """Binding _native.kernel alone reroutes every call the CLI makes."""
+    calls = []
+
+    def recorded(name):
+        def call(*args):
+            calls.append(name)
+            return getattr(_pykernel, name)(*args)
+        return call
+
+    entries = ("advance", "count_values", "format_rows")
+    monkeypatch.setattr(_native, "kernel", SimpleNamespace(**{e: recorded(e) for e in entries}))
+    for argv, used in [
+        (["compute", "--export"], {"advance", "format_rows"}),
+        (["freq", "--kmax", "5"], {"advance", "count_values", "format_rows"}),
+        (["diagnose", "--series", "E"], {"advance", "format_rows"}),
+    ]:
+        calls.clear()
+        assert main(["--data-dir", str(tmp_path), *argv, "--horizon", "2000"]) == EXIT_OK
+        assert set(calls) == used, argv
+    assert not _native.have_native_kernel()
+    capsys.readouterr()
+    verify.perf_probe(1000)
+    assert json.loads(capsys.readouterr().out)["kernel"] == "python"

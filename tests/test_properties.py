@@ -7,8 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracle
-from qseq import checkpoint
-from qseq import cli
+from qseq import _native, _pykernel, checkpoint, cli
 from qseq.cli import SeriesText, format_series_lines, write_text
 from qseq.diagnostics import SERIES_CODES, Series, series, series_domain
 from qseq.engine import (
@@ -122,14 +121,15 @@ def reference_text(x, y, halves=False) -> bytes:
 
 def assert_exact(ser, x, y, halves=False):
     """format_series_lines(ser) equals reference_text, both through the C
-    kernel and through the per-row fallback that runs without it."""
-    assert cli._qkernel is not None, "the C formatter is not loaded"
+    kernel and through its pure-Python twin."""
+    assert _native.compiled is not None, "the C formatter is not loaded"
     expected = reference_text(x, y, halves)
-    native = format_series_lines(ser)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_qkernel", None)
-        python = format_series_lines(ser)
-    assert {"native": native, "python": python} == {"native": expected, "python": expected}
+    texts = {}
+    for name, kernel in (("c", _native.compiled), ("python", _pykernel)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_native, "kernel", kernel)
+            texts[name] = format_series_lines(ser)
+    assert texts == {"c": expected, "python": expected}
 
 
 int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1) | st.sampled_from(
