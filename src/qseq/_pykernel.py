@@ -17,6 +17,8 @@ def advance(values, start, horizon, eps_even, eps_odd, cap):
     q = _items(values, (4, 8), "value buffer must hold 4- or 8-byte items")
     if len(q) < horizon + 1:
         raise ValueError("value buffer shorter than horizon + 1")
+    if not 2 <= start <= horizon + 1:
+        raise ValueError("start must be in [2, horizon + 1]")
     for n in range(start, horizon + 1):
         t1, t2 = n - q[n - 1], n - q[n - 2]
         if t1 <= 0 or t2 <= 0:

@@ -22,10 +22,43 @@
  *   -> (status, step, bad_t1, bad_t2)
  *
  * Runs q[n] = q[n - q[n-1]] + q[n - q[n-2]] + eps(n) in place for
- * n = start..horizon.  Stops at the first n where a clock index is
- * non-positive (ST_DEATH, bad flags say which) or where the new value
- * would exceed cap (ST_OVERFLOW).
+ * n = start..horizon, 2 <= start <= horizon + 1.  Stops at the first n
+ * where a clock index is non-positive (ST_DEATH, bad flags say which) or
+ * where the new value would exceed cap (ST_OVERFLOW).
+ *
+ * One loop, defined for each slot type, carries Q(n-1) and Q(n-2) in p1
+ * and p2 instead of loading back the slots just written, and takes the
+ * steps in pairs, even n then odd n, so that each step's eps is a
+ * constant: an odd start takes one step before the pairs, an even
+ * horizon one step after them.  p1 takes the new value as its slot
+ * stores it, so a cap wider than the slot reads back what was written.
  */
+typedef struct { int status; long long step; int bad1, bad2; } Stop;
+
+#define STEP(T, e) do {                                                 \
+        long long t1 = n - p1, t2 = n - p2;                             \
+        if (t1 <= 0 || t2 <= 0)                                         \
+            return (Stop){ST_DEATH, n, t1 <= 0, t2 <= 0};               \
+        long long val = (long long)q[t1] + (long long)q[t2] + (e);      \
+        if ((unsigned long long)val > cap)                              \
+            return (Stop){ST_OVERFLOW, n, 0, 0};                        \
+        q[n++] = (T)val;                                                \
+        p2 = p1; p1 = (long long)(T)val;                                \
+    } while (0)
+
+#define DEFINE_ADVANCE_LOOP(name, T)                                    \
+static Stop name(T *q, long long n, long long horizon,                  \
+                 long long eps_even, long long eps_odd, unsigned long long cap) \
+{                                                                       \
+    long long p1 = (long long)q[n - 1], p2 = (long long)q[n - 2];       \
+    if ((n & 1) && n <= horizon) STEP(T, eps_odd);                      \
+    while (n < horizon) { STEP(T, eps_even); STEP(T, eps_odd); }        \
+    if (n == horizon) STEP(T, eps_even);                                \
+    return (Stop){ST_OK, 0, 0, 0};                                      \
+}
+DEFINE_ADVANCE_LOOP(advance4, uint32_t)
+DEFINE_ADVANCE_LOOP(advance8, uint64_t)
+
 static PyObject *
 advance(PyObject *self, PyObject *args)
 {
@@ -36,60 +69,23 @@ advance(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "w*LLLLK", &view, &start, &horizon,
                           &eps_even, &eps_odd, &cap))
         return NULL;
-    if (view.itemsize != 4 && view.itemsize != 8) {
+    const char *error = NULL;
+    if (view.itemsize != 4 && view.itemsize != 8)
+        error = "value buffer must hold 4- or 8-byte items";
+    else if ((long long)(view.len / view.itemsize) < horizon + 1)
+        error = "value buffer shorter than horizon + 1";
+    else if (start < 2 || start > horizon + 1)  /* the loop reads q[start-2] first */
+        error = "start must be in [2, horizon + 1]";
+    if (error) {
         PyBuffer_Release(&view);
-        PyErr_SetString(PyExc_ValueError, "value buffer must hold 4- or 8-byte items");
+        PyErr_SetString(PyExc_ValueError, error);
         return NULL;
     }
-    if ((long long)(view.len / view.itemsize) < horizon + 1) {
-        PyBuffer_Release(&view);
-        PyErr_SetString(PyExc_ValueError, "value buffer shorter than horizon + 1");
-        return NULL;
-    }
-
-    int status = ST_OK, bad1 = 0, bad2 = 0;
-    long long step = 0;
-
-    if (view.itemsize == 4) {
-        uint32_t *q = (uint32_t *)view.buf;
-        for (long long n = start; n <= horizon; n++) {
-            long long t1 = n - (long long)q[n - 1];
-            long long t2 = n - (long long)q[n - 2];
-            if (t1 <= 0 || t2 <= 0) {
-                status = ST_DEATH; step = n;
-                bad1 = (t1 <= 0); bad2 = (t2 <= 0);
-                break;
-            }
-            long long val = (long long)q[t1] + (long long)q[t2]
-                          + ((n & 1) == 0 ? eps_even : eps_odd);
-            if ((unsigned long long)val > cap) {
-                status = ST_OVERFLOW; step = n;
-                break;
-            }
-            q[n] = (uint32_t)val;
-        }
-    } else {
-        uint64_t *q = (uint64_t *)view.buf;
-        for (long long n = start; n <= horizon; n++) {
-            long long t1 = n - (long long)q[n - 1];
-            long long t2 = n - (long long)q[n - 2];
-            if (t1 <= 0 || t2 <= 0) {
-                status = ST_DEATH; step = n;
-                bad1 = (t1 <= 0); bad2 = (t2 <= 0);
-                break;
-            }
-            long long val = (long long)q[t1] + (long long)q[t2]
-                          + ((n & 1) == 0 ? eps_even : eps_odd);
-            if ((unsigned long long)val > cap) {
-                status = ST_OVERFLOW; step = n;
-                break;
-            }
-            q[n] = (uint64_t)val;
-        }
-    }
-
+    Stop stop = view.itemsize == 4
+        ? advance4((uint32_t *)view.buf, start, horizon, eps_even, eps_odd, cap)
+        : advance8((uint64_t *)view.buf, start, horizon, eps_even, eps_odd, cap);
     PyBuffer_Release(&view);
-    return Py_BuildValue("iLii", status, step, bad1, bad2);
+    return Py_BuildValue("iLii", stop.status, stop.step, stop.bad1, stop.bad2);
 }
 
 /* count_values(values, n_max, counts, last_occurrence, m_cap)

@@ -7,7 +7,9 @@ The CLI ``verify`` command and the acceptance test suite both run the
 checks through this module so they cannot drift apart.  Artifacts builds
 the shared inputs once, at MAIN_HORIZON and SURVEY_HORIZON; the seed
 table is read as the dict ``seedlab.table_report`` returns.  Criterion 12
-times the native kernel in a child process that runs ``perf_probe``.
+times the native kernel in a child process that runs ``perf_probe``;
+``run_criteria`` starts that child first, so it runs beside the in-process
+checks, and collects it in its turn, killing it if a check raises.
 
 The short prefix constants below are small enough to check by hand;
 larger-scale constants were frozen from the independent reference
@@ -60,6 +62,7 @@ GROWTH_TOLERANCE = Fraction(1, 10)
 ENDPOINT_1E8 = 48203369
 TIME_BUDGET_SECONDS = 60.0
 MEMORY_BUDGET_MB = 500.0
+PROBE_TIMEOUT_S = 3 * TIME_BUDGET_SECONDS  # counted from the probe's start
 
 STRONG_DEATH_SEEDS = frozenset({
     (1, 1, 3), (1, 2, 2), (1, 3, 2), (2, 1, 3), (2, 2, 2), (2, 2, 3),
@@ -84,6 +87,7 @@ TABLE_GROUPS = {
 MAIN_HORIZON = 10**7
 SURVEY_HORIZON = 10**6
 PERF_HORIZON = 10**8
+PERF_CRITERION = 12
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,36 @@ class CriterionResult:
 
 class Artifacts:
     """Shared expensive inputs, computed once and reused across checks."""
+
+    probe: subprocess.Popen | None = None  # criterion 12's child once started; None after a kill
+
+    def start_probe(self) -> None:
+        """Start criterion 12's child, ``perf_probe(PERF_HORIZON)`` in a fresh
+        interpreter, unless it is started already; ``probe_output`` collects it."""
+        if self.probe is None:
+            code = f"from qseq.verify import perf_probe; perf_probe({PERF_HORIZON})"
+            self.probe = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                          stderr=subprocess.PIPE, text=True)
+            self.probe_deadline = time.monotonic() + PROBE_TIMEOUT_S
+
+    def stop_probe(self) -> None:
+        """Kill and reap criterion 12's child if it still runs."""
+        if self.probe is not None and self.probe.returncode is None:
+            self.probe.kill()
+            self.probe.communicate()
+            self.probe = None
+
+    @cached_property
+    def probe_output(self) -> tuple[int, str, str] | None:
+        """The probe's (exit code, stdout, stderr), or None if it ran past its deadline."""
+        self.start_probe()
+        try:
+            out, err = self.probe.communicate(
+                timeout=max(0.0, self.probe_deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            self.stop_probe()
+            return None
+        return self.probe.returncode, out, err
 
     @cached_property
     def main_trace(self):
@@ -309,17 +343,14 @@ def perf_probe(horizon: int) -> None:
 
 def check_performance(art: Artifacts) -> CriterionResult:
     title = "performance envelope (1e8 terms)"
-    probe = f"from qseq.verify import perf_probe; perf_probe({PERF_HORIZON})"
-    try:
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                              text=True, timeout=3 * TIME_BUDGET_SECONDS)
-    except subprocess.TimeoutExpired:
-        return _result(12, title, False, f"probe exceeded {3 * TIME_BUDGET_SECONDS:.0f} s")
-    if proc.returncode != 0:
-        return _result(12, title, False, f"probe failed: {proc.stderr.strip()[-200:]}")
-    stats = json.loads(proc.stdout)
+    if art.probe_output is None:
+        return _result(PERF_CRITERION, title, False, f"probe exceeded {PROBE_TIMEOUT_S:.0f} s")
+    returncode, stdout, stderr = art.probe_output
+    if returncode != 0:
+        return _result(PERF_CRITERION, title, False, f"probe failed: {stderr.strip()[-200:]}")
+    stats = json.loads(stdout)
     if stats["kernel"] != "native":
-        return _result(12, title, False,
+        return _result(PERF_CRITERION, title, False,
                        f"probe ran the Python fallback: {stats['reason']}")
     problems = []
     if stats["endpoint"] != ENDPOINT_1E8:
@@ -331,7 +362,7 @@ def check_performance(art: Artifacts) -> CriterionResult:
     ok = not problems
     detail = (f"{stats['seconds']:.1f} s, {stats['peak_mb']:.0f} MB peak "
               f"(budget {TIME_BUDGET_SECONDS:.0f} s / {MEMORY_BUDGET_MB:.0f} MB), endpoint verified")
-    return _result(12, title, ok, detail if ok else "; ".join(problems))
+    return _result(PERF_CRITERION, title, ok, detail if ok else "; ".join(problems))
 
 
 def check_round_trip(art: Artifacts) -> CriterionResult:
@@ -375,7 +406,8 @@ CRITERIA = (
 
 def run_criteria(artifacts: Artifacts | None = None,
                  numbers: set[int] | None = None) -> list[CriterionResult]:
-    """Run the selected checks (all thirteen by default), in order."""
+    """Run the selected checks (all thirteen by default), in order; criterion
+    12's child, if selected, is started before them all."""
     if numbers is not None:
         unknown = set(numbers) - set(range(1, len(CRITERIA) + 1))
         if unknown:
@@ -384,11 +416,13 @@ def run_criteria(artifacts: Artifacts | None = None,
                 f" valid numbers are 1..{len(CRITERIA)}"
             )
     art = artifacts if artifacts is not None else Artifacts()
-    results = []
-    for index, check in enumerate(CRITERIA, start=1):
-        if numbers is None or index in numbers:
-            results.append(check(art))
-    return results
+    if numbers is None or PERF_CRITERION in numbers:
+        art.start_probe()
+    try:
+        return [check(art) for index, check in enumerate(CRITERIA, start=1)
+                if numbers is None or index in numbers]
+    finally:
+        art.stop_probe()
 
 
 def format_report(results: list[CriterionResult]) -> str:

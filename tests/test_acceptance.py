@@ -11,10 +11,13 @@ oracle agree on the value, so the honest result is red.
 """
 
 import json
+import subprocess
 
 import frozen_values as frozen
 import oracle
+import pytest
 from qseq import _native, verify
+from qseq.cli import EXIT_OK, main
 from qseq.seedlab import SeedClass
 from qseq.verify import (
     check_block_histograms,
@@ -97,6 +100,76 @@ def test_perf_probe_names_its_kernel(kernel, monkeypatch, capsys):
         assert (stats["kernel"], stats["endpoint"]) == ("native", oracle.naive_q_at((1, 1), 1000))
     else:
         assert stats == {"kernel": "python", "reason": "no compiler"}
+
+
+class FakeProbe:
+    """Criterion 12's child, played in process: it prints a passing probe
+    line, or, with ``hang`` set, runs past any deadline until killed."""
+
+    hang = False
+
+    def __init__(self, args, **kwargs):
+        self.args, self.returncode, self.killed = args, None, False
+
+    def communicate(self, timeout=None):
+        assert self.returncode is None, "the probe's pipes were read and closed"
+        if self.hang and not self.killed:
+            raise subprocess.TimeoutExpired(self.args, timeout)
+        self.returncode = -9 if self.killed else 0
+        return json.dumps({"kernel": "native", "endpoint": verify.ENDPOINT_1E8,
+                           "seconds": 0.5, "peak_mb": 415.0}), ""
+
+    def kill(self):
+        self.killed = True
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Every child started from here on, in order, as a FakeProbe."""
+    started = []
+
+    def popen(args, **kwargs):
+        started.append(FakeProbe(args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    return started
+
+
+def test_verify_starts_no_probe_unless_criterion_12_is_selected(probes, capsys):
+    assert main(["verify", "--only", "1..3"]) == EXIT_OK
+    assert probes == []
+    capsys.readouterr()
+
+
+def test_probe_starts_first_and_is_killed_when_a_check_raises(probes, monkeypatch):
+    def failing(art):
+        assert len(probes) == 1 and probes[0].returncode is None  # already running
+        raise RuntimeError("check broke")
+
+    monkeypatch.setattr(verify, "CRITERIA", (failing, *verify.CRITERIA[1:]))
+    with pytest.raises(RuntimeError, match="check broke"):
+        verify.run_criteria(verify.Artifacts())
+    assert probes[0].args[-1].endswith(f"perf_probe({verify.PERF_HORIZON})")
+    assert probes[0].killed and probes[0].returncode is not None  # killed and reaped
+
+
+def test_check_performance_twice_gives_one_result(probes):
+    art = verify.Artifacts()
+    (first,) = verify.run_criteria(art, {12})
+    assert first.passed, first.line
+    assert check_performance(art) == check_performance(art) == first
+    assert len(probes) == 1
+
+
+def test_probe_past_its_deadline_is_killed(probes, monkeypatch):
+    monkeypatch.setattr(FakeProbe, "hang", True)
+    art = verify.Artifacts()
+    (result,) = verify.run_criteria(art, {12})
+    assert not result.passed
+    assert result.detail == f"probe exceeded {verify.PROBE_TIMEOUT_S:.0f} s"
+    assert probes[0].killed and probes[0].returncode is not None
+    assert check_performance(art) == result and len(probes) == 1
 
 
 def test_criterion_13_checkpoint_round_trip(artifacts):

@@ -3,6 +3,8 @@
 Each test runs once per kernel (the ``kernel`` fixture) and compares what
 that kernel returns with what the C kernel returns for the same input:
 results, status codes, the buffers it writes, and its ValueErrors.
+``test_advance_matches_the_twin`` turns this round: the twin's one step at
+a time is the reference for the C loop's paired steps.
 """
 
 import json
@@ -46,15 +48,47 @@ def test_advance_agrees(kernel, seed, horizon, width, eps, status):
     assert got[0][0] == status
 
 
-@pytest.mark.parametrize("buffer,horizon", [
-    (np.zeros(10, dtype=np.uint16), 5),
-    (np.zeros(10, dtype=np.uint32), 10),
-], ids=["two-byte-items", "shorter-than-horizon"])
-def test_advance_errors_agree(kernel, buffer, horizon):
+@pytest.mark.parametrize("buffer,start,horizon", [
+    (np.zeros(10, dtype=np.uint16), 3, 5),
+    (np.zeros(10, dtype=np.uint32), 3, 10),
+    (np.zeros(10, dtype=np.uint32), 0, 9),
+    (np.zeros(10, dtype=np.uint32), 1, 9),
+    (np.zeros(10, dtype=np.uint32), 8, 6),
+], ids=["two-byte-items", "shorter-than-horizon", "start-0", "start-1", "start-past-horizon"])
+def test_advance_errors_agree(kernel, buffer, start, horizon):
     with pytest.raises(ValueError) as c_error:
-        C.advance(buffer.copy(), 3, horizon, 1, -1, CAPS[4])
+        C.advance(buffer.copy(), start, horizon, 1, -1, CAPS[4])
     with same_error(c_error):
-        kernel.advance(buffer.copy(), 3, horizon, 1, -1, CAPS[4])
+        kernel.advance(buffer.copy(), start, horizon, 1, -1, CAPS[4])
+
+
+# Seeds of lengths 2..8 (prefixes of the live run), so the loop starts at
+# both parities, and the bundled weak deaths at an even and an odd step.
+TWIN_SEEDS = [verify.FIRST_20[:k] for k in range(2, 9)] + [(3, 2, 1), (1, 2, 3)]
+# Stops some seed must reach: caps 4 and 8 overflow (1,1) at Q(7) = 5 and
+# Q(12) = 9, the first values above them.
+TWIN_STOPS = {(1, 1): {(ST_OVERFLOW, 7), (ST_OVERFLOW, 12)},
+              (3, 2, 1): {(ST_DEATH, 6)}, (1, 2, 3): {(ST_DEATH, 7)}}
+UNTOUCHED = 0xDEADBEE  # fills the slots past the seed, in both widths
+
+
+@pytest.mark.parametrize("width", [4, 8])
+@pytest.mark.parametrize("seed", TWIN_SEEDS, ids=lambda seed: ",".join(map(str, seed)))
+def test_advance_matches_the_twin(seed, width):
+    """The C loop, entry and exit steps included, writes what the twin
+    writes, stops where and how it stops, and leaves the rest untouched."""
+    start, stops = len(seed) + 1, set()
+    for horizon in (start - 1, start, start + 1, start + 2, 1000):
+        for eps in ((1, -1), (0, 0)):
+            for cap in (CAPS[width], 4, 8):
+                q = np.full(horizon + 1, UNTOUCHED, dtype=f"<u{width}")
+                q[: start] = (0, *seed)
+                want, got = q.copy(), q.copy()
+                result = C.advance(got, start, horizon, *eps, cap)
+                assert result == _pykernel.advance(want, start, horizon, *eps, cap)
+                assert got.tolist() == want.tolist(), (horizon, eps, cap)
+                stops.add(result[:2])
+    assert TWIN_STOPS.get(seed, set()) <= stops
 
 
 def count(module, values, n_max, m_cap):
