@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ._native import ST_COUNT_OVERFLOW, ST_DEATH, ST_OK, ST_OVERFLOW, ST_PARITY
+from ._native import SLOT_CAPS, ST_COUNT_OVERFLOW, ST_DEATH, ST_OK, ST_OVERFLOW, ST_PARITY
 
 
 def _items(buffer, sizes: tuple[int, ...], error: str) -> memoryview:
@@ -15,10 +15,15 @@ def _items(buffer, sizes: tuple[int, ...], error: str) -> memoryview:
 
 def advance(values, start, horizon, eps_even, eps_odd, cap):
     q = _items(values, (4, 8), "value buffer must hold 4- or 8-byte items")
+    if not 0 <= cap <= SLOT_CAPS[q.itemsize]:
+        raise ValueError(
+            "cap must be in [0, 2**32 - 1] for 4-byte items, [0, 2**63 - 1] for 8-byte")
     if len(q) < horizon + 1:
         raise ValueError("value buffer shorter than horizon + 1")
     if not 2 <= start <= horizon + 1:
         raise ValueError("start must be in [2, horizon + 1]")
+    if max(q[1:start]) > cap:
+        raise ValueError("a value before start exceeds cap")
     for n in range(start, horizon + 1):
         t1, t2 = n - q[n - 1], n - q[n - 2]
         if t1 <= 0 or t2 <= 0:

@@ -24,14 +24,16 @@
  * Runs q[n] = q[n - q[n-1]] + q[n - q[n-2]] + eps(n) in place for
  * n = start..horizon, 2 <= start <= horizon + 1.  Stops at the first n
  * where a clock index is non-positive (ST_DEATH, bad flags say which) or
- * where the new value would exceed cap (ST_OVERFLOW).
+ * where the new value would exceed cap (ST_OVERFLOW).  Before any read,
+ * ValueError if cap does not fit the slot as a signed 64-bit value
+ * (above 2^32 - 1 for 4-byte slots, 2^63 - 1 for 8-byte) or if a value
+ * in q[1..start-1] exceeds cap; resuming at 10^7 scans that prefix once.
  *
  * One loop, defined for each slot type, carries Q(n-1) and Q(n-2) in p1
  * and p2 instead of loading back the slots just written, and takes the
  * steps in pairs, even n then odd n, so that each step's eps is a
  * constant: an odd start takes one step before the pairs, an even
- * horizon one step after them.  p1 takes the new value as its slot
- * stores it, so a cap wider than the slot reads back what was written.
+ * horizon one step after them.
  */
 typedef struct { int status; long long step; int bad1, bad2; } Stop;
 
@@ -43,7 +45,7 @@ typedef struct { int status; long long step; int bad1, bad2; } Stop;
         if ((unsigned long long)val > cap)                              \
             return (Stop){ST_OVERFLOW, n, 0, 0};                        \
         q[n++] = (T)val;                                                \
-        p2 = p1; p1 = (long long)(T)val;                                \
+        p2 = p1; p1 = val;                                              \
     } while (0)
 
 #define DEFINE_ADVANCE_LOOP(name, T)                                    \
@@ -59,23 +61,48 @@ static Stop name(T *q, long long n, long long horizon,                  \
 DEFINE_ADVANCE_LOOP(advance4, uint32_t)
 DEFINE_ADVANCE_LOOP(advance8, uint64_t)
 
+/* Whether any of q[1..start-1] exceeds cap: such a value would read as
+ * negative or as a different number in the loop, so advance refuses it.
+ * A running maximum, without an early exit, lets the compiler vectorise. */
+#define DEFINE_PREFIX_ABOVE(name, T)                                    \
+static int name(const T *q, long long start, long long cap)             \
+{                                                                       \
+    T top = 0;                                                          \
+    for (long long i = 1; i < start; i++)                               \
+        top = q[i] > top ? q[i] : top;                                  \
+    return (unsigned long long)top > (unsigned long long)cap;           \
+}
+DEFINE_PREFIX_ABOVE(prefix_above4, uint32_t)
+DEFINE_PREFIX_ABOVE(prefix_above8, uint64_t)
+
 static PyObject *
 advance(PyObject *self, PyObject *args)
 {
     Py_buffer view;
     long long start, horizon, eps_even, eps_odd;
-    unsigned long long cap;
+    PyObject *cap_obj;
 
-    if (!PyArg_ParseTuple(args, "w*LLLLK", &view, &start, &horizon,
-                          &eps_even, &eps_odd, &cap))
+    if (!PyArg_ParseTuple(args, "w*LLLLO", &view, &start, &horizon,
+                          &eps_even, &eps_odd, &cap_obj))
         return NULL;
+    int overflow;  /* a cap outside signed 64-bit reads as -1, refused below */
+    long long cap = PyLong_AsLongLongAndOverflow(cap_obj, &overflow);
+    if (cap == -1 && PyErr_Occurred()) {
+        PyBuffer_Release(&view);
+        return NULL;
+    }
     const char *error = NULL;
     if (view.itemsize != 4 && view.itemsize != 8)
         error = "value buffer must hold 4- or 8-byte items";
+    else if (cap < 0 || cap > (view.itemsize == 4 ? (long long)UINT32_MAX : INT64_MAX))
+        error = "cap must be in [0, 2**32 - 1] for 4-byte items, [0, 2**63 - 1] for 8-byte";
     else if ((long long)(view.len / view.itemsize) < horizon + 1)
         error = "value buffer shorter than horizon + 1";
     else if (start < 2 || start > horizon + 1)  /* the loop reads q[start-2] first */
         error = "start must be in [2, horizon + 1]";
+    else if (view.itemsize == 4 ? prefix_above4((uint32_t *)view.buf, start, cap)
+                                : prefix_above8((uint64_t *)view.buf, start, cap))
+        error = "a value before start exceeds cap";
     if (error) {
         PyBuffer_Release(&view);
         PyErr_SetString(PyExc_ValueError, error);

@@ -19,6 +19,8 @@ Layout (all little-endian):
 Files are written to a temp file in the target directory, fsynced and
 renamed into place, so a crash never leaves a half-written checkpoint
 behind.  atomic_write does this for every output file, text included.
+save checksums the values on a second thread while they are written; the
+bytes on disk are the same as with a serial CRC.
 
 read_header parses and checks the header and seed alone, so a caller can
 tell which run a file holds without reading its values.  load streams the
@@ -37,6 +39,7 @@ import mmap
 import os
 import struct
 import tempfile
+import threading
 import zlib
 from collections.abc import Iterable
 from pathlib import Path
@@ -96,7 +99,16 @@ def atomic_write(path: str | Path, chunks: Iterable[bytes]) -> None:
 
 
 def save(trace: Trace, path: str | Path) -> None:
-    """Write the trace atomically to path, streaming its values without a copy."""
+    """Write the trace atomically to path, streaming its values without a copy.
+
+    The CRC of the values runs on a second thread while atomic_write writes
+    them: zlib.crc32 and the file write both release the GIL, so on two
+    cores the checksum overlaps the write instead of adding to it.  The
+    thread reads the trace's own buffer, copying nothing.  It starts with
+    the first chunk and is joined before the trailer is written and again
+    before save returns or raises; if it fails, save raises and writes no
+    trailer.  The file's bytes are those a serial CRC gives.
+    """
     cfg = trace.config
     out = trace.outcome
     flags = (1 if out.bad_t1 else 0) | (2 if out.bad_t2 else 0)
@@ -114,15 +126,32 @@ def save(trace: Trace, path: str | Path) -> None:
     )
     seed_bytes = struct.pack(f"<{len(cfg.seed)}Q", *cfg.seed)
     payload = memoryview(trace.values[1:].view(np.uint8))
+    head_crc = zlib.crc32(seed_bytes, zlib.crc32(header))
+    crc = {}  # the worker's result: the file's "value", or the "error" it raised
+
+    def checksum():
+        try:
+            crc["value"] = zlib.crc32(payload, head_crc)
+        except BaseException as exc:
+            crc["error"] = exc
+
+    worker = threading.Thread(target=checksum, name="qseq-save-crc")
 
     def chunks():
-        crc = 0
-        for part in (header, seed_bytes, payload):
-            crc = zlib.crc32(part, crc)
-            yield part
-        yield struct.pack("<I", crc)
+        worker.start()
+        yield header
+        yield seed_bytes
+        yield payload
+        worker.join()
+        if "error" in crc:
+            raise crc["error"]
+        yield struct.pack("<I", crc["value"])
 
-    atomic_write(path, chunks())
+    try:
+        atomic_write(path, chunks())
+    finally:
+        if worker.is_alive():
+            worker.join()
 
 
 class Header(NamedTuple):

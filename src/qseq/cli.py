@@ -225,6 +225,13 @@ class RunDied(Exception):
             " values computed")
 
 
+# The exit code of each error main reports: the first class in the error's
+# MRO that is listed here decides, so CheckpointError beats QseqError.
+ERROR_EXITS = {RunDied: EXIT_DEATH, ConfigError: EXIT_CONFIG, RangeError: EXIT_CONFIG,
+               ValueOverflowError: EXIT_OVERFLOW, CheckpointError: EXIT_IO,
+               QseqError: EXIT_CONFIG, MemoryError: EXIT_CONFIG, OSError: EXIT_IO}
+
+
 def live_trace(args, config: RecursionConfig) -> Trace:
     """The trace an analysis verb reads, through the --trace checkpoint if
     given.  Raises RunDied if the run died before the horizon."""
@@ -486,31 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RunDied as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_DEATH
-    except (ConfigError, RangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueOverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except QseqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MemoryError as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except tuple(ERROR_EXITS) as exc:
+        code = next(ERROR_EXITS[cls] for cls in type(exc).__mro__ if cls in ERROR_EXITS)
+        text = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
+        print(text if isinstance(exc, RunDied) else f"error: {text}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -22,14 +22,12 @@ from enum import Enum
 import numpy as np
 
 from . import _native
-from ._native import ST_DEATH, ST_OK
+from ._native import SLOT_CAPS, ST_DEATH, ST_OK
 from .errors import ConfigError, RangeError, TraceStateError, ValueOverflowError
 
 MAX_SEED_LEN = 8
 
 _WIDTH_DTYPES = {4: np.dtype("<u4"), 8: np.dtype("<u8")}
-# arithmetic runs in signed 64-bit, so the 8-byte cap stays below 2**63
-_WIDTH_CAPS = {4: 2**32 - 1, 8: 2**63 - 1}
 
 
 class Perturbation(Enum):
@@ -87,7 +85,7 @@ class RecursionConfig:
             raise ConfigError(
                 f"horizon must be an integer >= seed length {len(self.seed)}, got {self.horizon}"
             )
-        cap = _WIDTH_CAPS[self.width]
+        cap = SLOT_CAPS[self.width]
         for v in self.seed:
             if v > cap:
                 raise ConfigError(f"seed entry {v} exceeds the {self.width}-byte value range")
@@ -98,7 +96,7 @@ class RecursionConfig:
 
     @property
     def cap(self) -> int:
-        return _WIDTH_CAPS[self.width]
+        return SLOT_CAPS[self.width]
 
 
 class OutcomeKind(Enum):

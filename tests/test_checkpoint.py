@@ -2,11 +2,17 @@
 
 import os
 import re
+import signal
 import stat
 import struct
+import subprocess
+import sys
+import threading
+import time
 import zlib
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -271,3 +277,125 @@ def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path):
         checkpoint.atomic_write(path, chunks())
     assert path.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.dat"]
+
+
+# ------------------------------------------------------------- save's CRC thread
+
+TEMP_NAME = r"\.trace\.qtr\.[a-z0-9_]{8}\.tmp"  # as tempfile.mkstemp names atomic_write's temp
+
+
+class Injected(Exception):
+    """A failure made to happen inside save."""
+
+
+def test_save_checksums_on_a_thread_that_ends_with_it(tmp_path):
+    path = tmp_path / "trace.qtr"
+    threads = threading.active_count()
+    checkpoint.save(run(RecursionConfig(seed=Seed((1, 1)), horizon=10**6)), path)
+    assert threading.active_count() == threads
+    data = path.read_bytes()
+    assert struct.unpack("<I", data[-4:])[0] == zlib.crc32(data[:-4])
+
+
+class FullDisk:
+    """The temp file, with a write that fails on any chunk as long as the payload."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        if len(chunk) > 1 << 12:
+            raise Injected("disk full")
+        return self.fh.write(chunk)
+
+
+@pytest.mark.parametrize("failing", ["mkstemp", "payload-write", "crc"])
+def test_failed_save_keeps_the_old_file_and_leaves_no_temp_or_thread(tmp_path, monkeypatch,
+                                                                     failing):
+    """Whichever step fails, save raises it, the old checkpoint stays byte
+    for byte, and neither the temp file nor the CRC thread outlives save.
+    A failure before the first chunk starts no thread at all."""
+    path = tmp_path / "trace.qtr"
+    checkpoint.save(run(RecursionConfig(seed=Seed((1, 1)), horizon=100)), path)
+    old = path.read_bytes()
+    new = run(RecursionConfig(seed=Seed((1, 1)), horizon=10**6))
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def fail(*args, **kwargs):
+        raise Injected(failing)
+
+    real_fdopen, real_crc32 = os.fdopen, zlib.crc32
+
+    def crc32(data, value=0):
+        if len(data) > 1 << 12:  # the payload
+            if failing == "crc":
+                fail()
+            time.sleep(0.2)  # still checksumming when the write fails
+        return real_crc32(data, value)
+
+    monkeypatch.setattr(checkpoint, "threading", SimpleNamespace(Thread=Thread))
+    monkeypatch.setattr(checkpoint.zlib, "crc32", crc32)
+    if failing == "mkstemp":
+        monkeypatch.setattr(checkpoint.tempfile, "mkstemp", fail)
+    elif failing == "payload-write":
+        monkeypatch.setattr(checkpoint.os, "fdopen",
+                            lambda fd, mode: FullDisk(real_fdopen(fd, mode)))
+    threads = threading.active_count()
+    with pytest.raises(Injected):
+        checkpoint.save(new, path)
+    assert threading.active_count() == threads
+    assert len(started) == (failing != "mkstemp")
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.qtr"]
+
+
+SAVE_IN_CHILD = "import sys; from qseq import checkpoint; " \
+                "checkpoint.save(checkpoint.load(sys.argv[1]), sys.argv[2])"
+
+
+def test_save_killed_midway_leaves_the_old_or_the_new_checkpoint(tmp_path, main_trace):
+    """SIGKILL a child while it saves 10^7 terms over an older checkpoint.
+
+    The target then loads and holds the old trace or the whole new one.  A
+    kill before the rename leaves atomic_write's temp file behind under its
+    mkstemp name; nothing removes it later.  The child may finish before
+    the kill lands; the assertions hold either way.
+    """
+    source, store = tmp_path / "new.qtr", tmp_path / "store"
+    checkpoint.save(main_trace, source)
+    old = run(RecursionConfig(seed=Seed((1, 1)), horizon=1000))
+    target = store / "trace.qtr"
+    checkpoint.save(old, target)
+    env = dict(os.environ, PYTHONPATH=str(Path(checkpoint.__file__).parents[1]))
+    child = subprocess.Popen([sys.executable, "-c", SAVE_IN_CHILD, source, target],
+                             env=env, stderr=subprocess.PIPE)
+    deadline = time.monotonic() + 30
+    while (child.poll() is None and time.monotonic() < deadline
+           and not any(store.glob(".trace.qtr.*.tmp"))):
+        time.sleep(0.001)
+    child.kill()
+    stderr = child.communicate(timeout=60)[1].decode()
+    assert child.returncode in (0, -signal.SIGKILL), stderr
+
+    loaded = checkpoint.load(target)
+    stale = [p.name for p in store.iterdir() if p != target]
+    if loaded == old:
+        assert child.returncode == -signal.SIGKILL
+        assert len(stale) == 1 and re.fullmatch(TEMP_NAME, stale[0]), stale
+    else:
+        assert loaded == main_trace
+        assert stale == []

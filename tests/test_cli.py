@@ -21,7 +21,15 @@ from qseq.cli import (
 )
 from qseq.diagnostics import SERIES_CODES, Series, selfsim_profile, series
 from qseq.engine import RecursionConfig, Seed, run
-from qseq.errors import RangeError
+from qseq.errors import (
+    CheckpointChecksumError,
+    CheckpointError,
+    ConfigError,
+    QseqError,
+    RangeError,
+    TraceStateError,
+    ValueOverflowError,
+)
 
 
 def read_lines(path):
@@ -67,6 +75,48 @@ def test_write_failure_exits_io(tmp_path, capsys):
                  "--out", str(blocker / "x.dat")])
     assert code == EXIT_IO
     assert "error:" in capsys.readouterr().err
+
+
+DEAD = run(RecursionConfig(seed=Seed((1, 2, 1)), horizon=100))
+
+
+@pytest.mark.parametrize("error,code,line", [
+    (cli.RunDied(DEAD), EXIT_DEATH,
+     "weak death at step 41 (non-positive feedback index: t1); 40 of 100 values computed"),
+    (ConfigError("bad seed"), EXIT_CONFIG, "error: bad seed"),
+    (RangeError("lo past hi"), EXIT_CONFIG, "error: lo past hi"),
+    (ValueOverflowError("too wide"), EXIT_OVERFLOW, "error: too wide"),
+    (CheckpointError("bad file"), EXIT_IO, "error: bad file"),
+    (CheckpointChecksumError("x.qtr: checksum mismatch"), EXIT_IO,
+     "error: x.qtr: checksum mismatch"),
+    (TraceStateError("dead trace"), EXIT_CONFIG, "error: dead trace"),
+    (QseqError("qseq"), EXIT_CONFIG, "error: qseq"),
+    (MemoryError(), EXIT_CONFIG, "error: out of memory"),
+    (MemoryError("need 7 GB"), EXIT_CONFIG, "error: need 7 GB"),
+    (OSError(28, "No space left on device"), EXIT_IO,
+     "error: [Errno 28] No space left on device"),
+    (FileNotFoundError(2, "No such file or directory"), EXIT_IO,
+     "error: [Errno 2] No such file or directory"),
+    (OSError(), EXIT_IO, "error: "),
+], ids=["RunDied", "ConfigError", "RangeError", "ValueOverflowError", "CheckpointError",
+        "CheckpointChecksumError", "TraceStateError", "QseqError", "MemoryError-empty",
+        "MemoryError", "OSError", "FileNotFoundError", "OSError-empty"])
+def test_each_error_has_its_exit_code_and_line(monkeypatch, capsys, error, code, line):
+    def handler(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_verify", handler)
+    assert main(["verify"]) == code
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+def test_other_errors_propagate(monkeypatch):
+    def handler(args):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_verify", handler)
+    with pytest.raises(RuntimeError):
+        main(["verify"])
 
 
 # ------------------------------------------------------------- compute

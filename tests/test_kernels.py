@@ -48,18 +48,31 @@ def test_advance_agrees(kernel, seed, horizon, width, eps, status):
     assert got[0][0] == status
 
 
-@pytest.mark.parametrize("buffer,start,horizon", [
-    (np.zeros(10, dtype=np.uint16), 3, 5),
-    (np.zeros(10, dtype=np.uint32), 3, 10),
-    (np.zeros(10, dtype=np.uint32), 0, 9),
-    (np.zeros(10, dtype=np.uint32), 1, 9),
-    (np.zeros(10, dtype=np.uint32), 8, 6),
-], ids=["two-byte-items", "shorter-than-horizon", "start-0", "start-1", "start-past-horizon"])
-def test_advance_errors_agree(kernel, buffer, start, horizon):
+@pytest.mark.parametrize("buffer,start,horizon,cap", [
+    (np.zeros(10, dtype=np.uint16), 3, 5, CAPS[4]),
+    (np.zeros(10, dtype=np.uint32), 3, 10, CAPS[4]),
+    (np.zeros(10, dtype=np.uint32), 0, 9, CAPS[4]),
+    (np.zeros(10, dtype=np.uint32), 1, 9, CAPS[4]),
+    (np.zeros(10, dtype=np.uint32), 8, 6, CAPS[4]),
+    (np.array([0, 2**31, 2**31 + 1, 3, 4, 0], dtype=np.uint32), 5, 5, 2**40),
+    (np.zeros(10, dtype=np.uint64), 3, 9, 2**63),
+    (np.zeros(10, dtype=np.uint32), 3, 9, -1),
+    (np.zeros(10, dtype=np.uint64), 3, 9, 2**64 + 1),
+    (np.array([0, 1, 5, 0], dtype=np.uint32), 3, 3, 4),
+    (np.array([0, 1, 2**64 - 1, 0], dtype=np.uint64), 3, 3, CAPS[8]),
+], ids=["two-byte-items", "shorter-than-horizon", "start-0", "start-1", "start-past-horizon",
+        "cap-wider-than-4-byte-slot", "cap-wider-than-8-byte-slot", "cap-negative",
+        "cap-past-64-bits", "seed-above-cap", "8-byte-seed-past-2**63"])
+def test_advance_errors_agree(kernel, buffer, start, horizon, cap):
+    """Both kernels refuse the same input with the same message, before any
+    read: a cap wider than the slot, or a value before start above cap,
+    would otherwise run on values each kernel reads differently."""
     with pytest.raises(ValueError) as c_error:
-        C.advance(buffer.copy(), start, horizon, 1, -1, CAPS[4])
+        C.advance(buffer.copy(), start, horizon, 1, -1, cap)
+    got = buffer.copy()
     with same_error(c_error):
-        kernel.advance(buffer.copy(), start, horizon, 1, -1, CAPS[4])
+        kernel.advance(got, start, horizon, 1, -1, cap)
+    assert got.tolist() == buffer.tolist()
 
 
 # Seeds of lengths 2..8 (prefixes of the live run), so the loop starts at
@@ -84,6 +97,13 @@ def test_advance_matches_the_twin(seed, width):
                 q = np.full(horizon + 1, UNTOUCHED, dtype=f"<u{width}")
                 q[: start] = (0, *seed)
                 want, got = q.copy(), q.copy()
+                if max(seed) > cap:  # refused before any read
+                    with pytest.raises(ValueError) as c_error:
+                        C.advance(got, start, horizon, *eps, cap)
+                    with same_error(c_error):
+                        _pykernel.advance(want, start, horizon, *eps, cap)
+                    assert got.tolist() == want.tolist() == q.tolist()
+                    continue
                 result = C.advance(got, start, horizon, *eps, cap)
                 assert result == _pykernel.advance(want, start, horizon, *eps, cap)
                 assert got.tolist() == want.tolist(), (horizon, eps, cap)
