@@ -6,118 +6,83 @@ the classical variant.  The package computes traces at scale, measures the
 structures the sequence exhibits (linear growth with persistent fluctuation,
 dyadic self-similarity, a geometric law for value frequencies, seed-dependent
 survival), and bundles the empirical claims into a verification checklist.
+
+Importing the package binds the kernel (``_native``, which warns once if it
+falls back to the pure-Python twin).  Every other public name is listed in
+``_HOME`` with the module that defines it; that module is imported the first
+time the name is read (PEP 562), so a caller pays only for what it uses.
 """
 
+import importlib
+
 from ._native import have_native_kernel
-from .checkpoint import load, save
-from .diagnostics import (
-    SERIES_CODES,
-    Series,
-    assert_all_odd,
-    check_subsequence_identities,
-    log_profile,
-    selfsim_profile,
-    series,
-    series_domain,
-)
-from .engine import (
-    MAX_SEED_LEN,
-    Outcome,
-    OutcomeKind,
-    Perturbation,
-    RecursionConfig,
-    Seed,
-    Trace,
-    extend,
-    run,
-)
-from .errors import (
-    CheckpointChecksumError,
-    CheckpointError,
-    CheckpointFormatError,
-    CheckpointTruncatedError,
-    ConfigError,
-    CountOverflowError,
-    ParityError,
-    QseqError,
-    RangeError,
-    SaturationError,
-    TraceStateError,
-    ValueOverflowError,
-)
-from .frequency import (
-    BlockReport,
-    FrequencyTable,
-    average_check,
-    block_report,
-    build_frequency,
-    check_dyadic_law,
-    law_prediction,
-    peak_scan,
-)
-from .seedlab import (
-    SeedClass,
-    SeedReport,
-    classify,
-    detect_merge,
-    detect_ramp_orbit,
-    enumerate_seeds,
-    table_report,
-)
-from .verify import Artifacts, CriterionResult, format_report, run_criteria
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_SEED_LEN",
-    "SERIES_CODES",
-    "Artifacts",
-    "BlockReport",
-    "CheckpointChecksumError",
-    "CheckpointError",
-    "CheckpointFormatError",
-    "CheckpointTruncatedError",
-    "ConfigError",
-    "CountOverflowError",
-    "CriterionResult",
-    "FrequencyTable",
-    "Outcome",
-    "OutcomeKind",
-    "ParityError",
-    "Perturbation",
-    "QseqError",
-    "RangeError",
-    "RecursionConfig",
-    "SaturationError",
-    "Seed",
-    "SeedClass",
-    "SeedReport",
-    "Series",
-    "Trace",
-    "TraceStateError",
-    "ValueOverflowError",
-    "assert_all_odd",
-    "average_check",
-    "block_report",
-    "build_frequency",
-    "check_dyadic_law",
-    "check_subsequence_identities",
-    "classify",
-    "detect_merge",
-    "detect_ramp_orbit",
-    "enumerate_seeds",
-    "extend",
-    "format_report",
-    "have_native_kernel",
-    "law_prediction",
-    "load",
-    "log_profile",
-    "peak_scan",
-    "run",
-    "run_criteria",
-    "save",
-    "selfsim_profile",
-    "series",
-    "series_domain",
-    "table_report",
-]
+_HOME = {
+    "have_native_kernel": "_native",
+    "load": "checkpoint",
+    "save": "checkpoint",
+    "SERIES_CODES": "diagnostics",
+    "Series": "diagnostics",
+    "assert_all_odd": "diagnostics",
+    "check_subsequence_identities": "diagnostics",
+    "log_profile": "diagnostics",
+    "selfsim_profile": "diagnostics",
+    "series": "diagnostics",
+    "series_domain": "diagnostics",
+    "MAX_SEED_LEN": "engine",
+    "Outcome": "engine",
+    "OutcomeKind": "engine",
+    "Perturbation": "engine",
+    "RecursionConfig": "engine",
+    "Seed": "engine",
+    "Trace": "engine",
+    "extend": "engine",
+    "run": "engine",
+    "CheckpointChecksumError": "errors",
+    "CheckpointError": "errors",
+    "CheckpointFormatError": "errors",
+    "CheckpointTruncatedError": "errors",
+    "ConfigError": "errors",
+    "CountOverflowError": "errors",
+    "ParityError": "errors",
+    "QseqError": "errors",
+    "RangeError": "errors",
+    "SaturationError": "errors",
+    "TraceStateError": "errors",
+    "ValueOverflowError": "errors",
+    "BlockReport": "frequency",
+    "FrequencyTable": "frequency",
+    "average_check": "frequency",
+    "block_report": "frequency",
+    "build_frequency": "frequency",
+    "check_dyadic_law": "frequency",
+    "law_prediction": "frequency",
+    "peak_scan": "frequency",
+    "SeedClass": "seedlab",
+    "SeedReport": "seedlab",
+    "classify": "seedlab",
+    "detect_merge": "seedlab",
+    "detect_ramp_orbit": "seedlab",
+    "enumerate_seeds": "seedlab",
+    "table_report": "seedlab",
+    "Artifacts": "verify",
+    "CriterionResult": "verify",
+    "format_report": "verify",
+    "run_criteria": "verify",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_HOME[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

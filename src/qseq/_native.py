@@ -47,18 +47,20 @@ def compile_kernel() -> Path:
     half a file.
     """
     import hashlib
-    import shlex
-    import subprocess
-    import sysconfig
-    import tempfile
+    from importlib.machinery import EXTENSION_SUFFIXES
 
     source = Path(__file__).with_name("_qkernel.c")
-    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    suffix = EXTENSION_SUFFIXES[0]  # sysconfig's EXT_SUFFIX, without loading sysconfig
     key = hashlib.sha256(source.read_bytes() + suffix.encode()).hexdigest()[:16]
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
     target = cache / "qseq" / key / f"_qkernel{suffix}"
     if target.exists():
         return target
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+
     cc = sysconfig.get_config_var("CC")
     if not cc:
         raise KernelBuildError("sysconfig reports no C compiler (CC)")

@@ -34,6 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
+# frequency, seedlab and verify are imported by the handlers that use them,
+# so a verb loads only the modules it runs.
 from . import _native, checkpoint
 from .diagnostics import (
     SERIES_CODES,
@@ -60,20 +62,6 @@ from .errors import (
     RangeError,
     ValueOverflowError,
 )
-from .frequency import (
-    BlockReport,
-    block_report,
-    build_frequency,
-    check_dyadic_law,
-    law_prediction,
-)
-from .seedlab import (
-    MAX_SHIFT,
-    SeedReport,
-    classify,
-    enumerate_seeds,
-)
-from .verify import Artifacts, format_report, run_criteria
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -324,7 +312,10 @@ def cmd_selfsim(args) -> int:
     return EXIT_OK
 
 
-def block_lines(report: BlockReport) -> list[str]:
+def block_lines(report) -> list[str]:
+    """The three report lines of one frequency.BlockReport."""
+    from .frequency import check_dyadic_law, law_prediction
+
     lo, hi = 2**report.k, 2 ** (report.k + 1) - 1
     if report.complete:
         verdict = "fail" if check_dyadic_law(report) else "pass"
@@ -343,6 +334,8 @@ def block_lines(report: BlockReport) -> list[str]:
 
 
 def cmd_freq(args) -> int:
+    from .frequency import block_report, build_frequency
+
     config = config_from(args)
     k_max = args.kmax
     if k_max < 0:
@@ -375,7 +368,8 @@ def cmd_freq(args) -> int:
     return EXIT_OK
 
 
-def seed_row(report: SeedReport) -> str:
+def seed_row(report) -> str:
+    """The survey line of one seedlab.SeedReport."""
     growth = "-" if report.growth2 is None else f"{float(report.growth2) / 2:.6f}"
     death = "-" if report.death_step is None else str(report.death_step)
     bad = ",".join(report.bad_indices) or "-"
@@ -388,6 +382,8 @@ def seed_row(report: SeedReport) -> str:
 
 
 def cmd_seeds(args) -> int:
+    from .seedlab import MAX_SHIFT, classify, enumerate_seeds
+
     reference = run(RecursionConfig(
         seed=Seed((1, 1)),
         horizon=args.horizon + MAX_SHIFT,
@@ -413,6 +409,8 @@ def cmd_seeds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import Artifacts, format_report, run_criteria
+
     numbers = set(parse_levels(args.only, label="criterion")) if args.only else None
     artifacts = Artifacts()
     results = run_criteria(artifacts, numbers)

@@ -1,8 +1,38 @@
-"""The package namespace: __all__ lists exactly what qseq imports."""
+"""The package namespace, and what importing the package and its CLI loads.
 
+The fresh-interpreter tests run ``python -c`` with PYTHONPATH at this
+source tree, so sys.modules shows what one import costs a new process.
+"""
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+import sysconfig
 import types
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
+
+import pytest
 
 import qseq
+from qseq import _native
+
+SRC = str(Path(qseq.__file__).parents[1])
+BUILT_IN_PLACE = (_native.compiled is not None
+                  and Path(_native.compiled.__file__).parent == Path(_native.__file__).parent)
+# Modules only the checklist, the seed survey and the frequency layer need.
+NOT_FOR_THE_CLI = ("qseq.verify", "qseq.seedlab", "qseq.frequency",
+                   "subprocess", "json", "fractions")
+
+
+def fresh(code: str, **env: str) -> list[str]:
+    """The stdout lines of code run in a new interpreter on this tree."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC, **env), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 def test_all_names_resolve():
@@ -11,7 +41,66 @@ def test_all_names_resolve():
 
 
 def test_all_is_the_set_of_public_imports():
+    table = ast.parse(Path(qseq.__file__).read_text()).body
+    home = next(node.value for node in table if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["_HOME"])
+    names = [key.value for key in home.keys]
+    assert len(names) == len(set(names))
+    assert qseq.__all__ == names
+    for name in names:
+        module = importlib.import_module(f"qseq.{qseq._HOME[name]}")
+        value = getattr(qseq, name)
+        assert value is getattr(module, name), name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
     public = {name for name, value in vars(qseq).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(qseq.__all__) == len(set(qseq.__all__))
-    assert set(qseq.__all__) == public
+    assert public == set(names)
+    assert set(names) <= set(dir(qseq))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    assert not hasattr(qseq, "no_such_name")
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        qseq.no_such_name
+
+
+def test_the_cli_loads_no_checklist_survey_or_frequency_module():
+    loaded = set(fresh("import sys, qseq.cli; print('\\n'.join(sys.modules))"))
+    assert "qseq.diagnostics" in loaded
+    assert loaded.isdisjoint(NOT_FOR_THE_CLI), loaded & set(NOT_FOR_THE_CLI)
+
+
+def test_import_qseq_loads_only_the_kernel_binding():
+    kernel, *loaded = fresh("import sys, qseq; print(qseq._native.kernel.__name__);"
+                            " print('\\n'.join(sys.modules))")
+    assert {m for m in loaded if m.split(".")[0] == "qseq"} == {"qseq", "qseq._native", kernel}
+
+
+def test_the_cache_key_suffix_is_sysconfigs():
+    assert EXTENSION_SUFFIXES[0] == sysconfig.get_config_var("EXT_SUFFIX")
+
+
+@pytest.mark.skipif(_native.compiled is None or BUILT_IN_PLACE,
+                    reason="needs the kernel loaded from the compile cache")
+def test_a_cache_hit_runs_no_compiler_machinery():
+    out = fresh("import sys, qseq; print(qseq.have_native_kernel(),"
+                " [m for m in ('subprocess', 'shlex', 'sysconfig') if m in sys.modules])")
+    assert out == ["True []"]
+
+
+@pytest.mark.skipif(BUILT_IN_PLACE, reason="the built extension needs no cache")
+def test_import_warns_once_when_the_kernel_cannot_be_cached(tmp_path):
+    blocker = tmp_path / "cache"
+    blocker.write_text("a file, so the cache directory cannot be made\n")
+    out = fresh(
+        "import warnings\n"
+        "with warnings.catch_warnings(record=True) as caught:\n"
+        "    warnings.simplefilter('always')\n"
+        "    import qseq, qseq.cli\n"
+        "    qseq.run, qseq.build_frequency, qseq.run_criteria\n"
+        "print(qseq.have_native_kernel())\n"
+        "for w in caught:\n"
+        "    if w.category is RuntimeWarning: print(w.message)\n",
+        XDG_CACHE_HOME=str(blocker))
+    assert out[0] == "False"
+    assert len(out) == 2 and "pure-Python twin" in out[1], out
