@@ -26,7 +26,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qseq.cli import SeriesText, seed_row, write_text
-from qseq.diagnostics import log_grid, log_profile, selfsim_profile, series
+from qseq.diagnostics import log_grid, selfsim_profile, series
 from qseq.engine import Perturbation, RecursionConfig, Seed, run
 from qseq.frequency import build_frequency, peak_scan
 from qseq.seedlab import MAX_SHIFT, classify, enumerate_seeds
@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     _, n = log_grid(args.horizon, args.samples_per_octave)
     grid = np.unique(n)
     emit("growth.dat", SeriesText.of(grid, trace.values[grid]))
-    fluct = log_profile(trace, args.samples_per_octave)
+    fluct = series(trace, "G", samples_per_octave=args.samples_per_octave)
     emit("fluct_log.dat", SeriesText.of(fluct.x, fluct.y, fluct.halves))
 
     for k in range(0, args.levels + 1):

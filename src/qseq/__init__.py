@@ -27,10 +27,8 @@ _HOME = {
     "Series": "diagnostics",
     "assert_all_odd": "diagnostics",
     "check_subsequence_identities": "diagnostics",
-    "log_profile": "diagnostics",
     "selfsim_profile": "diagnostics",
     "series": "diagnostics",
-    "series_domain": "diagnostics",
     "MAX_SEED_LEN": "engine",
     "Outcome": "engine",
     "OutcomeKind": "engine",
@@ -54,7 +52,6 @@ _HOME = {
     "ValueOverflowError": "errors",
     "BlockReport": "frequency",
     "FrequencyTable": "frequency",
-    "average_check": "frequency",
     "block_report": "frequency",
     "build_frequency": "frequency",
     "check_dyadic_law": "frequency",

@@ -47,6 +47,7 @@ from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
+from ._native import SLOT_CAPS
 from .engine import Outcome, OutcomeKind, Perturbation, RecursionConfig, Seed, Trace
 from .errors import (
     CheckpointChecksumError,
@@ -177,7 +178,7 @@ def read_header(fh: BinaryIO, path: str | Path) -> Header:
         raise CheckpointFormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise CheckpointFormatError(f"{path}: unsupported version {version}")
-    if width not in (4, 8) or pert_code not in _PERT_FROM or kind_code not in _KIND_FROM:
+    if width not in SLOT_CAPS or pert_code not in _PERT_FROM or kind_code not in _KIND_FROM:
         raise CheckpointFormatError(f"{path}: malformed header fields")
     seed_bytes = fh.read(8 * seed_len)
     if len(seed_bytes) < 8 * seed_len:

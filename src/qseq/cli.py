@@ -214,10 +214,11 @@ class RunDied(Exception):
 
 
 # The exit code of each error main reports: the first class in the error's
-# MRO that is listed here decides, so CheckpointError beats QseqError.
-ERROR_EXITS = {RunDied: EXIT_DEATH, ConfigError: EXIT_CONFIG, RangeError: EXIT_CONFIG,
-               ValueOverflowError: EXIT_OVERFLOW, CheckpointError: EXIT_IO,
-               QseqError: EXIT_CONFIG, MemoryError: EXIT_CONFIG, OSError: EXIT_IO}
+# MRO that is listed here decides, so CheckpointError beats QseqError, and
+# every other QseqError (ConfigError and RangeError too) exits EXIT_CONFIG.
+ERROR_EXITS = {RunDied: EXIT_DEATH, ValueOverflowError: EXIT_OVERFLOW,
+               CheckpointError: EXIT_IO, QseqError: EXIT_CONFIG,
+               MemoryError: EXIT_CONFIG, OSError: EXIT_IO}
 
 
 def live_trace(args, config: RecursionConfig) -> Trace:
@@ -293,9 +294,9 @@ def parse_levels(text: str, label: str = "level") -> list[int]:
 def cmd_selfsim(args) -> int:
     config = config_from(args)
     levels = parse_levels(args.levels)
-    if 2 ** max(levels) > config.horizon:
+    if max(levels) >= config.horizon.bit_length():  # 2^K > horizon, without computing 2^K
         raise RangeError(
-            f"level {max(levels)} needs horizon >= {2 ** max(levels)}, have {config.horizon}"
+            f"level {max(levels)} needs horizon >= 2^{max(levels)}, have {config.horizon}"
         )
     trace = live_trace(args, config)
     for k in levels:
@@ -342,10 +343,6 @@ def cmd_freq(args) -> int:
         raise RangeError(f"kmax must be >= 0, got {k_max}")
     trace = live_trace(args, config)
     table = build_frequency(trace, m_cap=args.m_cap)
-    if 2 ** (k_max + 1) - 1 > table.m_cap:
-        raise RangeError(
-            f"kmax {k_max} needs m_cap >= {2 ** (k_max + 1) - 1}, have {table.m_cap}"
-        )
 
     lines = [
         "# frequency report",
@@ -426,7 +423,7 @@ def add_trace_flags(sub, default_horizon: int) -> None:
                      help="number of terms to compute")
     sub.add_argument("--perturbation", choices=[p.value for p in Perturbation],
                      default=Perturbation.ALTERNATING.value)
-    sub.add_argument("--width", type=int, choices=(4, 8), default=4,
+    sub.add_argument("--width", type=int, choices=tuple(_native.SLOT_CAPS), default=4,
                      help="bytes per stored value")
     sub.add_argument("--trace", help="checkpoint to reuse, extend, or create; never shrink")
 

@@ -6,10 +6,12 @@ is set holds 2x the mathematical value.  The CLI divides by two only at
 the text boundary.
 
 Each series code but G is one row of the table _SERIES: its domain, its
-formula over an index array and its halves flag.  series() evaluates the
-formula on any window [lo, hi] of the domain, and selfsim_profile() takes
-the same window over its samples, so a caller can evaluate a long series
-one block of rows at a time, as the CLI does.
+formula over an index array and its halves flag.  series_window() gives a
+code's domain, or checks a window [lo, hi] of it; series() evaluates the
+formula on that window, and selfsim_profile() takes the same window over
+its samples, so a caller can evaluate a long series one block of rows at a
+time, as the CLI does.  G is a log grid, not a window: series() builds it
+whole, and sets its default density of 64 samples per octave.
 
 Series codes used by the CLI:
 
@@ -59,9 +61,6 @@ class Series:
     def __len__(self) -> int:
         return int(self.x.size)
 
-    def __iter__(self):
-        return zip(self.x.tolist(), self.y.tolist())
-
 
 def _q_at(trace: Trace, idx: np.ndarray) -> np.ndarray:
     """Q at an index array as int64, widened after indexing: the copy is
@@ -102,13 +101,6 @@ _SERIES = {
 SERIES_CODES = (*_SERIES, "G")
 
 
-def series_domain(trace: Trace, code: str) -> tuple[int, int]:
-    """Valid index range [lo, hi] for a series code on this trace."""
-    if code not in _SERIES:
-        raise ConfigError(f"unknown series code {code!r}")
-    return _SERIES[code][0](trace.len)
-
-
 def _window(what: str, lo: int | None, hi: int | None,
             d_lo: int, d_hi: int) -> tuple[int, int]:
     lo = d_lo if lo is None else lo
@@ -121,25 +113,36 @@ def _window(what: str, lo: int | None, hi: int | None,
 def series_window(trace: Trace, code: str, lo: int | None = None, hi: int | None = None,
                   samples_per_octave: int | None = None) -> tuple[int, int]:
     """[lo, hi] for series(trace, code, lo, hi), a None end taken from the
-    domain; RangeError if the window leaves the domain or is empty, or if
-    samples_per_octave is given: only G has a grid."""
+    code's domain, so series_window(trace, code) is the whole domain.
+    RangeError if the window leaves the domain or is empty, or if
+    samples_per_octave is given: only G has a grid.  ConfigError for a code
+    outside _SERIES."""
     if samples_per_octave is not None:
         raise RangeError(f"series {code}: only the log grid G takes samples_per_octave,"
                          f" got {samples_per_octave}")
-    return _window(f"series {code}", lo, hi, *series_domain(trace, code))
+    if code not in _SERIES:
+        raise ConfigError(f"unknown series code {code!r}")
+    return _window(f"series {code}", lo, hi, *_SERIES[code][0](trace.len))
 
 
 def series(trace: Trace, code: str, lo: int | None = None, hi: int | None = None,
            samples_per_octave: int | None = None) -> Series:
     """Build the named series over [lo, hi] (defaults: the full domain).
 
-    G is always its whole log grid, of samples_per_octave (default 64);
-    RangeError if lo or hi is given for it, or samples_per_octave for another.
+    G is always its whole log grid: the doubled fluctuation at n = round(2^x)
+    for x on log_grid, of samples_per_octave (default 64).  RangeError if lo
+    or hi is given for it, if samples_per_octave exceeds the trace length (at
+    that density every n is on the grid already), or if samples_per_octave is
+    given for another code.
     """
     if code == "G":
         if lo is not None or hi is not None:
             raise RangeError(f"series G: the log grid takes no range, got [{lo}, {hi}]")
-        return log_profile(trace, 64 if samples_per_octave is None else samples_per_octave)
+        if samples_per_octave is not None and samples_per_octave > trace.len:
+            raise RangeError(f"series G: samples_per_octave {samples_per_octave}"
+                             f" exceeds trace length {trace.len}")
+        x, n = log_grid(trace.len, 64 if samples_per_octave is None else samples_per_octave)
+        return Series(x=x, y=2 * _q_at(trace, n) - n, halves=True)
     lo, hi = series_window(trace, code, lo, hi, samples_per_octave)
     _, formula, halves = _SERIES[code]
     n = np.arange(lo, hi + 1, dtype=np.int64)
@@ -156,9 +159,10 @@ def check_subsequence_identities(trace: Trace, k_lo: int = 2,
         B(k) = A((2k-A(k)+1)/2)   + A((2k-B(k-1)+1)/2) + 1
 
     Returns the (expected empty) array of violating k; an identity whose
-    inner index falls outside the trace counts as a violation.  k runs in
-    blocks of _BLOCK, so the extra memory is bounded by the block, not
-    the trace.
+    inner index falls outside the trace counts as a violation.  Only
+    Q(1..2 k_hi) is read (with Q >= 1 every inner index j is <= k), so only
+    that prefix must be odd.  k runs in blocks of _BLOCK, so the extra
+    memory is bounded by the block, not the trace.
     """
     L = trace.len
     if k_hi is None:
@@ -167,7 +171,7 @@ def check_subsequence_identities(trace: Trace, k_lo: int = 2,
         raise RangeError(f"need 2 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
     if 2 * k_hi > L:
         raise RangeError(f"k_hi={k_hi} needs trace length >= {2 * k_hi}, have {L}")
-    assert_all_odd(trace)
+    assert_all_odd(trace, 2 * k_hi)
     return np.concatenate([
         _identity_violations(trace, lo, min(lo + _BLOCK - 1, k_hi))
         for lo in range(k_lo, k_hi + 1, _BLOCK)
@@ -230,7 +234,7 @@ def selfsim_profile(trace: Trace, k: int, lo: int | None = None,
     return Series(x=m / (trace.len >> k), y=y, halves=True)
 
 
-def log_grid(length: int, samples_per_octave: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def log_grid(length: int, samples_per_octave: int) -> tuple[np.ndarray, np.ndarray]:
     """The uniform log grid x = i / samples_per_octave, i = 0, 1, ... while
     2^x <= length, and its indices n = round(2^x) clipped to [1, length].
     Neighbouring n repeat where the grid is finer than the integers."""
@@ -241,10 +245,3 @@ def log_grid(length: int, samples_per_octave: int = 64) -> tuple[np.ndarray, np.
     i_max = math.floor(samples_per_octave * math.log2(length))
     x = np.arange(i_max + 1, dtype=np.float64) / samples_per_octave
     return x, np.clip(np.rint(np.exp2(x)).astype(np.int64), 1, length)
-
-
-def log_profile(trace: Trace, samples_per_octave: int = 64) -> Series:
-    """Doubled fluctuation at n = round(2^x) for x on log_grid."""
-    x, n = log_grid(trace.len, samples_per_octave)
-    y = 2 * _q_at(trace, n) - n
-    return Series(x=x, y=y, halves=True)

@@ -27,7 +27,7 @@ from .errors import ConfigError, RangeError, TraceStateError, ValueOverflowError
 
 MAX_SEED_LEN = 8
 
-_WIDTH_DTYPES = {4: np.dtype("<u4"), 8: np.dtype("<u8")}
+_WIDTH_DTYPES = {width: np.dtype(f"<u{width}") for width in SLOT_CAPS}
 
 
 class Perturbation(Enum):

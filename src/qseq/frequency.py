@@ -147,13 +147,6 @@ def check_dyadic_law(report: BlockReport) -> dict[int, tuple[int, int]]:
     return deviations
 
 
-def average_check(report: BlockReport) -> Fraction:
-    """Deviation of the block average from 4 - 2^{-k} (0 when the law holds)."""
-    if not report.complete:
-        raise SaturationError(f"block k={report.k} is not complete at N={report.n_max}")
-    return report.average - (4 - Fraction(1, 2**report.k))
-
-
 def peak_scan(table: FrequencyTable, k_lo: int, k_hi: int) -> list[BlockReport]:
     """The reports of blocks k_lo..k_hi, for their peaks; blocks must be complete."""
     if k_lo > k_hi:

@@ -28,7 +28,6 @@ import numpy as np
 from .engine import OutcomeKind, Perturbation, RecursionConfig, Seed, Trace, run
 from .errors import ConfigError
 
-DEFAULT_HORIZON = 10**6
 MAX_SHIFT = 8            # largest |shift| a merge may have
 PROBE_WINDOW = 10**4     # trailing agreement a merge claim needs
 ORBIT_SPAN = 10**5       # largest m the ramp-orbit test reads
@@ -111,7 +110,7 @@ def detect_merge(trace: Trace, reference: Trace) -> tuple[int, int] | None:
 
 
 def classify(seed: Seed, reference: Trace,
-             horizon: int = DEFAULT_HORIZON,
+             horizon: int,
              perturbation: Perturbation = Perturbation.ALTERNATING) -> SeedReport:
     """Run the seed to the horizon and classify the outcome."""
     if reference.seed.values != (1, 1) or reference.config.perturbation is not perturbation:

@@ -225,9 +225,10 @@ def test_expectations_match_frozen_oracle():
     survivors = {s for s, e in triples.items() if e["death"] is None}
     assert verify.STRONG_DEATH_SEEDS == strong
     assert verify.WEAK_DEATH_STEPS == weak
-    assert verify.SURVIVOR_SEEDS == survivors
 
     groups = verify.TABLE_GROUPS
+    assert set(groups) == set(SeedClass) - {SeedClass.STRONG_DEATH, SeedClass.WEAK_DEATH}
+    assert set().union(*groups.values()) == survivors
     assert groups[SeedClass.RAMP_ORBIT] == {
         s for s, e in triples.items() if e["death"] is None and e["orbit"]
     }

@@ -341,9 +341,10 @@ def test_diagnose_renorm_split_matches_oracle(tmp_path, code, picker):
 
 @pytest.mark.parametrize("series_code,lo,hi,grid", [
     ("D", 1, 100, None), ("D", 0, 10, None), ("D", 11, 10, None), ("G", 50, 3, None),
-    ("E", None, None, 0), ("E", 1, 10, 64),
+    ("E", None, None, 0), ("E", 1, 10, 64), ("G", None, None, 101), ("G", None, None, 10**20),
 ], ids=["hi-past-domain", "lo-below-domain", "lo-above-hi", "log-grid-takes-no-range",
-        "grid-density-is-for-G-only", "grid-density-is-for-G-only-at-its-default"])
+        "grid-density-is-for-G-only", "grid-density-is-for-G-only-at-its-default",
+        "grid-denser-than-the-trace", "grid-too-dense-to-allocate"])
 def test_diagnose_range_error(tmp_path, capsys, series_code, lo, hi, grid):
     flags = [f"--{flag}={value}" for flag, value in
              (("lo", lo), ("hi", hi), ("samples-per-octave", grid)) if value is not None]
@@ -416,11 +417,23 @@ def test_selfsim_level_parse_errors(tmp_path, capsys, levels):
     capsys.readouterr()
 
 
-def test_selfsim_level_beyond_horizon(tmp_path, capsys):
-    code = main(["selfsim", "--horizon", "1000", "--levels", "12",
+@pytest.mark.parametrize("level", ["12", "20000"])
+def test_selfsim_level_beyond_horizon(tmp_path, capsys, level):
+    code = main(["selfsim", "--horizon", "1000", "--levels", level,
                  "--out-dir", str(tmp_path)])
     assert code == EXIT_CONFIG
-    assert "needs horizon" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: level {level} needs horizon >= 2^{level}, have 1000\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("horizon,expected", [(1024, EXIT_OK), (1023, EXIT_CONFIG)])
+def test_selfsim_top_level_at_the_horizon(tmp_path, capsys, horizon, expected):
+    code = main(["selfsim", "--horizon", str(horizon), "--levels", "10",
+                 "--out-dir", str(tmp_path)])
+    assert code == expected
+    assert (tmp_path / "selfsim_k10.dat").exists() == (expected == EXIT_OK)
+    capsys.readouterr()
 
 
 # ------------------------------------------------------------- freq
@@ -445,10 +458,23 @@ def test_freq_report_and_data_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_freq_kmax_needs_enough_m_cap(tmp_path, capsys):
-    code = main(["--data-dir", str(tmp_path), "freq", "--horizon", "100", "--kmax", "15"])
+@pytest.mark.parametrize("kmax", ["15", "20000"])
+def test_freq_kmax_needs_enough_m_cap(tmp_path, capsys, kmax):
+    code = main(["--data-dir", str(tmp_path), "freq", "--horizon", "100", "--kmax", kmax])
     assert code == EXIT_CONFIG
-    assert "needs m_cap" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: block k=5 reaches m=63, beyond m_cap=50\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kmax,expected", [("5", EXIT_OK), ("6", EXIT_CONFIG)])
+def test_freq_kmax_at_the_m_cap(tmp_path, capsys, kmax, expected):
+    """m_cap = 2^6 - 1 holds blocks 0..5 whole."""
+    code = main(["--data-dir", str(tmp_path), "freq", "--horizon", "1000", "--kmax", kmax,
+                 "--m-cap", "63"])
+    assert code == expected
+    assert (tmp_path / f"freq_F_s1-1_alternating_w4_n1000_k{kmax}.dat").exists() == (
+        expected == EXIT_OK)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("m_cap", [10**15, 10**23])

@@ -10,10 +10,9 @@ from qseq.diagnostics import (
     SERIES_CODES,
     assert_all_odd,
     check_subsequence_identities,
-    log_profile,
     selfsim_profile,
     series,
-    series_domain,
+    series_window,
 )
 from qseq.errors import ConfigError, ParityError, RangeError
 
@@ -29,7 +28,7 @@ def test_series_range_checks(short_trace):
     for code in SERIES_CODES:
         if code == "G":  # a log grid, no index window
             continue
-        lo, hi = series_domain(short_trace, code)
+        lo, hi = series_window(short_trace, code)
         with pytest.raises(RangeError):
             series(short_trace, code, lo - 1, lo)
         with pytest.raises(RangeError):
@@ -56,7 +55,7 @@ def test_every_series_matches_oracle(short_trace, oracle_values):
         "d": lambda k: oracle.subseq_b(q, k) - oracle.subseq_a(q, k),
     }
     for code, fn in expected.items():
-        lo, hi = series_domain(short_trace, code)
+        lo, hi = series_window(short_trace, code)
         ser = series(short_trace, code)
         assert ser.x[0] == lo and ser.x[-1] == hi
         naive = [fn(n) for n in range(lo, hi + 1)]
@@ -75,7 +74,6 @@ def test_series_flags_and_errors(short_trace):
     sub = series(short_trace, "E", 10, 20)
     assert sub.x.tolist() == list(range(10, 20 + 1))
     assert len(sub) == 11
-    assert list(iter(sub))[0] == (10, 2 * 7 - 10)  # Q(10) = 7, stored doubled
 
 
 def test_difference_prefix_matches_known_values(short_trace):
@@ -116,6 +114,24 @@ def test_identities_hold_and_match_oracle(short_trace, oracle_values):
         check_subsequence_identities(short_trace, 2, short_trace.len)
     with pytest.raises(RangeError):
         check_subsequence_identities(short_trace, 1, 10)
+
+
+@pytest.mark.parametrize("even_at,raises", [(2001, False), (2000, True)],
+                         ids=["past-2k_hi", "at-2k_hi"])
+def test_identities_need_odd_values_only_up_to_twice_k_hi(short_trace, even_at, raises):
+    from qseq.engine import Trace
+
+    k_hi = 1000
+    values = short_trace.values.copy()
+    values[even_at] += 1
+    trace = Trace(short_trace.config, values, short_trace.outcome)
+    if raises:
+        with pytest.raises(ParityError, match=rf"^even value Q\({even_at}\)="):
+            check_subsequence_identities(trace, 2, k_hi)
+    else:
+        prefix = values[: 2 * k_hi + 1].tolist()
+        assert check_subsequence_identities(trace, 2, k_hi).tolist() == (
+            oracle.identity_violations(prefix, 2, k_hi))
 
 
 def test_identities_catch_a_corrupted_trace(short_trace):
@@ -170,14 +186,14 @@ def test_selfsim_profile_shapes(short_trace):
 
 
 def test_log_profile_grid(short_trace):
-    prof = log_profile(short_trace, samples_per_octave=8)
+    prof = series(short_trace, "G", samples_per_octave=8)
     assert prof.halves
     assert prof.x[0] == 0.0
     assert prof.y[0] == 1  # 2*Q(1) - 1
     assert (np.diff(prof.x) > 0).all()
     assert prof.x[-1] <= np.log2(short_trace.len)
     with pytest.raises(ConfigError):
-        log_profile(short_trace, samples_per_octave=0)
+        series(short_trace, "G", samples_per_octave=0)
 
 
 def test_frozen_clock_deviation(main_trace):

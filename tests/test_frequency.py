@@ -16,7 +16,6 @@ from qseq.errors import (
     SaturationError,
 )
 from qseq.frequency import (
-    average_check,
     block_report,
     build_frequency,
     check_dyadic_law,
@@ -123,14 +122,13 @@ def test_law_check_refuses_incomplete_blocks(freq_table, k):
     assert not rep.complete
     with pytest.raises(SaturationError):
         check_dyadic_law(rep)
-    with pytest.raises(SaturationError):
-        average_check(rep)
 
 
 def test_block_average_matches_law_exactly(freq_table):
-    # 4 - 2^{-k}; exact at k=0 as well, even though the histogram is off
+    # total 2^{k+2} - 1, so the average is 4 - 2^{-k}; exact at k=0 as
+    # well, even though the histogram is off
     for k in range(0, 20):
-        assert average_check(block_report(freq_table, k)) == 0
+        assert block_report(freq_table, k).total == 2 ** (k + 2) - 1
 
 
 def test_block_totals_and_ratio_properties(freq_table):

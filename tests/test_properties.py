@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import oracle
 from qseq import _native, _pykernel, checkpoint, cli
 from qseq.cli import SeriesText, format_series_lines, write_text
-from qseq.diagnostics import SERIES_CODES, Series, series, series_domain
+from qseq.diagnostics import SERIES_CODES, Series, series, series_window
 from qseq.engine import (
     Outcome,
     OutcomeKind,
@@ -214,7 +214,7 @@ def test_seed_text_round_trip(vals):
 @given(code=st.sampled_from([c for c in SERIES_CODES if c != "G"]),
        data=st.data())
 def test_series_windows_are_slices_of_the_full_series(short_trace, code, data):
-    d_lo, d_hi = series_domain(short_trace, code)
+    d_lo, d_hi = series_window(short_trace, code)
     lo = data.draw(st.integers(min_value=d_lo, max_value=d_hi))
     hi = data.draw(st.integers(min_value=lo, max_value=d_hi))
     full = series(short_trace, code)
