@@ -16,11 +16,18 @@ Layout (all little-endian):
     ...  raw values Q(1..len), width bytes each
     I    crc32 of everything above
 
-Files are written to a temp file in the target directory, fsynced and
-renamed into place, so a crash never leaves a half-written checkpoint
-behind.  atomic_write does this for every output file, text included.
-save checksums the values on a second thread while they are written; the
-bytes on disk are the same as with a serial CRC.
+Every output file is written through atomic_write: a temp file in the
+target directory, fsynced and renamed into place, so a crash never leaves a
+half-written file behind.
+
+A checkpoint is written in place.  reserve() allocates the temp file at its
+full size and maps it shared, and the kernel runs straight into the mapped
+slots, so the values reach the page cache without a copy.  save() of that
+trace checksums the values on a second thread while they are flushed to
+disk, writes the header, the seed and the trailer around them (shrinking
+the file first if the run died) and commits the file.  A trace held in
+memory is checksummed while it is written into such a file.  The bytes on
+disk are the same either way.
 
 read_header parses and checks the header and seed alone, so a caller can
 tell which run a file holds without reading its values.  load streams the
@@ -41,7 +48,7 @@ import struct
 import tempfile
 import threading
 import zlib
-from collections.abc import Iterable
+from collections.abc import Callable, Iterator
 from pathlib import Path
 from typing import BinaryIO, NamedTuple
 
@@ -67,49 +74,156 @@ _KIND_CODES = {OutcomeKind.ALIVE: 0, OutcomeKind.WEAK_DEATH: 1, OutcomeKind.STRO
 _KIND_FROM = {v: k for k, v in _KIND_CODES.items()}
 
 
-def atomic_write(path: str | Path, chunks: Iterable[bytes]) -> None:
-    """Stream chunks into path so that a crash leaves the old file or the new one.
+class _TempFile:
+    """atomic_write's temp file beside path, open as fh until committed or discarded."""
 
-    The chunks go to a temp file beside path, which gets mode 0o666 & ~umask,
-    is fsynced, and is renamed over path; then the directory is fsynced so
-    the rename itself is durable.  On any error the temp file is removed.
+    def __init__(self, path: Path):
+        self.path = path
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, self.name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        self.fh = os.fdopen(fd, "wb")
+        self.committed = False
+
+    def commit(self) -> None:
+        """fsync the file, rename it over path, then fsync the directory so
+        that the rename itself is durable."""
+        with self.fh:
+            self.fh.flush()
+            os.fsync(self.fh.fileno())
+        os.replace(self.name, self.path)
+        self.committed = True
+        dir_fd = os.open(self.path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+
+    def discard(self) -> None:
+        self.fh.close()
+        with contextlib.suppress(OSError):
+            os.unlink(self.name)
+
+
+@contextlib.contextmanager
+def atomic_write(path: str | Path) -> Iterator[_TempFile]:
+    """A temp file for path, to write through its fh, so that a crash leaves
+    the old file or the new one.
+
+    The temp file lies beside path with mode 0o666 & ~umask.  When the block
+    ends it is committed (fsynced, renamed over path, the directory fsynced)
+    unless the block committed it itself; if the block raises, it is removed
+    and path keeps its old file.
     """
-    path = Path(path)
-    parent = path.parent
-    parent.mkdir(parents=True, exist_ok=True)
     umask = os.umask(0)
     os.umask(umask)
-    fd, tmp_name = tempfile.mkstemp(dir=parent, prefix=f".{path.name}.", suffix=".tmp")
+    temp = _TempFile(Path(path))
     try:
-        with os.fdopen(fd, "wb") as fh:
-            os.chmod(fh.fileno(), 0o666 & ~umask)  # mkstemp creates it 0o600
-            for chunk in chunks:
-                fh.write(chunk)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_name, path)
+        os.chmod(temp.fh.fileno(), 0o666 & ~umask)  # mkstemp creates it 0o600
+        yield temp
+        if not temp.committed:
+            temp.commit()
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_name)
+        if not temp.committed:
+            temp.discard()
         raise
-    dir_fd = os.open(parent, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
 
 
-def save(trace: Trace, path: str | Path) -> None:
-    """Write the trace atomically to path, streaming its values without a copy.
+class _Draft(mmap.mmap):
+    """A shared mapping of a checkpoint's temp file at its full size, made
+    by reserve() and finished by save()."""
 
-    The CRC of the values runs on a second thread while atomic_write writes
-    them: zlib.crc32 and the file write both release the GIL, so on two
-    cores the checksum overlaps the write instead of adding to it.  The
-    thread reads the trace's own buffer, copying nothing.  It starts with
-    the first chunk and is joined before the trailer is written and again
-    before save returns or raises; if it fails, save raises and writes no
-    trailer.  The file's bytes are those a serial CRC gives.
+    temp: _TempFile
+    offset: int  # where the values start
+
+
+@contextlib.contextmanager
+def reserve(path: str | Path, config: RecursionConfig,
+            length: int | None = None) -> Iterator[np.ndarray]:
+    """Slots 0..length (config.horizon by default) of a new checkpoint for
+    path, for a run of config to fill.  save() of the trace run into them
+    writes the header and the CRC around the values and commits the file.
+
+    The slots lie in a shared mapping of atomic_write's temp file, whose
+    disk space is allocated first, so that a full disk raises OSError here
+    instead of SIGBUS in the kernel.  Slot 0 overlays the last seed bytes:
+    nothing may write it.  Leaving the block without save() removes the temp
+    file, and path keeps its old file.
     """
+    length = config.horizon if length is None else length
+    offset = _HEADER.size + 8 * len(config.seed)
+    size = offset + config.width * length + 4
+    with atomic_write(path) as temp:
+        fd = temp.fh.fileno()
+        if hasattr(os, "posix_fallocate"):
+            os.posix_fallocate(fd, 0, size)
+        else:  # macOS has no posix_fallocate: there a full disk faults the mapping
+            os.ftruncate(fd, size)
+        draft = _Draft(fd, size)
+        draft.temp, draft.offset = temp, offset
+        yield np.frombuffer(draft, dtype=config.dtype, count=length + 1,
+                            offset=offset - config.width)
+        if not temp.committed:
+            raise RuntimeError(f"{path}: reserved checkpoint left without save()")
+
+
+def _draft_of(values: np.ndarray, path: str | Path) -> _Draft | None:
+    """The uncommitted draft for path that values lie in, if any."""
+    base = values
+    while isinstance(base, np.ndarray):
+        base = base.base
+    draft = getattr(base, "obj", None)  # np.frombuffer holds a memoryview of the mapping
+    if isinstance(draft, _Draft) and not draft.temp.committed and draft.temp.path == Path(path):
+        return draft
+    return None
+
+
+def _mapped_values(fileno: int, config: RecursionConfig, length: int,
+                   payload_offset: int) -> np.ndarray:
+    """Slots 0..length of the checkpoint open as fileno, mapped copy-on-write.
+
+    Slot 0 overlays the last seed bytes; it is zeroed in a private page, and
+    the file is never written.
+    """
+    mapped = mmap.mmap(fileno, 0, access=mmap.ACCESS_COPY)
+    values = np.frombuffer(mapped, dtype=config.dtype, count=length + 1,
+                           offset=payload_offset - config.width)
+    values[0] = 0
+    return values
+
+
+def save(trace: Trace, path: str | Path) -> Trace:
+    """Write the trace atomically to path; return it mapped from the new file.
+
+    A trace run into reserve(path)'s slots is finished in place: the CRC of
+    its values runs on a second thread while the main one fsyncs them.  Any
+    other trace is written into a file reserved for its length while the
+    second thread checksums it.  zlib.crc32, fsync and the write release
+    the GIL, so on two cores the CRC costs no time of its own.  Then the
+    header, the seed and the trailer are written, after the file shrinks to
+    step - 1 values if the run died, and the file is committed.
+
+    The trace returned holds the same values as a copy-on-write mapping of
+    the committed file, slot 0 zeroed, as load() would return them: the
+    shared mapping's pages are given back to the OS, so that none is
+    counted twice.
+    """
+    draft = _draft_of(trace.values, path)
+    if draft is not None:
+        return _finish(draft, trace, lambda: os.fsync(draft.temp.fh.fileno()))
+    with reserve(path, trace.config, trace.len) as slots:
+        draft = _draft_of(slots, path)
+
+        def write():  # through the file: no page faults, and no second copy in this process
+            draft.temp.fh.seek(draft.offset)
+            draft.temp.fh.write(memoryview(trace.values[1:].view(np.uint8)))
+            draft.temp.fh.flush()
+
+        return _finish(draft, trace, write)
+
+
+def _finish(draft: _Draft, trace: Trace, beside: Callable[[], None]) -> Trace:
+    """Checksum trace's values on a second thread while beside() runs, then
+    write the rest of draft's file and commit it; the trace save() returns."""
     cfg = trace.config
     out = trace.outcome
     flags = (1 if out.bad_t1 else 0) | (2 if out.bad_t2 else 0)
@@ -126,33 +240,34 @@ def save(trace: Trace, path: str | Path) -> None:
         trace.len,
     )
     seed_bytes = struct.pack(f"<{len(cfg.seed)}Q", *cfg.seed)
-    payload = memoryview(trace.values[1:].view(np.uint8))
-    head_crc = zlib.crc32(seed_bytes, zlib.crc32(header))
     crc = {}  # the worker's result: the file's "value", or the "error" it raised
 
     def checksum():
         try:
-            crc["value"] = zlib.crc32(payload, head_crc)
+            crc["value"] = zlib.crc32(trace.values[1:], zlib.crc32(seed_bytes, zlib.crc32(header)))
         except BaseException as exc:
             crc["error"] = exc
 
     worker = threading.Thread(target=checksum, name="qseq-save-crc")
-
-    def chunks():
-        worker.start()
-        yield header
-        yield seed_bytes
-        yield payload
-        worker.join()
-        if "error" in crc:
-            raise crc["error"]
-        yield struct.pack("<I", crc["value"])
-
+    worker.start()
     try:
-        atomic_write(path, chunks())
+        beside()
     finally:
-        if worker.is_alive():
-            worker.join()
+        worker.join()
+    if "error" in crc:
+        raise crc["error"]
+
+    fd = draft.temp.fh.fileno()
+    end = draft.offset + cfg.width * trace.len
+    if end + 4 < len(draft):
+        os.ftruncate(fd, end + 4)
+    draft[: draft.offset] = header + seed_bytes
+    draft[end : end + 4] = struct.pack("<I", crc["value"])
+    draft.flush()
+    values = _mapped_values(fd, cfg, trace.len, draft.offset)
+    draft.temp.commit()
+    draft.madvise(mmap.MADV_DONTNEED)
+    return Trace(cfg, values, out)
 
 
 class Header(NamedTuple):
@@ -226,7 +341,8 @@ def load(path: str | Path) -> Trace:
     The mapping keeps the file's inode alive, so a later save() to the same
     path, which renames a new file into place, leaves this trace intact.
     A file truncated in place while mapped raises SIGBUS when a lost page is
-    read; qseq never truncates a file in place.
+    read.  qseq truncates only the temp file of a run that died, before the
+    file is renamed into place and mapped by anyone else.
     """
     with open(path, "rb") as fh:
         head = read_header(fh, path)
@@ -254,11 +370,8 @@ def load(path: str | Path) -> Trace:
             raise CheckpointTruncatedError(f"{path}: ended while being read")
         if struct.unpack("<I", trailer)[0] != crc:
             raise CheckpointChecksumError(f"{path}: checksum mismatch")
-        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        values = _mapped_values(fh.fileno(), config, head.length, payload_offset)
 
-    values = np.frombuffer(mapped, dtype=config.dtype, count=head.length + 1,
-                           offset=payload_offset - config.width)
-    values[0] = 0
     seed = config.seed.values
     if values[1 : len(seed) + 1].tolist() != list(seed):
         raise CheckpointFormatError(

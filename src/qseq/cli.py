@@ -132,8 +132,9 @@ def write_text(path: Path, lines: Sequence[str | bytes]) -> None:
     A str item is one line; a bytes item is a block of whole lines, as
     SeriesText yields them.
     """
-    checkpoint.atomic_write(path, (
-        line if isinstance(line, bytes) else f"{line}\n".encode() for line in lines))
+    with checkpoint.atomic_write(path) as temp:
+        temp.fh.writelines(
+            line if isinstance(line, bytes) else f"{line}\n".encode() for line in lines)
 
 
 # ------------------------------------------------------------- plumbing
@@ -168,10 +169,11 @@ def obtain_trace(config: RecursionConfig, trace_path: Path | None):
 
     A checkpoint of the same seed, perturbation and width serves every
     horizon it covers: a longer live trace as a prefix view, a death at or
-    before the horizon as that death.  A shorter live one is extended and
-    saved.  A file of another configuration is replaced by a fresh run
-    without its values being read; so is an unreadable one.  So the store
-    never shortens a checkpoint.
+    before the horizon as that death.  A shorter live one is extended.  A
+    file of another configuration is replaced by a fresh run without its
+    values being read; so is an unreadable one.  So the store never
+    shortens a checkpoint.  A run or an extension computes straight into
+    the new file's reserved slots, which save() then finishes.
     """
     if trace_path is None:
         return run(config), False
@@ -189,16 +191,14 @@ def obtain_trace(config: RecursionConfig, trace_path: Path | None):
         except CheckpointError as exc:
             print(f"note: ignoring unreadable checkpoint {trace_path}: {exc}",
                   file=sys.stderr)
-    if stored is None:
-        trace = run(config)
-    elif not stored.outcome.is_alive and stored.outcome.step <= config.horizon:
-        return Trace(config, stored.values, stored.outcome), False
-    elif stored.len >= config.horizon:
-        return Trace(config, stored.values[: config.horizon + 1], Outcome.alive()), False
-    else:
-        trace = extend(stored, config.horizon)
-    checkpoint.save(trace, trace_path)
-    return trace, True
+    if stored is not None:
+        if not stored.outcome.is_alive and stored.outcome.step <= config.horizon:
+            return Trace(config, stored.values, stored.outcome), False
+        if stored.len >= config.horizon:
+            return Trace(config, stored.values[: config.horizon + 1], Outcome.alive()), False
+    with checkpoint.reserve(trace_path, config) as slots:
+        trace = run(config, slots) if stored is None else extend(stored, config.horizon, slots)
+        return checkpoint.save(trace, trace_path), True
 
 
 class RunDied(Exception):
@@ -294,6 +294,8 @@ def parse_levels(text: str, label: str = "level") -> list[int]:
 def cmd_selfsim(args) -> int:
     config = config_from(args)
     levels = parse_levels(args.levels)
+    if min(levels) < 0:
+        raise ConfigError(f"k must be >= 0, got {min(levels)}")
     if max(levels) >= config.horizon.bit_length():  # 2^K > horizon, without computing 2^K
         raise RangeError(
             f"level {max(levels)} needs horizon >= 2^{max(levels)}, have {config.horizon}"

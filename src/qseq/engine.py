@@ -191,31 +191,50 @@ class Trace:
         return f"Trace(seed=({self.seed}), {self.config.perturbation.value}, len={self.len}, {state})"
 
 
-def _run_from(config: RecursionConfig, arr: np.ndarray, start: int) -> Trace:
-    """Run the kernel in place over arr[start..config.horizon]; the Trace it leaves."""
+def _slots(config: RecursionConfig, out: np.ndarray | None) -> np.ndarray:
+    """The buffer a run of config fills: out, checked, or fresh zeros."""
+    if out is None:
+        return np.zeros(config.horizon + 1, dtype=config.dtype)
+    if out.dtype != config.dtype or out.shape != (config.horizon + 1,):
+        raise ValueError(f"out must be {config.horizon + 1} slots of {config.dtype},"
+                         f" got {out.shape} of {out.dtype}")
+    return out
+
+
+def _run_from(config: RecursionConfig, arr: np.ndarray, start: int, owned: bool) -> Trace:
+    """Run the kernel in place over arr[start..config.horizon]; the Trace it leaves.
+
+    A death keeps arr[:step]: a copy when arr is owned, so the rest of it is
+    freed, else a view of the caller's buffer.
+    """
     status, step, bad1, bad2 = _native.kernel.advance(
         arr, start, config.horizon, *config.perturbation.eps, config.cap)
     if status == ST_OK:
         return Trace(config, arr, Outcome.alive())
     if status == ST_DEATH:
         outcome = Outcome.death(step, len(config.seed), bool(bad1), bool(bad2))
-        return Trace(config, arr[:step].copy(), outcome)
+        return Trace(config, arr[:step].copy() if owned else arr[:step], outcome)
     msg = f"value at step n={step} exceeds the {config.width}-byte range"
     if config.width == 4:
         msg += "; rerun with width=8"
     raise ValueOverflowError(msg)
 
 
-def run(config: RecursionConfig) -> Trace:
-    """Run the recursion from its seed up to config.horizon."""
+def run(config: RecursionConfig, out: np.ndarray | None = None) -> Trace:
+    """Run the recursion from its seed up to config.horizon.
+
+    The values go into out if given: config.horizon + 1 slots of
+    config.dtype, of which slot 0 is neither read nor written.  Otherwise
+    into a fresh array.
+    """
     seed_len = len(config.seed)
-    arr = np.zeros(config.horizon + 1, dtype=config.dtype)
+    arr = _slots(config, out)
     arr[1 : seed_len + 1] = tuple(config.seed)
-    return _run_from(config, arr, seed_len + 1)
+    return _run_from(config, arr, seed_len + 1, out is None)
 
 
-def extend(trace: Trace, new_horizon: int) -> Trace:
-    """Resume a live trace up to new_horizon.
+def extend(trace: Trace, new_horizon: int, out: np.ndarray | None = None) -> Trace:
+    """Resume a live trace up to new_horizon, into out if given (as for run).
 
     A target at or below the computed length returns the trace unchanged.
     The result is identical to a fresh run at new_horizon.  A trace mapped
@@ -228,11 +247,11 @@ def extend(trace: Trace, new_horizon: int) -> Trace:
     if new_horizon <= trace.len:
         return trace
     config = replace(trace.config, horizon=new_horizon)
-    arr = np.zeros(new_horizon + 1, dtype=config.dtype)
-    arr[: trace.len + 1] = trace.values
+    arr = _slots(config, out)
+    arr[1 : trace.len + 1] = trace.values[1:]
     mapped = getattr(trace.values.base, "obj", None)  # checkpoint.load maps the file
     if isinstance(mapped, mmap.mmap) and len(mapped) > mmap.PAGESIZE:
         # a page read again comes back from the file; the first one holds
         # slot 0, zeroed in a private copy that MADV_DONTNEED would drop
         mapped.madvise(mmap.MADV_DONTNEED, mmap.PAGESIZE)
-    return _run_from(config, arr, trace.len + 1)
+    return _run_from(config, arr, trace.len + 1, out is None)

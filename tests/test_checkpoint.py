@@ -243,6 +243,40 @@ def test_extending_a_loaded_trace_leaves_it_readable(tmp_path):
     assert path.read_bytes() == fresh.read_bytes()
 
 
+# ------------------------------------------------------------- computing into the file
+
+@pytest.mark.parametrize("config", [
+    RecursionConfig(seed=Seed((3, 1, 2)), horizon=1000),
+    RecursionConfig(seed=Seed((3, 1, 2)), horizon=1000, width=8),
+    RecursionConfig(seed=Seed((1, 2, 1)), horizon=10**5),  # weak death at step 41
+], ids=["width-4", "width-8", "death"])
+def test_a_run_into_reserved_slots_is_saved_in_place(tmp_path, config):
+    """The kernel runs into the temp file.  save() leaves there the bytes a
+    trace held in memory gets (a death shrinks the file to its values) and
+    returns the values mapped copy-on-write, slot 0 clear."""
+    path = tmp_path / "store" / "trace.qtr"
+    with checkpoint.reserve(path, config) as slots:
+        trace = checkpoint.save(run(config, slots), path)
+    fresh = run(config)
+    assert trace.values[0] == 0
+    assert not trace.values.flags.writeable
+    assert trace == fresh
+    _, copied = roundtrip(fresh, tmp_path, "copied.qtr")
+    assert path.read_bytes() == copied.read_bytes()
+    assert [p.name for p in path.parent.iterdir()] == ["trace.qtr"]
+
+
+def test_a_reserved_file_left_without_save_is_removed(tmp_path):
+    path = tmp_path / "trace.qtr"
+    path.write_bytes(b"old")
+    config = RecursionConfig(seed=Seed((1, 1)), horizon=100)
+    with pytest.raises(RuntimeError, match="without save"), \
+            checkpoint.reserve(path, config) as slots:
+        run(config, slots)
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.qtr"]
+
+
 # ------------------------------------------------------------- atomic_write
 
 def test_atomic_write_fsyncs_file_then_renames_then_fsyncs_directory(tmp_path,
@@ -260,21 +294,51 @@ def test_atomic_write_fsyncs_file_then_renames_then_fsyncs_directory(tmp_path,
 
     monkeypatch.setattr(checkpoint.os, "fsync", fsync)
     monkeypatch.setattr(checkpoint.os, "replace", replace)
-    checkpoint.atomic_write(tmp_path / "out.dat", [b"a\n", b"b\n"])
+    with checkpoint.atomic_write(tmp_path / "out.dat") as temp:
+        temp.fh.write(b"a\n")
+        temp.fh.write(b"b\n")
     assert events == [("fsync", False), ("replace", "out.dat"), ("fsync", True)]
     assert (tmp_path / "out.dat").read_bytes() == b"a\nb\n"
+
+
+@pytest.mark.parametrize("computed", [True, False], ids=["computed-in-file", "in-memory"])
+def test_save_fsyncs_the_whole_file_then_renames(tmp_path, monkeypatch, computed):
+    """The header and the trailer, written last, reach the disk with the
+    commit's fsync, before the rename.  Values computed in the file are
+    flushed once before, beside the CRC; a trace held in memory is
+    checksummed beside its copy instead."""
+    events = []
+    real_fsync, real_replace = checkpoint.os.fsync, checkpoint.os.replace
+    path = tmp_path / "trace.qtr"
+    config = RecursionConfig(seed=Seed((1, 1)), horizon=1000)
+
+    def fsync(fd):
+        head = os.pread(fd, 8, 0) if not stat.S_ISDIR(os.fstat(fd).st_mode) else None
+        events.append(("fsync", head))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", Path(dst).name))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "fsync", fsync)
+    monkeypatch.setattr(checkpoint.os, "replace", replace)
+    if computed:
+        with checkpoint.reserve(path, config) as slots:
+            checkpoint.save(run(config, slots), path)
+    else:
+        checkpoint.save(run(config), path)
+    commit = [("fsync", checkpoint.MAGIC), ("replace", "trace.qtr"), ("fsync", None)]
+    assert events == ([("fsync", bytes(8))] if computed else []) + commit
 
 
 def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path):
     path = tmp_path / "out.dat"
     path.write_bytes(b"old\n")
 
-    def chunks():
-        yield b"new, half written"
+    with pytest.raises(RuntimeError), checkpoint.atomic_write(path) as temp:
+        temp.fh.write(b"new, half written")
         raise RuntimeError("interrupted")
-
-    with pytest.raises(RuntimeError):
-        checkpoint.atomic_write(path, chunks())
     assert path.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.dat"]
 
@@ -297,33 +361,15 @@ def test_save_checksums_on_a_thread_that_ends_with_it(tmp_path):
     assert struct.unpack("<I", data[-4:])[0] == zlib.crc32(data[:-4])
 
 
-class FullDisk:
-    """The temp file, with a write that fails on any chunk as long as the payload."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def __getattr__(self, name):
-        return getattr(self.fh, name)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, chunk):
-        if len(chunk) > 1 << 12:
-            raise Injected("disk full")
-        return self.fh.write(chunk)
-
-
 @pytest.mark.parametrize("failing", ["mkstemp", "payload-write", "crc"])
 def test_failed_save_keeps_the_old_file_and_leaves_no_temp_or_thread(tmp_path, monkeypatch,
                                                                      failing):
     """Whichever step fails, save raises it, the old checkpoint stays byte
     for byte, and neither the temp file nor the CRC thread outlives save.
-    A failure before the first chunk starts no thread at all."""
+    A failure before the temp file exists starts no thread at all.  Both
+    ways to save are tried: a trace held in memory, and a run into reserved
+    slots.  The payload reaches the disk through fsync, so a failing write
+    of it surfaces there: for a run into the file, while the CRC runs."""
     path = tmp_path / "trace.qtr"
     checkpoint.save(run(RecursionConfig(seed=Seed((1, 1)), horizon=100)), path)
     old = path.read_bytes()
@@ -338,13 +384,13 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp_or_thread(tmp_path, m
     def fail(*args, **kwargs):
         raise Injected(failing)
 
-    real_fdopen, real_crc32 = os.fdopen, zlib.crc32
+    real_crc32 = zlib.crc32
 
     def crc32(data, value=0):
         if len(data) > 1 << 12:  # the payload
             if failing == "crc":
                 fail()
-            time.sleep(0.2)  # still checksumming when the write fails
+            time.sleep(0.2)  # a slow CRC: save waits for it before going on
         return real_crc32(data, value)
 
     monkeypatch.setattr(checkpoint, "threading", SimpleNamespace(Thread=Thread))
@@ -352,15 +398,20 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp_or_thread(tmp_path, m
     if failing == "mkstemp":
         monkeypatch.setattr(checkpoint.tempfile, "mkstemp", fail)
     elif failing == "payload-write":
-        monkeypatch.setattr(checkpoint.os, "fdopen",
-                            lambda fd, mode: FullDisk(real_fdopen(fd, mode)))
+        monkeypatch.setattr(checkpoint.os, "fsync", fail)
     threads = threading.active_count()
-    with pytest.raises(Injected):
-        checkpoint.save(new, path)
-    assert threading.active_count() == threads
-    assert len(started) == (failing != "mkstemp")
-    assert path.read_bytes() == old
-    assert [p.name for p in tmp_path.iterdir()] == ["trace.qtr"]
+    for computed in (False, True):
+        started.clear()
+        with pytest.raises(Injected):
+            if computed:
+                with checkpoint.reserve(path, new.config) as slots:
+                    checkpoint.save(run(new.config, slots), path)
+            else:
+                checkpoint.save(new, path)
+        assert threading.active_count() == threads
+        assert len(started) == (failing != "mkstemp")
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.qtr"]
 
 
 SAVE_IN_CHILD = "import sys; from qseq import checkpoint; " \

@@ -1,14 +1,16 @@
 """End-to-end CLI behaviour: exit codes, file formats, checkpoint reuse."""
 
+import errno
 import os
 import stat
+import threading
 
 import numpy as np
 import pytest
 
 import frozen_values as frozen
 import oracle
-from qseq import _native, checkpoint, cli
+from qseq import _native, _pykernel, checkpoint, cli
 from qseq.cli import (
     EXIT_CONFIG,
     EXIT_DEATH,
@@ -270,6 +272,92 @@ def test_other_configuration_is_replaced_without_loading_it(tmp_path, monkeypatc
     assert "note: replacing checkpoint" in capsys.readouterr().err
 
 
+# ------------------------------------------------------------- computing into the file
+
+def saved_bytes(config, tmp_path):
+    """The bytes save() writes for a fresh run of config held in memory."""
+    path = tmp_path / "fresh" / "t.qtr"
+    checkpoint.save(run(config), path)
+    return path.read_bytes()
+
+
+def test_width_8_computed_into_the_file_reads_slot_zero_clear(tmp_path):
+    # 8-byte slots: slot 0 overlays the whole last seed entry, 2, in the file
+    config = RecursionConfig(seed=Seed((3, 1, 2)), horizon=1000, width=8)
+    path = tmp_path / "store" / "t.qtr"
+    trace, wrote = cli.obtain_trace(config, path)
+    assert wrote
+    assert trace.values[0] == 0
+    assert not trace.values.flags.writeable
+    assert trace == run(config)
+    assert path.read_bytes() == saved_bytes(config, tmp_path)
+
+
+def test_a_death_mid_run_leaves_the_file_save_writes(tmp_path, capsys):
+    path = tmp_path / "store" / "t.qtr"
+    code = main(["compute", "--seed", "1,2,1", "--horizon", "100000", "--trace", str(path)])
+    assert code == EXIT_DEATH
+    assert "weak death at step 41" in capsys.readouterr().err
+    config = RecursionConfig(seed=Seed((1, 2, 1)), horizon=10**5)
+    assert path.read_bytes() == saved_bytes(config, tmp_path)
+    assert [p.name for p in path.parent.iterdir()] == ["t.qtr"]
+
+
+def test_an_overflow_keeps_the_old_checkpoint_and_no_temp(tmp_path, capsys):
+    path = tmp_path / "t.qtr"
+    assert main(["compute", "--horizon", "100", "--trace", str(path)]) == EXIT_OK
+    old = path.read_bytes()
+    code = main(["compute", "--seed", f"{2**31},{2**31 + 1},3,4", "--horizon", "10",
+                 "--trace", str(path)])
+    assert code == EXIT_OVERFLOW
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["t.qtr"]
+    capsys.readouterr()
+
+
+def test_an_extension_leaves_the_file_a_fresh_save_writes(tmp_path, capsys):
+    path = tmp_path / "store" / "t.qtr"
+    for horizon in ("10000", "100000"):
+        assert main(["compute", "--horizon", horizon, "--trace", str(path)]) == EXIT_OK
+    config = RecursionConfig(seed=Seed((1, 1)), horizon=10**5)
+    assert path.read_bytes() == saved_bytes(config, tmp_path)
+    assert [p.name for p in path.parent.iterdir()] == ["t.qtr"]
+    capsys.readouterr()
+
+
+def test_a_full_disk_exits_io_and_keeps_the_old_checkpoint(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "t.qtr"
+    assert main(["compute", "--horizon", "100", "--trace", str(path)]) == EXIT_OK
+    old = path.read_bytes()
+    capsys.readouterr()
+
+    def full(fd, offset, length):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(checkpoint.os, "posix_fallocate", full)
+    threads = threading.active_count()
+    assert main(["compute", "--horizon", "1000", "--trace", str(path)]) == EXIT_IO
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert threading.active_count() == threads
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["t.qtr"]
+
+
+@pytest.mark.parametrize("args,horizons,code", [
+    (["--seed", "3,1,2", "--width", "8"], ("1000", "3000"), EXIT_OK),
+    (["--seed", "1,2,1"], ("3000",), EXIT_DEATH),
+], ids=["extended", "died"])
+def test_the_python_twin_computes_the_file_the_c_kernel_does(tmp_path, monkeypatch, capsys,
+                                                             args, horizons, code):
+    native, twin = tmp_path / "c.qtr", tmp_path / "py.qtr"
+    assert main(["compute", *args, "--horizon", "3000", "--trace", str(native)]) == code
+    monkeypatch.setattr(_native, "kernel", _pykernel)
+    for horizon in horizons:
+        assert main(["compute", *args, "--horizon", horizon, "--trace", str(twin)]) == code
+    assert twin.read_bytes() == native.read_bytes()
+    capsys.readouterr()
+
+
 # ------------------------------------------------------------- diagnose
 
 def test_half_integer_formatting():
@@ -427,6 +515,14 @@ def test_selfsim_level_beyond_horizon(tmp_path, capsys, level):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_selfsim_refuses_a_negative_level_before_the_run(tmp_path, capsys):
+    code = main(["--data-dir", str(tmp_path / "data"), "selfsim", "--horizon", "1000",
+                 "--levels=-1..2", "--trace", str(tmp_path / "t.qtr")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: k must be >= 0, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("horizon,expected", [(1024, EXIT_OK), (1023, EXIT_CONFIG)])
 def test_selfsim_top_level_at_the_horizon(tmp_path, capsys, horizon, expected):
     code = main(["selfsim", "--horizon", str(horizon), "--levels", "10",
@@ -494,11 +590,12 @@ def test_freq_rejects_an_m_cap_no_value_reaches(tmp_path, capsys, m_cap):
     ("", "out of memory"),
 ], ids=["numpy", "bare"])
 def test_memory_error_is_one_line_and_exit_2(tmp_path, monkeypatch, capsys, message, line):
-    def out_of_memory(config):
+    def out_of_memory(config, out=None):
         raise MemoryError(message)
 
     monkeypatch.setattr(cli, "run", out_of_memory)
-    code = main(["--data-dir", str(tmp_path), "compute", "--horizon", "3000000000"])
+    code = main(["--data-dir", str(tmp_path), "diagnose", "--series", "E",
+                 "--horizon", "3000000000"])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {line}\n"
     assert list(tmp_path.iterdir()) == []

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import sysconfig
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,26 @@ def test_extend_matches_fresh_run():
     fresh = run(RecursionConfig(seed=Seed((1, 1)), horizon=10000))
     assert grown == fresh
     assert extend(grown, 500) == grown  # never shrinks
+
+
+def test_run_and_extend_fill_a_given_buffer_but_never_slot_0():
+    """A buffer's slot 0 is left as it was: in a checkpoint's temp file it
+    holds the last seed bytes.  A death is a view of the buffer."""
+    config = RecursionConfig(seed=Seed((3, 1, 2)), horizon=1000)
+    fresh = run(config).values
+    out = np.full(config.horizon + 1, 7, dtype=config.dtype)
+    assert run(config, out).values is out
+    assert out[0] == 7 and np.array_equal(out[1:], fresh[1:])
+    out = np.full(config.horizon + 1, 7, dtype=config.dtype)
+    assert extend(run(replace(config, horizon=100)), 1000, out).values is out
+    assert out[0] == 7 and np.array_equal(out[1:], fresh[1:])
+    dead_config = RecursionConfig(seed=Seed((1, 2, 1)), horizon=100)
+    out = np.zeros(101, dtype=dead_config.dtype)
+    dead = run(dead_config, out)
+    assert dead == run(dead_config) and np.shares_memory(dead.values, out)
+    for wrong in (np.zeros(1000, config.dtype), np.zeros(1001, np.uint64)):
+        with pytest.raises(ValueError, match="out must be 1001 slots of uint32"):
+            run(config, wrong)
 
 
 def test_extend_dead_trace_rejected():

@@ -6,6 +6,8 @@ source tree, so sys.modules shows what one import costs a new process.
 
 import ast
 import importlib
+import inspect
+import json
 import os
 import subprocess
 import sys
@@ -104,3 +106,36 @@ def test_import_warns_once_when_the_kernel_cannot_be_cached(tmp_path):
         XDG_CACHE_HOME=str(blocker))
     assert out[0] == "False"
     assert len(out) == 2 and "pure-Python twin" in out[1], out
+
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def test_the_bench_tracer_finds_its_targets_and_their_arguments(tmp_path):
+    """perfbench/tracer.py wraps functions by name and reads their arguments
+    by name, so a rename fails here rather than in a traced bench run.
+
+    Two traced computes, each in a fresh interpreter: a run, then an
+    extension.  instrument() raises on a target the program lacks; the
+    spans' details come from the arguments config, trace and path.  Nothing
+    under perfbench/ is written.
+    """
+    from qseq import checkpoint, engine
+
+    for fn, name in ((engine.run, "config"), (engine.extend, "trace"),
+                     (checkpoint.save, "path")):
+        assert name in inspect.signature(fn).parameters, (fn, name)
+    trace_path = tmp_path / "t.qtr"
+    for horizon in (1000, 3000):
+        spans_path = tmp_path / f"spans{horizon}.json"
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "tracer.py"), str(spans_path), "--data-dir",
+             str(tmp_path), "compute", "--horizon", str(horizon), "--trace", str(trace_path)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1"))
+        assert proc.returncode == 0, proc.stderr
+        spans = {span["name"]: span for span in json.loads(spans_path.read_text())}
+        computed = spans["engine.run" if horizon == 1000 else "engine.extend"]
+        assert computed["parent"] == spans["cli.obtain_trace"]["id"]
+        assert computed["terms"] == (998 if horizon == 1000 else 2000)
+        assert spans["checkpoint.save"]["bytes"] == trace_path.stat().st_size
