@@ -266,6 +266,34 @@ def test_a_run_into_reserved_slots_is_saved_in_place(tmp_path, config):
     assert [p.name for p in path.parent.iterdir()] == ["trace.qtr"]
 
 
+def shared_rss_kb(path):
+    """Resident kB of this process's shared mappings of the file at path."""
+    total, ours = 0, False
+    for line in Path("/proc/self/smaps").read_text().splitlines():
+        fields = line.split()
+        if "-" in fields[0] and len(fields) >= 5:  # a mapping's header line
+            ours = fields[-1] == str(path) and fields[1].endswith("s")
+        elif ours and fields[0] == "Rss:":
+            total += int(fields[1])
+    return total
+
+
+@pytest.mark.skipif(not Path("/proc/self/smaps").exists(), reason="reads /proc/self/smaps")
+def test_save_gives_back_the_pages_of_the_shared_mapping(tmp_path):
+    """Once committed, the trace save() returns is the only mapping of the
+    values that holds pages, so none is counted twice."""
+    path = tmp_path / "trace.qtr"
+    config = RecursionConfig(seed=Seed((1, 1)), horizon=10**6)
+    with checkpoint.reserve(path, config) as slots:
+        computed = run(config, slots)
+        [temp] = tmp_path.glob(".trace.qtr.*.tmp")
+        assert shared_rss_kb(temp) > 3000  # the 4 MB just computed
+        trace = checkpoint.save(computed, path)
+        assert shared_rss_kb(path) == 0
+        assert trace == run(config)  # read through the copy-on-write mapping
+        assert shared_rss_kb(path) == 0
+
+
 def test_a_reserved_file_left_without_save_is_removed(tmp_path):
     path = tmp_path / "trace.qtr"
     path.write_bytes(b"old")
