@@ -1,11 +1,3 @@
-from setuptools import Extension, setup
+from setuptools import setup
 
-setup(
-    ext_modules=[
-        Extension(
-            "qseq._qkernel",
-            sources=["src/qseq/_qkernel.c"],
-            extra_compile_args=["-O3"],
-        )
-    ]
-)
+setup()

@@ -2,12 +2,11 @@
 
 Tried in order, once, on import:
 
-1. the built extension ``qseq._qkernel`` (installed or built in place);
-2. a copy of ``_qkernel.c`` compiled with the compiler and headers that
-   ``sysconfig`` reports, cached under ``$XDG_CACHE_HOME/qseq/<key>/``
-   (else ``~/.cache/qseq/<key>/``), where the key hashes the C source and
-   the interpreter ABI, so an edited source or another Python compiles anew;
-3. its pure-Python twin ``_pykernel``; ``reason`` says why, after one
+1. ``_qkernel.c`` compiled with the compiler and headers that ``sysconfig``
+   reports, cached under ``$XDG_CACHE_HOME/qseq/<key>/`` (else
+   ``~/.cache/qseq/<key>/``), where the key is a CRC of the C source and the
+   interpreter ABI, so an edited source or another Python compiles anew;
+2. its pure-Python twin ``_pykernel``; ``reason`` says why, after one
    ``RuntimeWarning``.
 
 Callers read ``kernel`` at each call; ``compiled`` is the C module or None.
@@ -46,12 +45,12 @@ def compile_kernel() -> Path:
     the result is renamed into place, so a concurrent process never loads
     half a file.
     """
-    import hashlib
+    import zlib  # not hashlib: it loads OpenSSL, about 3.6 MB in every process
     from importlib.machinery import EXTENSION_SUFFIXES
 
     source = Path(__file__).with_name("_qkernel.c")
     suffix = EXTENSION_SUFFIXES[0]  # sysconfig's EXT_SUFFIX, without loading sysconfig
-    key = hashlib.sha256(source.read_bytes() + suffix.encode()).hexdigest()[:16]
+    key = f"{zlib.crc32(source.read_bytes() + suffix.encode()):08x}"
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
     target = cache / "qseq" / key / f"_qkernel{suffix}"
     if target.exists():
@@ -70,8 +69,11 @@ def compile_kernel() -> Path:
     target.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=target.parent) as tmp:
         built = Path(tmp, target.name)
-        cmd = [*shlex.split(cc), *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
-               "-shared", "-O3", f"-I{include}", str(source), "-o", str(built)]
+        # the flags setuptools compiles an extension with: without CFLAGS
+        # (-DNDEBUG among them), count_values ran about 8% slower
+        flags = " ".join(sysconfig.get_config_var(name) or "" for name in ("CFLAGS", "CCSHARED"))
+        cmd = [*shlex.split(cc), *shlex.split(flags), "-shared", "-O3", f"-I{include}",
+               str(source), "-o", str(built)]
         if sys.platform == "darwin":
             cmd += ["-undefined", "dynamic_lookup"]
         try:
@@ -97,11 +99,6 @@ def load_file(path: Path) -> ModuleType:
 
 
 def _find() -> tuple[ModuleType | None, str | None]:
-    try:
-        from . import _qkernel
-        return _qkernel, None
-    except ImportError:
-        pass
     try:
         return load_file(compile_kernel()), None
     except (KernelBuildError, OSError, ImportError) as exc:

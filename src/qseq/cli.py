@@ -275,17 +275,17 @@ def parse_levels(text: str, label: str = "level") -> list[int]:
     levels = []
     for part in text.split(","):
         part = part.strip()
+        if not part:
+            continue
+        lo_txt, dots, hi_txt = part.partition("..")
         try:
-            if ".." in part:
-                lo_txt, hi_txt = part.split("..", 1)
-                lo, hi = int(lo_txt), int(hi_txt)
-                if hi < lo:
-                    raise ConfigError(f"bad {label} range {part!r}")
-                levels.extend(range(lo, hi + 1))
-            elif part:
-                levels.append(int(part))
+            lo = int(lo_txt)
+            hi = int(hi_txt) if dots else lo
         except ValueError as exc:
             raise ConfigError(f"bad {label} list entry {part!r}") from exc
+        if hi < lo:  # raised outside the try: ConfigError is a ValueError
+            raise ConfigError(f"bad {label} range {part!r}")
+        levels.extend(range(lo, hi + 1))
     if not levels:
         raise ConfigError(f"no {label} numbers in {text!r}")
     return sorted(set(levels))

@@ -201,11 +201,11 @@ def _slots(config: RecursionConfig, out: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _run_from(config: RecursionConfig, arr: np.ndarray, start: int, owned: bool) -> Trace:
+def _run_from(config: RecursionConfig, arr: np.ndarray, start: int) -> Trace:
     """Run the kernel in place over arr[start..config.horizon]; the Trace it leaves.
 
-    A death keeps arr[:step]: a copy when arr is owned, so the rest of it is
-    freed, else a view of the caller's buffer.
+    A death keeps arr[:step], a view of arr: the slots past it were never
+    written, and np.zeros pages never written are never resident.
     """
     status, step, bad1, bad2 = _native.kernel.advance(
         arr, start, config.horizon, *config.perturbation.eps, config.cap)
@@ -213,7 +213,7 @@ def _run_from(config: RecursionConfig, arr: np.ndarray, start: int, owned: bool)
         return Trace(config, arr, Outcome.alive())
     if status == ST_DEATH:
         outcome = Outcome.death(step, len(config.seed), bool(bad1), bool(bad2))
-        return Trace(config, arr[:step].copy() if owned else arr[:step], outcome)
+        return Trace(config, arr[:step], outcome)
     msg = f"value at step n={step} exceeds the {config.width}-byte range"
     if config.width == 4:
         msg += "; rerun with width=8"
@@ -230,7 +230,7 @@ def run(config: RecursionConfig, out: np.ndarray | None = None) -> Trace:
     seed_len = len(config.seed)
     arr = _slots(config, out)
     arr[1 : seed_len + 1] = tuple(config.seed)
-    return _run_from(config, arr, seed_len + 1, out is None)
+    return _run_from(config, arr, seed_len + 1)
 
 
 def extend(trace: Trace, new_horizon: int, out: np.ndarray | None = None) -> Trace:
@@ -254,4 +254,4 @@ def extend(trace: Trace, new_horizon: int, out: np.ndarray | None = None) -> Tra
         # a page read again comes back from the file; the first one holds
         # slot 0, zeroed in a private copy that MADV_DONTNEED would drop
         mapped.madvise(mmap.MADV_DONTNEED, mmap.PAGESIZE)
-    return _run_from(config, arr, trace.len + 1, out is None)
+    return _run_from(config, arr, trace.len + 1)

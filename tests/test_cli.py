@@ -688,6 +688,17 @@ def test_verify_rejects_garbage_criterion_list(capsys):
     assert "bad criterion list entry 'banana'" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["selfsim", "--horizon", "1000", "--levels", "5..1"], "bad level range '5..1'"),
+    (["verify", "--only", "9..3"], "bad criterion range '9..3'"),
+])
+def test_a_reversed_range_is_reported_as_a_range(tmp_path, capsys, argv, message):
+    code = main(["--data-dir", str(tmp_path / "data"), *argv])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077])
 def test_outputs_get_the_umask_mode(tmp_path, umask, capsys):
     previous = os.umask(umask)

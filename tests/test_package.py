@@ -9,6 +9,7 @@ import importlib
 import inspect
 import json
 import os
+import shutil
 import subprocess
 import sys
 import sysconfig
@@ -22,17 +23,16 @@ import qseq
 from qseq import _native
 
 SRC = str(Path(qseq.__file__).parents[1])
-BUILT_IN_PLACE = (_native.compiled is not None
-                  and Path(_native.compiled.__file__).parent == Path(_native.__file__).parent)
 # Modules only the checklist, the seed survey and the frequency layer need.
 NOT_FOR_THE_CLI = ("qseq.verify", "qseq.seedlab", "qseq.frequency",
                    "subprocess", "json", "fractions")
 
 
 def fresh(code: str, **env: str) -> list[str]:
-    """The stdout lines of code run in a new interpreter on this tree."""
+    """The stdout lines of code run in a new interpreter on this tree, or on
+    the tree env's PYTHONPATH names."""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=SRC, **env), timeout=120)
+                          env={**os.environ, "PYTHONPATH": SRC, **env}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -82,15 +82,14 @@ def test_the_cache_key_suffix_is_sysconfigs():
     assert EXTENSION_SUFFIXES[0] == sysconfig.get_config_var("EXT_SUFFIX")
 
 
-@pytest.mark.skipif(_native.compiled is None or BUILT_IN_PLACE,
-                    reason="needs the kernel loaded from the compile cache")
+@pytest.mark.skipif(_native.compiled is None, reason="needs the kernel in the compile cache")
 def test_a_cache_hit_runs_no_compiler_machinery():
-    out = fresh("import sys, qseq; print(qseq.have_native_kernel(),"
-                " [m for m in ('subprocess', 'shlex', 'sysconfig') if m in sys.modules])")
+    out = fresh("import sys, qseq; print(qseq.have_native_kernel(), [m for m in"
+                " ('subprocess', 'shlex', 'sysconfig', 'hashlib', '_hashlib')"
+                " if m in sys.modules])")
     assert out == ["True []"]
 
 
-@pytest.mark.skipif(BUILT_IN_PLACE, reason="the built extension needs no cache")
 def test_import_warns_once_when_the_kernel_cannot_be_cached(tmp_path):
     blocker = tmp_path / "cache"
     blocker.write_text("a file, so the cache directory cannot be made\n")
@@ -106,6 +105,51 @@ def test_import_warns_once_when_the_kernel_cannot_be_cached(tmp_path):
         XDG_CACHE_HOME=str(blocker))
     assert out[0] == "False"
     assert len(out) == 2 and "pure-Python twin" in out[1], out
+
+
+@pytest.mark.skipif(_native.compiled is None, reason="needs a C compiler and Python headers")
+def test_an_edited_source_compiles_under_a_new_key(tmp_path):
+    copy = tmp_path / "src" / "qseq"
+    shutil.copytree(Path(SRC, "qseq"), copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "_qkernel.c", "a") as fh:
+        fh.write("/* one more line */\n")
+    cache = tmp_path / "cache"
+    paths = [Path(*fresh("from qseq import _native; print(_native.compile_kernel())",
+                         PYTHONPATH=tree, XDG_CACHE_HOME=str(cache)))
+             for tree in (SRC, str(copy.parent))]
+    assert [path.parent.parent for path in paths] == [cache / "qseq"] * 2
+    assert paths[0].parent != paths[1].parent
+
+
+@pytest.mark.skipif(_native.compiled is None, reason="needs a C compiler and Python headers")
+def test_the_built_package_loads_the_kernel_it_compiles_into_the_cache(tmp_path):
+    """Built as perfbench builds it, qseq ships _qkernel.c and compiles it on
+    first import; a _qkernel module beside it is never loaded.  Nothing is
+    written in the checkout."""
+    root = Path(SRC).parent
+
+    def checkout():
+        return {p for p in root.rglob("*") if ".git" not in p.relative_to(root).parts}
+
+    before = checkout()
+    subprocess.run([sys.executable, "setup.py", "-q", "egg_info", "--egg-base", str(tmp_path),
+                    "build", "--build-base", str(tmp_path)],
+                   cwd=root, capture_output=True, check=True, timeout=300)
+    assert checkout() == before
+    [lib] = tmp_path.glob("lib*")
+    shipped = Path(lib, "qseq", "_qkernel.c").read_bytes()
+    assert shipped == Path(SRC, "qseq", "_qkernel.c").read_bytes()
+    planted = lib / "qseq" / "_qkernel.py"
+    planted.write_text("from qseq._pykernel import advance, count_values, format_rows\n")
+    cache = tmp_path / "cache"
+    native, loaded, planted_loaded = fresh(
+        "import sys; from qseq import _native; print(_native.have_native_kernel());"
+        " print(_native.kernel.__file__); print(any(getattr(m, '__file__', None)"
+        f" == {str(planted)!r} for m in list(sys.modules.values())))",
+        PYTHONPATH=str(lib), XDG_CACHE_HOME=str(cache))
+    assert native == "True"
+    assert Path(loaded).parent.parent == cache / "qseq"
+    assert planted_loaded == "False"
 
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
