@@ -4,8 +4,9 @@ Tried in order, once, on import:
 
 1. ``_qkernel.c`` compiled with the compiler and headers that ``sysconfig``
    reports, cached under ``$XDG_CACHE_HOME/qseq/<key>/`` (else
-   ``~/.cache/qseq/<key>/``), where the key is a CRC of the C source and the
-   interpreter ABI, so an edited source or another Python compiles anew;
+   ``~/.cache/qseq/<key>/``), where the key is a CRC of the C source, of
+   this file (which holds the compile command) and of the interpreter ABI,
+   so an edited source, another recipe or another Python compiles anew;
 2. its pure-Python twin ``_pykernel``; ``reason`` says why, after one
    ``RuntimeWarning``.
 
@@ -50,7 +51,8 @@ def compile_kernel() -> Path:
 
     source = Path(__file__).with_name("_qkernel.c")
     suffix = EXTENSION_SUFFIXES[0]  # sysconfig's EXT_SUFFIX, without loading sysconfig
-    key = f"{zlib.crc32(source.read_bytes() + suffix.encode()):08x}"
+    recipe = source.read_bytes() + Path(__file__).read_bytes() + suffix.encode()
+    key = f"{zlib.crc32(recipe):08x}"
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
     target = cache / "qseq" / key / f"_qkernel{suffix}"
     if target.exists():

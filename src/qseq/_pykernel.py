@@ -1,7 +1,5 @@
 """The pure-Python twin of ``_qkernel.c``, entry for entry, about 100x slower."""
 
-import numpy as np
-
 from ._native import SLOT_CAPS, ST_COUNT_OVERFLOW, ST_DEATH, ST_OK, ST_OVERFLOW, ST_PARITY
 
 
@@ -58,6 +56,8 @@ def count_values(values, n_max, counts, last_occurrence, m_cap):
 
 
 def format_rows(x, y, halves):
+    import numpy as np  # only here, so that the twin computes without NumPy
+
     if y.dtype.kind == "f" or len(y) != len(x):
         raise ValueError("y must be an integer column as long as x")
     if x.dtype.kind == "f" and not np.all(np.abs(x) < 2.0**52 / 1e8):

@@ -27,7 +27,9 @@
  * where the new value would exceed cap (ST_OVERFLOW).  Before any read,
  * ValueError if cap does not fit the slot as a signed 64-bit value
  * (above 2^32 - 1 for 4-byte slots, 2^63 - 1 for 8-byte) or if a value
- * in q[1..start-1] exceeds cap; resuming at 10^7 scans that prefix once.
+ * in q[1..start-1] exceeds cap; resuming at 10^7 scans that prefix once,
+ * unless the slots are 4 bytes and cap is their own 2^32 - 1, which no
+ * stored value can exceed.
  *
  * One loop, defined for each slot type, carries Q(n-1) and Q(n-2) in p1
  * and p2 instead of loading back the slots just written, and takes the
@@ -100,8 +102,9 @@ advance(PyObject *self, PyObject *args)
         error = "value buffer shorter than horizon + 1";
     else if (start < 2 || start > horizon + 1)  /* the loop reads q[start-2] first */
         error = "start must be in [2, horizon + 1]";
-    else if (view.itemsize == 4 ? prefix_above4((uint32_t *)view.buf, start, cap)
-                                : prefix_above8((uint64_t *)view.buf, start, cap))
+    else if (view.itemsize == 4
+             ? cap < UINT32_MAX && prefix_above4((uint32_t *)view.buf, start, cap)
+             : prefix_above8((uint64_t *)view.buf, start, cap))
         error = "a value before start exceeds cap";
     if (error) {
         PyBuffer_Release(&view);

@@ -52,10 +52,16 @@ from collections.abc import Callable, Iterator
 from pathlib import Path
 from typing import BinaryIO, NamedTuple
 
-import numpy as np
-
 from ._native import SLOT_CAPS
-from .engine import Outcome, OutcomeKind, Perturbation, RecursionConfig, Seed, Trace
+from .engine import (
+    FileMapping,
+    Outcome,
+    OutcomeKind,
+    Perturbation,
+    RecursionConfig,
+    Seed,
+    Trace,
+)
 from .errors import (
     CheckpointChecksumError,
     CheckpointFormatError,
@@ -138,7 +144,7 @@ class _Draft(mmap.mmap):
 
 @contextlib.contextmanager
 def reserve(path: str | Path, config: RecursionConfig,
-            length: int | None = None) -> Iterator[np.ndarray]:
+            length: int | None = None) -> Iterator[memoryview]:
     """Slots 0..length (config.horizon by default) of a new checkpoint for
     path, for a run of config to fill.  save() of the trace run into them
     writes the header and the CRC around the values and commits the file.
@@ -160,33 +166,21 @@ def reserve(path: str | Path, config: RecursionConfig,
             os.ftruncate(fd, size)
         draft = _Draft(fd, size)
         draft.temp, draft.offset = temp, offset
-        yield np.frombuffer(draft, dtype=config.dtype, count=length + 1,
-                            offset=offset - config.width)
+        yield memoryview(draft)[offset - config.width : size - 4].cast(config.dtype)
         if not temp.committed:
             raise RuntimeError(f"{path}: reserved checkpoint left without save()")
 
 
-def _draft_of(values: np.ndarray, path: str | Path) -> _Draft | None:
-    """The uncommitted draft for path that values lie in, if any."""
-    base = values
-    while isinstance(base, np.ndarray):
-        base = base.base
-    draft = getattr(base, "obj", None)  # np.frombuffer holds a memoryview of the mapping
-    if isinstance(draft, _Draft) and not draft.temp.committed and draft.temp.path == Path(path):
-        return draft
-    return None
-
-
 def _mapped_values(fileno: int, config: RecursionConfig, length: int,
-                   payload_offset: int) -> np.ndarray:
+                   payload_offset: int) -> memoryview:
     """Slots 0..length of the checkpoint open as fileno, mapped copy-on-write.
 
     Slot 0 overlays the last seed bytes; it is zeroed in a private page, and
     the file is never written.
     """
-    mapped = mmap.mmap(fileno, 0, access=mmap.ACCESS_COPY)
-    values = np.frombuffer(mapped, dtype=config.dtype, count=length + 1,
-                           offset=payload_offset - config.width)
+    start = payload_offset - config.width
+    mapped = FileMapping(fileno, 0, access=mmap.ACCESS_COPY)
+    values = memoryview(mapped)[start : start + config.width * (length + 1)].cast(config.dtype)
     values[0] = 0
     return values
 
@@ -207,15 +201,15 @@ def save(trace: Trace, path: str | Path) -> Trace:
     shared mapping's pages are given back to the OS, so that none is
     counted twice.
     """
-    draft = _draft_of(trace.values, path)
-    if draft is not None:
+    draft = trace.buffer.obj
+    if isinstance(draft, _Draft) and not draft.temp.committed and draft.temp.path == Path(path):
         return _finish(draft, trace, lambda: os.fsync(draft.temp.fh.fileno()))
     with reserve(path, trace.config, trace.len) as slots:
-        draft = _draft_of(slots, path)
+        draft = slots.obj
 
         def write():  # through the file: no page faults, and no second copy in this process
             draft.temp.fh.seek(draft.offset)
-            draft.temp.fh.write(memoryview(trace.values[1:].view(np.uint8)))
+            draft.temp.fh.write(trace.buffer[1:])
             draft.temp.fh.flush()
 
         return _finish(draft, trace, write)
@@ -244,7 +238,7 @@ def _finish(draft: _Draft, trace: Trace, beside: Callable[[], None]) -> Trace:
 
     def checksum():
         try:
-            crc["value"] = zlib.crc32(trace.values[1:], zlib.crc32(seed_bytes, zlib.crc32(header)))
+            crc["value"] = zlib.crc32(trace.buffer[1:], zlib.crc32(seed_bytes, zlib.crc32(header)))
         except BaseException as exc:
             crc["error"] = exc
 
@@ -373,7 +367,7 @@ def load(path: str | Path) -> Trace:
         values = _mapped_values(fh.fileno(), config, head.length, payload_offset)
 
     seed = config.seed.values
-    if values[1 : len(seed) + 1].tolist() != list(seed):
+    if tuple(values[1 : len(seed) + 1]) != seed:
         raise CheckpointFormatError(
             f"{path}: stored Q(1..{len(seed)}) differ from the seed {seed}")
     return Trace(config, values, head.outcome)

@@ -32,19 +32,10 @@ import sys
 from collections.abc import Callable, Sequence
 from pathlib import Path
 
-import numpy as np
-
-# frequency, seedlab and verify are imported by the handlers that use them,
-# so a verb loads only the modules it runs.
+# NumPy, diagnostics, frequency, seedlab and verify are imported by the
+# handlers and formatters that use them, so a verb loads only the modules it
+# runs, and compute without --export loads no NumPy.
 from . import _native, checkpoint
-from .diagnostics import (
-    SERIES_CODES,
-    Series,
-    selfsim_profile,
-    selfsim_window,
-    series,
-    series_window,
-)
 from .engine import (
     Outcome,
     OutcomeKind,
@@ -74,7 +65,7 @@ EXIT_IO = 5
 # ------------------------------------------------------------- formatting
 
 BLOCK_ROWS = 1 << 18  # rows per text block: bounds memory, amortises per-call overhead
-_COLUMN_DTYPES = {"i": np.int64, "u": np.uint64, "f": np.float64}
+_COLUMN_DTYPES = {"i": "int64", "u": "uint64", "f": "float64"}
 
 
 def format_series_lines(ser) -> bytes:
@@ -84,6 +75,8 @@ def format_series_lines(ser) -> bytes:
     decimal, float x with eight, exactly as f"{x:.8f}".  Every line ends in
     a newline.  ValueError if a float is not finite or not below 2^52/1e8.
     """
+    import numpy as np
+
     x, y = (np.ascontiguousarray(col, _COLUMN_DTYPES[col.dtype.kind])
             for col in (ser.x, ser.y))
     return _native.kernel.format_rows(x, y, ser.halves)
@@ -102,9 +95,13 @@ class SeriesText(Sequence):
         self.block = BLOCK_ROWS
 
     @classmethod
-    def of(cls, x, y: np.ndarray, halves: bool = False) -> "SeriesText":
+    def of(cls, x, y, halves: bool = False) -> "SeriesText":
         """The text of columns x and y, sliced one block at a time.  x may
         be a range, made an array one block at a time."""
+        import numpy as np
+
+        from .diagnostics import Series
+
         if len(x) != len(y):
             raise ValueError(f"x has {len(x)} rows, y has {len(y)}")
 
@@ -193,9 +190,9 @@ def obtain_trace(config: RecursionConfig, trace_path: Path | None):
                   file=sys.stderr)
     if stored is not None:
         if not stored.outcome.is_alive and stored.outcome.step <= config.horizon:
-            return Trace(config, stored.values, stored.outcome), False
+            return Trace(config, stored.buffer, stored.outcome), False
         if stored.len >= config.horizon:
-            return Trace(config, stored.values[: config.horizon + 1], Outcome.alive()), False
+            return Trace(config, stored.buffer[: config.horizon + 1], Outcome.alive()), False
     with checkpoint.reserve(trace_path, config) as slots:
         trace = run(config, slots) if stored is None else extend(stored, config.horizon, slots)
         return checkpoint.save(trace, trace_path), True
@@ -253,6 +250,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    from .diagnostics import series, series_window
+
     config = config_from(args)
     trace = live_trace(args, config)
     code = args.series
@@ -292,6 +291,8 @@ def parse_levels(text: str, label: str = "level") -> list[int]:
 
 
 def cmd_selfsim(args) -> int:
+    from .diagnostics import selfsim_profile, selfsim_window
+
     config = config_from(args)
     levels = parse_levels(args.levels)
     if min(levels) < 0:
@@ -430,6 +431,15 @@ def add_trace_flags(sub, default_horizon: int) -> None:
     sub.add_argument("--trace", help="checkpoint to reuse, extend, or create; never shrink")
 
 
+class _SeriesCodes:
+    """diagnostics.SERIES_CODES, imported when argparse first iterates them."""
+
+    def __iter__(self):
+        from .diagnostics import SERIES_CODES
+
+        return iter(SERIES_CODES)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qseq",
@@ -447,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("diagnose", help="export a diagnostic series")
     add_trace_flags(sub, default_horizon=10**6)
-    sub.add_argument("--series", required=True, choices=list(SERIES_CODES))
+    # add_argument formats the choices once, so they are set after it: only
+    # a parse or the help of diagnose reads them, and loads diagnostics
+    sub.add_argument("--series", required=True).choices = _SeriesCodes()
     sub.add_argument("--lo", type=int, default=None)
     sub.add_argument("--hi", type=int, default=None)
     sub.add_argument("--samples-per-octave", type=int, default=None,

@@ -19,15 +19,16 @@ import mmap
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import numpy as np
-
 from . import _native
 from ._native import SLOT_CAPS, ST_DEATH, ST_OK
 from .errors import ConfigError, RangeError, TraceStateError, ValueOverflowError
 
 MAX_SEED_LEN = 8
 
-_WIDTH_DTYPES = {width: np.dtype(f"<u{width}") for width in SLOT_CAPS}
+# The struct typecode of a slot, by width in bytes, in the native byte order
+# the kernel writes (little-endian, as the checkpoint format requires, on
+# every host qseq is built for); NumPy reads it as a dtype.
+_TYPECODES = {4: "I", 8: "Q"}
 
 
 class Perturbation(Enum):
@@ -79,7 +80,7 @@ class RecursionConfig:
     width: int = 4
 
     def __post_init__(self) -> None:
-        if self.width not in _WIDTH_DTYPES:
+        if self.width not in _TYPECODES:
             raise ConfigError(f"width must be 4 or 8 bytes, got {self.width}")
         if not isinstance(self.horizon, int) or self.horizon < len(self.seed):
             raise ConfigError(
@@ -91,8 +92,9 @@ class RecursionConfig:
                 raise ConfigError(f"seed entry {v} exceeds the {self.width}-byte value range")
 
     @property
-    def dtype(self) -> np.dtype:
-        return _WIDTH_DTYPES[self.width]
+    def dtype(self) -> str:
+        """The slot's typecode, for memoryview.cast and as a NumPy dtype."""
+        return _TYPECODES[self.width]
 
     @property
     def cap(self) -> int:
@@ -135,30 +137,44 @@ class Outcome:
         return tuple(out)
 
 
+class FileMapping(mmap.mmap):
+    """A file mapped copy-on-write, as checkpoint.load maps a checkpoint: a
+    page given back to the OS is read again from the file."""
+
+
 class Trace:
     """An immutable computed run: config, values Q(1..len), and outcome.
 
-    ``values`` is 1-based: slot 0 is unused and zero, slot n holds Q(n).
+    The values are 1-based: slot 0 is unused and zero, slot n holds Q(n).
+    ``buffer`` holds them as a read-only memoryview of config.dtype slots;
+    ``values`` is the same memory as a NumPy array, made on first read, so
+    that a caller that never reads it never imports NumPy.
     """
 
-    __slots__ = ("config", "_values", "outcome")
+    __slots__ = ("config", "buffer", "_values", "outcome")
 
-    def __init__(self, config: RecursionConfig, values: np.ndarray, outcome: Outcome):
-        if values.dtype != config.dtype:
-            values = values.astype(config.dtype)
-        values = np.ascontiguousarray(values)
-        values.flags.writeable = False
+    def __init__(self, config: RecursionConfig, values, outcome: Outcome):
+        view = memoryview(values)
+        if view.itemsize != config.width:
+            raise ValueError(f"values must be {config.width}-byte slots,"
+                             f" got {view.itemsize}-byte items")
         self.config = config
-        self._values = values
+        self.buffer = view.cast("B").cast(config.dtype).toreadonly()
+        self._values = None
         self.outcome = outcome
 
     @property
-    def values(self) -> np.ndarray:
+    def values(self):
+        """The values as a read-only NumPy array over buffer (no copy)."""
+        if self._values is None:
+            import numpy as np
+
+            self._values = np.frombuffer(self.buffer, dtype=self.config.dtype)
         return self._values
 
     @property
     def len(self) -> int:
-        return self._values.size - 1
+        return len(self.buffer) - 1
 
     @property
     def seed(self) -> Seed:
@@ -167,7 +183,7 @@ class Trace:
     def value_at(self, n: int) -> int:
         if not 1 <= n <= self.len:
             raise RangeError(f"n={n} outside computed range [1, {self.len}]")
-        return int(self._values[n])
+        return self.buffer[n]
 
     def __len__(self) -> int:
         return self.len
@@ -178,7 +194,7 @@ class Trace:
         return (
             self.config == other.config
             and self.outcome == other.outcome
-            and np.array_equal(self._values, other._values)
+            and self.buffer == other.buffer
         )
 
     def __hash__(self):
@@ -191,21 +207,31 @@ class Trace:
         return f"Trace(seed=({self.seed}), {self.config.perturbation.value}, len={self.len}, {state})"
 
 
-def _slots(config: RecursionConfig, out: np.ndarray | None) -> np.ndarray:
-    """The buffer a run of config fills: out, checked, or fresh zeros."""
+def _slots(config: RecursionConfig, out) -> memoryview:
+    """The slots a run of config fills: out, checked, or a fresh private
+    anonymous mapping, whose pages are zero and resident only once written.
+
+    The mapping asks for transparent huge pages, as NumPy does for its own
+    large arrays.
+    """
+    size = config.width * (config.horizon + 1)
     if out is None:
-        return np.zeros(config.horizon + 1, dtype=config.dtype)
-    if out.dtype != config.dtype or out.shape != (config.horizon + 1,):
-        raise ValueError(f"out must be {config.horizon + 1} slots of {config.dtype},"
-                         f" got {out.shape} of {out.dtype}")
-    return out
+        out = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+        if hasattr(mmap, "MADV_HUGEPAGE"):
+            out.madvise(mmap.MADV_HUGEPAGE)
+        return memoryview(out).cast(config.dtype)
+    view = memoryview(out)
+    if view.itemsize != config.width or view.nbytes != size:
+        raise ValueError(f"out must be {config.horizon + 1} slots of uint{8 * config.width},"
+                         f" got {view.nbytes} bytes of {view.itemsize}-byte items")
+    return view.cast("B").cast(config.dtype)
 
 
-def _run_from(config: RecursionConfig, arr: np.ndarray, start: int) -> Trace:
+def _run_from(config: RecursionConfig, arr: memoryview, start: int) -> Trace:
     """Run the kernel in place over arr[start..config.horizon]; the Trace it leaves.
 
     A death keeps arr[:step], a view of arr: the slots past it were never
-    written, and np.zeros pages never written are never resident.
+    written, so their pages are never resident.
     """
     status, step, bad1, bad2 = _native.kernel.advance(
         arr, start, config.horizon, *config.perturbation.eps, config.cap)
@@ -220,20 +246,20 @@ def _run_from(config: RecursionConfig, arr: np.ndarray, start: int) -> Trace:
     raise ValueOverflowError(msg)
 
 
-def run(config: RecursionConfig, out: np.ndarray | None = None) -> Trace:
+def run(config: RecursionConfig, out=None) -> Trace:
     """Run the recursion from its seed up to config.horizon.
 
-    The values go into out if given: config.horizon + 1 slots of
-    config.dtype, of which slot 0 is neither read nor written.  Otherwise
-    into a fresh array.
+    The values go into out if given: any buffer of config.horizon + 1 slots
+    of config.width bytes, of which slot 0 is neither read nor written.
+    Otherwise into a fresh mapping.
     """
-    seed_len = len(config.seed)
     arr = _slots(config, out)
-    arr[1 : seed_len + 1] = tuple(config.seed)
-    return _run_from(config, arr, seed_len + 1)
+    for n, value in enumerate(config.seed, start=1):
+        arr[n] = value
+    return _run_from(config, arr, len(config.seed) + 1)
 
 
-def extend(trace: Trace, new_horizon: int, out: np.ndarray | None = None) -> Trace:
+def extend(trace: Trace, new_horizon: int, out=None) -> Trace:
     """Resume a live trace up to new_horizon, into out if given (as for run).
 
     A target at or below the computed length returns the trace unchanged.
@@ -248,9 +274,9 @@ def extend(trace: Trace, new_horizon: int, out: np.ndarray | None = None) -> Tra
         return trace
     config = replace(trace.config, horizon=new_horizon)
     arr = _slots(config, out)
-    arr[1 : trace.len + 1] = trace.values[1:]
-    mapped = getattr(trace.values.base, "obj", None)  # checkpoint.load maps the file
-    if isinstance(mapped, mmap.mmap) and len(mapped) > mmap.PAGESIZE:
+    arr[1 : trace.len + 1] = trace.buffer[1:]
+    mapped = trace.buffer.obj
+    if isinstance(mapped, FileMapping) and len(mapped) > mmap.PAGESIZE:
         # a page read again comes back from the file; the first one holds
         # slot 0, zeroed in a private copy that MADV_DONTNEED would drop
         mapped.madvise(mmap.MADV_DONTNEED, mmap.PAGESIZE)

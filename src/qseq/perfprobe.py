@@ -1,0 +1,32 @@
+"""Criterion 12's child: time a run of the C kernel in a process of its own.
+
+``verify`` starts ``python -c "from qseq.perfprobe import perf_probe;
+perf_probe(H)"``.  This module loads the kernel binding and the engine, and
+neither NumPy nor the checklist, so the peak RSS it reports is the run's own.
+"""
+
+from __future__ import annotations
+
+import json
+import resource
+import sys
+import time
+
+from . import _native
+from .engine import RecursionConfig, Seed, run
+
+
+def perf_probe(horizon: int) -> None:
+    """Run seed (1,1) to horizon in 4-byte slots and print one JSON line:
+    the endpoint, seconds and this process's peak RSS, or the reason the
+    Python fallback would run instead."""
+    if not _native.have_native_kernel():
+        print(json.dumps({"kernel": "python", "reason": _native.reason}))
+        return
+    t0 = time.perf_counter()
+    trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=horizon, width=4))
+    elapsed = time.perf_counter() - t0
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_mb = rss / 1024 if sys.platform != "darwin" else rss / 1024 ** 2
+    print(json.dumps({"kernel": "native", "endpoint": trace.value_at(horizon),
+                      "seconds": elapsed, "peak_mb": peak_mb}))

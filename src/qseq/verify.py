@@ -7,7 +7,7 @@ The CLI ``verify`` command and the acceptance test suite both run the
 checks through this module so they cannot drift apart.  Artifacts builds
 the shared inputs once, at MAIN_HORIZON and SURVEY_HORIZON; the seed
 table is read as the dict ``seedlab.table_report`` returns.  Criterion 12
-times the native kernel in a child process that runs ``perf_probe``;
+times the native kernel in a child process (``perfprobe``);
 ``run_criteria`` starts that child first, so it runs beside the in-process
 checks, and collects it in its turn, killing it if a check raises.
 
@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from . import _native, checkpoint
+from . import checkpoint
 from .diagnostics import assert_all_odd, check_subsequence_identities, series
 from .engine import (
     RecursionConfig,
@@ -104,10 +104,11 @@ class Artifacts:
     probe: subprocess.Popen | None = None  # criterion 12's child once started; None after a kill
 
     def start_probe(self) -> None:
-        """Start criterion 12's child, ``perf_probe(PERF_HORIZON)`` in a fresh
-        interpreter, unless it is started already; ``probe_output`` collects it."""
+        """Start criterion 12's child, ``perfprobe.perf_probe(PERF_HORIZON)`` in
+        a fresh interpreter, unless it is started already; ``probe_output``
+        collects it."""
         if self.probe is None:
-            code = f"from qseq.verify import perf_probe; perf_probe({PERF_HORIZON})"
+            code = f"from qseq.perfprobe import perf_probe; perf_probe({PERF_HORIZON})"
             self.probe = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
                                           stderr=subprocess.PIPE, text=True)
             self.probe_deadline = time.monotonic() + PROBE_TIMEOUT_S
@@ -309,25 +310,6 @@ def check_renorm_split(art: Artifacts) -> CriterionResult:
     if not recorded:
         detail += f", expected {RENORM_SPLIT_MAXIMA_250K}"
     return _result(11, "renormalization parity split", ok, detail)
-
-
-def perf_probe(horizon: int) -> None:
-    """Run seed (1,1) to horizon in 4-byte slots and print one JSON line:
-    the endpoint, seconds and this process's peak RSS, or the reason the
-    Python fallback would run instead.  Criterion 12 runs it in a fresh
-    process, so the peak is the run's own."""
-    import resource  # only the probe's process reads its peak RSS
-
-    if not _native.have_native_kernel():
-        print(json.dumps({"kernel": "python", "reason": _native.reason}))
-        return
-    t0 = time.perf_counter()
-    trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=horizon, width=4))
-    elapsed = time.perf_counter() - t0
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    peak_mb = rss / 1024 if sys.platform != "darwin" else rss / 1024 ** 2
-    print(json.dumps({"kernel": "native", "endpoint": int(trace.value_at(horizon)),
-                      "seconds": elapsed, "peak_mb": peak_mb}))
 
 
 def check_performance(art: Artifacts) -> CriterionResult:

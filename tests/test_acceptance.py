@@ -16,7 +16,7 @@ import subprocess
 import frozen_values as frozen
 import oracle
 import pytest
-from qseq import _native, verify
+from qseq import _native, perfprobe, verify
 from qseq.cli import EXIT_OK, main
 from qseq.seedlab import SeedClass
 from qseq.verify import (
@@ -94,7 +94,7 @@ def test_perf_probe_names_its_kernel(kernel, monkeypatch, capsys):
     """Criterion 12's probe, run in process: it times the C kernel; with the
     twin bound it says so and why, instead of timing the twin."""
     monkeypatch.setattr(_native, "reason", "no compiler")
-    verify.perf_probe(1000)
+    perfprobe.perf_probe(1000)
     stats = json.loads(capsys.readouterr().out)
     if kernel is _native.compiled:
         assert (stats["kernel"], stats["endpoint"]) == ("native", oracle.naive_q_at((1, 1), 1000))

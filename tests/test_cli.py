@@ -445,6 +445,18 @@ def test_diagnose_range_error(tmp_path, capsys, series_code, lo, hi, grid):
     assert list(tmp_path.iterdir()) == []  # neither the file nor its temp file
 
 
+def test_an_unknown_series_code_is_argparses_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["--data-dir", str(tmp_path), "diagnose", "--horizon", "100", "--series", "X"])
+    assert raised.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    choices = ", ".join(repr(code) for code in SERIES_CODES)
+    assert err.splitlines()[-1] == ("qseq diagnose: error: argument --series: invalid"
+                                    f" choice: 'X' (choose from {choices})")
+    assert "{" + ",".join(SERIES_CODES) + "}" in err.split()  # the usage line
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_blocks_write_the_whole_series(short_trace, tmp_path, monkeypatch, capsys, block):
     monkeypatch.setattr(cli, "BLOCK_ROWS", block)

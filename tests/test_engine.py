@@ -187,10 +187,11 @@ def test_trace_equality_and_repr(short_trace):
 
 
 def test_extend_matches_fresh_run():
-    stub = run(RecursionConfig(seed=Seed((1, 1)), horizon=1000))
+    stub = run(RecursionConfig(seed=Seed((1, 1)), horizon=5000))  # several pages
     grown = extend(stub, 10000)
     fresh = run(RecursionConfig(seed=Seed((1, 1)), horizon=10000))
     assert grown == fresh
+    assert stub == run(RecursionConfig(seed=Seed((1, 1)), horizon=5000))  # left as it was
     assert extend(grown, 500) == grown  # never shrinks
 
 
@@ -200,10 +201,10 @@ def test_run_and_extend_fill_a_given_buffer_but_never_slot_0():
     config = RecursionConfig(seed=Seed((3, 1, 2)), horizon=1000)
     fresh = run(config).values
     out = np.full(config.horizon + 1, 7, dtype=config.dtype)
-    assert run(config, out).values is out
+    assert run(config, out).buffer.obj is out
     assert out[0] == 7 and np.array_equal(out[1:], fresh[1:])
     out = np.full(config.horizon + 1, 7, dtype=config.dtype)
-    assert extend(run(replace(config, horizon=100)), 1000, out).values is out
+    assert extend(run(replace(config, horizon=100)), 1000, out).buffer.obj is out
     assert out[0] == 7 and np.array_equal(out[1:], fresh[1:])
     dead_config = RecursionConfig(seed=Seed((1, 2, 1)), horizon=100)
     out = np.zeros(101, dtype=dead_config.dtype)

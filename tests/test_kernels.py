@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qseq import _native, _pykernel, verify
+from qseq import _native, _pykernel, perfprobe, verify
 from qseq._native import ST_COUNT_OVERFLOW, ST_DEATH, ST_OK, ST_OVERFLOW, ST_PARITY
 from qseq.cli import EXIT_OK, main
 
@@ -59,10 +59,12 @@ def test_advance_agrees(kernel, seed, horizon, width, eps, status):
     (np.zeros(10, dtype=np.uint32), 3, 9, -1),
     (np.zeros(10, dtype=np.uint64), 3, 9, 2**64 + 1),
     (np.array([0, 1, 5, 0], dtype=np.uint32), 3, 3, 4),
+    (np.array([0, 1, 2**32 - 1, 0], dtype=np.uint32), 3, 3, CAPS[4] - 1),
     (np.array([0, 1, 2**64 - 1, 0], dtype=np.uint64), 3, 3, CAPS[8]),
 ], ids=["two-byte-items", "shorter-than-horizon", "start-0", "start-1", "start-past-horizon",
         "cap-wider-than-4-byte-slot", "cap-wider-than-8-byte-slot", "cap-negative",
-        "cap-past-64-bits", "seed-above-cap", "8-byte-seed-past-2**63"])
+        "cap-past-64-bits", "seed-above-cap", "4-byte-seed-above-a-smaller-cap",
+        "8-byte-seed-past-2**63"])
 def test_advance_errors_agree(kernel, buffer, start, horizon, cap):
     """Both kernels refuse the same input with the same message, before any
     read: a cap wider than the slot, or a value before start above cap,
@@ -214,5 +216,5 @@ def test_every_entry_goes_through_the_binding(tmp_path, monkeypatch, capsys):
         assert set(calls) == used, argv
     assert not _native.have_native_kernel()
     capsys.readouterr()
-    verify.perf_probe(1000)
+    perfprobe.perf_probe(1000)
     assert json.loads(capsys.readouterr().out)["kernel"] == "python"

@@ -68,8 +68,53 @@ def test_an_unknown_name_is_an_attribute_error():
 
 def test_the_cli_loads_no_checklist_survey_or_frequency_module():
     loaded = set(fresh("import sys, qseq.cli; print('\\n'.join(sys.modules))"))
-    assert "qseq.diagnostics" in loaded
-    assert loaded.isdisjoint(NOT_FOR_THE_CLI), loaded & set(NOT_FOR_THE_CLI)
+    unwanted = {"numpy", "qseq.diagnostics", *NOT_FOR_THE_CLI}
+    assert loaded.isdisjoint(unwanted), loaded & unwanted
+
+
+def compute_loads_numpy(tmp_path, *args: str, **env: str) -> tuple[list[str], bool]:
+    """qseq compute with args run by main in a new interpreter: its stdout
+    lines, and whether NumPy was loaded by the end."""
+    argv = ["--data-dir", str(tmp_path), "compute", *args]
+    *out, last = fresh("import sys; from qseq.cli import main\n"
+                       f"assert main({argv!r}) == 0\n"
+                       "print('numpy' in sys.modules)", **env)
+    return out, last == "True"
+
+
+def test_compute_without_export_loads_no_numpy(tmp_path):
+    """Fresh, reused, extended, then replaced by another width, each in a new
+    interpreter: none loads NumPy.  --export does."""
+    trace = tmp_path / "t.qtr"
+    for horizon, width, said in [(1000, 4, "wrote checkpoint {} (1000 values)"),
+                                 (500, 4, "reusing checkpoint {}"),
+                                 (3000, 4, "wrote checkpoint {} (3000 values)"),
+                                 (3000, 8, "wrote checkpoint {} (3000 values)")]:
+        out, numpy_loaded = compute_loads_numpy(
+            tmp_path, "--horizon", str(horizon), "--width", str(width), "--trace", str(trace))
+        assert out == [said.format(trace)]
+        assert not numpy_loaded, (horizon, width)
+    _, numpy_loaded = compute_loads_numpy(tmp_path, "--horizon", "3000", "--trace", str(trace),
+                                          "--export")
+    assert numpy_loaded
+
+
+def test_the_twin_computes_without_numpy(tmp_path):
+    blocker = tmp_path / "cache"
+    blocker.write_text("a file, so the cache directory cannot be made\n")
+    out, numpy_loaded = compute_loads_numpy(
+        tmp_path, "--horizon", "2000", "--trace", str(tmp_path / "t.qtr"),
+        XDG_CACHE_HOME=str(blocker))
+    assert out == [f"wrote checkpoint {tmp_path / 't.qtr'} (2000 values)"]
+    assert not numpy_loaded
+
+
+def test_the_perf_probe_child_loads_no_numpy_or_checklist():
+    stats, loaded = fresh("import sys; from qseq.perfprobe import perf_probe; perf_probe(1000);"
+                          " print(sorted(m for m in ('numpy', 'qseq.diagnostics', 'qseq.verify',"
+                          " 'qseq.seedlab', 'qseq.frequency') if m in sys.modules))")
+    assert json.loads(stats)["kernel"] in ("native", "python")
+    assert loaded == "[]"
 
 
 def test_import_qseq_loads_only_the_kernel_binding():
@@ -107,18 +152,30 @@ def test_import_warns_once_when_the_kernel_cannot_be_cached(tmp_path):
     assert len(out) == 2 and "pure-Python twin" in out[1], out
 
 
-@pytest.mark.skipif(_native.compiled is None, reason="needs a C compiler and Python headers")
-def test_an_edited_source_compiles_under_a_new_key(tmp_path):
+def check_an_edit_compiles_under_a_new_key(tmp_path, name: str, comment: str) -> None:
+    """A copy of the package with comment appended to its file name compiles
+    into another key directory of the same cache."""
     copy = tmp_path / "src" / "qseq"
     shutil.copytree(Path(SRC, "qseq"), copy, ignore=shutil.ignore_patterns("__pycache__"))
-    with open(copy / "_qkernel.c", "a") as fh:
-        fh.write("/* one more line */\n")
+    with open(copy / name, "a") as fh:
+        fh.write(f"{comment}\n")
     cache = tmp_path / "cache"
     paths = [Path(*fresh("from qseq import _native; print(_native.compile_kernel())",
                          PYTHONPATH=tree, XDG_CACHE_HOME=str(cache)))
              for tree in (SRC, str(copy.parent))]
     assert [path.parent.parent for path in paths] == [cache / "qseq"] * 2
     assert paths[0].parent != paths[1].parent
+
+
+@pytest.mark.skipif(_native.compiled is None, reason="needs a C compiler and Python headers")
+def test_an_edited_source_compiles_under_a_new_key(tmp_path):
+    check_an_edit_compiles_under_a_new_key(tmp_path, "_qkernel.c", "/* one more line */")
+
+
+@pytest.mark.skipif(_native.compiled is None, reason="needs a C compiler and Python headers")
+def test_an_edited_compile_recipe_compiles_under_a_new_key(tmp_path):
+    """_native.py holds the compile command, so its bytes are in the key."""
+    check_an_edit_compiles_under_a_new_key(tmp_path, "_native.py", "# one more line")
 
 
 @pytest.mark.skipif(_native.compiled is None, reason="needs a C compiler and Python headers")
