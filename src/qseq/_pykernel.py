@@ -1,5 +1,8 @@
 """The pure-Python twin of ``_qkernel.c``, entry for entry, about 100x slower."""
 
+import sys
+from array import array
+
 from ._native import SLOT_CAPS, ST_COUNT_OVERFLOW, ST_DEATH, ST_OK, ST_OVERFLOW, ST_PARITY
 
 
@@ -55,14 +58,54 @@ def count_values(values, n_max, counts, last_occurrence, m_cap):
     return ST_OK, overflow
 
 
-def format_rows(x, y, halves):
-    import numpy as np  # only here, so that the twin computes without NumPy
+def _column(buffer) -> tuple[str, memoryview] | None:
+    """(kind, items) of a 1-D C-contiguous buffer of 8-byte native items, as
+    the C kernel's item_kind reads it: 'q' int64, 'Q' uint64 or 'd' float64;
+    None for any other buffer."""
+    view = memoryview(buffer)
+    f = view.format
+    if f[:1] in ("@", "=") or (f[:1] == "<" and sys.byteorder == "little"):
+        f = f[1:]
+    if view.itemsize != 8 or view.ndim != 1 or not view.c_contiguous or f not in tuple("qlQLd"):
+        return None
+    kind = {"l": "q", "L": "Q"}.get(f, f)
+    return kind, view.cast("B").cast(kind)
 
-    if y.dtype.kind == "f" or len(y) != len(x):
+
+def linear_series(values, lo, hi, terms, slope, out, den=1):
+    q = _items(values, (4, 8), "value buffer must hold 4- or 8-byte items")
+    kind, items = _column(out) or (None, None)
+    if kind not in ("q", "d"):
+        raise ValueError("out must be a 1-D C-contiguous int64 or float64 buffer")
+    if den < 1 or (kind == "q" and den != 1):
+        raise ValueError("den must be >= 1, and 1 for an int64 out")
+    if hi < lo - 1:
+        raise ValueError("need lo <= hi + 1")
+    if hi - lo + 1 > len(items):
+        raise ValueError("out shorter than hi - lo + 1")
+    for c, m, a in terms:
+        for n in (lo, hi) if hi >= lo else ():
+            if not 1 <= m * n + a <= len(q) - 1:
+                raise ValueError(f"term ({c}, {m}, {a}) reads outside Q(1..{len(q) - 1})"
+                                 f" at n = {n}")
+    rows = range(lo, hi + 1)
+    acc = [slope * n for n in rows]
+    for c, m, a in terms:
+        acc = [v + c * q[m * n + a] for v, n in zip(acc, rows)]
+    ints = [(v + 2**63) % 2**64 - 2**63 for v in acc]  # modulo 2^64, as C's int64
+    items[: len(rows)] = array(kind, ints if kind == "q" else [v / float(den) for v in ints])
+
+
+def format_rows(x, y, halves):
+    (kx, xs), (ky, ys) = _column(x) or (None, None), _column(y) or (None, None)
+    if kx is None or ky is None:
+        raise ValueError("columns must be 1-D C-contiguous int64, uint64 or float64")
+    if ky == "d" or len(ys) != len(xs):
         raise ValueError("y must be an integer column as long as x")
-    if x.dtype.kind == "f" and not np.all(np.abs(x) < 2.0**52 / 1e8):
+    xs, ys = xs.tolist(), ys.tolist()
+    if kx == "d" and not all(abs(v) < 2.0**52 / 1e8 for v in xs):
         raise ValueError("float column needs finite values below 2^52/1e8")
-    spec, ys = (".8f" if x.dtype.kind == "f" else "d"), y.tolist()
+    spec = ".8f" if kx == "d" else "d"
     if halves:
         ys = (f"{'-' if v < 0 else ''}{abs(v) >> 1}.{5 if v & 1 else 0}" for v in ys)
-    return "".join(f"{a:{spec}} {b}\n" for a, b in zip(x.tolist(), ys, strict=True)).encode()
+    return "".join(f"{a:{spec}} {b}\n" for a, b in zip(xs, ys, strict=True)).encode()

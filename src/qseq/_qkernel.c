@@ -1,11 +1,15 @@
-/* Hot loops for the Q-recursion engine, and the text writer of its series.
+/* Hot loops for the Q-recursion engine, and the series and text made from
+ * its values.
  *
  * Arrays are passed via the buffer protocol, so this file has no numpy
  * dependency.  Value buffers are 1-based: slot 0 is unused, slot n holds
  * Q(n).  Both 4-byte and 8-byte unsigned layouts are supported; arithmetic
  * runs in signed 64-bit, which cannot overflow for values below the caps
- * enforced here.  format_rows writes the two-column text of a series.
- * _pykernel.py is this file's pure-Python twin, entry for entry.
+ * enforced here.  advance runs the recursion, count_values tallies the
+ * values, linear_series evaluates a series such as 2Q(n) - n into an int64
+ * or float64 column, and format_rows writes two columns as text; so the
+ * text verbs need no NumPy either.  _pykernel.py is this file's pure-Python
+ * twin, entry for entry.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -190,23 +194,134 @@ done_err:
     return NULL;
 }
 
-/* ------------------------------------------------------------- text */
-
-#define ROW_MAX 48  /* longest row: 20 (x) + ' ' + 22 (y) + '\n', and snprintf's NUL */
-
-/* The kind of a 1-D C-contiguous column of 8-byte native items: 'q'
- * int64, 'Q' uint64 or 'd' float64; 0, with ValueError set, otherwise. */
+/* The kind of a 1-D C-contiguous buffer of 8-byte native items: 'q'
+ * int64, 'Q' uint64 or 'd' float64; 0 for any other buffer. */
 static char
-column_kind(const Py_buffer *v)
+item_kind(const Py_buffer *v)
 {
     const char *f = v->format ? v->format : "B";
     f += (*f == '@' || *f == '=' || (PY_LITTLE_ENDIAN && *f == '<'));
     if (v->itemsize == 8 && v->ndim == 1 && PyBuffer_IsContiguous(v, 'C')
         && f[0] && !f[1] && strchr("qlQLd", f[0]))
         return f[0] == 'l' ? 'q' : f[0] == 'L' ? 'Q' : f[0];
-    PyErr_SetString(PyExc_ValueError, "columns must be 1-D C-contiguous int64, uint64 or float64");
     return 0;
 }
+
+/* ------------------------------------------------------------- series */
+
+/* linear_series(values, lo, hi, terms, slope, out, den=1) -> None
+ *
+ * For n = lo..hi, out[n - lo] = slope*n + the sum of c*q[m*n + a] over the
+ * triples (c, m, a) in terms: as an int64, modulo 2^64, into an int64 out;
+ * as that int64 divided by den, in doubles, into a float64 out.  So one
+ * call evaluates a linear series of the trace straight from its slots (a
+ * term list of () and slope 1 writes n itself).  Before any write,
+ * ValueError if out is not a 1-D C-contiguous int64 or float64 buffer of at
+ * least hi - lo + 1 items, if den is below 1 or is not 1 for an int64 out,
+ * if hi < lo - 1, or if an index m*n + a leaves [1, len(values) - 1]: it is
+ * linear in n, so checking n = lo and n = hi covers every row.
+ */
+#define DEFINE_ADD_TERM(name, T)                                        \
+static void name(uint64_t *acc, const T *q, long long rows, long long step, \
+                 uint64_t c)                                            \
+{                                                                       \
+    for (long long i = 0; i < rows; i++)                                \
+        acc[i] += c * (uint64_t)q[i * step];                            \
+}
+DEFINE_ADD_TERM(add_term4, uint32_t)
+DEFINE_ADD_TERM(add_term8, uint64_t)
+
+/* The ValueError linear_series raises before any write, or NULL; coef
+ * receives each term's (c, m, a). */
+static const char *
+series_error(const Py_buffer *qv, char kind, long long out_len, long long lo,
+             long long hi, long long den, PyObject *terms, long long (*coef)[3])
+{
+    long long len = (long long)(qv->len / qv->itemsize) - 1;
+    if (qv->itemsize != 4 && qv->itemsize != 8)
+        return "value buffer must hold 4- or 8-byte items";
+    if (kind != 'q' && kind != 'd')
+        return "out must be a 1-D C-contiguous int64 or float64 buffer";
+    if (den < 1 || (kind == 'q' && den != 1))
+        return "den must be >= 1, and 1 for an int64 out";
+    if (hi < lo - 1)
+        return "need lo <= hi + 1";
+    if (hi - lo + 1 > out_len)
+        return "out shorter than hi - lo + 1";
+    for (Py_ssize_t t = 0; t < PySequence_Fast_GET_SIZE(terms); t++) {
+        long long *cma = coef[t], idx;
+        if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(terms, t), "LLL;a term is (c, m, a)",
+                              &cma[0], &cma[1], &cma[2]))
+            return "";  /* TypeError or OverflowError already set */
+        for (int end = 0; hi >= lo && end < 2; end++) {
+            long long n = end ? hi : lo;
+            if (__builtin_mul_overflow(cma[1], n, &idx) || __builtin_add_overflow(idx, cma[2], &idx)
+                || idx < 1 || idx > len) {
+                PyErr_Format(PyExc_ValueError, "term (%lld, %lld, %lld) reads outside"
+                             " Q(1..%lld) at n = %lld", cma[0], cma[1], cma[2], len, n);
+                return "";
+            }
+        }
+    }
+    return NULL;
+}
+
+static PyObject *
+linear_series(PyObject *self, PyObject *args)
+{
+    Py_buffer qv, ov;
+    long long lo, hi, slope, den = 1;
+    PyObject *terms_obj, *out_obj;
+
+    if (!PyArg_ParseTuple(args, "y*LLOLO|L", &qv, &lo, &hi, &terms_obj, &slope,
+                          &out_obj, &den))
+        return NULL;
+    if (PyObject_GetBuffer(out_obj, &ov, PyBUF_RECORDS) < 0) {
+        PyBuffer_Release(&qv);
+        return NULL;
+    }
+    char kind = item_kind(&ov);
+    const char *error = "";  /* "" once a Python error is set */
+    long long (*coef)[3] = NULL;
+    PyObject *terms = PySequence_Fast(terms_obj, "terms must be a sequence of (c, m, a)");
+    Py_ssize_t n_terms = terms ? PySequence_Fast_GET_SIZE(terms) : 0;
+    if (terms && (coef = PyMem_Calloc((size_t)n_terms + 1, sizeof *coef)) == NULL)
+        PyErr_NoMemory();
+    else if (terms)
+        error = series_error(&qv, kind, ov.len / 8, lo, hi, den, terms, coef);
+    if (error && *error)
+        PyErr_SetString(PyExc_ValueError, error);
+    if (!error) {
+        long long rows = hi - lo + 1;
+        uint64_t *acc = (uint64_t *)ov.buf;
+        for (long long i = 0; i < rows; i++)
+            acc[i] = (uint64_t)slope * (uint64_t)(lo + i);
+        for (Py_ssize_t t = 0; rows > 0 && t < n_terms; t++) {
+            long long c = coef[t][0], m = coef[t][1], first = m * lo + coef[t][2];
+            if (qv.itemsize == 4)
+                add_term4(acc, (const uint32_t *)qv.buf + first, rows, m, (uint64_t)c);
+            else
+                add_term8(acc, (const uint64_t *)qv.buf + first, rows, m, (uint64_t)c);
+        }
+        for (long long i = 0; kind == 'd' && i < rows; i++) {
+            int64_t value;  /* the slot's 8 bytes read as int64, written back as a double */
+            memcpy(&value, &acc[i], 8);
+            double x = (double)value / (double)den;
+            memcpy(&acc[i], &x, 8);
+        }
+    }
+    PyMem_Free(coef);
+    Py_XDECREF(terms);
+    PyBuffer_Release(&qv);
+    PyBuffer_Release(&ov);
+    if (error)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* ------------------------------------------------------------- text */
+
+#define ROW_MAX 48  /* longest row: 20 (x) + ' ' + 22 (y) + '\n', and snprintf's NUL */
 
 static char *
 put_uint(char *out, uint64_t v)
@@ -253,7 +368,7 @@ put_cell(char *out, const Py_buffer *v, char kind, Py_ssize_t i, int halves)
 
 /* format_rows(x, y, halves) -> bytes
  *
- * One "x y\n" line per row of two equal-length columns (see column_kind);
+ * One "x y\n" line per row of two equal-length columns (see item_kind);
  * y holds integers, doubled half-integers when halves is true.
  */
 static PyObject *
@@ -270,13 +385,15 @@ format_rows(PyObject *self, PyObject *args)
         PyBuffer_Release(&xv);
         return NULL;
     }
-    char kx = column_kind(&xv), ky = kx ? column_kind(&yv) : 0;
+    char kx = item_kind(&xv), ky = item_kind(&yv);
     Py_ssize_t rows = xv.len / 8;
-    if (ky == 'd' || (ky && yv.len != xv.len))
+    if (!kx || !ky)
+        PyErr_SetString(PyExc_ValueError, "columns must be 1-D C-contiguous int64, uint64 or float64");
+    else if (ky == 'd' || yv.len != xv.len)
         PyErr_SetString(PyExc_ValueError, "y must be an integer column as long as x");
-    else if (ky && rows > PY_SSIZE_T_MAX / ROW_MAX)
+    else if (rows > PY_SSIZE_T_MAX / ROW_MAX)
         PyErr_NoMemory();
-    else if (ky && (text = PyBytes_FromStringAndSize(NULL, rows * ROW_MAX)) != NULL) {
+    else if ((text = PyBytes_FromStringAndSize(NULL, rows * ROW_MAX)) != NULL) {
         char *start = PyBytes_AS_STRING(text), *out = start;
         for (Py_ssize_t i = 0; i < rows && (out = put_cell(out, &xv, kx, i, 0)) != NULL; i++) {
             *out++ = ' ';
@@ -298,6 +415,7 @@ format_rows(PyObject *self, PyObject *args)
 static PyMethodDef kernel_methods[] = {
     {"advance", advance, METH_VARARGS, "run the recursion in place"},
     {"count_values", count_values, METH_VARARGS, "tally odd values into dyadic bins"},
+    {"linear_series", linear_series, METH_VARARGS, "evaluate a linear series of the values"},
     {"format_rows", format_rows, METH_VARARGS, "write rows of two columns as text"},
     {NULL, NULL, 0, NULL}
 };

@@ -16,8 +16,11 @@ the requested horizon, 4 value overflow, 5 I/O or checkpoint-format failure.
 Data files are whitespace-separated two-column plain text: integers bare,
 half-integer series with exactly one decimal digit, normalized positions
 with eight, as f"{x:.8f}" writes them.  Series text is written in blocks of
-BLOCK_ROWS rows, each formatted by the kernel's format_rows (the C kernel's
-twin writes one f-string per row: slower, the same bytes).  Identical flags
+BLOCK_ROWS rows: the kernel's linear_series evaluates each block of a series
+straight from the trace, and its format_rows writes the text (the C kernel's
+twin writes one f-string per row: slower, the same bytes).  So compute,
+diagnose (every series but S) and selfsim never import NumPy; freq, seeds
+and verify do, for their arithmetic.  Identical flags
 produce byte-identical files; files are written atomically and durably,
 with mode 0o666 & ~umask (see checkpoint.atomic_write).  Default filenames
 land in the directory named by --data-dir, or the QSEQ_DATA_DIR environment
@@ -32,10 +35,18 @@ import sys
 from collections.abc import Callable, Sequence
 from pathlib import Path
 
-# NumPy, diagnostics, frequency, seedlab and verify are imported by the
-# handlers and formatters that use them, so a verb loads only the modules it
-# runs, and compute without --export loads no NumPy.
+# NumPy, frequency, seedlab and verify are imported by the handlers and
+# formatters that use them, so a verb loads only the modules it runs.
 from . import _native, checkpoint
+from .diagnostics import (
+    SERIES_CODES,
+    Series,
+    selfsim_profile,
+    selfsim_window,
+    series,
+    series_window,
+    value_rows,
+)
 from .engine import (
     Outcome,
     OutcomeKind,
@@ -74,12 +85,17 @@ def format_series_lines(ser) -> bytes:
     Integers are written bare, doubled half-integers (ser.halves) with one
     decimal, float x with eight, exactly as f"{x:.8f}".  Every line ends in
     a newline.  ValueError if a float is not finite or not below 2^52/1e8.
+    A memoryview column, as diagnostics makes, goes to the kernel as it is;
+    any other is a NumPy array, made C-contiguous 64-bit first.
     """
+    x, y = (col if isinstance(col, memoryview) else _contiguous(col) for col in ser.columns)
+    return _native.kernel.format_rows(x, y, ser.halves)
+
+
+def _contiguous(col):
     import numpy as np
 
-    x, y = (np.ascontiguousarray(col, _COLUMN_DTYPES[col.dtype.kind])
-            for col in (ser.x, ser.y))
-    return _native.kernel.format_rows(x, y, ser.halves)
+    return np.ascontiguousarray(col, _COLUMN_DTYPES[col.dtype.kind])
 
 
 class SeriesText(Sequence):
@@ -98,16 +114,14 @@ class SeriesText(Sequence):
     def of(cls, x, y, halves: bool = False) -> "SeriesText":
         """The text of columns x and y, sliced one block at a time.  x may
         be a range, made an array one block at a time."""
-        import numpy as np
-
-        from .diagnostics import Series
-
         if len(x) != len(y):
             raise ValueError(f"x has {len(x)} rows, y has {len(y)}")
 
         def rows(a: int, b: int) -> Series:
             xs = x[a:b]
             if isinstance(xs, range):
+                import numpy as np
+
                 xs = np.arange(xs.start, xs.stop, xs.step, dtype=np.int64)
             return Series(xs, y[a:b], halves)
 
@@ -242,7 +256,7 @@ def cmd_compute(args) -> int:
             args, args.export or None,
             f"values_{trace_tag(config)}_n{config.horizon}.dat",
         )
-        write_text(export_path, SeriesText.of(range(1, trace.len + 1), trace.values[1:]))
+        write_text(export_path, SeriesText(trace.len, lambda a, b: value_rows(trace, a + 1, b)))
         print(f"wrote {export_path} ({trace.len} lines)")
     if not trace.outcome.is_alive:
         raise RunDied(trace)
@@ -250,14 +264,12 @@ def cmd_compute(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    from .diagnostics import series, series_window
-
     config = config_from(args)
     trace = live_trace(args, config)
     code = args.series
     if code == "G":  # a log grid of about 1.5k rows, built whole
         ser = series(trace, code, args.lo, args.hi, args.samples_per_octave)
-        text = SeriesText.of(ser.x, ser.y, ser.halves)
+        text = SeriesText.of(*ser.columns, ser.halves)
     else:
         lo, hi = series_window(trace, code, args.lo, args.hi, args.samples_per_octave)
         text = SeriesText(hi - lo + 1, lambda a, b: series(trace, code, lo + a, lo + b - 1))
@@ -291,8 +303,6 @@ def parse_levels(text: str, label: str = "level") -> list[int]:
 
 
 def cmd_selfsim(args) -> int:
-    from .diagnostics import selfsim_profile, selfsim_window
-
     config = config_from(args)
     levels = parse_levels(args.levels)
     if min(levels) < 0:
@@ -409,11 +419,19 @@ def cmd_seeds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import Artifacts, format_report, run_criteria
+    from .perfprobe import PERF_CRITERION, start_probe
 
     numbers = set(parse_levels(args.only, label="criterion")) if args.only else None
-    artifacts = Artifacts()
-    results = run_criteria(artifacts, numbers)
+    # criterion 12's child starts before the checklist and NumPy are imported,
+    # so it runs beside that import too; run_criteria kills it if a check raises
+    probe = start_probe() if numbers is None or PERF_CRITERION in numbers else None
+    try:
+        from .verify import Artifacts, format_report, run_criteria
+    except BaseException:
+        if probe is not None:
+            probe[0].kill()
+        raise
+    results = run_criteria(Artifacts(probe), numbers)
     print(format_report(results))
     return EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY_FAILED
 
@@ -429,15 +447,6 @@ def add_trace_flags(sub, default_horizon: int) -> None:
     sub.add_argument("--width", type=int, choices=tuple(_native.SLOT_CAPS), default=4,
                      help="bytes per stored value")
     sub.add_argument("--trace", help="checkpoint to reuse, extend, or create; never shrink")
-
-
-class _SeriesCodes:
-    """diagnostics.SERIES_CODES, imported when argparse first iterates them."""
-
-    def __iter__(self):
-        from .diagnostics import SERIES_CODES
-
-        return iter(SERIES_CODES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,9 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("diagnose", help="export a diagnostic series")
     add_trace_flags(sub, default_horizon=10**6)
-    # add_argument formats the choices once, so they are set after it: only
-    # a parse or the help of diagnose reads them, and loads diagnostics
-    sub.add_argument("--series", required=True).choices = _SeriesCodes()
+    sub.add_argument("--series", required=True, choices=SERIES_CODES)
     sub.add_argument("--lo", type=int, default=None)
     sub.add_argument("--hi", type=int, default=None)
     sub.add_argument("--samples-per-octave", type=int, default=None,

@@ -6,12 +6,19 @@ is set holds 2x the mathematical value.  The CLI divides by two only at
 the text boundary.
 
 Each series code but G is one row of the table _SERIES: its domain, its
-formula over an index array and its halves flag.  series_window() gives a
-code's domain, or checks a window [lo, hi] of it; series() evaluates the
-formula on that window, and selfsim_profile() takes the same window over
-its samples, so a caller can evaluate a long series one block of rows at a
-time, as the CLI does.  G is a log grid, not a window: series() builds it
-whole, and sets its default density of 64 samples per octave.
+halves flag and its formula as data, slope*n + the sum of c*Q(m*n + a)
+over its terms (c, m, a), which the kernel's linear_series evaluates
+straight from the trace's slots.  S, the one formula that is not linear,
+is the smaller of t1 and t2.  series_window() gives a code's domain, or
+checks a window [lo, hi] of it; series() evaluates the formula on that
+window, and selfsim_profile() takes the same window over its samples, so a
+caller can evaluate a long series one block of rows at a time, as the CLI
+does.  G is a log grid, not a window: series() builds it whole, in Python,
+and sets its default density of 64 samples per octave.
+
+A Series holds its columns as buffers; NumPy is imported only to read them
+as arrays (Series.x, Series.y), for S, and for the parity and identity
+checks, so the CLI writes every series but S without loading it.
 
 Series codes used by the CLI:
 
@@ -34,41 +41,56 @@ Series codes used by the CLI:
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
-from dataclasses import dataclass
+from array import array
 
-import numpy as np
-
+from . import _native
 from .engine import Trace
 from .errors import ConfigError, ParityError, RangeError
 
 _BLOCK = 1 << 16  # indices per block in the parity and identity checks
 
 
-@dataclass(frozen=True)
 class Series:
-    """Paired samples.  When halves is True, y holds doubled values."""
+    """Paired samples x and y.  When halves is True, y holds doubled values.
 
-    x: np.ndarray
-    y: np.ndarray
-    halves: bool = False
+    ``columns`` holds x and y as given: the read-only int64 or float64
+    memoryviews series() and selfsim_profile() make, or any arrays.  ``x``
+    and ``y`` read them as read-only NumPy arrays, made on first read
+    without a copy, so that a caller that only formats a series never
+    imports NumPy.
+    """
 
-    def __post_init__(self) -> None:
-        self.x.flags.writeable = False
-        self.y.flags.writeable = False
+    __slots__ = ("columns", "halves", "_arrays")
+
+    def __init__(self, x, y, halves: bool = False):
+        self.columns, self.halves, self._arrays = (x, y), halves, None
+
+    @property
+    def x(self):
+        return self._read()[0]
+
+    @property
+    def y(self):
+        return self._read()[1]
+
+    def _read(self):
+        if self._arrays is None:
+            import numpy as np
+
+            self._arrays = tuple(np.asarray(col).view() for col in self.columns)
+            for arr in self._arrays:
+                arr.flags.writeable = False
+        return self._arrays
 
     def __len__(self) -> int:
-        return int(self.x.size)
-
-
-def _q_at(trace: Trace, idx: np.ndarray) -> np.ndarray:
-    """Q at an index array as int64, widened after indexing: the copy is
-    the size of idx, not of the trace."""
-    return trace.values[idx].astype(np.int64, copy=False)
+        return len(self.columns[0])
 
 
 def assert_all_odd(trace: Trace, n_max: int | None = None) -> None:
+    import numpy as np
+
     n_max = trace.len if n_max is None else n_max
     for lo in range(1, n_max + 1, _BLOCK):
         even = np.flatnonzero(trace.values[lo : min(lo + _BLOCK, n_max + 1)] % 2 == 0)
@@ -80,25 +102,42 @@ def assert_all_odd(trace: Trace, n_max: int | None = None) -> None:
 # ------------------------------------------------------------- bulk series
 
 # code -> (domain(L): the valid index range [lo, hi] on a trace of length L,
-#          formula(q, n): the values at an index array n, read through q,
-#          halves: whether the values are doubled half-integers)
+#          halves: whether the values are doubled half-integers,
+#          slope, terms: the value at n is slope*n + the sum of c*Q(m*n + a)
+#          over (c, m, a) in terms; a slope of None takes the smaller of
+#          the rows named in terms instead)
 _SERIES = {
-    "E": (lambda L: (1, L), lambda q, n: 2 * q(n) - n, True),
-    "S": (lambda L: (3, L), lambda q, n: n - np.maximum(q(n - 1), q(n - 2)), False),
-    "D": (lambda L: (1, L - 1), lambda q, n: q(n + 1) - q(n), False),
-    "t1": (lambda L: (3, L), lambda q, n: n - q(n - 1), False),
-    "t2": (lambda L: (3, L), lambda q, n: n - q(n - 2), False),
-    "R": (lambda L: (1, L // 2), lambda q, n: q(2 * n) - 2 * q(n), False),
-    "Rodd": (lambda L: (1, L // 4), lambda q, n: q(4 * n - 2) - 2 * q(2 * n - 1), False),
-    "Reven": (lambda L: (1, L // 4), lambda q, n: q(4 * n) - 2 * q(2 * n), False),
-    "A": (lambda L: (1, (L + 1) // 2), lambda q, n: q(2 * n - 1), False),
-    "B": (lambda L: (1, L // 2), lambda q, n: q(2 * n), False),
-    "a": (lambda L: (1, (L + 1) // 2), lambda q, n: q(2 * n - 1) - n, False),
-    "b": (lambda L: (1, L // 2), lambda q, n: q(2 * n) - n, False),
-    "s": (lambda L: (1, L // 2), lambda q, n: q(2 * n - 1) + q(2 * n) - 2 * n, True),
-    "d": (lambda L: (1, L // 2), lambda q, n: q(2 * n) - q(2 * n - 1), True),
+    "E": (lambda L: (1, L), True, -1, ((2, 1, 0),)),
+    "S": (lambda L: (3, L), False, None, ("t1", "t2")),
+    "D": (lambda L: (1, L - 1), False, 0, ((1, 1, 1), (-1, 1, 0))),
+    "t1": (lambda L: (3, L), False, 1, ((-1, 1, -1),)),
+    "t2": (lambda L: (3, L), False, 1, ((-1, 1, -2),)),
+    "R": (lambda L: (1, L // 2), False, 0, ((1, 2, 0), (-2, 1, 0))),
+    "Rodd": (lambda L: (1, L // 4), False, 0, ((1, 4, -2), (-2, 2, -1))),
+    "Reven": (lambda L: (1, L // 4), False, 0, ((1, 4, 0), (-2, 2, 0))),
+    "A": (lambda L: (1, (L + 1) // 2), False, 0, ((1, 2, -1),)),
+    "B": (lambda L: (1, L // 2), False, 0, ((1, 2, 0),)),
+    "a": (lambda L: (1, (L + 1) // 2), False, -1, ((1, 2, -1),)),
+    "b": (lambda L: (1, L // 2), False, -1, ((1, 2, 0),)),
+    "s": (lambda L: (1, L // 2), True, -2, ((1, 2, -1), (1, 2, 0))),
+    "d": (lambda L: (1, L // 2), True, 0, ((1, 2, 0), (-1, 2, -1))),
 }
 SERIES_CODES = (*_SERIES, "G")
+
+
+def _evaluate(trace: Trace, lo: int, hi: int, slope: int, terms=(),
+              den: int | None = None) -> memoryview:
+    """slope*n + the sum of c*Q(m*n + a) over (c, m, a) in terms, for n in
+    [lo, hi], as a read-only memoryview: of int64, or of float64 divided by
+    den if den is given."""
+    out = memoryview(bytearray(8 * (hi - lo + 1))).cast("q" if den is None else "d")
+    _native.kernel.linear_series(trace.buffer, lo, hi, terms, slope, out, den or 1)
+    return out.toreadonly()
+
+
+def value_rows(trace: Trace, lo: int, hi: int) -> Series:
+    """The values Q(n) at x = n, for n in [lo, hi]."""
+    return Series(_evaluate(trace, lo, hi, 1), _evaluate(trace, lo, hi, 0, ((1, 1, 0),)))
 
 
 def _window(what: str, lo: int | None, hi: int | None,
@@ -114,15 +153,20 @@ def series_window(trace: Trace, code: str, lo: int | None = None, hi: int | None
                   samples_per_octave: int | None = None) -> tuple[int, int]:
     """[lo, hi] for series(trace, code, lo, hi), a None end taken from the
     code's domain, so series_window(trace, code) is the whole domain.
-    RangeError if the window leaves the domain or is empty, or if
-    samples_per_octave is given: only G has a grid.  ConfigError for a code
-    outside _SERIES."""
+    RangeError if the domain is empty on a trace this short, if the window
+    leaves the domain or is empty, or if samples_per_octave is given: only G
+    has a grid.  ConfigError for a code outside _SERIES."""
     if samples_per_octave is not None:
         raise RangeError(f"series {code}: only the log grid G takes samples_per_octave,"
                          f" got {samples_per_octave}")
     if code not in _SERIES:
         raise ConfigError(f"unknown series code {code!r}")
-    return _window(f"series {code}", lo, hi, *_SERIES[code][0](trace.len))
+    domain = _SERIES[code][0]
+    d_lo, d_hi = domain(trace.len)
+    if d_lo > d_hi:  # domains only grow with L, so the search ends
+        need = next(L for L in itertools.count(trace.len + 1) if domain(L)[0] <= domain(L)[1])
+        raise RangeError(f"series {code} needs horizon >= {need}, have {trace.len}")
+    return _window(f"series {code}", lo, hi, d_lo, d_hi)
 
 
 def series(trace: Trace, code: str, lo: int | None = None, hi: int | None = None,
@@ -142,11 +186,19 @@ def series(trace: Trace, code: str, lo: int | None = None, hi: int | None = None
             raise RangeError(f"series G: samples_per_octave {samples_per_octave}"
                              f" exceeds trace length {trace.len}")
         x, n = log_grid(trace.len, 64 if samples_per_octave is None else samples_per_octave)
-        return Series(x=x, y=2 * _q_at(trace, n) - n, halves=True)
+        q = trace.buffer
+        y = array("q", [2 * q[i] - i for i in n])  # E at each grid index
+        return Series(memoryview(array("d", x)).toreadonly(), memoryview(y).toreadonly(), True)
     lo, hi = series_window(trace, code, lo, hi, samples_per_octave)
-    _, formula, halves = _SERIES[code]
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    return Series(x=n, y=formula(functools.partial(_q_at, trace), n), halves=halves)
+    _, halves, slope, terms = _SERIES[code]
+    if slope is None:
+        import numpy as np
+
+        y = np.minimum(*(np.asarray(_evaluate(trace, lo, hi, *_SERIES[row][2:]))
+                         for row in terms))
+    else:
+        y = _evaluate(trace, lo, hi, slope, terms)
+    return Series(_evaluate(trace, lo, hi, 1), y, halves)
 
 
 def check_subsequence_identities(trace: Trace, k_lo: int = 2,
@@ -164,6 +216,8 @@ def check_subsequence_identities(trace: Trace, k_lo: int = 2,
     that prefix must be odd.  k runs in blocks of _BLOCK, so the extra
     memory is bounded by the block, not the trace.
     """
+    import numpy as np
+
     L = trace.len
     if k_hi is None:
         k_hi = L // 2
@@ -180,7 +234,13 @@ def check_subsequence_identities(trace: Trace, k_lo: int = 2,
 
 def _identity_violations(trace: Trace, k_lo: int, k_hi: int) -> np.ndarray:
     """check_subsequence_identities on one block of k."""
-    q = functools.partial(_q_at, trace)
+    import numpy as np
+
+    def q(idx):
+        """Q at an index array as int64, widened after indexing: the copy
+        is the size of idx, not of the trace."""
+        return trace.values[idx].astype(np.int64, copy=False)
+
     k = np.arange(k_lo, k_hi + 1, dtype=np.int64)
     a_k = q(2 * k - 1)
     b_k = q(2 * k)
@@ -228,20 +288,20 @@ def selfsim_profile(trace: Trace, k: int, lo: int | None = None,
     (defaults: every sample, 1 .. floor(len / 2^k)).
     """
     lo, hi = selfsim_window(trace, k, lo, hi)
-    m = np.arange(lo, hi + 1, dtype=np.int64)
-    idx = m << k
-    y = 2 * _q_at(trace, idx) - idx
-    return Series(x=m / (trace.len >> k), y=y, halves=True)
+    step = 1 << k
+    return Series(_evaluate(trace, lo, hi, 1, den=trace.len >> k),
+                  _evaluate(trace, lo, hi, -step, ((2, step, 0),)), halves=True)
 
 
-def log_grid(length: int, samples_per_octave: int) -> tuple[np.ndarray, np.ndarray]:
+def log_grid(length: int, samples_per_octave: int) -> tuple[list[float], list[int]]:
     """The uniform log grid x = i / samples_per_octave, i = 0, 1, ... while
     2^x <= length, and its indices n = round(2^x) clipped to [1, length].
-    Neighbouring n repeat where the grid is finer than the integers."""
+    Neighbouring n repeat where the grid is finer than the integers.  round
+    takes a tie to even, as NumPy's rint does."""
     if samples_per_octave < 1:
         raise ConfigError(f"samples_per_octave must be >= 1, got {samples_per_octave}")
     if length < 1:
         raise RangeError("empty trace")
     i_max = math.floor(samples_per_octave * math.log2(length))
-    x = np.arange(i_max + 1, dtype=np.float64) / samples_per_octave
-    return x, np.clip(np.rint(np.exp2(x)).astype(np.int64), 1, length)
+    x = [i / samples_per_octave for i in range(i_max + 1)]
+    return x, [min(max(round(2.0**v), 1), length) for v in x]

@@ -1,8 +1,10 @@
 """Criterion 12's child: time a run of the C kernel in a process of its own.
 
-``verify`` starts ``python -c "from qseq.perfprobe import perf_probe;
-perf_probe(H)"``.  This module loads the kernel binding and the engine, and
-neither NumPy nor the checklist, so the peak RSS it reports is the run's own.
+``start_probe`` starts ``python -c "from qseq.perfprobe import perf_probe;
+perf_probe(H)"``; ``qseq verify`` calls it before it imports the checklist,
+so the child runs beside that import too.  This module loads the kernel
+binding and the engine, and neither NumPy nor the checklist, so the peak RSS
+the child reports is the run's own.
 """
 
 from __future__ import annotations
@@ -14,6 +16,20 @@ import time
 
 from . import _native
 from .engine import RecursionConfig, Seed, run
+
+PERF_CRITERION = 12
+PERF_HORIZON = 10**8
+
+
+def start_probe(horizon: int = PERF_HORIZON) -> tuple[subprocess.Popen, float]:
+    """Start perf_probe(horizon) in a fresh interpreter, its stdout and
+    stderr piped: the child, and when it started on the monotonic clock."""
+    import subprocess
+
+    code = f"from qseq.perfprobe import perf_probe; perf_probe({horizon})"
+    started = time.monotonic()
+    return subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True), started
 
 
 def perf_probe(horizon: int) -> None:

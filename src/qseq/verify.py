@@ -8,8 +8,9 @@ checks through this module so they cannot drift apart.  Artifacts builds
 the shared inputs once, at MAIN_HORIZON and SURVEY_HORIZON; the seed
 table is read as the dict ``seedlab.table_report`` returns.  Criterion 12
 times the native kernel in a child process (``perfprobe``);
-``run_criteria`` starts that child first, so it runs beside the in-process
-checks, and collects it in its turn, killing it if a check raises.
+``run_criteria`` starts that child first, unless its Artifacts were handed
+one already started, so it runs beside the in-process checks, and collects
+it in its turn, killing it if a check raises.
 
 The short prefix constants below are small enough to check by hand;
 larger-scale constants were frozen from the independent reference
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import json
 import subprocess
-import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -44,6 +44,7 @@ from .frequency import (
     check_dyadic_law,
     peak_scan,
 )
+from .perfprobe import PERF_CRITERION, PERF_HORIZON, start_probe
 from .seedlab import SeedClass, SeedReport, classify, enumerate_seeds, table_report
 
 # ----------------------------------------------------------- expectations
@@ -81,8 +82,6 @@ TABLE_GROUPS = {
 
 MAIN_HORIZON = 10**7
 SURVEY_HORIZON = 10**6
-PERF_HORIZON = 10**8
-PERF_CRITERION = 12
 
 
 @dataclass(frozen=True)
@@ -99,19 +98,25 @@ class CriterionResult:
 
 
 class Artifacts:
-    """Shared expensive inputs, computed once and reused across checks."""
+    """Shared expensive inputs, computed once and reused across checks.
 
-    probe: subprocess.Popen | None = None  # criterion 12's child once started; None after a kill
+    probe, if given, is criterion 12's child and its start as
+    ``perfprobe.start_probe`` returns them, started by the caller.
+    """
+
+    def __init__(self, probe: tuple[subprocess.Popen, float] | None = None):
+        # criterion 12's child once started, None after a kill; its deadline
+        self.probe, self.probe_deadline = None, None
+        if probe is not None:
+            self.probe, self.probe_deadline = probe[0], probe[1] + PROBE_TIMEOUT_S
 
     def start_probe(self) -> None:
         """Start criterion 12's child, ``perfprobe.perf_probe(PERF_HORIZON)`` in
         a fresh interpreter, unless it is started already; ``probe_output``
         collects it."""
         if self.probe is None:
-            code = f"from qseq.perfprobe import perf_probe; perf_probe({PERF_HORIZON})"
-            self.probe = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
-                                          stderr=subprocess.PIPE, text=True)
-            self.probe_deadline = time.monotonic() + PROBE_TIMEOUT_S
+            self.probe, started = start_probe(PERF_HORIZON)
+            self.probe_deadline = started + PROBE_TIMEOUT_S
 
     def stop_probe(self) -> None:
         """Kill and reap criterion 12's child if it still runs."""
@@ -378,18 +383,19 @@ CRITERIA = (
 def run_criteria(artifacts: Artifacts | None = None,
                  numbers: set[int] | None = None) -> list[CriterionResult]:
     """Run the selected checks (all thirteen by default), in order; criterion
-    12's child, if selected, is started before them all."""
-    if numbers is not None:
-        unknown = set(numbers) - set(range(1, len(CRITERIA) + 1))
-        if unknown:
-            raise ConfigError(
-                f"unknown criterion numbers {sorted(unknown)};"
-                f" valid numbers are 1..{len(CRITERIA)}"
-            )
+    12's child, if selected, is started before them all.  The child is
+    killed if a check raises, or if numbers names no criterion."""
     art = artifacts if artifacts is not None else Artifacts()
-    if numbers is None or PERF_CRITERION in numbers:
-        art.start_probe()
     try:
+        if numbers is not None:
+            unknown = set(numbers) - set(range(1, len(CRITERIA) + 1))
+            if unknown:
+                raise ConfigError(
+                    f"unknown criterion numbers {sorted(unknown)};"
+                    f" valid numbers are 1..{len(CRITERIA)}"
+                )
+        if numbers is None or PERF_CRITERION in numbers:
+            art.start_probe()
         return [check(art) for index, check in enumerate(CRITERIA, start=1)
                 if numbers is None or index in numbers]
     finally:

@@ -17,7 +17,7 @@ import frozen_values as frozen
 import oracle
 import pytest
 from qseq import _native, perfprobe, verify
-from qseq.cli import EXIT_OK, main
+from qseq.cli import EXIT_CONFIG, EXIT_OK, main
 from qseq.seedlab import SeedClass
 from qseq.verify import (
     check_block_histograms,
@@ -140,6 +140,18 @@ def test_verify_starts_no_probe_unless_criterion_12_is_selected(probes, capsys):
     assert main(["verify", "--only", "1..3"]) == EXIT_OK
     assert probes == []
     capsys.readouterr()
+
+
+def test_verify_hands_the_probe_it_started_to_the_checklist(probes, capsys):
+    """qseq verify starts criterion 12's child before it imports the
+    checklist; the checklist collects that child and starts no other, and
+    kills it when the selection names an unknown criterion."""
+    assert main(["verify", "--only", "12"]) == EXIT_OK
+    assert len(probes) == 1 and probes[0].returncode == 0
+    assert "criterion 12 [PASS]" in capsys.readouterr().out
+    assert main(["verify", "--only", "12,99"]) == EXIT_CONFIG
+    assert len(probes) == 2 and probes[1].killed and probes[1].returncode is not None
+    assert "unknown criterion numbers [99]" in capsys.readouterr().err
 
 
 def test_probe_starts_first_and_is_killed_when_a_check_raises(probes, monkeypatch):

@@ -445,6 +445,18 @@ def test_diagnose_range_error(tmp_path, capsys, series_code, lo, hi, grid):
     assert list(tmp_path.iterdir()) == []  # neither the file nor its temp file
 
 
+@pytest.mark.parametrize("series_code,horizon,need", [("S", 2, 3), ("Rodd", 3, 4)])
+def test_an_empty_series_names_the_horizon_it_needs(tmp_path, capsys, series_code, horizon,
+                                                    need):
+    """Not a range [3, 2] outside a domain [3, 2]: the domain itself is empty."""
+    code = main(["--data-dir", str(tmp_path), "diagnose", "--series", series_code,
+                 "--horizon", str(horizon)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: series {series_code} needs horizon >= {need}, have {horizon}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_an_unknown_series_code_is_argparses_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as raised:
         main(["--data-dir", str(tmp_path), "diagnose", "--horizon", "100", "--series", "X"])

@@ -1,5 +1,7 @@
 """Diagnostics against the naive oracle and the frozen large-scale values."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from qseq.diagnostics import (
     SERIES_CODES,
     assert_all_odd,
     check_subsequence_identities,
+    log_grid,
     selfsim_profile,
     series,
     series_window,
@@ -194,6 +197,31 @@ def test_log_profile_grid(short_trace):
     assert prof.x[-1] <= np.log2(short_trace.len)
     with pytest.raises(ConfigError):
         series(short_trace, "G", samples_per_octave=0)
+
+
+def test_log_grid_matches_numpys_rounding():
+    """The pure-Python grid, round(2.0 ** x) clipped to [1, length], is the
+    grid NumPy's clip(rint(exp2(x))) gave, at every density up to 256 and at
+    lengths from 2 to 10^9: a shorter grid is a prefix of the 10^9 one."""
+    for spo in range(1, 257):
+        x = np.arange(math.floor(spo * math.log2(10**9)) + 1, dtype=np.float64) / spo
+        want = x.tolist(), np.clip(np.rint(np.exp2(x)).astype(np.int64), 1, 10**9).tolist()
+        for length in (2, 3, 1000, 10**9):
+            got = log_grid(length, spo)
+            rows = math.floor(spo * math.log2(length)) + 1
+            assert got == (want[0][:rows], want[1][:rows]), (spo, length)
+
+
+def test_an_empty_domain_names_the_horizon_it_needs(short_trace):
+    from qseq.engine import Trace
+
+    for code, length, need in (("S", 2, 3), ("D", 1, 2), ("Rodd", 3, 4), ("R", 1, 2)):
+        trace = Trace(short_trace.config, short_trace.buffer[: length + 1], short_trace.outcome)
+        with pytest.raises(RangeError, match=rf"^series {code} needs horizon >= {need},"
+                                             rf" have {length}$"):
+            series(trace, code)
+        trace = Trace(short_trace.config, short_trace.buffer[: need + 1], short_trace.outcome)
+        assert len(series(trace, code)) == 1
 
 
 def test_frozen_clock_deviation(main_trace):

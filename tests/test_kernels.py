@@ -159,6 +159,87 @@ def test_count_values_errors_agree(kernel, slots):
         call(kernel)
 
 
+def evaluate(module, values, lo, hi, terms, slope, dtype=np.int64, den=()):
+    """One linear_series call into fresh slots, padded past the rows with
+    UNTOUCHED: the slots' values, as a list."""
+    out = np.full(max(hi - lo + 1, 0) + 2, UNTOUCHED, dtype=dtype)
+    assert module.linear_series(values, lo, hi, terms, slope, out, *den) is None
+    return out.tolist()
+
+
+def short(trace):
+    return trace.buffer
+
+
+def short_wide(trace):
+    return trace.values.astype(np.uint64)
+
+
+def near_2_63(_):
+    return np.array([0, 2**63 - 1, 2**63 - 1], dtype=np.uint64)
+
+
+SERIES_CASES = {  # (values of the short trace, lo, hi, terms, slope, out dtype, den)
+    "E": (short, 1, 5000, ((2, 1, 0),), -1, np.int64, ()),
+    "D-window": (short, 17, 333, ((1, 1, 1), (-1, 1, 0)), 0, np.int64, ()),
+    "Rodd-8-byte": (short_wide, 1, 1250, ((1, 4, -2), (-2, 2, -1)), 0, np.int64, ()),
+    "selfsim-k5": (short, 2, 156, ((2, 32, 0),), -32, np.int64, ()),
+    "n-itself": (short, 3, 40, (), 1, np.int64, ()),
+    "x-over-count": (short, 1, 625, (), 1, np.float64, (625,)),
+    "float-y-over-7": (short, 1, 99, ((3, 1, 0),), -5, np.float64, (7,)),
+    "one-row": (short, 4999, 4999, ((1, 1, 1),), 0, np.int64, ()),
+    "no-rows": (short, 11, 10, ((1, 1, 0),), 0, np.int64, ()),
+    "wraps-modulo-2**64": (near_2_63, 1, 2, ((2, 1, 0), (1, 0, 1)), 2**62, np.int64, ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_CASES))
+def test_linear_series_agrees(kernel, short_trace, case):
+    """The same rows from both kernels, and nothing written past them; an
+    int64 series is the formula itself, modulo 2^64, evaluated here in Python."""
+    values, *call = SERIES_CASES[case]
+    values = values(short_trace)
+    got = evaluate(kernel, values, *call)
+    assert got == evaluate(C, values, *call)
+    lo, hi, terms, slope, dtype, den = call
+    rows = max(hi - lo + 1, 0)
+    assert got[rows:] == [UNTOUCHED] * 2
+    if dtype is np.int64:
+        q = values.tolist()
+        assert got[:rows] == [
+            (slope * n + sum(c * q[m * n + a] for c, m, a in terms) + 2**63) % 2**64 - 2**63
+            for n in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("values,lo,hi,terms,out,den", [
+    (np.zeros(10, dtype=np.uint16), 1, 3, (), lambda: np.zeros(3, dtype=np.int64), ()),
+    (ones(9), 1, 3, (), lambda: np.zeros(3, dtype=np.int32), ()),
+    (ones(9), 1, 3, (), lambda: np.zeros(3, dtype=np.uint64), ()),
+    (ones(9), 1, 4, (), lambda: np.zeros(8, dtype=np.int64)[::2], ()),
+    (ones(9), 1, 3, (), lambda: np.zeros((1, 3), dtype=np.int64), ()),
+    (ones(9), 1, 3, (), lambda: np.zeros(3), (0,)),
+    (ones(9), 1, 3, (), lambda: np.zeros(3, dtype=np.int64), (2,)),
+    (ones(9), 5, 3, (), lambda: np.zeros(3, dtype=np.int64), ()),
+    (ones(9), 1, 4, (), lambda: np.zeros(3, dtype=np.int64), ()),
+    (ones(9), 1, 3, ((1, -1, 11),), lambda: np.zeros(3, dtype=np.int64), ()),
+    (ones(9), 1, 3, ((1, 1, 0), (2, 1, -1)), lambda: np.zeros(3, dtype=np.int64), ()),
+    (ones(9), 1, 5, ((1, 2, 0),), lambda: np.zeros(5, dtype=np.int64), ()),
+    (ones(9), 1, 3, ((1, 2**62, 0),), lambda: np.zeros(3, dtype=np.int64), ()),
+], ids=["two-byte-values", "int32-out", "uint64-out", "strided-out", "2-d-out", "den-0",
+        "den-for-an-int-out", "hi-below-lo-minus-1", "out-too-short", "falling-index-past-the-end-at-lo",
+        "index-0", "index-past-the-end-at-hi", "index-overflows"])
+def test_linear_series_errors_agree(kernel, values, lo, hi, terms, out, den):
+    """Both kernels refuse the same call with the same message, before any
+    write: an index outside [1, len] is caught at lo or hi, since m*n + a is
+    linear in n."""
+    with pytest.raises(ValueError) as c_error:
+        C.linear_series(values, lo, hi, terms, 0, out(), *den)
+    got = out()
+    with same_error(c_error):
+        kernel.linear_series(values, lo, hi, terms, 0, got, *den)
+    assert got.tolist() == out().tolist()
+
+
 ROWS = np.arange(1, 7, dtype=np.int64)
 FORMAT_CASES = {
     "int64": (np.array([1, -2, 0, 2**63 - 1, -(2**63), 10]), -ROWS, False),
@@ -204,12 +285,13 @@ def test_every_entry_goes_through_the_binding(tmp_path, monkeypatch, capsys):
             return getattr(_pykernel, name)(*args)
         return call
 
-    entries = ("advance", "count_values", "format_rows")
+    entries = ("advance", "count_values", "linear_series", "format_rows")
     monkeypatch.setattr(_native, "kernel", SimpleNamespace(**{e: recorded(e) for e in entries}))
     for argv, used in [
-        (["compute", "--export"], {"advance", "format_rows"}),
+        (["compute", "--export"], {"advance", "linear_series", "format_rows"}),
         (["freq", "--kmax", "5"], {"advance", "count_values", "format_rows"}),
-        (["diagnose", "--series", "E"], {"advance", "format_rows"}),
+        (["diagnose", "--series", "E"], {"advance", "linear_series", "format_rows"}),
+        (["selfsim", "--levels", "0..2"], {"advance", "linear_series", "format_rows"}),
     ]:
         calls.clear()
         assert main(["--data-dir", str(tmp_path), *argv, "--horizon", "2000"]) == EXIT_OK

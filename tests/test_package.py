@@ -67,15 +67,17 @@ def test_an_unknown_name_is_an_attribute_error():
 
 
 def test_the_cli_loads_no_checklist_survey_or_frequency_module():
+    """Nor NumPy; the diagnostics, which need none, give argparse the series codes."""
     loaded = set(fresh("import sys, qseq.cli; print('\\n'.join(sys.modules))"))
-    unwanted = {"numpy", "qseq.diagnostics", *NOT_FOR_THE_CLI}
+    unwanted = {"numpy", *NOT_FOR_THE_CLI}
     assert loaded.isdisjoint(unwanted), loaded & unwanted
+    assert "qseq.diagnostics" in loaded
 
 
-def compute_loads_numpy(tmp_path, *args: str, **env: str) -> tuple[list[str], bool]:
-    """qseq compute with args run by main in a new interpreter: its stdout
+def loads_numpy(tmp_path, verb: str, *args: str, **env: str) -> tuple[list[str], bool]:
+    """qseq verb with args run by main in a new interpreter: its stdout
     lines, and whether NumPy was loaded by the end."""
-    argv = ["--data-dir", str(tmp_path), "compute", *args]
+    argv = ["--data-dir", str(tmp_path), verb, *args]
     *out, last = fresh("import sys; from qseq.cli import main\n"
                        f"assert main({argv!r}) == 0\n"
                        "print('numpy' in sys.modules)", **env)
@@ -84,28 +86,54 @@ def compute_loads_numpy(tmp_path, *args: str, **env: str) -> tuple[list[str], bo
 
 def test_compute_without_export_loads_no_numpy(tmp_path):
     """Fresh, reused, extended, then replaced by another width, each in a new
-    interpreter: none loads NumPy.  --export does."""
+    interpreter: none loads NumPy."""
     trace = tmp_path / "t.qtr"
     for horizon, width, said in [(1000, 4, "wrote checkpoint {} (1000 values)"),
                                  (500, 4, "reusing checkpoint {}"),
                                  (3000, 4, "wrote checkpoint {} (3000 values)"),
                                  (3000, 8, "wrote checkpoint {} (3000 values)")]:
-        out, numpy_loaded = compute_loads_numpy(
-            tmp_path, "--horizon", str(horizon), "--width", str(width), "--trace", str(trace))
+        out, numpy_loaded = loads_numpy(tmp_path, "compute", "--horizon", str(horizon),
+                                        "--width", str(width), "--trace", str(trace))
         assert out == [said.format(trace)]
         assert not numpy_loaded, (horizon, width)
-    _, numpy_loaded = compute_loads_numpy(tmp_path, "--horizon", "3000", "--trace", str(trace),
-                                          "--export")
-    assert numpy_loaded
+
+
+@pytest.mark.parametrize("verb,args,written", [
+    ("compute", ("--export",), "values_*_n3000.dat"),
+    ("diagnose", ("--series", "E"), "series_E_*.dat"),
+    ("diagnose", ("--series", "D", "--lo", "5", "--hi", "900"), "series_D_*.dat"),
+    ("diagnose", ("--series", "G", "--samples-per-octave", "8"), "series_G_*.dat"),
+    ("selfsim", ("--levels", "0..3"), "selfsim_k3_*.dat"),
+], ids=["compute-export", "diagnose-E", "diagnose-D-window", "diagnose-G", "selfsim"])
+def test_the_text_verbs_load_no_numpy(tmp_path, verb, args, written):
+    """Each writes its text from a checkpoint in a new interpreter without
+    loading NumPy: the kernel evaluates the series and formats it."""
+    trace = tmp_path / "t.qtr"
+    loads_numpy(tmp_path, "compute", "--horizon", "3000", "--trace", str(trace))
+    _, numpy_loaded = loads_numpy(tmp_path, verb, *args, "--horizon", "3000",
+                                  "--trace", str(trace))
+    assert not numpy_loaded
+    [path] = tmp_path.glob(written)
+    assert path.stat().st_size > 0
 
 
 def test_the_twin_computes_without_numpy(tmp_path):
     blocker = tmp_path / "cache"
     blocker.write_text("a file, so the cache directory cannot be made\n")
-    out, numpy_loaded = compute_loads_numpy(
-        tmp_path, "--horizon", "2000", "--trace", str(tmp_path / "t.qtr"),
+    out, numpy_loaded = loads_numpy(
+        tmp_path, "compute", "--horizon", "2000", "--trace", str(tmp_path / "t.qtr"),
         XDG_CACHE_HOME=str(blocker))
     assert out == [f"wrote checkpoint {tmp_path / 't.qtr'} (2000 values)"]
+    assert not numpy_loaded
+
+
+def test_the_twin_writes_text_without_numpy(tmp_path):
+    """Its linear_series and format_rows need no NumPy either."""
+    blocker = tmp_path / "cache"
+    blocker.write_text("a file, so the cache directory cannot be made\n")
+    out, numpy_loaded = loads_numpy(tmp_path, "diagnose", "--series", "E", "--horizon", "2000",
+                                    XDG_CACHE_HOME=str(blocker))
+    assert out == [f"wrote {tmp_path}/series_E_s1-1_alternating_w4_n2000.dat (2000 lines)"]
     assert not numpy_loaded
 
 
