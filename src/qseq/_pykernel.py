@@ -96,6 +96,43 @@ def linear_series(values, lo, hi, terms, slope, out, den=1):
     items[: len(rows)] = array(kind, ints if kind == "q" else [v / float(den) for v in ints])
 
 
+def first_even(values, lo, hi):
+    q = _items(values, (4, 8), "value buffer must hold 4- or 8-byte items")
+    if not 1 <= lo <= hi + 1 <= len(q):
+        raise ValueError("need 1 <= lo <= hi + 1 <= len(values)")
+    return next((n for n in range(lo, hi + 1) if not q[n] & 1), 0)
+
+
+def interleave_violations(values, k_lo, k_hi, out):
+    q = _items(values, (4, 8), "value buffer must hold 4- or 8-byte items")
+    kind, items = _column(out) or (None, None)
+    L = len(q) - 1
+    if kind != "q":
+        raise ValueError("out must be a 1-D C-contiguous int64 buffer")
+    if not 2 <= k_lo <= k_hi + 1:
+        raise ValueError("need 2 <= k_lo <= k_hi + 1")
+    if 2 * k_hi > L:
+        raise ValueError("need 2 * k_hi <= len(values) - 1")
+    if k_hi - k_lo + 1 > len(items):
+        raise ValueError("out shorter than k_hi - k_lo + 1")
+
+    def half(x):  # x modulo 2^64 as an int64, floor-halved
+        return ((x + 2**63) % 2**64 - 2**63) >> 1
+
+    count = 0
+    for k in range(k_lo, k_hi + 1):
+        a, b, a_prev, b_prev = q[2 * k - 1], q[2 * k], q[2 * k - 3], q[2 * k - 2]
+        ja1, ja2 = half(2 * k - 1 - b_prev), half(2 * k - 1 - a_prev)
+        jb1, jb2 = half(2 * k - a + 1), half(2 * k - b_prev + 1)
+        if not (1 <= ja1 <= L // 2 and 1 <= ja2 <= L // 2
+                and 1 <= jb1 <= (L + 1) // 2 and 1 <= jb2 <= (L + 1) // 2
+                and (a - q[2 * ja1] - q[2 * ja2] + 1) % 2**64 == 0
+                and (b - q[2 * jb1 - 1] - q[2 * jb2 - 1] - 1) % 2**64 == 0):
+            items[count] = k
+            count += 1
+    return count
+
+
 def format_rows(x, y, halves):
     (kx, xs), (ky, ys) = _column(x) or (None, None), _column(y) or (None, None)
     if kx is None or ky is None:

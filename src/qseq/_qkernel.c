@@ -7,9 +7,10 @@
  * runs in signed 64-bit, which cannot overflow for values below the caps
  * enforced here.  advance runs the recursion, count_values tallies the
  * values, linear_series evaluates a series such as 2Q(n) - n into an int64
- * or float64 column, and format_rows writes two columns as text; so the
- * text verbs need no NumPy either.  _pykernel.py is this file's pure-Python
- * twin, entry for entry.
+ * or float64 column, first_even and interleave_violations check parity and
+ * the interleave identities, and format_rows writes two columns as text; so
+ * the text and analysis verbs need no NumPy either.  _pykernel.py is this
+ * file's pure-Python twin, entry for entry.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -319,6 +320,106 @@ linear_series(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* ------------------------------------------------------------- checks */
+
+/* Slot i of a buffer of 4- or 8-byte values. */
+static inline uint64_t
+slot(const Py_buffer *v, long long i)
+{
+    return v->itemsize == 4 ? ((const uint32_t *)v->buf)[i] : ((const uint64_t *)v->buf)[i];
+}
+
+/* first_even(values, lo, hi) -> n
+ *
+ * The first n in [lo, hi] with q[n] even, or 0 when all of them are odd.
+ * ValueError unless the values are 4- or 8-byte items and
+ * 1 <= lo <= hi + 1 <= len(values).
+ */
+static PyObject *
+first_even(PyObject *self, PyObject *args)
+{
+    Py_buffer qv;
+    long long lo, hi, n;
+
+    if (!PyArg_ParseTuple(args, "y*LL", &qv, &lo, &hi))
+        return NULL;
+    const char *error = NULL;
+    if (qv.itemsize != 4 && qv.itemsize != 8)
+        error = "value buffer must hold 4- or 8-byte items";
+    else if (lo < 1 || lo - 1 > hi || hi >= (long long)(qv.len / qv.itemsize))
+        error = "need 1 <= lo <= hi + 1 <= len(values)";
+    for (n = lo; !error && n <= hi && (slot(&qv, n) & 1); n++)
+        ;
+    PyBuffer_Release(&qv);
+    if (error) {
+        PyErr_SetString(PyExc_ValueError, error);
+        return NULL;
+    }
+    return PyLong_FromLongLong(n <= hi ? n : 0);
+}
+
+/* interleave_violations(values, k_lo, k_hi, out) -> count
+ *
+ * Writes into out, in order, each k in [k_lo, k_hi] at which the
+ * interleaves A(k) = q[2k-1] and B(k) = q[2k] break
+ *
+ *     A(k) = B(ja1) + B(ja2) - 1,  ja1 = (2k-1-B(k-1)) >> 1,  ja2 = (2k-1-A(k-1)) >> 1
+ *     B(k) = A(jb1) + A(jb2) + 1,  jb1 = (2k-A(k)+1) >> 1,    jb2 = (2k-B(k-1)+1) >> 1
+ *
+ * or at which an inner index leaves [1, L/2] (ja) or [1, (L+1)/2] (jb),
+ * L = len(values) - 1; returns how many it wrote.  Slots read as int64 and
+ * the arithmetic runs modulo 2^64, >> flooring.  ValueError, before any
+ * write, unless the values are 4- or 8-byte items, out is a 1-D
+ * C-contiguous int64 buffer of at least k_hi - k_lo + 1 items,
+ * 2 <= k_lo <= k_hi + 1 and 2 k_hi <= L.
+ */
+#define HALF(x) ((int64_t)(x) >> 1)  /* x: a uint64_t difference, read as int64 */
+
+static PyObject *
+interleave_violations(PyObject *self, PyObject *args)
+{
+    Py_buffer qv, ov;
+    long long k_lo, k_hi, count = 0;
+    PyObject *out_obj;
+
+    if (!PyArg_ParseTuple(args, "y*LLO", &qv, &k_lo, &k_hi, &out_obj))
+        return NULL;
+    if (PyObject_GetBuffer(out_obj, &ov, PyBUF_RECORDS) < 0) {
+        PyBuffer_Release(&qv);
+        return NULL;
+    }
+    long long len = (long long)(qv.len / qv.itemsize) - 1, b_hi = len / 2, a_hi = (len + 1) / 2;
+    const char *error = NULL;
+    if (qv.itemsize != 4 && qv.itemsize != 8)
+        error = "value buffer must hold 4- or 8-byte items";
+    else if (item_kind(&ov) != 'q')
+        error = "out must be a 1-D C-contiguous int64 buffer";
+    else if (k_lo < 2 || k_lo - 1 > k_hi)
+        error = "need 2 <= k_lo <= k_hi + 1";
+    else if (k_hi > len / 2)
+        error = "need 2 * k_hi <= len(values) - 1";
+    else if (k_hi - k_lo + 1 > (long long)(ov.len / 8))
+        error = "out shorter than k_hi - k_lo + 1";
+    for (long long k = k_lo; !error && k <= k_hi; k++) {
+        uint64_t a = slot(&qv, 2 * k - 1), b = slot(&qv, 2 * k);
+        uint64_t a_prev = slot(&qv, 2 * k - 3), b_prev = slot(&qv, 2 * k - 2);
+        int64_t ja1 = HALF(2 * k - 1 - b_prev), ja2 = HALF(2 * k - 1 - a_prev);
+        int64_t jb1 = HALF(2 * k - a + 1), jb2 = HALF(2 * k - b_prev + 1);
+        if (ja1 < 1 || ja1 > b_hi || ja2 < 1 || ja2 > b_hi
+            || jb1 < 1 || jb1 > a_hi || jb2 < 1 || jb2 > a_hi
+            || a != slot(&qv, 2 * ja1) + slot(&qv, 2 * ja2) - 1
+            || b != slot(&qv, 2 * jb1 - 1) + slot(&qv, 2 * jb2 - 1) + 1)
+            ((int64_t *)ov.buf)[count++] = k;
+    }
+    PyBuffer_Release(&qv);
+    PyBuffer_Release(&ov);
+    if (error) {
+        PyErr_SetString(PyExc_ValueError, error);
+        return NULL;
+    }
+    return PyLong_FromLongLong(count);
+}
+
 /* ------------------------------------------------------------- text */
 
 #define ROW_MAX 48  /* longest row: 20 (x) + ' ' + 22 (y) + '\n', and snprintf's NUL */
@@ -416,6 +517,9 @@ static PyMethodDef kernel_methods[] = {
     {"advance", advance, METH_VARARGS, "run the recursion in place"},
     {"count_values", count_values, METH_VARARGS, "tally odd values into dyadic bins"},
     {"linear_series", linear_series, METH_VARARGS, "evaluate a linear series of the values"},
+    {"first_even", first_even, METH_VARARGS, "find the first even value in a range"},
+    {"interleave_violations", interleave_violations, METH_VARARGS,
+     "list the k that break the interleave identities"},
     {"format_rows", format_rows, METH_VARARGS, "write rows of two columns as text"},
     {NULL, NULL, 0, NULL}
 };

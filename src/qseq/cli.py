@@ -18,9 +18,10 @@ half-integer series with exactly one decimal digit, normalized positions
 with eight, as f"{x:.8f}" writes them.  Series text is written in blocks of
 BLOCK_ROWS rows: the kernel's linear_series evaluates each block of a series
 straight from the trace, and its format_rows writes the text (the C kernel's
-twin writes one f-string per row: slower, the same bytes).  So compute,
-diagnose (every series but S) and selfsim never import NumPy; freq, seeds
-and verify do, for their arithmetic.  Identical flags
+twin writes one f-string per row: slower, the same bytes).  freq, seeds and
+verify read the frequency table's and the traces' buffers, and the kernel
+checks parity and the interleave identities.  So every verb but diagnose
+--series S (its np.minimum) runs without importing NumPy.  Identical flags
 produce byte-identical files; files are written atomically and durably,
 with mode 0o666 & ~umask (see checkpoint.atomic_write).  Default filenames
 land in the directory named by --data-dir, or the QSEQ_DATA_DIR environment
@@ -32,11 +33,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from array import array
 from collections.abc import Callable, Sequence
 from pathlib import Path
 
-# NumPy, frequency, seedlab and verify are imported by the handlers and
-# formatters that use them, so a verb loads only the modules it runs.
+# frequency, seedlab and verify are imported by the handlers and formatters
+# that use them, so a verb loads only the modules it runs.
 from . import _native, checkpoint
 from .diagnostics import (
     SERIES_CODES,
@@ -113,16 +115,14 @@ class SeriesText(Sequence):
     @classmethod
     def of(cls, x, y, halves: bool = False) -> "SeriesText":
         """The text of columns x and y, sliced one block at a time.  x may
-        be a range, made an array one block at a time."""
+        be a range, made an int64 column one block at a time."""
         if len(x) != len(y):
             raise ValueError(f"x has {len(x)} rows, y has {len(y)}")
 
         def rows(a: int, b: int) -> Series:
             xs = x[a:b]
             if isinstance(xs, range):
-                import numpy as np
-
-                xs = np.arange(xs.start, xs.stop, xs.step, dtype=np.int64)
+                xs = memoryview(array("q", xs))
             return Series(xs, y[a:b], halves)
 
         return cls(len(y), rows)
@@ -348,14 +348,20 @@ def block_lines(report) -> list[str]:
 
 
 def cmd_freq(args) -> int:
-    from .frequency import block_report, build_frequency
+    from .frequency import block_report, build_frequency, table_m_cap
 
     config = config_from(args)
     k_max = args.kmax
     if k_max < 0:
         raise RangeError(f"kmax must be >= 0, got {k_max}")
+    # a table or a block that cannot fit is refused before the trace is computed
+    m_cap = table_m_cap(config.horizon, config.cap, args.m_cap)
+    k_out = (m_cap + 1).bit_length() - 1  # the first block past m_cap
+    if k_max >= k_out:
+        raise RangeError(f"block k={k_out} reaches m={2 ** (k_out + 1) - 1},"
+                         f" beyond m_cap={m_cap}")
     trace = live_trace(args, config)
-    table = build_frequency(trace, m_cap=args.m_cap)
+    table = build_frequency(trace, m_cap=m_cap)
 
     lines = [
         "# frequency report",
@@ -373,7 +379,8 @@ def cmd_freq(args) -> int:
     m_hi = 2 ** (k_max + 1) - 1
     data_path = resolve(args, args.data_out, f"freq_F_{trace_tag(config)}"
                                              f"_n{config.horizon}_k{k_max}.dat")
-    write_text(data_path, SeriesText.of(range(1, m_hi + 1), table.counts[1 : m_hi + 1]))
+    counts = memoryview(array("q", table.count_buffer[1 : m_hi + 1]))
+    write_text(data_path, SeriesText.of(range(1, m_hi + 1), counts))
     print(f"wrote {data_path} ({m_hi} lines)")
     return EXIT_OK
 
@@ -422,8 +429,8 @@ def cmd_verify(args) -> int:
     from .perfprobe import PERF_CRITERION, start_probe
 
     numbers = set(parse_levels(args.only, label="criterion")) if args.only else None
-    # criterion 12's child starts before the checklist and NumPy are imported,
-    # so it runs beside that import too; run_criteria kills it if a check raises
+    # criterion 12's child starts before the checklist is imported, so it runs
+    # beside that import too; run_criteria kills it if a check raises
     probe = start_probe() if numbers is None or PERF_CRITERION in numbers else None
     try:
         from .verify import Artifacts, format_report, run_criteria

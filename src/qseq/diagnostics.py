@@ -17,8 +17,9 @@ does.  G is a log grid, not a window: series() builds it whole, in Python,
 and sets its default density of 64 samples per octave.
 
 A Series holds its columns as buffers; NumPy is imported only to read them
-as arrays (Series.x, Series.y), for S, and for the parity and identity
-checks, so the CLI writes every series but S without loading it.
+as arrays (Series.x, Series.y) and for S, so the CLI writes every series
+but S without loading it.  The parity and identity checks are the
+kernel's first_even and interleave_violations, over the trace's buffer.
 
 Series codes used by the CLI:
 
@@ -49,7 +50,7 @@ from . import _native
 from .engine import Trace
 from .errors import ConfigError, ParityError, RangeError
 
-_BLOCK = 1 << 16  # indices per block in the parity and identity checks
+_BLOCK = 1 << 16  # k per block in the identity check
 
 
 class Series:
@@ -89,14 +90,11 @@ class Series:
 
 
 def assert_all_odd(trace: Trace, n_max: int | None = None) -> None:
-    import numpy as np
-
+    """ParityError naming the first even value among Q(1..n_max) (default: all)."""
     n_max = trace.len if n_max is None else n_max
-    for lo in range(1, n_max + 1, _BLOCK):
-        even = np.flatnonzero(trace.values[lo : min(lo + _BLOCK, n_max + 1)] % 2 == 0)
-        if even.size:
-            n = lo + int(even[0])
-            raise ParityError(f"even value Q({n})={int(trace.values[n])}")
+    n = _native.kernel.first_even(trace.buffer, 1, n_max)
+    if n:
+        raise ParityError(f"even value Q({n})={trace.buffer[n]}")
 
 
 # ------------------------------------------------------------- bulk series
@@ -202,7 +200,7 @@ def series(trace: Trace, code: str, lo: int | None = None, hi: int | None = None
 
 
 def check_subsequence_identities(trace: Trace, k_lo: int = 2,
-                                 k_hi: int | None = None) -> np.ndarray:
+                                 k_hi: int | None = None) -> array:
     """k in [k_lo, k_hi] violating the two interleaved recurrences.
 
     With all values odd, the recursion closes on the interleaves:
@@ -210,14 +208,13 @@ def check_subsequence_identities(trace: Trace, k_lo: int = 2,
         A(k) = B((2k-1-B(k-1))/2) + B((2k-1-A(k-1))/2) - 1
         B(k) = A((2k-A(k)+1)/2)   + A((2k-B(k-1)+1)/2) + 1
 
-    Returns the (expected empty) array of violating k; an identity whose
-    inner index falls outside the trace counts as a violation.  Only
+    Returns the (expected empty) array("q") of violating k; an identity
+    whose inner index falls outside the trace counts as a violation.  Only
     Q(1..2 k_hi) is read (with Q >= 1 every inner index j is <= k), so only
-    that prefix must be odd.  k runs in blocks of _BLOCK, so the extra
-    memory is bounded by the block, not the trace.
+    that prefix must be odd.  The kernel's interleave_violations checks k
+    in blocks of _BLOCK, so the extra memory is bounded by the block, not
+    the trace.
     """
-    import numpy as np
-
     L = trace.len
     if k_hi is None:
         k_hi = L // 2
@@ -226,44 +223,12 @@ def check_subsequence_identities(trace: Trace, k_lo: int = 2,
     if 2 * k_hi > L:
         raise RangeError(f"k_hi={k_hi} needs trace length >= {2 * k_hi}, have {L}")
     assert_all_odd(trace, 2 * k_hi)
-    return np.concatenate([
-        _identity_violations(trace, lo, min(lo + _BLOCK - 1, k_hi))
-        for lo in range(k_lo, k_hi + 1, _BLOCK)
-    ])
-
-
-def _identity_violations(trace: Trace, k_lo: int, k_hi: int) -> np.ndarray:
-    """check_subsequence_identities on one block of k."""
-    import numpy as np
-
-    def q(idx):
-        """Q at an index array as int64, widened after indexing: the copy
-        is the size of idx, not of the trace."""
-        return trace.values[idx].astype(np.int64, copy=False)
-
-    k = np.arange(k_lo, k_hi + 1, dtype=np.int64)
-    a_k = q(2 * k - 1)
-    b_k = q(2 * k)
-    a_prev = q(2 * k - 3)
-    b_prev = q(2 * k - 2)
-
-    ja1 = (2 * k - 1 - b_prev) >> 1
-    ja2 = (2 * k - 1 - a_prev) >> 1
-    jb1 = (2 * k - a_k + 1) >> 1
-    jb2 = (2 * k - b_prev + 1) >> 1
-
-    b_hi = trace.len // 2
-    a_hi = (trace.len + 1) // 2
-    bad = (
-        (ja1 < 1) | (ja1 > b_hi) | (ja2 < 1) | (ja2 > b_hi)
-        | (jb1 < 1) | (jb1 > a_hi) | (jb2 < 1) | (jb2 > a_hi)
-    )
-    ok = np.flatnonzero(~bad)
-    # in range, 2j <= L and 2j - 1 <= L: B(j) = Q(2j) and A(j) = Q(2j-1) exist
-    rhs_a = q(2 * ja1[ok]) + q(2 * ja2[ok]) - 1
-    rhs_b = q(2 * jb1[ok] - 1) + q(2 * jb2[ok] - 1) + 1
-    bad[ok] = (a_k[ok] != rhs_a) | (b_k[ok] != rhs_b)
-    return k[bad]
+    bad, out = array("q"), array("q", [0]) * min(_BLOCK, k_hi - k_lo + 1)
+    for lo in range(k_lo, k_hi + 1, _BLOCK):
+        found = _native.kernel.interleave_violations(trace.buffer, lo,
+                                                     min(lo + _BLOCK - 1, k_hi), out)
+        bad.extend(out[:found])
+    return bad
 
 
 # ----------------------------------------------------------------- profiles

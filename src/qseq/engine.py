@@ -16,6 +16,7 @@ Which of the two indices failed is recorded separately.
 from __future__ import annotations
 
 import mmap
+from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -207,19 +208,24 @@ class Trace:
         return f"Trace(seed=({self.seed}), {self.config.perturbation.value}, len={self.len}, {state})"
 
 
-def _slots(config: RecursionConfig, out) -> memoryview:
-    """The slots a run of config fills: out, checked, or a fresh private
-    anonymous mapping, whose pages are zero and resident only once written.
+def zeroed_slots(count: int, typecode: str) -> memoryview:
+    """count slots of typecode in a fresh private anonymous mapping, whose
+    pages are zero and resident only once written.
 
     The mapping asks for transparent huge pages, as NumPy does for its own
     large arrays.
     """
+    out = mmap.mmap(-1, count * array(typecode).itemsize, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        out.madvise(mmap.MADV_HUGEPAGE)
+    return memoryview(out).cast(typecode)
+
+
+def _slots(config: RecursionConfig, out) -> memoryview:
+    """The slots a run of config fills: out, checked, or zeroed_slots."""
     size = config.width * (config.horizon + 1)
     if out is None:
-        out = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
-        if hasattr(mmap, "MADV_HUGEPAGE"):
-            out.madvise(mmap.MADV_HUGEPAGE)
-        return memoryview(out).cast(config.dtype)
+        return zeroed_slots(config.horizon + 1, config.dtype)
     view = memoryview(out)
     if view.itemsize != config.width or view.nbytes != size:
         raise ValueError(f"out must be {config.horizon + 1} slots of uint{8 * config.width},"

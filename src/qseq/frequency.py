@@ -2,26 +2,27 @@
 
 Value v = 2m - 1 is binned at index m; block k holds m in
 [2^k, 2^{k+1} - 1].  A FrequencyTable covers the whole trace, n_max
-values, and callers index its arrays directly: counts[m] and
-last_occurrence[m].  Counts live in 1-byte slots (observed counts at
-desk scale stay below thirty) and abort loudly rather than wrap.  A
-block is *complete* once every member value has appeared and none has
-appeared after n_max/2: values cluster near n/2, so a half-horizon
-quiet period means the block's counts are final.  Law and peak checks
-refuse incomplete blocks; check_dyadic_law returns the deviations from
-the law, empty when it holds.
+values, in two buffers indexed by m: count_buffer[m] and last_buffer[m].
+Its counts and last_occurrence read them as NumPy arrays, made on first
+read, so the block reports and the CLI, which read the buffers, need no
+NumPy.  Counts live in 1-byte slots (observed counts at desk scale stay
+below thirty) and abort loudly rather than wrap.  A block is *complete*
+once every member value has appeared and none has appeared after
+n_max/2: values cluster near n/2, so a half-horizon quiet period means
+the block's counts are final.  Law and peak checks refuse incomplete
+blocks; check_dyadic_law returns the deviations from the law, empty when
+it holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from functools import cached_property
 
 from . import _native
 from ._native import ST_COUNT_OVERFLOW, ST_PARITY
-from .engine import Trace
+from .engine import Trace, zeroed_slots
 from .errors import (
     ConfigError,
     CountOverflowError,
@@ -35,40 +36,59 @@ from .errors import (
 class FrequencyTable:
     """Counts and last occurrences of odd values over Q(1..n_max).
 
-    Arrays are 1-based over m (slot 0 unused); values with m beyond
+    Buffers are 1-based over m (slot 0 unused); values with m beyond
     m_cap are only tallied in overflow_count, keeping conservation:
-    counts.sum() + overflow_count == n_max.
+    sum(count_buffer) + overflow_count == n_max.  counts and
+    last_occurrence are the same memory as read-only NumPy arrays.
     """
 
     n_max: int
     m_cap: int
-    counts: np.ndarray           # uint8
-    last_occurrence: np.ndarray  # uint32, 0 = never seen
+    count_buffer: memoryview  # uint8, read-only
+    last_buffer: memoryview   # uint32, read-only, 0 = never seen
     overflow_count: int
+
+    @cached_property
+    def counts(self):
+        """count_buffer as a read-only NumPy uint8 array (no copy)."""
+        import numpy as np
+
+        return np.frombuffer(self.count_buffer, dtype=np.uint8)
+
+    @cached_property
+    def last_occurrence(self):
+        """last_buffer as a read-only NumPy uint32 array (no copy)."""
+        import numpy as np
+
+        return np.frombuffer(self.last_buffer, dtype=np.uint32)
+
+
+def table_m_cap(n_max: int, cap: int, m_cap: int | None = None) -> int:
+    """The m_cap of a table over n_max values of at most cap: m_cap, or
+    n_max // 2 (at least 1) when None.  ConfigError if n_max reaches 2^32,
+    or if m_cap leaves [1, the bin of cap]."""
+    if n_max >= 2**32:
+        raise ConfigError("last-occurrence slots are 4-byte; n_max must stay below 2^32")
+    m_top = (cap + 1) // 2  # the bin of the largest value a slot holds
+    m_cap = max(1, n_max // 2) if m_cap is None else m_cap
+    if not 1 <= m_cap <= m_top:
+        raise ConfigError(f"m_cap must be in [1, {m_top}], got {m_cap}")
+    return m_cap
 
 
 def build_frequency(trace: Trace, m_cap: int | None = None) -> FrequencyTable:
     """Single pass over the whole trace, Q(1..n_max) with n_max = trace.len."""
     n_max = trace.len
-    if n_max >= 2**32:
-        raise ConfigError("last-occurrence slots are 4-byte; n_max must stay below 2^32")
-    m_top = (trace.config.cap + 1) // 2  # the bin of the largest value a slot holds
-    m_cap = max(1, n_max // 2) if m_cap is None else m_cap
-    if not 1 <= m_cap <= m_top:
-        raise ConfigError(f"m_cap must be in [1, {m_top}], got {m_cap}")
-
-    counts = np.zeros(m_cap + 1, dtype=np.uint8)
-    last = np.zeros(m_cap + 1, dtype=np.uint32)
-    status, aux = _native.kernel.count_values(trace.values, n_max, counts, last, m_cap)
+    m_cap = table_m_cap(n_max, trace.config.cap, m_cap)
+    counts, last = zeroed_slots(m_cap + 1, "B"), zeroed_slots(m_cap + 1, "I")
+    status, aux = _native.kernel.count_values(trace.buffer, n_max, counts, last, m_cap)
 
     if status == ST_PARITY:
         raise ParityError(f"even value Q({aux})={trace.value_at(int(aux))}")
     if status == ST_COUNT_OVERFLOW:
         raise CountOverflowError(f"count slot for m={aux} passed 255")
-    counts.flags.writeable = False
-    last.flags.writeable = False
-    return FrequencyTable(n_max=n_max, m_cap=m_cap, counts=counts,
-                          last_occurrence=last, overflow_count=int(aux))
+    return FrequencyTable(n_max=n_max, m_cap=m_cap, count_buffer=counts.toreadonly(),
+                          last_buffer=last.toreadonly(), overflow_count=int(aux))
 
 
 @dataclass(frozen=True)
@@ -99,23 +119,17 @@ def block_report(table: FrequencyTable, k: int) -> BlockReport:
     lo, hi = 2**k, 2 ** (k + 1) - 1
     if hi > table.m_cap:
         raise RangeError(f"block k={k} reaches m={hi}, beyond m_cap={table.m_cap}")
-    block = table.counts[lo : hi + 1]
-    last = table.last_occurrence[lo : hi + 1]
-
-    values, reps = np.unique(block, return_counts=True)
-    histogram = {int(v): int(c) for v, c in zip(values, reps)}
-    peak_count = int(block.max())
-    peak_offset = int(block.argmax())  # first occurrence, i.e. smallest m
-    tie_count = int((block == peak_count).sum())
-    complete = bool((block >= 1).all()) and int(last.max()) <= table.n_max // 2
+    block = table.count_buffer[lo : hi + 1].tobytes()
+    peak_count = max(block)
+    complete = 0 not in block and max(table.last_buffer[lo : hi + 1]) <= table.n_max // 2
     return BlockReport(
         k=k,
         n_max=table.n_max,
-        histogram=histogram,
-        total=int(block.sum(dtype=np.int64)),
-        peak_m=lo + peak_offset,
+        histogram={r: c for r in range(peak_count + 1) if (c := block.count(r))},
+        total=sum(block),
+        peak_m=lo + block.index(peak_count),  # the first peak, i.e. the smallest m
         peak_count=peak_count,
-        tie_count=tie_count,
+        tie_count=block.count(peak_count),
         complete=complete,
     )
 

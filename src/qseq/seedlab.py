@@ -10,20 +10,20 @@ Every seed lands in exactly one bucket:
   * STRONG_DEATH           dies at the earliest possible step
   * WEAK_DEATH             dies later
 
-Merge claims are re-verified by a direct array comparison over the full
-claimed span before they are reported.  The search limits (MAX_SHIFT,
-PROBE_WINDOW, ORBIT_SPAN) are fixed for every survey.  table_report groups
-the 27-triple survey as a dict keyed by SeedClass.
+Merge claims rest on a buffer comparison of the full claimed span: a
+shift's trailing PROBE_WINDOW slots are compared first, and only a shift
+whose tail agrees has its whole span copied and searched.  The search
+limits (MAX_SHIFT, PROBE_WINDOW, ORBIT_SPAN) are fixed for every survey.
+table_report groups the 27-triple survey as a dict keyed by SeedClass.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-
-import numpy as np
 
 from .engine import OutcomeKind, Perturbation, RecursionConfig, Seed, Trace, run
 from .errors import ConfigError
@@ -70,9 +70,38 @@ def detect_ramp_orbit(trace: Trace) -> bool:
     m_hi = min(ORBIT_SPAN, (trace.len - 1) // 2)
     if m_hi < 2:
         return False
-    m = np.arange(2, m_hi + 1, dtype=np.int64)
-    q = trace.values
-    return bool((q[2 * m] == 2 * m).all() and (q[2 * m + 1] == 2).all())
+    q, typecode = trace.buffer, trace.buffer.format
+    if (q[4], q[5]) != (4, 2):  # most seeds leave the orbit at once
+        return False
+    return (q[5 : 2 * m_hi + 2 : 2].tobytes() == array(typecode, [2]).tobytes() * (m_hi - 1)
+            and q[4 : 2 * m_hi + 1 : 2].tobytes()
+            == array(typecode, range(4, 2 * m_hi + 1, 2)).tobytes())
+
+
+def _slots(view: memoryview, typecode: str) -> memoryview:
+    """view's values in typecode slots: view itself, or a copy widened value
+    by value."""
+    return view if view.format == typecode else memoryview(array(typecode, view))
+
+
+def _agreeing_tail(a: bytes, b: memoryview) -> int:
+    """The smallest i from which the slots of a (bytes) equal b[i:].
+
+    a[i:] == b[i:] holds for every i past the last mismatch.  Merges start
+    near the front, so the search gallops from there, where a failing
+    comparison stops at once, then bisects.
+    """
+    lo, hi = 0, 1
+    while hi < len(b) and not a.endswith(b[hi:]):
+        lo, hi = hi + 1, 2 * hi
+    hi = min(hi, len(b))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if a.endswith(b[mid:]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def detect_merge(trace: Trace, reference: Trace) -> tuple[int, int] | None:
@@ -81,10 +110,11 @@ def detect_merge(trace: Trace, reference: Trace) -> tuple[int, int] | None:
     Shifts are scanned in order 0, +1, -1, ..., +MAX_SHIFT, -MAX_SHIFT;
     the first shift whose trailing agreement span reaches PROBE_WINDOW
     wins, with n0 the smallest starting index.  Returns None when no
-    shift qualifies.
+    shift qualifies.  Slots of two widths are compared by value, both
+    widened to 8 bytes.
     """
-    tr = trace.values
-    ref = reference.values
+    tr, ref = trace.buffer, reference.buffer
+    typecode = tr.format if tr.format == ref.format else "Q"
     len_tr, len_ref = trace.len, reference.len
 
     shifts = [0]
@@ -95,17 +125,14 @@ def detect_merge(trace: Trace, reference: Trace) -> tuple[int, int] | None:
         n_end = min(len_tr, len_ref - s)
         if n_end - n_start + 1 < PROBE_WINDOW:
             continue
-        a = tr[n_start : n_end + 1]
-        b = ref[n_start + s : n_end + s + 1]
-        if not np.array_equal(a[-PROBE_WINDOW:], b[-PROBE_WINDOW:]):
+        tail = n_end - PROBE_WINDOW + 1
+        if (_slots(tr[tail : n_end + 1], typecode).tobytes()
+                != _slots(ref[tail + s : n_end + s + 1], typecode).tobytes()):
             continue
-        mismatch = np.flatnonzero(a != b)
-        n0 = n_start + (int(mismatch[-1]) + 1 if mismatch.size else 0)
-        if n_end - n0 + 1 < PROBE_WINDOW:
-            continue
-        # re-verify the claim over its full span
-        if np.array_equal(tr[n0 : n_end + 1], ref[n0 + s : n_end + s + 1]):
-            return s, n0
+        # the search's last comparison that holds covers the whole claimed span
+        n0 = n_start + _agreeing_tail(_slots(tr[n_start : n_end + 1], typecode).tobytes(),
+                                      _slots(ref[n_start + s : n_end + s + 1], typecode))
+        return s, n0
     return None
 
 

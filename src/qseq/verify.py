@@ -10,7 +10,9 @@ table is read as the dict ``seedlab.table_report`` returns.  Criterion 12
 times the native kernel in a child process (``perfprobe``);
 ``run_criteria`` starts that child first, unless its Artifacts were handed
 one already started, so it runs beside the in-process checks, and collects
-it in its turn, killing it if a check raises.
+it in its turn, killing it if a check raises.  The checks read the
+trace's and the tables' buffers, and the kernel checks parity and the
+interleave identities, so the checklist loads no NumPy.
 
 The short prefix constants below are small enough to check by hand;
 larger-scale constants were frozen from the independent reference
@@ -172,20 +174,20 @@ def _result(number: int, title: str, passed: bool, detail: str) -> CriterionResu
 # ------------------------------------------------------------- the checks
 
 def check_first_values(art: Artifacts) -> CriterionResult:
-    got = tuple(int(v) for v in art.short_trace.values[1:21])
+    got = tuple(art.short_trace.buffer[1:21])
     return _result(1, "first twenty values", got == FIRST_20,
                    f"got {list(got)}" if got != FIRST_20 else "exact match")
 
 
 def check_difference_prefix(art: Artifacts) -> CriterionResult:
-    got = tuple(int(v) for v in series(art.short_trace, "D", 1, 16).y)
+    got = tuple(series(art.short_trace, "D", 1, 16).columns[1])
     return _result(2, "difference prefix D(1..16)", got == DIFF_FIRST_16,
                    f"got {list(got)}" if got != DIFF_FIRST_16 else "exact match")
 
 
 def check_subsequence_prefixes(art: Artifacts) -> CriterionResult:
-    odd = tuple(int(v) for v in series(art.short_trace, "A", 1, 10).y)
-    even = tuple(int(v) for v in series(art.short_trace, "B", 1, 9).y)
+    odd = tuple(series(art.short_trace, "A", 1, 10).columns[1])
+    even = tuple(series(art.short_trace, "B", 1, 9).columns[1])
     ok = odd == ODD_SUB_FIRST_10 and even == EVEN_SUB_FIRST_9
     return _result(3, "interleave prefixes A(1..10), B(1..9)", ok,
                    "exact match" if ok else f"odd={list(odd)} even={list(even)}")
@@ -202,7 +204,7 @@ def check_parity(art: Artifacts) -> CriterionResult:
 
 def check_identities(art: Artifacts) -> CriterionResult:
     bad = check_subsequence_identities(art.main_trace, 2, 10**6)
-    ok = bad.size == 0
+    ok = len(bad) == 0
     detail = "hold for every k in [2, 1e6]" if ok else f"violated at k={bad[:5].tolist()}..."
     return _result(5, "interleave identities", ok, detail)
 
@@ -306,8 +308,8 @@ def check_growth(art: Artifacts) -> CriterionResult:
 
 def check_renorm_split(art: Artifacts) -> CriterionResult:
     k_hi = SURVEY_HORIZON // 4
-    odd_max = int(abs(series(art.main_trace, "Rodd", 1, k_hi).y).max())
-    even_max = int(abs(series(art.main_trace, "Reven", 1, k_hi).y).max())
+    odd_max = max(map(abs, series(art.main_trace, "Rodd", 1, k_hi).columns[1]))
+    even_max = max(map(abs, series(art.main_trace, "Reven", 1, k_hi).columns[1]))
     ordered = odd_max < even_max
     recorded = (odd_max, even_max) == RENORM_SPLIT_MAXIMA_250K
     ok = ordered and recorded

@@ -586,6 +586,39 @@ def test_freq_kmax_needs_enough_m_cap(tmp_path, capsys, kmax):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,error", [
+    (("--horizon", "1000000000", "--kmax", "40"),
+     "block k=28 reaches m=536870911, beyond m_cap=500000000"),
+    (("--horizon", "3000", "--kmax", "11"), "block k=10 reaches m=2047, beyond m_cap=1500"),
+    (("--horizon", "1000000", "--kmax", "6", "--m-cap", "63"),
+     "block k=6 reaches m=127, beyond m_cap=63"),
+    (("--horizon", "3000", "--kmax", "3", "--m-cap", "0"), f"m_cap must be in [1, {2**31}], got 0"),
+    (("--horizon", str(2**32), "--kmax", "3"),
+     "last-occurrence slots are 4-byte; n_max must stay below 2^32"),
+], ids=["horizon-1e9", "past-the-checkpoint", "explicit-m-cap", "m-cap-0", "horizon-2**32"])
+def test_freq_refuses_a_table_that_cannot_fit_before_computing(tmp_path, monkeypatch, capsys,
+                                                               argv, error):
+    """A --kmax past m_cap, an m_cap no value reaches, or a horizon past the
+    4-byte last occurrences: the trace is neither computed nor loaded, and
+    the checkpoint is neither written nor extended."""
+    trace = tmp_path / "t.qtr"
+    assert main(["--data-dir", str(tmp_path), "compute", "--horizon", "1000",
+                 "--trace", str(trace)]) == EXIT_OK
+    before = trace.read_bytes()
+
+    def obtain(*args):
+        raise AssertionError("freq obtained a trace")
+
+    monkeypatch.setattr(cli, "obtain_trace", obtain)
+    capsys.readouterr()
+    for path in (trace, tmp_path / "new.qtr"):
+        code = main(["--data-dir", str(tmp_path), "freq", *argv, "--trace", str(path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {error}\n"
+    assert trace.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [trace]
+
+
 @pytest.mark.parametrize("kmax,expected", [("5", EXIT_OK), ("6", EXIT_CONFIG)])
 def test_freq_kmax_at_the_m_cap(tmp_path, capsys, kmax, expected):
     """m_cap = 2^6 - 1 holds blocks 0..5 whole."""

@@ -111,7 +111,7 @@ def test_parity_guard_names_the_first_even_value_across_blocks(short_trace, monk
 
 
 def test_identities_hold_and_match_oracle(short_trace, oracle_values):
-    assert check_subsequence_identities(short_trace).size == 0
+    assert len(check_subsequence_identities(short_trace)) == 0
     assert oracle.identity_violations(oracle_values, 2, short_trace.len // 2) == []
     with pytest.raises(RangeError):
         check_subsequence_identities(short_trace, 2, short_trace.len)
@@ -143,7 +143,7 @@ def test_identities_catch_a_corrupted_trace(short_trace):
     tampered = short_trace.values.copy()
     tampered[100] += 2  # keep parity, break the recursion
     broken = Trace(short_trace.config, tampered, short_trace.outcome)
-    assert check_subsequence_identities(broken).size > 0
+    assert len(check_subsequence_identities(broken)) > 0
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -160,7 +160,7 @@ def test_identities_in_blocks_match_one_pass(short_trace, monkeypatch, forge, bl
     monkeypatch.setattr(diagnostics, "_BLOCK", block)
     blocked = check_subsequence_identities(trace, 2, 2500)
     assert blocked.tolist() == whole.tolist()
-    assert (whole.size == 0) == (not forge)
+    assert (len(whole) == 0) == (not forge)
     if 3001 not in forge:  # the oracle reads a negative index from the end
         assert whole.tolist() == oracle.identity_violations(values.tolist(), 2, 2500)
     else:

@@ -14,9 +14,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qseq import _native, _pykernel, perfprobe, verify
+import oracle
+from qseq import _native, _pykernel, diagnostics, perfprobe, verify
 from qseq._native import ST_COUNT_OVERFLOW, ST_DEATH, ST_OK, ST_OVERFLOW, ST_PARITY
 from qseq.cli import EXIT_OK, main
+from qseq.engine import RecursionConfig, Seed, run
 
 C = _native.compiled
 CAPS = {4: 2**32 - 1, 8: 2**63 - 1}
@@ -240,6 +242,125 @@ def test_linear_series_errors_agree(kernel, values, lo, hi, terms, out, den):
     assert got.tolist() == out().tolist()
 
 
+def widened(trace, width, forge=()):
+    """A copy of the trace's values in width-byte slots, with forge's
+    (n, delta) added."""
+    values = trace.values.astype(f"<u{width}")
+    for n, delta in dict(forge).items():
+        values[n] += delta
+    return values
+
+
+@pytest.mark.parametrize("width", [4, 8])
+@pytest.mark.parametrize("even_at,lo,hi", [
+    (None, 1, 5000), (1, 1, 5000), (5000, 1, 5000), (4321, 4321, 4321), (4321, 1, 4320),
+    (4321, 1, 4500), (None, 12, 11),
+], ids=["intact", "first-slot", "last-slot", "one-slot", "past-hi", "inside", "empty"])
+def test_first_even_agrees(kernel, short_trace, width, even_at, lo, hi):
+    """Both kernels name the first even value in [lo, hi], at either end too,
+    and 0 when there is none."""
+    values = widened(short_trace, width, {even_at: 1} if even_at else {})
+    got = kernel.first_even(values, lo, hi)
+    assert got == C.first_even(values, lo, hi)
+    assert got == (even_at if even_at is not None and lo <= even_at <= hi else 0)
+
+
+@pytest.mark.parametrize("values,lo,hi", [
+    (np.ones(10, dtype=np.uint16), 1, 9),
+    (ones(9), 0, 5),
+    (ones(9), 1, 10),
+    (ones(9), 11, 10),
+    (ones(9), 6, 4),
+], ids=["two-byte-items", "lo-0", "hi-past-the-end", "lo-past-the-end", "hi-below-lo-minus-1"])
+def test_first_even_errors_agree(kernel, values, lo, hi):
+    with pytest.raises(ValueError) as c_error:
+        C.first_even(values, lo, hi)
+    with same_error(c_error):
+        kernel.first_even(values, lo, hi)
+
+
+def violations(module, values, k_lo, k_hi):
+    """One interleave_violations call into fresh slots, two more than the
+    block, of UNTOUCHED: (count, the slots' values)."""
+    out = np.full(max(k_hi - k_lo + 1, 0) + 2, UNTOUCHED, dtype=np.int64)
+    count = module.interleave_violations(values, k_lo, k_hi, out)
+    return count, out.tolist()
+
+
+@pytest.mark.parametrize("width", [4, 8])
+@pytest.mark.parametrize("forge,k_lo,k_hi,violated", [
+    ({}, 2, 2500, False), ({100: 2}, 2, 2500, True), ({3001: 8000}, 2, 2500, True),
+    ({100: 2}, 40, 60, True), ({}, 2, 1, False), ({1999: 2, 2000: 4}, 1000, 1000, True),
+], ids=["intact", "inner-violation", "index-out-of-range", "window", "empty", "one-k"])
+def test_interleave_violations_agree(kernel, short_trace, width, forge, k_lo, k_hi, violated):
+    """The same k from both kernels, in order, and nothing written past
+    them; the oracle agrees where it reads no index out of range."""
+    values = widened(short_trace, width, forge)
+    count, out = violations(kernel, values, k_lo, k_hi)
+    assert (count, out) == violations(C, values, k_lo, k_hi)
+    assert out[count:] == [UNTOUCHED] * (len(out) - count)
+    assert (count > 0) == violated
+    if 3001 not in forge:  # the oracle reads a negative index from the end
+        assert out[:count] == oracle.identity_violations(values.tolist(), k_lo, k_hi)
+
+
+def at_a_hi(trace):
+    """8-byte values, L = 4999, on which both identities hold at k = L // 2
+    only if jb1 = (L + 1) // 2, the last A index, counts as in range: A(k)
+    reads as -2, so jb1 = k + 1, and B(ja2) and B(k) are forged to make
+    both sums agree modulo 2^64.  Only a value past 2^63 reaches the upper
+    index guards."""
+    values = trace.values[:5000].astype(np.uint64).tolist()
+    L, k = 4999, 2499
+    values[2 * k - 1] = 2**64 - 2
+    ja1, ja2 = (2 * k - 1 - values[2 * k - 2]) >> 1, (2 * k - 1 - values[2 * k - 3]) >> 1
+    jb2 = (2 * k - values[2 * k - 2] + 1) >> 1
+    assert ja1 != ja2
+    values[2 * ja2] = 2**64 - 1 - values[2 * ja1]
+    values[2 * k] = values[L] + values[2 * jb2 - 1] + 1
+    return np.array(values, dtype=np.uint64), k
+
+
+def at_b_hi(trace):
+    """8-byte values, L = 5000, on which both identities hold at k = L // 2
+    only if ja2 = L // 2, the last B index, counts as in range: A(k-1) reads
+    as -1, so ja2 = k, and B(ja1) is forged to make A(k)'s sum agree."""
+    values = trace.values.astype(np.uint64).tolist()
+    k = 2500
+    values[2 * k - 3] = 2**64 - 1
+    ja1 = (2 * k - 1 - values[2 * k - 2]) >> 1
+    values[2 * ja1] = (values[2 * k - 1] - values[2 * k] + 1) % 2**64
+    return np.array(values, dtype=np.uint64), k
+
+
+@pytest.mark.parametrize("forged", [at_a_hi, at_b_hi], ids=["a_hi", "b_hi"])
+def test_interleave_violations_count_an_index_at_the_upper_guard_as_in_range(
+        kernel, short_trace, forged):
+    values, k = forged(short_trace)
+    assert violations(kernel, values, k, k) == violations(C, values, k, k)
+    assert violations(kernel, values, k, k)[0] == 0
+
+
+@pytest.mark.parametrize("values,k_lo,k_hi,out", [
+    (np.ones(10, dtype=np.uint16), 2, 4, lambda: np.zeros(3, dtype=np.int64)),
+    (ones(9), 2, 4, lambda: np.zeros(3, dtype=np.uint64)),
+    (ones(9), 2, 4, lambda: np.zeros(6, dtype=np.int64)[::2]),
+    (ones(9), 1, 4, lambda: np.zeros(4, dtype=np.int64)),
+    (ones(9), 4, 2, lambda: np.zeros(3, dtype=np.int64)),
+    (ones(9), 2, 5, lambda: np.zeros(4, dtype=np.int64)),
+    (ones(9), 2, 4, lambda: np.zeros(2, dtype=np.int64)),
+], ids=["two-byte-values", "uint64-out", "strided-out", "k_lo-1", "k_hi-below-k_lo-minus-1",
+        "2k_hi-past-len", "out-too-short"])
+def test_interleave_violations_errors_agree(kernel, values, k_lo, k_hi, out):
+    """Both kernels refuse the same call with the same message, before any write."""
+    with pytest.raises(ValueError) as c_error:
+        C.interleave_violations(values, k_lo, k_hi, out())
+    got = out()
+    with same_error(c_error):
+        kernel.interleave_violations(values, k_lo, k_hi, got)
+    assert got.tolist() == out().tolist()
+
+
 ROWS = np.arange(1, 7, dtype=np.int64)
 FORMAT_CASES = {
     "int64": (np.array([1, -2, 0, 2**63 - 1, -(2**63), 10]), -ROWS, False),
@@ -285,17 +406,23 @@ def test_every_entry_goes_through_the_binding(tmp_path, monkeypatch, capsys):
             return getattr(_pykernel, name)(*args)
         return call
 
-    entries = ("advance", "count_values", "linear_series", "format_rows")
+    entries = ("advance", "count_values", "linear_series", "first_even",
+               "interleave_violations", "format_rows")
+    assert set(entries) == {name for name in vars(C) if not name.startswith("__")}
     monkeypatch.setattr(_native, "kernel", SimpleNamespace(**{e: recorded(e) for e in entries}))
     for argv, used in [
         (["compute", "--export"], {"advance", "linear_series", "format_rows"}),
         (["freq", "--kmax", "5"], {"advance", "count_values", "format_rows"}),
         (["diagnose", "--series", "E"], {"advance", "linear_series", "format_rows"}),
         (["selfsim", "--levels", "0..2"], {"advance", "linear_series", "format_rows"}),
+        (["seeds", "--length", "2", "--max-value", "2"], {"advance"}),
     ]:
         calls.clear()
         assert main(["--data-dir", str(tmp_path), *argv, "--horizon", "2000"]) == EXIT_OK
         assert set(calls) == used, argv
+    calls.clear()  # verify's criteria 4 and 5, on a trace of 2000
+    diagnostics.check_subsequence_identities(run(RecursionConfig(seed=Seed((1, 1)), horizon=2000)))
+    assert set(calls) == {"advance", "first_even", "interleave_violations"}
     assert not _native.have_native_kernel()
     capsys.readouterr()
     perfprobe.perf_probe(1000)

@@ -117,6 +117,44 @@ def test_the_text_verbs_load_no_numpy(tmp_path, verb, args, written):
     assert path.stat().st_size > 0
 
 
+@pytest.mark.parametrize("argv,said", [
+    (("freq", "--horizon", "3000", "--kmax", "9"), "wrote {}/freq_F_s1-1_alternating_w4_n3000_k9.dat"
+                                                   " (1023 lines)"),
+    (("seeds", "--horizon", "20000"), "wrote {}/seeds_len3_max3_h20000.txt"),
+    (("verify", "--only", "1..9,11,13"), "11 of 11 criteria passed"),
+], ids=["freq", "seeds", "verify-without-12"])
+def test_the_analysis_verbs_load_no_numpy(tmp_path, argv, said):
+    """freq, seeds and verify's own process (criterion 12's child is pinned
+    below) read buffers, and the kernel checks parity and the identities."""
+    out, numpy_loaded = loads_numpy(tmp_path, *argv)
+    assert out[-1] == said.format(tmp_path)
+    assert not numpy_loaded
+
+
+def test_freq_from_a_checkpoint_loads_no_numpy(tmp_path):
+    trace = tmp_path / "t.qtr"
+    loads_numpy(tmp_path, "compute", "--horizon", "6000", "--trace", str(trace))
+    out, numpy_loaded = loads_numpy(tmp_path, "freq", "--horizon", "3000", "--kmax", "9",
+                                    "--trace", str(trace))
+    assert out[0] == f"wrote {tmp_path}/freq_report_s1-1_alternating_w4_n3000.txt"
+    assert not numpy_loaded
+
+
+@pytest.mark.parametrize("argv,said", [
+    (("freq", "--horizon", "2000", "--kmax", "8"), "wrote {}/freq_F_s1-1_alternating_w4_n2000_k8.dat"
+                                                   " (511 lines)"),
+    (("seeds", "--length", "2", "--max-value", "2", "--horizon", "2000"),
+     "wrote {}/seeds_len2_max2_h2000.txt"),
+    (("verify", "--only", "1..3"), "3 of 3 criteria passed"),
+], ids=["freq", "seeds", "verify"])
+def test_the_twin_runs_the_analysis_verbs_without_numpy(tmp_path, argv, said):
+    blocker = tmp_path / "cache"
+    blocker.write_text("a file, so the cache directory cannot be made\n")
+    out, numpy_loaded = loads_numpy(tmp_path, *argv, XDG_CACHE_HOME=str(blocker))
+    assert out[-1] == said.format(tmp_path)
+    assert not numpy_loaded
+
+
 def test_the_twin_computes_without_numpy(tmp_path):
     blocker = tmp_path / "cache"
     blocker.write_text("a file, so the cache directory cannot be made\n")

@@ -10,6 +10,7 @@ from qseq.cli import seed_row
 from qseq.engine import Perturbation, RecursionConfig, Seed, run
 from qseq.errors import ConfigError
 from qseq.seedlab import (
+    MAX_SHIFT,
     SeedClass,
     classify,
     detect_merge,
@@ -127,6 +128,29 @@ def test_detect_ramp_orbit():
 
 def test_detect_ramp_orbit_false_on_reference(short_trace):
     assert not detect_ramp_orbit(short_trace)
+
+
+@pytest.fixture(scope="module")
+def references_by_width():
+    """The (1,1) reference for a 10^5 survey, in 4- and in 8-byte slots."""
+    return {width: run(RecursionConfig(seed=Seed((1, 1)), horizon=10**5 + MAX_SHIFT,
+                                       width=width)) for width in (4, 8)}
+
+
+@pytest.mark.parametrize("seed,cls", [
+    ((1, 1, 1), SeedClass.ORIGINAL),
+    ((2, 1, 1), SeedClass.MERGES_INTO_ORIGINAL),
+    ((1, 3, 3), SeedClass.SHIFTED_ORIGINAL),
+    ((1, 1, 2), SeedClass.RAMP_ORBIT),
+    ((1, 3, 1), SeedClass.LONG_LIVED_IRREGULAR),
+])
+def test_classify_compares_values_across_slot_widths(references_by_width, seed, cls):
+    """A seed's 4-byte run against an 8-byte reference gives the report it
+    gives against a 4-byte one: the survey compares values, not bytes."""
+    narrow, wide = (classify(Seed(seed), references_by_width[width], horizon=10**5)
+                    for width in (4, 8))
+    assert narrow.classification is cls
+    assert wide == narrow
 
 
 def test_enumerate_seeds():
