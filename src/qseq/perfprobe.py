@@ -4,11 +4,14 @@
 perf_probe(H)"``; ``qseq verify`` calls it before it imports the checklist,
 so the child runs beside that import too.  This module loads the kernel
 binding and the engine, and neither NumPy nor the checklist, so the peak RSS
-the child reports is the run's own.
+the child reports is the run's own.  It is read from VmHWM, which exec
+resets, and not from ru_maxrss, which Linux carries across exec from the
+parent that forked the child.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import resource
 import sys
@@ -42,7 +45,16 @@ def perf_probe(horizon: int) -> None:
     t0 = time.perf_counter()
     trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=horizon, width=4))
     elapsed = time.perf_counter() - t0
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    peak_mb = rss / 1024 if sys.platform != "darwin" else rss / 1024 ** 2
     print(json.dumps({"kernel": "native", "endpoint": trace.value_at(horizon),
-                      "seconds": elapsed, "peak_mb": peak_mb}))
+                      "seconds": elapsed, "peak_mb": peak_mb()}))
+
+
+def peak_mb() -> float:
+    """This process's peak RSS in MB: VmHWM from /proc/self/status where it
+    exists, else ru_maxrss."""
+    with contextlib.suppress(OSError), open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss / 1024 if sys.platform != "darwin" else rss / 1024 ** 2

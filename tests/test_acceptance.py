@@ -11,7 +11,10 @@ oracle agree on the value, so the honest result is red.
 """
 
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import frozen_values as frozen
 import oracle
@@ -100,6 +103,28 @@ def test_perf_probe_names_its_kernel(kernel, monkeypatch, capsys):
         assert (stats["kernel"], stats["endpoint"]) == ("native", oracle.naive_q_at((1, 1), 1000))
     else:
         assert stats == {"kernel": "python", "reason": "no compiler"}
+
+
+PROBE_BESIDE_BALLAST = """
+from qseq.perfprobe import start_probe
+ballast = b"x" * (300 << 20)  # written, so resident
+child, _ = start_probe(10**5)
+print(child.communicate(timeout=120)[0], end="")
+"""
+
+
+@pytest.mark.skipif(_native.compiled is None, reason="the probe times only the C kernel")
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_the_probe_reports_its_own_peak_not_its_parents():
+    """A parent holding 300 MB starts the probe: the child reports its own
+    peak, not the parent's that Linux carries across exec in ru_maxrss."""
+    env = dict(os.environ, PYTHONPATH=str(Path(perfprobe.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", PROBE_BESIDE_BALLAST], env=env,
+                         capture_output=True, text=True, timeout=180)
+    assert out.returncode == 0, out.stderr
+    stats = json.loads(out.stdout)
+    assert stats["kernel"] == "native"
+    assert 0 < stats["peak_mb"] < 100
 
 
 class FakeProbe:

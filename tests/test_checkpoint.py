@@ -201,6 +201,160 @@ def test_flipped_last_value_byte_fails_checksum(tmp_path, monkeypatch):
         checkpoint.load(path)
 
 
+HALF = checkpoint._READ_CHUNK // 2
+
+
+@pytest.mark.parametrize("len1,len2", [
+    (0, 0), (0, 1), (1, 0), (1, 1), (0, 7), (7, 0), (3, 5), (1, 2), (4001, 4003),
+    (HALF - 1, HALF), (HALF, HALF), (HALF + 1, HALF - 1), (5, HALF + 1), (HALF + 1, 5),
+])
+def test_crc32_combine_equals_the_crc_of_the_concatenation(len1, len2):
+    first, second = os.urandom(len1), os.urandom(len2)
+    combined = checkpoint.crc32_combine(zlib.crc32(first), zlib.crc32(second), len2)
+    assert combined == zlib.crc32(first + second)
+
+
+def values_file(tmp_path, horizon, width=4):
+    """A saved live trace of horizon values from seed (1,1): its path, the
+    offset of its first value, and the first value the load thread reads."""
+    trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=horizon, width=width))
+    _, path = roundtrip(trace, tmp_path)
+    start = checkpoint._HEADER.size + 16
+    return trace, path, start, start + width * (horizon // 2)
+
+
+@pytest.mark.parametrize("chunk", [checkpoint._READ_CHUNK, 24])
+@pytest.mark.parametrize("where", ["first-value", "first-half", "before-split", "at-split",
+                                   "second-half", "last-value", "trailer", "trailer-last"])
+def test_one_flipped_byte_anywhere_after_the_header_fails_checksum(tmp_path, monkeypatch,
+                                                                    where, chunk):
+    """An odd count of 1001 slots splits 500 | 501: the halves differ in length."""
+    _, path, start, split = values_file(tmp_path, 1001)
+    end = start + 4 * 1001
+    index = {"first-value": start, "first-half": start + 777, "before-split": split - 1,
+             "at-split": split, "second-half": split + 1001, "last-value": end - 1,
+             "trailer": end, "trailer-last": end + 3}[where]
+    raw = bytearray(path.read_bytes())
+    assert len(raw) == end + 4
+    raw[index] ^= 0x10
+    path.write_bytes(bytes(raw))
+    monkeypatch.setattr(checkpoint, "_READ_CHUNK", chunk)
+    with pytest.raises(CheckpointChecksumError):
+        checkpoint.load(path)
+
+
+@pytest.mark.parametrize("config", [
+    RecursionConfig(seed=Seed((1, 1)), horizon=2),
+    RecursionConfig(seed=Seed((1, 1)), horizon=2, width=8),
+    RecursionConfig(seed=Seed((1, 1, 1)), horizon=3),
+    RecursionConfig(seed=Seed((3, 1, 2)), horizon=1001, width=8),
+])
+def test_the_smallest_and_odd_payloads_load(tmp_path, config):
+    """A checkpoint holds at least its seed, two slots: 4·2 or 8·2 bytes of
+    values, one slot to each half; three slots and 1001 split unevenly."""
+    trace = run(config)
+    loaded, path = roundtrip(trace, tmp_path)
+    assert loaded == trace
+    assert loaded.len == config.horizon
+
+
+@pytest.mark.parametrize("length", [0, 1])
+def test_a_header_of_fewer_slots_than_a_seed_is_refused_before_any_read(tmp_path, monkeypatch,
+                                                                        length):
+    """A payload of 0 or 1 slot cannot hold a seed, so read_header refuses it
+    and no CRC thread starts."""
+    _, path = roundtrip(run(RecursionConfig(seed=Seed((1, 1)), horizon=2)), tmp_path)
+    raw = path.read_bytes()
+    head = checkpoint._HEADER.unpack_from(raw)[:-2] + (length, length)
+    body = checkpoint._HEADER.pack(*head) + raw[checkpoint._HEADER.size : -4 - 4 * (2 - length)]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    monkeypatch.setattr(checkpoint, "threading", None)
+    with pytest.raises(CheckpointFormatError, match="horizon must be an integer >= seed length"):
+        checkpoint.load(path)
+
+
+def failing_preadv(thread, failure):
+    """os.preadv that fails in the named load thread: it reads one byte short
+    ("short") or raises EIO ("oserror"); other threads read as usual."""
+    real = os.preadv
+
+    def preadv(fd, buffers, offset):
+        if threading.current_thread().name != thread:
+            return real(fd, buffers, offset)
+        if failure == "oserror":
+            raise OSError(5, "Input/output error")
+        return real(fd, [buffers[0][:-1]], offset)
+
+    return preadv
+
+
+LOAD_THREADS = {"worker": "qseq-load-crc", "caller": threading.main_thread().name}
+
+
+@pytest.mark.parametrize("half", ["worker", "caller"])
+@pytest.mark.parametrize("failure", ["short", "oserror"])
+def test_a_failed_read_in_either_half_raises_and_leaves_no_thread(tmp_path, monkeypatch,
+                                                                  half, failure):
+    """Whichever thread's read fails, load raises what a failed read raised
+    before the split (a short read as truncation, an OSError as itself),
+    after the CRC thread has ended."""
+    _, path, _, _ = values_file(tmp_path, 10**5 + 1)
+    monkeypatch.setattr(checkpoint.os, "preadv", failing_preadv(LOAD_THREADS[half], failure))
+    threads = threading.active_count()
+    expected = CheckpointTruncatedError if failure == "short" else OSError
+    with pytest.raises(expected, match="ended while being read|Input/output error"):
+        checkpoint.load(path)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("half", ["worker", "caller"])
+@pytest.mark.parametrize("failure,code,note", [
+    ("short", 0, "note: ignoring unreadable checkpoint {}: {} ended while being read\n"),
+    ("oserror", 5, "error: [Errno 5] Input/output error\n"),
+])
+def test_a_failed_read_in_either_half_gives_the_cli_its_exit_code(tmp_path, monkeypatch, capsys,
+                                                                  half, failure, code, note):
+    """Through the store: a short read makes the checkpoint unreadable, so
+    it is computed again and rewritten; an OSError exits EXIT_IO."""
+    from qseq.cli import main
+
+    path = tmp_path / "t.qtr"
+    argv = ["compute", "--horizon", "100001", "--trace", str(path)]
+    assert main(argv) == 0
+    saved = path.read_bytes()
+    capsys.readouterr()
+    monkeypatch.setattr(checkpoint.os, "preadv", failing_preadv(LOAD_THREADS[half], failure))
+    threads = threading.active_count()
+    assert main(argv) == code
+    assert capsys.readouterr().err == note.format(path, f"{path}:")
+    assert threading.active_count() == threads
+    assert path.read_bytes() == saved
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_load_raises_the_peak_by_its_two_buffers_only(tmp_path, main_trace):
+    """In a fresh interpreter, loading 10^7 slots (40 MB) raises the peak
+    RSS by at most _READ_CHUNK plus 1 MB: the CRC reads through two fixed
+    buffers, and the mapped values stay out of memory until read."""
+    path = tmp_path / "big.qtr"
+    checkpoint.save(main_trace, path)
+    code = ("import sys\nfrom qseq import checkpoint\n"
+            "def status(key):\n"
+            "    for line in open('/proc/self/status'):\n"
+            "        if line.startswith(key):\n"
+            "            return int(line.split()[1]) * 1024\n"
+            "before = status('VmRSS:')\n"
+            "trace = checkpoint.load(sys.argv[1])\n"
+            "print(status('VmHWM:') - before, trace.len)")
+    env = dict(os.environ, PYTHONPATH=str(Path(checkpoint.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, path], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    growth, length = map(int, out.stdout.split())
+    assert length == 10**7
+    assert growth <= checkpoint._READ_CHUNK + (1 << 20), f"{growth / 2**20:.1f} MB"
+
+
 @pytest.mark.parametrize("width", [4, 8])
 def test_loaded_values_are_read_only_with_slot_zero_clear(tmp_path, width):
     # slot 0 overlays the last seed bytes: at width 8 that is the stored 2
