@@ -1,4 +1,9 @@
-"""The pure-Python twin of ``_qkernel.c``, entry for entry, about 100x slower."""
+"""The pure-Python twin of ``_qkernel.c``, entry for entry, about 100x slower.
+
+Each entry takes its extents from its buffers, as the C kernel does: a
+value buffer of len(values) slots holds Q(1..len(values) - 1), and an out
+buffer receives len(out) rows.
+"""
 
 import sys
 from array import array
@@ -14,18 +19,14 @@ def _items(buffer, sizes: tuple[int, ...], error: str) -> memoryview:
     return view.cast("B").cast({1: "B", 4: "I", 8: "Q"}[view.itemsize])
 
 
-def advance(values, start, horizon, eps_even, eps_odd, cap):
+def advance(values, start, eps_even, eps_odd):
     q = _items(values, (4, 8), "value buffer must hold 4- or 8-byte items")
-    if not 0 <= cap <= SLOT_CAPS[q.itemsize]:
-        raise ValueError(
-            "cap must be in [0, 2**32 - 1] for 4-byte items, [0, 2**63 - 1] for 8-byte")
-    if len(q) < horizon + 1:
-        raise ValueError("value buffer shorter than horizon + 1")
-    if not 2 <= start <= horizon + 1:
-        raise ValueError("start must be in [2, horizon + 1]")
-    if max(q[1:start]) > cap:
-        raise ValueError("a value before start exceeds cap")
-    for n in range(start, horizon + 1):
+    cap = SLOT_CAPS[q.itemsize]
+    if not 2 <= start <= len(q):
+        raise ValueError("start must be in [2, len(values)]")
+    if q.itemsize == 8 and max(q[1:start]) > cap:
+        raise ValueError("a value before start exceeds 2**63 - 1")
+    for n in range(start, len(q)):
         t1, t2 = n - q[n - 1], n - q[n - 2]
         if t1 <= 0 or t2 <= 0:
             return ST_DEATH, n, int(t1 <= 0), int(t2 <= 0)
@@ -36,14 +37,14 @@ def advance(values, start, horizon, eps_even, eps_odd, cap):
     return ST_OK, 0, 0, 0
 
 
-def count_values(values, n_max, counts, last_occurrence, m_cap):
+def count_values(values, counts, last_occurrence):
     error = "unexpected buffer item sizes"
     q, tally, last = (_items(values, (4, 8), error), _items(counts, (1,), error),
                       _items(last_occurrence, (4,), error))
-    if len(q) < n_max + 1 or len(tally) < m_cap + 1 or len(last) < m_cap + 1:
-        raise ValueError("buffer too short")
-    overflow = 0
-    for n in range(1, n_max + 1):
+    if len(last) < len(tally):
+        raise ValueError("last_occurrence shorter than counts")
+    m_cap, overflow = len(tally) - 1, 0
+    for n in range(1, len(q)):
         v = q[n]
         if not v & 1:
             return ST_PARITY, n
@@ -72,55 +73,47 @@ def _column(buffer) -> tuple[str, memoryview] | None:
     return kind, view.cast("B").cast(kind)
 
 
-def linear_series(values, lo, hi, terms, slope, out, den=1):
+def linear_series(values, lo, terms, slope, out, den=1):
     q = _items(values, (4, 8), "value buffer must hold 4- or 8-byte items")
     kind, items = _column(out) or (None, None)
     if kind not in ("q", "d"):
         raise ValueError("out must be a 1-D C-contiguous int64 or float64 buffer")
     if den < 1 or (kind == "q" and den != 1):
         raise ValueError("den must be >= 1, and 1 for an int64 out")
-    if hi < lo - 1:
-        raise ValueError("need lo <= hi + 1")
-    if hi - lo + 1 > len(items):
-        raise ValueError("out shorter than hi - lo + 1")
+    rows = range(lo, lo + len(items))
     for c, m, a in terms:
-        for n in (lo, hi) if hi >= lo else ():
+        for n in (rows[0], rows[-1]) if rows else ():
             if not 1 <= m * n + a <= len(q) - 1:
                 raise ValueError(f"term ({c}, {m}, {a}) reads outside Q(1..{len(q) - 1})"
                                  f" at n = {n}")
-    rows = range(lo, hi + 1)
     acc = [slope * n for n in rows]
     for c, m, a in terms:
         acc = [v + c * q[m * n + a] for v, n in zip(acc, rows)]
     ints = [(v + 2**63) % 2**64 - 2**63 for v in acc]  # modulo 2^64, as C's int64
-    items[: len(rows)] = array(kind, ints if kind == "q" else [v / float(den) for v in ints])
+    items[:] = array(kind, ints if kind == "q" else [v / float(den) for v in ints])
 
 
-def first_even(values, lo, hi):
+def first_even(values):
     q = _items(values, (4, 8), "value buffer must hold 4- or 8-byte items")
-    if not 1 <= lo <= hi + 1 <= len(q):
-        raise ValueError("need 1 <= lo <= hi + 1 <= len(values)")
-    return next((n for n in range(lo, hi + 1) if not q[n] & 1), 0)
+    return next((n for n in range(1, len(q)) if not q[n] & 1), 0)
 
 
-def interleave_violations(values, k_lo, k_hi, out):
+def interleave_violations(values, k_lo, out):
     q = _items(values, (4, 8), "value buffer must hold 4- or 8-byte items")
     kind, items = _column(out) or (None, None)
     L = len(q) - 1
     if kind != "q":
         raise ValueError("out must be a 1-D C-contiguous int64 buffer")
-    if not 2 <= k_lo <= k_hi + 1:
-        raise ValueError("need 2 <= k_lo <= k_hi + 1")
-    if 2 * k_hi > L:
-        raise ValueError("need 2 * k_hi <= len(values) - 1")
-    if k_hi - k_lo + 1 > len(items):
-        raise ValueError("out shorter than k_hi - k_lo + 1")
+    if k_lo < 2:
+        raise ValueError("need k_lo >= 2")
+    if 2 * (k_lo + len(items) - 1) > L:
+        raise ValueError("need 2 * (k_lo + len(out) - 1) <= len(values) - 1")
 
     def half(x):  # x modulo 2^64 as an int64, floor-halved
         return ((x + 2**63) % 2**64 - 2**63) >> 1
 
     count = 0
-    for k in range(k_lo, k_hi + 1):
+    for k in range(k_lo, k_lo + len(items)):
         a, b, a_prev, b_prev = q[2 * k - 1], q[2 * k], q[2 * k - 3], q[2 * k - 2]
         ja1, ja2 = half(2 * k - 1 - b_prev), half(2 * k - 1 - a_prev)
         jb1, jb2 = half(2 * k - a + 1), half(2 * k - b_prev + 1)

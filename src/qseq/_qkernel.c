@@ -3,8 +3,10 @@
  *
  * Arrays are passed via the buffer protocol, so this file has no numpy
  * dependency.  Value buffers are 1-based: slot 0 is unused, slot n holds
- * Q(n).  Both 4-byte and 8-byte unsigned layouts are supported; arithmetic
- * runs in signed 64-bit, which cannot overflow for values below the caps
+ * Q(n), so a buffer of len(values) slots holds Q(1..len(values) - 1).  Each
+ * entry takes its extents from its buffers: the values it runs over, and
+ * the rows of its out buffer.  Both 4-byte and 8-byte unsigned layouts are
+ * supported; arithmetic runs in signed 64-bit on values below the caps
  * enforced here.  advance runs the recursion, count_values tallies the
  * values, linear_series evaluates a series such as 2Q(n) - n into an int64
  * or float64 column, first_even and interleave_violations check parity and
@@ -23,18 +25,16 @@
 #define ST_PARITY 3
 #define ST_COUNT_OVERFLOW 4
 
-/* advance(values, start, horizon, eps_even, eps_odd, cap)
- *   -> (status, step, bad_t1, bad_t2)
+/* advance(values, start, eps_even, eps_odd) -> (status, step, bad_t1, bad_t2)
  *
  * Runs q[n] = q[n - q[n-1]] + q[n - q[n-2]] + eps(n) in place for
- * n = start..horizon, 2 <= start <= horizon + 1.  Stops at the first n
- * where a clock index is non-positive (ST_DEATH, bad flags say which) or
- * where the new value would exceed cap (ST_OVERFLOW).  Before any read,
- * ValueError if cap does not fit the slot as a signed 64-bit value
- * (above 2^32 - 1 for 4-byte slots, 2^63 - 1 for 8-byte) or if a value
- * in q[1..start-1] exceeds cap; resuming at 10^7 scans that prefix once,
- * unless the slots are 4 bytes and cap is their own 2^32 - 1, which no
- * stored value can exceed.
+ * n = start..horizon, horizon = len(values) - 1, 2 <= start <= horizon + 1.
+ * Stops at the first n where a clock index is non-positive (ST_DEATH, bad
+ * flags say which) or where the new value would exceed the slot's cap
+ * (ST_OVERFLOW): 2^32 - 1 for 4-byte slots, 2^63 - 1 for 8-byte, so that
+ * the arithmetic runs in signed 64-bit.  Before any read, ValueError if a
+ * value in q[1..start-1] of 8-byte slots exceeds 2^63 - 1; resuming at
+ * 10^7 scans that prefix once.  No 4-byte value can exceed its cap.
  *
  * One loop, defined for each slot type, carries Q(n-1) and Q(n-2) in p1
  * and p2 instead of loading back the slots just written, and takes the
@@ -55,107 +55,84 @@ typedef struct { int status; long long step; int bad1, bad2; } Stop;
         p2 = p1; p1 = val;                                              \
     } while (0)
 
-#define DEFINE_ADVANCE_LOOP(name, T)                                    \
+#define DEFINE_ADVANCE_LOOP(name, T, CAP)                               \
 static Stop name(T *q, long long n, long long horizon,                  \
-                 long long eps_even, long long eps_odd, unsigned long long cap) \
+                 long long eps_even, long long eps_odd)                 \
 {                                                                       \
+    const unsigned long long cap = (CAP);                               \
     long long p1 = (long long)q[n - 1], p2 = (long long)q[n - 2];       \
     if ((n & 1) && n <= horizon) STEP(T, eps_odd);                      \
     while (n < horizon) { STEP(T, eps_even); STEP(T, eps_odd); }        \
     if (n == horizon) STEP(T, eps_even);                                \
     return (Stop){ST_OK, 0, 0, 0};                                      \
 }
-DEFINE_ADVANCE_LOOP(advance4, uint32_t)
-DEFINE_ADVANCE_LOOP(advance8, uint64_t)
+DEFINE_ADVANCE_LOOP(advance4, uint32_t, UINT32_MAX)
+DEFINE_ADVANCE_LOOP(advance8, uint64_t, INT64_MAX)
 
-/* Whether any of q[1..start-1] exceeds cap: such a value would read as
- * negative or as a different number in the loop, so advance refuses it.
- * A running maximum, without an early exit, lets the compiler vectorise. */
-#define DEFINE_PREFIX_ABOVE(name, T)                                    \
-static int name(const T *q, long long start, long long cap)             \
-{                                                                       \
-    T top = 0;                                                          \
-    for (long long i = 1; i < start; i++)                               \
-        top = q[i] > top ? q[i] : top;                                  \
-    return (unsigned long long)top > (unsigned long long)cap;           \
+/* Whether any of q[1..start-1] reads as a negative int64.  A running
+ * maximum, without an early exit, lets the compiler vectorise. */
+static int
+prefix_above_int64(const uint64_t *q, long long start)
+{
+    uint64_t top = 0;
+    for (long long i = 1; i < start; i++)
+        top = q[i] > top ? q[i] : top;
+    return top > INT64_MAX;
 }
-DEFINE_PREFIX_ABOVE(prefix_above4, uint32_t)
-DEFINE_PREFIX_ABOVE(prefix_above8, uint64_t)
 
 static PyObject *
 advance(PyObject *self, PyObject *args)
 {
     Py_buffer view;
-    long long start, horizon, eps_even, eps_odd;
-    PyObject *cap_obj;
+    long long start, eps_even, eps_odd;
 
-    if (!PyArg_ParseTuple(args, "w*LLLLO", &view, &start, &horizon,
-                          &eps_even, &eps_odd, &cap_obj))
+    if (!PyArg_ParseTuple(args, "w*LLL", &view, &start, &eps_even, &eps_odd))
         return NULL;
-    int overflow;  /* a cap outside signed 64-bit reads as -1, refused below */
-    long long cap = PyLong_AsLongLongAndOverflow(cap_obj, &overflow);
-    if (cap == -1 && PyErr_Occurred()) {
-        PyBuffer_Release(&view);
-        return NULL;
-    }
+    long long horizon = (long long)(view.len / view.itemsize) - 1;
     const char *error = NULL;
     if (view.itemsize != 4 && view.itemsize != 8)
         error = "value buffer must hold 4- or 8-byte items";
-    else if (cap < 0 || cap > (view.itemsize == 4 ? (long long)UINT32_MAX : INT64_MAX))
-        error = "cap must be in [0, 2**32 - 1] for 4-byte items, [0, 2**63 - 1] for 8-byte";
-    else if ((long long)(view.len / view.itemsize) < horizon + 1)
-        error = "value buffer shorter than horizon + 1";
     else if (start < 2 || start > horizon + 1)  /* the loop reads q[start-2] first */
-        error = "start must be in [2, horizon + 1]";
-    else if (view.itemsize == 4
-             ? cap < UINT32_MAX && prefix_above4((uint32_t *)view.buf, start, cap)
-             : prefix_above8((uint64_t *)view.buf, start, cap))
-        error = "a value before start exceeds cap";
+        error = "start must be in [2, len(values)]";
+    else if (view.itemsize == 8 && prefix_above_int64((uint64_t *)view.buf, start))
+        error = "a value before start exceeds 2**63 - 1";
     if (error) {
         PyBuffer_Release(&view);
         PyErr_SetString(PyExc_ValueError, error);
         return NULL;
     }
     Stop stop = view.itemsize == 4
-        ? advance4((uint32_t *)view.buf, start, horizon, eps_even, eps_odd, cap)
-        : advance8((uint64_t *)view.buf, start, horizon, eps_even, eps_odd, cap);
+        ? advance4((uint32_t *)view.buf, start, horizon, eps_even, eps_odd)
+        : advance8((uint64_t *)view.buf, start, horizon, eps_even, eps_odd);
     PyBuffer_Release(&view);
     return Py_BuildValue("iLii", stop.status, stop.step, stop.bad1, stop.bad2);
 }
 
-/* count_values(values, n_max, counts, last_occurrence, m_cap)
- *   -> (status, aux)
+/* count_values(values, counts, last_occurrence) -> (status, aux)
  *
- * Single pass over q[1..n_max].  Every value must be odd (ST_PARITY,
- * aux = offending n).  Value v is binned at m = (v+1)/2; counts is a
- * 1-byte slot per m (ST_COUNT_OVERFLOW, aux = m, if a slot would pass
- * 255); last_occurrence is a 4-byte slot per m updated to n.  Values
- * with m > m_cap are only tallied: on ST_OK, aux is that tally.
+ * Single pass over q[1..n_max], n_max = len(values) - 1.  Every value must
+ * be odd (ST_PARITY, aux = offending n).  Value v is binned at
+ * m = (v+1)/2; counts is a 1-byte slot per m (ST_COUNT_OVERFLOW, aux = m,
+ * if a slot would pass 255); last_occurrence is a 4-byte slot per m
+ * updated to n, at least as long as counts.  Values with
+ * m > m_cap = len(counts) - 1 are only tallied: on ST_OK, aux is that tally.
  */
 static PyObject *
 count_values(PyObject *self, PyObject *args)
 {
     Py_buffer qv, cv, lv;
-    long long n_max, m_cap;
 
-    if (!PyArg_ParseTuple(args, "y*Lw*w*L", &qv, &n_max, &cv, &lv, &m_cap))
+    if (!PyArg_ParseTuple(args, "y*w*w*", &qv, &cv, &lv))
         return NULL;
 
     int status = ST_OK;
-    long long aux = 0;
-
-    if ((qv.itemsize != 4 && qv.itemsize != 8) || cv.itemsize != 1 || lv.itemsize != 4) {
-        PyErr_SetString(PyExc_ValueError, "unexpected buffer item sizes");
-        goto done_err;
-    }
-    if ((long long)(qv.len / qv.itemsize) < n_max + 1
-        || (long long)cv.len < m_cap + 1
-        || (long long)(lv.len / lv.itemsize) < m_cap + 1) {
-        PyErr_SetString(PyExc_ValueError, "buffer too short");
-        goto done_err;
-    }
-
-    {
+    long long aux = 0, n_max = (long long)(qv.len / qv.itemsize) - 1, m_cap = (long long)cv.len - 1;
+    const char *error = NULL;
+    if ((qv.itemsize != 4 && qv.itemsize != 8) || cv.itemsize != 1 || lv.itemsize != 4)
+        error = "unexpected buffer item sizes";
+    else if (lv.len / lv.itemsize < cv.len)
+        error = "last_occurrence shorter than counts";
+    else {
         uint8_t *counts = (uint8_t *)cv.buf;
         uint32_t *last = (uint32_t *)lv.buf;
         long long overflow = 0;
@@ -186,13 +163,11 @@ done:
     PyBuffer_Release(&qv);
     PyBuffer_Release(&cv);
     PyBuffer_Release(&lv);
+    if (error) {
+        PyErr_SetString(PyExc_ValueError, error);
+        return NULL;
+    }
     return Py_BuildValue("iL", status, aux);
-
-done_err:
-    PyBuffer_Release(&qv);
-    PyBuffer_Release(&cv);
-    PyBuffer_Release(&lv);
-    return NULL;
 }
 
 /* The kind of a 1-D C-contiguous buffer of 8-byte native items: 'q'
@@ -210,17 +185,17 @@ item_kind(const Py_buffer *v)
 
 /* ------------------------------------------------------------- series */
 
-/* linear_series(values, lo, hi, terms, slope, out, den=1) -> None
+/* linear_series(values, lo, terms, slope, out, den=1) -> None
  *
- * For n = lo..hi, out[n - lo] = slope*n + the sum of c*q[m*n + a] over the
+ * For n = lo..hi, hi = lo + len(out) - 1, out[n - lo] = slope*n + the sum of c*q[m*n + a] over the
  * triples (c, m, a) in terms: as an int64, modulo 2^64, into an int64 out;
  * as that int64 divided by den, in doubles, into a float64 out.  So one
  * call evaluates a linear series of the trace straight from its slots (a
  * term list of () and slope 1 writes n itself).  Before any write,
- * ValueError if out is not a 1-D C-contiguous int64 or float64 buffer of at
- * least hi - lo + 1 items, if den is below 1 or is not 1 for an int64 out,
- * if hi < lo - 1, or if an index m*n + a leaves [1, len(values) - 1]: it is
- * linear in n, so checking n = lo and n = hi covers every row.
+ * ValueError if out is not a 1-D C-contiguous int64 or float64 buffer, if
+ * den is below 1 or is not 1 for an int64 out, or if an index m*n + a
+ * leaves [1, len(values) - 1]: it is linear in n, so checking n = lo and
+ * n = hi covers every row.
  */
 #define DEFINE_ADD_TERM(name, T)                                        \
 static void name(uint64_t *acc, const T *q, long long rows, long long step, \
@@ -235,8 +210,8 @@ DEFINE_ADD_TERM(add_term8, uint64_t)
 /* The ValueError linear_series raises before any write, or NULL; coef
  * receives each term's (c, m, a). */
 static const char *
-series_error(const Py_buffer *qv, char kind, long long out_len, long long lo,
-             long long hi, long long den, PyObject *terms, long long (*coef)[3])
+series_error(const Py_buffer *qv, char kind, long long lo, long long hi, long long den,
+             PyObject *terms, long long (*coef)[3])
 {
     long long len = (long long)(qv->len / qv->itemsize) - 1;
     if (qv->itemsize != 4 && qv->itemsize != 8)
@@ -245,10 +220,6 @@ series_error(const Py_buffer *qv, char kind, long long out_len, long long lo,
         return "out must be a 1-D C-contiguous int64 or float64 buffer";
     if (den < 1 || (kind == 'q' && den != 1))
         return "den must be >= 1, and 1 for an int64 out";
-    if (hi < lo - 1)
-        return "need lo <= hi + 1";
-    if (hi - lo + 1 > out_len)
-        return "out shorter than hi - lo + 1";
     for (Py_ssize_t t = 0; t < PySequence_Fast_GET_SIZE(terms); t++) {
         long long *cma = coef[t], idx;
         if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(terms, t), "LLL;a term is (c, m, a)",
@@ -271,17 +242,17 @@ static PyObject *
 linear_series(PyObject *self, PyObject *args)
 {
     Py_buffer qv, ov;
-    long long lo, hi, slope, den = 1;
+    long long lo, slope, den = 1;
     PyObject *terms_obj, *out_obj;
 
-    if (!PyArg_ParseTuple(args, "y*LLOLO|L", &qv, &lo, &hi, &terms_obj, &slope,
-                          &out_obj, &den))
+    if (!PyArg_ParseTuple(args, "y*LOLO|L", &qv, &lo, &terms_obj, &slope, &out_obj, &den))
         return NULL;
     if (PyObject_GetBuffer(out_obj, &ov, PyBUF_RECORDS) < 0) {
         PyBuffer_Release(&qv);
         return NULL;
     }
     char kind = item_kind(&ov);
+    long long rows = ov.len / 8;
     const char *error = "";  /* "" once a Python error is set */
     long long (*coef)[3] = NULL;
     PyObject *terms = PySequence_Fast(terms_obj, "terms must be a sequence of (c, m, a)");
@@ -289,11 +260,10 @@ linear_series(PyObject *self, PyObject *args)
     if (terms && (coef = PyMem_Calloc((size_t)n_terms + 1, sizeof *coef)) == NULL)
         PyErr_NoMemory();
     else if (terms)
-        error = series_error(&qv, kind, ov.len / 8, lo, hi, den, terms, coef);
+        error = series_error(&qv, kind, lo, lo + rows - 1, den, terms, coef);
     if (error && *error)
         PyErr_SetString(PyExc_ValueError, error);
     if (!error) {
-        long long rows = hi - lo + 1;
         uint64_t *acc = (uint64_t *)ov.buf;
         for (long long i = 0; i < rows; i++)
             acc[i] = (uint64_t)slope * (uint64_t)(lo + i);
@@ -329,26 +299,24 @@ slot(const Py_buffer *v, long long i)
     return v->itemsize == 4 ? ((const uint32_t *)v->buf)[i] : ((const uint64_t *)v->buf)[i];
 }
 
-/* first_even(values, lo, hi) -> n
+/* first_even(values) -> n
  *
- * The first n in [lo, hi] with q[n] even, or 0 when all of them are odd.
- * ValueError unless the values are 4- or 8-byte items and
- * 1 <= lo <= hi + 1 <= len(values).
+ * The first n in [1, len(values) - 1] with q[n] even, or 0 when all of
+ * them are odd.  ValueError unless the values are 4- or 8-byte items.
  */
 static PyObject *
 first_even(PyObject *self, PyObject *args)
 {
     Py_buffer qv;
-    long long lo, hi, n;
+    long long n;
 
-    if (!PyArg_ParseTuple(args, "y*LL", &qv, &lo, &hi))
+    if (!PyArg_ParseTuple(args, "y*", &qv))
         return NULL;
+    long long hi = (long long)(qv.len / qv.itemsize) - 1;
     const char *error = NULL;
     if (qv.itemsize != 4 && qv.itemsize != 8)
         error = "value buffer must hold 4- or 8-byte items";
-    else if (lo < 1 || lo - 1 > hi || hi >= (long long)(qv.len / qv.itemsize))
-        error = "need 1 <= lo <= hi + 1 <= len(values)";
-    for (n = lo; !error && n <= hi && (slot(&qv, n) & 1); n++)
+    for (n = 1; !error && n <= hi && (slot(&qv, n) & 1); n++)
         ;
     PyBuffer_Release(&qv);
     if (error) {
@@ -358,10 +326,10 @@ first_even(PyObject *self, PyObject *args)
     return PyLong_FromLongLong(n <= hi ? n : 0);
 }
 
-/* interleave_violations(values, k_lo, k_hi, out) -> count
+/* interleave_violations(values, k_lo, out) -> count
  *
- * Writes into out, in order, each k in [k_lo, k_hi] at which the
- * interleaves A(k) = q[2k-1] and B(k) = q[2k] break
+ * Writes into out, in order, each k in [k_lo, k_hi], k_hi = k_lo + len(out)
+ * - 1, at which the interleaves A(k) = q[2k-1] and B(k) = q[2k] break
  *
  *     A(k) = B(ja1) + B(ja2) - 1,  ja1 = (2k-1-B(k-1)) >> 1,  ja2 = (2k-1-A(k-1)) >> 1
  *     B(k) = A(jb1) + A(jb2) + 1,  jb1 = (2k-A(k)+1) >> 1,    jb2 = (2k-B(k-1)+1) >> 1
@@ -370,8 +338,7 @@ first_even(PyObject *self, PyObject *args)
  * L = len(values) - 1; returns how many it wrote.  Slots read as int64 and
  * the arithmetic runs modulo 2^64, >> flooring.  ValueError, before any
  * write, unless the values are 4- or 8-byte items, out is a 1-D
- * C-contiguous int64 buffer of at least k_hi - k_lo + 1 items,
- * 2 <= k_lo <= k_hi + 1 and 2 k_hi <= L.
+ * C-contiguous int64 buffer, 2 <= k_lo and 2 k_hi <= L.
  */
 #define HALF(x) ((int64_t)(x) >> 1)  /* x: a uint64_t difference, read as int64 */
 
@@ -379,27 +346,26 @@ static PyObject *
 interleave_violations(PyObject *self, PyObject *args)
 {
     Py_buffer qv, ov;
-    long long k_lo, k_hi, count = 0;
+    long long k_lo, count = 0;
     PyObject *out_obj;
 
-    if (!PyArg_ParseTuple(args, "y*LLO", &qv, &k_lo, &k_hi, &out_obj))
+    if (!PyArg_ParseTuple(args, "y*LO", &qv, &k_lo, &out_obj))
         return NULL;
     if (PyObject_GetBuffer(out_obj, &ov, PyBUF_RECORDS) < 0) {
         PyBuffer_Release(&qv);
         return NULL;
     }
     long long len = (long long)(qv.len / qv.itemsize) - 1, b_hi = len / 2, a_hi = (len + 1) / 2;
+    long long k_hi = k_lo + (long long)(ov.len / 8) - 1;
     const char *error = NULL;
     if (qv.itemsize != 4 && qv.itemsize != 8)
         error = "value buffer must hold 4- or 8-byte items";
     else if (item_kind(&ov) != 'q')
         error = "out must be a 1-D C-contiguous int64 buffer";
-    else if (k_lo < 2 || k_lo - 1 > k_hi)
-        error = "need 2 <= k_lo <= k_hi + 1";
+    else if (k_lo < 2)
+        error = "need k_lo >= 2";
     else if (k_hi > len / 2)
-        error = "need 2 * k_hi <= len(values) - 1";
-    else if (k_hi - k_lo + 1 > (long long)(ov.len / 8))
-        error = "out shorter than k_hi - k_lo + 1";
+        error = "need 2 * (k_lo + len(out) - 1) <= len(values) - 1";
     for (long long k = k_lo; !error && k <= k_hi; k++) {
         uint64_t a = slot(&qv, 2 * k - 1), b = slot(&qv, 2 * k);
         uint64_t a_prev = slot(&qv, 2 * k - 3), b_prev = slot(&qv, 2 * k - 2);

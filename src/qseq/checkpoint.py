@@ -237,34 +237,45 @@ def _finish(draft: _Draft, trace: Trace, beside: Callable[[], None]) -> Trace:
         trace.len,
     )
     seed_bytes = struct.pack(f"<{len(cfg.seed)}Q", *cfg.seed)
-    crc = {}  # the worker's result: the file's "value", or the "error" it raised
-
-    def checksum():
-        try:
-            crc["value"] = zlib.crc32(trace.buffer[1:], zlib.crc32(seed_bytes, zlib.crc32(header)))
-        except BaseException as exc:
-            crc["error"] = exc
-
-    worker = threading.Thread(target=checksum, name="qseq-save-crc")
-    worker.start()
-    try:
-        beside()
-    finally:
-        worker.join()
-    if "error" in crc:
-        raise crc["error"]
+    crc, _ = _beside_the_caller(
+        "qseq-save-crc",
+        lambda: zlib.crc32(trace.buffer[1:], zlib.crc32(seed_bytes, zlib.crc32(header))), beside)
 
     fd = draft.temp.fh.fileno()
     end = draft.offset + cfg.width * trace.len
     if end + 4 < len(draft):
         os.ftruncate(fd, end + 4)
     draft[: draft.offset] = header + seed_bytes
-    draft[end : end + 4] = struct.pack("<I", crc["value"])
+    draft[end : end + 4] = struct.pack("<I", crc)
     draft.flush()
     values = _mapped_values(fd, cfg, trace.len, draft.offset)
     draft.temp.commit()
     draft.madvise(mmap.MADV_DONTNEED)
     return Trace(cfg, values, out)
+
+
+def _beside_the_caller(name: str, work: Callable[[], object],
+                       beside: Callable[[], object]) -> tuple[object, object]:
+    """(work(), beside()), with work run on a thread named name while this
+    one runs beside.  The thread is joined before either's error is raised:
+    beside's first, else work's."""
+    result = {}  # work's "value", or the "error" it raised
+
+    def run():
+        try:
+            result["value"] = work()
+        except BaseException as exc:
+            result["error"] = exc
+
+    worker = threading.Thread(target=run, name=name)
+    worker.start()
+    try:
+        here = beside()
+    finally:
+        worker.join()
+    if "error" in result:
+        raise result["error"]
+    return result["value"], here
 
 
 class Header(NamedTuple):
@@ -410,23 +421,11 @@ def load(path: str | Path) -> Trace:
 
         first_len = config.width * (head.length // 2)
         second_len = payload_len - first_len
-        second = {}  # the worker's result: the second half's "crc", or the "error" it raised
-
-        def checksum_second_half():
-            try:
-                second["crc"] = _crc_of_range(fd, payload_offset + first_len, second_len, 0, path)
-            except BaseException as exc:
-                second["error"] = exc
-
-        worker = threading.Thread(target=checksum_second_half, name="qseq-load-crc")
-        worker.start()
-        try:
-            crc = _crc_of_range(fd, payload_offset, first_len, head.crc, path)
-        finally:
-            worker.join()
-        if "error" in second:
-            raise second["error"]
-        crc = crc32_combine(crc, second["crc"], second_len)
+        second, first = _beside_the_caller(
+            "qseq-load-crc",
+            lambda: _crc_of_range(fd, payload_offset + first_len, second_len, 0, path),
+            lambda: _crc_of_range(fd, payload_offset, first_len, head.crc, path))
+        crc = crc32_combine(first, second, second_len)
         trailer = os.pread(fd, 4, payload_offset + payload_len)
         if len(trailer) != 4:
             raise CheckpointTruncatedError(f"{path}: ended while being read")

@@ -426,19 +426,10 @@ def cmd_seeds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .perfprobe import PERF_CRITERION, start_probe
+    from .verify import format_report, run_criteria
 
     numbers = set(parse_levels(args.only, label="criterion")) if args.only else None
-    # criterion 12's child starts before the checklist is imported, so it runs
-    # beside that import too; run_criteria kills it if a check raises
-    probe = start_probe() if numbers is None or PERF_CRITERION in numbers else None
-    try:
-        from .verify import Artifacts, format_report, run_criteria
-    except BaseException:
-        if probe is not None:
-            probe[0].kill()
-        raise
-    results = run_criteria(Artifacts(probe), numbers)
+    results = run_criteria(numbers=numbers)
     print(format_report(results))
     return EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY_FAILED
 

@@ -92,7 +92,9 @@ class Series:
 def assert_all_odd(trace: Trace, n_max: int | None = None) -> None:
     """ParityError naming the first even value among Q(1..n_max) (default: all)."""
     n_max = trace.len if n_max is None else n_max
-    n = _native.kernel.first_even(trace.buffer, 1, n_max)
+    if not 0 <= n_max <= trace.len:
+        raise RangeError(f"n_max={n_max} outside [0, {trace.len}]")
+    n = _native.kernel.first_even(trace.buffer[: n_max + 1])
     if n:
         raise ParityError(f"even value Q({n})={trace.buffer[n]}")
 
@@ -129,7 +131,7 @@ def _evaluate(trace: Trace, lo: int, hi: int, slope: int, terms=(),
     [lo, hi], as a read-only memoryview: of int64, or of float64 divided by
     den if den is given."""
     out = memoryview(bytearray(8 * (hi - lo + 1))).cast("q" if den is None else "d")
-    _native.kernel.linear_series(trace.buffer, lo, hi, terms, slope, out, den or 1)
+    _native.kernel.linear_series(trace.buffer, lo, terms, slope, out, den or 1)
     return out.toreadonly()
 
 
@@ -224,9 +226,10 @@ def check_subsequence_identities(trace: Trace, k_lo: int = 2,
         raise RangeError(f"k_hi={k_hi} needs trace length >= {2 * k_hi}, have {L}")
     assert_all_odd(trace, 2 * k_hi)
     bad, out = array("q"), array("q", [0]) * min(_BLOCK, k_hi - k_lo + 1)
+    block = memoryview(out)
     for lo in range(k_lo, k_hi + 1, _BLOCK):
         found = _native.kernel.interleave_violations(trace.buffer, lo,
-                                                     min(lo + _BLOCK - 1, k_hi), out)
+                                                     block[: min(_BLOCK, k_hi - lo + 1)])
         bad.extend(out[:found])
     return bad
 

@@ -239,8 +239,7 @@ def _run_from(config: RecursionConfig, arr: memoryview, start: int) -> Trace:
     A death keeps arr[:step], a view of arr: the slots past it were never
     written, so their pages are never resident.
     """
-    status, step, bad1, bad2 = _native.kernel.advance(
-        arr, start, config.horizon, *config.perturbation.eps, config.cap)
+    status, step, bad1, bad2 = _native.kernel.advance(arr, start, *config.perturbation.eps)
     if status == ST_OK:
         return Trace(config, arr, Outcome.alive())
     if status == ST_DEATH:

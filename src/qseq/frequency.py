@@ -81,7 +81,7 @@ def build_frequency(trace: Trace, m_cap: int | None = None) -> FrequencyTable:
     n_max = trace.len
     m_cap = table_m_cap(n_max, trace.config.cap, m_cap)
     counts, last = zeroed_slots(m_cap + 1, "B"), zeroed_slots(m_cap + 1, "I")
-    status, aux = _native.kernel.count_values(trace.buffer, n_max, counts, last, m_cap)
+    status, aux = _native.kernel.count_values(trace.buffer, counts, last)
 
     if status == ST_PARITY:
         raise ParityError(f"even value Q({aux})={trace.value_at(int(aux))}")

@@ -1,12 +1,12 @@
 """Criterion 12's child: time a run of the C kernel in a process of its own.
 
 ``start_probe`` starts ``python -c "from qseq.perfprobe import perf_probe;
-perf_probe(H)"``; ``qseq verify`` calls it before it imports the checklist,
-so the child runs beside that import too.  This module loads the kernel
-binding and the engine, and neither NumPy nor the checklist, so the peak RSS
-the child reports is the run's own.  It is read from VmHWM, which exec
-resets, and not from ru_maxrss, which Linux carries across exec from the
-parent that forked the child.
+perf_probe(H)"``; the checklist's ``run_criteria`` calls it before the
+first check, so the child runs beside the checks.  This module loads the
+kernel binding and the engine, and neither NumPy nor the checklist, so the
+peak RSS the child reports is the run's own.  It is read from VmHWM, which
+exec resets, and not from ru_maxrss, which Linux carries across exec from
+the parent that forked the child.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ PERF_CRITERION = 12
 PERF_HORIZON = 10**8
 
 
-def start_probe(horizon: int = PERF_HORIZON) -> tuple[subprocess.Popen, float]:
+def start_probe(horizon: int) -> tuple[subprocess.Popen, float]:
     """Start perf_probe(horizon) in a fresh interpreter, its stdout and
     stderr piped: the child, and when it started on the monotonic clock."""
     import subprocess

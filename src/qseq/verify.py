@@ -100,17 +100,11 @@ class CriterionResult:
 
 
 class Artifacts:
-    """Shared expensive inputs, computed once and reused across checks.
+    """Shared expensive inputs, computed once and reused across checks."""
 
-    probe, if given, is criterion 12's child and its start as
-    ``perfprobe.start_probe`` returns them, started by the caller.
-    """
-
-    def __init__(self, probe: tuple[subprocess.Popen, float] | None = None):
+    def __init__(self):
         # criterion 12's child once started, None after a kill; its deadline
         self.probe, self.probe_deadline = None, None
-        if probe is not None:
-            self.probe, self.probe_deadline = probe[0], probe[1] + PROBE_TIMEOUT_S
 
     def start_probe(self) -> None:
         """Start criterion 12's child, ``perfprobe.perf_probe(PERF_HORIZON)`` in
@@ -385,8 +379,8 @@ CRITERIA = (
 def run_criteria(artifacts: Artifacts | None = None,
                  numbers: set[int] | None = None) -> list[CriterionResult]:
     """Run the selected checks (all thirteen by default), in order; criterion
-    12's child, if selected, is started before them all.  The child is
-    killed if a check raises, or if numbers names no criterion."""
+    12's child, if selected, is started before them all, so that it runs
+    beside them, and is killed if a check raises."""
     art = artifacts if artifacts is not None else Artifacts()
     try:
         if numbers is not None:

@@ -167,15 +167,15 @@ def test_verify_starts_no_probe_unless_criterion_12_is_selected(probes, capsys):
     capsys.readouterr()
 
 
-def test_verify_hands_the_probe_it_started_to_the_checklist(probes, capsys):
-    """qseq verify starts criterion 12's child before it imports the
-    checklist; the checklist collects that child and starts no other, and
-    kills it when the selection names an unknown criterion."""
+def test_verify_starts_no_probe_for_an_unknown_criterion(probes, capsys):
+    """qseq verify starts criterion 12's child once and collects it; a
+    selection that names an unknown criterion is refused before any child
+    starts."""
     assert main(["verify", "--only", "12"]) == EXIT_OK
     assert len(probes) == 1 and probes[0].returncode == 0
     assert "criterion 12 [PASS]" in capsys.readouterr().out
     assert main(["verify", "--only", "12,99"]) == EXIT_CONFIG
-    assert len(probes) == 2 and probes[1].killed and probes[1].returncode is not None
+    assert len(probes) == 1
     assert "unknown criterion numbers [99]" in capsys.readouterr().err
 
 

@@ -110,6 +110,19 @@ def test_parity_guard_names_the_first_even_value_across_blocks(short_trace, monk
     assert_all_odd(trace, 4320)
 
 
+@pytest.mark.parametrize("ends", ["below", "above"])
+def test_parity_guard_refuses_an_n_max_outside_the_trace(kernel, classical_trace, ends):
+    """On either kernel, n_max in [0, len] checks Q(1..n_max), none of them
+    at 0; one past either end is a RangeError, which the CLI maps to its
+    exit code, rather than a check of fewer values or of the wrong ones."""
+    n_max = {"below": -1, "above": classical_trace.len + 1}[ends]
+    with pytest.raises(RangeError, match=rf"^n_max={n_max} outside \[0, {classical_trace.len}\]$"):
+        assert_all_odd(classical_trace, n_max)
+    assert_all_odd(classical_trace, 0)
+    with pytest.raises(ParityError):
+        assert_all_odd(classical_trace, classical_trace.len)
+
+
 def test_identities_hold_and_match_oracle(short_trace, oracle_values):
     assert len(check_subsequence_identities(short_trace)) == 0
     assert oracle.identity_violations(oracle_values, 2, short_trace.len // 2) == []

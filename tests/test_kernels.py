@@ -33,7 +33,7 @@ def advance(module, seed, horizon, width=4, eps=(1, -1)):
     """One advance call on a fresh value buffer: (result, the buffer's values)."""
     q = np.zeros(horizon + 1, dtype=f"<u{width}")
     q[1 : len(seed) + 1] = seed
-    result = module.advance(q, len(seed) + 1, horizon, *eps, CAPS[width])
+    result = module.advance(q, len(seed) + 1, *eps)
     return result, q.tolist()
 
 
@@ -50,76 +50,73 @@ def test_advance_agrees(kernel, seed, horizon, width, eps, status):
     assert got[0][0] == status
 
 
-@pytest.mark.parametrize("buffer,start,horizon,cap", [
-    (np.zeros(10, dtype=np.uint16), 3, 5, CAPS[4]),
-    (np.zeros(10, dtype=np.uint32), 3, 10, CAPS[4]),
-    (np.zeros(10, dtype=np.uint32), 0, 9, CAPS[4]),
-    (np.zeros(10, dtype=np.uint32), 1, 9, CAPS[4]),
-    (np.zeros(10, dtype=np.uint32), 8, 6, CAPS[4]),
-    (np.array([0, 2**31, 2**31 + 1, 3, 4, 0], dtype=np.uint32), 5, 5, 2**40),
-    (np.zeros(10, dtype=np.uint64), 3, 9, 2**63),
-    (np.zeros(10, dtype=np.uint32), 3, 9, -1),
-    (np.zeros(10, dtype=np.uint64), 3, 9, 2**64 + 1),
-    (np.array([0, 1, 5, 0], dtype=np.uint32), 3, 3, 4),
-    (np.array([0, 1, 2**32 - 1, 0], dtype=np.uint32), 3, 3, CAPS[4] - 1),
-    (np.array([0, 1, 2**64 - 1, 0], dtype=np.uint64), 3, 3, CAPS[8]),
-], ids=["two-byte-items", "shorter-than-horizon", "start-0", "start-1", "start-past-horizon",
-        "cap-wider-than-4-byte-slot", "cap-wider-than-8-byte-slot", "cap-negative",
-        "cap-past-64-bits", "seed-above-cap", "4-byte-seed-above-a-smaller-cap",
+@pytest.mark.parametrize("buffer,start", [
+    (np.zeros(10, dtype=np.uint16), 3),
+    (np.zeros(10, dtype=np.uint32), 0),
+    (np.zeros(10, dtype=np.uint32), 1),
+    (np.zeros(10, dtype=np.uint32), 11),
+    (np.array([0, 1, 2**63, 0], dtype=np.uint64), 3),
+    (np.array([0, 1, 2**64 - 1, 0], dtype=np.uint64), 3),
+], ids=["two-byte-items", "start-0", "start-1", "start-past-horizon", "8-byte-seed-at-2**63",
         "8-byte-seed-past-2**63"])
-def test_advance_errors_agree(kernel, buffer, start, horizon, cap):
+def test_advance_errors_agree(kernel, buffer, start):
     """Both kernels refuse the same input with the same message, before any
-    read: a cap wider than the slot, or a value before start above cap,
-    would otherwise run on values each kernel reads differently."""
+    read: an 8-byte value before start past 2^63 - 1 would otherwise run as
+    a negative number in C and as itself in the twin."""
     with pytest.raises(ValueError) as c_error:
-        C.advance(buffer.copy(), start, horizon, 1, -1, cap)
+        C.advance(buffer.copy(), start, 1, -1)
     got = buffer.copy()
     with same_error(c_error):
-        kernel.advance(got, start, horizon, 1, -1, cap)
+        kernel.advance(got, start, 1, -1)
     assert got.tolist() == buffer.tolist()
 
 
 # Seeds of lengths 2..8 (prefixes of the live run), so the loop starts at
-# both parities, and the bundled weak deaths at an even and an odd step.
-TWIN_SEEDS = [verify.FIRST_20[:k] for k in range(2, 9)] + [(3, 2, 1), (1, 2, 3)]
-# Stops some seed must reach: caps 4 and 8 overflow (1,1) at Q(7) = 5 and
-# Q(12) = 9, the first values above them.
-TWIN_STOPS = {(1, 1): {(ST_OVERFLOW, 7), (ST_OVERFLOW, 12)},
-              (3, 2, 1): {(ST_DEATH, 6)}, (1, 2, 3): {(ST_DEATH, 7)}}
+# both parities; the bundled weak deaths at an even and an odd step; and
+# seeds forged at the slot's own cap ("top", and "top-1" one below it),
+# whose next value passes that cap at the first step, even (4) or odd (5),
+# or inside the pair loop, at an even (6) or an odd (7) step.
+TWIN_SEEDS = [verify.FIRST_20[:k] for k in range(2, 9)] + [
+    (3, 2, 1), (1, 2, 3),
+    ("top-1", 2, 3), ("top", 2, 3, 4), (1, "top-1", 2, 4), (1, "top-1", 1, 3, 5)]
+# Stops some seed must reach, with either eps.
+TWIN_STOPS = {(3, 2, 1): {(ST_DEATH, 6)}, (1, 2, 3): {(ST_DEATH, 7)},
+              ("top-1", 2, 3): {(ST_OVERFLOW, 4)}, ("top", 2, 3, 4): {(ST_OVERFLOW, 5)},
+              (1, "top-1", 2, 4): {(ST_OVERFLOW, 6)}, (1, "top-1", 1, 3, 5): {(ST_OVERFLOW, 7)}}
 UNTOUCHED = 0xDEADBEE  # fills the slots past the seed, in both widths
+
+
+def seed_values(seed, width):
+    """The seed's values in width-byte slots: "top" is the slot's cap."""
+    return tuple({"top": CAPS[width], "top-1": CAPS[width] - 1}.get(v, v) for v in seed)
 
 
 @pytest.mark.parametrize("width", [4, 8])
 @pytest.mark.parametrize("seed", TWIN_SEEDS, ids=lambda seed: ",".join(map(str, seed)))
 def test_advance_matches_the_twin(seed, width):
     """The C loop, entry and exit steps included, writes what the twin
-    writes, stops where and how it stops, and leaves the rest untouched."""
+    writes, stops where and how it stops, and leaves the rest untouched,
+    the slot past the buffer it is given too."""
     start, stops = len(seed) + 1, set()
     for horizon in (start - 1, start, start + 1, start + 2, 1000):
         for eps in ((1, -1), (0, 0)):
-            for cap in (CAPS[width], 4, 8):
-                q = np.full(horizon + 1, UNTOUCHED, dtype=f"<u{width}")
-                q[: start] = (0, *seed)
-                want, got = q.copy(), q.copy()
-                if max(seed) > cap:  # refused before any read
-                    with pytest.raises(ValueError) as c_error:
-                        C.advance(got, start, horizon, *eps, cap)
-                    with same_error(c_error):
-                        _pykernel.advance(want, start, horizon, *eps, cap)
-                    assert got.tolist() == want.tolist() == q.tolist()
-                    continue
-                result = C.advance(got, start, horizon, *eps, cap)
-                assert result == _pykernel.advance(want, start, horizon, *eps, cap)
-                assert got.tolist() == want.tolist(), (horizon, eps, cap)
-                stops.add(result[:2])
+            q = np.full(horizon + 2, UNTOUCHED, dtype=f"<u{width}")
+            q[:start] = (0, *seed_values(seed, width))
+            want, got = q.copy(), q.copy()
+            result = C.advance(got[:-1], start, *eps)
+            assert result == _pykernel.advance(want[:-1], start, *eps)
+            assert got.tolist() == want.tolist(), (horizon, eps)
+            assert got[-1] == UNTOUCHED
+            stops.add(result[:2])
     assert TWIN_STOPS.get(seed, set()) <= stops
 
 
 def count(module, values, n_max, m_cap):
-    """One count_values call on fresh slots: (result, counts, last occurrences)."""
+    """One count_values call over Q(1..n_max) on fresh slots for bins
+    0..m_cap: (result, counts, last occurrences)."""
     counts = np.zeros(m_cap + 1, dtype=np.uint8)
     last = np.zeros(m_cap + 1, dtype=np.uint32)
-    result = module.count_values(values, n_max, counts, last, m_cap)
+    result = module.count_values(values[: n_max + 1], counts, last)
     return result, counts.tolist(), last.tolist()
 
 
@@ -148,24 +145,25 @@ def test_count_values_agrees(kernel, short_trace, classical_trace, case, status)
 @pytest.mark.parametrize("slots", [
     (np.zeros(11, dtype=np.uint16), np.zeros(11, dtype=np.uint32)),
     (np.zeros(11, dtype=np.uint8), np.zeros(11, dtype=np.uint64)),
-    (np.zeros(5, dtype=np.uint8), np.zeros(11, dtype=np.uint32)),
     (np.zeros(11, dtype=np.uint8), np.zeros(5, dtype=np.uint32)),
-], ids=["wide-counts", "wide-last", "short-counts", "short-last"])
+    (np.zeros(11, dtype=np.uint8), np.zeros(10, dtype=np.uint32)),
+], ids=["wide-counts", "wide-last", "short-last", "last-one-short"])
 def test_count_values_errors_agree(kernel, slots):
-    def call(module):
-        module.count_values(ones(20), 20, *(slot.copy() for slot in slots), 10)
-
+    """Both kernels refuse the same slots with the same message, before any write."""
     with pytest.raises(ValueError) as c_error:
-        call(C)
+        C.count_values(ones(20), *(slot.copy() for slot in slots))
+    got = [slot.copy() for slot in slots]
     with same_error(c_error):
-        call(kernel)
+        kernel.count_values(ones(20), *got)
+    assert [slot.tolist() for slot in got] == [slot.tolist() for slot in slots]
 
 
 def evaluate(module, values, lo, hi, terms, slope, dtype=np.int64, den=()):
-    """One linear_series call into fresh slots, padded past the rows with
-    UNTOUCHED: the slots' values, as a list."""
-    out = np.full(max(hi - lo + 1, 0) + 2, UNTOUCHED, dtype=dtype)
-    assert module.linear_series(values, lo, hi, terms, slope, out, *den) is None
+    """One linear_series call for n in [lo, hi], into fresh slots padded past
+    the rows with UNTOUCHED: the slots' values, as a list."""
+    rows = max(hi - lo + 1, 0)
+    out = np.full(rows + 2, UNTOUCHED, dtype=dtype)
+    assert module.linear_series(values, lo, terms, slope, out[:rows], *den) is None
     return out.tolist()
 
 
@@ -213,32 +211,30 @@ def test_linear_series_agrees(kernel, short_trace, case):
             for n in range(lo, hi + 1)]
 
 
-@pytest.mark.parametrize("values,lo,hi,terms,out,den", [
-    (np.zeros(10, dtype=np.uint16), 1, 3, (), lambda: np.zeros(3, dtype=np.int64), ()),
-    (ones(9), 1, 3, (), lambda: np.zeros(3, dtype=np.int32), ()),
-    (ones(9), 1, 3, (), lambda: np.zeros(3, dtype=np.uint64), ()),
-    (ones(9), 1, 4, (), lambda: np.zeros(8, dtype=np.int64)[::2], ()),
-    (ones(9), 1, 3, (), lambda: np.zeros((1, 3), dtype=np.int64), ()),
-    (ones(9), 1, 3, (), lambda: np.zeros(3), (0,)),
-    (ones(9), 1, 3, (), lambda: np.zeros(3, dtype=np.int64), (2,)),
-    (ones(9), 5, 3, (), lambda: np.zeros(3, dtype=np.int64), ()),
-    (ones(9), 1, 4, (), lambda: np.zeros(3, dtype=np.int64), ()),
-    (ones(9), 1, 3, ((1, -1, 11),), lambda: np.zeros(3, dtype=np.int64), ()),
-    (ones(9), 1, 3, ((1, 1, 0), (2, 1, -1)), lambda: np.zeros(3, dtype=np.int64), ()),
-    (ones(9), 1, 5, ((1, 2, 0),), lambda: np.zeros(5, dtype=np.int64), ()),
-    (ones(9), 1, 3, ((1, 2**62, 0),), lambda: np.zeros(3, dtype=np.int64), ()),
+@pytest.mark.parametrize("values,lo,terms,out,den", [
+    (np.zeros(10, dtype=np.uint16), 1, (), lambda: np.zeros(3, dtype=np.int64), ()),
+    (ones(9), 1, (), lambda: np.zeros(3, dtype=np.int32), ()),
+    (ones(9), 1, (), lambda: np.zeros(3, dtype=np.uint64), ()),
+    (ones(9), 1, (), lambda: np.zeros(8, dtype=np.int64)[::2], ()),
+    (ones(9), 1, (), lambda: np.zeros((1, 3), dtype=np.int64), ()),
+    (ones(9), 1, (), lambda: np.zeros(3), (0,)),
+    (ones(9), 1, (), lambda: np.zeros(3, dtype=np.int64), (2,)),
+    (ones(9), 1, ((1, -1, 11),), lambda: np.zeros(3, dtype=np.int64), ()),
+    (ones(9), 1, ((1, 1, 0), (2, 1, -1)), lambda: np.zeros(3, dtype=np.int64), ()),
+    (ones(9), 1, ((1, 2, 0),), lambda: np.zeros(5, dtype=np.int64), ()),
+    (ones(9), 1, ((1, 2**62, 0),), lambda: np.zeros(3, dtype=np.int64), ()),
 ], ids=["two-byte-values", "int32-out", "uint64-out", "strided-out", "2-d-out", "den-0",
-        "den-for-an-int-out", "hi-below-lo-minus-1", "out-too-short", "falling-index-past-the-end-at-lo",
-        "index-0", "index-past-the-end-at-hi", "index-overflows"])
-def test_linear_series_errors_agree(kernel, values, lo, hi, terms, out, den):
+        "den-for-an-int-out", "falling-index-past-the-end-at-lo", "index-0",
+        "index-past-the-end-at-hi", "index-overflows"])
+def test_linear_series_errors_agree(kernel, values, lo, terms, out, den):
     """Both kernels refuse the same call with the same message, before any
-    write: an index outside [1, len] is caught at lo or hi, since m*n + a is
-    linear in n."""
+    write: an index outside [1, len] is caught at lo or hi = lo + len(out)
+    - 1, since m*n + a is linear in n."""
     with pytest.raises(ValueError) as c_error:
-        C.linear_series(values, lo, hi, terms, 0, out(), *den)
+        C.linear_series(values, lo, terms, 0, out(), *den)
     got = out()
     with same_error(c_error):
-        kernel.linear_series(values, lo, hi, terms, 0, got, *den)
+        kernel.linear_series(values, lo, terms, 0, got, *den)
     assert got.tolist() == out().tolist()
 
 
@@ -252,38 +248,32 @@ def widened(trace, width, forge=()):
 
 
 @pytest.mark.parametrize("width", [4, 8])
-@pytest.mark.parametrize("even_at,lo,hi", [
-    (None, 1, 5000), (1, 1, 5000), (5000, 1, 5000), (4321, 4321, 4321), (4321, 1, 4320),
-    (4321, 1, 4500), (None, 12, 11),
+@pytest.mark.parametrize("even_at,hi", [
+    (None, 5000), (1, 5000), (5000, 5000), (1, 1), (4321, 4320), (4321, 4500), (1, 0),
 ], ids=["intact", "first-slot", "last-slot", "one-slot", "past-hi", "inside", "empty"])
-def test_first_even_agrees(kernel, short_trace, width, even_at, lo, hi):
-    """Both kernels name the first even value in [lo, hi], at either end too,
-    and 0 when there is none."""
-    values = widened(short_trace, width, {even_at: 1} if even_at else {})
-    got = kernel.first_even(values, lo, hi)
-    assert got == C.first_even(values, lo, hi)
-    assert got == (even_at if even_at is not None and lo <= even_at <= hi else 0)
+def test_first_even_agrees(kernel, short_trace, width, even_at, hi):
+    """Both kernels name the first even value among Q(1..hi), the values of
+    a buffer of hi + 1 slots, at either end too, and 0 when there is none."""
+    values = widened(short_trace, width, {even_at: 1} if even_at else {})[: hi + 1]
+    got = kernel.first_even(values)
+    assert got == C.first_even(values)
+    assert got == (even_at if even_at is not None and even_at <= hi else 0)
 
 
-@pytest.mark.parametrize("values,lo,hi", [
-    (np.ones(10, dtype=np.uint16), 1, 9),
-    (ones(9), 0, 5),
-    (ones(9), 1, 10),
-    (ones(9), 11, 10),
-    (ones(9), 6, 4),
-], ids=["two-byte-items", "lo-0", "hi-past-the-end", "lo-past-the-end", "hi-below-lo-minus-1"])
-def test_first_even_errors_agree(kernel, values, lo, hi):
+@pytest.mark.parametrize("values", [np.ones(10, dtype=np.uint16)], ids=["two-byte-items"])
+def test_first_even_errors_agree(kernel, values):
     with pytest.raises(ValueError) as c_error:
-        C.first_even(values, lo, hi)
+        C.first_even(values)
     with same_error(c_error):
-        kernel.first_even(values, lo, hi)
+        kernel.first_even(values)
 
 
 def violations(module, values, k_lo, k_hi):
-    """One interleave_violations call into fresh slots, two more than the
-    block, of UNTOUCHED: (count, the slots' values)."""
-    out = np.full(max(k_hi - k_lo + 1, 0) + 2, UNTOUCHED, dtype=np.int64)
-    count = module.interleave_violations(values, k_lo, k_hi, out)
+    """One interleave_violations call for k in [k_lo, k_hi], into fresh
+    slots, two more than the block, of UNTOUCHED: (count, the slots' values)."""
+    rows = max(k_hi - k_lo + 1, 0)
+    out = np.full(rows + 2, UNTOUCHED, dtype=np.int64)
+    count = module.interleave_violations(values, k_lo, out[:rows])
     return count, out.tolist()
 
 
@@ -341,23 +331,23 @@ def test_interleave_violations_count_an_index_at_the_upper_guard_as_in_range(
     assert violations(kernel, values, k, k)[0] == 0
 
 
-@pytest.mark.parametrize("values,k_lo,k_hi,out", [
-    (np.ones(10, dtype=np.uint16), 2, 4, lambda: np.zeros(3, dtype=np.int64)),
-    (ones(9), 2, 4, lambda: np.zeros(3, dtype=np.uint64)),
-    (ones(9), 2, 4, lambda: np.zeros(6, dtype=np.int64)[::2]),
-    (ones(9), 1, 4, lambda: np.zeros(4, dtype=np.int64)),
-    (ones(9), 4, 2, lambda: np.zeros(3, dtype=np.int64)),
-    (ones(9), 2, 5, lambda: np.zeros(4, dtype=np.int64)),
-    (ones(9), 2, 4, lambda: np.zeros(2, dtype=np.int64)),
-], ids=["two-byte-values", "uint64-out", "strided-out", "k_lo-1", "k_hi-below-k_lo-minus-1",
-        "2k_hi-past-len", "out-too-short"])
-def test_interleave_violations_errors_agree(kernel, values, k_lo, k_hi, out):
-    """Both kernels refuse the same call with the same message, before any write."""
+@pytest.mark.parametrize("values,k_lo,out", [
+    (np.ones(10, dtype=np.uint16), 2, lambda: np.zeros(3, dtype=np.int64)),
+    (ones(9), 2, lambda: np.zeros(3, dtype=np.uint64)),
+    (ones(9), 2, lambda: np.zeros(6, dtype=np.int64)[::2]),
+    (ones(9), 1, lambda: np.zeros(4, dtype=np.int64)),
+    (ones(9), 2, lambda: np.zeros(4, dtype=np.int64)),
+    (ones(8), 3, lambda: np.zeros(3, dtype=np.int64)),
+], ids=["two-byte-values", "uint64-out", "strided-out", "k_lo-1", "2k_hi-past-len",
+        "2k_hi-past-len-from-k_lo-3"])
+def test_interleave_violations_errors_agree(kernel, values, k_lo, out):
+    """Both kernels refuse the same call with the same message, before any
+    write; k_hi is k_lo + len(out) - 1."""
     with pytest.raises(ValueError) as c_error:
-        C.interleave_violations(values, k_lo, k_hi, out())
+        C.interleave_violations(values, k_lo, out())
     got = out()
     with same_error(c_error):
-        kernel.interleave_violations(values, k_lo, k_hi, got)
+        kernel.interleave_violations(values, k_lo, got)
     assert got.tolist() == out().tolist()
 
 
