@@ -187,15 +187,15 @@ item_kind(const Py_buffer *v)
 
 /* linear_series(values, lo, terms, slope, out, den=1) -> None
  *
- * For n = lo..hi, hi = lo + len(out) - 1, out[n - lo] = slope*n + the sum of c*q[m*n + a] over the
- * triples (c, m, a) in terms: as an int64, modulo 2^64, into an int64 out;
- * as that int64 divided by den, in doubles, into a float64 out.  So one
- * call evaluates a linear series of the trace straight from its slots (a
- * term list of () and slope 1 writes n itself).  Before any write,
- * ValueError if out is not a 1-D C-contiguous int64 or float64 buffer, if
- * den is below 1 or is not 1 for an int64 out, or if an index m*n + a
- * leaves [1, len(values) - 1]: it is linear in n, so checking n = lo and
- * n = hi covers every row.
+ * For n = lo..hi, hi = lo + len(out) - 1, out[n - lo] = slope*n + the sum
+ * of c*q[m*n + a] over the triples (c, m, a) in terms: as an int64, modulo
+ * 2^64, into an int64 out; as that int64 divided by den, in doubles, into a
+ * float64 out.  So one call evaluates a linear series of the trace straight
+ * from its slots (a term list of () and slope 1 writes n itself).  Before
+ * any write, ValueError if out is not a 1-D C-contiguous int64 or float64
+ * buffer, if den is below 1 or is not 1 for an int64 out, or if an index
+ * m*n + a leaves [1, len(values) - 1]: it is linear in n, so checking
+ * n = lo and n = hi covers every row.
  */
 #define DEFINE_ADD_TERM(name, T)                                        \
 static void name(uint64_t *acc, const T *q, long long rows, long long step, \
