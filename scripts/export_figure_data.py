@@ -18,10 +18,9 @@ recursion from seed (1,1), so the files are deterministic.
 
 import argparse
 import sys
+from array import array
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -33,8 +32,9 @@ from qseq.seedlab import MAX_SHIFT, classify, enumerate_seeds
 
 
 def strided(ser, max_points: int) -> SeriesText:
+    """Every step-th row of ser, copied into contiguous columns."""
     step = max(1, len(ser.x) // max_points)
-    return SeriesText.of(ser.x[::step], ser.y[::step], ser.halves)
+    return SeriesText.of(*(array(col.format, col[::step]) for col in (ser.x, ser.y)), ser.halves)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -69,11 +69,11 @@ def main(argv: list[str] | None = None) -> int:
     table = build_frequency(trace)
     peaks = peak_scan(table, 0, args.kmax)
     m_hi = 2 ** (args.kmax + 1) - 1
-    freq_text = SeriesText.of(range(1, m_hi + 1), table.counts[1 : m_hi + 1])
+    freq_text = SeriesText.of(range(1, m_hi + 1), array("q", table.counts[1 : m_hi + 1]))
 
     _, n = log_grid(args.horizon, args.samples_per_octave)
-    grid = np.unique(n)
-    emit("growth.dat", SeriesText.of(grid, trace.values[grid]))
+    grid = array("q", sorted(set(n)))
+    emit("growth.dat", SeriesText.of(grid, array("q", (trace.values[i] for i in grid))))
     fluct = series(trace, "G", samples_per_octave=args.samples_per_octave)
     emit("fluct_log.dat", SeriesText.of(fluct.x, fluct.y, fluct.halves))
 

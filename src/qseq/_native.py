@@ -30,8 +30,9 @@ ST_OVERFLOW = 2
 ST_PARITY = 3
 ST_COUNT_OVERFLOW = 4
 
-# The largest value advance writes, by slot width in bytes: its arithmetic
-# runs in signed 64-bit, so the 8-byte cap stays below 2**63.
+# The largest value advance writes, by slot width in bytes.  The 8-byte cap
+# stays below 2**63, so a value reads the same as an int64, as the kernel's
+# loops read it, and advance's unsigned sum of two values cannot wrap.
 SLOT_CAPS = {4: 2**32 - 1, 8: 2**63 - 1}
 
 

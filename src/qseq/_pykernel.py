@@ -61,15 +61,15 @@ def count_values(values, counts, last_occurrence):
 
 def _column(buffer) -> tuple[str, memoryview] | None:
     """(kind, items) of a 1-D C-contiguous buffer of 8-byte native items, as
-    the C kernel's item_kind reads it: 'q' int64, 'Q' uint64 or 'd' float64;
-    None for any other buffer."""
+    the C kernel's item_kind reads it: 'q' int64 or 'd' float64; None for
+    any other buffer."""
     view = memoryview(buffer)
     f = view.format
     if f[:1] in ("@", "=") or (f[:1] == "<" and sys.byteorder == "little"):
         f = f[1:]
-    if view.itemsize != 8 or view.ndim != 1 or not view.c_contiguous or f not in tuple("qlQLd"):
+    if view.itemsize != 8 or view.ndim != 1 or not view.c_contiguous or f not in tuple("qld"):
         return None
-    kind = {"l": "q", "L": "Q"}.get(f, f)
+    kind = "q" if f == "l" else f
     return kind, view.cast("B").cast(kind)
 
 
@@ -91,6 +91,17 @@ def linear_series(values, lo, terms, slope, out, den=1):
         acc = [v + c * q[m * n + a] for v, n in zip(acc, rows)]
     ints = [(v + 2**63) % 2**64 - 2**63 for v in acc]  # modulo 2^64, as C's int64
     items[:] = array(kind, ints if kind == "q" else [v / float(den) for v in ints])
+
+
+def min_into(out, other):
+    (ko, outs), (kt, others) = _column(out) or (None, None), _column(other) or (None, None)
+    if ko != "q" or kt != "q":
+        raise ValueError("columns must be 1-D C-contiguous int64")
+    if outs.readonly:
+        raise ValueError("out must be writable")
+    if len(outs) != len(others):
+        raise ValueError("out and other must be the same length")
+    outs[:] = array("q", map(min, outs, others))
 
 
 def first_even(values):
@@ -129,7 +140,7 @@ def interleave_violations(values, k_lo, out):
 def format_rows(x, y, halves):
     (kx, xs), (ky, ys) = _column(x) or (None, None), _column(y) or (None, None)
     if kx is None or ky is None:
-        raise ValueError("columns must be 1-D C-contiguous int64, uint64 or float64")
+        raise ValueError("columns must be 1-D C-contiguous int64 or float64")
     if ky == "d" or len(ys) != len(xs):
         raise ValueError("y must be an integer column as long as x")
     xs, ys = xs.tolist(), ys.tolist()

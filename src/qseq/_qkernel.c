@@ -6,13 +6,13 @@
  * Q(n), so a buffer of len(values) slots holds Q(1..len(values) - 1).  Each
  * entry takes its extents from its buffers: the values it runs over, and
  * the rows of its out buffer.  Both 4-byte and 8-byte unsigned layouts are
- * supported; arithmetic runs in signed 64-bit on values below the caps
- * enforced here.  advance runs the recursion, count_values tallies the
- * values, linear_series evaluates a series such as 2Q(n) - n into an int64
- * or float64 column, first_even and interleave_violations check parity and
- * the interleave identities, and format_rows writes two columns as text; so
- * the text and analysis verbs need no NumPy either.  _pykernel.py is this
- * file's pure-Python twin, entry for entry.
+ * supported, with values below the caps enforced here.  advance runs the
+ * recursion, count_values tallies the values, linear_series evaluates a
+ * series such as 2Q(n) - n into an int64 or float64 column, min_into takes
+ * the smaller of two int64 columns, first_even and interleave_violations
+ * check parity and the interleave identities, and format_rows writes two
+ * int64 or float64 columns as text; so no verb needs NumPy.  _pykernel.py
+ * is this file's pure-Python twin, entry for entry.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -31,8 +31,10 @@
  * n = start..horizon, horizon = len(values) - 1, 2 <= start <= horizon + 1.
  * Stops at the first n where a clock index is non-positive (ST_DEATH, bad
  * flags say which) or where the new value would exceed the slot's cap
- * (ST_OVERFLOW): 2^32 - 1 for 4-byte slots, 2^63 - 1 for 8-byte, so that
- * the arithmetic runs in signed 64-bit.  Before any read, ValueError if a
+ * (ST_OVERFLOW): 2^32 - 1 for 4-byte slots, 2^63 - 1 for 8-byte.  The sum
+ * runs in uint64_t, where it wraps by definition: two values of at most
+ * 2^63 - 1 plus an eps in [-1, 1] (all the engine passes) stay exact, and
+ * a sum below zero wraps above the cap.  Before any read, ValueError if a
  * value in q[1..start-1] of 8-byte slots exceeds 2^63 - 1; resuming at
  * 10^7 scans that prefix once.  No 4-byte value can exceed its cap.
  *
@@ -48,18 +50,18 @@ typedef struct { int status; long long step; int bad1, bad2; } Stop;
         long long t1 = n - p1, t2 = n - p2;                             \
         if (t1 <= 0 || t2 <= 0)                                         \
             return (Stop){ST_DEATH, n, t1 <= 0, t2 <= 0};               \
-        long long val = (long long)q[t1] + (long long)q[t2] + (e);      \
-        if ((unsigned long long)val > cap)                              \
+        uint64_t val = (uint64_t)q[t1] + q[t2] + (uint64_t)(e);         \
+        if (val > cap)                                                  \
             return (Stop){ST_OVERFLOW, n, 0, 0};                        \
         q[n++] = (T)val;                                                \
-        p2 = p1; p1 = val;                                              \
+        p2 = p1; p1 = (long long)val;                                   \
     } while (0)
 
 #define DEFINE_ADVANCE_LOOP(name, T, CAP)                               \
 static Stop name(T *q, long long n, long long horizon,                  \
                  long long eps_even, long long eps_odd)                 \
 {                                                                       \
-    const unsigned long long cap = (CAP);                               \
+    const uint64_t cap = (CAP);                                         \
     long long p1 = (long long)q[n - 1], p2 = (long long)q[n - 2];       \
     if ((n & 1) && n <= horizon) STEP(T, eps_odd);                      \
     while (n < horizon) { STEP(T, eps_even); STEP(T, eps_odd); }        \
@@ -171,15 +173,15 @@ done:
 }
 
 /* The kind of a 1-D C-contiguous buffer of 8-byte native items: 'q'
- * int64, 'Q' uint64 or 'd' float64; 0 for any other buffer. */
+ * int64 or 'd' float64; 0 for any other buffer. */
 static char
 item_kind(const Py_buffer *v)
 {
     const char *f = v->format ? v->format : "B";
     f += (*f == '@' || *f == '=' || (PY_LITTLE_ENDIAN && *f == '<'));
     if (v->itemsize == 8 && v->ndim == 1 && PyBuffer_IsContiguous(v, 'C')
-        && f[0] && !f[1] && strchr("qlQLd", f[0]))
-        return f[0] == 'l' ? 'q' : f[0] == 'L' ? 'Q' : f[0];
+        && f[0] && !f[1] && strchr("qld", f[0]))
+        return f[0] == 'l' ? 'q' : f[0];
     return 0;
 }
 
@@ -287,6 +289,48 @@ linear_series(PyObject *self, PyObject *args)
     PyBuffer_Release(&ov);
     if (error)
         return NULL;
+    Py_RETURN_NONE;
+}
+
+/* min_into(out, other) -> None
+ *
+ * out[i] = min(out[i], other[i]) for every row of two int64 columns (see
+ * item_kind), so one linear_series column can take the smaller of two.
+ * ValueError, before any write, unless both are int64 columns, out is
+ * writable and the two are the same length.
+ */
+static PyObject *
+min_into(PyObject *self, PyObject *args)
+{
+    PyObject *oo, *to;
+    Py_buffer ov, tv;
+
+    if (!PyArg_ParseTuple(args, "OO", &oo, &to)
+        || PyObject_GetBuffer(oo, &ov, PyBUF_RECORDS_RO) < 0)
+        return NULL;
+    if (PyObject_GetBuffer(to, &tv, PyBUF_RECORDS_RO) < 0) {
+        PyBuffer_Release(&ov);
+        return NULL;
+    }
+    const char *error = NULL;
+    if (item_kind(&ov) != 'q' || item_kind(&tv) != 'q')
+        error = "columns must be 1-D C-contiguous int64";
+    else if (ov.readonly)
+        error = "out must be writable";
+    else if (ov.len != tv.len)
+        error = "out and other must be the same length";
+    else {
+        int64_t *out = (int64_t *)ov.buf;
+        const int64_t *other = (const int64_t *)tv.buf;
+        for (Py_ssize_t i = 0; i < ov.len / 8; i++)
+            out[i] = other[i] < out[i] ? other[i] : out[i];
+    }
+    PyBuffer_Release(&ov);
+    PyBuffer_Release(&tv);
+    if (error) {
+        PyErr_SetString(PyExc_ValueError, error);
+        return NULL;
+    }
     Py_RETURN_NONE;
 }
 
@@ -455,7 +499,7 @@ format_rows(PyObject *self, PyObject *args)
     char kx = item_kind(&xv), ky = item_kind(&yv);
     Py_ssize_t rows = xv.len / 8;
     if (!kx || !ky)
-        PyErr_SetString(PyExc_ValueError, "columns must be 1-D C-contiguous int64, uint64 or float64");
+        PyErr_SetString(PyExc_ValueError, "columns must be 1-D C-contiguous int64 or float64");
     else if (ky == 'd' || yv.len != xv.len)
         PyErr_SetString(PyExc_ValueError, "y must be an integer column as long as x");
     else if (rows > PY_SSIZE_T_MAX / ROW_MAX)
@@ -483,6 +527,7 @@ static PyMethodDef kernel_methods[] = {
     {"advance", advance, METH_VARARGS, "run the recursion in place"},
     {"count_values", count_values, METH_VARARGS, "tally odd values into dyadic bins"},
     {"linear_series", linear_series, METH_VARARGS, "evaluate a linear series of the values"},
+    {"min_into", min_into, METH_VARARGS, "take the smaller of two int64 columns in place"},
     {"first_even", first_even, METH_VARARGS, "find the first even value in a range"},
     {"interleave_violations", interleave_violations, METH_VARARGS,
      "list the k that break the interleave identities"},

@@ -204,7 +204,7 @@ def save(trace: Trace, path: str | Path) -> Trace:
     shared mapping's pages are given back to the OS, so that none is
     counted twice.
     """
-    draft = trace.buffer.obj
+    draft = trace.values.obj
     if isinstance(draft, _Draft) and not draft.temp.committed and draft.temp.path == Path(path):
         return _finish(draft, trace, lambda: os.fsync(draft.temp.fh.fileno()))
     with reserve(path, trace.config, trace.len) as slots:
@@ -212,7 +212,7 @@ def save(trace: Trace, path: str | Path) -> Trace:
 
         def write():  # through the file: no page faults, and no second copy in this process
             draft.temp.fh.seek(draft.offset)
-            draft.temp.fh.write(trace.buffer[1:])
+            draft.temp.fh.write(trace.values[1:])
             draft.temp.fh.flush()
 
         return _finish(draft, trace, write)
@@ -239,7 +239,7 @@ def _finish(draft: _Draft, trace: Trace, beside: Callable[[], None]) -> Trace:
     seed_bytes = struct.pack(f"<{len(cfg.seed)}Q", *cfg.seed)
     crc, _ = _beside_the_caller(
         "qseq-save-crc",
-        lambda: zlib.crc32(trace.buffer[1:], zlib.crc32(seed_bytes, zlib.crc32(header))), beside)
+        lambda: zlib.crc32(trace.values[1:], zlib.crc32(seed_bytes, zlib.crc32(header))), beside)
 
     fd = draft.temp.fh.fileno()
     end = draft.offset + cfg.width * trace.len

@@ -19,13 +19,13 @@ with eight, as f"{x:.8f}" writes them.  Series text is written in blocks of
 BLOCK_ROWS rows: the kernel's linear_series evaluates each block of a series
 straight from the trace, and its format_rows writes the text (the C kernel's
 twin writes one f-string per row: slower, the same bytes).  freq, seeds and
-verify read the frequency table's and the traces' buffers, and the kernel
-checks parity and the interleave identities.  So every verb but diagnose
---series S (its np.minimum) runs without importing NumPy.  Identical flags
-produce byte-identical files; files are written atomically and durably,
-with mode 0o666 & ~umask (see checkpoint.atomic_write).  Default filenames
-land in the directory named by --data-dir, or the QSEQ_DATA_DIR environment
-variable, or ./qseq-data; explicit paths are used as given.
+verify read the frequency table's and the traces' memoryviews, and the
+kernel checks parity and the interleave identities, so no verb imports
+NumPy.  Identical flags produce byte-identical files; files are written
+atomically and durably, with mode 0o666 & ~umask (see
+checkpoint.atomic_write).  Default filenames land in the directory named by
+--data-dir, or the QSEQ_DATA_DIR environment variable, or ./qseq-data;
+explicit paths are used as given.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ EXIT_IO = 5
 # ------------------------------------------------------------- formatting
 
 BLOCK_ROWS = 1 << 18  # rows per text block: bounds memory, amortises per-call overhead
-_COLUMN_DTYPES = {"i": "int64", "u": "uint64", "f": "float64"}
 
 
 def format_series_lines(ser) -> bytes:
@@ -86,18 +85,11 @@ def format_series_lines(ser) -> bytes:
 
     Integers are written bare, doubled half-integers (ser.halves) with one
     decimal, float x with eight, exactly as f"{x:.8f}".  Every line ends in
-    a newline.  ValueError if a float is not finite or not below 2^52/1e8.
-    A memoryview column, as diagnostics makes, goes to the kernel as it is;
-    any other is a NumPy array, made C-contiguous 64-bit first.
+    a newline.  ValueError if a float is not finite or not below 2^52/1e8,
+    or unless both columns are C-contiguous int64 or float64 and y is an
+    integer column.
     """
-    x, y = (col if isinstance(col, memoryview) else _contiguous(col) for col in ser.columns)
-    return _native.kernel.format_rows(x, y, ser.halves)
-
-
-def _contiguous(col):
-    import numpy as np
-
-    return np.ascontiguousarray(col, _COLUMN_DTYPES[col.dtype.kind])
+    return _native.kernel.format_rows(ser.x, ser.y, ser.halves)
 
 
 class SeriesText(Sequence):
@@ -122,7 +114,7 @@ class SeriesText(Sequence):
         def rows(a: int, b: int) -> Series:
             xs = x[a:b]
             if isinstance(xs, range):
-                xs = memoryview(array("q", xs))
+                xs = array("q", xs)
             return Series(xs, y[a:b], halves)
 
         return cls(len(y), rows)
@@ -204,9 +196,9 @@ def obtain_trace(config: RecursionConfig, trace_path: Path | None):
                   file=sys.stderr)
     if stored is not None:
         if not stored.outcome.is_alive and stored.outcome.step <= config.horizon:
-            return Trace(config, stored.buffer, stored.outcome), False
+            return Trace(config, stored.values, stored.outcome), False
         if stored.len >= config.horizon:
-            return Trace(config, stored.buffer[: config.horizon + 1], Outcome.alive()), False
+            return Trace(config, stored.values[: config.horizon + 1], Outcome.alive()), False
     with checkpoint.reserve(trace_path, config) as slots:
         trace = run(config, slots) if stored is None else extend(stored, config.horizon, slots)
         return checkpoint.save(trace, trace_path), True
@@ -269,7 +261,7 @@ def cmd_diagnose(args) -> int:
     code = args.series
     if code == "G":  # a log grid of about 1.5k rows, built whole
         ser = series(trace, code, args.lo, args.hi, args.samples_per_octave)
-        text = SeriesText.of(*ser.columns, ser.halves)
+        text = SeriesText.of(ser.x, ser.y, ser.halves)
     else:
         lo, hi = series_window(trace, code, args.lo, args.hi, args.samples_per_octave)
         text = SeriesText(hi - lo + 1, lambda a, b: series(trace, code, lo + a, lo + b - 1))
@@ -379,7 +371,7 @@ def cmd_freq(args) -> int:
     m_hi = 2 ** (k_max + 1) - 1
     data_path = resolve(args, args.data_out, f"freq_F_{trace_tag(config)}"
                                              f"_n{config.horizon}_k{k_max}.dat")
-    counts = memoryview(array("q", table.count_buffer[1 : m_hi + 1]))
+    counts = array("q", table.counts[1 : m_hi + 1])
     write_text(data_path, SeriesText.of(range(1, m_hi + 1), counts))
     print(f"wrote {data_path} ({m_hi} lines)")
     return EXIT_OK

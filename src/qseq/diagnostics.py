@@ -9,17 +9,17 @@ Each series code but G is one row of the table _SERIES: its domain, its
 halves flag and its formula as data, slope*n + the sum of c*Q(m*n + a)
 over its terms (c, m, a), which the kernel's linear_series evaluates
 straight from the trace's slots.  S, the one formula that is not linear,
-is the smaller of t1 and t2.  series_window() gives a code's domain, or
-checks a window [lo, hi] of it; series() evaluates the formula on that
-window, and selfsim_profile() takes the same window over its samples, so a
-caller can evaluate a long series one block of rows at a time, as the CLI
-does.  G is a log grid, not a window: series() builds it whole, in Python,
-and sets its default density of 64 samples per octave.
+is the smaller of t1 and t2, which the kernel's min_into takes in place.
+series_window() gives a code's domain, or checks a window [lo, hi] of it;
+series() evaluates the formula on that window, and selfsim_profile() takes
+the same window over its samples, so a caller can evaluate a long series
+one block of rows at a time, as the CLI does.  G is a log grid, not a
+window: series() builds it whole, in Python, and sets its default density
+of 64 samples per octave.
 
-A Series holds its columns as buffers; NumPy is imported only to read them
-as arrays (Series.x, Series.y) and for S, so the CLI writes every series
-but S without loading it.  The parity and identity checks are the
-kernel's first_even and interleave_violations, over the trace's buffer.
+A Series holds its columns as read-only memoryviews, and no series needs
+NumPy.  The parity and identity checks are the kernel's first_even and
+interleave_violations, over the trace's values.
 
 Series codes used by the CLI:
 
@@ -56,37 +56,18 @@ _BLOCK = 1 << 16  # k per block in the identity check
 class Series:
     """Paired samples x and y.  When halves is True, y holds doubled values.
 
-    ``columns`` holds x and y as given: the read-only int64 or float64
-    memoryviews series() and selfsim_profile() make, or any arrays.  ``x``
-    and ``y`` read them as read-only NumPy arrays, made on first read
-    without a copy, so that a caller that only formats a series never
-    imports NumPy.
+    x and y are read-only memoryviews of the buffers given: the int64 or
+    float64 columns series() and selfsim_profile() make, or any others.
     """
 
-    __slots__ = ("columns", "halves", "_arrays")
+    __slots__ = ("x", "y", "halves")
 
     def __init__(self, x, y, halves: bool = False):
-        self.columns, self.halves, self._arrays = (x, y), halves, None
-
-    @property
-    def x(self):
-        return self._read()[0]
-
-    @property
-    def y(self):
-        return self._read()[1]
-
-    def _read(self):
-        if self._arrays is None:
-            import numpy as np
-
-            self._arrays = tuple(np.asarray(col).view() for col in self.columns)
-            for arr in self._arrays:
-                arr.flags.writeable = False
-        return self._arrays
+        self.x, self.y = memoryview(x).toreadonly(), memoryview(y).toreadonly()
+        self.halves = halves
 
     def __len__(self) -> int:
-        return len(self.columns[0])
+        return len(self.x)
 
 
 def assert_all_odd(trace: Trace, n_max: int | None = None) -> None:
@@ -94,9 +75,9 @@ def assert_all_odd(trace: Trace, n_max: int | None = None) -> None:
     n_max = trace.len if n_max is None else n_max
     if not 0 <= n_max <= trace.len:
         raise RangeError(f"n_max={n_max} outside [0, {trace.len}]")
-    n = _native.kernel.first_even(trace.buffer[: n_max + 1])
+    n = _native.kernel.first_even(trace.values[: n_max + 1])
     if n:
-        raise ParityError(f"even value Q({n})={trace.buffer[n]}")
+        raise ParityError(f"even value Q({n})={trace.values[n]}")
 
 
 # ------------------------------------------------------------- bulk series
@@ -128,11 +109,11 @@ SERIES_CODES = (*_SERIES, "G")
 def _evaluate(trace: Trace, lo: int, hi: int, slope: int, terms=(),
               den: int | None = None) -> memoryview:
     """slope*n + the sum of c*Q(m*n + a) over (c, m, a) in terms, for n in
-    [lo, hi], as a read-only memoryview: of int64, or of float64 divided by
-    den if den is given."""
+    [lo, hi], as a memoryview: of int64, or of float64 divided by den if den
+    is given."""
     out = memoryview(bytearray(8 * (hi - lo + 1))).cast("q" if den is None else "d")
-    _native.kernel.linear_series(trace.buffer, lo, terms, slope, out, den or 1)
-    return out.toreadonly()
+    _native.kernel.linear_series(trace.values, lo, terms, slope, out, den or 1)
+    return out
 
 
 def value_rows(trace: Trace, lo: int, hi: int) -> Series:
@@ -186,16 +167,14 @@ def series(trace: Trace, code: str, lo: int | None = None, hi: int | None = None
             raise RangeError(f"series G: samples_per_octave {samples_per_octave}"
                              f" exceeds trace length {trace.len}")
         x, n = log_grid(trace.len, 64 if samples_per_octave is None else samples_per_octave)
-        q = trace.buffer
+        q = trace.values
         y = array("q", [2 * q[i] - i for i in n])  # E at each grid index
-        return Series(memoryview(array("d", x)).toreadonly(), memoryview(y).toreadonly(), True)
+        return Series(array("d", x), y, True)
     lo, hi = series_window(trace, code, lo, hi, samples_per_octave)
     _, halves, slope, terms = _SERIES[code]
     if slope is None:
-        import numpy as np
-
-        y = np.minimum(*(np.asarray(_evaluate(trace, lo, hi, *_SERIES[row][2:]))
-                         for row in terms))
+        y, other = (_evaluate(trace, lo, hi, *_SERIES[row][2:]) for row in terms)
+        _native.kernel.min_into(y, other)
     else:
         y = _evaluate(trace, lo, hi, slope, terms)
     return Series(_evaluate(trace, lo, hi, 1), y, halves)
@@ -228,7 +207,7 @@ def check_subsequence_identities(trace: Trace, k_lo: int = 2,
     bad, out = array("q"), array("q", [0]) * min(_BLOCK, k_hi - k_lo + 1)
     block = memoryview(out)
     for lo in range(k_lo, k_hi + 1, _BLOCK):
-        found = _native.kernel.interleave_violations(trace.buffer, lo,
+        found = _native.kernel.interleave_violations(trace.values, lo,
                                                      block[: min(_BLOCK, k_hi - lo + 1)])
         bad.extend(out[:found])
     return bad

@@ -28,7 +28,7 @@ MAX_SEED_LEN = 8
 
 # The struct typecode of a slot, by width in bytes, in the native byte order
 # the kernel writes (little-endian, as the checkpoint format requires, on
-# every host qseq is built for); NumPy reads it as a dtype.
+# every host qseq is built for).
 _TYPECODES = {4: "I", 8: "Q"}
 
 
@@ -94,7 +94,7 @@ class RecursionConfig:
 
     @property
     def dtype(self) -> str:
-        """The slot's typecode, for memoryview.cast and as a NumPy dtype."""
+        """The slot's typecode, for memoryview.cast."""
         return _TYPECODES[self.width]
 
     @property
@@ -147,12 +147,10 @@ class Trace:
     """An immutable computed run: config, values Q(1..len), and outcome.
 
     The values are 1-based: slot 0 is unused and zero, slot n holds Q(n).
-    ``buffer`` holds them as a read-only memoryview of config.dtype slots;
-    ``values`` is the same memory as a NumPy array, made on first read, so
-    that a caller that never reads it never imports NumPy.
+    ``values`` holds them as a read-only memoryview of config.dtype slots.
     """
 
-    __slots__ = ("config", "buffer", "_values", "outcome")
+    __slots__ = ("config", "values", "outcome")
 
     def __init__(self, config: RecursionConfig, values, outcome: Outcome):
         view = memoryview(values)
@@ -160,22 +158,12 @@ class Trace:
             raise ValueError(f"values must be {config.width}-byte slots,"
                              f" got {view.itemsize}-byte items")
         self.config = config
-        self.buffer = view.cast("B").cast(config.dtype).toreadonly()
-        self._values = None
+        self.values = view.cast("B").cast(config.dtype).toreadonly()
         self.outcome = outcome
 
     @property
-    def values(self):
-        """The values as a read-only NumPy array over buffer (no copy)."""
-        if self._values is None:
-            import numpy as np
-
-            self._values = np.frombuffer(self.buffer, dtype=self.config.dtype)
-        return self._values
-
-    @property
     def len(self) -> int:
-        return len(self.buffer) - 1
+        return len(self.values) - 1
 
     @property
     def seed(self) -> Seed:
@@ -184,7 +172,7 @@ class Trace:
     def value_at(self, n: int) -> int:
         if not 1 <= n <= self.len:
             raise RangeError(f"n={n} outside computed range [1, {self.len}]")
-        return self.buffer[n]
+        return self.values[n]
 
     def __len__(self) -> int:
         return self.len
@@ -195,7 +183,7 @@ class Trace:
         return (
             self.config == other.config
             and self.outcome == other.outcome
-            and self.buffer == other.buffer
+            and self.values == other.values
         )
 
     def __hash__(self):
@@ -279,8 +267,8 @@ def extend(trace: Trace, new_horizon: int, out=None) -> Trace:
         return trace
     config = replace(trace.config, horizon=new_horizon)
     arr = _slots(config, out)
-    arr[1 : trace.len + 1] = trace.buffer[1:]
-    mapped = trace.buffer.obj
+    arr[1 : trace.len + 1] = trace.values[1:]
+    mapped = trace.values.obj
     if isinstance(mapped, FileMapping) and len(mapped) > mmap.PAGESIZE:
         # a page read again comes back from the file; the first one holds
         # slot 0, zeroed in a private copy that MADV_DONTNEED would drop

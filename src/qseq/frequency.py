@@ -2,14 +2,12 @@
 
 Value v = 2m - 1 is binned at index m; block k holds m in
 [2^k, 2^{k+1} - 1].  A FrequencyTable covers the whole trace, n_max
-values, in two buffers indexed by m: count_buffer[m] and last_buffer[m].
-Its counts and last_occurrence read them as NumPy arrays, made on first
-read, so the block reports and the CLI, which read the buffers, need no
-NumPy.  Counts live in 1-byte slots (observed counts at desk scale stay
-below thirty) and abort loudly rather than wrap.  A block is *complete*
-once every member value has appeared and none has appeared after
-n_max/2: values cluster near n/2, so a half-horizon quiet period means
-the block's counts are final.  Law and peak checks refuse incomplete
+values, in two read-only memoryviews indexed by m: counts[m] and
+last_occurrence[m].  Counts live in 1-byte slots (observed counts at
+desk scale stay below thirty) and abort loudly rather than wrap.  A
+block is *complete* once every member value has appeared and none has
+appeared after n_max/2: values cluster near n/2, so a half-horizon quiet
+period means the block's counts are final.  Law and peak checks refuse incomplete
 blocks; check_dyadic_law returns the deviations from the law, empty when
 it holds.
 """
@@ -18,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import _native
 from ._native import ST_COUNT_OVERFLOW, ST_PARITY
@@ -38,29 +35,14 @@ class FrequencyTable:
 
     Buffers are 1-based over m (slot 0 unused); values with m beyond
     m_cap are only tallied in overflow_count, keeping conservation:
-    sum(count_buffer) + overflow_count == n_max.  counts and
-    last_occurrence are the same memory as read-only NumPy arrays.
+    sum(counts) + overflow_count == n_max.
     """
 
     n_max: int
     m_cap: int
-    count_buffer: memoryview  # uint8, read-only
-    last_buffer: memoryview   # uint32, read-only, 0 = never seen
+    counts: memoryview           # uint8, read-only
+    last_occurrence: memoryview  # uint32, read-only, 0 = never seen
     overflow_count: int
-
-    @cached_property
-    def counts(self):
-        """count_buffer as a read-only NumPy uint8 array (no copy)."""
-        import numpy as np
-
-        return np.frombuffer(self.count_buffer, dtype=np.uint8)
-
-    @cached_property
-    def last_occurrence(self):
-        """last_buffer as a read-only NumPy uint32 array (no copy)."""
-        import numpy as np
-
-        return np.frombuffer(self.last_buffer, dtype=np.uint32)
 
 
 def table_m_cap(n_max: int, cap: int, m_cap: int | None = None) -> int:
@@ -81,14 +63,14 @@ def build_frequency(trace: Trace, m_cap: int | None = None) -> FrequencyTable:
     n_max = trace.len
     m_cap = table_m_cap(n_max, trace.config.cap, m_cap)
     counts, last = zeroed_slots(m_cap + 1, "B"), zeroed_slots(m_cap + 1, "I")
-    status, aux = _native.kernel.count_values(trace.buffer, counts, last)
+    status, aux = _native.kernel.count_values(trace.values, counts, last)
 
     if status == ST_PARITY:
         raise ParityError(f"even value Q({aux})={trace.value_at(int(aux))}")
     if status == ST_COUNT_OVERFLOW:
         raise CountOverflowError(f"count slot for m={aux} passed 255")
-    return FrequencyTable(n_max=n_max, m_cap=m_cap, count_buffer=counts.toreadonly(),
-                          last_buffer=last.toreadonly(), overflow_count=int(aux))
+    return FrequencyTable(n_max=n_max, m_cap=m_cap, counts=counts.toreadonly(),
+                          last_occurrence=last.toreadonly(), overflow_count=int(aux))
 
 
 @dataclass(frozen=True)
@@ -119,9 +101,9 @@ def block_report(table: FrequencyTable, k: int) -> BlockReport:
     lo, hi = 2**k, 2 ** (k + 1) - 1
     if hi > table.m_cap:
         raise RangeError(f"block k={k} reaches m={hi}, beyond m_cap={table.m_cap}")
-    block = table.count_buffer[lo : hi + 1].tobytes()
+    block = table.counts[lo : hi + 1].tobytes()
     peak_count = max(block)
-    complete = 0 not in block and max(table.last_buffer[lo : hi + 1]) <= table.n_max // 2
+    complete = 0 not in block and max(table.last_occurrence[lo : hi + 1]) <= table.n_max // 2
     return BlockReport(
         k=k,
         n_max=table.n_max,

@@ -70,7 +70,7 @@ def detect_ramp_orbit(trace: Trace) -> bool:
     m_hi = min(ORBIT_SPAN, (trace.len - 1) // 2)
     if m_hi < 2:
         return False
-    q, typecode = trace.buffer, trace.buffer.format
+    q, typecode = trace.values, trace.values.format
     if (q[4], q[5]) != (4, 2):  # most seeds leave the orbit at once
         return False
     return (q[5 : 2 * m_hi + 2 : 2].tobytes() == array(typecode, [2]).tobytes() * (m_hi - 1)
@@ -113,7 +113,7 @@ def detect_merge(trace: Trace, reference: Trace) -> tuple[int, int] | None:
     shift qualifies.  Slots of two widths are compared by value, both
     widened to 8 bytes.
     """
-    tr, ref = trace.buffer, reference.buffer
+    tr, ref = trace.values, reference.values
     typecode = tr.format if tr.format == ref.format else "Q"
     len_tr, len_ref = trace.len, reference.len
 

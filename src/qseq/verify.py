@@ -168,20 +168,20 @@ def _result(number: int, title: str, passed: bool, detail: str) -> CriterionResu
 # ------------------------------------------------------------- the checks
 
 def check_first_values(art: Artifacts) -> CriterionResult:
-    got = tuple(art.short_trace.buffer[1:21])
+    got = tuple(art.short_trace.values[1:21])
     return _result(1, "first twenty values", got == FIRST_20,
                    f"got {list(got)}" if got != FIRST_20 else "exact match")
 
 
 def check_difference_prefix(art: Artifacts) -> CriterionResult:
-    got = tuple(series(art.short_trace, "D", 1, 16).columns[1])
+    got = tuple(series(art.short_trace, "D", 1, 16).y)
     return _result(2, "difference prefix D(1..16)", got == DIFF_FIRST_16,
                    f"got {list(got)}" if got != DIFF_FIRST_16 else "exact match")
 
 
 def check_subsequence_prefixes(art: Artifacts) -> CriterionResult:
-    odd = tuple(series(art.short_trace, "A", 1, 10).columns[1])
-    even = tuple(series(art.short_trace, "B", 1, 9).columns[1])
+    odd = tuple(series(art.short_trace, "A", 1, 10).y)
+    even = tuple(series(art.short_trace, "B", 1, 9).y)
     ok = odd == ODD_SUB_FIRST_10 and even == EVEN_SUB_FIRST_9
     return _result(3, "interleave prefixes A(1..10), B(1..9)", ok,
                    "exact match" if ok else f"odd={list(odd)} even={list(even)}")
@@ -302,8 +302,8 @@ def check_growth(art: Artifacts) -> CriterionResult:
 
 def check_renorm_split(art: Artifacts) -> CriterionResult:
     k_hi = SURVEY_HORIZON // 4
-    odd_max = max(map(abs, series(art.main_trace, "Rodd", 1, k_hi).columns[1]))
-    even_max = max(map(abs, series(art.main_trace, "Reven", 1, k_hi).columns[1]))
+    odd_max = max(map(abs, series(art.main_trace, "Rodd", 1, k_hi).y))
+    even_max = max(map(abs, series(art.main_trace, "Reven", 1, k_hi).y))
     ordered = odd_max < even_max
     recorded = (odd_max, even_max) == RENORM_SPLIT_MAXIMA_250K
     ok = ordered and recorded

@@ -288,7 +288,7 @@ def test_width_8_computed_into_the_file_reads_slot_zero_clear(tmp_path):
     trace, wrote = cli.obtain_trace(config, path)
     assert wrote
     assert trace.values[0] == 0
-    assert not trace.values.flags.writeable
+    assert trace.values.readonly
     assert trace == run(config)
     assert path.read_bytes() == saved_bytes(config, tmp_path)
 

@@ -99,7 +99,7 @@ def test_parity_guard(short_trace, classical_trace):
 def test_parity_guard_names_the_first_even_value_across_blocks(short_trace, monkeypatch):
     from qseq.engine import Trace
 
-    values = short_trace.values.copy()
+    values = np.array(short_trace.values)
     values[[4321, 4500]] += 1
     trace = Trace(short_trace.config, values, short_trace.outcome)
     monkeypatch.setattr(diagnostics, "_BLOCK", 7)
@@ -138,7 +138,7 @@ def test_identities_need_odd_values_only_up_to_twice_k_hi(short_trace, even_at, 
     from qseq.engine import Trace
 
     k_hi = 1000
-    values = short_trace.values.copy()
+    values = np.array(short_trace.values)
     values[even_at] += 1
     trace = Trace(short_trace.config, values, short_trace.outcome)
     if raises:
@@ -153,7 +153,7 @@ def test_identities_need_odd_values_only_up_to_twice_k_hi(short_trace, even_at, 
 def test_identities_catch_a_corrupted_trace(short_trace):
     from qseq.engine import Trace
 
-    tampered = short_trace.values.copy()
+    tampered = np.array(short_trace.values)
     tampered[100] += 2  # keep parity, break the recursion
     broken = Trace(short_trace.config, tampered, short_trace.outcome)
     assert len(check_subsequence_identities(broken)) > 0
@@ -165,7 +165,7 @@ def test_identities_catch_a_corrupted_trace(short_trace):
 def test_identities_in_blocks_match_one_pass(short_trace, monkeypatch, forge, block):
     from qseq.engine import Trace
 
-    values = short_trace.values.copy()
+    values = np.array(short_trace.values)
     for n, delta in forge.items():
         values[n] += delta  # even deltas keep every value odd
     trace = Trace(short_trace.config, values, short_trace.outcome)
@@ -229,19 +229,19 @@ def test_an_empty_domain_names_the_horizon_it_needs(short_trace):
     from qseq.engine import Trace
 
     for code, length, need in (("S", 2, 3), ("D", 1, 2), ("Rodd", 3, 4), ("R", 1, 2)):
-        trace = Trace(short_trace.config, short_trace.buffer[: length + 1], short_trace.outcome)
+        trace = Trace(short_trace.config, short_trace.values[: length + 1], short_trace.outcome)
         with pytest.raises(RangeError, match=rf"^series {code} needs horizon >= {need},"
                                              rf" have {length}$"):
             series(trace, code)
-        trace = Trace(short_trace.config, short_trace.buffer[: need + 1], short_trace.outcome)
+        trace = Trace(short_trace.config, short_trace.values[: need + 1], short_trace.outcome)
         assert len(series(trace, code)) == 1
 
 
 def test_frozen_clock_deviation(main_trace):
     t1 = series(main_trace, "t1")
     t2 = series(main_trace, "t2")
-    dev1 = int(np.abs(2 * t1.y - t1.x).max())
-    dev2 = int(np.abs(2 * t2.y - t2.x).max())
+    dev1 = int(np.abs(2 * np.asarray(t1.y) - np.asarray(t1.x)).max())
+    dev2 = int(np.abs(2 * np.asarray(t2.y) - np.asarray(t2.x)).max())
     assert (dev1, dev2) == frozen.MAX_CLOCK_DEV2_1E7
 
 
@@ -258,7 +258,7 @@ def test_frozen_fluctuation(main_trace):
 
 
 def test_frozen_difference_summary(main_trace):
-    d = series(main_trace, "D").y
+    d = np.asarray(series(main_trace, "D").y)
     summary = frozen.D_SUMMARY_1E7
     assert len(d) == summary["count"]
     assert int(d.min()) == summary["min"]
@@ -276,14 +276,14 @@ def test_frozen_identity_sweep(main_trace):
 
 def test_frozen_safety_minimum(main_trace):
     s = series(main_trace, "S", 100, 10**7)
-    ratio = s.y / s.x
-    idx = int(ratio.argmin())
+    x, y = np.asarray(s.x), np.asarray(s.y)
+    idx = int((y / x).argmin())
     num, den = frozen.MIN_SAFETY_RATIO
     arg_n, s_min = frozen.MIN_SAFETY_ARG
-    assert int(s.x[idx]) == arg_n
-    assert int(s.y[idx]) == s_min
+    assert int(x[idx]) == arg_n
+    assert int(y[idx]) == s_min
     assert s_min * den == num * arg_n  # same exact ratio
-    assert (s.y > 0).all()  # the safety margin never closes
+    assert (y > 0).all()  # the safety margin never closes
 
 
 def test_series_codes_cover_cli_surface():

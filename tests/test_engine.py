@@ -2,6 +2,7 @@
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 import sysconfig
@@ -148,8 +149,8 @@ def test_widths_agree():
     narrow = run(RecursionConfig(seed=Seed((1, 1)), horizon=4000, width=4))
     wide = run(RecursionConfig(seed=Seed((1, 1)), horizon=4000, width=8))
     assert values_list(narrow) == values_list(wide)
-    assert narrow.values.dtype == np.dtype("<u4")
-    assert wide.values.dtype == np.dtype("<u8")
+    assert np.asarray(narrow.values).dtype == np.dtype("<u4")
+    assert np.asarray(wide.values).dtype == np.dtype("<u8")
 
 
 def test_value_overflow_detected():
@@ -173,7 +174,7 @@ def test_trace_accessors(short_trace):
         short_trace.value_at(0)
     with pytest.raises(RangeError):
         short_trace.value_at(5001)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         short_trace.values[3] = 7  # read-only view
 
 
@@ -201,10 +202,10 @@ def test_run_and_extend_fill_a_given_buffer_but_never_slot_0():
     config = RecursionConfig(seed=Seed((3, 1, 2)), horizon=1000)
     fresh = run(config).values
     out = np.full(config.horizon + 1, 7, dtype=config.dtype)
-    assert run(config, out).buffer.obj is out
+    assert run(config, out).values.obj is out
     assert out[0] == 7 and np.array_equal(out[1:], fresh[1:])
     out = np.full(config.horizon + 1, 7, dtype=config.dtype)
-    assert extend(run(replace(config, horizon=100)), 1000, out).buffer.obj is out
+    assert extend(run(replace(config, horizon=100)), 1000, out).values.obj is out
     assert out[0] == 7 and np.array_equal(out[1:], fresh[1:])
     dead_config = RecursionConfig(seed=Seed((1, 2, 1)), horizon=100)
     out = np.zeros(101, dtype=dead_config.dtype)
@@ -287,3 +288,38 @@ def test_concurrent_first_imports_all_load_the_kernel(tmp_path):
     outputs = [proc.communicate(timeout=120)[0] for proc in procs]
     assert outputs == ["True None\n"] * 3
     assert all(len(list(d.iterdir())) == 1 for d in (tmp_path / "qseq").iterdir())
+
+
+def gcc_has_ubsan() -> bool:
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        return False
+    found = subprocess.run([gcc, "-print-file-name=libubsan.so"], capture_output=True,
+                           text=True, timeout=60).stdout.strip()
+    return Path(found).is_absolute()
+
+
+UBSAN_OVERFLOW = """
+import importlib.util, sys
+from array import array
+spec = importlib.util.spec_from_file_location("qseq._qkernel", sys.argv[1])
+kernel = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(kernel)
+print(kernel.advance(array("Q", [0, 2**63 - 1, 2, 3, 4, 0, 0, 0]), 5, 1, -1)[0])
+"""
+
+
+@pytest.mark.skipif(not gcc_has_ubsan(), reason="gcc has no libubsan")
+def test_advance_overflows_without_undefined_behaviour(tmp_path):
+    """Built with UBSan and without the -fwrapv of sysconfig's CFLAGS,
+    advance reports an 8-byte overflow, Q(1) + Q(2) = 2^63 + 1, as
+    ST_OVERFLOW and UBSan reports nothing on the way.  The build goes to
+    tmp_path, never into the kernel cache the loader reads."""
+    source = Path(_native.__file__).with_name("_qkernel.c")
+    built = tmp_path / "_qkernel.so"
+    subprocess.run(["gcc", "-shared", "-fPIC", "-O1", "-fsanitize=undefined",
+                    "-fno-sanitize-recover=all", f"-I{sysconfig.get_paths()['include']}",
+                    str(source), "-o", str(built)], check=True, capture_output=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", UBSAN_OVERFLOW, str(built)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{_native.ST_OVERFLOW}\n", "")

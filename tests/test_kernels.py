@@ -168,11 +168,11 @@ def evaluate(module, values, lo, hi, terms, slope, dtype=np.int64, den=()):
 
 
 def short(trace):
-    return trace.buffer
+    return trace.values
 
 
 def short_wide(trace):
-    return trace.values.astype(np.uint64)
+    return np.asarray(trace.values).astype(np.uint64)
 
 
 def near_2_63(_):
@@ -238,10 +238,58 @@ def test_linear_series_errors_agree(kernel, values, lo, terms, out, den):
     assert got.tolist() == out().tolist()
 
 
+MIN_CASES = {  # (out, other)
+    "extremes": ([5, -3, 0, 2**63 - 1, -(2**63), 7], [4, -3, 1, -(2**63), 2**63 - 1, 8]),
+    "37-rows": ([(i * 7919) % 101 - 50 for i in range(37)],
+                [(i * 104729) % 103 - 51 for i in range(37)]),
+    "one-row": ([1], [0]),
+    "no-rows": ([], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIN_CASES))
+def test_min_into_agrees(kernel, case):
+    """The same rows from both kernels, each the smaller of the two, and
+    nothing written past them or into other."""
+    out, other = MIN_CASES[case]
+    results = []
+    for module in (kernel, C):
+        slots = np.full(len(out) + 2, UNTOUCHED, dtype=np.int64)
+        slots[: len(out)] = out
+        given = np.array(other, dtype=np.int64)
+        assert module.min_into(slots[: len(out)], given) is None
+        assert given.tolist() == other
+        results.append(slots.tolist())
+    assert results[0] == results[1] == [*map(min, out, other), UNTOUCHED, UNTOUCHED]
+
+
+@pytest.mark.parametrize("out,other", [
+    (lambda: np.zeros(3, dtype=np.int64), np.full(4, -1, dtype=np.int64)),
+    (lambda: np.zeros(4, dtype=np.int64), np.full(3, -1, dtype=np.int64)),
+    (lambda: np.zeros(3, dtype=np.int32), np.full(3, -1, dtype=np.int64)),
+    (lambda: np.zeros(3), np.full(3, -1, dtype=np.int64)),
+    (lambda: np.zeros(3, dtype=np.int64), np.full(3, 2**64 - 1, dtype=np.uint64)),
+    (lambda: np.zeros(6, dtype=np.int64)[::2], np.full(3, -1, dtype=np.int64)),
+    (lambda: np.zeros(3, dtype=np.int64), np.full(6, -1, dtype=np.int64)[::2]),
+    (lambda: memoryview(np.zeros(3, dtype=np.int64)).toreadonly(),
+     np.full(3, -1, dtype=np.int64)),
+], ids=["other-longer", "other-shorter", "int32-out", "float64-out", "uint64-other",
+        "strided-out", "strided-other", "read-only-out"])
+def test_min_into_errors_agree(kernel, out, other):
+    """Both kernels refuse the same call with the same message, before any
+    write: other's -1s would show in out."""
+    with pytest.raises(ValueError) as c_error:
+        C.min_into(out(), other)
+    got = out()
+    with same_error(c_error):
+        kernel.min_into(got, other)
+    assert got.tolist() == out().tolist()
+
+
 def widened(trace, width, forge=()):
     """A copy of the trace's values in width-byte slots, with forge's
     (n, delta) added."""
-    values = trace.values.astype(f"<u{width}")
+    values = np.asarray(trace.values).astype(f"<u{width}")
     for n, delta in dict(forge).items():
         values[n] += delta
     return values
@@ -300,7 +348,7 @@ def at_a_hi(trace):
     reads as -2, so jb1 = k + 1, and B(ja2) and B(k) are forged to make
     both sums agree modulo 2^64.  Only a value past 2^63 reaches the upper
     index guards."""
-    values = trace.values[:5000].astype(np.uint64).tolist()
+    values = np.asarray(trace.values)[:5000].astype(np.uint64).tolist()
     L, k = 4999, 2499
     values[2 * k - 1] = 2**64 - 2
     ja1, ja2 = (2 * k - 1 - values[2 * k - 2]) >> 1, (2 * k - 1 - values[2 * k - 3]) >> 1
@@ -315,7 +363,7 @@ def at_b_hi(trace):
     """8-byte values, L = 5000, on which both identities hold at k = L // 2
     only if ja2 = L // 2, the last B index, counts as in range: A(k-1) reads
     as -1, so ja2 = k, and B(ja1) is forged to make A(k)'s sum agree."""
-    values = trace.values.astype(np.uint64).tolist()
+    values = np.asarray(trace.values).astype(np.uint64).tolist()
     k = 2500
     values[2 * k - 3] = 2**64 - 1
     ja1 = (2 * k - 1 - values[2 * k - 2]) >> 1
@@ -354,8 +402,6 @@ def test_interleave_violations_errors_agree(kernel, values, k_lo, out):
 ROWS = np.arange(1, 7, dtype=np.int64)
 FORMAT_CASES = {
     "int64": (np.array([1, -2, 0, 2**63 - 1, -(2**63), 10]), -ROWS, False),
-    "uint64": (np.array([0, 1, 2**64 - 1], dtype=np.uint64),
-               np.array([2**64 - 1, 0, 7], dtype=np.uint64), False),
     "halves": (ROWS, np.array([3, -1, 0, -4, 2**63 - 1, -(2**63)]), True),
     "floats": (np.array([0.0, -0.0, 0.5, 1 / 3, -2.75, 45035996.27]), ROWS, False),
     "near-tie-floats": (np.array([0.123456785, 1.000000005, 0.000000015, -2.5e-9,
@@ -378,7 +424,9 @@ def test_format_rows_agrees(kernel, case):
     (np.array([-1e9]), ROWS[:1]),
     (ROWS, ROWS.astype(np.float64)),
     (ROWS, ROWS[:5]),
-], ids=["nan", "inf", "minus-inf", "at-bound", "past-bound", "float-y", "length-mismatch"])
+    (np.array([0, 1, 2**64 - 1], dtype=np.uint64), np.array([2**64 - 1, 0, 7], dtype=np.uint64)),
+], ids=["nan", "inf", "minus-inf", "at-bound", "past-bound", "float-y", "length-mismatch",
+        "uint64"])
 def test_format_rows_errors_agree(kernel, x, y):
     with pytest.raises(ValueError) as c_error:
         C.format_rows(x, y, False)
@@ -396,7 +444,7 @@ def test_every_entry_goes_through_the_binding(tmp_path, monkeypatch, capsys):
             return getattr(_pykernel, name)(*args)
         return call
 
-    entries = ("advance", "count_values", "linear_series", "first_even",
+    entries = ("advance", "count_values", "linear_series", "min_into", "first_even",
                "interleave_violations", "format_rows")
     assert set(entries) == {name for name in vars(C) if not name.startswith("__")}
     monkeypatch.setattr(_native, "kernel", SimpleNamespace(**{e: recorded(e) for e in entries}))
@@ -404,6 +452,7 @@ def test_every_entry_goes_through_the_binding(tmp_path, monkeypatch, capsys):
         (["compute", "--export"], {"advance", "linear_series", "format_rows"}),
         (["freq", "--kmax", "5"], {"advance", "count_values", "format_rows"}),
         (["diagnose", "--series", "E"], {"advance", "linear_series", "format_rows"}),
+        (["diagnose", "--series", "S"], {"advance", "linear_series", "min_into", "format_rows"}),
         (["selfsim", "--levels", "0..2"], {"advance", "linear_series", "format_rows"}),
         (["seeds", "--length", "2", "--max-value", "2"], {"advance"}),
     ]:

@@ -103,8 +103,10 @@ def test_compute_without_export_loads_no_numpy(tmp_path):
     ("diagnose", ("--series", "E"), "series_E_*.dat"),
     ("diagnose", ("--series", "D", "--lo", "5", "--hi", "900"), "series_D_*.dat"),
     ("diagnose", ("--series", "G", "--samples-per-octave", "8"), "series_G_*.dat"),
+    ("diagnose", ("--series", "S"), "series_S_*.dat"),
     ("selfsim", ("--levels", "0..3"), "selfsim_k3_*.dat"),
-], ids=["compute-export", "diagnose-E", "diagnose-D-window", "diagnose-G", "selfsim"])
+], ids=["compute-export", "diagnose-E", "diagnose-D-window", "diagnose-G", "diagnose-S",
+        "selfsim"])
 def test_the_text_verbs_load_no_numpy(tmp_path, verb, args, written):
     """Each writes its text from a checkpoint in a new interpreter without
     loading NumPy: the kernel evaluates the series and formats it."""
@@ -115,6 +117,25 @@ def test_the_text_verbs_load_no_numpy(tmp_path, verb, args, written):
     assert not numpy_loaded
     [path] = tmp_path.glob(written)
     assert path.stat().st_size > 0
+
+
+def test_no_module_imports_numpy():
+    """NumPy is a test dependency only: no module of the package imports
+    it, and pyproject.toml does not require it."""
+    package = Path(qseq.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.partition(".")[0] == "numpy"]
+    assert found == []
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())["project"]
+    assert not [dep for dep in project["dependencies"] if dep.startswith("numpy")]
 
 
 @pytest.mark.parametrize("argv,said", [
