@@ -10,20 +10,46 @@ from array import array
 
 from ._native import SLOT_CAPS, ST_COUNT_OVERFLOW, ST_DEATH, ST_OK, ST_OVERFLOW, ST_PARITY
 
+# The messages of the kinds of buffer that more than one entry takes.
+_VALUES = "values must be C-contiguous 4- or 8-byte items"
+_INT64 = "columns must be 1-D C-contiguous int64"
+_INT64_OUT = "out must be writable 1-D C-contiguous int64"
 
-def _items(buffer, sizes: tuple[int, ...], error: str) -> memoryview:
-    """The buffer as unsigned items of its own size; ValueError(error) unless in sizes."""
+
+def _items(buffer, sizes: tuple[int, ...], error: str, writes: bool = False) -> memoryview:
+    """The buffer as unsigned items of its own size, as a converter of
+    _qkernel.c checks it; ValueError(error) unless it is C-contiguous, its
+    items have a size in sizes and, if the entry writes it, it is writable."""
     view = memoryview(buffer)
-    if view.itemsize not in sizes:
+    if view.itemsize not in sizes or not view.c_contiguous or (writes and view.readonly):
         raise ValueError(error)
     return view.cast("B").cast({1: "B", 4: "I", 8: "Q"}[view.itemsize])
 
 
+def _column(buffer, kinds: tuple[str, ...], error: str, writes: bool = False) -> memoryview:
+    """A 1-D C-contiguous buffer of 8-byte native items as a memoryview of
+    its kind, 'q' int64 or 'd' float64, as the C kernel's item_kind reads
+    it; ValueError(error) unless that kind is in kinds and, if the entry
+    writes it, the buffer is writable."""
+    view = memoryview(buffer)
+    f = view.format
+    if f[:1] in ("@", "=") or (f[:1] == "<" and sys.byteorder == "little"):
+        f = f[1:]
+    kind = {"q": "q", "l": "q", "d": "d"}.get(f)
+    if (view.itemsize != 8 or view.ndim != 1 or not view.c_contiguous or kind not in kinds
+            or (writes and view.readonly)):
+        raise ValueError(error)
+    return view.cast("B").cast(kind)
+
+
 def advance(values, start, eps_even, eps_odd):
-    q = _items(values, (4, 8), "value buffer must hold 4- or 8-byte items")
+    q = _items(values, (4, 8), "values must be writable C-contiguous 4- or 8-byte items",
+               writes=True)
     cap = SLOT_CAPS[q.itemsize]
     if not 2 <= start <= len(q):
         raise ValueError("start must be in [2, len(values)]")
+    if not (-1 <= eps_even <= 1 and -1 <= eps_odd <= 1):
+        raise ValueError("eps_even and eps_odd must be in [-1, 1]")
     if q.itemsize == 8 and max(q[1:start]) > cap:
         raise ValueError("a value before start exceeds 2**63 - 1")
     for n in range(start, len(q)):
@@ -38,9 +64,11 @@ def advance(values, start, eps_even, eps_odd):
 
 
 def count_values(values, counts, last_occurrence):
-    error = "unexpected buffer item sizes"
-    q, tally, last = (_items(values, (4, 8), error), _items(counts, (1,), error),
-                      _items(last_occurrence, (4,), error))
+    q = _items(values, (4, 8), _VALUES)
+    tally = _items(counts, (1,), "counts must be writable C-contiguous 1-byte items",
+                   writes=True)
+    last = _items(last_occurrence, (4,),
+                  "last_occurrence must be writable C-contiguous 4-byte items", writes=True)
     if len(last) < len(tally):
         raise ValueError("last_occurrence shorter than counts")
     m_cap, overflow = len(tally) - 1, 0
@@ -59,27 +87,16 @@ def count_values(values, counts, last_occurrence):
     return ST_OK, overflow
 
 
-def _column(buffer) -> tuple[str, memoryview] | None:
-    """(kind, items) of a 1-D C-contiguous buffer of 8-byte native items, as
-    the C kernel's item_kind reads it: 'q' int64 or 'd' float64; None for
-    any other buffer."""
-    view = memoryview(buffer)
-    f = view.format
-    if f[:1] in ("@", "=") or (f[:1] == "<" and sys.byteorder == "little"):
-        f = f[1:]
-    if view.itemsize != 8 or view.ndim != 1 or not view.c_contiguous or f not in tuple("qld"):
-        return None
-    kind = "q" if f == "l" else f
-    return kind, view.cast("B").cast(kind)
-
-
 def linear_series(values, lo, terms, slope, out, den=1):
-    q = _items(values, (4, 8), "value buffer must hold 4- or 8-byte items")
-    kind, items = _column(out) or (None, None)
-    if kind not in ("q", "d"):
-        raise ValueError("out must be a 1-D C-contiguous int64 or float64 buffer")
-    if den < 1 or (kind == "q" and den != 1):
+    q = _items(values, (4, 8), _VALUES)
+    cma = _column(terms, ("q",), _INT64)
+    items = _column(out, ("q", "d"), "out must be writable 1-D C-contiguous int64 or float64",
+                    writes=True)
+    if len(cma) % 3 or len(cma) > 3 * 8:
+        raise ValueError("terms must be up to 8 whole (c, m, a) triples")
+    if den < 1 or (items.format == "q" and den != 1):
         raise ValueError("den must be >= 1, and 1 for an int64 out")
+    terms = list(zip(cma[0::3], cma[1::3], cma[2::3]))
     rows = range(lo, lo + len(items))
     for c, m, a in terms:
         for n in (rows[0], rows[-1]) if rows else ():
@@ -90,31 +107,27 @@ def linear_series(values, lo, terms, slope, out, den=1):
     for c, m, a in terms:
         acc = [v + c * q[m * n + a] for v, n in zip(acc, rows)]
     ints = [(v + 2**63) % 2**64 - 2**63 for v in acc]  # modulo 2^64, as C's int64
+    kind = items.format
     items[:] = array(kind, ints if kind == "q" else [v / float(den) for v in ints])
 
 
 def min_into(out, other):
-    (ko, outs), (kt, others) = _column(out) or (None, None), _column(other) or (None, None)
-    if ko != "q" or kt != "q":
-        raise ValueError("columns must be 1-D C-contiguous int64")
-    if outs.readonly:
-        raise ValueError("out must be writable")
+    outs = _column(out, ("q",), _INT64_OUT, writes=True)
+    others = _column(other, ("q",), _INT64)
     if len(outs) != len(others):
         raise ValueError("out and other must be the same length")
     outs[:] = array("q", map(min, outs, others))
 
 
 def first_even(values):
-    q = _items(values, (4, 8), "value buffer must hold 4- or 8-byte items")
+    q = _items(values, (4, 8), _VALUES)
     return next((n for n in range(1, len(q)) if not q[n] & 1), 0)
 
 
 def interleave_violations(values, k_lo, out):
-    q = _items(values, (4, 8), "value buffer must hold 4- or 8-byte items")
-    kind, items = _column(out) or (None, None)
+    q = _items(values, (4, 8), _VALUES)
+    items = _column(out, ("q",), _INT64_OUT, writes=True)
     L = len(q) - 1
-    if kind != "q":
-        raise ValueError("out must be a 1-D C-contiguous int64 buffer")
     if k_lo < 2:
         raise ValueError("need k_lo >= 2")
     if 2 * (k_lo + len(items) - 1) > L:
@@ -138,12 +151,11 @@ def interleave_violations(values, k_lo, out):
 
 
 def format_rows(x, y, halves):
-    (kx, xs), (ky, ys) = _column(x) or (None, None), _column(y) or (None, None)
-    if kx is None or ky is None:
-        raise ValueError("columns must be 1-D C-contiguous int64 or float64")
-    if ky == "d" or len(ys) != len(xs):
-        raise ValueError("y must be an integer column as long as x")
-    xs, ys = xs.tolist(), ys.tolist()
+    xs = _column(x, ("q", "d"), "columns must be 1-D C-contiguous int64 or float64")
+    ys = _column(y, ("q",), _INT64)
+    if len(ys) != len(xs):
+        raise ValueError("y must be as long as x")
+    kx, xs, ys = xs.format, xs.tolist(), ys.tolist()
     if kx == "d" and not all(abs(v) < 2.0**52 / 1e8 for v in xs):
         raise ValueError("float column needs finite values below 2^52/1e8")
     spec = ".8f" if kx == "d" else "d"

@@ -11,8 +11,10 @@
  * series such as 2Q(n) - n into an int64 or float64 column, min_into takes
  * the smaller of two int64 columns, first_even and interleave_violations
  * check parity and the interleave identities, and format_rows writes two
- * int64 or float64 columns as text; so no verb needs NumPy.  _pykernel.py
- * is this file's pure-Python twin, entry for entry.
+ * int64 or float64 columns as text; so no verb needs NumPy.  Every entry
+ * parses its arguments in one PyArg_ParseTuple, whose converters (below)
+ * acquire and check each kind of buffer, and releases them once, at its
+ * end.  _pykernel.py is this file's pure-Python twin, entry for entry.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -25,6 +27,68 @@
 #define ST_PARITY 3
 #define ST_COUNT_OVERFLOW 4
 
+/* ---------------------------------------------------------- arguments */
+
+/* NULL, with ValueError(error) raised unless error is "" (an error set already). */
+static PyObject *
+value_error(const char *error)
+{
+    if (*error)
+        PyErr_SetString(PyExc_ValueError, error);
+    return NULL;
+}
+
+/* The kind of a 1-D buffer of 8-byte native items: 'q' int64 or 'd'
+ * float64; 0 for any other buffer. */
+static char
+item_kind(const Py_buffer *v)
+{
+    const char *f = v->format ? v->format : "B";
+    f += (*f == '@' || *f == '=' || (PY_LITTLE_ENDIAN && *f == '<'));
+    if (v->itemsize == 8 && v->ndim == 1 && f[0] && !f[1] && strchr("qld", f[0]))
+        return f[0] == 'l' ? 'q' : f[0];
+    return 0;
+}
+
+/* Each kind of buffer an entry takes is a PyArg "O&" converter, which
+ * acquires the buffer into the Py_buffer it is given and checks it: C
+ * contiguous, OK (an expression in v) and, if the entry WRITES it,
+ * writable.  A buffer that fails is released, with ValueError(MESSAGE).
+ * If a later argument fails, PyArg calls the converter again with NULL,
+ * and it releases its buffer; else the entry releases it. */
+#define DEFINE_KIND(name, WRITES, OK, MESSAGE)                          \
+static int name(PyObject *obj, void *view)                              \
+{                                                                       \
+    Py_buffer *v = view;                                                \
+    if (obj == NULL) {                                                  \
+        PyBuffer_Release(v);                                            \
+        return 1;                                                       \
+    }                                                                   \
+    if (PyObject_GetBuffer(obj, v, PyBUF_RECORDS_RO) < 0)               \
+        return 0;                                                       \
+    if (PyBuffer_IsContiguous(v, 'C') && (OK) && !((WRITES) && v->readonly)) \
+        return Py_CLEANUP_SUPPORTED;                                    \
+    PyBuffer_Release(v);                                                \
+    value_error(MESSAGE);                                               \
+    return 0;                                                           \
+}
+#define SLOTS(a, b) (v->itemsize == (a) || v->itemsize == (b))
+DEFINE_KIND(values_in, 0, SLOTS(4, 8), "values must be C-contiguous 4- or 8-byte items")
+DEFINE_KIND(values_out, 1, SLOTS(4, 8), "values must be writable C-contiguous 4- or 8-byte items")
+DEFINE_KIND(counts_out, 1, SLOTS(1, 1), "counts must be writable C-contiguous 1-byte items")
+DEFINE_KIND(last_out, 1, SLOTS(4, 4), "last_occurrence must be writable C-contiguous 4-byte items")
+DEFINE_KIND(int64_in, 0, item_kind(v) == 'q', "columns must be 1-D C-contiguous int64")
+DEFINE_KIND(int64_out, 1, item_kind(v) == 'q', "out must be writable 1-D C-contiguous int64")
+DEFINE_KIND(number_in, 0, item_kind(v), "columns must be 1-D C-contiguous int64 or float64")
+DEFINE_KIND(number_out, 1, item_kind(v), "out must be writable 1-D C-contiguous int64 or float64")
+
+/* Slot i of a buffer of 4- or 8-byte values. */
+static inline uint64_t
+slot(const Py_buffer *v, long long i)
+{
+    return v->itemsize == 4 ? ((const uint32_t *)v->buf)[i] : ((const uint64_t *)v->buf)[i];
+}
+
 /* advance(values, start, eps_even, eps_odd) -> (status, step, bad_t1, bad_t2)
  *
  * Runs q[n] = q[n - q[n-1]] + q[n - q[n-2]] + eps(n) in place for
@@ -33,10 +97,10 @@
  * flags say which) or where the new value would exceed the slot's cap
  * (ST_OVERFLOW): 2^32 - 1 for 4-byte slots, 2^63 - 1 for 8-byte.  The sum
  * runs in uint64_t, where it wraps by definition: two values of at most
- * 2^63 - 1 plus an eps in [-1, 1] (all the engine passes) stay exact, and
- * a sum below zero wraps above the cap.  Before any read, ValueError if a
- * value in q[1..start-1] of 8-byte slots exceeds 2^63 - 1; resuming at
- * 10^7 scans that prefix once.  No 4-byte value can exceed its cap.
+ * 2^63 - 1 plus an eps in [-1, 1] stay exact, and a sum below zero wraps
+ * above the cap.  Before any read, ValueError if an eps leaves [-1, 1], or
+ * if a value in q[1..start-1] of 8-byte slots exceeds 2^63 - 1; resuming
+ * at 10^7 scans that prefix once.  No 4-byte value can exceed its cap.
  *
  * One loop, defined for each slot type, carries Q(n-1) and Q(n-2) in p1
  * and p2 instead of loading back the slots just written, and takes the
@@ -85,29 +149,27 @@ prefix_above_int64(const uint64_t *q, long long start)
 static PyObject *
 advance(PyObject *self, PyObject *args)
 {
-    Py_buffer view;
+    Py_buffer qv;
     long long start, eps_even, eps_odd;
 
-    if (!PyArg_ParseTuple(args, "w*LLL", &view, &start, &eps_even, &eps_odd))
+    if (!PyArg_ParseTuple(args, "O&LLL", values_out, &qv, &start, &eps_even, &eps_odd))
         return NULL;
-    long long horizon = (long long)(view.len / view.itemsize) - 1;
+    long long horizon = (long long)(qv.len / qv.itemsize) - 1;
     const char *error = NULL;
-    if (view.itemsize != 4 && view.itemsize != 8)
-        error = "value buffer must hold 4- or 8-byte items";
-    else if (start < 2 || start > horizon + 1)  /* the loop reads q[start-2] first */
+    Stop stop = {0};
+    if (start < 2 || start > horizon + 1)  /* the loop reads q[start-2] first */
         error = "start must be in [2, len(values)]";
-    else if (view.itemsize == 8 && prefix_above_int64((uint64_t *)view.buf, start))
+    else if (eps_even < -1 || eps_even > 1 || eps_odd < -1 || eps_odd > 1)
+        error = "eps_even and eps_odd must be in [-1, 1]";
+    else if (qv.itemsize == 8 && prefix_above_int64((uint64_t *)qv.buf, start))
         error = "a value before start exceeds 2**63 - 1";
-    if (error) {
-        PyBuffer_Release(&view);
-        PyErr_SetString(PyExc_ValueError, error);
-        return NULL;
-    }
-    Stop stop = view.itemsize == 4
-        ? advance4((uint32_t *)view.buf, start, horizon, eps_even, eps_odd)
-        : advance8((uint64_t *)view.buf, start, horizon, eps_even, eps_odd);
-    PyBuffer_Release(&view);
-    return Py_BuildValue("iLii", stop.status, stop.step, stop.bad1, stop.bad2);
+    else if (qv.itemsize == 4)
+        stop = advance4((uint32_t *)qv.buf, start, horizon, eps_even, eps_odd);
+    else
+        stop = advance8((uint64_t *)qv.buf, start, horizon, eps_even, eps_odd);
+    PyBuffer_Release(&qv);
+    return error ? value_error(error)
+                 : Py_BuildValue("iLii", stop.status, stop.step, stop.bad1, stop.bad2);
 }
 
 /* count_values(values, counts, last_occurrence) -> (status, aux)
@@ -124,24 +186,20 @@ count_values(PyObject *self, PyObject *args)
 {
     Py_buffer qv, cv, lv;
 
-    if (!PyArg_ParseTuple(args, "y*w*w*", &qv, &cv, &lv))
+    if (!PyArg_ParseTuple(args, "O&O&O&", values_in, &qv, counts_out, &cv, last_out, &lv))
         return NULL;
 
     int status = ST_OK;
     long long aux = 0, n_max = (long long)(qv.len / qv.itemsize) - 1, m_cap = (long long)cv.len - 1;
     const char *error = NULL;
-    if ((qv.itemsize != 4 && qv.itemsize != 8) || cv.itemsize != 1 || lv.itemsize != 4)
-        error = "unexpected buffer item sizes";
-    else if (lv.len / lv.itemsize < cv.len)
+    if (lv.len / 4 < cv.len)
         error = "last_occurrence shorter than counts";
     else {
         uint8_t *counts = (uint8_t *)cv.buf;
         uint32_t *last = (uint32_t *)lv.buf;
         long long overflow = 0;
         for (long long n = 1; n <= n_max; n++) {
-            long long v = (qv.itemsize == 4)
-                ? (long long)((uint32_t *)qv.buf)[n]
-                : (long long)((uint64_t *)qv.buf)[n];
+            long long v = (long long)slot(&qv, n);
             if ((v & 1) == 0) {
                 status = ST_PARITY; aux = n;
                 goto done;
@@ -165,24 +223,7 @@ done:
     PyBuffer_Release(&qv);
     PyBuffer_Release(&cv);
     PyBuffer_Release(&lv);
-    if (error) {
-        PyErr_SetString(PyExc_ValueError, error);
-        return NULL;
-    }
-    return Py_BuildValue("iL", status, aux);
-}
-
-/* The kind of a 1-D C-contiguous buffer of 8-byte native items: 'q'
- * int64 or 'd' float64; 0 for any other buffer. */
-static char
-item_kind(const Py_buffer *v)
-{
-    const char *f = v->format ? v->format : "B";
-    f += (*f == '@' || *f == '=' || (PY_LITTLE_ENDIAN && *f == '<'));
-    if (v->itemsize == 8 && v->ndim == 1 && PyBuffer_IsContiguous(v, 'C')
-        && f[0] && !f[1] && strchr("qld", f[0]))
-        return f[0] == 'l' ? 'q' : f[0];
-    return 0;
+    return error ? value_error(error) : Py_BuildValue("iL", status, aux);
 }
 
 /* ------------------------------------------------------------- series */
@@ -190,15 +231,19 @@ item_kind(const Py_buffer *v)
 /* linear_series(values, lo, terms, slope, out, den=1) -> None
  *
  * For n = lo..hi, hi = lo + len(out) - 1, out[n - lo] = slope*n + the sum
- * of c*q[m*n + a] over the triples (c, m, a) in terms: as an int64, modulo
- * 2^64, into an int64 out; as that int64 divided by den, in doubles, into a
- * float64 out.  So one call evaluates a linear series of the trace straight
- * from its slots (a term list of () and slope 1 writes n itself).  Before
- * any write, ValueError if out is not a 1-D C-contiguous int64 or float64
- * buffer, if den is below 1 or is not 1 for an int64 out, or if an index
- * m*n + a leaves [1, len(values) - 1]: it is linear in n, so checking
- * n = lo and n = hi covers every row.
+ * of c*q[m*n + a] over the triples (c, m, a) of terms, an int64 column of
+ * up to TERMS_MAX whole triples: as an int64, modulo 2^64, into an int64
+ * out; as that int64 divided by den, in doubles, into a float64 out.  So
+ * one call evaluates a linear series of the trace straight from its slots
+ * (no terms and slope 1 write n itself).  The terms are copied before any
+ * write, so an out that shares their memory cannot move an index.  Before
+ * any write, ValueError if terms are not whole triples or too many, if den
+ * is below 1 or is not 1 for an int64 out, or if an index m*n + a leaves
+ * [1, len(values) - 1]: it is linear in n, so checking n = lo and n = hi
+ * covers every row.
  */
+#define TERMS_MAX 8
+
 #define DEFINE_ADD_TERM(name, T)                                        \
 static void name(uint64_t *acc, const T *q, long long rows, long long step, \
                  uint64_t c)                                            \
@@ -210,23 +255,19 @@ DEFINE_ADD_TERM(add_term4, uint32_t)
 DEFINE_ADD_TERM(add_term8, uint64_t)
 
 /* The ValueError linear_series raises before any write, or NULL; coef
- * receives each term's (c, m, a). */
+ * receives the terms. */
 static const char *
-series_error(const Py_buffer *qv, char kind, long long lo, long long hi, long long den,
-             PyObject *terms, long long (*coef)[3])
+series_error(const Py_buffer *qv, const Py_buffer *tv, char kind, long long lo, long long hi,
+             long long den, long long (*coef)[3])
 {
-    long long len = (long long)(qv->len / qv->itemsize) - 1;
-    if (qv->itemsize != 4 && qv->itemsize != 8)
-        return "value buffer must hold 4- or 8-byte items";
-    if (kind != 'q' && kind != 'd')
-        return "out must be a 1-D C-contiguous int64 or float64 buffer";
+    long long len = (long long)(qv->len / qv->itemsize) - 1, idx;
+    if (tv->len % 24 || tv->len > 24 * TERMS_MAX)
+        return "terms must be up to " Py_STRINGIFY(TERMS_MAX) " whole (c, m, a) triples";
     if (den < 1 || (kind == 'q' && den != 1))
         return "den must be >= 1, and 1 for an int64 out";
-    for (Py_ssize_t t = 0; t < PySequence_Fast_GET_SIZE(terms); t++) {
-        long long *cma = coef[t], idx;
-        if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(terms, t), "LLL;a term is (c, m, a)",
-                              &cma[0], &cma[1], &cma[2]))
-            return "";  /* TypeError or OverflowError already set */
+    memcpy(coef, tv->buf, (size_t)tv->len);
+    for (Py_ssize_t t = 0; t < tv->len / 24; t++) {
+        long long *cma = coef[t];
         for (int end = 0; hi >= lo && end < 2; end++) {
             long long n = end ? hi : lo;
             if (__builtin_mul_overflow(cma[1], n, &idx) || __builtin_add_overflow(idx, cma[2], &idx)
@@ -243,33 +284,20 @@ series_error(const Py_buffer *qv, char kind, long long lo, long long hi, long lo
 static PyObject *
 linear_series(PyObject *self, PyObject *args)
 {
-    Py_buffer qv, ov;
-    long long lo, slope, den = 1;
-    PyObject *terms_obj, *out_obj;
+    Py_buffer qv, tv, ov;
+    long long lo, slope, den = 1, coef[TERMS_MAX][3];
 
-    if (!PyArg_ParseTuple(args, "y*LOLO|L", &qv, &lo, &terms_obj, &slope, &out_obj, &den))
+    if (!PyArg_ParseTuple(args, "O&LO&LO&|L", values_in, &qv, &lo, int64_in, &tv, &slope,
+                          number_out, &ov, &den))
         return NULL;
-    if (PyObject_GetBuffer(out_obj, &ov, PyBUF_RECORDS) < 0) {
-        PyBuffer_Release(&qv);
-        return NULL;
-    }
     char kind = item_kind(&ov);
-    long long rows = ov.len / 8;
-    const char *error = "";  /* "" once a Python error is set */
-    long long (*coef)[3] = NULL;
-    PyObject *terms = PySequence_Fast(terms_obj, "terms must be a sequence of (c, m, a)");
-    Py_ssize_t n_terms = terms ? PySequence_Fast_GET_SIZE(terms) : 0;
-    if (terms && (coef = PyMem_Calloc((size_t)n_terms + 1, sizeof *coef)) == NULL)
-        PyErr_NoMemory();
-    else if (terms)
-        error = series_error(&qv, kind, lo, lo + rows - 1, den, terms, coef);
-    if (error && *error)
-        PyErr_SetString(PyExc_ValueError, error);
+    long long rows = ov.len / 8, n_terms = tv.len / 24;
+    const char *error = series_error(&qv, &tv, kind, lo, lo + rows - 1, den, coef);
     if (!error) {
         uint64_t *acc = (uint64_t *)ov.buf;
         for (long long i = 0; i < rows; i++)
             acc[i] = (uint64_t)slope * (uint64_t)(lo + i);
-        for (Py_ssize_t t = 0; rows > 0 && t < n_terms; t++) {
+        for (long long t = 0; rows > 0 && t < n_terms; t++) {
             long long c = coef[t][0], m = coef[t][1], first = m * lo + coef[t][2];
             if (qv.itemsize == 4)
                 add_term4(acc, (const uint32_t *)qv.buf + first, rows, m, (uint64_t)c);
@@ -283,70 +311,41 @@ linear_series(PyObject *self, PyObject *args)
             memcpy(&acc[i], &x, 8);
         }
     }
-    PyMem_Free(coef);
-    Py_XDECREF(terms);
     PyBuffer_Release(&qv);
+    PyBuffer_Release(&tv);
     PyBuffer_Release(&ov);
-    if (error)
-        return NULL;
-    Py_RETURN_NONE;
+    return error ? value_error(error) : Py_NewRef(Py_None);
 }
 
 /* min_into(out, other) -> None
  *
- * out[i] = min(out[i], other[i]) for every row of two int64 columns (see
- * item_kind), so one linear_series column can take the smaller of two.
- * ValueError, before any write, unless both are int64 columns, out is
- * writable and the two are the same length.
+ * out[i] = min(out[i], other[i]) for every row of two int64 columns, so
+ * one linear_series column can take the smaller of two.  ValueError,
+ * before any write, unless the two are the same length.
  */
 static PyObject *
 min_into(PyObject *self, PyObject *args)
 {
-    PyObject *oo, *to;
     Py_buffer ov, tv;
 
-    if (!PyArg_ParseTuple(args, "OO", &oo, &to)
-        || PyObject_GetBuffer(oo, &ov, PyBUF_RECORDS_RO) < 0)
+    if (!PyArg_ParseTuple(args, "O&O&", int64_out, &ov, int64_in, &tv))
         return NULL;
-    if (PyObject_GetBuffer(to, &tv, PyBUF_RECORDS_RO) < 0) {
-        PyBuffer_Release(&ov);
-        return NULL;
-    }
-    const char *error = NULL;
-    if (item_kind(&ov) != 'q' || item_kind(&tv) != 'q')
-        error = "columns must be 1-D C-contiguous int64";
-    else if (ov.readonly)
-        error = "out must be writable";
-    else if (ov.len != tv.len)
-        error = "out and other must be the same length";
-    else {
-        int64_t *out = (int64_t *)ov.buf;
-        const int64_t *other = (const int64_t *)tv.buf;
-        for (Py_ssize_t i = 0; i < ov.len / 8; i++)
-            out[i] = other[i] < out[i] ? other[i] : out[i];
-    }
+    int same = ov.len == tv.len;
+    int64_t *out = (int64_t *)ov.buf;
+    const int64_t *other = (const int64_t *)tv.buf;
+    for (Py_ssize_t i = 0; same && i < ov.len / 8; i++)
+        out[i] = other[i] < out[i] ? other[i] : out[i];
     PyBuffer_Release(&ov);
     PyBuffer_Release(&tv);
-    if (error) {
-        PyErr_SetString(PyExc_ValueError, error);
-        return NULL;
-    }
-    Py_RETURN_NONE;
+    return same ? Py_NewRef(Py_None) : value_error("out and other must be the same length");
 }
 
 /* ------------------------------------------------------------- checks */
 
-/* Slot i of a buffer of 4- or 8-byte values. */
-static inline uint64_t
-slot(const Py_buffer *v, long long i)
-{
-    return v->itemsize == 4 ? ((const uint32_t *)v->buf)[i] : ((const uint64_t *)v->buf)[i];
-}
-
 /* first_even(values) -> n
  *
  * The first n in [1, len(values) - 1] with q[n] even, or 0 when all of
- * them are odd.  ValueError unless the values are 4- or 8-byte items.
+ * them are odd.
  */
 static PyObject *
 first_even(PyObject *self, PyObject *args)
@@ -354,19 +353,12 @@ first_even(PyObject *self, PyObject *args)
     Py_buffer qv;
     long long n;
 
-    if (!PyArg_ParseTuple(args, "y*", &qv))
+    if (!PyArg_ParseTuple(args, "O&", values_in, &qv))
         return NULL;
     long long hi = (long long)(qv.len / qv.itemsize) - 1;
-    const char *error = NULL;
-    if (qv.itemsize != 4 && qv.itemsize != 8)
-        error = "value buffer must hold 4- or 8-byte items";
-    for (n = 1; !error && n <= hi && (slot(&qv, n) & 1); n++)
+    for (n = 1; n <= hi && (slot(&qv, n) & 1); n++)
         ;
     PyBuffer_Release(&qv);
-    if (error) {
-        PyErr_SetString(PyExc_ValueError, error);
-        return NULL;
-    }
     return PyLong_FromLongLong(n <= hi ? n : 0);
 }
 
@@ -381,8 +373,7 @@ first_even(PyObject *self, PyObject *args)
  * or at which an inner index leaves [1, L/2] (ja) or [1, (L+1)/2] (jb),
  * L = len(values) - 1; returns how many it wrote.  Slots read as int64 and
  * the arithmetic runs modulo 2^64, >> flooring.  ValueError, before any
- * write, unless the values are 4- or 8-byte items, out is a 1-D
- * C-contiguous int64 buffer, 2 <= k_lo and 2 k_hi <= L.
+ * write, unless 2 <= k_lo and 2 k_hi <= L.
  */
 #define HALF(x) ((int64_t)(x) >> 1)  /* x: a uint64_t difference, read as int64 */
 
@@ -391,22 +382,13 @@ interleave_violations(PyObject *self, PyObject *args)
 {
     Py_buffer qv, ov;
     long long k_lo, count = 0;
-    PyObject *out_obj;
 
-    if (!PyArg_ParseTuple(args, "y*LO", &qv, &k_lo, &out_obj))
+    if (!PyArg_ParseTuple(args, "O&LO&", values_in, &qv, &k_lo, int64_out, &ov))
         return NULL;
-    if (PyObject_GetBuffer(out_obj, &ov, PyBUF_RECORDS) < 0) {
-        PyBuffer_Release(&qv);
-        return NULL;
-    }
     long long len = (long long)(qv.len / qv.itemsize) - 1, b_hi = len / 2, a_hi = (len + 1) / 2;
     long long k_hi = k_lo + (long long)(ov.len / 8) - 1;
     const char *error = NULL;
-    if (qv.itemsize != 4 && qv.itemsize != 8)
-        error = "value buffer must hold 4- or 8-byte items";
-    else if (item_kind(&ov) != 'q')
-        error = "out must be a 1-D C-contiguous int64 buffer";
-    else if (k_lo < 2)
+    if (k_lo < 2)
         error = "need k_lo >= 2";
     else if (k_hi > len / 2)
         error = "need 2 * (k_lo + len(out) - 1) <= len(values) - 1";
@@ -423,11 +405,7 @@ interleave_violations(PyObject *self, PyObject *args)
     }
     PyBuffer_Release(&qv);
     PyBuffer_Release(&ov);
-    if (error) {
-        PyErr_SetString(PyExc_ValueError, error);
-        return NULL;
-    }
-    return PyLong_FromLongLong(count);
+    return error ? value_error(error) : PyLong_FromLongLong(count);
 }
 
 /* ------------------------------------------------------------- text */
@@ -466,7 +444,7 @@ put_cell(char *out, const Py_buffer *v, char kind, Py_ssize_t i, int halves)
         out[-9] = '.';
         return out;
     }
-    if (kind == 'q' && (int64_t)mag < 0) {
+    if ((int64_t)mag < 0) {
         *out++ = '-';
         mag = 0 - mag;
     }
@@ -479,36 +457,30 @@ put_cell(char *out, const Py_buffer *v, char kind, Py_ssize_t i, int halves)
 
 /* format_rows(x, y, halves) -> bytes
  *
- * One "x y\n" line per row of two equal-length columns (see item_kind);
- * y holds integers, doubled half-integers when halves is true.
+ * One "x y\n" line per row of an int64 or float64 column x and an int64
+ * column y as long as x; y holds integers, doubled half-integers when
+ * halves is true.
  */
 static PyObject *
 format_rows(PyObject *self, PyObject *args)
 {
-    PyObject *xo, *yo, *text = NULL;
+    PyObject *text = NULL;
     Py_buffer xv, yv;
     int halves;
 
-    if (!PyArg_ParseTuple(args, "OOp", &xo, &yo, &halves)
-        || PyObject_GetBuffer(xo, &xv, PyBUF_RECORDS_RO) < 0)
+    if (!PyArg_ParseTuple(args, "O&O&p", number_in, &xv, int64_in, &yv, &halves))
         return NULL;
-    if (PyObject_GetBuffer(yo, &yv, PyBUF_RECORDS_RO) < 0) {
-        PyBuffer_Release(&xv);
-        return NULL;
-    }
-    char kx = item_kind(&xv), ky = item_kind(&yv);
+    char kx = item_kind(&xv);
     Py_ssize_t rows = xv.len / 8;
-    if (!kx || !ky)
-        PyErr_SetString(PyExc_ValueError, "columns must be 1-D C-contiguous int64 or float64");
-    else if (ky == 'd' || yv.len != xv.len)
-        PyErr_SetString(PyExc_ValueError, "y must be an integer column as long as x");
+    if (yv.len != xv.len)
+        PyErr_SetString(PyExc_ValueError, "y must be as long as x");
     else if (rows > PY_SSIZE_T_MAX / ROW_MAX)
         PyErr_NoMemory();
     else if ((text = PyBytes_FromStringAndSize(NULL, rows * ROW_MAX)) != NULL) {
         char *start = PyBytes_AS_STRING(text), *out = start;
         for (Py_ssize_t i = 0; i < rows && (out = put_cell(out, &xv, kx, i, 0)) != NULL; i++) {
             *out++ = ' ';
-            out = put_cell(out, &yv, ky, i, halves);
+            out = put_cell(out, &yv, 'q', i, halves);
             *out++ = '\n';
         }
         if (out == NULL) {

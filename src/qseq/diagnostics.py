@@ -8,8 +8,9 @@ the text boundary.
 Each series code but G is one row of the table _SERIES: its domain, its
 halves flag and its formula as data, slope*n + the sum of c*Q(m*n + a)
 over its terms (c, m, a), which the kernel's linear_series evaluates
-straight from the trace's slots.  S, the one formula that is not linear,
-is the smaller of t1 and t2, which the kernel's min_into takes in place.
+straight from the trace's slots, given the triples one after another in
+an int64 column.  S, the one formula that is not linear, is the smaller
+of t1 and t2, which the kernel's min_into takes in place.
 series_window() gives a code's domain, or checks a window [lo, hi] of it;
 series() evaluates the formula on that window, and selfsim_profile() takes
 the same window over its samples, so a caller can evaluate a long series
@@ -112,7 +113,8 @@ def _evaluate(trace: Trace, lo: int, hi: int, slope: int, terms=(),
     [lo, hi], as a memoryview: of int64, or of float64 divided by den if den
     is given."""
     out = memoryview(bytearray(8 * (hi - lo + 1))).cast("q" if den is None else "d")
-    _native.kernel.linear_series(trace.values, lo, terms, slope, out, den or 1)
+    flat = array("q", itertools.chain.from_iterable(terms))
+    _native.kernel.linear_series(trace.values, lo, flat, slope, out, den or 1)
     return out
 
 

@@ -8,11 +8,11 @@ checks through this module so they cannot drift apart.  Artifacts builds
 the shared inputs once, at MAIN_HORIZON and SURVEY_HORIZON; the seed
 table is read as the dict ``seedlab.table_report`` returns.  Criterion 12
 times the native kernel in a child process (``perfprobe``);
-``run_criteria`` starts that child first, unless its Artifacts were handed
-one already started, so it runs beside the in-process checks, and collects
-it in its turn, killing it if a check raises.  The checks read the
-trace's and the tables' buffers, and the kernel checks parity and the
-interleave identities, so the checklist loads no NumPy.
+``run_criteria`` starts that child first, so it runs beside the
+in-process checks, and collects it in its turn, killing it if a check
+raises.  The checks read the trace's and the tables' buffers, and the
+kernel checks parity and the interleave identities, so the checklist
+loads no NumPy.
 
 The short prefix constants below are small enough to check by hand;
 larger-scale constants were frozen from the independent reference

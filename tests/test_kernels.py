@@ -9,6 +9,7 @@ a time is the reference for the C loop's paired steps.
 
 import json
 import re
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,25 +51,35 @@ def test_advance_agrees(kernel, seed, horizon, width, eps, status):
     assert got[0][0] == status
 
 
-@pytest.mark.parametrize("buffer,start", [
-    (np.zeros(10, dtype=np.uint16), 3),
-    (np.zeros(10, dtype=np.uint32), 0),
-    (np.zeros(10, dtype=np.uint32), 1),
-    (np.zeros(10, dtype=np.uint32), 11),
-    (np.array([0, 1, 2**63, 0], dtype=np.uint64), 3),
-    (np.array([0, 1, 2**64 - 1, 0], dtype=np.uint64), 3),
+def read_only(buffer):
+    return memoryview(buffer).toreadonly()
+
+
+@pytest.mark.parametrize("buffer,start,eps", [
+    (lambda: np.zeros(10, dtype=np.uint16), 3, (1, -1)),
+    (lambda: np.zeros(10, dtype=np.uint32), 0, (1, -1)),
+    (lambda: np.zeros(10, dtype=np.uint32), 1, (1, -1)),
+    (lambda: np.zeros(10, dtype=np.uint32), 11, (1, -1)),
+    (lambda: np.array([0, 1, 2**63, 0], dtype=np.uint64), 3, (1, -1)),
+    (lambda: np.array([0, 1, 2**64 - 1, 0], dtype=np.uint64), 3, (1, -1)),
+    (lambda: np.array([0, 2**63 - 1, 2**63 - 1, 3, 4, 0], dtype=np.uint64), 5, (3, 3)),
+    (lambda: np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, (-2, 0)),
+    (lambda: read_only(np.array([0, 1, 1, 0, 0], dtype=np.uint32)), 3, (1, -1)),
+    (lambda: np.zeros(20, dtype=np.uint32)[::2], 3, (1, -1)),
 ], ids=["two-byte-items", "start-0", "start-1", "start-past-horizon", "8-byte-seed-at-2**63",
-        "8-byte-seed-past-2**63"])
-def test_advance_errors_agree(kernel, buffer, start):
+        "8-byte-seed-past-2**63", "eps-3-wraps-8-byte-slots", "eps-minus-2", "read-only-values",
+        "strided-values"])
+def test_advance_errors_agree(kernel, buffer, start, eps):
     """Both kernels refuse the same input with the same message, before any
     read: an 8-byte value before start past 2^63 - 1 would otherwise run as
-    a negative number in C and as itself in the twin."""
+    a negative number in C and as itself in the twin, and an eps of 3 would
+    carry C's unsigned sum past 2^64."""
     with pytest.raises(ValueError) as c_error:
-        C.advance(buffer.copy(), start, 1, -1)
-    got = buffer.copy()
+        C.advance(buffer(), start, *eps)
+    got = buffer()
     with same_error(c_error):
-        kernel.advance(got, start, 1, -1)
-    assert got.tolist() == buffer.tolist()
+        kernel.advance(got, start, *eps)
+    assert np.asarray(got).tolist() == np.asarray(buffer()).tolist()
 
 
 # Seeds of lengths 2..8 (prefixes of the live run), so the loop starts at
@@ -143,19 +154,27 @@ def test_count_values_agrees(kernel, short_trace, classical_trace, case, status)
 
 
 @pytest.mark.parametrize("slots", [
-    (np.zeros(11, dtype=np.uint16), np.zeros(11, dtype=np.uint32)),
-    (np.zeros(11, dtype=np.uint8), np.zeros(11, dtype=np.uint64)),
-    (np.zeros(11, dtype=np.uint8), np.zeros(5, dtype=np.uint32)),
-    (np.zeros(11, dtype=np.uint8), np.zeros(10, dtype=np.uint32)),
-], ids=["wide-counts", "wide-last", "short-last", "last-one-short"])
+    lambda: (np.zeros(11, dtype=np.uint16), np.zeros(11, dtype=np.uint32)),
+    lambda: (np.zeros(11, dtype=np.uint8), np.zeros(11, dtype=np.uint64)),
+    lambda: (np.zeros(11, dtype=np.uint8), np.zeros(5, dtype=np.uint32)),
+    lambda: (np.zeros(11, dtype=np.uint8), np.zeros(10, dtype=np.uint32)),
+    lambda: (read_only(np.zeros(11, dtype=np.uint8)), np.zeros(11, dtype=np.uint32)),
+    lambda: (np.zeros(11, dtype=np.uint8), read_only(np.zeros(11, dtype=np.uint32))),
+], ids=["wide-counts", "wide-last", "short-last", "last-one-short", "read-only-counts",
+        "read-only-last"])
 def test_count_values_errors_agree(kernel, slots):
     """Both kernels refuse the same slots with the same message, before any write."""
     with pytest.raises(ValueError) as c_error:
-        C.count_values(ones(20), *(slot.copy() for slot in slots))
-    got = [slot.copy() for slot in slots]
+        C.count_values(ones(20), *slots())
+    got = slots()
     with same_error(c_error):
         kernel.count_values(ones(20), *got)
-    assert [slot.tolist() for slot in got] == [slot.tolist() for slot in slots]
+    assert [slot.tolist() for slot in got] == [slot.tolist() for slot in slots()]
+
+
+def flat(terms):
+    """The triples (c, m, a) one after another, as linear_series takes them."""
+    return np.array(terms, dtype=np.int64).reshape(-1)
 
 
 def evaluate(module, values, lo, hi, terms, slope, dtype=np.int64, den=()):
@@ -163,7 +182,7 @@ def evaluate(module, values, lo, hi, terms, slope, dtype=np.int64, den=()):
     the rows with UNTOUCHED: the slots' values, as a list."""
     rows = max(hi - lo + 1, 0)
     out = np.full(rows + 2, UNTOUCHED, dtype=dtype)
-    assert module.linear_series(values, lo, terms, slope, out[:rows], *den) is None
+    assert module.linear_series(values, lo, flat(terms), slope, out[:rows], *den) is None
     return out.tolist()
 
 
@@ -188,6 +207,7 @@ SERIES_CASES = {  # (values of the short trace, lo, hi, terms, slope, out dtype,
     "x-over-count": (short, 1, 625, (), 1, np.float64, (625,)),
     "float-y-over-7": (short, 1, 99, ((3, 1, 0),), -5, np.float64, (7,)),
     "one-row": (short, 4999, 4999, ((1, 1, 1),), 0, np.int64, ()),
+    "eight-terms": (short, 1, 99, tuple((k, 1, k - 4) for k in range(5, 13)), 3, np.int64, ()),
     "no-rows": (short, 11, 10, ((1, 1, 0),), 0, np.int64, ()),
     "wraps-modulo-2**64": (near_2_63, 1, 2, ((2, 1, 0), (1, 0, 1)), 2**62, np.int64, ()),
 }
@@ -212,20 +232,25 @@ def test_linear_series_agrees(kernel, short_trace, case):
 
 
 @pytest.mark.parametrize("values,lo,terms,out,den", [
-    (np.zeros(10, dtype=np.uint16), 1, (), lambda: np.zeros(3, dtype=np.int64), ()),
-    (ones(9), 1, (), lambda: np.zeros(3, dtype=np.int32), ()),
-    (ones(9), 1, (), lambda: np.zeros(3, dtype=np.uint64), ()),
-    (ones(9), 1, (), lambda: np.zeros(8, dtype=np.int64)[::2], ()),
-    (ones(9), 1, (), lambda: np.zeros((1, 3), dtype=np.int64), ()),
-    (ones(9), 1, (), lambda: np.zeros(3), (0,)),
-    (ones(9), 1, (), lambda: np.zeros(3, dtype=np.int64), (2,)),
-    (ones(9), 1, ((1, -1, 11),), lambda: np.zeros(3, dtype=np.int64), ()),
-    (ones(9), 1, ((1, 1, 0), (2, 1, -1)), lambda: np.zeros(3, dtype=np.int64), ()),
-    (ones(9), 1, ((1, 2, 0),), lambda: np.zeros(5, dtype=np.int64), ()),
-    (ones(9), 1, ((1, 2**62, 0),), lambda: np.zeros(3, dtype=np.int64), ()),
+    (np.zeros(10, dtype=np.uint16), 1, flat(()), lambda: np.zeros(3, dtype=np.int64), ()),
+    (ones(9), 1, flat(()), lambda: np.zeros(3, dtype=np.int32), ()),
+    (ones(9), 1, flat(()), lambda: np.zeros(3, dtype=np.uint64), ()),
+    (ones(9), 1, flat(()), lambda: np.zeros(8, dtype=np.int64)[::2], ()),
+    (ones(9), 1, flat(()), lambda: np.zeros((1, 3), dtype=np.int64), ()),
+    (ones(9), 1, flat(()), lambda: np.zeros(3), (0,)),
+    (ones(9), 1, flat(()), lambda: np.zeros(3, dtype=np.int64), (2,)),
+    (ones(9), 1, flat(((1, -1, 11),)), lambda: np.zeros(3, dtype=np.int64), ()),
+    (ones(9), 1, flat(((1, 1, 0), (2, 1, -1))), lambda: np.zeros(3, dtype=np.int64), ()),
+    (ones(9), 1, flat(((1, 2, 0),)), lambda: np.zeros(5, dtype=np.int64), ()),
+    (ones(9), 1, flat(((1, 2**62, 0),)), lambda: np.zeros(3, dtype=np.int64), ()),
+    (ones(9), 1, flat(()), lambda: read_only(np.zeros(3, dtype=np.int64)), ()),
+    (ones(9), 1, flat((1, 1)), lambda: np.zeros(3, dtype=np.int64), ()),
+    (ones(9), 1, np.array((1, 1, 0), dtype=np.int32), lambda: np.zeros(3, dtype=np.int64), ()),
+    (ones(9), 1, flat(((1, 1, 0),) * 9), lambda: np.zeros(3, dtype=np.int64), ()),
 ], ids=["two-byte-values", "int32-out", "uint64-out", "strided-out", "2-d-out", "den-0",
         "den-for-an-int-out", "falling-index-past-the-end-at-lo", "index-0",
-        "index-past-the-end-at-hi", "index-overflows"])
+        "index-past-the-end-at-hi", "index-overflows", "read-only-out", "terms-not-whole-triples",
+        "int32-terms", "nine-terms"])
 def test_linear_series_errors_agree(kernel, values, lo, terms, out, den):
     """Both kernels refuse the same call with the same message, before any
     write: an index outside [1, len] is caught at lo or hi = lo + len(out)
@@ -236,6 +261,17 @@ def test_linear_series_errors_agree(kernel, values, lo, terms, out, den):
     with same_error(c_error):
         kernel.linear_series(values, lo, terms, 0, got, *den)
     assert got.tolist() == out().tolist()
+
+
+@pytest.mark.parametrize("width", [4, 8])
+def test_linear_series_reads_its_terms_before_it_writes(kernel, short_trace, width):
+    """Terms that share out's memory are read before any row is written:
+    the rows are Q(1..5), not what the overwritten terms would give."""
+    values = widened(short_trace, width)
+    out = np.zeros(5, dtype=np.int64)
+    out[:3] = (1, 1, 0)
+    kernel.linear_series(values, 1, out[:3], 0, out)
+    assert out.tolist() == values[1:6].tolist()
 
 
 MIN_CASES = {  # (out, other)
@@ -308,7 +344,8 @@ def test_first_even_agrees(kernel, short_trace, width, even_at, hi):
     assert got == (even_at if even_at is not None and even_at <= hi else 0)
 
 
-@pytest.mark.parametrize("values", [np.ones(10, dtype=np.uint16)], ids=["two-byte-items"])
+@pytest.mark.parametrize("values", [np.ones(10, dtype=np.uint16), np.ones(20, dtype=np.uint32)[::2]],
+                         ids=["two-byte-items", "strided-values"])
 def test_first_even_errors_agree(kernel, values):
     with pytest.raises(ValueError) as c_error:
         C.first_even(values)
@@ -386,8 +423,9 @@ def test_interleave_violations_count_an_index_at_the_upper_guard_as_in_range(
     (ones(9), 1, lambda: np.zeros(4, dtype=np.int64)),
     (ones(9), 2, lambda: np.zeros(4, dtype=np.int64)),
     (ones(8), 3, lambda: np.zeros(3, dtype=np.int64)),
+    (ones(9), 2, lambda: read_only(np.zeros(3, dtype=np.int64))),
 ], ids=["two-byte-values", "uint64-out", "strided-out", "k_lo-1", "2k_hi-past-len",
-        "2k_hi-past-len-from-k_lo-3"])
+        "2k_hi-past-len-from-k_lo-3", "read-only-out"])
 def test_interleave_violations_errors_agree(kernel, values, k_lo, out):
     """Both kernels refuse the same call with the same message, before any
     write; k_hi is k_lo + len(out) - 1."""
@@ -397,6 +435,22 @@ def test_interleave_violations_errors_agree(kernel, values, k_lo, out):
     with same_error(c_error):
         kernel.interleave_violations(values, k_lo, got)
     assert got.tolist() == out().tolist()
+
+
+def test_the_c_kernel_releases_every_buffer_it_takes():
+    """Whether a call returns, a converter refuses its buffer, a later
+    argument fails to parse or the arguments disagree, no buffer stays
+    exported: an array that still were could not grow."""
+    values, terms, out = array("I", [0, 1, 1, 3]), array("q", [1, 1, 0]), array("q", [0])
+    C.linear_series(values, 1, terms, 0, out)
+    with pytest.raises(ValueError):
+        C.linear_series(values, 1, terms, 0, array("i", [0, 0]))
+    with pytest.raises(TypeError):
+        C.interleave_violations(values, "2", out)
+    with pytest.raises(ValueError):
+        C.min_into(out, array("q", [0, 0]))
+    for buffer in (values, terms, out):
+        buffer.append(0)
 
 
 ROWS = np.arange(1, 7, dtype=np.int64)
