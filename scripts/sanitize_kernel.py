@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run tests/test_kernels.py against _qkernel.c built with ASan and UBSan.
 
-    python scripts/sanitize_kernel.py [pytest arguments ...]
+    python scripts/sanitize_kernel.py
 
 Builds the kernel with gcc -O1 -g -fsanitize=address,undefined
 -fno-sanitize-recover=all, without the -fwrapv of sysconfig's CFLAGS, so
@@ -34,7 +34,7 @@ def gcc_output(*args: str) -> str:
                           timeout=300).stdout.strip()
 
 
-def main(pytest_args: list[str]) -> int:
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="qseq-sanitize-") as cache:
         os.environ["XDG_CACHE_HOME"] = cache
         sys.path.insert(0, str(ROOT / "src"))
@@ -55,7 +55,7 @@ def main(pytest_args: list[str]) -> int:
                "ASAN_OPTIONS": f"detect_leaks=0:log_path={logs}",
                "UBSAN_OPTIONS": f"print_stacktrace=1:log_path={logs}"}
         code = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                               "tests/test_kernels.py", *pytest_args], cwd=ROOT, env=env).returncode
+                               "tests/test_kernels.py"], cwd=ROOT, env=env).returncode
         reports = sorted(logs.parent.glob(f"{logs.name}.*"))
         for report in reports:
             print(f"--- {report.name}\n{report.read_text()}", file=sys.stderr)
@@ -63,4 +63,4 @@ def main(pytest_args: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

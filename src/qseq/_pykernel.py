@@ -2,11 +2,14 @@
 
 Each entry takes its extents from its buffers, as the C kernel does: a
 value buffer of len(values) slots holds Q(1..len(values) - 1), and an out
-buffer receives len(out) rows.
+buffer receives len(out) rows.  An integer argument goes through
+operator.index, as C's "L" format reads it, so a float is a TypeError in
+both kernels.
 """
 
 import sys
 from array import array
+from operator import index
 
 from ._native import SLOT_CAPS, ST_COUNT_OVERFLOW, ST_DEATH, ST_OK, ST_OVERFLOW, ST_PARITY
 
@@ -45,6 +48,7 @@ def _column(buffer, kinds: tuple[str, ...], error: str, writes: bool = False) ->
 def advance(values, start, eps_even, eps_odd):
     q = _items(values, (4, 8), "values must be writable C-contiguous 4- or 8-byte items",
                writes=True)
+    start, eps_even, eps_odd = index(start), index(eps_even), index(eps_odd)
     cap = SLOT_CAPS[q.itemsize]
     if not 2 <= start <= len(q):
         raise ValueError("start must be in [2, len(values)]")
@@ -88,10 +92,11 @@ def count_values(values, counts, last_occurrence):
 
 
 def linear_series(values, lo, terms, slope, out, den=1):
-    q = _items(values, (4, 8), _VALUES)
-    cma = _column(terms, ("q",), _INT64)
+    q, lo = _items(values, (4, 8), _VALUES), index(lo)
+    cma, slope = _column(terms, ("q",), _INT64), index(slope)
     items = _column(out, ("q", "d"), "out must be writable 1-D C-contiguous int64 or float64",
                     writes=True)
+    den = index(den)
     if len(cma) % 3 or len(cma) > 3 * 8:
         raise ValueError("terms must be up to 8 whole (c, m, a) triples")
     if den < 1 or (items.format == "q" and den != 1):
@@ -125,7 +130,7 @@ def first_even(values):
 
 
 def interleave_violations(values, k_lo, out):
-    q = _items(values, (4, 8), _VALUES)
+    q, k_lo = _items(values, (4, 8), _VALUES), index(k_lo)
     items = _column(out, ("q",), _INT64_OUT, writes=True)
     L = len(q) - 1
     if k_lo < 2:

@@ -82,6 +82,26 @@ def test_advance_errors_agree(kernel, buffer, start, eps):
     assert np.asarray(got).tolist() == np.asarray(buffer()).tolist()
 
 
+@pytest.mark.parametrize("entry,args", [
+    ("advance", lambda: (np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, 0.5, 0)),
+    ("advance", lambda: (np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3.0, 1, -1)),
+    ("linear_series", lambda: (ones(9), 1.0, flat(()), 0, np.zeros(3, dtype=np.int64))),
+    ("linear_series", lambda: (ones(9), 1, flat(()), 0.5, np.zeros(3, dtype=np.int64))),
+    ("linear_series", lambda: (ones(9), 1, flat(()), 0, np.zeros(3), 2.0)),
+    ("interleave_violations", lambda: (ones(9), 2.0, np.zeros(3, dtype=np.int64))),
+], ids=["float-eps", "float-start", "float-lo", "float-slope", "float-den", "float-k_lo"])
+def test_a_float_for_an_integer_argument_is_refused_alike(kernel, entry, args):
+    """An integer argument is read as C's "L" format reads it, so a float is
+    the same TypeError in both kernels, before any write: an eps of 0.5 is
+    otherwise inside [-1, 1]."""
+    with pytest.raises(TypeError) as c_error:
+        getattr(C, entry)(*args())
+    got = args()
+    with pytest.raises(TypeError, match=f"^{re.escape(str(c_error.value))}$"):
+        getattr(kernel, entry)(*got)
+    assert [np.asarray(a).tolist() for a in got] == [np.asarray(a).tolist() for a in args()]
+
+
 # Seeds of lengths 2..8 (prefixes of the live run), so the loop starts at
 # both parities; the bundled weak deaths at an even and an odd step; and
 # seeds forged at the slot's own cap ("top", and "top-1" one below it),
