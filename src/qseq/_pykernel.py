@@ -67,14 +67,10 @@ def advance(values, start, eps_even, eps_odd):
     return ST_OK, 0, 0, 0
 
 
-def count_values(values, counts, last_occurrence):
+def count_values(values, counts):
     q = _items(values, (4, 8), _VALUES)
     tally = _items(counts, (1,), "counts must be writable C-contiguous 1-byte items",
                    writes=True)
-    last = _items(last_occurrence, (4,),
-                  "last_occurrence must be writable C-contiguous 4-byte items", writes=True)
-    if len(last) < len(tally):
-        raise ValueError("last_occurrence shorter than counts")
     m_cap, overflow = len(tally) - 1, 0
     for n in range(1, len(q)):
         v = q[n]
@@ -87,7 +83,6 @@ def count_values(values, counts, last_occurrence):
             return ST_COUNT_OVERFLOW, m
         else:
             tally[m] += 1
-            last[m] = n
     return ST_OK, overflow
 
 

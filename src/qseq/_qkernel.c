@@ -76,7 +76,6 @@ static int name(PyObject *obj, void *view)                              \
 DEFINE_KIND(values_in, 0, SLOTS(4, 8), "values must be C-contiguous 4- or 8-byte items")
 DEFINE_KIND(values_out, 1, SLOTS(4, 8), "values must be writable C-contiguous 4- or 8-byte items")
 DEFINE_KIND(counts_out, 1, SLOTS(1, 1), "counts must be writable C-contiguous 1-byte items")
-DEFINE_KIND(last_out, 1, SLOTS(4, 4), "last_occurrence must be writable C-contiguous 4-byte items")
 DEFINE_KIND(int64_in, 0, item_kind(v) == 'q', "columns must be 1-D C-contiguous int64")
 DEFINE_KIND(int64_out, 1, item_kind(v) == 'q', "out must be writable 1-D C-contiguous int64")
 DEFINE_KIND(number_in, 0, item_kind(v), "columns must be 1-D C-contiguous int64 or float64")
@@ -172,58 +171,47 @@ advance(PyObject *self, PyObject *args)
                  : Py_BuildValue("iLii", stop.status, stop.step, stop.bad1, stop.bad2);
 }
 
-/* count_values(values, counts, last_occurrence) -> (status, aux)
+/* count_values(values, counts) -> (status, aux)
  *
  * Single pass over q[1..n_max], n_max = len(values) - 1.  Every value must
  * be odd (ST_PARITY, aux = offending n).  Value v is binned at
  * m = (v+1)/2; counts is a 1-byte slot per m (ST_COUNT_OVERFLOW, aux = m,
- * if a slot would pass 255); last_occurrence is a 4-byte slot per m
- * updated to n, at least as long as counts.  Values with
- * m > m_cap = len(counts) - 1 are only tallied: on ST_OK, aux is that tally.
+ * if a slot would pass 255).  Values with m > m_cap = len(counts) - 1 are
+ * only tallied: on ST_OK, aux is that tally.  A view values[h:] counts
+ * Q(h+1..h+n_max), its slot 0 skipped like any other.
  */
 static PyObject *
 count_values(PyObject *self, PyObject *args)
 {
-    Py_buffer qv, cv, lv;
+    Py_buffer qv, cv;
 
-    if (!PyArg_ParseTuple(args, "O&O&O&", values_in, &qv, counts_out, &cv, last_out, &lv))
+    if (!PyArg_ParseTuple(args, "O&O&", values_in, &qv, counts_out, &cv))
         return NULL;
 
     int status = ST_OK;
     long long aux = 0, n_max = (long long)(qv.len / qv.itemsize) - 1, m_cap = (long long)cv.len - 1;
-    const char *error = NULL;
-    if (lv.len / 4 < cv.len)
-        error = "last_occurrence shorter than counts";
-    else {
-        uint8_t *counts = (uint8_t *)cv.buf;
-        uint32_t *last = (uint32_t *)lv.buf;
-        long long overflow = 0;
-        for (long long n = 1; n <= n_max; n++) {
-            long long v = (long long)slot(&qv, n);
-            if ((v & 1) == 0) {
-                status = ST_PARITY; aux = n;
-                goto done;
-            }
-            long long m = (v + 1) >> 1;
-            if (m <= m_cap) {
-                if (counts[m] == 255) {
-                    status = ST_COUNT_OVERFLOW; aux = m;
-                    goto done;
-                }
-                counts[m]++;
-                last[m] = (uint32_t)n;
-            } else {
-                overflow++;
-            }
+    uint8_t *counts = (uint8_t *)cv.buf;
+    for (long long n = 1; n <= n_max; n++) {
+        long long v = (long long)slot(&qv, n);
+        if ((v & 1) == 0) {
+            status = ST_PARITY; aux = n;
+            goto done;
         }
-        aux = overflow;
+        long long m = (v + 1) >> 1;
+        if (m > m_cap) {
+            aux++;
+        } else if (counts[m] == 255) {
+            status = ST_COUNT_OVERFLOW; aux = m;
+            goto done;
+        } else {
+            counts[m]++;
+        }
     }
 
 done:
     PyBuffer_Release(&qv);
     PyBuffer_Release(&cv);
-    PyBuffer_Release(&lv);
-    return error ? value_error(error) : Py_BuildValue("iL", status, aux);
+    return Py_BuildValue("iL", status, aux);
 }
 
 /* ------------------------------------------------------------- series */

@@ -257,13 +257,14 @@ def cmd_compute(args) -> int:
 
 def cmd_diagnose(args) -> int:
     config = config_from(args)
-    trace = live_trace(args, config)
     code = args.series
+    # a live trace is config.horizon long, so a bad window is refused before the run
+    lo, hi = series_window(config.horizon, code, args.lo, args.hi, args.samples_per_octave)
+    trace = live_trace(args, config)
     if code == "G":  # a log grid of about 1.5k rows, built whole
-        ser = series(trace, code, args.lo, args.hi, args.samples_per_octave)
+        ser = series(trace, code, samples_per_octave=args.samples_per_octave)
         text = SeriesText.of(ser.x, ser.y, ser.halves)
     else:
-        lo, hi = series_window(trace, code, args.lo, args.hi, args.samples_per_octave)
         text = SeriesText(hi - lo + 1, lambda a, b: series(trace, code, lo + a, lo + b - 1))
     out_path = resolve(
         args, args.out,
@@ -296,16 +297,10 @@ def parse_levels(text: str, label: str = "level") -> list[int]:
 
 def cmd_selfsim(args) -> int:
     config = config_from(args)
-    levels = parse_levels(args.levels)
-    if min(levels) < 0:
-        raise ConfigError(f"k must be >= 0, got {min(levels)}")
-    if max(levels) >= config.horizon.bit_length():  # 2^K > horizon, without computing 2^K
-        raise RangeError(
-            f"level {max(levels)} needs horizon >= 2^{max(levels)}, have {config.horizon}"
-        )
+    # each level's row count, checked against the horizon before the run
+    counts = {k: selfsim_window(config.horizon, k)[1] for k in parse_levels(args.levels)}
     trace = live_trace(args, config)
-    for k in levels:
-        _, count = selfsim_window(trace, k)
+    for k, count in counts.items():
         text = SeriesText(count, lambda a, b: selfsim_profile(trace, k, a + 1, b))
         if args.out_dir is not None:
             out_path = Path(args.out_dir) / f"selfsim_k{k}.dat"
@@ -398,11 +393,8 @@ def cmd_seeds(args) -> int:
         horizon=args.horizon + MAX_SHIFT,
         perturbation=Perturbation(args.perturbation),
     ))
-    rows = []
-    for seed in enumerate_seeds(args.length, args.max_value):
-        report = classify(seed, reference, horizon=args.horizon,
-                          perturbation=Perturbation(args.perturbation))
-        rows.append(seed_row(report))
+    rows = [seed_row(classify(seed, reference, horizon=args.horizon))
+            for seed in enumerate_seeds(args.length, args.max_value)]
     header = (f"# seed survey length {args.length} entries 1..{args.max_value}"
               f" horizon {args.horizon}")
     for line in rows:

@@ -11,12 +11,13 @@ over its terms (c, m, a), which the kernel's linear_series evaluates
 straight from the trace's slots, given the triples one after another in
 an int64 column.  S, the one formula that is not linear, is the smaller
 of t1 and t2, which the kernel's min_into takes in place.
-series_window() gives a code's domain, or checks a window [lo, hi] of it;
-series() evaluates the formula on that window, and selfsim_profile() takes
-the same window over its samples, so a caller can evaluate a long series
-one block of rows at a time, as the CLI does.  G is a log grid, not a
-window: series() builds it whole, in Python, and sets its default density
-of 64 samples per octave.
+series_window() gives a code's domain on a trace of a given length, or
+checks a window [lo, hi] of it, so a caller can refuse a window before it
+computes the trace; series() evaluates the formula on that window, and
+selfsim_profile() takes the same window over its samples, so a caller can
+evaluate a long series one block of rows at a time, as the CLI does.  G
+is a log grid, not a window: series() builds it whole, in Python, and
+sets its default density of 64 samples per octave.
 
 A Series holds its columns as read-only memoryviews, and no series needs
 NumPy.  The parity and identity checks are the kernel's first_even and
@@ -132,23 +133,33 @@ def _window(what: str, lo: int | None, hi: int | None,
     return lo, hi
 
 
-def series_window(trace: Trace, code: str, lo: int | None = None, hi: int | None = None,
+def series_window(length: int, code: str, lo: int | None = None, hi: int | None = None,
                   samples_per_octave: int | None = None) -> tuple[int, int]:
-    """[lo, hi] for series(trace, code, lo, hi), a None end taken from the
-    code's domain, so series_window(trace, code) is the whole domain.
-    RangeError if the domain is empty on a trace this short, if the window
-    leaves the domain or is empty, or if samples_per_octave is given: only G
-    has a grid.  ConfigError for a code outside _SERIES."""
+    """[lo, hi] for series(trace, code, lo, hi) on a trace of this length, a
+    None end taken from the code's domain, so series_window(length, code) is
+    the whole domain; for G, whose log grid takes no window, [1, length].
+    RangeError if the domain is empty at this length, if the window leaves
+    the domain or is empty, if lo or hi is given for G, or if
+    samples_per_octave is given for another code or exceeds the length (at
+    that density every n is on G's grid already).  ConfigError for a code
+    outside SERIES_CODES."""
+    if code == "G":
+        if lo is not None or hi is not None:
+            raise RangeError(f"series G: the log grid takes no range, got [{lo}, {hi}]")
+        if samples_per_octave is not None and samples_per_octave > length:
+            raise RangeError(f"series G: samples_per_octave {samples_per_octave}"
+                             f" exceeds trace length {length}")
+        return 1, length
     if samples_per_octave is not None:
         raise RangeError(f"series {code}: only the log grid G takes samples_per_octave,"
                          f" got {samples_per_octave}")
     if code not in _SERIES:
         raise ConfigError(f"unknown series code {code!r}")
     domain = _SERIES[code][0]
-    d_lo, d_hi = domain(trace.len)
+    d_lo, d_hi = domain(length)
     if d_lo > d_hi:  # domains only grow with L, so the search ends
-        need = next(L for L in itertools.count(trace.len + 1) if domain(L)[0] <= domain(L)[1])
-        raise RangeError(f"series {code} needs horizon >= {need}, have {trace.len}")
+        need = next(L for L in itertools.count(length + 1) if domain(L)[0] <= domain(L)[1])
+        raise RangeError(f"series {code} needs horizon >= {need}, have {length}")
     return _window(f"series {code}", lo, hi, d_lo, d_hi)
 
 
@@ -157,22 +168,15 @@ def series(trace: Trace, code: str, lo: int | None = None, hi: int | None = None
     """Build the named series over [lo, hi] (defaults: the full domain).
 
     G is always its whole log grid: the doubled fluctuation at n = round(2^x)
-    for x on log_grid, of samples_per_octave (default 64).  RangeError if lo
-    or hi is given for it, if samples_per_octave exceeds the trace length (at
-    that density every n is on the grid already), or if samples_per_octave is
-    given for another code.
+    for x on log_grid, of samples_per_octave (default 64).  Errors as
+    series_window's.
     """
+    lo, hi = series_window(trace.len, code, lo, hi, samples_per_octave)
     if code == "G":
-        if lo is not None or hi is not None:
-            raise RangeError(f"series G: the log grid takes no range, got [{lo}, {hi}]")
-        if samples_per_octave is not None and samples_per_octave > trace.len:
-            raise RangeError(f"series G: samples_per_octave {samples_per_octave}"
-                             f" exceeds trace length {trace.len}")
         x, n = log_grid(trace.len, 64 if samples_per_octave is None else samples_per_octave)
         q = trace.values
         y = array("q", [2 * q[i] - i for i in n])  # E at each grid index
         return Series(array("d", x), y, True)
-    lo, hi = series_window(trace, code, lo, hi, samples_per_octave)
     _, halves, slope, terms = _SERIES[code]
     if slope is None:
         y, other = (_evaluate(trace, lo, hi, *_SERIES[row][2:]) for row in terms)
@@ -217,14 +221,15 @@ def check_subsequence_identities(trace: Trace, k_lo: int = 2,
 
 # ----------------------------------------------------------------- profiles
 
-def selfsim_window(trace: Trace, k: int, lo: int | None = None,
+def selfsim_window(length: int, k: int, lo: int | None = None,
                    hi: int | None = None) -> tuple[int, int]:
-    """[lo, hi] for selfsim_profile(trace, k, lo, hi), as series_window."""
+    """[lo, hi] for selfsim_profile(trace, k, lo, hi) on a trace of this
+    length, as series_window."""
     if k < 0:
         raise ConfigError(f"k must be >= 0, got {k}")
-    count = trace.len >> k
+    count = length >> k  # 0 iff 2^k > length, without computing 2^k
     if count < 1:
-        raise RangeError(f"2^{k} exceeds trace length {trace.len}")
+        raise RangeError(f"level {k} needs horizon >= 2^{k}, have {length}")
     return _window(f"selfsim level {k}", lo, hi, 1, count)
 
 
@@ -236,7 +241,7 @@ def selfsim_profile(trace: Trace, k: int, lo: int | None = None,
     half-slope ramp) at x = m / floor(len / 2^k); m runs over [lo, hi]
     (defaults: every sample, 1 .. floor(len / 2^k)).
     """
-    lo, hi = selfsim_window(trace, k, lo, hi)
+    lo, hi = selfsim_window(trace.len, k, lo, hi)
     step = 1 << k
     return Series(_evaluate(trace, lo, hi, 1, den=trace.len >> k),
                   _evaluate(trace, lo, hi, -step, ((2, step, 0),)), halves=True)

@@ -2,14 +2,16 @@
 
 Value v = 2m - 1 is binned at index m; block k holds m in
 [2^k, 2^{k+1} - 1].  A FrequencyTable covers the whole trace, n_max
-values, in two read-only memoryviews indexed by m: counts[m] and
-last_occurrence[m].  Counts live in 1-byte slots (observed counts at
-desk scale stay below thirty) and abort loudly rather than wrap.  A
-block is *complete* once every member value has appeared and none has
-appeared after n_max/2: values cluster near n/2, so a half-horizon quiet
-period means the block's counts are final.  Law and peak checks refuse incomplete
-blocks; check_dyadic_law returns the deviations from the law, empty when
-it holds.
+values, in two read-only memoryviews indexed by m, both made by the
+kernel's counter: counts[m] over Q(1..n_max), and late_counts[m] over
+its second half, Q(n_max//2 + 1..n_max).  Counts live in 1-byte slots
+(observed counts at desk scale stay below thirty) and abort loudly rather
+than wrap.  A block is *complete* once every member value has appeared
+and none has appeared after n_max/2, i.e. its late counts are all zero:
+values cluster near n/2, so a half-horizon quiet period means the
+block's counts are final.  Law and peak checks refuse incomplete blocks;
+check_dyadic_law returns the deviations from the law, empty when it
+holds.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Counts and last occurrences of odd values over Q(1..n_max).
+    """Counts of odd values over Q(1..n_max), and over its second half.
 
     Buffers are 1-based over m (slot 0 unused); values with m beyond
     m_cap are only tallied in overflow_count, keeping conservation:
@@ -40,17 +42,15 @@ class FrequencyTable:
 
     n_max: int
     m_cap: int
-    counts: memoryview           # uint8, read-only
-    last_occurrence: memoryview  # uint32, read-only, 0 = never seen
+    counts: memoryview       # uint8, read-only, over Q(1..n_max)
+    late_counts: memoryview  # uint8, read-only, over Q(n_max//2 + 1..n_max)
     overflow_count: int
 
 
 def table_m_cap(n_max: int, cap: int, m_cap: int | None = None) -> int:
     """The m_cap of a table over n_max values of at most cap: m_cap, or
-    n_max // 2 (at least 1) when None.  ConfigError if n_max reaches 2^32,
-    or if m_cap leaves [1, the bin of cap]."""
-    if n_max >= 2**32:
-        raise ConfigError("last-occurrence slots are 4-byte; n_max must stay below 2^32")
+    n_max // 2 (at least 1) when None.  ConfigError if m_cap leaves
+    [1, the bin of cap]."""
     m_top = (cap + 1) // 2  # the bin of the largest value a slot holds
     m_cap = max(1, n_max // 2) if m_cap is None else m_cap
     if not 1 <= m_cap <= m_top:
@@ -59,18 +59,21 @@ def table_m_cap(n_max: int, cap: int, m_cap: int | None = None) -> int:
 
 
 def build_frequency(trace: Trace, m_cap: int | None = None) -> FrequencyTable:
-    """Single pass over the whole trace, Q(1..n_max) with n_max = trace.len."""
+    """Two counts: over the whole trace, Q(1..n_max) with n_max = trace.len,
+    then over its second half, the view whose slot 0 is Q(n_max//2)."""
     n_max = trace.len
     m_cap = table_m_cap(n_max, trace.config.cap, m_cap)
-    counts, last = zeroed_slots(m_cap + 1, "B"), zeroed_slots(m_cap + 1, "I")
-    status, aux = _native.kernel.count_values(trace.values, counts, last)
+    counts, late = zeroed_slots(m_cap + 1, "B"), zeroed_slots(m_cap + 1, "B")
+    status, aux = _native.kernel.count_values(trace.values, counts)
 
     if status == ST_PARITY:
         raise ParityError(f"even value Q({aux})={trace.value_at(int(aux))}")
     if status == ST_COUNT_OVERFLOW:
         raise CountOverflowError(f"count slot for m={aux} passed 255")
+    # cannot fail: these are some of the values the first count accepted
+    _native.kernel.count_values(trace.values[n_max // 2 :], late)
     return FrequencyTable(n_max=n_max, m_cap=m_cap, counts=counts.toreadonly(),
-                          last_occurrence=last.toreadonly(), overflow_count=int(aux))
+                          late_counts=late.toreadonly(), overflow_count=int(aux))
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ def block_report(table: FrequencyTable, k: int) -> BlockReport:
         raise RangeError(f"block k={k} reaches m={hi}, beyond m_cap={table.m_cap}")
     block = table.counts[lo : hi + 1].tobytes()
     peak_count = max(block)
-    complete = 0 not in block and max(table.last_occurrence[lo : hi + 1]) <= table.n_max // 2
+    complete = 0 not in block and table.late_counts[lo : hi + 1].tobytes() == bytes(len(block))
     return BlockReport(
         k=k,
         n_max=table.n_max,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .engine import OutcomeKind, Perturbation, RecursionConfig, Seed, Trace, run
+from .engine import OutcomeKind, RecursionConfig, Seed, Trace, run
 from .errors import ConfigError
 
 MAX_SHIFT = 8            # largest |shift| a merge may have
@@ -136,17 +136,17 @@ def detect_merge(trace: Trace, reference: Trace) -> tuple[int, int] | None:
     return None
 
 
-def classify(seed: Seed, reference: Trace,
-             horizon: int,
-             perturbation: Perturbation = Perturbation.ALTERNATING) -> SeedReport:
-    """Run the seed to the horizon and classify the outcome."""
-    if reference.seed.values != (1, 1) or reference.config.perturbation is not perturbation:
-        raise ConfigError("reference must be the (1,1) trace with the same perturbation")
+def classify(seed: Seed, reference: Trace, horizon: int) -> SeedReport:
+    """Run the seed to the horizon, under the reference's perturbation, and
+    classify the outcome."""
+    if reference.seed.values != (1, 1):
+        raise ConfigError("reference must be the (1,1) trace")
     if reference.len < horizon + MAX_SHIFT:
         raise ConfigError(
             f"reference length {reference.len} < horizon + MAX_SHIFT = {horizon + MAX_SHIFT}"
         )
-    trace = run(RecursionConfig(seed=seed, horizon=horizon, perturbation=perturbation))
+    trace = run(RecursionConfig(seed=seed, horizon=horizon,
+                                perturbation=reference.config.perturbation))
     out = trace.outcome
     if out.kind is OutcomeKind.STRONG_DEATH:
         return SeedReport(seed, SeedClass.STRONG_DEATH, horizon,

@@ -427,22 +427,45 @@ def test_diagnose_renorm_split_matches_oracle(tmp_path, code, picker):
     assert out.read_bytes() == expected.encode()
 
 
-@pytest.mark.parametrize("series_code,lo,hi,grid", [
+RANGE_ERRORS = pytest.mark.parametrize("series_code,lo,hi,grid", [
     ("D", 1, 100, None), ("D", 0, 10, None), ("D", 11, 10, None), ("G", 50, 3, None),
     ("E", None, None, 0), ("E", 1, 10, 64), ("G", None, None, 101), ("G", None, None, 10**20),
 ], ids=["hi-past-domain", "lo-below-domain", "lo-above-hi", "log-grid-takes-no-range",
         "grid-density-is-for-G-only", "grid-density-is-for-G-only-at-its-default",
         "grid-denser-than-the-trace", "grid-too-dense-to-allocate"])
-def test_diagnose_range_error(tmp_path, capsys, series_code, lo, hi, grid):
+
+
+def diagnose_range_error(tmp_path, capsys, series_code, lo, hi, grid, *trace_flags):
+    """Runs diagnose at horizon 100 on a bad window: it exits EXIT_CONFIG with
+    series()'s RangeError and leaves tmp_path empty."""
     flags = [f"--{flag}={value}" for flag, value in
              (("lo", lo), ("hi", hi), ("samples-per-octave", grid)) if value is not None]
-    code = main(["diagnose", "--horizon", "100", "--series", series_code, *flags,
+    code = main(["diagnose", "--horizon", "100", "--series", series_code, *flags, *trace_flags,
                  "--out", str(tmp_path / "x.dat")])
     assert code == EXIT_CONFIG  # D stops at horizon - 1; only G is a grid, never windowed
     with pytest.raises(RangeError) as raised:
         series(run(RecursionConfig(seed=Seed((1, 1)), horizon=100)), series_code, lo, hi, grid)
     assert capsys.readouterr().err == f"error: {raised.value}\n"
     assert list(tmp_path.iterdir()) == []  # neither the file nor its temp file
+
+
+@RANGE_ERRORS
+def test_diagnose_range_error(tmp_path, capsys, series_code, lo, hi, grid):
+    diagnose_range_error(tmp_path, capsys, series_code, lo, hi, grid)
+
+
+@RANGE_ERRORS
+def test_diagnose_refuses_a_bad_window_before_the_run(tmp_path, monkeypatch, capsys,
+                                                      series_code, lo, hi, grid):
+    """A live trace is --horizon long, so the window is checked against it
+    first: with --trace, no trace is computed or loaded and no checkpoint
+    written."""
+    def obtain(*args):
+        raise AssertionError("diagnose obtained a trace")
+
+    monkeypatch.setattr(cli, "obtain_trace", obtain)
+    diagnose_range_error(tmp_path, capsys, series_code, lo, hi, grid,
+                         "--trace", str(tmp_path / "t.qtr"))
 
 
 @pytest.mark.parametrize("series_code,horizon,need", [("S", 2, 3), ("Rodd", 3, 4)])
@@ -593,14 +616,12 @@ def test_freq_kmax_needs_enough_m_cap(tmp_path, capsys, kmax):
     (("--horizon", "1000000", "--kmax", "6", "--m-cap", "63"),
      "block k=6 reaches m=127, beyond m_cap=63"),
     (("--horizon", "3000", "--kmax", "3", "--m-cap", "0"), f"m_cap must be in [1, {2**31}], got 0"),
-    (("--horizon", str(2**32), "--kmax", "3"),
-     "last-occurrence slots are 4-byte; n_max must stay below 2^32"),
-], ids=["horizon-1e9", "past-the-checkpoint", "explicit-m-cap", "m-cap-0", "horizon-2**32"])
+], ids=["horizon-1e9", "past-the-checkpoint", "explicit-m-cap", "m-cap-0"])
 def test_freq_refuses_a_table_that_cannot_fit_before_computing(tmp_path, monkeypatch, capsys,
                                                                argv, error):
-    """A --kmax past m_cap, an m_cap no value reaches, or a horizon past the
-    4-byte last occurrences: the trace is neither computed nor loaded, and
-    the checkpoint is neither written nor extended."""
+    """A --kmax past m_cap, or an m_cap no value reaches: the trace is
+    neither computed nor loaded, and the checkpoint is neither written nor
+    extended."""
     trace = tmp_path / "t.qtr"
     assert main(["--data-dir", str(tmp_path), "compute", "--horizon", "1000",
                  "--trace", str(trace)]) == EXIT_OK

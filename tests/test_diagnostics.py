@@ -31,7 +31,7 @@ def test_series_range_checks(short_trace):
     for code in SERIES_CODES:
         if code == "G":  # a log grid, no index window
             continue
-        lo, hi = series_window(short_trace, code)
+        lo, hi = series_window(short_trace.len, code)
         with pytest.raises(RangeError):
             series(short_trace, code, lo - 1, lo)
         with pytest.raises(RangeError):
@@ -58,7 +58,7 @@ def test_every_series_matches_oracle(short_trace, oracle_values):
         "d": lambda k: oracle.subseq_b(q, k) - oracle.subseq_a(q, k),
     }
     for code, fn in expected.items():
-        lo, hi = series_window(short_trace, code)
+        lo, hi = series_window(short_trace.len, code)
         ser = series(short_trace, code)
         assert ser.x[0] == lo and ser.x[-1] == hi
         naive = [fn(n) for n in range(lo, hi + 1)]

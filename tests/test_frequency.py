@@ -1,12 +1,17 @@
 """Frequency tables, dyadic block reports, the counting law, and peaks."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import frozen_values as frozen
 import oracle
+from qseq import frequency
 from qseq.engine import Outcome, Perturbation, RecursionConfig, Seed, Trace, run
 from qseq.errors import (
     ConfigError,
@@ -26,7 +31,7 @@ from qseq.frequency import (
 
 def test_small_m_counts(freq_table):
     assert freq_table.counts[1:9].tolist() == frozen.F_SMALL_M
-    assert freq_table.last_occurrence[1] == frozen.LAST_OCC_1
+    assert (freq_table.late_counts[1] == 0) == (frozen.LAST_OCC_1 <= freq_table.n_max // 2)
 
 
 def test_conservation(freq_table):
@@ -36,22 +41,30 @@ def test_conservation(freq_table):
     assert total + freq_table.overflow_count == freq_table.n_max
 
 
-def test_counts_and_last_occurrence_agree(freq_table):
-    counts = np.asarray(freq_table.counts)[1:]
-    last = np.asarray(freq_table.last_occurrence)[1:]
-    assert np.array_equal(counts == 0, last == 0)
-    assert int(last.max()) <= freq_table.n_max
+def test_late_counts_are_part_of_the_counts(freq_table):
+    counts = np.asarray(freq_table.counts)
+    late = np.asarray(freq_table.late_counts)
+    assert len(late) == len(counts)
+    assert np.all(late <= counts)
+    late_total = int(late.sum(dtype=np.int64))
+    assert 0 < late_total <= freq_table.n_max - freq_table.n_max // 2
 
 
 def test_arrays_are_read_only(freq_table):
     assert freq_table.counts.readonly
-    assert freq_table.last_occurrence.readonly
+    assert freq_table.late_counts.readonly
 
 
 @pytest.fixture(scope="module")
 def trace_1e5():
     """The first 10^5 terms of main_trace: a run is prefix-identical."""
     return run(RecursionConfig(seed=Seed((1, 1)), horizon=10**5))
+
+
+def late_counts(q, n_max, m_cap):
+    """The oracle's counts over Q(n_max//2 + 1..n_max), of its values q."""
+    h = n_max // 2
+    return oracle.frequency(q[h:], n_max - h, m_cap)[0]
 
 
 def test_matches_oracle_at_1e5(trace_1e5):
@@ -61,7 +74,10 @@ def test_matches_oracle_at_1e5(trace_1e5):
     assert death is None
     exp_counts, exp_last, exp_overflow = oracle.frequency(q, n_max, m_cap)
     assert table.counts[1:].tolist() == exp_counts[1:]
-    assert table.last_occurrence[1:].tolist() == exp_last[1:]
+    assert table.late_counts[1:].tolist() == late_counts(q, n_max, m_cap)[1:]
+    # the oracle's own rule: a bin has no late count iff its last occurrence
+    # is in the first half
+    assert [c == 0 for c in table.late_counts[1:]] == [n <= n_max // 2 for n in exp_last[1:]]
     assert table.overflow_count == exp_overflow
 
 
@@ -69,10 +85,10 @@ def test_counter_through_each_kernel(trace_1e5, kernel):
     n_max = 10**5
     table = build_frequency(trace_1e5)
     q, _ = oracle.naive_run((1, 1), n_max)
-    exp_counts, exp_last, exp_overflow = oracle.frequency(q, n_max, n_max // 2)
+    exp_counts, _, exp_overflow = oracle.frequency(q, n_max, n_max // 2)
     assert table.m_cap == n_max // 2
     assert table.counts[1:].tolist() == exp_counts[1:]
-    assert table.last_occurrence[1:].tolist() == exp_last[1:]
+    assert table.late_counts[1:].tolist() == late_counts(q, n_max, n_max // 2)[1:]
     assert table.overflow_count == exp_overflow
 
 
@@ -81,6 +97,30 @@ def test_small_m_cap_overflows_but_conserves(short_trace):
     assert table.overflow_count > 0
     total = int(np.asarray(table.counts).sum(dtype=np.int64))
     assert total + table.overflow_count == short_trace.len
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_build_frequency_raises_the_peak_by_its_two_tables_only():
+    """In a fresh interpreter, counting 10^7 values raises the peak RSS by
+    at most 10 MiB: two 1-byte tables of 5·10^6 bins, of which only the
+    bins the values reach (m up to about n_max/4) are ever written."""
+    code = ("from qseq.engine import RecursionConfig, Seed, run\n"
+            "from qseq.frequency import build_frequency\n"
+            "def status(key):\n"
+            "    for line in open('/proc/self/status'):\n"
+            "        if line.startswith(key):\n"
+            "            return int(line.split()[1]) * 1024\n"
+            "trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=10**7))\n"
+            "before = status('VmRSS:')\n"
+            "table = build_frequency(trace)\n"
+            "print(status('VmHWM:') - before, table.n_max)")
+    env = dict(os.environ, PYTHONPATH=str(Path(frequency.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    growth, n_max = map(int, out.stdout.split())
+    assert n_max == 10**7
+    assert growth <= 10 << 20, f"{growth / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("k", sorted(frozen.BLOCKS_1E7))

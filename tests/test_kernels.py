@@ -144,11 +144,10 @@ def test_advance_matches_the_twin(seed, width):
 
 def count(module, values, n_max, m_cap):
     """One count_values call over Q(1..n_max) on fresh slots for bins
-    0..m_cap: (result, counts, last occurrences)."""
+    0..m_cap: (result, counts)."""
     counts = np.zeros(m_cap + 1, dtype=np.uint8)
-    last = np.zeros(m_cap + 1, dtype=np.uint32)
-    result = module.count_values(values[: n_max + 1], counts, last)
-    return result, counts.tolist(), last.tolist()
+    result = module.count_values(values[: n_max + 1], counts)
+    return result, counts.tolist()
 
 
 def ones(length):
@@ -174,22 +173,32 @@ def test_count_values_agrees(kernel, short_trace, classical_trace, case, status)
 
 
 @pytest.mark.parametrize("slots", [
-    lambda: (np.zeros(11, dtype=np.uint16), np.zeros(11, dtype=np.uint32)),
-    lambda: (np.zeros(11, dtype=np.uint8), np.zeros(11, dtype=np.uint64)),
-    lambda: (np.zeros(11, dtype=np.uint8), np.zeros(5, dtype=np.uint32)),
-    lambda: (np.zeros(11, dtype=np.uint8), np.zeros(10, dtype=np.uint32)),
-    lambda: (read_only(np.zeros(11, dtype=np.uint8)), np.zeros(11, dtype=np.uint32)),
-    lambda: (np.zeros(11, dtype=np.uint8), read_only(np.zeros(11, dtype=np.uint32))),
-], ids=["wide-counts", "wide-last", "short-last", "last-one-short", "read-only-counts",
-        "read-only-last"])
+    lambda: np.zeros(11, dtype=np.uint16),
+    lambda: read_only(np.zeros(11, dtype=np.uint8)),
+], ids=["wide-counts", "read-only-counts"])
 def test_count_values_errors_agree(kernel, slots):
     """Both kernels refuse the same slots with the same message, before any write."""
     with pytest.raises(ValueError) as c_error:
-        C.count_values(ones(20), *slots())
+        C.count_values(ones(20), slots())
     got = slots()
     with same_error(c_error):
-        kernel.count_values(ones(20), *got)
-    assert [slot.tolist() for slot in got] == [slot.tolist() for slot in slots()]
+        kernel.count_values(ones(20), got)
+    assert got.tolist() == slots().tolist()
+
+
+@pytest.mark.parametrize("width", [4, 8])
+def test_count_values_of_a_tail_view_skips_its_slot_zero(kernel, short_trace, width):
+    """values[h:] counts Q(h+1..n_max): its slot 0, Q(h), is skipped like
+    any value buffer's, as build_frequency's second count relies on."""
+    values = np.asarray(short_trace.values).astype(f"<u{width}")
+    n_max, h, m_cap = short_trace.len, short_trace.len // 2, short_trace.len // 4
+    got = count(kernel, values[h:], n_max - h, m_cap)
+    assert got == count(C, values[h:], n_max - h, m_cap)
+    expected = [0] * (m_cap + 1)
+    for v in values[h + 1 : n_max + 1].tolist():
+        if (v + 1) // 2 <= m_cap:
+            expected[(v + 1) // 2] += 1
+    assert got == ((ST_OK, n_max - h - sum(expected)), expected)
 
 
 def flat(terms):

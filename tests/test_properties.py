@@ -224,7 +224,7 @@ def test_seed_text_round_trip(vals):
 @given(code=st.sampled_from([c for c in SERIES_CODES if c != "G"]),
        data=st.data())
 def test_series_windows_are_slices_of_the_full_series(short_trace, code, data):
-    d_lo, d_hi = series_window(short_trace, code)
+    d_lo, d_hi = series_window(short_trace.len, code)
     lo = data.draw(st.integers(min_value=d_lo, max_value=d_hi))
     hi = data.draw(st.integers(min_value=lo, max_value=d_hi))
     full = series(short_trace, code)
@@ -241,12 +241,12 @@ def test_series_windows_are_slices_of_the_full_series(short_trace, code, data):
 def test_frequency_conservation(vals, horizon, m_cap):
     trace = run_wide(vals, horizon)
     table = build_frequency(trace, m_cap=m_cap)
-    counts, last = np.asarray(table.counts), np.asarray(table.last_occurrence)
+    counts, late = np.asarray(table.counts), np.asarray(table.late_counts)
     counted = int(counts.sum(dtype=np.int64))
     assert counted + table.overflow_count == trace.len
-    seen = counts[1:] > 0
-    assert np.array_equal(seen, last[1:] > 0)
-    assert int(last.max(initial=0)) <= trace.len
+    h = trace.len // 2
+    exp_late, _, _ = oracle.frequency(np.asarray(trace.values).tolist()[h:], trace.len - h, m_cap)
+    assert late.tolist() == exp_late
 
     values = np.asarray(trace.values)[1 : trace.len + 1].astype(np.int64)
     m = (values + 1) // 2

@@ -12,6 +12,7 @@ from qseq.errors import ConfigError
 from qseq.seedlab import (
     MAX_SHIFT,
     SeedClass,
+    SeedReport,
     classify,
     detect_merge,
     detect_ramp_orbit,
@@ -177,8 +178,9 @@ def test_classify_requires_matching_reference(main_trace, short_trace):
     classical = run(
         RecursionConfig(seed=Seed((1, 1)), horizon=5000, perturbation=Perturbation.NONE)
     )
-    with pytest.raises(ConfigError):
-        classify(Seed((1, 1, 2)), classical, horizon=1000)
+    # a classical reference classifies the seed under the classical recursion
+    assert classify(Seed((1, 1, 2)), classical, horizon=1000) == SeedReport(
+        Seed((1, 1, 2)), SeedClass.LONG_LIVED_IRREGULAR, 1000, growth2=Fraction(251, 250))
     with pytest.raises(ConfigError):
         classify(Seed((1, 1, 2)), short_trace, horizon=short_trace.len)
 
