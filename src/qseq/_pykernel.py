@@ -45,18 +45,22 @@ def _column(buffer, kinds: tuple[str, ...], error: str, writes: bool = False) ->
     return view.cast("B").cast(kind)
 
 
-def advance(values, start, eps_even, eps_odd):
+def advance(values, start, eps_even, eps_odd, on_chunk=None, chunk=0):
     q = _items(values, (4, 8), "values must be writable C-contiguous 4- or 8-byte items",
                writes=True)
-    start, eps_even, eps_odd = index(start), index(eps_even), index(eps_odd)
+    start, eps_even, eps_odd, chunk = index(start), index(eps_even), index(eps_odd), index(chunk)
     cap = SLOT_CAPS[q.itemsize]
     if not 2 <= start <= len(q):
         raise ValueError("start must be in [2, len(values)]")
     if not (-1 <= eps_even <= 1 and -1 <= eps_odd <= 1):
         raise ValueError("eps_even and eps_odd must be in [-1, 1]")
+    if on_chunk is not None and not (callable(on_chunk) and chunk >= 1):
+        raise ValueError("on_chunk must be None, or a callable with chunk >= 1")
     if q.itemsize == 8 and max(q[1:start]) > cap:
         raise ValueError("a value before start exceeds 2**63 - 1")
     for n in range(start, len(q)):
+        if on_chunk is not None and n % chunk == 0 and n > start:
+            on_chunk(n)
         t1, t2 = n - q[n - 1], n - q[n - 2]
         if t1 <= 0 or t2 <= 0:
             return ST_DEATH, n, int(t1 <= 0), int(t2 <= 0)

@@ -88,7 +88,8 @@ slot(const Py_buffer *v, long long i)
     return v->itemsize == 4 ? ((const uint32_t *)v->buf)[i] : ((const uint64_t *)v->buf)[i];
 }
 
-/* advance(values, start, eps_even, eps_odd) -> (status, step, bad_t1, bad_t2)
+/* advance(values, start, eps_even, eps_odd, on_chunk=None, chunk=0)
+ *     -> (status, step, bad_t1, bad_t2)
  *
  * Runs q[n] = q[n - q[n-1]] + q[n - q[n-2]] + eps(n) in place for
  * n = start..horizon, horizon = len(values) - 1, 2 <= start <= horizon + 1.
@@ -97,9 +98,17 @@ slot(const Py_buffer *v, long long i)
  * (ST_OVERFLOW): 2^32 - 1 for 4-byte slots, 2^63 - 1 for 8-byte.  The sum
  * runs in uint64_t, where it wraps by definition: two values of at most
  * 2^63 - 1 plus an eps in [-1, 1] stay exact, and a sum below zero wraps
- * above the cap.  Before any read, ValueError if an eps leaves [-1, 1], or
- * if a value in q[1..start-1] of 8-byte slots exceeds 2^63 - 1; resuming
- * at 10^7 scans that prefix once.  No 4-byte value can exceed its cap.
+ * above the cap.  Before any read, ValueError if an eps leaves [-1, 1], if
+ * on_chunk is neither None nor a callable with chunk >= 1, or if a value in
+ * q[1..start-1] of 8-byte slots exceeds 2^63 - 1; resuming at 10^7 scans
+ * that prefix once.  No 4-byte value can exceed its cap.
+ *
+ * The loop runs without the GIL.  Given on_chunk, it stops short of each
+ * multiple end of chunk in (start, horizon], takes the GIL, checks for
+ * signals and calls on_chunk(end), slots [0, end) being final by then, and
+ * runs on; so a caller can hand finished chunks to another thread while the
+ * run goes on, and Ctrl-C stops it at the next boundary.  An exception
+ * there stops the run and is raised, the slots from end on unwritten.
  *
  * One loop, defined for each slot type, carries Q(n-1) and Q(n-2) in p1
  * and p2 instead of loading back the slots just written, and takes the
@@ -149,23 +158,40 @@ static PyObject *
 advance(PyObject *self, PyObject *args)
 {
     Py_buffer qv;
-    long long start, eps_even, eps_odd;
+    long long start, eps_even, eps_odd, chunk = 0;
+    PyObject *on_chunk = Py_None;
 
-    if (!PyArg_ParseTuple(args, "O&LLL", values_out, &qv, &start, &eps_even, &eps_odd))
+    if (!PyArg_ParseTuple(args, "O&LLL|OL", values_out, &qv, &start, &eps_even, &eps_odd,
+                          &on_chunk, &chunk))
         return NULL;
-    long long horizon = (long long)(qv.len / qv.itemsize) - 1;
+    long long horizon = (long long)(qv.len / qv.itemsize) - 1, n = start;
     const char *error = NULL;
-    Stop stop = {0};
+    Stop stop = {ST_OK, 0, 0, 0};
     if (start < 2 || start > horizon + 1)  /* the loop reads q[start-2] first */
         error = "start must be in [2, len(values)]";
     else if (eps_even < -1 || eps_even > 1 || eps_odd < -1 || eps_odd > 1)
         error = "eps_even and eps_odd must be in [-1, 1]";
+    else if (on_chunk != Py_None && (!PyCallable_Check(on_chunk) || chunk < 1))
+        error = "on_chunk must be None, or a callable with chunk >= 1";
     else if (qv.itemsize == 8 && prefix_above_int64((uint64_t *)qv.buf, start))
         error = "a value before start exceeds 2**63 - 1";
-    else if (qv.itemsize == 4)
-        stop = advance4((uint32_t *)qv.buf, start, horizon, eps_even, eps_odd);
-    else
-        stop = advance8((uint64_t *)qv.buf, start, horizon, eps_even, eps_odd);
+    while (!error && stop.status == ST_OK && n <= horizon) {
+        long long end = on_chunk == Py_None ? horizon + 1 : n / chunk * chunk + chunk;
+        long long h = end <= horizon ? end - 1 : horizon;
+        Py_BEGIN_ALLOW_THREADS
+        if (qv.itemsize == 4)
+            stop = advance4((uint32_t *)qv.buf, n, h, eps_even, eps_odd);
+        else
+            stop = advance8((uint64_t *)qv.buf, n, h, eps_even, eps_odd);
+        Py_END_ALLOW_THREADS
+        n = h + 1;
+        if (stop.status == ST_OK && n <= horizon) {
+            PyObject *done = PyErr_CheckSignals() < 0 ? NULL
+                             : PyObject_CallFunction(on_chunk, "L", n);
+            error = done ? NULL : "";  /* "": the callback's exception is set */
+            Py_XDECREF(done);
+        }
+    }
     PyBuffer_Release(&qv);
     return error ? value_error(error)
                  : Py_BuildValue("iLii", stop.status, stop.step, stop.bad1, stop.bad2);
@@ -484,7 +510,7 @@ format_rows(PyObject *self, PyObject *args)
 }
 
 static PyMethodDef kernel_methods[] = {
-    {"advance", advance, METH_VARARGS, "run the recursion in place"},
+    {"advance", advance, METH_VARARGS, "run the recursion in place, chunk by chunk"},
     {"count_values", count_values, METH_VARARGS, "tally odd values into dyadic bins"},
     {"linear_series", linear_series, METH_VARARGS, "evaluate a linear series of the values"},
     {"min_into", min_into, METH_VARARGS, "take the smaller of two int64 columns in place"},

@@ -22,12 +22,17 @@ half-written file behind.
 
 A checkpoint is written in place.  reserve() allocates the temp file at its
 full size and maps it shared, and the kernel runs straight into the mapped
-slots, so the values reach the page cache without a copy.  save() of that
-trace checksums the values on a second thread while they are flushed to
-disk, writes the header, the seed and the trailer around them (shrinking
-the file first if the run died) and commits the file.  A trace held in
-memory is checksummed while it is written into such a file.  The bytes on
-disk are the same either way.
+slots, so the values reach the page cache without a copy.  The kernel
+reports each finished chunk of _Draft.chunk slots; while it computes the
+next, the mapping's worker thread continues the CRC of the values over that
+chunk and starts its writeback.  save() of that trace checksums the tail
+past the last chunk on a second thread while the main one fsyncs the values,
+which finds little left to write, joins the CRCs with crc32_combine, writes
+the header, the seed and the trailer around the values (shrinking the file
+first if the run died) and commits the file.  A trace held in memory is
+checksummed while it is written into such a file.  The bytes on disk are the
+same either way.  An exception at a chunk boundary, Ctrl-C among them, ends
+the run there and removes the temp file.
 
 read_header parses and checks the header and seed alone, so a caller can
 tell which run a file holds without reading its values.  load streams the
@@ -61,6 +66,7 @@ from .engine import (
     OutcomeKind,
     Perturbation,
     RecursionConfig,
+    ReservedMapping,
     Seed,
     Trace,
 )
@@ -137,12 +143,53 @@ def atomic_write(path: str | Path) -> Iterator[_TempFile]:
         raise
 
 
-class _Draft(mmap.mmap):
+class _Draft(ReservedMapping):
     """A shared mapping of a checkpoint's temp file at its full size, made
-    by reserve() and finished by save()."""
+    by reserve() and finished by save().
 
+    Its worker thread takes each chunk of slots a run reports finished
+    (on_chunk), continues the CRC of the values over it, and starts the
+    writeback of its whole pages with POSIX_FADV_DONTNEED, a hint that
+    leaves the pages mapped and cached.  join() ends the worker; then crc is
+    the CRC of slots [1, done), or error what the worker raised.
+    """
+
+    chunk = 1 << 22  # slots per reported chunk: 16 MB of 4-byte slots
     temp: _TempFile
     offset: int  # where the values start
+    crc: int
+    done: int
+    error: BaseException | None
+
+    def start(self, temp: _TempFile, offset: int, slots: memoryview) -> None:
+        import queue  # about 0.12 MB, which only a process writing a checkpoint needs
+
+        self.temp, self.offset = temp, offset
+        self.crc, self.done, self.error = 0, 1, None
+        self._todo = queue.SimpleQueue()
+        self._worker = threading.Thread(target=self._work, args=(slots,),
+                                        name="qseq-save-chunks")
+        self._worker.start()
+
+    def on_chunk(self, end: int) -> None:
+        self._todo.put(end)
+
+    def join(self) -> None:
+        self._todo.put(None)
+        self._worker.join()
+
+    def _work(self, slots: memoryview) -> None:
+        fd, written = self.temp.fh.fileno(), 0
+        try:
+            while (end := self._todo.get()) is not None:
+                self.crc = zlib.crc32(slots[self.done : end], self.crc)
+                self.done = end
+                pages_end = (self.offset + slots.itemsize * (end - 1)) & -mmap.PAGESIZE
+                if hasattr(os, "posix_fadvise") and pages_end > written:
+                    os.posix_fadvise(fd, written, pages_end - written, os.POSIX_FADV_DONTNEED)
+                    written = pages_end
+        except BaseException as exc:  # raised by _finish
+            self.error = exc
 
 
 @contextlib.contextmanager
@@ -155,8 +202,9 @@ def reserve(path: str | Path, config: RecursionConfig,
     The slots lie in a shared mapping of atomic_write's temp file, whose
     disk space is allocated first, so that a full disk raises OSError here
     instead of SIGBUS in the kernel.  Slot 0 overlays the last seed bytes:
-    nothing may write it.  Leaving the block without save() removes the temp
-    file, and path keeps its old file.
+    nothing may write it.  The mapping's worker checksums and starts writing
+    back each chunk the run finishes; it ends with the block.  Leaving the
+    block without save() removes the temp file, and path keeps its old file.
     """
     length = config.horizon if length is None else length
     offset = _HEADER.size + 8 * len(config.seed)
@@ -168,8 +216,12 @@ def reserve(path: str | Path, config: RecursionConfig,
         else:  # macOS has no posix_fallocate: there a full disk faults the mapping
             os.ftruncate(fd, size)
         draft = _Draft(fd, size)
-        draft.temp, draft.offset = temp, offset
-        yield memoryview(draft)[offset - config.width : size - 4].cast(config.dtype)
+        slots = memoryview(draft)[offset - config.width : size - 4].cast(config.dtype)
+        draft.start(temp, offset, slots)
+        try:
+            yield slots
+        finally:
+            draft.join()  # before atomic_write closes the file the worker writes back
         if not temp.committed:
             raise RuntimeError(f"{path}: reserved checkpoint left without save()")
 
@@ -191,13 +243,16 @@ def _mapped_values(fileno: int, config: RecursionConfig, length: int,
 def save(trace: Trace, path: str | Path) -> Trace:
     """Write the trace atomically to path; return it mapped from the new file.
 
-    A trace run into reserve(path)'s slots is finished in place: the CRC of
-    its values runs on a second thread while the main one fsyncs them.  Any
-    other trace is written into a file reserved for its length while the
-    second thread checksums it.  zlib.crc32, fsync and the write release
-    the GIL, so on two cores the CRC costs no time of its own.  Then the
-    header, the seed and the trailer are written, after the file shrinks to
-    step - 1 values if the run died, and the file is committed.
+    A trace run into reserve(path)'s slots is finished in place: the
+    mapping's worker has checksummed each chunk the run finished and started
+    its writeback while the run went on, so only the tail past the last
+    chunk is checksummed, on a second thread while the main one fsyncs the
+    values, and the fsync finds little left to write.  Any other trace is
+    written into a file reserved for its length while the second thread
+    checksums it.  zlib.crc32, fsync and the write release the GIL, so on
+    two cores the CRC costs no time of its own.  Then the header, the seed
+    and the trailer are written, after the file shrinks to step - 1 values
+    if the run died, and the file is committed.
 
     The trace returned holds the same values as a copy-on-write mapping of
     the committed file, slot 0 zeroed, as load() would return them: the
@@ -219,8 +274,13 @@ def save(trace: Trace, path: str | Path) -> Trace:
 
 
 def _finish(draft: _Draft, trace: Trace, beside: Callable[[], None]) -> Trace:
-    """Checksum trace's values on a second thread while beside() runs, then
-    write the rest of draft's file and commit it; the trace save() returns."""
+    """Join draft's worker, checksum the values it did not reach on a second
+    thread while beside() runs, then write the rest of draft's file and
+    commit it; the trace save() returns.
+
+    The worker's CRC starts from 0, so crc32_combine joins it to the CRC of
+    the header and the seed.
+    """
     cfg = trace.config
     out = trace.outcome
     flags = (1 if out.bad_t1 else 0) | (2 if out.bad_t2 else 0)
@@ -237,9 +297,13 @@ def _finish(draft: _Draft, trace: Trace, beside: Callable[[], None]) -> Trace:
         trace.len,
     )
     seed_bytes = struct.pack(f"<{len(cfg.seed)}Q", *cfg.seed)
-    crc, _ = _beside_the_caller(
-        "qseq-save-crc",
-        lambda: zlib.crc32(trace.values[1:], zlib.crc32(seed_bytes, zlib.crc32(header))), beside)
+    draft.join()
+    if draft.error is not None:
+        raise draft.error
+    values_crc, _ = _beside_the_caller(
+        "qseq-save-crc", lambda: zlib.crc32(trace.values[draft.done :], draft.crc), beside)
+    crc = crc32_combine(zlib.crc32(seed_bytes, zlib.crc32(header)), values_crc,
+                        cfg.width * trace.len)
 
     fd = draft.temp.fh.fileno()
     end = draft.offset + cfg.width * trace.len

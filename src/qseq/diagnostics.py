@@ -142,10 +142,13 @@ def series_window(length: int, code: str, lo: int | None = None, hi: int | None 
     the domain or is empty, if lo or hi is given for G, or if
     samples_per_octave is given for another code or exceeds the length (at
     that density every n is on G's grid already).  ConfigError for a code
-    outside SERIES_CODES."""
+    outside SERIES_CODES, or for a samples_per_octave below 1.  So a caller
+    can refuse a request before it computes the trace."""
     if code == "G":
         if lo is not None or hi is not None:
             raise RangeError(f"series G: the log grid takes no range, got [{lo}, {hi}]")
+        if samples_per_octave is not None and samples_per_octave < 1:
+            raise ConfigError(f"samples_per_octave must be >= 1, got {samples_per_octave}")
         if samples_per_octave is not None and samples_per_octave > length:
             raise RangeError(f"series G: samples_per_octave {samples_per_octave}"
                              f" exceeds trace length {length}")
@@ -249,11 +252,10 @@ def selfsim_profile(trace: Trace, k: int, lo: int | None = None,
 
 def log_grid(length: int, samples_per_octave: int) -> tuple[list[float], list[int]]:
     """The uniform log grid x = i / samples_per_octave, i = 0, 1, ... while
-    2^x <= length, and its indices n = round(2^x) clipped to [1, length].
-    Neighbouring n repeat where the grid is finer than the integers.  round
-    takes a tie to even, as NumPy's rint does."""
-    if samples_per_octave < 1:
-        raise ConfigError(f"samples_per_octave must be >= 1, got {samples_per_octave}")
+    2^x <= length, and its indices n = round(2^x) clipped to [1, length],
+    for samples_per_octave >= 1 (series_window checks it).  Neighbouring n
+    repeat where the grid is finer than the integers.  round takes a tie to
+    even, as NumPy's rint does."""
     if length < 1:
         raise RangeError("empty trace")
     i_max = math.floor(samples_per_octave * math.log2(length))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import mmap
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -143,6 +144,15 @@ class FileMapping(mmap.mmap):
     page given back to the OS is read again from the file."""
 
 
+class ReservedMapping(mmap.mmap):
+    """A file mapped shared for a run to fill, as checkpoint.reserve maps a
+    new checkpoint: the run calls on_chunk(end) at each multiple end of
+    chunk that it passes, slots [0, end) of its buffer being final."""
+
+    chunk: int
+    on_chunk: Callable[[int], None]
+
+
 class Trace:
     """An immutable computed run: config, values Q(1..len), and outcome.
 
@@ -225,9 +235,13 @@ def _run_from(config: RecursionConfig, arr: memoryview, start: int) -> Trace:
     """Run the kernel in place over arr[start..config.horizon]; the Trace it leaves.
 
     A death keeps arr[:step], a view of arr: the slots past it were never
-    written, so their pages are never resident.
+    written, so their pages are never resident.  A run into a
+    ReservedMapping reports its finished chunks to it.
     """
-    status, step, bad1, bad2 = _native.kernel.advance(arr, start, *config.perturbation.eps)
+    mapped = arr.obj
+    chunks = (mapped.on_chunk, mapped.chunk) if isinstance(mapped, ReservedMapping) else ()
+    status, step, bad1, bad2 = _native.kernel.advance(arr, start, *config.perturbation.eps,
+                                                      *chunks)
     if status == ST_OK:
         return Trace(config, arr, Outcome.alive())
     if status == ST_DEATH:

@@ -459,6 +459,70 @@ def test_a_reserved_file_left_without_save_is_removed(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["trace.qtr"]
 
 
+# (seed, horizon of a first run that is extended or None, horizon, width,
+# chunk): seed (1,3,2,2) dies at step 719.
+CHUNKED_RUNS = {
+    "death-inside-the-first-chunk": ((1, 3, 2, 2), None, 2000, 4, 1024),
+    "death-at-a-boundary": ((1, 3, 2, 2), None, 2000, 4, 719),
+    "horizon-a-multiple": ((1, 1), None, 4096, 4, 256),
+    "extension-from-mid-chunk": ((1, 1), 1000, 3000, 4, 256),
+    "8-byte-slots": ((3, 1, 2), None, 3000, 8, 256),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNKED_RUNS))
+def test_a_run_in_chunks_writes_the_file_of_one_pass(tmp_path, monkeypatch, kernel, case):
+    """Each kernel reports every chunk boundary the run passes, the copied
+    prefix of an extension included, and the worker's CRC of the chunks
+    joined to the tail's gives the bytes of a trace saved from memory."""
+    seed, first, horizon, width, chunk = CHUNKED_RUNS[case]
+    config = RecursionConfig(seed=Seed(seed), horizon=horizon, width=width)
+    one_pass = tmp_path / "one-pass.qtr"
+    checkpoint.save(run(config), one_pass)
+    monkeypatch.setattr(checkpoint._Draft, "chunk", chunk)
+    ends, report = [], checkpoint._Draft.on_chunk
+    monkeypatch.setattr(checkpoint._Draft, "on_chunk",
+                        lambda draft, end: (ends.append(end), report(draft, end))[1])
+    path = tmp_path / "chunked.qtr"
+    stored = None
+    if first is not None:
+        with checkpoint.reserve(path, replace(config, horizon=first)) as slots:
+            stored = checkpoint.save(run(replace(config, horizon=first), slots), path)
+    with checkpoint.reserve(path, config) as slots:
+        trace = run(config, slots) if stored is None else extend(stored, horizon, slots)
+        trace = checkpoint.save(trace, path)
+    assert path.read_bytes() == one_pass.read_bytes()
+    assert ends == list(range(chunk, (trace.outcome.step or horizon) + 1, chunk))
+
+
+def test_a_run_stopped_at_a_chunk_boundary_leaves_no_temp_or_thread(tmp_path, monkeypatch,
+                                                                     kernel):
+    """An exception raised where a run reports a chunk, as Ctrl-C is there,
+    stops the run: the worker ends, the temp file is removed, and the old
+    checkpoint stays byte for byte."""
+    path = tmp_path / "trace.qtr"
+    checkpoint.save(run(RecursionConfig(seed=Seed((1, 1)), horizon=100)), path)
+    old = path.read_bytes()
+    monkeypatch.setattr(checkpoint._Draft, "chunk", 256)
+    ends, report = [], checkpoint._Draft.on_chunk
+
+    def on_chunk(draft, end):
+        ends.append(end)
+        if end == 1024:
+            raise KeyboardInterrupt
+        report(draft, end)
+
+    monkeypatch.setattr(checkpoint._Draft, "on_chunk", on_chunk)
+    config = RecursionConfig(seed=Seed((1, 1)), horizon=3000)
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt), checkpoint.reserve(path, config) as slots:
+        checkpoint.save(run(config, slots), path)
+    assert ends == [256, 512, 768, 1024]
+    assert threading.active_count() == threads
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.qtr"]
+
+
 # ------------------------------------------------------------- atomic_write
 
 def test_atomic_write_fsyncs_file_then_renames_then_fsyncs_directory(tmp_path,
@@ -547,20 +611,24 @@ def test_save_checksums_on_a_thread_that_ends_with_it(tmp_path):
 def test_failed_save_keeps_the_old_file_and_leaves_no_temp_or_thread(tmp_path, monkeypatch,
                                                                      failing):
     """Whichever step fails, save raises it, the old checkpoint stays byte
-    for byte, and neither the temp file nor the CRC thread outlives save.
-    A failure before the temp file exists starts no thread at all.  Both
-    ways to save are tried: a trace held in memory, and a run into reserved
-    slots.  The payload reaches the disk through fsync, so a failing write
-    of it surfaces there: for a run into the file, while the CRC runs."""
+    for byte, and neither the temp file nor a thread outlives save: the
+    reserved mapping's worker, and the thread that checksums the values the
+    worker did not reach.  A failure before the temp file exists starts no
+    thread at all.  Both ways to save are tried: a trace held in memory,
+    which the second thread checksums whole, and a run into reserved slots,
+    whose worker checksums each 2^18-slot chunk while the run goes on, so
+    that a failing CRC fails there and no tail is checksummed.  The payload
+    reaches the disk through fsync, so a failing write of it surfaces there:
+    for a run into the file, while the tail's CRC runs."""
     path = tmp_path / "trace.qtr"
     checkpoint.save(run(RecursionConfig(seed=Seed((1, 1)), horizon=100)), path)
     old = path.read_bytes()
     new = run(RecursionConfig(seed=Seed((1, 1)), horizon=10**6))
-    started = []
+    started, checksummed_on = [], set()
 
     class Thread(threading.Thread):
         def start(self):
-            started.append(self)
+            started.append(self.name)
             super().start()
 
     def fail(*args, **kwargs):
@@ -570,13 +638,15 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp_or_thread(tmp_path, m
 
     def crc32(data, value=0):
         if len(data) > 1 << 12:  # the payload
+            checksummed_on.add(threading.current_thread().name)
             if failing == "crc":
                 fail()
-            time.sleep(0.2)  # a slow CRC: save waits for it before going on
+            time.sleep(0.1)  # a slow CRC: save waits for it before going on
         return real_crc32(data, value)
 
     monkeypatch.setattr(checkpoint, "threading", SimpleNamespace(Thread=Thread))
     monkeypatch.setattr(checkpoint.zlib, "crc32", crc32)
+    monkeypatch.setattr(checkpoint._Draft, "chunk", 1 << 18)
     if failing == "mkstemp":
         monkeypatch.setattr(checkpoint.tempfile, "mkstemp", fail)
     elif failing == "payload-write":
@@ -584,6 +654,7 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp_or_thread(tmp_path, m
     threads = threading.active_count()
     for computed in (False, True):
         started.clear()
+        checksummed_on.clear()
         with pytest.raises(Injected):
             if computed:
                 with checkpoint.reserve(path, new.config) as slots:
@@ -591,7 +662,14 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp_or_thread(tmp_path, m
             else:
                 checkpoint.save(new, path)
         assert threading.active_count() == threads
-        assert len(started) == (failing != "mkstemp")
+        both = ["qseq-save-chunks", "qseq-save-crc"]
+        if failing == "mkstemp":
+            assert started == [] and not checksummed_on
+        elif computed and failing == "crc":
+            assert started == both[:1] and checksummed_on == {both[0]}
+        else:
+            assert started == both
+            assert checksummed_on == ({both[0]} if computed else set()) | {both[1]}
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["trace.qtr"]
 
@@ -632,3 +710,35 @@ def test_save_killed_midway_leaves_the_old_or_the_new_checkpoint(tmp_path, main_
     else:
         assert loaded == main_trace
         assert stale == []
+
+
+COMPUTE_IN_CHILD = "import sys; from qseq.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_ctrl_c_during_a_run_leaves_the_old_checkpoint_and_no_temp(tmp_path):
+    """SIGINT to a child computing 3·10^7 terms into a checkpoint, once its
+    temp file exists.  The kernel checks for signals at each chunk boundary,
+    so the child stops there with KeyboardInterrupt and atomic_write removes
+    the temp file; a child that finished first leaves the new checkpoint."""
+    target = tmp_path / "trace.qtr"
+    old = run(RecursionConfig(seed=Seed((1, 1)), horizon=1000))
+    checkpoint.save(old, target)
+    env = dict(os.environ, PYTHONPATH=str(Path(checkpoint.__file__).parents[1]))
+    child = subprocess.Popen([sys.executable, "-c", COMPUTE_IN_CHILD, "compute",
+                              "--horizon", str(3 * 10**7), "--trace", str(target)],
+                             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    deadline = time.monotonic() + 30
+    while (child.poll() is None and time.monotonic() < deadline
+           and not any(tmp_path.glob(".trace.qtr.*.tmp"))):
+        time.sleep(0.001)
+    time.sleep(0.05)  # into the run, which takes about 0.15 s
+    child.send_signal(signal.SIGINT)
+    stderr = child.communicate(timeout=60)[1].decode()
+    assert child.returncode in (0, -signal.SIGINT), stderr
+    loaded = checkpoint.load(target)
+    if child.returncode:
+        assert "KeyboardInterrupt" in stderr
+        assert loaded == old
+    else:
+        assert loaded.len == 3 * 10**7
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.qtr"]

@@ -349,9 +349,12 @@ def test_a_full_disk_exits_io_and_keeps_the_old_checkpoint(tmp_path, monkeypatch
 ], ids=["extended", "died"])
 def test_the_python_twin_computes_the_file_the_c_kernel_does(tmp_path, monkeypatch, capsys,
                                                              args, horizons, code):
+    """The twin, reporting chunks of 256 slots, writes the file that the C
+    kernel writes in one pass."""
     native, twin = tmp_path / "c.qtr", tmp_path / "py.qtr"
     assert main(["compute", *args, "--horizon", "3000", "--trace", str(native)]) == code
     monkeypatch.setattr(_native, "kernel", _pykernel)
+    monkeypatch.setattr(checkpoint._Draft, "chunk", 256)
     for horizon in horizons:
         assert main(["compute", *args, "--horizon", horizon, "--trace", str(twin)]) == code
     assert twin.read_bytes() == native.read_bytes()
@@ -447,6 +450,16 @@ def diagnose_range_error(tmp_path, capsys, series_code, lo, hi, grid, *trace_fla
         series(run(RecursionConfig(seed=Seed((1, 1)), horizon=100)), series_code, lo, hi, grid)
     assert capsys.readouterr().err == f"error: {raised.value}\n"
     assert list(tmp_path.iterdir()) == []  # neither the file nor its temp file
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_diagnose_refuses_a_grid_density_below_1_before_the_run(tmp_path, capsys, grid):
+    """With --trace, the run would write the checkpoint first."""
+    trace = tmp_path / "t.qtr"
+    assert main(["diagnose", "--series", "G", "--horizon", "100000", "--samples-per-octave",
+                 grid, "--trace", str(trace), "--out", str(tmp_path / "g.dat")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: samples_per_octave must be >= 1, got {grid}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @RANGE_ERRORS

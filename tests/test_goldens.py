@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from qseq import checkpoint
 from qseq.cli import EXIT_DEATH, EXIT_OK, main
 from qseq.diagnostics import SERIES_CODES
 
@@ -118,7 +119,9 @@ def test_output_matches_golden(produced, name):
     assert produced.get(name) == GOLDEN[name]
 
 
-def test_each_kernel_writes_the_same_files(tmp_path, kernel):
+def test_each_kernel_writes_the_same_files(tmp_path, monkeypatch, kernel):
     """The C kernel and its pure-Python twin write every file byte for byte
-    the same."""
+    the same, each reporting the chunks of a run into a checkpoint every 41
+    slots: seed (1,2,1) dies at step 41, at a boundary."""
+    monkeypatch.setattr(checkpoint._Draft, "chunk", 41)
     assert produce(tmp_path) == GOLDEN

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracle
-from qseq import _native, _pykernel, diagnostics, perfprobe, verify
+from qseq import _native, _pykernel, checkpoint, diagnostics, perfprobe, verify
 from qseq._native import ST_COUNT_OVERFLOW, ST_DEATH, ST_OK, ST_OVERFLOW, ST_PARITY
 from qseq.cli import EXIT_OK, main
 from qseq.engine import RecursionConfig, Seed, run
@@ -55,7 +55,7 @@ def read_only(buffer):
     return memoryview(buffer).toreadonly()
 
 
-@pytest.mark.parametrize("buffer,start,eps", [
+@pytest.mark.parametrize("buffer,start,rest", [
     (lambda: np.zeros(10, dtype=np.uint16), 3, (1, -1)),
     (lambda: np.zeros(10, dtype=np.uint32), 0, (1, -1)),
     (lambda: np.zeros(10, dtype=np.uint32), 1, (1, -1)),
@@ -66,30 +66,34 @@ def read_only(buffer):
     (lambda: np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, (-2, 0)),
     (lambda: read_only(np.array([0, 1, 1, 0, 0], dtype=np.uint32)), 3, (1, -1)),
     (lambda: np.zeros(20, dtype=np.uint32)[::2], 3, (1, -1)),
+    (lambda: np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, (1, -1, "not callable", 2)),
+    (lambda: np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, (1, -1, print, 0)),
+    (lambda: np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, (1, -1, print)),
 ], ids=["two-byte-items", "start-0", "start-1", "start-past-horizon", "8-byte-seed-at-2**63",
         "8-byte-seed-past-2**63", "eps-3-wraps-8-byte-slots", "eps-minus-2", "read-only-values",
-        "strided-values"])
-def test_advance_errors_agree(kernel, buffer, start, eps):
+        "strided-values", "on_chunk-not-callable", "chunk-0", "on_chunk-without-chunk"])
+def test_advance_errors_agree(kernel, buffer, start, rest):
     """Both kernels refuse the same input with the same message, before any
     read: an 8-byte value before start past 2^63 - 1 would otherwise run as
     a negative number in C and as itself in the twin, and an eps of 3 would
     carry C's unsigned sum past 2^64."""
     with pytest.raises(ValueError) as c_error:
-        C.advance(buffer(), start, *eps)
+        C.advance(buffer(), start, *rest)
     got = buffer()
     with same_error(c_error):
-        kernel.advance(got, start, *eps)
+        kernel.advance(got, start, *rest)
     assert np.asarray(got).tolist() == np.asarray(buffer()).tolist()
 
 
 @pytest.mark.parametrize("entry,args", [
     ("advance", lambda: (np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, 0.5, 0)),
     ("advance", lambda: (np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3.0, 1, -1)),
+    ("advance", lambda: (np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, 1, -1, print, 2.0)),
     ("linear_series", lambda: (ones(9), 1.0, flat(()), 0, np.zeros(3, dtype=np.int64))),
     ("linear_series", lambda: (ones(9), 1, flat(()), 0.5, np.zeros(3, dtype=np.int64))),
     ("linear_series", lambda: (ones(9), 1, flat(()), 0, np.zeros(3), 2.0)),
     ("interleave_violations", lambda: (ones(9), 2.0, np.zeros(3, dtype=np.int64))),
-], ids=["float-eps", "float-start", "float-lo", "float-slope", "float-den", "float-k_lo"])
+], ids=["float-eps", "float-start", "float-chunk", "float-lo", "float-slope", "float-den", "float-k_lo"])
 def test_a_float_for_an_integer_argument_is_refused_alike(kernel, entry, args):
     """An integer argument is read as C's "L" format reads it, so a float is
     the same TypeError in both kernels, before any write: an eps of 0.5 is
@@ -140,6 +144,71 @@ def test_advance_matches_the_twin(seed, width):
             assert got[-1] == UNTOUCHED
             stops.add(result[:2])
     assert TWIN_STOPS.get(seed, set()) <= stops
+
+
+# (seed, horizon, width, start, chunk): a run resumed at start from the
+# prefix of a one-pass run, as extend resumes one.  Seed (1,3,2,2) dies at
+# step 719.
+CHUNK_CASES = {
+    "death-inside-the-first-chunk": ((1, 3, 2, 2), 2000, 4, 5, 1024),
+    "death-at-a-boundary": ((1, 3, 2, 2), 2000, 4, 5, 719),
+    "horizon-a-multiple": ((1, 1), 2048, 4, 3, 256),
+    "last-slot-a-multiple-minus-one": ((1, 1), 2047, 4, 3, 256),
+    "resumed-mid-chunk": ((1, 1), 3000, 4, 1000, 256),
+    "resumed-at-a-boundary": ((1, 1), 3000, 4, 1024, 256),
+    "8-byte-slots": ((3, 1, 2), 3000, 8, 4, 256),
+    "odd-chunk": ((1, 1), 1000, 4, 3, 7),
+    "every-step": ((1, 1), 100, 4, 3, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+def test_advance_reports_each_chunk_and_writes_what_one_pass_writes(kernel, case):
+    """on_chunk(end) is called at each multiple of chunk in (start, stop],
+    stop being the step that stopped the run or else the horizon, once the
+    slots before it are written; the run writes what one pass writes and
+    leaves the slots from its stop on untouched."""
+    seed, horizon, width, start, chunk = CHUNK_CASES[case]
+    one_pass = np.zeros(horizon + 1, dtype=f"<u{width}")
+    one_pass[1 : len(seed) + 1] = seed
+    result = C.advance(one_pass, len(seed) + 1, 1, -1)
+    stop = result[1] if result[0] != ST_OK else horizon + 1
+    q = np.full(horizon + 1, UNTOUCHED, dtype=f"<u{width}")
+    q[:start] = one_pass[:start]
+    ends = []
+
+    def on_chunk(end):
+        assert q[:end].tolist() == one_pass[:end].tolist()
+        ends.append(end)
+
+    assert kernel.advance(q, start, 1, -1, on_chunk, chunk) == result
+    assert ends == [end for end in range(chunk, min(stop, horizon) + 1, chunk) if end > start]
+    assert q[:stop].tolist() == one_pass[:stop].tolist()
+    assert set(q[stop:].tolist()) <= {UNTOUCHED}
+
+
+@pytest.mark.parametrize("width", [4, 8])
+def test_an_exception_at_a_chunk_boundary_stops_advance(kernel, width):
+    """What on_chunk raises (KeyboardInterrupt, as Ctrl-C raises there) is
+    raised: the slots before the boundary are written, none from it on.  A
+    C callable serves as on_chunk too."""
+    seed = (1, 1)
+    q = np.full(3001, UNTOUCHED, dtype=f"<u{width}")
+    q[: len(seed) + 1] = (0, *seed)
+    one_pass = q.copy()
+    C.advance(one_pass, len(seed) + 1, 1, -1)
+
+    def on_chunk(end):
+        if end == 1024:
+            raise KeyboardInterrupt(end)
+
+    with pytest.raises(KeyboardInterrupt, match="^1024$"):
+        kernel.advance(q, len(seed) + 1, 1, -1, on_chunk, 256)
+    assert q[:1024].tolist() == one_pass[:1024].tolist()
+    assert set(q[1024:].tolist()) == {UNTOUCHED}
+    with pytest.raises(TypeError):  # list.insert needs two arguments
+        kernel.advance(q, 1024, 1, -1, [].insert, 256)
+    assert set(q[1280:].tolist()) == {UNTOUCHED}
 
 
 def count(module, values, n_max, m_cap):
@@ -518,12 +587,18 @@ def test_format_rows_errors_agree(kernel, x, y):
 
 
 def test_every_entry_goes_through_the_binding(tmp_path, monkeypatch, capsys):
-    """Binding _native.kernel alone reroutes every call the CLI makes."""
+    """Binding _native.kernel alone reroutes every call the CLI makes.  A
+    run into a checkpoint (compute's) passes advance the callback that the
+    twin calls at each chunk boundary."""
     calls = []
 
     def recorded(name):
         def call(*args):
             calls.append(name)
+            if name == "advance" and len(args) > 4:
+                on_chunk = args[4]
+                args = (*args[:4], lambda end: (calls.append("on_chunk"), on_chunk(end))[1],
+                        *args[5:])
             return getattr(_pykernel, name)(*args)
         return call
 
@@ -531,8 +606,9 @@ def test_every_entry_goes_through_the_binding(tmp_path, monkeypatch, capsys):
                "interleave_violations", "format_rows")
     assert set(entries) == {name for name in vars(C) if not name.startswith("__")}
     monkeypatch.setattr(_native, "kernel", SimpleNamespace(**{e: recorded(e) for e in entries}))
+    monkeypatch.setattr(checkpoint._Draft, "chunk", 256)
     for argv, used in [
-        (["compute", "--export"], {"advance", "linear_series", "format_rows"}),
+        (["compute", "--export"], {"advance", "on_chunk", "linear_series", "format_rows"}),
         (["freq", "--kmax", "5"], {"advance", "count_values", "format_rows"}),
         (["diagnose", "--series", "E"], {"advance", "linear_series", "format_rows"}),
         (["diagnose", "--series", "S"], {"advance", "linear_series", "min_into", "format_rows"}),

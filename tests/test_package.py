@@ -20,7 +20,8 @@ from pathlib import Path
 import pytest
 
 import qseq
-from qseq import _native
+from qseq import _native, checkpoint
+from qseq.engine import RecursionConfig, Seed, run
 
 SRC = str(Path(qseq.__file__).parents[1])
 # Modules only the checklist, the seed survey and the frequency layer need.
@@ -74,11 +75,12 @@ def test_the_cli_loads_no_checklist_survey_or_frequency_module():
     assert "qseq.diagnostics" in loaded
 
 
-def loads_numpy(tmp_path, verb: str, *args: str, **env: str) -> tuple[list[str], bool]:
-    """qseq verb with args run by main in a new interpreter: its stdout
-    lines, and whether NumPy was loaded by the end."""
+def loads_numpy(tmp_path, verb: str, *args: str, before: str = "",
+                **env: str) -> tuple[list[str], bool]:
+    """qseq verb with args run by main in a new interpreter, after the code
+    before: its stdout lines, and whether NumPy was loaded by the end."""
     argv = ["--data-dir", str(tmp_path), verb, *args]
-    *out, last = fresh("import sys; from qseq.cli import main\n"
+    *out, last = fresh(f"import sys; from qseq.cli import main\n{before}\n"
                        f"assert main({argv!r}) == 0\n"
                        "print('numpy' in sys.modules)", **env)
     return out, last == "True"
@@ -177,13 +179,17 @@ def test_the_twin_runs_the_analysis_verbs_without_numpy(tmp_path, argv, said):
 
 
 def test_the_twin_computes_without_numpy(tmp_path):
+    """In chunks of 256 slots, into the file the C kernel writes in one pass."""
     blocker = tmp_path / "cache"
     blocker.write_text("a file, so the cache directory cannot be made\n")
     out, numpy_loaded = loads_numpy(
         tmp_path, "compute", "--horizon", "2000", "--trace", str(tmp_path / "t.qtr"),
+        before="from qseq import checkpoint; checkpoint._Draft.chunk = 256",
         XDG_CACHE_HOME=str(blocker))
     assert out == [f"wrote checkpoint {tmp_path / 't.qtr'} (2000 values)"]
     assert not numpy_loaded
+    checkpoint.save(run(RecursionConfig(seed=Seed((1, 1)), horizon=2000)), tmp_path / "c.qtr")
+    assert (tmp_path / "t.qtr").read_bytes() == (tmp_path / "c.qtr").read_bytes()
 
 
 def test_the_twin_writes_text_without_numpy(tmp_path):
