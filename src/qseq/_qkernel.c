@@ -110,11 +110,28 @@ slot(const Py_buffer *v, long long i)
  * run goes on, and Ctrl-C stops it at the next boundary.  An exception
  * there stops the run and is raised, the slots from end on unwritten.
  *
- * One loop, defined for each slot type, carries Q(n-1) and Q(n-2) in p1
- * and p2 instead of loading back the slots just written, and takes the
- * steps in pairs, even n then odd n, so that each step's eps is a
- * constant: an odd start takes one step before the pairs, an even
- * horizon one step after them.
+ * One loop, defined for each slot type, carries Q(n-1), Q(n-2) and Q(n-3)
+ * in p1, p2 and p3 instead of loading back the slots just written.  It
+ * takes its first two steps, or three from an odd start, as STEPs, which
+ * check both clock indices, and the rest in pairs of PREDICTED_STEPs, even
+ * n then odd n, so that each step's eps is a constant; an even horizon
+ * takes one STEP after them.  Each call does so, a chunk's sub-call too.
+ *
+ * A PREDICTED_STEP predicts Q(n-1), as a processor predicts a load's
+ * value.  On the paper's long-lived seeds Q(n-1) - Q(n-3) is 0 or 2, so
+ * q[n - Q(n-1)] is q[n - p3] or q[n - p3 - 2].  It loads both and adds
+ * y = q[n - p2] + eps to each before p1 is known; then it takes the first
+ * sum if p1 == p3, the second if p1 == p3 + 2, and for any other p1 checks
+ * t1 = n - p1 and loads q[t1], as STEP does.  So a step's loads no longer
+ * wait for the step before it.  It checks the cap, but no clock index on
+ * the predicted path: once steps n-1 and n-2 have passed,
+ *     t2(n) = n - Q(n-2) = t1(n-1) + 1 >= 2,
+ *     n - p3 = n - Q(n-3) = t1(n-2) + 2 >= 3,
+ * so t2 and both loads stay in [1, n]; the entry STEPs start this chain.
+ * Every sum is taken in uint64_t, as in STEP: y wraps when q[t2] = 0 and
+ * eps = -1, and the sum wraps back.  GCC 12 compiles the choice as a
+ * branch on p1 == p3, which the branch predictor learns; a branchless
+ * select (a mask) ran slower.
  */
 typedef struct { int status; long long step; int bad1, bad2; } Stop;
 
@@ -129,14 +146,40 @@ typedef struct { int status; long long step; int bad1, bad2; } Stop;
         p2 = p1; p1 = (long long)val;                                   \
     } while (0)
 
+#define PREDICTED_STEP(T, e) do {                                       \
+        uint64_t y = (uint64_t)q[n - p2] + (uint64_t)(e);               \
+        uint64_t same = q[n - p3] + y, up2 = q[n - p3 - 2] + y, val;    \
+        long long d = p1 - p3;                                          \
+        if (d == 0) {                                                   \
+            val = same;                                                 \
+        } else if (d == 2) {                                            \
+            val = up2;                                                  \
+        } else {                                                        \
+            if (n - p1 <= 0)                                            \
+                return (Stop){ST_DEATH, n, 1, 0};                       \
+            val = q[n - p1] + y;                                        \
+        }                                                               \
+        if (val > cap)                                                  \
+            return (Stop){ST_OVERFLOW, n, 0, 0};                        \
+        q[n++] = (T)val;                                                \
+        p3 = p2; p2 = p1; p1 = (long long)val;                          \
+    } while (0)
+
 #define DEFINE_ADVANCE_LOOP(name, T, CAP)                               \
 static Stop name(T *q, long long n, long long horizon,                  \
                  long long eps_even, long long eps_odd)                 \
 {                                                                       \
     const uint64_t cap = (CAP);                                         \
     long long p1 = (long long)q[n - 1], p2 = (long long)q[n - 2];       \
-    if ((n & 1) && n <= horizon) STEP(T, eps_odd);                      \
-    while (n < horizon) { STEP(T, eps_even); STEP(T, eps_odd); }        \
+    long long first = (n + 3) & ~1LL;  /* the first predicted step */   \
+    while (n < first && n <= horizon)                                   \
+        STEP(T, n & 1 ? eps_odd : eps_even);                            \
+    if (n < horizon) {                                                  \
+        long long p3 = (long long)q[n - 3];                             \
+        do {                                                            \
+            PREDICTED_STEP(T, eps_even); PREDICTED_STEP(T, eps_odd);    \
+        } while (n < horizon);                                          \
+    }                                                                   \
     if (n == horizon) STEP(T, eps_even);                                \
     return (Stop){ST_OK, 0, 0, 0};                                      \
 }

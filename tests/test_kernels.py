@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from qseq import _native, _pykernel, checkpoint, diagnostics, perfprobe, verify
@@ -106,24 +107,41 @@ def test_a_float_for_an_integer_argument_is_refused_alike(kernel, entry, args):
     assert [np.asarray(a).tolist() for a in got] == [np.asarray(a).tolist() for a in args()]
 
 
+def forged(slot, value):
+    """The first 14 values of the live run, Q(slot) replaced by value: a
+    prefix to resume at step 15 from."""
+    prefix = list(verify.FIRST_20[:14])
+    prefix[slot - 1] = value
+    return tuple(prefix)
+
+
 # Seeds of lengths 2..8 (prefixes of the live run), so the loop starts at
-# both parities; the bundled weak deaths at an even and an odd step; and
-# seeds forged at the slot's own cap ("top", and "top-1" one below it),
-# whose next value passes that cap at the first step, even (4) or odd (5),
-# or inside the pair loop, at an even (6) or an odd (7) step.
+# both parities; the bundled weak deaths at an even and an odd step; seeds
+# forged at the slot's own cap ("top", and "top-k" k below it), whose next
+# value passes that cap at the first step, even (4) or odd (5), or inside
+# the pair loop, at an even (6) or an odd (7) step; and two live prefixes
+# with Q(11) or Q(12) forged 5 below the cap, to resume at step 15.  With
+# eps (1, -1) the first step that reads the forged slot, 22 or 23, passes
+# the cap; with (0, 0) the step that reads it writes the cap itself, and
+# step 22 or 23 dies, its Q(n-1) - Q(n-3) being neither 0 nor 2.  Both
+# stops fall on predicted steps of the pair loop, 7 or 8 steps past start.
 TWIN_SEEDS = [verify.FIRST_20[:k] for k in range(2, 9)] + [
     (3, 2, 1), (1, 2, 3),
-    ("top-1", 2, 3), ("top", 2, 3, 4), (1, "top-1", 2, 4), (1, "top-1", 1, 3, 5)]
+    ("top-1", 2, 3), ("top", 2, 3, 4), (1, "top-1", 2, 4), (1, "top-1", 1, 3, 5),
+    forged(11, "top-5"), forged(12, "top-5")]
 # Stops some seed must reach, with either eps.
 TWIN_STOPS = {(3, 2, 1): {(ST_DEATH, 6)}, (1, 2, 3): {(ST_DEATH, 7)},
               ("top-1", 2, 3): {(ST_OVERFLOW, 4)}, ("top", 2, 3, 4): {(ST_OVERFLOW, 5)},
-              (1, "top-1", 2, 4): {(ST_OVERFLOW, 6)}, (1, "top-1", 1, 3, 5): {(ST_OVERFLOW, 7)}}
+              (1, "top-1", 2, 4): {(ST_OVERFLOW, 6)}, (1, "top-1", 1, 3, 5): {(ST_OVERFLOW, 7)},
+              forged(11, "top-5"): {(ST_OVERFLOW, 22), (ST_DEATH, 22)},
+              forged(12, "top-5"): {(ST_OVERFLOW, 23), (ST_DEATH, 23)}}
 UNTOUCHED = 0xDEADBEE  # fills the slots past the seed, in both widths
 
 
 def seed_values(seed, width):
-    """The seed's values in width-byte slots: "top" is the slot's cap."""
-    return tuple({"top": CAPS[width], "top-1": CAPS[width] - 1}.get(v, v) for v in seed)
+    """The seed's values in width-byte slots: "top-k" is k below the slot's
+    cap, "top" the cap itself."""
+    return tuple(CAPS[width] - int(v[4:] or 0) if isinstance(v, str) else v for v in seed)
 
 
 @pytest.mark.parametrize("width", [4, 8])
@@ -185,6 +203,34 @@ def test_advance_reports_each_chunk_and_writes_what_one_pass_writes(kernel, case
     assert ends == [end for end in range(chunk, min(stop, horizon) + 1, chunk) if end > start]
     assert q[:stop].tolist() == one_pass[:stop].tolist()
     assert set(q[stop:].tolist()) <= {UNTOUCHED}
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(seed=st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=6),
+       horizon=st.integers(min_value=2, max_value=120), width=st.sampled_from([4, 8]),
+       eps=st.sampled_from([(1, -1), (0, 0)]), chunk=st.none() | st.integers(1, 5),
+       data=st.data())
+def test_advance_resumed_anywhere_matches_the_twin(seed, horizon, width, eps, chunk, data):
+    """Resumed at any start of a one-pass prefix, and called back at every
+    chunk of 1..5 steps, so that each sub-call's entry steps fall at every
+    offset of the pair loop, the C loop writes what the twin writes, slot
+    for slot, stops where and how it stops, and calls back at the same ends.
+    Small seeds reach the loop's fallback step and die early."""
+    horizon = max(horizon, len(seed))
+    one_pass = np.full(horizon + 1, UNTOUCHED, dtype=f"<u{width}")
+    one_pass[: len(seed) + 1] = (0, *seed)
+    result = _pykernel.advance(one_pass, len(seed) + 1, *eps)
+    stop = result[1] if result[0] != ST_OK else horizon + 1
+    start = data.draw(st.sampled_from(range(len(seed) + 1, stop + 1)), label="start")
+    runs = []
+    for module in (C, _pykernel):
+        q = np.full(horizon + 1, UNTOUCHED, dtype=f"<u{width}")
+        q[:start] = one_pass[:start]
+        ends = []
+        callback = () if chunk is None else (ends.append, chunk)
+        runs.append((module.advance(q, start, *eps, *callback), q.tolist(), ends))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == result
 
 
 @pytest.mark.parametrize("width", [4, 8])
