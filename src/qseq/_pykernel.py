@@ -123,11 +123,6 @@ def min_into(out, other):
     outs[:] = array("q", map(min, outs, others))
 
 
-def first_even(values):
-    q = _items(values, (4, 8), _VALUES)
-    return next((n for n in range(1, len(q)) if not q[n] & 1), 0)
-
-
 def interleave_violations(values, k_lo, out):
     q, k_lo = _items(values, (4, 8), _VALUES), index(k_lo)
     items = _column(out, ("q",), _INT64_OUT, writes=True)

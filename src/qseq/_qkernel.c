@@ -7,14 +7,15 @@
  * entry takes its extents from its buffers: the values it runs over, and
  * the rows of its out buffer.  Both 4-byte and 8-byte unsigned layouts are
  * supported, with values below the caps enforced here.  advance runs the
- * recursion, count_values tallies the values, linear_series evaluates a
- * series such as 2Q(n) - n into an int64 or float64 column, min_into takes
- * the smaller of two int64 columns, first_even and interleave_violations
- * check parity and the interleave identities, and format_rows writes two
- * int64 or float64 columns as text; so no verb needs NumPy.  Every entry
- * parses its arguments in one PyArg_ParseTuple, whose converters (below)
- * acquire and check each kind of buffer, and releases them once, at its
- * end.  _pykernel.py is this file's pure-Python twin, entry for entry.
+ * recursion, count_values tallies the values (with a 1-byte table, a bare
+ * parity scan), linear_series evaluates a series such as 2Q(n) - n into an
+ * int64 or float64 column, min_into takes the smaller of two int64
+ * columns, interleave_violations checks the interleave identities, and
+ * format_rows writes two int64 or float64 columns as text; so no verb
+ * needs NumPy.  Every entry parses its arguments in one PyArg_ParseTuple,
+ * whose converters (below) acquire and check each kind of buffer, and
+ * releases them once, at its end.  _pykernel.py is this file's pure-Python
+ * twin, entry for entry.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -399,26 +400,6 @@ min_into(PyObject *self, PyObject *args)
 
 /* ------------------------------------------------------------- checks */
 
-/* first_even(values) -> n
- *
- * The first n in [1, len(values) - 1] with q[n] even, or 0 when all of
- * them are odd.
- */
-static PyObject *
-first_even(PyObject *self, PyObject *args)
-{
-    Py_buffer qv;
-    long long n;
-
-    if (!PyArg_ParseTuple(args, "O&", values_in, &qv))
-        return NULL;
-    long long hi = (long long)(qv.len / qv.itemsize) - 1;
-    for (n = 1; n <= hi && (slot(&qv, n) & 1); n++)
-        ;
-    PyBuffer_Release(&qv);
-    return PyLong_FromLongLong(n <= hi ? n : 0);
-}
-
 /* interleave_violations(values, k_lo, out) -> count
  *
  * Writes into out, in order, each k in [k_lo, k_hi], k_hi = k_lo + len(out)
@@ -557,7 +538,6 @@ static PyMethodDef kernel_methods[] = {
     {"count_values", count_values, METH_VARARGS, "tally odd values into dyadic bins"},
     {"linear_series", linear_series, METH_VARARGS, "evaluate a linear series of the values"},
     {"min_into", min_into, METH_VARARGS, "take the smaller of two int64 columns in place"},
-    {"first_even", first_even, METH_VARARGS, "find the first even value in a range"},
     {"interleave_violations", interleave_violations, METH_VARARGS,
      "list the k that break the interleave identities"},
     {"format_rows", format_rows, METH_VARARGS, "write rows of two columns as text"},

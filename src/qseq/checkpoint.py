@@ -3,7 +3,7 @@
 Layout (all little-endian):
 
     8s   magic  b"QSEQTRC\\0"
-    H    format version (currently 1)
+    H    format version (currently 2)
     B    value width in bytes (4 or 8)
     B    perturbation (0 none, 1 alternating)
     B    outcome kind (0 alive, 1 weak death, 2 strong death)
@@ -14,7 +14,11 @@ Layout (all little-endian):
     Q    computed length
     Q*   seed values (seed length of them)
     ...  raw values Q(1..len), width bytes each
-    I    crc32 of everything above
+    I*   crc32 of each chunk of CHUNK values, the last one possibly short
+    I    crc32 of the header, the seed and that table
+
+A version-1 file has no table: its trailer is the crc32 of everything
+before it.  Such a file still loads, and is never rewritten to version 2.
 
 Every output file is written through atomic_write: a temp file in the
 target directory, fsynced and renamed into place, so a crash never leaves a
@@ -22,24 +26,21 @@ half-written file behind.
 
 A checkpoint is written in place.  reserve() allocates the temp file at its
 full size and maps it shared, and the kernel runs straight into the mapped
-slots, so the values reach the page cache without a copy.  The kernel
-reports each finished chunk of _Draft.chunk slots; while it computes the
-next, the mapping's worker thread continues the CRC of the values over that
-chunk and starts its writeback.  save() of that trace checksums the tail
-past the last chunk on a second thread while the main one fsyncs the values,
-which finds little left to write, joins the CRCs with crc32_combine, writes
-the header, the seed and the trailer around the values (shrinking the file
-first if the run died) and commits the file.  A trace held in memory is
-checksummed while it is written into such a file.  The bytes on disk are the
-same either way.  An exception at a chunk boundary, Ctrl-C among them, ends
-the run there and removes the temp file.
+slots, so the values reach the page cache without a copy.  While the kernel
+computes, the mapping's worker thread continues the chunk CRCs over each
+run of _Draft.chunk slots it reports finished and starts that run's
+writeback.  save() checksums the tail on a second thread while the main one
+fsyncs the values, which finds little left to write, then writes the
+header, the seed, the table and the trailer (shrinking the file first if
+the run died) and commits the file.  A trace held in memory is checksummed
+while it is written into such a file, to the same bytes.  An exception at
+a report, Ctrl-C among them, ends the run there and removes the temp file.
 
 read_header parses and checks the header and seed alone, so a caller can
-tell which run a file holds without reading its values.  load streams the
-values once to check the CRC, its two halves at once on two threads, each
-through a fixed buffer, and joins the two CRCs with crc32_combine; then it
-maps the file copy-on-write, so a trace keeps in memory only the terms a
-caller reads.
+tell which run a file holds without reading its values.  load checks the
+trailer, then the chunks, half of them on a second thread, and maps the
+file copy-on-write, so a trace keeps in memory only the terms a caller
+reads.
 Both reject a header that contradicts itself: a live trace holds exactly
 `horizon` values; a dead one holds `step - 1`, dies after its seed and by
 its horizon, and has the strong/weak kind that Outcome.death gives its
@@ -77,11 +78,11 @@ from .errors import (
 )
 
 MAGIC = b"QSEQTRC\x00"
-VERSION = 1
+VERSION = 2
+CHUNK = 1 << 20  # values per checksummed chunk: 4 MB of 4-byte slots
 
 _HEADER = struct.Struct("<8sHBBBBHQQQ")
 _READ_CHUNK = 1 << 22  # bytes of load's two CRC buffers: the CRC runs over each read while cached
-_CRC_POLY = 0xEDB88320  # CRC-32's polynomial, bit-reflected as zlib.crc32 uses it
 
 _PERT_CODES = {Perturbation.NONE: 0, Perturbation.ALTERNATING: 1}
 _PERT_FROM = {v: k for k, v in _PERT_CODES.items()}
@@ -143,21 +144,36 @@ def atomic_write(path: str | Path) -> Iterator[_TempFile]:
         raise
 
 
+def _continue_crcs(crcs: list[int], values: memoryview, done: int) -> list[int]:
+    """crcs, the CRCs of the chunks of values[1:done], continued over the
+    rest of values: the last one while its chunk is unfinished, then one
+    CRC from 0 for each chunk after it."""
+    while done < len(values):
+        if (done - 1) % CHUNK == 0:
+            crcs.append(0)
+        end = min(len(values), done + CHUNK - (done - 1) % CHUNK)
+        crcs[-1] = zlib.crc32(values[done:end], crcs[-1])
+        done = end
+    return crcs
+
+
 class _Draft(ReservedMapping):
     """A shared mapping of a checkpoint's temp file at its full size, made
     by reserve() and finished by save().
 
-    Its worker thread takes each chunk of slots a run reports finished
-    (on_chunk), continues the CRC of the values over it, and starts the
-    writeback of its whole pages with POSIX_FADV_DONTNEED, a hint that
-    leaves the pages mapped and cached.  join() ends the worker; then crc is
-    the CRC of slots [1, done), or error what the worker raised.
+    Its worker thread takes each run of slots a run reports finished
+    (on_chunk), continues the chunk CRCs over it, and starts the writeback
+    of its whole pages with POSIX_FADV_DONTNEED, a hint that leaves the
+    pages mapped and cached.  The reports need not fall on chunk
+    boundaries.  join() ends the worker; then crcs are the CRCs of the
+    chunks of slots [1, done), the last one unfinished unless done - 1 is a
+    multiple of CHUNK, or error is what the worker raised.
     """
 
-    chunk = 1 << 22  # slots per reported chunk: 16 MB of 4-byte slots
+    chunk = 1 << 22  # slots per report of a run: 16 MB of 4-byte slots
     temp: _TempFile
     offset: int  # where the values start
-    crc: int
+    crcs: list[int]
     done: int
     error: BaseException | None
 
@@ -165,7 +181,7 @@ class _Draft(ReservedMapping):
         import queue  # about 0.12 MB, which only a process writing a checkpoint needs
 
         self.temp, self.offset = temp, offset
-        self.crc, self.done, self.error = 0, 1, None
+        self.crcs, self.done, self.error = [], 1, None
         self._todo = queue.SimpleQueue()
         self._worker = threading.Thread(target=self._work, args=(slots,),
                                         name="qseq-save-chunks")
@@ -182,7 +198,7 @@ class _Draft(ReservedMapping):
         fd, written = self.temp.fh.fileno(), 0
         try:
             while (end := self._todo.get()) is not None:
-                self.crc = zlib.crc32(slots[self.done : end], self.crc)
+                _continue_crcs(self.crcs, slots[:end], self.done)
                 self.done = end
                 pages_end = (self.offset + slots.itemsize * (end - 1)) & -mmap.PAGESIZE
                 if hasattr(os, "posix_fadvise") and pages_end > written:
@@ -197,18 +213,20 @@ def reserve(path: str | Path, config: RecursionConfig,
             length: int | None = None) -> Iterator[memoryview]:
     """Slots 0..length (config.horizon by default) of a new checkpoint for
     path, for a run of config to fill.  save() of the trace run into them
-    writes the header and the CRC around the values and commits the file.
+    writes the header and the CRCs around the values and commits the file.
 
     The slots lie in a shared mapping of atomic_write's temp file, whose
     disk space is allocated first, so that a full disk raises OSError here
     instead of SIGBUS in the kernel.  Slot 0 overlays the last seed bytes:
     nothing may write it.  The mapping's worker checksums and starts writing
-    back each chunk the run finishes; it ends with the block.  Leaving the
-    block without save() removes the temp file, and path keeps its old file.
+    back each run of slots the run reports; it ends with the block.  Leaving
+    the block without save() removes the temp file, and path keeps its old
+    file.
     """
     length = config.horizon if length is None else length
     offset = _HEADER.size + 8 * len(config.seed)
-    size = offset + config.width * length + 4
+    end = offset + config.width * length
+    size = end + 4 * -(-length // CHUNK) + 4  # the chunk table and the trailer
     with atomic_write(path) as temp:
         fd = temp.fh.fileno()
         if hasattr(os, "posix_fallocate"):
@@ -216,7 +234,7 @@ def reserve(path: str | Path, config: RecursionConfig,
         else:  # macOS has no posix_fallocate: there a full disk faults the mapping
             os.ftruncate(fd, size)
         draft = _Draft(fd, size)
-        slots = memoryview(draft)[offset - config.width : size - 4].cast(config.dtype)
+        slots = memoryview(draft)[offset - config.width : end].cast(config.dtype)
         draft.start(temp, offset, slots)
         try:
             yield slots
@@ -244,15 +262,15 @@ def save(trace: Trace, path: str | Path) -> Trace:
     """Write the trace atomically to path; return it mapped from the new file.
 
     A trace run into reserve(path)'s slots is finished in place: the
-    mapping's worker has checksummed each chunk the run finished and started
-    its writeback while the run went on, so only the tail past the last
-    chunk is checksummed, on a second thread while the main one fsyncs the
-    values, and the fsync finds little left to write.  Any other trace is
-    written into a file reserved for its length while the second thread
-    checksums it.  zlib.crc32, fsync and the write release the GIL, so on
-    two cores the CRC costs no time of its own.  Then the header, the seed
-    and the trailer are written, after the file shrinks to step - 1 values
-    if the run died, and the file is committed.
+    mapping's worker has checksummed each run of slots the run reported and
+    started its writeback while the run went on, so only the tail past the
+    last report is checksummed, on a second thread while the main one
+    fsyncs the values, and the fsync finds little left to write.  Any other
+    trace is written into a file reserved for its length while the second
+    thread checksums it.  zlib.crc32, fsync and the write release the GIL,
+    so on two cores the CRCs cost no time of their own.  Then the header,
+    the seed, the chunk table and the trailer are written, after the file
+    shrinks to step - 1 values if the run died, and the file is committed.
 
     The trace returned holds the same values as a copy-on-write mapping of
     the committed file, slot 0 zeroed, as load() would return them: the
@@ -274,12 +292,10 @@ def save(trace: Trace, path: str | Path) -> Trace:
 
 
 def _finish(draft: _Draft, trace: Trace, beside: Callable[[], None]) -> Trace:
-    """Join draft's worker, checksum the values it did not reach on a second
-    thread while beside() runs, then write the rest of draft's file and
-    commit it; the trace save() returns.
-
-    The worker's CRC starts from 0, so crc32_combine joins it to the CRC of
-    the header and the seed.
+    """Join draft's worker, continue its chunk CRCs over the values it did
+    not reach on a second thread while beside() runs, then write the
+    header, the seed, the table of those CRCs and the trailer into draft's
+    file and commit it; the trace save() returns.
     """
     cfg = trace.config
     out = trace.outcome
@@ -295,22 +311,22 @@ def _finish(draft: _Draft, trace: Trace, beside: Callable[[], None]) -> Trace:
         out.step or 0,
         cfg.horizon,
         trace.len,
-    )
-    seed_bytes = struct.pack(f"<{len(cfg.seed)}Q", *cfg.seed)
+    ) + struct.pack(f"<{len(cfg.seed)}Q", *cfg.seed)  # and the seed
     draft.join()
     if draft.error is not None:
         raise draft.error
-    values_crc, _ = _beside_the_caller(
-        "qseq-save-crc", lambda: zlib.crc32(trace.values[draft.done :], draft.crc), beside)
-    crc = crc32_combine(zlib.crc32(seed_bytes, zlib.crc32(header)), values_crc,
-                        cfg.width * trace.len)
+    crcs, _ = _beside_the_caller(
+        "qseq-save-crc", lambda: _continue_crcs(draft.crcs, trace.values, draft.done), beside)
+    table = struct.pack(f"<{len(crcs)}I", *crcs)
+    trailer = struct.pack("<I", zlib.crc32(table, zlib.crc32(header)))
 
     fd = draft.temp.fh.fileno()
     end = draft.offset + cfg.width * trace.len
-    if end + 4 < len(draft):
-        os.ftruncate(fd, end + 4)
-    draft[: draft.offset] = header + seed_bytes
-    draft[end : end + 4] = struct.pack("<I", crc)
+    size = end + len(table) + 4
+    if size < len(draft):
+        os.ftruncate(fd, size)
+    draft[: draft.offset] = header
+    draft[end:size] = table + trailer
     draft.flush()
     values = _mapped_values(fd, cfg, trace.len, draft.offset)
     draft.temp.commit()
@@ -347,8 +363,9 @@ class Header(NamedTuple):
 
     config: RecursionConfig
     outcome: Outcome
-    length: int  # values stored, Q(1..length)
-    crc: int     # crc32 of the header and seed bytes, to continue over the values
+    length: int   # values stored, Q(1..length)
+    crc: int      # crc32 of the header and seed bytes, which the trailer's CRC continues
+    version: int  # 1: no chunk table; the trailer's CRC runs on over the values
 
 
 def read_header(fh: BinaryIO, path: str | Path) -> Header:
@@ -363,7 +380,7 @@ def read_header(fh: BinaryIO, path: str | Path) -> Header:
      seed_len, step, horizon, length) = _HEADER.unpack(fixed)
     if magic != MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointFormatError(f"{path}: unsupported version {version}")
     if width not in SLOT_CAPS or pert_code not in _PERT_FROM or kind_code not in _KIND_FROM:
         raise CheckpointFormatError(f"{path}: malformed header fields")
@@ -398,65 +415,41 @@ def read_header(fh: BinaryIO, path: str | Path) -> Header:
             raise CheckpointFormatError(
                 f"{path}: {kind.value} at step {step}, but a seed of length"
                 f" {seed_len} makes that a {outcome.kind.value}")
-    return Header(config, outcome, length, zlib.crc32(fixed + seed_bytes))
+    return Header(config, outcome, length, zlib.crc32(fixed + seed_bytes), version)
 
 
-def _multmodp(a: int, b: int) -> int:
-    """a·b modulo the CRC-32 polynomial, both reflected; a must not be 0."""
-    m, product = 1 << 31, 0
-    while True:
-        if a & m:
-            product ^= b
-            if not a & (m - 1):
-                return product
-        m >>= 1
-        b = (b >> 1) ^ _CRC_POLY if b & 1 else b >> 1
-
-
-def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
-    """zlib.crc32(a + b), given crc1 = zlib.crc32(a), crc2 = zlib.crc32(b)
-    and len2 = len(b), as zlib's C crc32_combine computes it.
-
-    crc1 is shifted over len2 zero bytes by multiplying it by x^(8·len2)
-    modulo the polynomial, which takes one square per bit of len2.
-    """
-    shift, square = 1 << 31, 1 << 23  # x^0 and x^8, reflected
-    while len2:
-        if len2 & 1:
-            shift = _multmodp(square, shift)
-        len2 >>= 1
-        if len2:
-            square = _multmodp(square, square)
-    return _multmodp(shift, crc1) ^ crc2
-
-
-def _crc_of_range(fd: int, start: int, length: int, crc: int, path: str | Path) -> int:
-    """crc continued over bytes start..start+length of the file open as fd,
-    read with os.preadv through one _READ_CHUNK // 2 buffer."""
-    buffer = memoryview(bytearray(min(_READ_CHUNK // 2, length)))
-    end = start + length
-    while start < end:
-        part = buffer[: min(len(buffer), end - start)]
-        if os.preadv(fd, [part], start) != len(part):
-            raise CheckpointTruncatedError(f"{path}: ended while being read")
-        crc = zlib.crc32(part, crc)
-        start += len(part)
-    return crc
+def _check_chunks(fd: int, chunks: list[tuple[int, int, int, int]], path: str | Path) -> None:
+    """Check each (start, length, crc, expected) of chunks: crc continued
+    over length bytes of the file open as fd from start must be expected.
+    The bytes are read with os.preadv through one _READ_CHUNK // 2 buffer."""
+    buffer = memoryview(bytearray(min(_READ_CHUNK // 2, max(c[1] for c in chunks))))
+    for start, length, crc, expected in chunks:
+        end = start + length
+        while start < end:
+            part = buffer[: min(len(buffer), end - start)]
+            if os.preadv(fd, [part], start) != len(part):
+                raise CheckpointTruncatedError(f"{path}: ended while being read")
+            crc = zlib.crc32(part, crc)
+            start += len(part)
+        if crc != expected:
+            raise CheckpointChecksumError(f"{path}: checksum mismatch")
 
 
 def load(path: str | Path) -> Trace:
     """Read a trace written by save(), its values mapped from the file.
 
-    The header, the file size and the CRC over every value are checked
-    first.  The CRC runs over the two halves of the values at once: a second
-    thread reads and checksums the slots past length // 2 from CRC 0, while
-    this one continues the header's CRC over the slots before them.  Each
+    The header, the file size and the CRCs are checked first: the trailer
+    against the header, the seed and the chunk table, then each chunk of
+    values against its entry, in no order: a second thread checks the
+    chunks past the boundary nearest the middle of the values while this
+    one checks those before it, or all of one chunk alone.  Each thread
     reads through its own _READ_CHUNK // 2 buffer with os.preadv on the
     descriptor opened here, so a save() that renames a new file over path
-    meanwhile changes nothing.  zlib.crc32 and os.preadv release the GIL,
-    and crc32_combine joins the two CRCs: at 3·10^7 4-byte slots on two
-    cores the check takes about 0.05 s instead of 0.09 s.  An error of the
-    second thread is raised here after it ends.
+    meanwhile changes nothing.  zlib.crc32 and os.preadv release the GIL:
+    at 3·10^7 4-byte slots on two cores a load takes about 0.04 s, where a
+    version-1 file, one chunk whose CRC continues the header's and is the
+    trailer, takes 0.08 s.  An error of the second thread is raised here
+    after it ends.
 
     The values are then a copy-on-write mapping of the file, so a caller
     keeps in memory only the pages it reads.  Slot 0 overlays the last seed
@@ -473,7 +466,8 @@ def load(path: str | Path) -> Trace:
         config = head.config
         payload_offset = fh.tell()
         payload_len = config.width * head.length
-        expected = payload_offset + payload_len + 4
+        n = -(-head.length // CHUNK) if head.version == VERSION else 0  # table entries
+        expected = payload_offset + payload_len + 4 * n + 4
         fd = fh.fileno()
         size = os.fstat(fd).st_size
         if size < expected:
@@ -483,18 +477,24 @@ def load(path: str | Path) -> Trace:
         if size > expected:
             raise CheckpointFormatError(f"{path}: {size - expected} trailing bytes")
 
-        first_len = config.width * (head.length // 2)
-        second_len = payload_len - first_len
-        second, first = _beside_the_caller(
-            "qseq-load-crc",
-            lambda: _crc_of_range(fd, payload_offset + first_len, second_len, 0, path),
-            lambda: _crc_of_range(fd, payload_offset, first_len, head.crc, path))
-        crc = crc32_combine(first, second, second_len)
-        trailer = os.pread(fd, 4, payload_offset + payload_len)
-        if len(trailer) != 4:
+        tail = os.pread(fd, 4 * n + 4, payload_offset + payload_len)
+        if len(tail) != 4 * n + 4:
             raise CheckpointTruncatedError(f"{path}: ended while being read")
-        if struct.unpack("<I", trailer)[0] != crc:
+        *crcs, trailer = struct.unpack(f"<{n + 1}I", tail)
+        if head.version == 1:
+            chunks = [(payload_offset, payload_len, head.crc, trailer)]
+        elif zlib.crc32(tail[:-4], head.crc) != trailer:
             raise CheckpointChecksumError(f"{path}: checksum mismatch")
+        else:
+            step = config.width * CHUNK
+            chunks = [(payload_offset + step * k, min(step, payload_len - step * k), 0, crc)
+                      for k, crc in enumerate(crcs)]
+        half = max(1, (head.length + CHUNK) // (2 * CHUNK))  # the boundary nearest the middle
+        if half < len(chunks):
+            _beside_the_caller("qseq-load-crc", lambda: _check_chunks(fd, chunks[half:], path),
+                               lambda: _check_chunks(fd, chunks[:half], path))
+        else:
+            _check_chunks(fd, chunks, path)
         values = _mapped_values(fd, config, head.length, payload_offset)
 
     seed = config.seed.values

@@ -20,8 +20,8 @@ is a log grid, not a window: series() builds it whole, in Python, and
 sets its default density of 64 samples per octave.
 
 A Series holds its columns as read-only memoryviews, and no series needs
-NumPy.  The parity and identity checks are the kernel's first_even and
-interleave_violations, over the trace's values.
+NumPy.  The parity and identity checks are the kernel's count_values,
+with a 1-byte table, and interleave_violations, over the trace's values.
 
 Series codes used by the CLI:
 
@@ -77,8 +77,8 @@ def assert_all_odd(trace: Trace, n_max: int | None = None) -> None:
     n_max = trace.len if n_max is None else n_max
     if not 0 <= n_max <= trace.len:
         raise RangeError(f"n_max={n_max} outside [0, {trace.len}]")
-    n = _native.kernel.first_even(trace.values[: n_max + 1])
-    if n:
+    status, n = _native.kernel.count_values(trace.values[: n_max + 1], bytearray(1))
+    if status == _native.ST_PARITY:
         raise ParityError(f"even value Q({n})={trace.values[n]}")
 
 

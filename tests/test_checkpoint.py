@@ -110,9 +110,9 @@ def test_bad_version_rejected(tmp_path):
     trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=100))
     _, path = roundtrip(trace, tmp_path)
     raw = bytearray(path.read_bytes())
-    raw[8] = 99  # version field follows the 8-byte magic
+    raw[8] = 3  # version field follows the 8-byte magic
     path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointFormatError, match="unsupported version 3"):
         checkpoint.load(path)
 
 
@@ -130,18 +130,44 @@ _FIELDS = ("magic", "version", "width", "pert", "kind", "flags",
            "seed_len", "step", "horizon", "length")
 
 
+def values_end(raw):
+    """The offset of the first value of the checkpoint bytes raw, and of
+    the byte after its last."""
+    head = dict(zip(_FIELDS, checkpoint._HEADER.unpack_from(raw)))
+    start = checkpoint._HEADER.size + 8 * head["seed_len"]
+    return start, start + head["width"] * head["length"]
+
+
+def table_and_trailer(body):
+    """What save() writes after body, a checkpoint's header, seed and
+    values: the crc32 of each chunk of checkpoint.CHUNK values, then the
+    crc32 of the header, the seed and that table."""
+    start, _ = values_end(body)
+    step = body[10] * checkpoint.CHUNK  # the width byte follows the version
+    table = b"".join(struct.pack("<I", zlib.crc32(body[i : i + step]))
+                     for i in range(start, len(body), step))
+    return table + struct.pack("<I", zlib.crc32(table, zlib.crc32(body[:start])))
+
+
+def v1_image(raw):
+    """The version-1 file of the checkpoint bytes raw: version 1, no chunk
+    table, and a trailer that is the crc32 of everything before it."""
+    body = raw[:8] + struct.pack("<H", 1) + raw[10 : values_end(raw)[1]]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def forge(path, q1=None, **fields):
     """Rewrite header fields (and optionally the stored Q(1)) of the file at
-    path, with a valid CRC, so that only a check of meaning can reject it."""
+    path, with valid CRCs, so that only a check of meaning can reject it."""
     raw = path.read_bytes()
+    start, end = values_end(raw)
     head = dict(zip(_FIELDS, checkpoint._HEADER.unpack_from(raw)))
     head.update(fields)
     body = bytearray(checkpoint._HEADER.pack(*head.values())
-                     + raw[checkpoint._HEADER.size:-4])
+                     + raw[checkpoint._HEADER.size : end])
     if q1 is not None:
-        first = checkpoint._HEADER.size + 8 * head["seed_len"]
-        body[first : first + head["width"]] = q1.to_bytes(head["width"], "little")
-    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        body[start : start + head["width"]] = q1.to_bytes(head["width"], "little")
+    path.write_bytes(bytes(body) + table_and_trailer(bytes(body)))
 
 
 LIVE = RecursionConfig(seed=Seed((1, 1)), horizon=100)
@@ -160,7 +186,10 @@ DEAD = RecursionConfig(seed=Seed((1, 2, 1)), horizon=100)  # weak death at step 
     (DEAD, dict(q1=3), "stored Q(1..3) differ from the seed (1, 2, 1)"),
 ], ids=["live-length", "live-step", "live-flags", "dead-length", "dead-beyond-horizon",
         "dead-no-index", "dead-kind", "live-seed", "dead-seed"])
-def test_header_that_contradicts_itself_is_rejected(tmp_path, config, forged, message):
+def test_header_that_contradicts_itself_is_rejected(tmp_path, monkeypatch, config, forged,
+                                                     message):
+    """On files of 7 and 3 chunks, so that both load threads check one."""
+    monkeypatch.setattr(checkpoint, "CHUNK", 16)
     _, path = roundtrip(run(config), tmp_path)
     forge(path, **forged)
     with pytest.raises(CheckpointFormatError, match=re.escape(message)):
@@ -177,6 +206,7 @@ def test_header_is_read_without_the_values(tmp_path):
         assert fh.read() == b""
     assert (head.config, head.outcome, head.length) == (trace.config, trace.outcome, 40)
     assert head.crc == zlib.crc32(raw[: checkpoint._HEADER.size + 8 * 3])
+    assert head.version == checkpoint.VERSION == 2
     with pytest.raises(CheckpointTruncatedError):
         checkpoint.load(path)
 
@@ -192,7 +222,7 @@ def test_flipped_last_value_byte_fails_checksum(tmp_path, monkeypatch):
     trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=1000))
     _, path = roundtrip(trace, tmp_path)
     raw = bytearray(path.read_bytes())
-    raw[-5] ^= 0x01  # the last byte before the 4-byte CRC
+    raw[-9] ^= 0x01  # the last value's last byte, before a one-entry table and the trailer
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointChecksumError):
         checkpoint.load(path)
@@ -201,46 +231,87 @@ def test_flipped_last_value_byte_fails_checksum(tmp_path, monkeypatch):
         checkpoint.load(path)
 
 
-HALF = checkpoint._READ_CHUNK // 2
-
-
-@pytest.mark.parametrize("len1,len2", [
-    (0, 0), (0, 1), (1, 0), (1, 1), (0, 7), (7, 0), (3, 5), (1, 2), (4001, 4003),
-    (HALF - 1, HALF), (HALF, HALF), (HALF + 1, HALF - 1), (5, HALF + 1), (HALF + 1, 5),
-])
-def test_crc32_combine_equals_the_crc_of_the_concatenation(len1, len2):
-    first, second = os.urandom(len1), os.urandom(len2)
-    combined = checkpoint.crc32_combine(zlib.crc32(first), zlib.crc32(second), len2)
-    assert combined == zlib.crc32(first + second)
-
-
 def values_file(tmp_path, horizon, width=4):
     """A saved live trace of horizon values from seed (1,1): its path, the
-    offset of its first value, and the first value the load thread reads."""
+    offset of its first value, and the first value the load thread checks:
+    that of the chunk boundary nearest the middle of the values."""
     trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=horizon, width=width))
     _, path = roundtrip(trace, tmp_path)
-    start = checkpoint._HEADER.size + 16
-    return trace, path, start, start + width * (horizon // 2)
+    start, chunk = checkpoint._HEADER.size + 16, checkpoint.CHUNK
+    return trace, path, start, start + width * chunk * max(1, (horizon + chunk) // (2 * chunk))
 
 
 @pytest.mark.parametrize("chunk", [checkpoint._READ_CHUNK, 24])
 @pytest.mark.parametrize("where", ["first-value", "first-half", "before-split", "at-split",
-                                   "second-half", "last-value", "trailer", "trailer-last"])
+                                   "second-half", "last-value", "table", "table-last",
+                                   "trailer", "trailer-last"])
 def test_one_flipped_byte_anywhere_after_the_header_fails_checksum(tmp_path, monkeypatch,
                                                                     where, chunk):
-    """An odd count of 1001 slots splits 500 | 501: the halves differ in length."""
+    """1001 slots in chunks of 100: the caller checks chunks 0-4, the load
+    thread chunks 5-10, the last of them a single slot."""
+    monkeypatch.setattr(checkpoint, "CHUNK", 100)
     _, path, start, split = values_file(tmp_path, 1001)
     end = start + 4 * 1001
     index = {"first-value": start, "first-half": start + 777, "before-split": split - 1,
              "at-split": split, "second-half": split + 1001, "last-value": end - 1,
-             "trailer": end, "trailer-last": end + 3}[where]
+             "table": end, "table-last": end + 43, "trailer": end + 44,
+             "trailer-last": end + 47}[where]
     raw = bytearray(path.read_bytes())
-    assert len(raw) == end + 4
+    assert len(raw) == end + 4 * 11 + 4 and split == start + 2000
     raw[index] ^= 0x10
     path.write_bytes(bytes(raw))
     monkeypatch.setattr(checkpoint, "_READ_CHUNK", chunk)
     with pytest.raises(CheckpointChecksumError):
         checkpoint.load(path)
+
+
+@pytest.mark.parametrize("edit,error,message", [
+    (lambda raw: raw[:-6], CheckpointTruncatedError, "need 4108 bytes"),
+    (lambda raw: raw + b"\0", CheckpointFormatError, "1 trailing bytes"),
+], ids=["cut-inside-the-table", "a-trailing-byte"])
+def test_a_file_cut_inside_its_table_or_padded_is_refused(tmp_path, monkeypatch, edit, error,
+                                                          message):
+    """The 1001 slots in chunks of 100 of the test above: a 44-byte table."""
+    monkeypatch.setattr(checkpoint, "CHUNK", 100)
+    _, path, _, _ = values_file(tmp_path, 1001)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(error, match=message):
+        checkpoint.load(path)
+
+
+@pytest.mark.parametrize("fields,message", [
+    (dict(width=5), "malformed header fields"),
+    (dict(pert=2), "malformed header fields"),
+    (dict(kind=3), "malformed header fields"),
+    (None, "ends inside the 3-entry seed"),
+], ids=["width-5", "perturbation-2", "kind-3", "cut-inside-the-seed"])
+def test_read_header_refuses_a_malformed_header_or_a_short_seed(tmp_path, fields, message):
+    _, path = roundtrip(run(DEAD), tmp_path)
+    raw = path.read_bytes()
+    if fields is None:
+        path.write_bytes(raw[: checkpoint._HEADER.size + 8 * 3 - 1])
+    else:
+        forge(path, **fields)
+    error = CheckpointTruncatedError if fields is None else CheckpointFormatError
+    with open(path, "rb") as fh, pytest.raises(error, match=message):
+        checkpoint.read_header(fh, path)
+
+
+def test_a_version_1_file_loads_as_one_chunk_and_a_flipped_byte_fails(tmp_path, monkeypatch):
+    """A version-1 file's trailer continues the header's CRC over every
+    value; it loads however many chunks the values would make."""
+    monkeypatch.setattr(checkpoint, "CHUNK", 100)
+    trace, path, start, _ = values_file(tmp_path, 1001)
+    raw = v1_image(path.read_bytes())
+    assert len(raw) == start + 4 * 1001 + 4
+    path.write_bytes(raw)
+    assert checkpoint.load(path) == trace
+    for index in (start, start + 2400, len(raw) - 5, len(raw) - 1):
+        flipped = bytearray(raw)
+        flipped[index] ^= 0x10
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(CheckpointChecksumError):
+            checkpoint.load(path)
 
 
 @pytest.mark.parametrize("config", [
@@ -249,9 +320,10 @@ def test_one_flipped_byte_anywhere_after_the_header_fails_checksum(tmp_path, mon
     RecursionConfig(seed=Seed((1, 1, 1)), horizon=3),
     RecursionConfig(seed=Seed((3, 1, 2)), horizon=1001, width=8),
 ])
-def test_the_smallest_and_odd_payloads_load(tmp_path, config):
+def test_the_smallest_and_odd_payloads_load(tmp_path, monkeypatch, config):
     """A checkpoint holds at least its seed, two slots: 4·2 or 8·2 bytes of
-    values, one slot to each half; three slots and 1001 split unevenly."""
+    values, one chunk of 2; three slots and 1001 end in a chunk of one."""
+    monkeypatch.setattr(checkpoint, "CHUNK", 2)
     trace = run(config)
     loaded, path = roundtrip(trace, tmp_path)
     assert loaded == trace
@@ -266,8 +338,9 @@ def test_a_header_of_fewer_slots_than_a_seed_is_refused_before_any_read(tmp_path
     _, path = roundtrip(run(RecursionConfig(seed=Seed((1, 1)), horizon=2)), tmp_path)
     raw = path.read_bytes()
     head = checkpoint._HEADER.unpack_from(raw)[:-2] + (length, length)
-    body = checkpoint._HEADER.pack(*head) + raw[checkpoint._HEADER.size : -4 - 4 * (2 - length)]
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    body = checkpoint._HEADER.pack(*head) + raw[checkpoint._HEADER.size :
+                                                checkpoint._HEADER.size + 16 + 4 * length]
+    path.write_bytes(body + table_and_trailer(body))
     monkeypatch.setattr(checkpoint, "threading", None)
     with pytest.raises(CheckpointFormatError, match="horizon must be an integer >= seed length"):
         checkpoint.load(path)
@@ -295,9 +368,11 @@ LOAD_THREADS = {"worker": "qseq-load-crc", "caller": threading.main_thread().nam
 @pytest.mark.parametrize("failure", ["short", "oserror"])
 def test_a_failed_read_in_either_half_raises_and_leaves_no_thread(tmp_path, monkeypatch,
                                                                   half, failure):
-    """Whichever thread's read fails, load raises what a failed read raised
-    before the split (a short read as truncation, an OSError as itself),
-    after the CRC thread has ended."""
+    """Whichever thread's read fails, load raises what a failed read raises
+    on one thread (a short read as truncation, an OSError as itself), after
+    the CRC thread has ended.  The file has 7 chunks: 3 for the caller, 4
+    for the load thread, the last of them 1697 slots."""
+    monkeypatch.setattr(checkpoint, "CHUNK", 1 << 14)
     _, path, _, _ = values_file(tmp_path, 10**5 + 1)
     monkeypatch.setattr(checkpoint.os, "preadv", failing_preadv(LOAD_THREADS[half], failure))
     threads = threading.active_count()
@@ -315,9 +390,11 @@ def test_a_failed_read_in_either_half_raises_and_leaves_no_thread(tmp_path, monk
 def test_a_failed_read_in_either_half_gives_the_cli_its_exit_code(tmp_path, monkeypatch, capsys,
                                                                   half, failure, code, note):
     """Through the store: a short read makes the checkpoint unreadable, so
-    it is computed again and rewritten; an OSError exits EXIT_IO."""
+    it is computed again and rewritten; an OSError exits EXIT_IO.  The
+    file has 7 chunks, so that both threads read."""
     from qseq.cli import main
 
+    monkeypatch.setattr(checkpoint, "CHUNK", 1 << 14)
     path = tmp_path / "t.qtr"
     argv = ["compute", "--horizon", "100001", "--trace", str(path)]
     assert main(argv) == 0
@@ -460,22 +537,26 @@ def test_a_reserved_file_left_without_save_is_removed(tmp_path):
 
 
 # (seed, horizon of a first run that is extended or None, horizon, width,
-# chunk): seed (1,3,2,2) dies at step 719.
+# slots per report, checkpoint.CHUNK): seed (1,3,2,2) dies at step 719,
+# holding 718 = 2·359 values.
 CHUNKED_RUNS = {
-    "death-inside-the-first-chunk": ((1, 3, 2, 2), None, 2000, 4, 1024),
-    "death-at-a-boundary": ((1, 3, 2, 2), None, 2000, 4, 719),
-    "horizon-a-multiple": ((1, 1), None, 4096, 4, 256),
-    "extension-from-mid-chunk": ((1, 1), 1000, 3000, 4, 256),
-    "8-byte-slots": ((3, 1, 2), None, 3000, 8, 256),
+    "death-inside-the-first-chunk": ((1, 3, 2, 2), None, 2000, 4, 1024, 100),
+    "death-at-a-boundary": ((1, 3, 2, 2), None, 2000, 4, 719, 359),
+    "horizon-a-multiple": ((1, 1), None, 4096, 4, 256, 512),
+    "length-plus-one-a-multiple": ((1, 1), None, 4095, 4, 256, 512),
+    "extension-from-mid-chunk": ((1, 1), 1000, 3000, 4, 256, 384),
+    "8-byte-slots": ((3, 1, 2), None, 3000, 8, 256, 100),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CHUNKED_RUNS))
 def test_a_run_in_chunks_writes_the_file_of_one_pass(tmp_path, monkeypatch, kernel, case):
-    """Each kernel reports every chunk boundary the run passes, the copied
-    prefix of an extension included, and the worker's CRC of the chunks
-    joined to the tail's gives the bytes of a trace saved from memory."""
-    seed, first, horizon, width, chunk = CHUNKED_RUNS[case]
+    """Each kernel reports every boundary of a report the run passes, the
+    copied prefix of an extension included, and the worker's chunk CRCs,
+    continued over the tail, give the bytes of a trace saved from memory,
+    whether the reports fall inside a chunk, on its end, or past it."""
+    seed, first, horizon, width, chunk, crc_chunk = CHUNKED_RUNS[case]
+    monkeypatch.setattr(checkpoint, "CHUNK", crc_chunk)
     config = RecursionConfig(seed=Seed(seed), horizon=horizon, width=width)
     one_pass = tmp_path / "one-pass.qtr"
     checkpoint.save(run(config), one_pass)
@@ -598,13 +679,17 @@ class Injected(Exception):
     """A failure made to happen inside save."""
 
 
-def test_save_checksums_on_a_thread_that_ends_with_it(tmp_path):
+def test_save_checksums_on_a_thread_that_ends_with_it(tmp_path, monkeypatch):
+    """10^6 values in chunks of 2^17: 7 whole chunks and a short last one."""
+    monkeypatch.setattr(checkpoint, "CHUNK", 1 << 17)
     path = tmp_path / "trace.qtr"
     threads = threading.active_count()
     checkpoint.save(run(RecursionConfig(seed=Seed((1, 1)), horizon=10**6)), path)
     assert threading.active_count() == threads
     data = path.read_bytes()
-    assert struct.unpack("<I", data[-4:])[0] == zlib.crc32(data[:-4])
+    end = values_end(data)[1]
+    assert len(data) == end + 4 * 8 + 4
+    assert data[end:] == table_and_trailer(data[:end])
 
 
 @pytest.mark.parametrize("failing", ["mkstemp", "payload-write", "crc"])
@@ -616,7 +701,7 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp_or_thread(tmp_path, m
     worker did not reach.  A failure before the temp file exists starts no
     thread at all.  Both ways to save are tried: a trace held in memory,
     which the second thread checksums whole, and a run into reserved slots,
-    whose worker checksums each 2^18-slot chunk while the run goes on, so
+    whose worker checksums each 2^18-slot report while the run goes on, so
     that a failing CRC fails there and no tail is checksummed.  The payload
     reaches the disk through fsync, so a failing write of it surfaces there:
     for a run into the file, while the tail's CRC runs."""

@@ -2,14 +2,18 @@
 
 The hashes were recorded from the per-line formatter and the two separate
 atomic writers that the block formatter and the shared writer replaced, so
-a change in any output byte, text or checkpoint, fails here.  `verify`
-writes no file; the acceptance tests cover it.
+a change in any output byte, text or checkpoint, fails here.  The four
+checkpoints are pinned in format version 2; V1_GOLDEN keeps their
+version-1 hashes, which the version-1 image of each must still match.
+`verify` writes no file; the acceptance tests cover it.
 """
 
 import hashlib
 from pathlib import Path
 
 import pytest
+
+from test_checkpoint import v1_image
 
 from qseq import checkpoint
 from qseq.cli import EXIT_DEATH, EXIT_OK, main
@@ -80,6 +84,23 @@ GOLDEN = {
     "series_t2_s1-1_alternating_w4_n100000.dat":
         "3a0602e6ef65ef009b605222b06cf87c745c243acfe05a30a89afa1c252fba48",
     "trace_s1-1_alternating_w4.qtr":
+        "e37b896f294d0b4194df5188232c6199fd6e176debc956dedd694e8cb9526774",
+    "trace_s1-1_alternating_w8.qtr":
+        "f4dcb70fb925136e6f795c5a5f754b93a1f0e98654b1dd52007fe16c02462cc2",
+    "trace_s1-1_none_w4.qtr":
+        "a340d07f7bb8f64c372a9d010fe255a20bce0970bf527a70c1f70d3747a8b87b",
+    "trace_s1-2-1_alternating_w4.qtr":
+        "fe6075a9013c4039d38870d701da0d1f975143d73ca97df1cc464bf5e16f2e7d",
+    "values_s1-1_alternating_w4_n100000.dat":
+        "7be8aca2a1237096ed67235ae3e76c789e1774809dc63966dfd26ae646c6dd0c",
+    "values_s1-1_none_w4_n100000.dat":
+        "19e46a5e5efd4112619e2854cd589561dc296eb67ca6bdc440cee0c059ef2f73",
+    "values_s1-2-1_alternating_w4_n100.dat":
+        "990b464fd845b4c85cf8d6dcef6f67f7025c52e37e50b7c45b11ad217a9e490f",
+}
+
+V1_GOLDEN = {
+    "trace_s1-1_alternating_w4.qtr":
         "4ac5671412c8e78df4e4b1d5ea36717461ecc393727228b38f1bdb9bfc076851",
     "trace_s1-1_alternating_w8.qtr":
         "8b317db263a77c0599867f25d22b6c038f1501eab4df4551f03cc4d7989f1122",
@@ -87,12 +108,6 @@ GOLDEN = {
         "bdefc67a32e6656091bf2e68167279f38983d649d4e853c475ec8f475cee4e78",
     "trace_s1-2-1_alternating_w4.qtr":
         "c38a4ea7ffb9e07ac180b589900c63a6a15f58a42bbbc5572c34047729013396",
-    "values_s1-1_alternating_w4_n100000.dat":
-        "7be8aca2a1237096ed67235ae3e76c789e1774809dc63966dfd26ae646c6dd0c",
-    "values_s1-1_none_w4_n100000.dat":
-        "19e46a5e5efd4112619e2854cd589561dc296eb67ca6bdc440cee0c059ef2f73",
-    "values_s1-2-1_alternating_w4_n100.dat":
-        "990b464fd845b4c85cf8d6dcef6f67f7025c52e37e50b7c45b11ad217a9e490f",
 }
 
 
@@ -106,8 +121,13 @@ def produce(out_dir: Path) -> dict[str, str]:
 
 
 @pytest.fixture(scope="module")
-def produced(tmp_path_factory):
-    return produce(tmp_path_factory.mktemp("goldens"))
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("goldens")
+
+
+@pytest.fixture(scope="module")
+def produced(out_dir):
+    return produce(out_dir)
 
 
 def test_every_output_file_is_pinned(produced):
@@ -125,3 +145,23 @@ def test_each_kernel_writes_the_same_files(tmp_path, monkeypatch, kernel):
     slots: seed (1,2,1) dies at step 41, at a boundary."""
     monkeypatch.setattr(checkpoint._Draft, "chunk", 41)
     assert produce(tmp_path) == GOLDEN
+
+
+@pytest.mark.parametrize("name", sorted(V1_GOLDEN))
+def test_a_checkpoint_as_version_1_keeps_its_old_hash_and_loads(produced, out_dir, tmp_path,
+                                                                name):
+    """Version 1, the chunk table dropped and the trailer the crc32 of all
+    before it: the old golden bytes, which load to the same trace, and
+    which compute reuses without rewriting them."""
+    image = v1_image((out_dir / name).read_bytes())
+    assert hashlib.sha256(image).hexdigest() == V1_GOLDEN[name]
+    path = tmp_path / name
+    path.write_bytes(image)
+    loaded = checkpoint.load(path)
+    assert loaded == checkpoint.load(out_dir / name)
+    cfg = loaded.config
+    argv = ["compute", "--seed", ",".join(map(str, cfg.seed.values)), "--horizon",
+            str(cfg.horizon), "--perturbation", cfg.perturbation.value, "--width",
+            str(cfg.width), "--trace", str(path)]
+    assert main(argv) == (EXIT_OK if loaded.outcome.is_alive else EXIT_DEATH)
+    assert path.read_bytes() == image

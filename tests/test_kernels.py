@@ -480,21 +480,24 @@ def widened(trace, width, forge=()):
     (None, 5000), (1, 5000), (5000, 5000), (1, 1), (4321, 4320), (4321, 4500), (1, 0),
 ], ids=["intact", "first-slot", "last-slot", "one-slot", "past-hi", "inside", "empty"])
 def test_first_even_agrees(kernel, short_trace, width, even_at, hi):
-    """Both kernels name the first even value among Q(1..hi), the values of
-    a buffer of hi + 1 slots, at either end too, and 0 when there is none."""
+    """count_values with a 1-byte table is assert_all_odd's parity scan:
+    both kernels name the first even value among Q(1..hi), the values of a
+    buffer of hi + 1 slots, at either end too; with none, every value is
+    tallied past the table."""
     values = widened(short_trace, width, {even_at: 1} if even_at else {})[: hi + 1]
-    got = kernel.first_even(values)
-    assert got == C.first_even(values)
-    assert got == (even_at if even_at is not None and even_at <= hi else 0)
+    got = count(kernel, values, hi, 0)
+    assert got == count(C, values, hi, 0)
+    found = even_at is not None and even_at <= hi
+    assert got == ((ST_PARITY, even_at) if found else (ST_OK, hi), [0])
 
 
 @pytest.mark.parametrize("values", [np.ones(10, dtype=np.uint16), np.ones(20, dtype=np.uint32)[::2]],
                          ids=["two-byte-items", "strided-values"])
 def test_first_even_errors_agree(kernel, values):
     with pytest.raises(ValueError) as c_error:
-        C.first_even(values)
+        C.count_values(values, bytearray(1))
     with same_error(c_error):
-        kernel.first_even(values)
+        kernel.count_values(values, bytearray(1))
 
 
 def violations(module, values, k_lo, k_hi):
@@ -648,7 +651,7 @@ def test_every_entry_goes_through_the_binding(tmp_path, monkeypatch, capsys):
             return getattr(_pykernel, name)(*args)
         return call
 
-    entries = ("advance", "count_values", "linear_series", "min_into", "first_even",
+    entries = ("advance", "count_values", "linear_series", "min_into",
                "interleave_violations", "format_rows")
     assert set(entries) == {name for name in vars(C) if not name.startswith("__")}
     monkeypatch.setattr(_native, "kernel", SimpleNamespace(**{e: recorded(e) for e in entries}))
@@ -666,7 +669,7 @@ def test_every_entry_goes_through_the_binding(tmp_path, monkeypatch, capsys):
         assert set(calls) == used, argv
     calls.clear()  # verify's criteria 4 and 5, on a trace of 2000
     diagnostics.check_subsequence_identities(run(RecursionConfig(seed=Seed((1, 1)), horizon=2000)))
-    assert set(calls) == {"advance", "first_even", "interleave_violations"}
+    assert set(calls) == {"advance", "count_values", "interleave_violations"}
     assert not _native.have_native_kernel()
     capsys.readouterr()
     perfprobe.perf_probe(1000)

@@ -9,6 +9,7 @@ import importlib
 import inspect
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -243,6 +244,38 @@ def test_import_warns_once_when_the_kernel_cannot_be_cached(tmp_path):
         XDG_CACHE_HOME=str(blocker))
     assert out[0] == "False"
     assert len(out) == 2 and "pure-Python twin" in out[1], out
+
+
+@pytest.mark.skipif(_native.compiled is None, reason="compares with the compiled kernel")
+def test_a_compiler_that_fails_leaves_one_warning_and_the_twin(tmp_path):
+    """With an empty cache, and sysconfig's CC found on PATH as a script
+    that prints a line and exits 1, import warns once with that line and
+    binds the twin, which writes the checkpoint the C kernel writes."""
+    cc = shlex.split(sysconfig.get_config_var("CC"))[0]
+    if os.path.isabs(cc):
+        pytest.skip(f"CC is the absolute path {cc}, which PATH cannot shadow")
+    bin_dir, cache, trace = tmp_path / "bin", tmp_path / "cache", tmp_path / "t.qtr"
+    bin_dir.mkdir()
+    cache.mkdir()
+    (bin_dir / cc).write_text("#!/bin/sh\necho 'cc1: fatal error: no kernel today' >&2\nexit 1\n")
+    (bin_dir / cc).chmod(0o755)
+    out = fresh(
+        "import warnings\n"
+        "with warnings.catch_warnings(record=True) as caught:\n"
+        "    warnings.simplefilter('always')\n"
+        "    import qseq\n"
+        "    from qseq.cli import main\n"
+        "print(qseq.have_native_kernel())\n"
+        "for w in caught:\n"
+        "    print(w.category.__name__, w.message)\n"
+        f"assert main(['compute', '--horizon', '2000', '--trace', {str(trace)!r}]) == 0\n",
+        XDG_CACHE_HOME=str(cache), PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+    assert out[:2] == ["False", "RuntimeWarning qseq: the C kernel is unavailable"
+                       f" (KernelBuildError: {cc} exited with 1: cc1: fatal error: no kernel"
+                       " today); using its pure-Python twin, about 100x slower"]
+    assert out[2:] == [f"wrote checkpoint {trace} (2000 values)"]
+    checkpoint.save(run(RecursionConfig(seed=Seed((1, 1)), horizon=2000)), tmp_path / "c.qtr")
+    assert trace.read_bytes() == (tmp_path / "c.qtr").read_bytes()
 
 
 def check_an_edit_compiles_under_a_new_key(tmp_path, name: str, comment: str) -> None:

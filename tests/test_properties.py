@@ -1,7 +1,5 @@
 """Property-based checks: engine vs oracle, invariants, and round trips."""
 
-import random
-import zlib
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -104,21 +102,6 @@ def test_checkpoint_round_trip(tmp_path_factory, vals, horizon, width, alternati
     assert checkpoint.load(path) == trace
     checkpoint.save(trace, path)
     assert path.read_bytes() == first_bytes
-
-
-_HALF = checkpoint._READ_CHUNK // 2
-crc_lengths = st.one_of(st.integers(min_value=0, max_value=64),
-                        st.integers(min_value=_HALF - 64, max_value=_HALF + 64),
-                        st.integers(min_value=0, max_value=3 * _HALF))
-
-
-@settings(deadline=None, max_examples=60)
-@given(len1=crc_lengths, len2=crc_lengths, seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_crc32_combine_joins_any_two_lengths(len1, len2, seed):
-    raw = random.Random(seed).randbytes(len1 + len2)
-    first, second = raw[:len1], raw[len1:]
-    assert (checkpoint.crc32_combine(zlib.crc32(first), zlib.crc32(second), len2)
-            == zlib.crc32(raw))
 
 
 def reference_text(x, y, halves=False) -> bytes:
