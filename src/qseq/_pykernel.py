@@ -10,6 +10,7 @@ both kernels.
 import sys
 from array import array
 from operator import index
+from zlib import crc32  # the C kernel's crc32 equals it, and is it where it cannot fold
 
 from ._native import SLOT_CAPS, ST_COUNT_OVERFLOW, ST_DEATH, ST_OK, ST_OVERFLOW, ST_PARITY
 

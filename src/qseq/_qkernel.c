@@ -10,12 +10,13 @@
  * recursion, count_values tallies the values (with a 1-byte table, a bare
  * parity scan), linear_series evaluates a series such as 2Q(n) - n into an
  * int64 or float64 column, min_into takes the smaller of two int64
- * columns, interleave_violations checks the interleave identities, and
- * format_rows writes two int64 or float64 columns as text; so no verb
- * needs NumPy.  Every entry parses its arguments in one PyArg_ParseTuple,
- * whose converters (below) acquire and check each kind of buffer, and
- * releases them once, at its end.  _pykernel.py is this file's pure-Python
- * twin, entry for entry.
+ * columns, interleave_violations checks the interleave identities,
+ * format_rows writes two int64 or float64 columns as text, and crc32 is
+ * zlib.crc32 for checkpoints, faster; so no verb needs NumPy.  Every entry
+ * parses its arguments in one PyArg_ParseTuple, whose converters (below)
+ * acquire and check each kind of buffer (crc32 takes any bytes-like object
+ * through "y*", as zlib does), and releases them once, at its end.
+ * _pykernel.py is this file's pure-Python twin, entry for entry.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -533,6 +534,100 @@ format_rows(PyObject *self, PyObject *args)
     return text;
 }
 
+/* ----------------------------------------------------------- checksum */
+
+/* crc32(data, crc=0) -> int
+ *
+ * zlib.crc32(data, crc): the CRC-32 of the bytes of any C-contiguous
+ * buffer, read-only included, continued from crc taken modulo 2^32, with
+ * zlib's errors.  The GIL is released over more than 5 KB, as zlib does.
+ *
+ * On x86-64 CPUs with PCLMULQDQ, crc32_fold folds 64-byte blocks, then
+ * 16-byte blocks, with carry-less multiplies and reduces the last 128 bits
+ * by Barrett's method (Gopal et al., "Fast CRC Computation for Generic
+ * Polynomials Using PCLMULQDQ Instruction", Intel, 2009); crc32_bits takes
+ * the tail of under 16 bytes and buffers under 64 bytes.  Elsewhere,
+ * PyInit__qkernel binds crc32 to zlib.crc32 itself, so that no host
+ * checksums slower than zlib does.
+ */
+
+/* crc, inverted as zlib keeps it while running, continued over len bytes
+ * one bit at a time. */
+static uint32_t
+crc32_bits(uint32_t crc, const unsigned char *p, size_t len)
+{
+    while (len--) {
+        crc ^= *p++;
+        for (int k = 0; k < 8; k++)
+            crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1)));
+    }
+    return crc;
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define CRC32_CAN_FOLD() (__builtin_cpu_init(), __builtin_cpu_supports("pclmul"))
+
+/* GCC and Clang vector types and builtins, not <immintrin.h>, whose
+ * parsing took this file's compile from 0.49 to 0.90 s (GCC 12). */
+typedef long long v2di __attribute__((vector_size(16)));
+typedef long long v2di_unaligned __attribute__((vector_size(16), aligned(1), may_alias));
+#define LOAD16(p) (*(const v2di_unaligned *)(p))
+#define CLMUL(a, b, lanes) __builtin_ia32_pclmulqdq128((a), (b), (lanes))
+/* x, 128 bits that stand a constant distance ahead of next, carried into
+ * next: each half of x times its constant in k, the pair that distance
+ * gives, carry-less. */
+#define FOLD(x, k, next) (CLMUL((x), (k), 0x00) ^ CLMUL((x), (k), 0x11) ^ (next))
+
+/* crc32_bits(crc, p, len) for len >= 64.  The constants are the paper's,
+ * bit-reflected: k1, k2 fold 512 bits ahead; k3, k4 fold 128 bits ahead,
+ * then the last 128 bits to 96; k5 folds 96 bits to 64; P (the polynomial,
+ * x^32 included) and mu = x^64 / P reduce those 64 to 32. */
+__attribute__((target("pclmul"))) static uint32_t
+crc32_fold(uint32_t crc, const unsigned char *p, size_t len)
+{
+    const v2di k1k2 = {0x154442bd4, 0x1c6e41596}, k3k4 = {0x1751997d0, 0x0ccaa009e},
+               k5 = {0x163cd6124, 0}, poly = {0x1db710641, 0x1f7011641},
+               low32 = {0xffffffff, 0xffffffff};
+    v2di x1 = LOAD16(p) ^ (v2di){crc, 0}, x2 = LOAD16(p + 16), x3 = LOAD16(p + 32),
+         x4 = LOAD16(p + 48);
+    for (p += 64, len -= 64; len >= 64; p += 64, len -= 64) {
+        x1 = FOLD(x1, k1k2, LOAD16(p));
+        x2 = FOLD(x2, k1k2, LOAD16(p + 16));
+        x3 = FOLD(x3, k1k2, LOAD16(p + 32));
+        x4 = FOLD(x4, k1k2, LOAD16(p + 48));
+    }
+    x1 = FOLD(FOLD(FOLD(x1, k3k4, x2), k3k4, x3), k3k4, x4);
+    for (; len >= 16; p += 16, len -= 16)
+        x1 = FOLD(x1, k3k4, LOAD16(p));
+    x1 = CLMUL(x1, k3k4, 0x10) ^ (v2di){x1[1], 0};  /* 128 bits to 96 */
+    uint64_t lo = (uint64_t)x1[0], hi = (uint64_t)x1[1];
+    v2di above32 = {(long long)(lo >> 32 | hi << 32), (long long)(hi >> 32)};
+    x1 = CLMUL(x1 & low32, k5, 0x00) ^ above32;  /* 96 bits to 64 */
+    v2di t = CLMUL(CLMUL(x1 & low32, poly, 0x10) & low32, poly, 0x00);  /* Barrett: to 32 */
+    return crc32_bits((uint32_t)((uint64_t)(x1 ^ t)[0] >> 32), p, len);
+}
+#else
+#define CRC32_CAN_FOLD() 0
+#define crc32_fold crc32_bits  /* never called: crc32 is zlib's */
+#endif
+
+static PyObject *
+crc32(PyObject *self, PyObject *args)
+{
+    Py_buffer data;
+    unsigned int crc = 0;  /* "I" takes it modulo 2^32, as zlib does */
+
+    if (!PyArg_ParseTuple(args, "y*|I:crc32", &data, &crc))
+        return NULL;
+    size_t len = (size_t)data.len;
+    PyThreadState *released = len > 5 * 1024 ? PyEval_SaveThread() : NULL;
+    crc = ~(len >= 64 ? crc32_fold : crc32_bits)(~crc, data.buf, len);
+    if (released)
+        PyEval_RestoreThread(released);
+    PyBuffer_Release(&data);
+    return PyLong_FromUnsignedLong(crc);
+}
+
 static PyMethodDef kernel_methods[] = {
     {"advance", advance, METH_VARARGS, "run the recursion in place, chunk by chunk"},
     {"count_values", count_values, METH_VARARGS, "tally odd values into dyadic bins"},
@@ -541,6 +636,7 @@ static PyMethodDef kernel_methods[] = {
     {"interleave_violations", interleave_violations, METH_VARARGS,
      "list the k that break the interleave identities"},
     {"format_rows", format_rows, METH_VARARGS, "write rows of two columns as text"},
+    {"crc32", crc32, METH_VARARGS, "zlib.crc32, folded with carry-less multiplies"},
     {NULL, NULL, 0, NULL}
 };
 
@@ -551,5 +647,14 @@ static struct PyModuleDef moduledef = {
 PyMODINIT_FUNC
 PyInit__qkernel(void)
 {
-    return PyModule_Create(&moduledef);
+    PyObject *module = PyModule_Create(&moduledef), *zlib = NULL, *crc = NULL;
+    if (module && !CRC32_CAN_FOLD()) {  /* crc32 is zlib.crc32 */
+        zlib = PyImport_ImportModule("zlib");
+        crc = zlib ? PyObject_GetAttrString(zlib, "crc32") : NULL;
+        if (!crc || PyObject_SetAttrString(module, "crc32", crc) < 0)
+            Py_CLEAR(module);
+        Py_XDECREF(zlib);
+        Py_XDECREF(crc);
+    }
+    return module;
 }

@@ -29,12 +29,13 @@ full size and maps it shared, and the kernel runs straight into the mapped
 slots, so the values reach the page cache without a copy.  While the kernel
 computes, the mapping's worker thread continues the chunk CRCs over each
 run of _Draft.chunk slots it reports finished and starts that run's
-writeback.  save() checksums the tail on a second thread while the main one
-fsyncs the values, which finds little left to write, then writes the
-header, the seed, the table and the trailer (shrinking the file first if
-the run died) and commits the file.  A trace held in memory is checksummed
-while it is written into such a file, to the same bytes.  An exception at
-a report, Ctrl-C among them, ends the run there and removes the temp file.
+writeback.  save() fsyncs the values, which finds little left to write,
+checksums the tail past the last report, then writes the header, the
+seed, the table and the trailer (shrinking the file first if the run died)
+and commits the file.  A trace held in memory is written into such a file
+and then checksummed, to the same bytes.  An exception at a report, Ctrl-C
+among them, ends the run there and removes the temp file.  Every CRC is
+the kernel's crc32, which equals zlib.crc32.
 
 read_header parses and checks the header and seed alone, so a caller can
 tell which run a file holds without reading its values.  load checks the
@@ -55,11 +56,11 @@ import os
 import struct
 import tempfile
 import threading
-import zlib
 from collections.abc import Callable, Iterator
 from pathlib import Path
 from typing import BinaryIO, NamedTuple
 
+from . import _native
 from ._native import SLOT_CAPS
 from .engine import (
     FileMapping,
@@ -152,7 +153,7 @@ def _continue_crcs(crcs: list[int], values: memoryview, done: int) -> list[int]:
         if (done - 1) % CHUNK == 0:
             crcs.append(0)
         end = min(len(values), done + CHUNK - (done - 1) % CHUNK)
-        crcs[-1] = zlib.crc32(values[done:end], crcs[-1])
+        crcs[-1] = _native.kernel.crc32(values[done:end], crcs[-1])
         done = end
     return crcs
 
@@ -263,14 +264,13 @@ def save(trace: Trace, path: str | Path) -> Trace:
 
     A trace run into reserve(path)'s slots is finished in place: the
     mapping's worker has checksummed each run of slots the run reported and
-    started its writeback while the run went on, so only the tail past the
-    last report is checksummed, on a second thread while the main one
-    fsyncs the values, and the fsync finds little left to write.  Any other
-    trace is written into a file reserved for its length while the second
-    thread checksums it.  zlib.crc32, fsync and the write release the GIL,
-    so on two cores the CRCs cost no time of their own.  Then the header,
-    the seed, the chunk table and the trailer are written, after the file
-    shrinks to step - 1 values if the run died, and the file is committed.
+    started its writeback while the run went on, so the fsync finds little
+    left to write, and only the tail past the last report, at most
+    _Draft.chunk slots, is checksummed after it (about 1 ms).  Any other
+    trace is written into a file reserved for its length, then checksummed.
+    Then the header, the seed, the chunk table and the trailer are written,
+    after the file shrinks to step - 1 values if the run died, and the file
+    is committed.
 
     The trace returned holds the same values as a copy-on-write mapping of
     the committed file, slot 0 zeroed, as load() would return them: the
@@ -291,11 +291,11 @@ def save(trace: Trace, path: str | Path) -> Trace:
         return _finish(draft, trace, write)
 
 
-def _finish(draft: _Draft, trace: Trace, beside: Callable[[], None]) -> Trace:
-    """Join draft's worker, continue its chunk CRCs over the values it did
-    not reach on a second thread while beside() runs, then write the
-    header, the seed, the table of those CRCs and the trailer into draft's
-    file and commit it; the trace save() returns.
+def _finish(draft: _Draft, trace: Trace, flush: Callable[[], None]) -> Trace:
+    """Join draft's worker, run flush(), which puts the values in draft's
+    file, continue the chunk CRCs over the values the worker did not
+    reach, then write the header, the seed, the table of those CRCs and the
+    trailer into the file and commit it; the trace save() returns.
     """
     cfg = trace.config
     out = trace.outcome
@@ -315,10 +315,11 @@ def _finish(draft: _Draft, trace: Trace, beside: Callable[[], None]) -> Trace:
     draft.join()
     if draft.error is not None:
         raise draft.error
-    crcs, _ = _beside_the_caller(
-        "qseq-save-crc", lambda: _continue_crcs(draft.crcs, trace.values, draft.done), beside)
+    flush()
+    crcs = _continue_crcs(draft.crcs, trace.values, draft.done)
     table = struct.pack(f"<{len(crcs)}I", *crcs)
-    trailer = struct.pack("<I", zlib.crc32(table, zlib.crc32(header)))
+    crc32 = _native.kernel.crc32
+    trailer = struct.pack("<I", crc32(table, crc32(header)))
 
     fd = draft.temp.fh.fileno()
     end = draft.offset + cfg.width * trace.len
@@ -334,28 +335,26 @@ def _finish(draft: _Draft, trace: Trace, beside: Callable[[], None]) -> Trace:
     return Trace(cfg, values, out)
 
 
-def _beside_the_caller(name: str, work: Callable[[], object],
-                       beside: Callable[[], object]) -> tuple[object, object]:
-    """(work(), beside()), with work run on a thread named name while this
-    one runs beside.  The thread is joined before either's error is raised:
-    beside's first, else work's."""
-    result = {}  # work's "value", or the "error" it raised
+def _beside_the_caller(name: str, work: Callable[[], None], beside: Callable[[], None]) -> None:
+    """Run work on a thread named name while this one runs beside.  The
+    thread is joined before either's error is raised: beside's first, else
+    work's."""
+    errors = []  # what work raised
 
     def run():
         try:
-            result["value"] = work()
+            work()
         except BaseException as exc:
-            result["error"] = exc
+            errors.append(exc)
 
     worker = threading.Thread(target=run, name=name)
     worker.start()
     try:
-        here = beside()
+        beside()
     finally:
         worker.join()
-    if "error" in result:
-        raise result["error"]
-    return result["value"], here
+    if errors:
+        raise errors[0]
 
 
 class Header(NamedTuple):
@@ -415,7 +414,7 @@ def read_header(fh: BinaryIO, path: str | Path) -> Header:
             raise CheckpointFormatError(
                 f"{path}: {kind.value} at step {step}, but a seed of length"
                 f" {seed_len} makes that a {outcome.kind.value}")
-    return Header(config, outcome, length, zlib.crc32(fixed + seed_bytes), version)
+    return Header(config, outcome, length, _native.kernel.crc32(fixed + seed_bytes), version)
 
 
 def _check_chunks(fd: int, chunks: list[tuple[int, int, int, int]], path: str | Path) -> None:
@@ -423,13 +422,14 @@ def _check_chunks(fd: int, chunks: list[tuple[int, int, int, int]], path: str | 
     over length bytes of the file open as fd from start must be expected.
     The bytes are read with os.preadv through one _READ_CHUNK // 2 buffer."""
     buffer = memoryview(bytearray(min(_READ_CHUNK // 2, max(c[1] for c in chunks))))
+    crc32 = _native.kernel.crc32
     for start, length, crc, expected in chunks:
         end = start + length
         while start < end:
             part = buffer[: min(len(buffer), end - start)]
             if os.preadv(fd, [part], start) != len(part):
                 raise CheckpointTruncatedError(f"{path}: ended while being read")
-            crc = zlib.crc32(part, crc)
+            crc = crc32(part, crc)
             start += len(part)
         if crc != expected:
             raise CheckpointChecksumError(f"{path}: checksum mismatch")
@@ -445,11 +445,11 @@ def load(path: str | Path) -> Trace:
     one checks those before it, or all of one chunk alone.  Each thread
     reads through its own _READ_CHUNK // 2 buffer with os.preadv on the
     descriptor opened here, so a save() that renames a new file over path
-    meanwhile changes nothing.  zlib.crc32 and os.preadv release the GIL:
-    at 3·10^7 4-byte slots on two cores a load takes about 0.04 s, where a
-    version-1 file, one chunk whose CRC continues the header's and is the
-    trailer, takes 0.08 s.  An error of the second thread is raised here
-    after it ends.
+    meanwhile changes nothing.  The kernel's crc32 and os.preadv release
+    the GIL: at 3·10^7 4-byte slots on two cores a load takes about
+    0.015 s, most of it the copies preadv makes, where a version-1 file,
+    one chunk whose CRC continues the header's and is the trailer, takes
+    0.023 s.  An error of the second thread is raised here after it ends.
 
     The values are then a copy-on-write mapping of the file, so a caller
     keeps in memory only the pages it reads.  Slot 0 overlays the last seed
@@ -483,7 +483,7 @@ def load(path: str | Path) -> Trace:
         *crcs, trailer = struct.unpack(f"<{n + 1}I", tail)
         if head.version == 1:
             chunks = [(payload_offset, payload_len, head.crc, trailer)]
-        elif zlib.crc32(tail[:-4], head.crc) != trailer:
+        elif _native.kernel.crc32(tail[:-4], head.crc) != trailer:
             raise CheckpointChecksumError(f"{path}: checksum mismatch")
         else:
             step = config.width * CHUNK

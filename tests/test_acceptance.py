@@ -19,8 +19,9 @@ from pathlib import Path
 import frozen_values as frozen
 import oracle
 import pytest
-from qseq import _native, perfprobe, verify
+from qseq import _native, checkpoint, perfprobe, verify
 from qseq.cli import EXIT_CONFIG, EXIT_OK, main
+from qseq.engine import Trace, extend
 from qseq.seedlab import SeedClass
 from qseq.verify import (
     check_block_histograms,
@@ -211,6 +212,52 @@ def test_probe_past_its_deadline_is_killed(probes, monkeypatch):
 
 def test_criterion_13_checkpoint_round_trip(artifacts):
     report(check_round_trip(artifacts))
+
+
+def one_value_changed(trace, n=1000):
+    """The trace with Q(n) raised by 2, in memory."""
+    values = memoryview(bytearray(trace.values)).cast(trace.config.dtype)
+    values[n] += 2
+    return Trace(trace.config, values, trace.outcome)
+
+
+def test_criterion_13_fails_when_load_changes_a_value(artifacts, monkeypatch):
+    """A load that returns one changed value fails the comparison, and the
+    second save, which writes what load returned, writes other bytes."""
+    load = checkpoint.load
+    monkeypatch.setattr(checkpoint, "load", lambda path: one_value_changed(load(path)))
+    result = check_round_trip(artifacts)
+    assert "[FAIL]" in result.line
+    assert result.detail == "loaded trace differs from saved trace; re-serialized bytes differ"
+
+
+def test_criterion_13_fails_when_the_second_save_writes_other_bytes(artifacts, monkeypatch):
+    """A second save whose file differs by one byte: the load compared
+    equal, so the bytes alone tell."""
+    save, saved = checkpoint.save, []
+
+    def save_then_flip(trace, path):
+        result = save(trace, path)
+        saved.append(path)
+        if len(saved) == 2:
+            data = bytearray(Path(path).read_bytes())
+            data[-1] ^= 1
+            Path(path).write_bytes(data)
+        return result
+
+    monkeypatch.setattr(checkpoint, "save", save_then_flip)
+    result = check_round_trip(artifacts)
+    assert "[FAIL]" in result.line
+    assert result.detail == "re-serialized bytes differ"
+    assert [Path(p).name for p in saved] == ["trace.qtr", "again.qtr"]
+
+
+def test_criterion_13_fails_when_extend_differs_from_a_fresh_run(artifacts, monkeypatch):
+    monkeypatch.setattr(verify, "extend",
+                        lambda trace, horizon: one_value_changed(extend(trace, horizon)))
+    result = check_round_trip(artifacts)
+    assert "[FAIL]" in result.line
+    assert result.detail == "extend(1e5 -> 1e6) differs from a fresh run"
 
 
 def test_growth_failure_is_exactly_the_known_edge_case(artifacts):

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qseq import checkpoint
+from qseq import _native, checkpoint
 from qseq.engine import Perturbation, RecursionConfig, Seed, extend, run
 from qseq.errors import (
     CheckpointChecksumError,
@@ -147,6 +147,31 @@ def table_and_trailer(body):
     table = b"".join(struct.pack("<I", zlib.crc32(body[i : i + step]))
                      for i in range(start, len(body), step))
     return table + struct.pack("<I", zlib.crc32(table, zlib.crc32(body[:start])))
+
+
+@pytest.mark.parametrize("width", [4, 8])
+def test_compute_writes_the_crcs_that_zlib_computes(tmp_path, monkeypatch, capsys, width):
+    """Save and load share the kernel's crc32, so a wrong CRC would agree
+    with itself.  Here zlib.crc32 recomputes every entry of the chunk table
+    and the trailer of the files compute writes: at 1,000,003 terms, one
+    short chunk, then extended to 3 chunks, the last 125,001 slots.  The
+    run reports every 300,007 slots, so the worker continues CRCs from
+    inside chunks, at offsets and over lengths that are not multiples of
+    16 bytes, and save checksums a tail."""
+    from qseq.cli import main
+
+    monkeypatch.setattr(checkpoint._Draft, "chunk", 300_007)
+    path = tmp_path / "t.qtr"
+    for horizon, chunks in [(1_000_003, 1), (2 * checkpoint.CHUNK + 125_001, 3)]:
+        argv = ["compute", "--horizon", str(horizon), "--width", str(width), "--trace", str(path)]
+        assert main(argv) == 0
+        data = path.read_bytes()
+        start, end = values_end(data)
+        config = RecursionConfig(seed=Seed((1, 1)), horizon=horizon, width=width)
+        assert data[start:end] == run(config).values[1:].tobytes()
+        assert len(data) == end + 4 * chunks + 4
+        assert data[end:] == table_and_trailer(data[:end])
+    capsys.readouterr()
 
 
 def v1_image(raw):
@@ -632,8 +657,8 @@ def test_atomic_write_fsyncs_file_then_renames_then_fsyncs_directory(tmp_path,
 def test_save_fsyncs_the_whole_file_then_renames(tmp_path, monkeypatch, computed):
     """The header and the trailer, written last, reach the disk with the
     commit's fsync, before the rename.  Values computed in the file are
-    flushed once before, beside the CRC; a trace held in memory is
-    checksummed beside its copy instead."""
+    flushed once before, then their tail is checksummed; a trace held in
+    memory is written and checksummed instead."""
     events = []
     real_fsync, real_replace = checkpoint.os.fsync, checkpoint.os.replace
     path = tmp_path / "trace.qtr"
@@ -670,7 +695,7 @@ def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.dat"]
 
 
-# ------------------------------------------------------------- save's CRC thread
+# ------------------------------------------------------------- save's CRCs and threads
 
 TEMP_NAME = r"\.trace\.qtr\.[a-z0-9_]{8}\.tmp"  # as tempfile.mkstemp names atomic_write's temp
 
@@ -679,8 +704,9 @@ class Injected(Exception):
     """A failure made to happen inside save."""
 
 
-def test_save_checksums_on_a_thread_that_ends_with_it(tmp_path, monkeypatch):
-    """10^6 values in chunks of 2^17: 7 whole chunks and a short last one."""
+def test_save_writes_each_chunk_crc_and_leaves_no_thread(tmp_path, monkeypatch):
+    """10^6 values in chunks of 2^17: 7 whole chunks and a short last one,
+    and the reserved mapping's worker ends with save."""
     monkeypatch.setattr(checkpoint, "CHUNK", 1 << 17)
     path = tmp_path / "trace.qtr"
     threads = threading.active_count()
@@ -696,15 +722,15 @@ def test_save_checksums_on_a_thread_that_ends_with_it(tmp_path, monkeypatch):
 def test_failed_save_keeps_the_old_file_and_leaves_no_temp_or_thread(tmp_path, monkeypatch,
                                                                      failing):
     """Whichever step fails, save raises it, the old checkpoint stays byte
-    for byte, and neither the temp file nor a thread outlives save: the
-    reserved mapping's worker, and the thread that checksums the values the
-    worker did not reach.  A failure before the temp file exists starts no
-    thread at all.  Both ways to save are tried: a trace held in memory,
-    which the second thread checksums whole, and a run into reserved slots,
-    whose worker checksums each 2^18-slot report while the run goes on, so
-    that a failing CRC fails there and no tail is checksummed.  The payload
-    reaches the disk through fsync, so a failing write of it surfaces there:
-    for a run into the file, while the tail's CRC runs."""
+    for byte, and neither the temp file nor the reserved mapping's worker
+    outlives save; no other thread starts.  A failure before the temp file
+    exists starts no thread at all.  Both ways to save are tried: a trace
+    held in memory, which the caller checksums after its write, and a run
+    into reserved slots, whose worker checksums each 2^18-slot report while
+    the run goes on, so that a failing CRC fails there.  The payload
+    reaches the disk through fsync, so a failing write of it surfaces
+    there: for a run into the file, before the tail's CRC.  The failure is
+    injected through the kernel binding, which every CRC goes through."""
     path = tmp_path / "trace.qtr"
     checkpoint.save(run(RecursionConfig(seed=Seed((1, 1)), horizon=100)), path)
     old = path.read_bytes()
@@ -719,7 +745,7 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp_or_thread(tmp_path, m
     def fail(*args, **kwargs):
         raise Injected(failing)
 
-    real_crc32 = zlib.crc32
+    kernel = _native.kernel
 
     def crc32(data, value=0):
         if len(data) > 1 << 12:  # the payload
@@ -727,10 +753,10 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp_or_thread(tmp_path, m
             if failing == "crc":
                 fail()
             time.sleep(0.1)  # a slow CRC: save waits for it before going on
-        return real_crc32(data, value)
+        return kernel.crc32(data, value)
 
     monkeypatch.setattr(checkpoint, "threading", SimpleNamespace(Thread=Thread))
-    monkeypatch.setattr(checkpoint.zlib, "crc32", crc32)
+    monkeypatch.setattr(_native, "kernel", SimpleNamespace(advance=kernel.advance, crc32=crc32))
     monkeypatch.setattr(checkpoint._Draft, "chunk", 1 << 18)
     if failing == "mkstemp":
         monkeypatch.setattr(checkpoint.tempfile, "mkstemp", fail)
@@ -747,14 +773,12 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp_or_thread(tmp_path, m
             else:
                 checkpoint.save(new, path)
         assert threading.active_count() == threads
-        both = ["qseq-save-chunks", "qseq-save-crc"]
         if failing == "mkstemp":
             assert started == [] and not checksummed_on
-        elif computed and failing == "crc":
-            assert started == both[:1] and checksummed_on == {both[0]}
         else:
-            assert started == both
-            assert checksummed_on == ({both[0]} if computed else set()) | {both[1]}
+            assert started == ["qseq-save-chunks"]
+            assert checksummed_on == {"qseq-save-chunks" if computed
+                                      else threading.main_thread().name}
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["trace.qtr"]
 

@@ -8,13 +8,18 @@ a time is the reference for the C loop's paired steps.
 """
 
 import json
+import mmap
+import platform
+import random
 import re
+import zlib
 from array import array
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from qseq import _native, _pykernel, checkpoint, diagnostics, perfprobe, verify
@@ -596,8 +601,78 @@ def test_the_c_kernel_releases_every_buffer_it_takes():
         C.interleave_violations(values, "2", out)
     with pytest.raises(ValueError):
         C.min_into(out, array("q", [0, 0]))
+    with pytest.raises(TypeError):
+        C.crc32(values, 1.5)
+    C.crc32(values)
     for buffer in (values, terms, out):
         buffer.append(0)
+
+
+# Over 4 MB, one checkpoint chunk of 4-byte slots, and not multiples of 16:
+# every fold loop runs, and so does the bitwise tail of 4, 8 or 15 bytes.
+CRC_BIG_LENGTHS = ((4 << 20) + 4, (4 << 20) + 40, 3 * (4 << 20) + 47)
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(length=st.integers(0, 600), offset=st.integers(0, 15),
+       crc=st.integers(0, 2**32 - 1) | st.integers(-2**40, 2**40), item=st.sampled_from("BIQ"),
+       content=st.integers(0, 2**32 - 1))
+@example(length=CRC_BIG_LENGTHS[0], offset=0, crc=0, item="I", content=1)
+@example(length=CRC_BIG_LENGTHS[1], offset=5, crc=2**32 - 1, item="B", content=2)
+@example(length=CRC_BIG_LENGTHS[2], offset=15, crc=0x1234567, item="B", content=3)
+def test_crc32_equals_zlib(length, offset, crc, item, content):
+    """The C kernel's crc32 is zlib.crc32 for any length, starting at any
+    byte offset into its buffer and continuing any CRC (taken modulo 2^32,
+    as zlib takes it), over a buffer of bytes or of 4- or 8-byte items:
+    below 64 bytes the bitwise loop, from 64 on the fold's 64- and 16-byte
+    loops, its Barrett reduction and the bitwise tail."""
+    data = random.Random(content).randbytes(offset + length)
+    view = memoryview(data)[offset:]
+    size = memoryview(array(item)).itemsize
+    view = view[: len(view) // size * size].cast(item)
+    assert C.crc32(view, crc) == zlib.crc32(view, crc)
+    assert C.crc32(view) == zlib.crc32(view)
+
+
+def test_crc32_of_a_read_only_mapped_file_equals_zlib(tmp_path):
+    """A read-only mapping, as a checkpoint's mapped values are, is checksummed
+    in place, whole and from any offset, up to its last byte."""
+    path = tmp_path / "bytes"
+    path.write_bytes(random.Random(7).randbytes(CRC_BIG_LENGTHS[1]))
+    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+        view = memoryview(mapped)
+        assert view.readonly
+        for part in (view, view[13:], view[-100:], view[1000:1064]):
+            assert C.crc32(part, 99) == zlib.crc32(part, 99)
+        del view, part
+
+
+@pytest.mark.parametrize("args", [
+    lambda: (memoryview(bytes(40))[::2],),
+    lambda: (np.zeros(20, dtype=np.uint32)[::2],),
+    lambda: ("text",),
+    lambda: (b"abc", 1.5),
+    lambda: (b"abc", "1"),
+    lambda: (b"abc", None),
+], ids=["strided-memoryview", "strided-array", "str-data", "float-crc", "str-crc", "none-crc"])
+def test_crc32_errors_agree(kernel, args):
+    """Both kernels, and so zlib.crc32, refuse the same call with the same
+    error: a buffer that is not C-contiguous, or a crc that is not an int."""
+    with pytest.raises(Exception) as c_error:
+        C.crc32(*args())
+    with pytest.raises(type(c_error.value), match=f"^{re.escape(str(c_error.value))}$"):
+        kernel.crc32(*args())
+
+
+@pytest.mark.skipif(not Path("/proc/cpuinfo").exists(), reason="reads the CPU flags from /proc")
+def test_crc32_folds_wherever_the_cpu_has_pclmulqdq():
+    """On an x86-64 CPU whose flags list pclmulqdq, crc32 is the kernel's
+    fold, not zlib.crc32 bound in its place: a fallback there would be a
+    silent slowdown, so it fails here."""
+    flags = re.search(r"^flags\s*:(.*)$", Path("/proc/cpuinfo").read_text(), re.M)
+    folds = platform.machine() == "x86_64" and flags and "pclmulqdq" in flags[1].split()
+    assert (C.crc32 is not zlib.crc32) == bool(folds)
+    assert _pykernel.crc32 is zlib.crc32
 
 
 ROWS = np.arange(1, 7, dtype=np.int64)
@@ -638,7 +713,7 @@ def test_format_rows_errors_agree(kernel, x, y):
 def test_every_entry_goes_through_the_binding(tmp_path, monkeypatch, capsys):
     """Binding _native.kernel alone reroutes every call the CLI makes.  A
     run into a checkpoint (compute's) passes advance the callback that the
-    twin calls at each chunk boundary."""
+    twin calls at each chunk boundary, and is checksummed through crc32."""
     calls = []
 
     def recorded(name):
@@ -652,12 +727,13 @@ def test_every_entry_goes_through_the_binding(tmp_path, monkeypatch, capsys):
         return call
 
     entries = ("advance", "count_values", "linear_series", "min_into",
-               "interleave_violations", "format_rows")
+               "interleave_violations", "format_rows", "crc32")
     assert set(entries) == {name for name in vars(C) if not name.startswith("__")}
     monkeypatch.setattr(_native, "kernel", SimpleNamespace(**{e: recorded(e) for e in entries}))
     monkeypatch.setattr(checkpoint._Draft, "chunk", 256)
     for argv, used in [
-        (["compute", "--export"], {"advance", "on_chunk", "linear_series", "format_rows"}),
+        (["compute", "--export"], {"advance", "on_chunk", "crc32", "linear_series",
+                                   "format_rows"}),
         (["freq", "--kmax", "5"], {"advance", "count_values", "format_rows"}),
         (["diagnose", "--series", "E"], {"advance", "linear_series", "format_rows"}),
         (["diagnose", "--series", "S"], {"advance", "linear_series", "min_into", "format_rows"}),
