@@ -54,6 +54,7 @@ import contextlib
 import mmap
 import os
 import struct
+import sys
 import tempfile
 import threading
 from collections.abc import Callable, Iterator
@@ -83,6 +84,10 @@ VERSION = 2
 CHUNK = 1 << 20  # values per checksummed chunk: 4 MB of 4-byte slots
 
 _HEADER = struct.Struct("<8sHBBBBHQQQ")
+# Linux 5.14's madvise that faults a range in for writing, which Python 3.11's
+# mmap does not name; None where the advice does not exist.
+_MADV_POPULATE_WRITE = getattr(mmap, "MADV_POPULATE_WRITE",
+                               23 if sys.platform.startswith("linux") else None)
 _READ_CHUNK = 1 << 22  # bytes of load's two CRC buffers: the CRC runs over each read while cached
 
 _PERT_CODES = {Perturbation.NONE: 0, Perturbation.ALTERNATING: 1}
@@ -168,12 +173,15 @@ class _Draft(ReservedMapping):
     pages mapped and cached.  The reports need not fall on chunk
     boundaries.  join() ends the worker; then crcs are the CRCs of the
     chunks of slots [1, done), the last one unfinished unless done - 1 is a
-    multiple of CHUNK, or error is what the worker raised.
+    multiple of CHUNK, or error is what the worker raised.  populate()
+    faults slots in before two threads write them, and ahead() starts the
+    writeback of slots written ahead of the reports.
     """
 
     chunk = 1 << 22  # slots per report of a run: 16 MB of 4-byte slots
     temp: _TempFile
     offset: int  # where the values start
+    width: int  # bytes per value
     crcs: list[int]
     done: int
     error: BaseException | None
@@ -181,7 +189,7 @@ class _Draft(ReservedMapping):
     def start(self, temp: _TempFile, offset: int, slots: memoryview) -> None:
         import queue  # about 0.12 MB, which only a process writing a checkpoint needs
 
-        self.temp, self.offset = temp, offset
+        self.temp, self.offset, self.width = temp, offset, slots.itemsize
         self.crcs, self.done, self.error = [], 1, None
         self._todo = queue.SimpleQueue()
         self._worker = threading.Thread(target=self._work, args=(slots,),
@@ -190,6 +198,22 @@ class _Draft(ReservedMapping):
 
     def on_chunk(self, end: int) -> None:
         self._todo.put(end)
+
+    def populate(self, lo: int, hi: int) -> None:
+        start, end = self._extent(lo, hi)
+        if _MADV_POPULATE_WRITE is not None:
+            with contextlib.suppress(OSError):  # EINVAL before Linux 5.14
+                self.madvise(_MADV_POPULATE_WRITE, start & -mmap.PAGESIZE,
+                             end - (start & -mmap.PAGESIZE))
+
+    def ahead(self, lo: int, hi: int) -> None:
+        start, end = (at & -mmap.PAGESIZE for at in self._extent(lo, hi))
+        if hasattr(os, "posix_fadvise") and end > start:
+            os.posix_fadvise(self.temp.fh.fileno(), start, end - start, os.POSIX_FADV_DONTNEED)
+
+    def _extent(self, lo: int, hi: int) -> tuple[int, int]:
+        """Where slots [lo, hi) lie in the file."""
+        return self.offset + self.width * (lo - 1), self.offset + self.width * (hi - 1)
 
     def join(self) -> None:
         self._todo.put(None)

@@ -210,6 +210,35 @@ def test_probe_past_its_deadline_is_killed(probes, monkeypatch):
     assert check_performance(art) == result and len(probes) == 1
 
 
+def probed(returncode=0, stderr="", **stats):
+    """check_performance on a probe that printed a passing line changed by
+    stats, with returncode and stderr."""
+    art = verify.Artifacts()
+    line = {"kernel": "native", "endpoint": verify.ENDPOINT_1E8, "seconds": 0.5,
+            "peak_mb": 415.0, **stats}
+    art.__dict__["probe_output"] = (returncode, json.dumps(line), stderr)
+    return check_performance(art)
+
+
+@pytest.mark.parametrize("probe,detail", [
+    (dict(returncode=1, stderr="Traceback (most recent call last):\n  ...\nMemoryError\n"),
+     "probe failed: Traceback (most recent call last):\n  ...\nMemoryError"),
+    (dict(kernel="python", reason="KernelBuildError: gcc exited with 1: no"),
+     "probe ran the Python fallback: KernelBuildError: gcc exited with 1: no"),
+    (dict(endpoint=verify.ENDPOINT_1E8 + 2),
+     f"endpoint {verify.ENDPOINT_1E8 + 2} != {verify.ENDPOINT_1E8}"),
+    (dict(seconds=verify.TIME_BUDGET_SECONDS + 0.25),
+     f"{verify.TIME_BUDGET_SECONDS + 0.25:.1f} s over budget"),
+    (dict(peak_mb=verify.MEMORY_BUDGET_MB + 1),
+     f"{verify.MEMORY_BUDGET_MB + 1:.0f} MB over budget"),
+], ids=["nonzero-exit", "the-twin", "wrong-endpoint", "over-time", "over-memory"])
+def test_criterion_12_fails_on_each_bad_probe(probe, detail):
+    """Each way criterion 12's child can fail its check, the check says so."""
+    result = probed(**probe)
+    assert not result.passed and result.detail == detail
+    assert probed().passed
+
+
 def test_criterion_13_checkpoint_round_trip(artifacts):
     report(check_round_trip(artifacts))
 
