@@ -29,7 +29,6 @@ ST_DEATH = 1
 ST_OVERFLOW = 2
 ST_PARITY = 3
 ST_COUNT_OVERFLOW = 4
-ST_BOUND = 5  # speculate reached a slot past its read bound
 
 # The largest value advance writes, by slot width in bytes.  The 8-byte cap
 # stays below 2**63, so a value reads the same as an int64, as the kernel's

@@ -12,8 +12,7 @@ from array import array
 from operator import index
 from zlib import crc32  # the C kernel's crc32 equals it, and is it where it cannot fold
 
-from ._native import (SLOT_CAPS, ST_BOUND, ST_COUNT_OVERFLOW, ST_DEATH, ST_OK, ST_OVERFLOW,
-                      ST_PARITY)
+from ._native import SLOT_CAPS, ST_COUNT_OVERFLOW, ST_DEATH, ST_OK, ST_OVERFLOW, ST_PARITY
 
 # The messages of the kinds of buffer that more than one entry takes.
 _VALUES = "values must be C-contiguous 4- or 8-byte items"
@@ -47,59 +46,30 @@ def _column(buffer, kinds: tuple[str, ...], error: str, writes: bool = False) ->
     return view.cast("B").cast(kind)
 
 
-_VALUES_OUT = "values must be writable C-contiguous 4- or 8-byte items"
-
-
-def _check_run(q, start, eps_even, eps_odd) -> None:
-    """The ValueError advance and speculate both raise for start or an eps."""
+def advance(values, start, eps_even, eps_odd, on_chunk=None, chunk=0):
+    q = _items(values, (4, 8), "values must be writable C-contiguous 4- or 8-byte items",
+               writes=True)
+    start, eps_even, eps_odd, chunk = index(start), index(eps_even), index(eps_odd), index(chunk)
+    cap = SLOT_CAPS[q.itemsize]
     if not 2 <= start <= len(q):
         raise ValueError("start must be in [2, len(values)]")
     if not (-1 <= eps_even <= 1 and -1 <= eps_odd <= 1):
         raise ValueError("eps_even and eps_odd must be in [-1, 1]")
-
-
-def _loop(q, start, p2, p1, bound, eps_even, eps_odd, on_chunk=None, chunk=0):
-    """The recursion from step start, Q(start-2) and Q(start-1) being p2
-    and p1, reading no slot past bound."""
-    cap = SLOT_CAPS[q.itemsize]
+    if on_chunk is not None and not (callable(on_chunk) and chunk >= 1):
+        raise ValueError("on_chunk must be None, or a callable with chunk >= 1")
+    if q.itemsize == 8 and max(q[1:start]) > cap:
+        raise ValueError("a value before start exceeds 2**63 - 1")
     for n in range(start, len(q)):
         if on_chunk is not None and n % chunk == 0 and n > start:
             on_chunk(n)
-        t1, t2 = n - p1, n - p2
+        t1, t2 = n - q[n - 1], n - q[n - 2]
         if t1 <= 0 or t2 <= 0:
             return ST_DEATH, n, int(t1 <= 0), int(t2 <= 0)
-        if t1 > bound or t2 > bound:
-            return ST_BOUND, n, 0, 0
         val = q[t1] + q[t2] + (eps_odd if n & 1 else eps_even)
         if not 0 <= val <= cap:
             return ST_OVERFLOW, n, 0, 0
         q[n] = val
-        p2, p1 = p1, val
     return ST_OK, 0, 0, 0
-
-
-def advance(values, start, eps_even, eps_odd, on_chunk=None, chunk=0):
-    q = _items(values, (4, 8), _VALUES_OUT, writes=True)
-    start, eps_even, eps_odd, chunk = index(start), index(eps_even), index(eps_odd), index(chunk)
-    _check_run(q, start, eps_even, eps_odd)
-    if on_chunk is not None and not (callable(on_chunk) and chunk >= 1):
-        raise ValueError("on_chunk must be None, or a callable with chunk >= 1")
-    if q.itemsize == 8 and max(q[1:start]) > SLOT_CAPS[8]:
-        raise ValueError("a value before start exceeds 2**63 - 1")
-    return _loop(q, start, q[start - 2], q[start - 1], len(q), eps_even, eps_odd,
-                 on_chunk, chunk)
-
-
-def speculate(values, start, before, bound, eps_even, eps_odd):
-    q = _items(values, (4,), "values must be writable C-contiguous 4-byte items", writes=True)
-    start, (p2, p1), bound = index(start), map(index, before), index(bound)
-    eps_even, eps_odd = index(eps_even), index(eps_odd)
-    _check_run(q, start, eps_even, eps_odd)
-    if not 1 <= bound < start:
-        raise ValueError("bound must be in [1, start - 1]")
-    if not (0 <= p2 <= SLOT_CAPS[4] and 0 <= p1 <= SLOT_CAPS[4]):
-        raise ValueError("before must be two values in [0, 2**32 - 1]")
-    return _loop(q, start, p2, p1, bound, eps_even, eps_odd)
 
 
 def count_values(values, counts):

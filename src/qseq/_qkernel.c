@@ -7,11 +7,10 @@
  * entry takes its extents from its buffers: the values it runs over, and
  * the rows of its out buffer.  Both 4-byte and 8-byte unsigned layouts are
  * supported, with values below the caps enforced here.  advance runs the
- * recursion, speculate runs it over 4-byte slots from a guessed state
- * below a read bound, count_values tallies the values (with a 1-byte
- * table, a bare parity scan), linear_series evaluates a series such as
- * 2Q(n) - n into an int64 or float64 column, min_into takes the smaller of
- * two int64 columns, interleave_violations checks the interleave identities,
+ * recursion, count_values tallies the values (with a 1-byte table, a bare
+ * parity scan), linear_series evaluates a series such as 2Q(n) - n into an
+ * int64 or float64 column, min_into takes the smaller of two int64
+ * columns, interleave_violations checks the interleave identities,
  * format_rows writes two int64 or float64 columns as text, and crc32 is
  * zlib.crc32 for checkpoints, faster; so no verb needs NumPy.  Every entry
  * parses its arguments in one PyArg_ParseTuple, whose converters (below)
@@ -29,7 +28,6 @@
 #define ST_OVERFLOW 2
 #define ST_PARITY 3
 #define ST_COUNT_OVERFLOW 4
-#define ST_BOUND 5
 
 /* ---------------------------------------------------------- arguments */
 
@@ -79,7 +77,6 @@ static int name(PyObject *obj, void *view)                              \
 #define SLOTS(a, b) (v->itemsize == (a) || v->itemsize == (b))
 DEFINE_KIND(values_in, 0, SLOTS(4, 8), "values must be C-contiguous 4- or 8-byte items")
 DEFINE_KIND(values_out, 1, SLOTS(4, 8), "values must be writable C-contiguous 4- or 8-byte items")
-DEFINE_KIND(values4_out, 1, SLOTS(4, 4), "values must be writable C-contiguous 4-byte items")
 DEFINE_KIND(counts_out, 1, SLOTS(1, 1), "counts must be writable C-contiguous 1-byte items")
 DEFINE_KIND(int64_in, 0, item_kind(v) == 'q', "columns must be 1-D C-contiguous int64")
 DEFINE_KIND(int64_out, 1, item_kind(v) == 'q', "out must be writable 1-D C-contiguous int64")
@@ -137,38 +134,21 @@ slot(const Py_buffer *v, long long i)
  * eps = -1, and the sum wraps back.  GCC 12 compiles the choice as a
  * branch on p1 == p3, which the branch predictor learns; a branchless
  * select (a mask) ran slower.
- *
- * The loop also reads no slot past a bound, which only speculate sets
- * (below): a STEP stops with ST_BOUND at a clock index past it, and a
- * PREDICTED_STEP whose loads could pass it falls back to a STEP.  advance
- * passes LLONG_MAX, and its inlined loop compiles those checks away.
  */
 typedef struct { int status; long long step; int bad1, bad2; } Stop;
-
-#if defined(__GNUC__) || defined(__clang__)
-#define INLINE_LOOP static inline __attribute__((always_inline))
-#else
-#define INLINE_LOOP static inline
-#endif
 
 #define STEP(T, e) do {                                                 \
         long long t1 = n - p1, t2 = n - p2;                             \
         if (t1 <= 0 || t2 <= 0)                                         \
             return (Stop){ST_DEATH, n, t1 <= 0, t2 <= 0};               \
-        if (t1 > bound || t2 > bound)                                   \
-            return (Stop){ST_BOUND, n, 0, 0};                           \
         uint64_t val = (uint64_t)q[t1] + q[t2] + (uint64_t)(e);         \
         if (val > cap)                                                  \
             return (Stop){ST_OVERFLOW, n, 0, 0};                        \
         q[n++] = (T)val;                                                \
-        p3 = p2; p2 = p1; p1 = (long long)val;                          \
+        p2 = p1; p1 = (long long)val;                                   \
     } while (0)
 
 #define PREDICTED_STEP(T, e) do {                                       \
-        if (n - p3 > bound || n - p2 > bound) {                         \
-            STEP(T, e);                                                 \
-            break;                                                      \
-        }                                                               \
         uint64_t y = (uint64_t)q[n - p2] + (uint64_t)(e);               \
         uint64_t same = q[n - p3] + y, up2 = q[n - p3 - 2] + y, val;    \
         long long d = p1 - p3;                                          \
@@ -179,8 +159,6 @@ typedef struct { int status; long long step; int bad1, bad2; } Stop;
         } else {                                                        \
             if (n - p1 <= 0)                                            \
                 return (Stop){ST_DEATH, n, 1, 0};                       \
-            if (n - p1 > bound)                                         \
-                return (Stop){ST_BOUND, n, 0, 0};                       \
             val = q[n - p1] + y;                                        \
         }                                                               \
         if (val > cap)                                                  \
@@ -189,20 +167,20 @@ typedef struct { int status; long long step; int bad1, bad2; } Stop;
         p3 = p2; p2 = p1; p1 = (long long)val;                          \
     } while (0)
 
-/* The loop from step n, Q(n-2) and Q(n-1) being p2 and p1.  p3 starts
- * unset: the entry STEPs shift it in before the first PREDICTED_STEP. */
 #define DEFINE_ADVANCE_LOOP(name, T, CAP)                               \
-INLINE_LOOP Stop name(T *q, long long n, long long horizon,             \
-                      long long eps_even, long long eps_odd,            \
-                      long long p2, long long p1, long long bound)      \
+static Stop name(T *q, long long n, long long horizon,                  \
+                 long long eps_even, long long eps_odd)                 \
 {                                                                       \
     const uint64_t cap = (CAP);                                         \
-    long long p3 = 0;                                                   \
+    long long p1 = (long long)q[n - 1], p2 = (long long)q[n - 2];       \
     long long first = (n + 3) & ~1LL;  /* the first predicted step */   \
     while (n < first && n <= horizon)                                   \
         STEP(T, n & 1 ? eps_odd : eps_even);                            \
-    while (n < horizon) {                                               \
-        PREDICTED_STEP(T, eps_even); PREDICTED_STEP(T, eps_odd);        \
+    if (n < horizon) {                                                  \
+        long long p3 = (long long)q[n - 3];                             \
+        do {                                                            \
+            PREDICTED_STEP(T, eps_even); PREDICTED_STEP(T, eps_odd);    \
+        } while (n < horizon);                                          \
     }                                                                   \
     if (n == horizon) STEP(T, eps_even);                                \
     return (Stop){ST_OK, 0, 0, 0};                                      \
@@ -221,17 +199,6 @@ prefix_above_int64(const uint64_t *q, long long start)
     return top > INT64_MAX;
 }
 
-/* The ValueError advance and speculate both raise for start or an eps, or NULL. */
-static const char *
-run_error(const Py_buffer *qv, long long start, long long eps_even, long long eps_odd)
-{
-    if (start < 2 || start > (long long)(qv->len / qv->itemsize))  /* q[start-2] is read */
-        return "start must be in [2, len(values)]";
-    if (eps_even < -1 || eps_even > 1 || eps_odd < -1 || eps_odd > 1)
-        return "eps_even and eps_odd must be in [-1, 1]";
-    return NULL;
-}
-
 static PyObject *
 advance(PyObject *self, PyObject *args)
 {
@@ -243,24 +210,24 @@ advance(PyObject *self, PyObject *args)
                           &on_chunk, &chunk))
         return NULL;
     long long horizon = (long long)(qv.len / qv.itemsize) - 1, n = start;
-    const char *error = run_error(&qv, start, eps_even, eps_odd);
+    const char *error = NULL;
     Stop stop = {ST_OK, 0, 0, 0};
-    if (!error && on_chunk != Py_None && (!PyCallable_Check(on_chunk) || chunk < 1))
+    if (start < 2 || start > horizon + 1)  /* the loop reads q[start-2] first */
+        error = "start must be in [2, len(values)]";
+    else if (eps_even < -1 || eps_even > 1 || eps_odd < -1 || eps_odd > 1)
+        error = "eps_even and eps_odd must be in [-1, 1]";
+    else if (on_chunk != Py_None && (!PyCallable_Check(on_chunk) || chunk < 1))
         error = "on_chunk must be None, or a callable with chunk >= 1";
-    else if (!error && qv.itemsize == 8 && prefix_above_int64((uint64_t *)qv.buf, start))
+    else if (qv.itemsize == 8 && prefix_above_int64((uint64_t *)qv.buf, start))
         error = "a value before start exceeds 2**63 - 1";
     while (!error && stop.status == ST_OK && n <= horizon) {
         long long end = on_chunk == Py_None ? horizon + 1 : n / chunk * chunk + chunk;
         long long h = end <= horizon ? end - 1 : horizon;
         Py_BEGIN_ALLOW_THREADS
-        if (qv.itemsize == 4) {
-            uint32_t *q = qv.buf;
-            stop = advance4(q, n, h, eps_even, eps_odd, q[n - 2], q[n - 1], LLONG_MAX);
-        } else {
-            uint64_t *q = qv.buf;
-            stop = advance8(q, n, h, eps_even, eps_odd, (long long)q[n - 2],
-                            (long long)q[n - 1], LLONG_MAX);
-        }
+        if (qv.itemsize == 4)
+            stop = advance4((uint32_t *)qv.buf, n, h, eps_even, eps_odd);
+        else
+            stop = advance8((uint64_t *)qv.buf, n, h, eps_even, eps_odd);
         Py_END_ALLOW_THREADS
         n = h + 1;
         if (stop.status == ST_OK && n <= horizon) {
@@ -269,47 +236,6 @@ advance(PyObject *self, PyObject *args)
             error = done ? NULL : "";  /* "": the callback's exception is set */
             Py_XDECREF(done);
         }
-    }
-    PyBuffer_Release(&qv);
-    return error ? value_error(error)
-                 : Py_BuildValue("iLii", stop.status, stop.step, stop.bad1, stop.bad2);
-}
-
-/* speculate(values, start, before, bound, eps_even, eps_odd)
- *     -> (status, step, bad_t1, bad_t2)
- *
- * advance's loop from a guessed state, over 4-byte slots only (the engine
- * runs 8-byte slots in one pass): q[n] for n = start..horizon, from
- * (Q(start-2), Q(start-1)) = before instead of the slots, reading no slot
- * outside q[1..bound], 1 <= bound < start.  So it may run while another
- * thread writes q[bound+1..start-1].  It stops as advance does, and also at
- * the first step that would read past bound (ST_BOUND); slots [start, step)
- * are written then, none from step on.  Before any write, ValueError as
- * advance raises it for start or an eps, or unless bound is in
- * [1, start - 1] and both values of before are in [0, 2^32 - 1].  The loop
- * runs without the GIL.  engine._run_from runs it beside advance and keeps
- * what it wrote only where advance's own steps agree with it.
- */
-static PyObject *
-speculate(PyObject *self, PyObject *args)
-{
-    Py_buffer qv;
-    long long start, p2, p1, bound, eps_even, eps_odd;
-
-    if (!PyArg_ParseTuple(args, "O&L(LL)LLL", values4_out, &qv, &start, &p2, &p1, &bound,
-                          &eps_even, &eps_odd))
-        return NULL;
-    const char *error = run_error(&qv, start, eps_even, eps_odd);
-    Stop stop = {ST_OK, 0, 0, 0};
-    if (!error && (bound < 1 || bound >= start))
-        error = "bound must be in [1, start - 1]";
-    else if (!error && (p2 < 0 || p1 < 0 || p2 > UINT32_MAX || p1 > UINT32_MAX))
-        error = "before must be two values in [0, 2**32 - 1]";
-    if (!error) {
-        Py_BEGIN_ALLOW_THREADS
-        stop = advance4(qv.buf, start, (long long)(qv.len / 4) - 1, eps_even, eps_odd, p2, p1,
-                        bound);
-        Py_END_ALLOW_THREADS
     }
     PyBuffer_Release(&qv);
     return error ? value_error(error)
@@ -736,7 +662,6 @@ crc32(PyObject *self, PyObject *args)
 
 static PyMethodDef kernel_methods[] = {
     {"advance", advance, METH_VARARGS, "run the recursion in place, chunk by chunk"},
-    {"speculate", speculate, METH_VARARGS, "run the recursion from a guess, below a read bound"},
     {"count_values", count_values, METH_VARARGS, "tally odd values into dyadic bins"},
     {"linear_series", linear_series, METH_VARARGS, "evaluate a linear series of the values"},
     {"min_into", min_into, METH_VARARGS, "take the smaller of two int64 columns in place"},

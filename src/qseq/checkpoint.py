@@ -28,14 +28,16 @@ A checkpoint is written in place.  reserve() allocates the temp file at its
 full size and maps it shared, and the kernel runs straight into the mapped
 slots, so the values reach the page cache without a copy.  While the kernel
 computes, the mapping's worker thread continues the chunk CRCs over each
-run of _Draft.chunk slots it reports finished and starts that run's
-writeback.  save() fsyncs the values, which finds little left to write,
-checksums the tail past the last report, then writes the header, the
-seed, the table and the trailer (shrinking the file first if the run died)
-and commits the file.  A trace held in memory is written into such a file
-and then checksummed, to the same bytes.  An exception at a report, Ctrl-C
-among them, ends the run there and removes the temp file.  Every CRC is
-the kernel's crc32, which equals zlib.crc32.
+run of _Draft.chunk slots it reports finished, starts that run's
+writeback, and faults in the pages of the chunk after the one the kernel
+is writing, so that the kernel itself takes few page faults.  save()
+fsyncs the values, which finds little left to write, checksums the tail
+past the last report, then writes the header, the seed, the table and the
+trailer (shrinking the file first if the run died) and commits the file.
+A trace held in memory is written into such a file and then checksummed,
+to the same bytes.  An exception at a report, Ctrl-C among them, ends the
+run there and removes the temp file.  Every CRC is the kernel's crc32,
+which equals zlib.crc32.
 
 read_header parses and checks the header and seed alone, so a caller can
 tell which run a file holds without reading its values.  load checks the
@@ -84,8 +86,8 @@ VERSION = 2
 CHUNK = 1 << 20  # values per checksummed chunk: 4 MB of 4-byte slots
 
 _HEADER = struct.Struct("<8sHBBBBHQQQ")
-# Linux 5.14's madvise that faults a range in for writing, which Python 3.11's
-# mmap does not name; None where the advice does not exist.
+# madvise advice that faults a range in for writing (Linux 5.14), which
+# Python 3.11's mmap does not name; None where it does not exist.
 _MADV_POPULATE_WRITE = getattr(mmap, "MADV_POPULATE_WRITE",
                                23 if sys.platform.startswith("linux") else None)
 _READ_CHUNK = 1 << 22  # bytes of load's two CRC buffers: the CRC runs over each read while cached
@@ -170,18 +172,20 @@ class _Draft(ReservedMapping):
     Its worker thread takes each run of slots a run reports finished
     (on_chunk), continues the chunk CRCs over it, and starts the writeback
     of its whole pages with POSIX_FADV_DONTNEED, a hint that leaves the
-    pages mapped and cached.  The reports need not fall on chunk
-    boundaries.  join() ends the worker; then crcs are the CRCs of the
-    chunks of slots [1, done), the last one unfinished unless done - 1 is a
-    multiple of CHUNK, or error is what the worker raised.  populate()
-    faults slots in before two threads write them, and ahead() starts the
-    writeback of slots written ahead of the reports.
+    pages mapped and cached.  Before that, at a report of end, it faults
+    in the pages of slots [end + chunk, end + 2 * chunk) for writing
+    (MADV_POPULATE_WRITE), one chunk ahead of the run, which writes slots
+    [end, end + chunk) meanwhile: so a long run finds its pages mapped, and
+    their page faults, which allocate and zero the page cache's folios, run
+    on the worker's core instead of the run's.  The reports need not fall
+    on chunk boundaries.  join() ends the worker; then crcs are the CRCs of
+    the chunks of slots [1, done), the last one unfinished unless done - 1
+    is a multiple of CHUNK, or error is what the worker raised.
     """
 
-    chunk = 1 << 22  # slots per report of a run: 16 MB of 4-byte slots
+    chunk = 1 << 20  # slots per report of a run: 4 MB of 4-byte slots
     temp: _TempFile
     offset: int  # where the values start
-    width: int  # bytes per value
     crcs: list[int]
     done: int
     error: BaseException | None
@@ -189,7 +193,7 @@ class _Draft(ReservedMapping):
     def start(self, temp: _TempFile, offset: int, slots: memoryview) -> None:
         import queue  # about 0.12 MB, which only a process writing a checkpoint needs
 
-        self.temp, self.offset, self.width = temp, offset, slots.itemsize
+        self.temp, self.offset = temp, offset
         self.crcs, self.done, self.error = [], 1, None
         self._todo = queue.SimpleQueue()
         self._worker = threading.Thread(target=self._work, args=(slots,),
@@ -199,22 +203,6 @@ class _Draft(ReservedMapping):
     def on_chunk(self, end: int) -> None:
         self._todo.put(end)
 
-    def populate(self, lo: int, hi: int) -> None:
-        start, end = self._extent(lo, hi)
-        if _MADV_POPULATE_WRITE is not None:
-            with contextlib.suppress(OSError):  # EINVAL before Linux 5.14
-                self.madvise(_MADV_POPULATE_WRITE, start & -mmap.PAGESIZE,
-                             end - (start & -mmap.PAGESIZE))
-
-    def ahead(self, lo: int, hi: int) -> None:
-        start, end = (at & -mmap.PAGESIZE for at in self._extent(lo, hi))
-        if hasattr(os, "posix_fadvise") and end > start:
-            os.posix_fadvise(self.temp.fh.fileno(), start, end - start, os.POSIX_FADV_DONTNEED)
-
-    def _extent(self, lo: int, hi: int) -> tuple[int, int]:
-        """Where slots [lo, hi) lie in the file."""
-        return self.offset + self.width * (lo - 1), self.offset + self.width * (hi - 1)
-
     def join(self) -> None:
         self._todo.put(None)
         self._worker.join()
@@ -223,6 +211,7 @@ class _Draft(ReservedMapping):
         fd, written = self.temp.fh.fileno(), 0
         try:
             while (end := self._todo.get()) is not None:
+                self._fault_in(slots, end + self.chunk, end + 2 * self.chunk)
                 _continue_crcs(self.crcs, slots[:end], self.done)
                 self.done = end
                 pages_end = (self.offset + slots.itemsize * (end - 1)) & -mmap.PAGESIZE
@@ -231,6 +220,17 @@ class _Draft(ReservedMapping):
                     written = pages_end
         except BaseException as exc:  # raised by _finish
             self.error = exc
+
+    def _fault_in(self, slots: memoryview, lo: int, hi: int) -> None:
+        """Fault the pages of slots [lo, hi) in for writing, where the
+        system can; past the last slot, nothing."""
+        hi = min(hi, len(slots))
+        if _MADV_POPULATE_WRITE is None or lo >= hi:
+            return
+        start = (self.offset + slots.itemsize * (lo - 1)) & -mmap.PAGESIZE
+        with contextlib.suppress(OSError):  # EINVAL before Linux 5.14
+            self.madvise(_MADV_POPULATE_WRITE, start,
+                         self.offset + slots.itemsize * (hi - 1) - start)
 
 
 @contextlib.contextmanager

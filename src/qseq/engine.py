@@ -11,21 +11,11 @@ is non-positive.  Deaths at the earliest possible step (no more than
 one term computed past the seed, i.e. step <= seed_len + 2) are
 classified strong: the seed itself is fatal.  Later deaths are weak.
 Which of the two indices failed is recorded separately.
-
-A long run into fresh memory uses two cores.  Once Q is final up to N,
-the terms up to about 1.8N read only that prefix (the paper's dominant
-recursive indices lie near n/2), so a second thread computes the upper
-part of that range from a guessed state while this one computes the
-lower; the guessed run falls onto the true one within a few dozen steps,
-and every slot past the point where two consecutive values agree with
-the checked run is final (see _run_from).
 """
 
 from __future__ import annotations
 
 import mmap
-import os
-import threading
 from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -36,15 +26,6 @@ from ._native import SLOT_CAPS, ST_DEATH, ST_OK
 from .errors import ConfigError, RangeError, TraceStateError, ValueOverflowError
 
 MAX_SEED_LEN = 8
-
-# The phases of a long run (_run_from): one pass up to SEQUENTIAL terms, then
-# phases that each take Q from final up to N to final up to SPAN * N, the
-# checked run taking the first SPLIT of the new terms; it re-runs up to
-# RESYNC of the speculated ones to find where they agree.
-SEQUENTIAL = 1 << 20
-SPAN = 1.8
-SPLIT = 0.55
-RESYNC = 1 << 12
 
 # The struct typecode of a slot, by width in bytes, in the native byte order
 # the kernel writes (little-endian, as the checkpoint format requires, on
@@ -163,31 +144,13 @@ class FileMapping(mmap.mmap):
     page given back to the OS is read again from the file."""
 
 
-class BlankMapping(mmap.mmap):
-    """A mapping whose slots past a run's start read zero until the run
-    writes them, as zeroed_slots makes one: a run may write ahead into it,
-    and zero again what it wrote past its stop."""
-
-
-class ReservedMapping(BlankMapping):
-    """A new file mapped shared for a run to fill, as checkpoint.reserve
-    maps a new checkpoint: the run calls on_chunk(end) at each multiple end
-    of chunk that it passes, in order, slots [0, end) of its buffer being
-    final.  The ends inside a speculated stretch come in a burst once the
-    checked run agrees with it.
-
-    Before each phase that two threads write, the run calls populate(lo,
-    hi) to fault slots [lo, hi) in, in one pass: faults from two writers at
-    once break the page cache's large folios into small ones (at 10^8,
-    about 15,500 faults instead of 2,900).  The guessing thread calls
-    ahead(lo, hi) after each chunk of slots [lo, hi) it wrote, which may
-    still be rewritten, so that their writeback need not wait for the
-    burst."""
+class ReservedMapping(mmap.mmap):
+    """A file mapped shared for a run to fill, as checkpoint.reserve maps a
+    new checkpoint: the run calls on_chunk(end) at each multiple end of
+    chunk that it passes, slots [0, end) of its buffer being final."""
 
     chunk: int
     on_chunk: Callable[[int], None]
-    populate: Callable[[int, int], None]
-    ahead: Callable[[int, int], None]
 
 
 class Trace:
@@ -250,7 +213,7 @@ def zeroed_slots(count: int, typecode: str) -> memoryview:
     The mapping asks for transparent huge pages, as NumPy does for its own
     large arrays.
     """
-    out = BlankMapping(-1, count * array(typecode).itemsize, flags=mmap.MAP_PRIVATE)
+    out = mmap.mmap(-1, count * array(typecode).itemsize, flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         out.madvise(mmap.MADV_HUGEPAGE)
     return memoryview(out).cast(typecode)
@@ -268,123 +231,17 @@ def _slots(config: RecursionConfig, out) -> memoryview:
     return view.cast("B").cast(config.dtype)
 
 
-def _cores() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _join(thread: threading.Thread) -> None:
-    """Join thread, waiting on through a Ctrl-C, which is raised after."""
-    interrupted = None
-    while thread.is_alive():
-        try:
-            thread.join()
-        except KeyboardInterrupt as exc:
-            interrupted = exc
-    if interrupted is not None:
-        raise interrupted
-
-
-def _blank(slots: memoryview) -> None:
-    """Zero slots, a megabyte at a time."""
-    data, zeros = slots.cast("B"), bytes(1 << 20)
-    for lo in range(0, len(data), len(zeros)):
-        part = data[lo : lo + len(zeros)]
-        part[:] = zeros[: len(part)]
-
-
 def _run_from(config: RecursionConfig, arr: memoryview, start: int) -> Trace:
     """Run the kernel in place over arr[start..config.horizon]; the Trace it leaves.
 
-    A death keeps arr[:step], a view of arr: the slots past it are as the
-    run found them, so in a fresh mapping zero, and their pages are never
-    resident.  A run into a ReservedMapping reports its finished chunks to
-    it, in order.
-
-    A run of 4-byte slots into a BlankMapping, with more than one CPU to
-    run on, goes in phases past SEQUENTIAL terms (or past start, if
-    later).  With Q final up to N, M = min(SPAN * N, horizon) and c odd,
-    about SPLIT of the way from N to M, advance runs (N, c] here while a
-    second thread runs kernel.speculate over (c, M] from the guess
-    (Q(c-1), Q(c)) = (floor((c-1)/2), floor(c/2)), reading no slot past N.
-    Then advance runs true steps from c + 1, up to RESYNC of them, over the
-    guessed values.  Where two consecutive ones agree, the guessed run's
-    state is the true one, and so is every slot it reads: each slot it
-    wrote after that is final, and the chunk reports up to its stop come in
-    a burst.  A stop of the guessed run is never final: the checked run
-    goes on from there.  A phase whose values never agree ends the
-    speculation; the checked run then writes over the rest.  Into a
-    ReservedMapping, each phase's slots are populated first, and the
-    guessing thread hands the mapping each chunk it wrote (see there).
-    8-byte slots run in one pass, since each advance call would scan the
-    prefix again.
+    A death keeps arr[:step], a view of arr: the slots past it were never
+    written, so their pages are never resident.  A run into a
+    ReservedMapping reports its finished chunks to it.
     """
-    kernel, eps, horizon = _native.kernel, config.perturbation.eps, config.horizon
     mapped = arr.obj
     chunks = (mapped.on_chunk, mapped.chunk) if isinstance(mapped, ReservedMapping) else ()
-    chunk = mapped.chunk if chunks else 0
-    done = written = start  # [1, done) final and its chunks reported; [done, written) guessed
-
-    def final(end: int) -> None:  # slots [done, end) are final
-        nonlocal done
-        if chunks:
-            for at in range(done // chunk * chunk + chunk, min(end, horizon) + 1, chunk):
-                mapped.on_chunk(at)
-        done = end
-
-    def checked(h: int) -> tuple[int, int, int, int] | None:  # advance over [done, h]
-        nonlocal done
-        result = kernel.advance(arr[: h + 1], done, *eps, *chunks)
-        if result[0] != ST_OK:
-            return result
-        done = h  # advance reported the chunks up to h
-        final(h + 1)
-        return None
-
-    stop = checked(min(SEQUENTIAL, horizon)) if start <= min(SEQUENTIAL, horizon) else None
-    speculating = config.width == 4 and isinstance(mapped, BlankMapping) and _cores() > 1
-    while stop is None and speculating and done <= horizon:
-        n, m = done - 1, min(int(SPAN * (done - 1)), horizon)
-        c = (n + int(SPLIT * (m - n))) | 1
-        if c + 2 >= m:
-            break
-        guessed = []
-
-        def guess() -> None:  # in pieces of a chunk, whose writeback a mapping may start
-            lo, before = c + 1, ((c - 1) // 2, c // 2)
-            while True:
-                hi = min(m, lo + chunk - 1) if chunks else m
-                result = kernel.speculate(arr[: hi + 1], lo, before, n, *eps)
-                if result[0] != ST_OK or hi == m:
-                    guessed.append(result)
-                    return
-                mapped.ahead(lo, hi + 1)
-                lo, before = hi + 1, (arr[hi - 1], arr[hi])
-
-        thread = threading.Thread(name="qseq-speculate", target=guess)
-        if chunks:
-            mapped.populate(done, m + 1)
-        thread.start()
-        try:
-            stop = checked(c)
-        finally:
-            _join(thread)
-        written = (guessed[0][1] or m + 1) if guessed else m + 1  # a raise may leave any written
-        theirs = array(config.dtype, arr[c + 1 : min(c + RESYNC, written - 1) + 1])
-        if stop is None and theirs:
-            stop = checked(c + len(theirs))
-        mine = arr[c + 1 : c + len(theirs) + 1]
-        speculating = bool(guessed) and any(mine[i] == theirs[i] and mine[i + 1] == theirs[i + 1]
-                                            for i in range(len(theirs) - 1))
-        if stop is None and speculating and written > done:
-            final(written)
-    if stop is None and done <= horizon:
-        stop = checked(horizon)
-    status, step, bad1, bad2 = stop or (ST_OK, 0, 0, 0)
-    if stop is not None and written > step:
-        _blank(arr[step:written])
+    status, step, bad1, bad2 = _native.kernel.advance(arr, start, *config.perturbation.eps,
+                                                      *chunks)
     if status == ST_OK:
         return Trace(config, arr, Outcome.alive())
     if status == ST_DEATH:

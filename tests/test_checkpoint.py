@@ -1,5 +1,6 @@
 """Checkpoint format: round trips, determinism, corruption detection."""
 
+import mmap
 import os
 import re
 import signal
@@ -599,6 +600,50 @@ def test_a_run_in_chunks_writes_the_file_of_one_pass(tmp_path, monkeypatch, kern
         trace = checkpoint.save(trace, path)
     assert path.read_bytes() == one_pass.read_bytes()
     assert ends == list(range(chunk, (trace.outcome.step or horizon) + 1, chunk))
+
+
+@pytest.mark.parametrize("advice", ["populate-write", "einval", "none"])
+@pytest.mark.parametrize("seed,horizon,width,chunk", [
+    ((1, 1), 30_000, 4, 4096), ((3, 1, 2), 30_000, 8, 2048), ((1, 3, 2, 2), 2000, 4, 256),
+], ids=["width-4", "width-8", "death"])
+def test_the_worker_faults_in_the_chunk_after_the_one_the_run_writes(
+        tmp_path, monkeypatch, kernel, seed, horizon, width, chunk, advice):
+    """At each report of end, the worker asks to fault in the pages of
+    slots [end + chunk, end + 2 * chunk), none past the last slot, even past
+    a death; where the advice fails or does not exist, it asks nothing
+    more, and the file is the one-pass file either way."""
+    value = {"populate-write": checkpoint._MADV_POPULATE_WRITE, "einval": 12345,
+             "none": None}[advice]
+    if advice == "populate-write" and value is None:
+        pytest.skip("no MADV_POPULATE_WRITE on this platform")
+    monkeypatch.setattr(checkpoint, "_MADV_POPULATE_WRITE", value)
+    config = RecursionConfig(seed=Seed(seed), horizon=horizon, width=width)
+    one_pass = tmp_path / "one-pass.qtr"
+    checkpoint.save(run(config), one_pass)
+    monkeypatch.setattr(checkpoint._Draft, "chunk", chunk)
+    asked, madvise = [], checkpoint._Draft.madvise
+
+    def record(draft, option, *span):
+        if option == value:
+            asked.append(span)
+        return madvise(draft, option, *span)
+
+    monkeypatch.setattr(checkpoint._Draft, "madvise", record)
+    path = tmp_path / "reserved.qtr"
+    with checkpoint.reserve(path, config) as slots:
+        offset = slots.obj.offset
+        trace = checkpoint.save(run(config, slots), path)
+    assert path.read_bytes() == one_pass.read_bytes()
+
+    def byte(n):  # where slot n lies in the file
+        return offset + width * (n - 1)
+
+    last = (trace.outcome.step or horizon) // chunk * chunk
+    want = [(byte(end + chunk) & -mmap.PAGESIZE,
+             byte(min(end + 2 * chunk, horizon + 1)) - (byte(end + chunk) & -mmap.PAGESIZE))
+            for end in range(chunk, last + 1, chunk) if end + chunk <= horizon]
+    assert asked == (want if value is not None else [])
+    assert want and (trace.outcome.step is None or last + chunk > trace.outcome.step)
 
 
 def test_a_run_stopped_at_a_chunk_boundary_leaves_no_temp_or_thread(tmp_path, monkeypatch,

@@ -41,7 +41,7 @@ def test_status_codes_match_the_kernel_source():
             re.findall(r"^#define (ST_\w+) (\d+)$", source, flags=re.MULTILINE)}
     in_python = {name: code for name, code in vars(_native).items() if name.startswith("ST_")}
     assert in_c == in_python
-    assert len(in_c) == 6
+    assert len(in_c) == 5
 
 
 def test_first_twenty_values():
