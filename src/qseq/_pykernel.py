@@ -60,8 +60,6 @@ def advance(values, start, eps_even, eps_odd, on_chunk=None, chunk=0):
     if q.itemsize == 8 and max(q[1:start]) > cap:
         raise ValueError("a value before start exceeds 2**63 - 1")
     for n in range(start, len(q)):
-        if on_chunk is not None and n % chunk == 0 and n > start:
-            on_chunk(n)
         t1, t2 = n - q[n - 1], n - q[n - 2]
         if t1 <= 0 or t2 <= 0:
             return ST_DEATH, n, int(t1 <= 0), int(t2 <= 0)
@@ -69,6 +67,8 @@ def advance(values, start, eps_even, eps_odd, on_chunk=None, chunk=0):
         if not 0 <= val <= cap:
             return ST_OVERFLOW, n, 0, 0
         q[n] = val
+        if on_chunk is not None and n % chunk == 0 and n < len(q) - 1:
+            on_chunk(n)
     return ST_OK, 0, 0, 0
 
 

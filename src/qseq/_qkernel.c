@@ -105,12 +105,13 @@ slot(const Py_buffer *v, long long i)
  * q[1..start-1] of 8-byte slots exceeds 2^63 - 1; resuming at 10^7 scans
  * that prefix once.  No 4-byte value can exceed its cap.
  *
- * The loop runs without the GIL.  Given on_chunk, it stops short of each
- * multiple end of chunk in (start, horizon], takes the GIL, checks for
- * signals and calls on_chunk(end), slots [0, end) being final by then, and
- * runs on; so a caller can hand finished chunks to another thread while the
- * run goes on, and Ctrl-C stops it at the next boundary.  An exception
- * there stops the run and is raised, the slots from end on unwritten.
+ * The loop runs without the GIL.  Given on_chunk, it stops just after it
+ * writes each multiple end of chunk in [start, horizon), takes the GIL,
+ * checks for signals and calls on_chunk(end), slots [0, end] being final
+ * by then, and runs on; so a caller can hand finished chunks to another
+ * thread while the run goes on, and Ctrl-C stops it at the next boundary.
+ * An exception there stops the run and is raised, the slots past end
+ * unwritten.
  *
  * One loop, defined for each slot type, carries Q(n-1), Q(n-2) and Q(n-3)
  * in p1, p2 and p3 instead of loading back the slots just written.  It
@@ -221,8 +222,8 @@ advance(PyObject *self, PyObject *args)
     else if (qv.itemsize == 8 && prefix_above_int64((uint64_t *)qv.buf, start))
         error = "a value before start exceeds 2**63 - 1";
     while (!error && stop.status == ST_OK && n <= horizon) {
-        long long end = on_chunk == Py_None ? horizon + 1 : n / chunk * chunk + chunk;
-        long long h = end <= horizon ? end - 1 : horizon;
+        long long h = on_chunk == Py_None ? horizon : (n - 1) / chunk * chunk + chunk;
+        h = h < horizon ? h : horizon;  /* the first multiple of chunk >= n, clipped */
         Py_BEGIN_ALLOW_THREADS
         if (qv.itemsize == 4)
             stop = advance4((uint32_t *)qv.buf, n, h, eps_even, eps_odd);
@@ -232,7 +233,7 @@ advance(PyObject *self, PyObject *args)
         n = h + 1;
         if (stop.status == ST_OK && n <= horizon) {
             PyObject *done = PyErr_CheckSignals() < 0 ? NULL
-                             : PyObject_CallFunction(on_chunk, "L", n);
+                             : PyObject_CallFunction(on_chunk, "L", h);
             error = done ? NULL : "";  /* "": the callback's exception is set */
             Py_XDECREF(done);
         }

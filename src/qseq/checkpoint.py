@@ -27,12 +27,12 @@ half-written file behind.
 A checkpoint is written in place.  reserve() allocates the temp file at its
 full size and maps it shared, and the kernel runs straight into the mapped
 slots, so the values reach the page cache without a copy.  While the kernel
-computes, the mapping's worker thread continues the chunk CRCs over each
-run of _Draft.chunk slots it reports finished, starts that run's
-writeback, and faults in the pages of the chunk after the one the kernel
-is writing, so that the kernel itself takes few page faults.  save()
-fsyncs the values, which finds little left to write, checksums the tail
-past the last report, then writes the header, the seed, the table and the
+computes, it reports each chunk of CHUNK slots it finishes, and the
+mapping's worker thread checksums that chunk, starts its writeback, and
+faults in the pages of the chunk after the one the kernel is writing, so
+that the kernel itself takes few page faults.  save() fsyncs the values,
+which finds little left to write, checksums the chunks of the tail past
+the last report, then writes the header, the seed, the table and the
 trailer (shrinking the file first if the run died) and commits the file.
 A trace held in memory is written into such a file and then checksummed,
 to the same bytes.  An exception at a report, Ctrl-C among them, ends the
@@ -152,49 +152,40 @@ def atomic_write(path: str | Path) -> Iterator[_TempFile]:
         raise
 
 
-def _continue_crcs(crcs: list[int], values: memoryview, done: int) -> list[int]:
-    """crcs, the CRCs of the chunks of values[1:done], continued over the
-    rest of values: the last one while its chunk is unfinished, then one
-    CRC from 0 for each chunk after it."""
-    while done < len(values):
-        if (done - 1) % CHUNK == 0:
-            crcs.append(0)
-        end = min(len(values), done + CHUNK - (done - 1) % CHUNK)
-        crcs[-1] = _native.kernel.crc32(values[done:end], crcs[-1])
-        done = end
-    return crcs
+def _chunk_crcs(values: memoryview, first: int) -> list[int]:
+    """The CRC, from 0, of each chunk of values[1:] from chunk first on."""
+    crc32 = _native.kernel.crc32
+    return [crc32(values[lo : lo + CHUNK]) for lo in range(1 + CHUNK * first, len(values), CHUNK)]
 
 
 class _Draft(ReservedMapping):
     """A shared mapping of a checkpoint's temp file at its full size, made
     by reserve() and finished by save().
 
-    Its worker thread takes each run of slots a run reports finished
-    (on_chunk), continues the chunk CRCs over it, and starts the writeback
-    of its whole pages with POSIX_FADV_DONTNEED, a hint that leaves the
-    pages mapped and cached.  Before that, at a report of end, it faults
-    in the pages of slots [end + chunk, end + 2 * chunk) for writing
+    Its chunk is CHUNK, so a run into it reports (on_chunk) the end of each
+    chunk of the file's table it closes, slots [1, end] being final.  Its
+    worker thread appends the CRC of each chunk that a report closes and
+    starts the writeback of their whole pages with POSIX_FADV_DONTNEED, a
+    hint that leaves the pages mapped and cached.  Before that it faults in
+    the pages of slots (end + CHUNK, end + 2 * CHUNK] for writing
     (MADV_POPULATE_WRITE), one chunk ahead of the run, which writes slots
-    [end, end + chunk) meanwhile: so a long run finds its pages mapped, and
+    (end, end + CHUNK] meanwhile: so a long run finds its pages mapped, and
     their page faults, which allocate and zero the page cache's folios, run
-    on the worker's core instead of the run's.  The reports need not fall
-    on chunk boundaries.  join() ends the worker; then crcs are the CRCs of
-    the chunks of slots [1, done), the last one unfinished unless done - 1
-    is a multiple of CHUNK, or error is what the worker raised.
+    on the worker's core instead of the run's.  join() ends the worker;
+    then crcs are the CRCs of the chunks up to the last report, or error is
+    what the worker raised.
     """
 
-    chunk = 1 << 20  # slots per report of a run: 4 MB of 4-byte slots
     temp: _TempFile
     offset: int  # where the values start
     crcs: list[int]
-    done: int
     error: BaseException | None
 
     def start(self, temp: _TempFile, offset: int, slots: memoryview) -> None:
         import queue  # about 0.12 MB, which only a process writing a checkpoint needs
 
-        self.temp, self.offset = temp, offset
-        self.crcs, self.done, self.error = [], 1, None
+        self.temp, self.offset, self.chunk = temp, offset, CHUNK
+        self.crcs, self.error = [], None
         self._todo = queue.SimpleQueue()
         self._worker = threading.Thread(target=self._work, args=(slots,),
                                         name="qseq-save-chunks")
@@ -211,10 +202,9 @@ class _Draft(ReservedMapping):
         fd, written = self.temp.fh.fileno(), 0
         try:
             while (end := self._todo.get()) is not None:
-                self._fault_in(slots, end + self.chunk, end + 2 * self.chunk)
-                _continue_crcs(self.crcs, slots[:end], self.done)
-                self.done = end
-                pages_end = (self.offset + slots.itemsize * (end - 1)) & -mmap.PAGESIZE
+                self._fault_in(slots, end + CHUNK, end + 2 * CHUNK)
+                self.crcs += _chunk_crcs(slots[: end + 1], len(self.crcs))
+                pages_end = (self.offset + slots.itemsize * end) & -mmap.PAGESIZE
                 if hasattr(os, "posix_fadvise") and pages_end > written:
                     os.posix_fadvise(fd, written, pages_end - written, os.POSIX_FADV_DONTNEED)
                     written = pages_end
@@ -222,15 +212,14 @@ class _Draft(ReservedMapping):
             self.error = exc
 
     def _fault_in(self, slots: memoryview, lo: int, hi: int) -> None:
-        """Fault the pages of slots [lo, hi) in for writing, where the
+        """Fault the pages of slots (lo, hi] in for writing, where the
         system can; past the last slot, nothing."""
-        hi = min(hi, len(slots))
+        hi = min(hi, len(slots) - 1)
         if _MADV_POPULATE_WRITE is None or lo >= hi:
             return
-        start = (self.offset + slots.itemsize * (lo - 1)) & -mmap.PAGESIZE
+        start = (self.offset + slots.itemsize * lo) & -mmap.PAGESIZE
         with contextlib.suppress(OSError):  # EINVAL before Linux 5.14
-            self.madvise(_MADV_POPULATE_WRITE, start,
-                         self.offset + slots.itemsize * (hi - 1) - start)
+            self.madvise(_MADV_POPULATE_WRITE, start, self.offset + slots.itemsize * hi - start)
 
 
 @contextlib.contextmanager
@@ -244,7 +233,7 @@ def reserve(path: str | Path, config: RecursionConfig,
     disk space is allocated first, so that a full disk raises OSError here
     instead of SIGBUS in the kernel.  Slot 0 overlays the last seed bytes:
     nothing may write it.  The mapping's worker checksums and starts writing
-    back each run of slots the run reports; it ends with the block.  Leaving
+    back each chunk the run reports; it ends with the block.  Leaving
     the block without save() removes the temp file, and path keeps its old
     file.
     """
@@ -287,10 +276,10 @@ def save(trace: Trace, path: str | Path) -> Trace:
     """Write the trace atomically to path; return it mapped from the new file.
 
     A trace run into reserve(path)'s slots is finished in place: the
-    mapping's worker has checksummed each run of slots the run reported and
+    mapping's worker has checksummed each chunk the run reported and
     started its writeback while the run went on, so the fsync finds little
-    left to write, and only the tail past the last report, at most
-    _Draft.chunk slots, is checksummed after it (about 1 ms).  Any other
+    left to write, and only the tail past the last report, at most one
+    chunk, is checksummed after it (about 1 ms).  Any other
     trace is written into a file reserved for its length, then checksummed.
     Then the header, the seed, the chunk table and the trailer are written,
     after the file shrinks to step - 1 values if the run died, and the file
@@ -317,8 +306,8 @@ def save(trace: Trace, path: str | Path) -> Trace:
 
 def _finish(draft: _Draft, trace: Trace, flush: Callable[[], None]) -> Trace:
     """Join draft's worker, run flush(), which puts the values in draft's
-    file, continue the chunk CRCs over the values the worker did not
-    reach, then write the header, the seed, the table of those CRCs and the
+    file, append the CRCs of the chunks the worker did not reach, then
+    write the header, the seed, the table of those CRCs and the
     trailer into the file and commit it; the trace save() returns.
     """
     cfg = trace.config
@@ -340,7 +329,7 @@ def _finish(draft: _Draft, trace: Trace, flush: Callable[[], None]) -> Trace:
     if draft.error is not None:
         raise draft.error
     flush()
-    crcs = _continue_crcs(draft.crcs, trace.values, draft.done)
+    crcs = draft.crcs + _chunk_crcs(trace.values, len(draft.crcs))
     table = struct.pack(f"<{len(crcs)}I", *crcs)
     crc32 = _native.kernel.crc32
     trailer = struct.pack("<I", crc32(table, crc32(header)))

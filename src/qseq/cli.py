@@ -102,7 +102,6 @@ class SeriesText(Sequence):
 
     def __init__(self, count: int, rows: Callable[[int, int], Series]):
         self.count, self.rows = count, rows
-        self.block = BLOCK_ROWS
 
     @classmethod
     def of(cls, x, y, halves: bool = False) -> "SeriesText":
@@ -120,13 +119,13 @@ class SeriesText(Sequence):
         return cls(len(y), rows)
 
     def __len__(self) -> int:
-        return -(-self.count // self.block)
+        return -(-self.count // BLOCK_ROWS)
 
     def __getitem__(self, i: int) -> bytes:
         if not 0 <= i < len(self):
             raise IndexError(i)
-        a = i * self.block
-        return format_series_lines(self.rows(a, min(a + self.block, self.count)))
+        a = i * BLOCK_ROWS
+        return format_series_lines(self.rows(a, min(a + BLOCK_ROWS, self.count)))
 
 
 def write_text(path: Path, lines: Sequence[str | bytes]) -> None:

@@ -146,8 +146,9 @@ class FileMapping(mmap.mmap):
 
 class ReservedMapping(mmap.mmap):
     """A file mapped shared for a run to fill, as checkpoint.reserve maps a
-    new checkpoint: the run calls on_chunk(end) at each multiple end of
-    chunk that it passes, slots [0, end) of its buffer being final."""
+    new checkpoint: the run calls on_chunk(end) just after it writes each
+    multiple end of chunk before its horizon, slots [0, end] of its buffer
+    being final."""
 
     chunk: int
     on_chunk: Callable[[int], None]

@@ -10,6 +10,7 @@ stated 0.1 bound.  Both the production engine and the independent naive
 oracle agree on the value, so the honest result is red.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -21,7 +22,7 @@ import oracle
 import pytest
 from qseq import _native, checkpoint, perfprobe, verify
 from qseq.cli import EXIT_CONFIG, EXIT_OK, main
-from qseq.engine import Trace, extend
+from qseq.engine import RecursionConfig, Seed, Trace, extend, run
 from qseq.seedlab import SeedClass
 from qseq.verify import (
     check_block_histograms,
@@ -243,11 +244,17 @@ def test_criterion_13_checkpoint_round_trip(artifacts):
     report(check_round_trip(artifacts))
 
 
+def with_values(trace, changes):
+    """The trace with Q(n) = v for each n: v of changes, in memory."""
+    values = memoryview(bytearray(trace.values)).cast(trace.config.dtype)
+    for n, v in changes.items():
+        values[n] = v
+    return Trace(trace.config, values, trace.outcome)
+
+
 def one_value_changed(trace, n=1000):
     """The trace with Q(n) raised by 2, in memory."""
-    values = memoryview(bytearray(trace.values)).cast(trace.config.dtype)
-    values[n] += 2
-    return Trace(trace.config, values, trace.outcome)
+    return with_values(trace, {n: trace.values[n] + 2})
 
 
 def test_criterion_13_fails_when_load_changes_a_value(artifacts, monkeypatch):
@@ -287,6 +294,75 @@ def test_criterion_13_fails_when_extend_differs_from_a_fresh_run(artifacts, monk
     result = check_round_trip(artifacts)
     assert "[FAIL]" in result.line
     assert result.detail == "extend(1e5 -> 1e6) differs from a fresh run"
+
+
+def forged(**inputs):
+    """Artifacts whose cached inputs are the forged objects given, by name."""
+    art = verify.Artifacts()
+    art.__dict__.update(inputs)
+    return art
+
+
+def with_counts(table, field, changes):
+    """The frequency table with its counts or late_counts (field) set to
+    count c at m for each m: c of changes."""
+    counts = bytearray(getattr(table, field))
+    for m, c in changes.items():
+        counts[m] = c
+    return dataclasses.replace(table, **{field: memoryview(counts).toreadonly()})
+
+
+def test_criterion_04_fails_on_an_even_value():
+    trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=1000))
+    result = check_parity(forged(main_trace=with_values(trace, {777: 400})))
+    assert not result.passed
+    assert result.detail == "even value Q(777)=400"
+
+
+def test_criterion_07_fails_on_a_block_made_incomplete(freq_table):
+    """A value of block k=10 seen once more after n_max/2 leaves the block
+    open, so its law is not checked."""
+    result = check_dyadic_blocks(forged(freq_table=with_counts(freq_table, "late_counts",
+                                                               {1500: 1})))
+    assert not result.passed
+    assert result.detail == "k=10 incomplete"
+
+
+def test_criterion_08_fails_on_a_tied_peak(freq_table):
+    """The m after block 9's peak raised to the peak's count: the first
+    peak and its ratio stay, the tie alone fails."""
+    peak = verify.PEAKS_5_TO_11[4]
+    table = with_counts(freq_table, "counts", {peak + 1: freq_table.counts[peak]})
+    result = check_peaks(forged(freq_table=table))
+    assert not result.passed
+    assert result.detail == "k=9 peak tied 2 ways"
+
+
+def test_criterion_09_fails_on_one_seed_reclassified(artifacts):
+    """(1,3,3) filed as original instead of shifted by 2."""
+    table = dict(artifacts.survey)
+    (shifted,) = table[SeedClass.SHIFTED_ORIGINAL]
+    table[SeedClass.SHIFTED_ORIGINAL] = ()
+    table[SeedClass.ORIGINAL] += (dataclasses.replace(shifted, classification=SeedClass.ORIGINAL,
+                                                      shift=None),)
+    result = check_seed_table(forged(survey=table))
+    assert not result.passed
+    assert result.detail == ("original group [(1, 1, 1), (1, 3, 3)] != [(1, 1, 1)];"
+                             " shifted_original group [] != [(1, 3, 3)];"
+                             " (1,3,3) shift None != 2")
+
+
+@pytest.mark.parametrize("residual", [4001, 70001])
+def test_criterion_11_fails_on_one_odd_residual_raised(residual):
+    """Rodd(200000) = Q(799998) - 2Q(399999) forged to residual in a 10^6
+    trace: past the recorded maximum, then past the even one too.  No even
+    residual reads Q(799998) for k <= 250,000."""
+    trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=10**6))
+    q = with_values(trace, {799_998: 2 * trace.values[399_999] + residual})
+    result = check_renorm_split(forged(main_trace=q))
+    assert not result.passed
+    assert result.detail == (f"max|odd residual| = {residual} < max|even residual| = 64857"
+                             " (k <= 250,000), expected (3387, 64857)")
 
 
 def test_growth_failure_is_exactly_the_known_edge_case(artifacts):

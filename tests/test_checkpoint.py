@@ -154,16 +154,17 @@ def table_and_trailer(body):
 def test_compute_writes_the_crcs_that_zlib_computes(tmp_path, monkeypatch, capsys, width):
     """Save and load share the kernel's crc32, so a wrong CRC would agree
     with itself.  Here zlib.crc32 recomputes every entry of the chunk table
-    and the trailer of the files compute writes: at 1,000,003 terms, one
-    short chunk, then extended to 3 chunks, the last 125,001 slots.  The
-    run reports every 300,007 slots, so the worker continues CRCs from
-    inside chunks, at offsets and over lengths that are not multiples of
-    16 bytes, and save checksums a tail."""
+    and the trailer of the files compute writes: at 1,000,003 terms, three
+    chunks of 300,007 slots and a short one, then extended to 8 chunks, the
+    last 125,001 slots.  The worker checksums the chunks the run reports,
+    at offsets and over lengths that are not multiples of 16 bytes, the
+    copied prefix of the extension among them, and save checksums a tail.
+    Each file is the one a trace saved from memory makes."""
     from qseq.cli import main
 
-    monkeypatch.setattr(checkpoint._Draft, "chunk", 300_007)
+    monkeypatch.setattr(checkpoint, "CHUNK", 300_007)
     path = tmp_path / "t.qtr"
-    for horizon, chunks in [(1_000_003, 1), (2 * checkpoint.CHUNK + 125_001, 3)]:
+    for horizon, chunks in [(1_000_003, 4), (7 * checkpoint.CHUNK + 125_001, 8)]:
         argv = ["compute", "--horizon", str(horizon), "--width", str(width), "--trace", str(path)]
         assert main(argv) == 0
         data = path.read_bytes()
@@ -172,6 +173,8 @@ def test_compute_writes_the_crcs_that_zlib_computes(tmp_path, monkeypatch, capsy
         assert data[start:end] == run(config).values[1:].tobytes()
         assert len(data) == end + 4 * chunks + 4
         assert data[end:] == table_and_trailer(data[:end])
+        checkpoint.save(run(config), tmp_path / "one-pass.qtr")
+        assert data == (tmp_path / "one-pass.qtr").read_bytes()
     capsys.readouterr()
 
 
@@ -563,30 +566,34 @@ def test_a_reserved_file_left_without_save_is_removed(tmp_path):
 
 
 # (seed, horizon of a first run that is extended or None, horizon, width,
-# slots per report, checkpoint.CHUNK): seed (1,3,2,2) dies at step 719,
-# holding 718 = 2·359 values.
+# checkpoint.CHUNK): seed (1,3,2,2) dies at step 719, holding 718 = 2·359
+# values.
 CHUNKED_RUNS = {
-    "death-inside-the-first-chunk": ((1, 3, 2, 2), None, 2000, 4, 1024, 100),
-    "death-at-a-boundary": ((1, 3, 2, 2), None, 2000, 4, 719, 359),
-    "horizon-a-multiple": ((1, 1), None, 4096, 4, 256, 512),
-    "length-plus-one-a-multiple": ((1, 1), None, 4095, 4, 256, 512),
-    "extension-from-mid-chunk": ((1, 1), 1000, 3000, 4, 256, 384),
-    "8-byte-slots": ((3, 1, 2), None, 3000, 8, 256, 100),
+    "death-inside-the-first-chunk": ((1, 3, 2, 2), None, 2000, 4, 1024),
+    "death-inside-a-later-chunk": ((1, 3, 2, 2), None, 2000, 4, 100),
+    "death-at-a-boundary": ((1, 3, 2, 2), None, 2000, 4, 359),
+    "horizon-a-multiple": ((1, 1), None, 4096, 4, 512),
+    "length-plus-one-a-multiple": ((1, 1), None, 4095, 4, 512),
+    "horizon-a-multiple-plus-one": ((1, 1), None, 4097, 4, 512),
+    "extension-from-mid-chunk": ((1, 1), 1000, 3000, 4, 384),
+    "extension-from-a-boundary": ((1, 1), 768, 3000, 4, 384),
+    "extension-resumed-at-a-boundary": ((1, 1), 1151, 3000, 4, 384),
+    "8-byte-slots": ((3, 1, 2), None, 3000, 8, 100),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CHUNKED_RUNS))
 def test_a_run_in_chunks_writes_the_file_of_one_pass(tmp_path, monkeypatch, kernel, case):
-    """Each kernel reports every boundary of a report the run passes, the
-    copied prefix of an extension included, and the worker's chunk CRCs,
-    continued over the tail, give the bytes of a trace saved from memory,
-    whether the reports fall inside a chunk, on its end, or past it."""
-    seed, first, horizon, width, chunk, crc_chunk = CHUNKED_RUNS[case]
-    monkeypatch.setattr(checkpoint, "CHUNK", crc_chunk)
+    """Each kernel reports the end of every chunk the run writes before its
+    horizon, the copied prefix of an extension included, and the worker's
+    CRCs of those chunks, with save's of the tail, give the bytes of a
+    trace saved from memory under the same CHUNK, whether the run stops
+    inside a chunk, at its end or one past it."""
+    seed, first, horizon, width, chunk = CHUNKED_RUNS[case]
+    monkeypatch.setattr(checkpoint, "CHUNK", chunk)
     config = RecursionConfig(seed=Seed(seed), horizon=horizon, width=width)
     one_pass = tmp_path / "one-pass.qtr"
     checkpoint.save(run(config), one_pass)
-    monkeypatch.setattr(checkpoint._Draft, "chunk", chunk)
     ends, report = [], checkpoint._Draft.on_chunk
     monkeypatch.setattr(checkpoint._Draft, "on_chunk",
                         lambda draft, end: (ends.append(end), report(draft, end))[1])
@@ -599,7 +606,8 @@ def test_a_run_in_chunks_writes_the_file_of_one_pass(tmp_path, monkeypatch, kern
         trace = run(config, slots) if stored is None else extend(stored, horizon, slots)
         trace = checkpoint.save(trace, path)
     assert path.read_bytes() == one_pass.read_bytes()
-    assert ends == list(range(chunk, (trace.outcome.step or horizon) + 1, chunk))
+    assert ends == [end for end in range(chunk, trace.outcome.step or horizon, chunk)
+                    if end != first]
 
 
 @pytest.mark.parametrize("advice", ["populate-write", "einval", "none"])
@@ -609,18 +617,19 @@ def test_a_run_in_chunks_writes_the_file_of_one_pass(tmp_path, monkeypatch, kern
 def test_the_worker_faults_in_the_chunk_after_the_one_the_run_writes(
         tmp_path, monkeypatch, kernel, seed, horizon, width, chunk, advice):
     """At each report of end, the worker asks to fault in the pages of
-    slots [end + chunk, end + 2 * chunk), none past the last slot, even past
+    slots (end + CHUNK, end + 2 * CHUNK], none past the last slot, even past
     a death; where the advice fails or does not exist, it asks nothing
-    more, and the file is the one-pass file either way."""
+    more, and the file is the one-pass file under the same CHUNK either
+    way."""
     value = {"populate-write": checkpoint._MADV_POPULATE_WRITE, "einval": 12345,
              "none": None}[advice]
     if advice == "populate-write" and value is None:
         pytest.skip("no MADV_POPULATE_WRITE on this platform")
     monkeypatch.setattr(checkpoint, "_MADV_POPULATE_WRITE", value)
+    monkeypatch.setattr(checkpoint, "CHUNK", chunk)
     config = RecursionConfig(seed=Seed(seed), horizon=horizon, width=width)
     one_pass = tmp_path / "one-pass.qtr"
     checkpoint.save(run(config), one_pass)
-    monkeypatch.setattr(checkpoint._Draft, "chunk", chunk)
     asked, madvise = [], checkpoint._Draft.madvise
 
     def record(draft, option, *span):
@@ -635,15 +644,15 @@ def test_the_worker_faults_in_the_chunk_after_the_one_the_run_writes(
         trace = checkpoint.save(run(config, slots), path)
     assert path.read_bytes() == one_pass.read_bytes()
 
-    def byte(n):  # where slot n lies in the file
-        return offset + width * (n - 1)
+    def byte(n):  # where slot n ends in the file
+        return offset + width * n
 
-    last = (trace.outcome.step or horizon) // chunk * chunk
+    ends = range(chunk, trace.outcome.step or horizon, chunk)
     want = [(byte(end + chunk) & -mmap.PAGESIZE,
-             byte(min(end + 2 * chunk, horizon + 1)) - (byte(end + chunk) & -mmap.PAGESIZE))
-            for end in range(chunk, last + 1, chunk) if end + chunk <= horizon]
+             byte(min(end + 2 * chunk, horizon)) - (byte(end + chunk) & -mmap.PAGESIZE))
+            for end in ends if end + chunk < horizon]
     assert asked == (want if value is not None else [])
-    assert want and (trace.outcome.step is None or last + chunk > trace.outcome.step)
+    assert want and (trace.outcome.step is None or ends[-1] + chunk >= trace.outcome.step)
 
 
 def test_a_run_stopped_at_a_chunk_boundary_leaves_no_temp_or_thread(tmp_path, monkeypatch,
@@ -654,7 +663,7 @@ def test_a_run_stopped_at_a_chunk_boundary_leaves_no_temp_or_thread(tmp_path, mo
     path = tmp_path / "trace.qtr"
     checkpoint.save(run(RecursionConfig(seed=Seed((1, 1)), horizon=100)), path)
     old = path.read_bytes()
-    monkeypatch.setattr(checkpoint._Draft, "chunk", 256)
+    monkeypatch.setattr(checkpoint, "CHUNK", 256)
     ends, report = [], checkpoint._Draft.on_chunk
 
     def on_chunk(draft, end):
@@ -771,8 +780,8 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp_or_thread(tmp_path, m
     outlives save; no other thread starts.  A failure before the temp file
     exists starts no thread at all.  Both ways to save are tried: a trace
     held in memory, which the caller checksums after its write, and a run
-    into reserved slots, whose worker checksums each 2^18-slot report while
-    the run goes on, so that a failing CRC fails there.  The payload
+    into reserved slots, whose worker checksums each 2^18-slot chunk the
+    run reports while the run goes on, so that a failing CRC fails there.  The payload
     reaches the disk through fsync, so a failing write of it surfaces
     there: for a run into the file, before the tail's CRC.  The failure is
     injected through the kernel binding, which every CRC goes through."""
@@ -802,7 +811,7 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp_or_thread(tmp_path, m
 
     monkeypatch.setattr(checkpoint, "threading", SimpleNamespace(Thread=Thread))
     monkeypatch.setattr(_native, "kernel", SimpleNamespace(advance=kernel.advance, crc32=crc32))
-    monkeypatch.setattr(checkpoint._Draft, "chunk", 1 << 18)
+    monkeypatch.setattr(checkpoint, "CHUNK", 1 << 18)
     if failing == "mkstemp":
         monkeypatch.setattr(checkpoint.tempfile, "mkstemp", fail)
     elif failing == "payload-write":

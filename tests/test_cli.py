@@ -349,12 +349,15 @@ def test_a_full_disk_exits_io_and_keeps_the_old_checkpoint(tmp_path, monkeypatch
 ], ids=["extended", "died"])
 def test_the_python_twin_computes_the_file_the_c_kernel_does(tmp_path, monkeypatch, capsys,
                                                              args, horizons, code):
-    """The twin, reporting chunks of 256 slots, writes the file that the C
-    kernel writes in one pass."""
-    native, twin = tmp_path / "c.qtr", tmp_path / "py.qtr"
+    """The twin and the C kernel, each reporting chunks of CHUNK = 256
+    slots, write the file of a trace saved from memory under the same
+    CHUNK."""
+    native, twin, one_pass = tmp_path / "c.qtr", tmp_path / "py.qtr", tmp_path / "one-pass.qtr"
+    monkeypatch.setattr(checkpoint, "CHUNK", 256)
     assert main(["compute", *args, "--horizon", "3000", "--trace", str(native)]) == code
+    checkpoint.save(run(checkpoint.load(native).config), one_pass)
+    assert native.read_bytes() == one_pass.read_bytes()
     monkeypatch.setattr(_native, "kernel", _pykernel)
-    monkeypatch.setattr(checkpoint._Draft, "chunk", 256)
     for horizon in horizons:
         assert main(["compute", *args, "--horizon", horizon, "--trace", str(twin)]) == code
     assert twin.read_bytes() == native.read_bytes()

@@ -141,10 +141,21 @@ def test_output_matches_golden(produced, name):
 
 def test_each_kernel_writes_the_same_files(tmp_path, monkeypatch, kernel):
     """The C kernel and its pure-Python twin write every file byte for byte
-    the same, each reporting the chunks of a run into a checkpoint every 41
-    slots: seed (1,2,1) dies at step 41, at a boundary."""
-    monkeypatch.setattr(checkpoint._Draft, "chunk", 41)
-    assert produce(tmp_path) == GOLDEN
+    the same, each reporting the chunks of a run into a checkpoint at
+    CHUNK = 41 slots.  The text files are the golden ones.  Each checkpoint
+    holds the golden header and values, its version-1 image pinned, and is
+    the file that a save of its trace from memory writes under that CHUNK.
+    Seed (1,2,1) dies at step 41, one slot short of its first chunk's end."""
+    monkeypatch.setattr(checkpoint, "CHUNK", 41)
+    produced = produce(tmp_path)
+    assert sorted(produced) == sorted(GOLDEN)
+    assert {name: produced[name] for name in GOLDEN if name not in V1_GOLDEN} == \
+        {name: GOLDEN[name] for name in GOLDEN if name not in V1_GOLDEN}
+    for name in V1_GOLDEN:
+        raw = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(v1_image(raw)).hexdigest() == V1_GOLDEN[name]
+        checkpoint.save(checkpoint.load(tmp_path / name), tmp_path / "one-pass.qtr")
+        assert raw == (tmp_path / "one-pass.qtr").read_bytes(), name
 
 
 @pytest.mark.parametrize("name", sorted(V1_GOLDEN))

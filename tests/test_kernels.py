@@ -175,22 +175,31 @@ def test_advance_matches_the_twin(seed, width):
 CHUNK_CASES = {
     "death-inside-the-first-chunk": ((1, 3, 2, 2), 2000, 4, 5, 1024),
     "death-at-a-boundary": ((1, 3, 2, 2), 2000, 4, 5, 719),
+    "death-just-past-a-boundary": ((1, 3, 2, 2), 2000, 4, 5, 718),
     "horizon-a-multiple": ((1, 1), 2048, 4, 3, 256),
     "last-slot-a-multiple-minus-one": ((1, 1), 2047, 4, 3, 256),
+    "horizon-a-multiple-plus-one": ((1, 1), 2049, 4, 3, 256),
     "resumed-mid-chunk": ((1, 1), 3000, 4, 1000, 256),
     "resumed-at-a-boundary": ((1, 1), 3000, 4, 1024, 256),
+    "resumed-just-past-a-boundary": ((1, 1), 3000, 4, 1025, 256),
     "8-byte-slots": ((3, 1, 2), 3000, 8, 4, 256),
     "odd-chunk": ((1, 1), 1000, 4, 3, 7),
     "every-step": ((1, 1), 100, 4, 3, 1),
 }
 
 
+def report_ends(start: int, stop: int, chunk: int) -> list[int]:
+    """The ends advance reports with on_chunk, chunk, from start: each
+    multiple of chunk in [start, stop)."""
+    return [end for end in range(chunk, stop, chunk) if end >= start]
+
+
 @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
 def test_advance_reports_each_chunk_and_writes_what_one_pass_writes(kernel, case):
-    """on_chunk(end) is called at each multiple of chunk in (start, stop],
-    stop being the step that stopped the run or else the horizon, once the
-    slots before it are written; the run writes what one pass writes and
-    leaves the slots from its stop on untouched."""
+    """on_chunk(end) is called at each multiple of chunk in [start, stop),
+    stop being the step that stopped the run or else the horizon, just after
+    slot end is written; the run writes what one pass writes and leaves the
+    slots from its stop on untouched."""
     seed, horizon, width, start, chunk = CHUNK_CASES[case]
     one_pass = np.zeros(horizon + 1, dtype=f"<u{width}")
     one_pass[1 : len(seed) + 1] = seed
@@ -201,11 +210,12 @@ def test_advance_reports_each_chunk_and_writes_what_one_pass_writes(kernel, case
     ends = []
 
     def on_chunk(end):
-        assert q[:end].tolist() == one_pass[:end].tolist()
+        assert q[: end + 1].tolist() == one_pass[: end + 1].tolist()
+        assert set(q[end + 1 :].tolist()) <= {UNTOUCHED}
         ends.append(end)
 
     assert kernel.advance(q, start, 1, -1, on_chunk, chunk) == result
-    assert ends == [end for end in range(chunk, min(stop, horizon) + 1, chunk) if end > start]
+    assert ends == report_ends(start, min(stop, horizon), chunk)
     assert q[:stop].tolist() == one_pass[:stop].tolist()
     assert set(q[stop:].tolist()) <= {UNTOUCHED}
 
@@ -219,8 +229,9 @@ def test_advance_resumed_anywhere_matches_the_twin(seed, horizon, width, eps, ch
     """Resumed at any start of a one-pass prefix, and called back at every
     chunk of 1..5 steps, so that each sub-call's entry steps fall at every
     offset of the pair loop, the C loop writes what the twin writes, slot
-    for slot, stops where and how it stops, and calls back at the same ends.
-    Small seeds reach the loop's fallback step and die early."""
+    for slot, stops where and how it stops, and calls back at the same ends,
+    the multiples of chunk in [start, stop).  Small seeds reach the loop's
+    fallback step and die early."""
     horizon = max(horizon, len(seed))
     one_pass = np.full(horizon + 1, UNTOUCHED, dtype=f"<u{width}")
     one_pass[: len(seed) + 1] = (0, *seed)
@@ -236,13 +247,14 @@ def test_advance_resumed_anywhere_matches_the_twin(seed, horizon, width, eps, ch
         runs.append((module.advance(q, start, *eps, *callback), q.tolist(), ends))
     assert runs[0] == runs[1]
     assert runs[0][0] == result
+    assert runs[0][2] == ([] if chunk is None else report_ends(start, min(stop, horizon), chunk))
 
 
 @pytest.mark.parametrize("width", [4, 8])
 def test_an_exception_at_a_chunk_boundary_stops_advance(kernel, width):
     """What on_chunk raises (KeyboardInterrupt, as Ctrl-C raises there) is
-    raised: the slots before the boundary are written, none from it on.  A
-    C callable serves as on_chunk too."""
+    raised: the slots up to the boundary are written, none past it.  A C
+    callable serves as on_chunk too."""
     seed = (1, 1)
     q = np.full(3001, UNTOUCHED, dtype=f"<u{width}")
     q[: len(seed) + 1] = (0, *seed)
@@ -255,11 +267,11 @@ def test_an_exception_at_a_chunk_boundary_stops_advance(kernel, width):
 
     with pytest.raises(KeyboardInterrupt, match="^1024$"):
         kernel.advance(q, len(seed) + 1, 1, -1, on_chunk, 256)
-    assert q[:1024].tolist() == one_pass[:1024].tolist()
-    assert set(q[1024:].tolist()) == {UNTOUCHED}
+    assert q[:1025].tolist() == one_pass[:1025].tolist()
+    assert set(q[1025:].tolist()) == {UNTOUCHED}
     with pytest.raises(TypeError):  # list.insert needs two arguments
-        kernel.advance(q, 1024, 1, -1, [].insert, 256)
-    assert set(q[1280:].tolist()) == {UNTOUCHED}
+        kernel.advance(q, 1025, 1, -1, [].insert, 256)
+    assert set(q[1281:].tolist()) == {UNTOUCHED}
 
 
 def count(module, values, n_max, m_cap):
@@ -762,7 +774,7 @@ def test_every_entry_goes_through_the_binding(tmp_path, monkeypatch, capsys):
                "interleave_violations", "format_rows", "crc32")
     assert set(entries) == {name for name in vars(C) if not name.startswith("__")}
     monkeypatch.setattr(_native, "kernel", SimpleNamespace(**{e: recorded(e) for e in entries}))
-    monkeypatch.setattr(checkpoint._Draft, "chunk", 256)
+    monkeypatch.setattr(checkpoint, "CHUNK", 256)
     for argv, used in [
         (["compute", "--export"], {"advance", "on_chunk", "crc32", "linear_series",
                                    "format_rows"}),

@@ -179,16 +179,18 @@ def test_the_twin_runs_the_analysis_verbs_without_numpy(tmp_path, argv, said):
     assert not numpy_loaded
 
 
-def test_the_twin_computes_without_numpy(tmp_path):
-    """In chunks of 256 slots, into the file the C kernel writes in one pass."""
+def test_the_twin_computes_without_numpy(tmp_path, monkeypatch):
+    """In chunks of CHUNK = 256 slots, into the file the C kernel writes in
+    one pass under the same CHUNK."""
     blocker = tmp_path / "cache"
     blocker.write_text("a file, so the cache directory cannot be made\n")
     out, numpy_loaded = loads_numpy(
         tmp_path, "compute", "--horizon", "2000", "--trace", str(tmp_path / "t.qtr"),
-        before="from qseq import checkpoint; checkpoint._Draft.chunk = 256",
+        before="from qseq import checkpoint; checkpoint.CHUNK = 256",
         XDG_CACHE_HOME=str(blocker))
     assert out == [f"wrote checkpoint {tmp_path / 't.qtr'} (2000 values)"]
     assert not numpy_loaded
+    monkeypatch.setattr(checkpoint, "CHUNK", 256)
     checkpoint.save(run(RecursionConfig(seed=Seed((1, 1)), horizon=2000)), tmp_path / "c.qtr")
     assert (tmp_path / "t.qtr").read_bytes() == (tmp_path / "c.qtr").read_bytes()
 
