@@ -4,7 +4,7 @@ Each entry takes its extents from its buffers, as the C kernel does: a
 value buffer of len(values) slots holds Q(1..len(values) - 1), and an out
 buffer receives len(out) rows.  An integer argument goes through
 operator.index, as C's "L" format reads it, so a float is a TypeError in
-both kernels.
+both kernels; advance's flag is read by its truth value, as "p" reads it.
 """
 
 import sys
@@ -46,15 +46,13 @@ def _column(buffer, kinds: tuple[str, ...], error: str, writes: bool = False) ->
     return view.cast("B").cast(kind)
 
 
-def advance(values, start, eps_even, eps_odd, on_chunk=None, chunk=0):
+def advance(values, start, perturbed, on_chunk=None, chunk=0):
     q = _items(values, (4, 8), "values must be writable C-contiguous 4- or 8-byte items",
                writes=True)
-    start, eps_even, eps_odd, chunk = index(start), index(eps_even), index(eps_odd), index(chunk)
+    start, e, chunk = index(start), 1 if perturbed else 0, index(chunk)
     cap = SLOT_CAPS[q.itemsize]
     if not 2 <= start <= len(q):
         raise ValueError("start must be in [2, len(values)]")
-    if not (-1 <= eps_even <= 1 and -1 <= eps_odd <= 1):
-        raise ValueError("eps_even and eps_odd must be in [-1, 1]")
     if on_chunk is not None and not (callable(on_chunk) and chunk >= 1):
         raise ValueError("on_chunk must be None, or a callable with chunk >= 1")
     if q.itemsize == 8 and max(q[1:start]) > cap:
@@ -63,7 +61,7 @@ def advance(values, start, eps_even, eps_odd, on_chunk=None, chunk=0):
         t1, t2 = n - q[n - 1], n - q[n - 2]
         if t1 <= 0 or t2 <= 0:
             return ST_DEATH, n, int(t1 <= 0), int(t2 <= 0)
-        val = q[t1] + q[t2] + (eps_odd if n & 1 else eps_even)
+        val = q[t1] + q[t2] + (-e if n & 1 else e)
         if not 0 <= val <= cap:
             return ST_OVERFLOW, n, 0, 0
         q[n] = val

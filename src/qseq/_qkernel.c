@@ -90,20 +90,21 @@ slot(const Py_buffer *v, long long i)
     return v->itemsize == 4 ? ((const uint32_t *)v->buf)[i] : ((const uint64_t *)v->buf)[i];
 }
 
-/* advance(values, start, eps_even, eps_odd, on_chunk=None, chunk=0)
+/* advance(values, start, perturbed, on_chunk=None, chunk=0)
  *     -> (status, step, bad_t1, bad_t2)
  *
  * Runs q[n] = q[n - q[n-1]] + q[n - q[n-2]] + eps(n) in place for
- * n = start..horizon, horizon = len(values) - 1, 2 <= start <= horizon + 1.
+ * n = start..horizon, horizon = len(values) - 1, 2 <= start <= horizon + 1,
+ * with eps(n) = +1 at even n and -1 at odd n if perturbed is true, else 0.
  * Stops at the first n where a clock index is non-positive (ST_DEATH, bad
  * flags say which) or where the new value would exceed the slot's cap
  * (ST_OVERFLOW): 2^32 - 1 for 4-byte slots, 2^63 - 1 for 8-byte.  The sum
  * runs in uint64_t, where it wraps by definition: two values of at most
  * 2^63 - 1 plus an eps in [-1, 1] stay exact, and a sum below zero wraps
- * above the cap.  Before any read, ValueError if an eps leaves [-1, 1], if
- * on_chunk is neither None nor a callable with chunk >= 1, or if a value in
- * q[1..start-1] of 8-byte slots exceeds 2^63 - 1; resuming at 10^7 scans
- * that prefix once.  No 4-byte value can exceed its cap.
+ * above the cap.  Before any read, ValueError if on_chunk is neither None
+ * nor a callable with chunk >= 1, or if a value in q[1..start-1] of 8-byte
+ * slots exceeds 2^63 - 1; resuming at 10^7 scans that prefix once.  No
+ * 4-byte value can exceed its cap.
  *
  * The loop runs without the GIL.  Given on_chunk, it stops just after it
  * writes each multiple end of chunk in [start, horizon), takes the GIL,
@@ -117,8 +118,9 @@ slot(const Py_buffer *v, long long i)
  * in p1, p2 and p3 instead of loading back the slots just written.  It
  * takes its first two steps, or three from an odd start, as STEPs, which
  * check both clock indices, and the rest in pairs of PREDICTED_STEPs, even
- * n then odd n, so that each step's eps is a constant; an even horizon
- * takes one STEP after them.  Each call does so, a chunk's sub-call too.
+ * n then odd n, so that each step's eps is a constant, +e or -e (e is 1
+ * if perturbed, else 0); an even horizon takes one STEP after them.  Each
+ * call does so, a chunk's sub-call too.
  *
  * A PREDICTED_STEP predicts Q(n-1), as a processor predicts a load's
  * value.  On the paper's long-lived seeds Q(n-1) - Q(n-3) is 0 or 2, so
@@ -169,21 +171,20 @@ typedef struct { int status; long long step; int bad1, bad2; } Stop;
     } while (0)
 
 #define DEFINE_ADVANCE_LOOP(name, T, CAP)                               \
-static Stop name(T *q, long long n, long long horizon,                  \
-                 long long eps_even, long long eps_odd)                 \
+static Stop name(T *q, long long n, long long horizon, long long e)     \
 {                                                                       \
     const uint64_t cap = (CAP);                                         \
     long long p1 = (long long)q[n - 1], p2 = (long long)q[n - 2];       \
     long long first = (n + 3) & ~1LL;  /* the first predicted step */   \
     while (n < first && n <= horizon)                                   \
-        STEP(T, n & 1 ? eps_odd : eps_even);                            \
+        STEP(T, n & 1 ? -e : e);                                        \
     if (n < horizon) {                                                  \
         long long p3 = (long long)q[n - 3];                             \
         do {                                                            \
-            PREDICTED_STEP(T, eps_even); PREDICTED_STEP(T, eps_odd);    \
+            PREDICTED_STEP(T, e); PREDICTED_STEP(T, -e);                \
         } while (n < horizon);                                          \
     }                                                                   \
-    if (n == horizon) STEP(T, eps_even);                                \
+    if (n == horizon) STEP(T, e);                                       \
     return (Stop){ST_OK, 0, 0, 0};                                      \
 }
 DEFINE_ADVANCE_LOOP(advance4, uint32_t, UINT32_MAX)
@@ -204,10 +205,11 @@ static PyObject *
 advance(PyObject *self, PyObject *args)
 {
     Py_buffer qv;
-    long long start, eps_even, eps_odd, chunk = 0;
+    long long start, chunk = 0;
+    int perturbed;
     PyObject *on_chunk = Py_None;
 
-    if (!PyArg_ParseTuple(args, "O&LLL|OL", values_out, &qv, &start, &eps_even, &eps_odd,
+    if (!PyArg_ParseTuple(args, "O&Lp|OL", values_out, &qv, &start, &perturbed,
                           &on_chunk, &chunk))
         return NULL;
     long long horizon = (long long)(qv.len / qv.itemsize) - 1, n = start;
@@ -215,8 +217,6 @@ advance(PyObject *self, PyObject *args)
     Stop stop = {ST_OK, 0, 0, 0};
     if (start < 2 || start > horizon + 1)  /* the loop reads q[start-2] first */
         error = "start must be in [2, len(values)]";
-    else if (eps_even < -1 || eps_even > 1 || eps_odd < -1 || eps_odd > 1)
-        error = "eps_even and eps_odd must be in [-1, 1]";
     else if (on_chunk != Py_None && (!PyCallable_Check(on_chunk) || chunk < 1))
         error = "on_chunk must be None, or a callable with chunk >= 1";
     else if (qv.itemsize == 8 && prefix_above_int64((uint64_t *)qv.buf, start))
@@ -226,9 +226,9 @@ advance(PyObject *self, PyObject *args)
         h = h < horizon ? h : horizon;  /* the first multiple of chunk >= n, clipped */
         Py_BEGIN_ALLOW_THREADS
         if (qv.itemsize == 4)
-            stop = advance4((uint32_t *)qv.buf, n, h, eps_even, eps_odd);
+            stop = advance4((uint32_t *)qv.buf, n, h, perturbed);
         else
-            stop = advance8((uint64_t *)qv.buf, n, h, eps_even, eps_odd);
+            stop = advance8((uint64_t *)qv.buf, n, h, perturbed);
         Py_END_ALLOW_THREADS
         n = h + 1;
         if (stop.status == ST_OK && n <= horizon) {

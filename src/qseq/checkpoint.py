@@ -92,8 +92,7 @@ _MADV_POPULATE_WRITE = getattr(mmap, "MADV_POPULATE_WRITE",
                                23 if sys.platform.startswith("linux") else None)
 _READ_CHUNK = 1 << 22  # bytes of load's two CRC buffers: the CRC runs over each read while cached
 
-_PERT_CODES = {Perturbation.NONE: 0, Perturbation.ALTERNATING: 1}
-_PERT_FROM = {v: k for k, v in _PERT_CODES.items()}
+_PERT_FROM = {p.bit: p for p in Perturbation}
 _KIND_CODES = {OutcomeKind.ALIVE: 0, OutcomeKind.WEAK_DEATH: 1, OutcomeKind.STRONG_DEATH: 2}
 _KIND_FROM = {v: k for k, v in _KIND_CODES.items()}
 
@@ -317,7 +316,7 @@ def _finish(draft: _Draft, trace: Trace, flush: Callable[[], None]) -> Trace:
         MAGIC,
         VERSION,
         cfg.width,
-        _PERT_CODES[cfg.perturbation],
+        cfg.perturbation.bit,
         _KIND_CODES[out.kind],
         flags,
         len(cfg.seed),

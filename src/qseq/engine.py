@@ -1,10 +1,11 @@
 """Core engine for the perturbed Q-recursion.
 
 The sequence is Q(n) = Q(n - Q(n-1)) + Q(n - Q(n-2)) + eps(n) with
-eps(n) = +1 at even n and -1 at odd n (or 0 in classical mode), started
-from a short seed of positive values.  The engine runs the recursion
-into a dense 1-based array, records how a run ends, and supports
-resuming a live run at a larger horizon.
+eps(n) = +1 at even n and -1 at odd n (or 0 in classical mode; one bit,
+Perturbation.bit, tells the two apart), started from a short seed of
+positive values.  The engine runs the recursion into a dense 1-based
+array, records how a run ends, and supports resuming a live run at a
+larger horizon.
 
 A run dies at step n when a feedback index n - Q(n-1) or n - Q(n-2)
 is non-positive.  Deaths at the earliest possible step (no more than
@@ -38,9 +39,9 @@ class Perturbation(Enum):
     NONE = "none"
 
     @property
-    def eps(self) -> tuple[int, int]:
-        """(eps at even n, eps at odd n)."""
-        return (1, -1) if self is Perturbation.ALTERNATING else (0, 0)
+    def bit(self) -> int:
+        """1 if eps(n) alternates, else 0: advance's flag and a checkpoint's byte."""
+        return 1 if self is Perturbation.ALTERNATING else 0
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,7 @@ def _run_from(config: RecursionConfig, arr: memoryview, start: int) -> Trace:
     """
     mapped = arr.obj
     chunks = (mapped.on_chunk, mapped.chunk) if isinstance(mapped, ReservedMapping) else ()
-    status, step, bad1, bad2 = _native.kernel.advance(arr, start, *config.perturbation.eps,
+    status, step, bad1, bad2 = _native.kernel.advance(arr, start, config.perturbation.bit,
                                                       *chunks)
     if status == ST_OK:
         return Trace(config, arr, Outcome.alive())

@@ -161,54 +161,50 @@ class Artifacts:
         }
 
 
-def _result(number: int, title: str, passed: bool, detail: str) -> CriterionResult:
-    return CriterionResult(number=number, title=title, passed=bool(passed), detail=detail)
-
-
 # ------------------------------------------------------------- the checks
 
 def check_first_values(art: Artifacts) -> CriterionResult:
     got = tuple(art.short_trace.values[1:21])
-    return _result(1, "first twenty values", got == FIRST_20,
-                   f"got {list(got)}" if got != FIRST_20 else "exact match")
+    return CriterionResult(1, "first twenty values", got == FIRST_20,
+                           f"got {list(got)}" if got != FIRST_20 else "exact match")
 
 
 def check_difference_prefix(art: Artifacts) -> CriterionResult:
     got = tuple(series(art.short_trace, "D", 1, 16).y)
-    return _result(2, "difference prefix D(1..16)", got == DIFF_FIRST_16,
-                   f"got {list(got)}" if got != DIFF_FIRST_16 else "exact match")
+    return CriterionResult(2, "difference prefix D(1..16)", got == DIFF_FIRST_16,
+                           f"got {list(got)}" if got != DIFF_FIRST_16 else "exact match")
 
 
 def check_subsequence_prefixes(art: Artifacts) -> CriterionResult:
     odd = tuple(series(art.short_trace, "A", 1, 10).y)
     even = tuple(series(art.short_trace, "B", 1, 9).y)
     ok = odd == ODD_SUB_FIRST_10 and even == EVEN_SUB_FIRST_9
-    return _result(3, "interleave prefixes A(1..10), B(1..9)", ok,
-                   "exact match" if ok else f"odd={list(odd)} even={list(even)}")
+    return CriterionResult(3, "interleave prefixes A(1..10), B(1..9)", ok,
+                           "exact match" if ok else f"odd={list(odd)} even={list(even)}")
 
 
 def check_parity(art: Artifacts) -> CriterionResult:
     try:
         assert_all_odd(art.main_trace)
     except QseqError as exc:
-        return _result(4, "parity of the first 1e7 values", False, str(exc))
-    return _result(4, "parity of the first 1e7 values", True,
-                   f"all {art.main_trace.len:,} values odd")
+        return CriterionResult(4, "parity of the first 1e7 values", False, str(exc))
+    return CriterionResult(4, "parity of the first 1e7 values", True,
+                           f"all {art.main_trace.len:,} values odd")
 
 
 def check_identities(art: Artifacts) -> CriterionResult:
     bad = check_subsequence_identities(art.main_trace, 2, 10**6)
     ok = len(bad) == 0
     detail = "hold for every k in [2, 1e6]" if ok else f"violated at k={bad[:5].tolist()}..."
-    return _result(5, "interleave identities", ok, detail)
+    return CriterionResult(5, "interleave identities", ok, detail)
 
 
 def check_block_histograms(art: Artifacts) -> CriterionResult:
     h5 = block_report(art.freq_table, 5).histogram
     h6 = block_report(art.freq_table, 6).histogram
     ok = h5 == BLOCK_5_HISTOGRAM and h6 == BLOCK_6_HISTOGRAM
-    return _result(6, "block histograms k=5 and k=6", ok,
-                   "exact match" if ok else f"k5={h5} k6={h6}")
+    return CriterionResult(6, "block histograms k=5 and k=6", ok,
+                           "exact match" if ok else f"k5={h5} k6={h6}")
 
 
 def check_dyadic_blocks(art: Artifacts) -> CriterionResult:
@@ -224,8 +220,8 @@ def check_dyadic_blocks(art: Artifacts) -> CriterionResult:
         if rep.total != 2 ** (k + 2) - 1:
             problems.append(f"k={k} total {rep.total} != {2 ** (k + 2) - 1}")
     ok = not problems
-    return _result(7, "dyadic frequency law k=5..15", ok,
-                   "law, totals and averages exact" if ok else "; ".join(problems))
+    return CriterionResult(7, "dyadic frequency law k=5..15", ok,
+                           "law, totals and averages exact" if ok else "; ".join(problems))
 
 
 def check_peaks(art: Artifacts) -> CriterionResult:
@@ -243,9 +239,9 @@ def check_peaks(art: Artifacts) -> CriterionResult:
             problems.append(f"k={rep.k} peak tied {rep.tie_count} ways")
     ok = not problems
     worst = max(abs(rep.peak_ratio - Fraction(4, 3)) for rep in reports)
-    return _result(8, "frequency peak locations", ok,
-                   f"peaks exact, max |ratio - 4/3| = {float(worst):.4f}" if ok
-                   else "; ".join(problems))
+    return CriterionResult(8, "frequency peak locations", ok,
+                           f"peaks exact, max |ratio - 4/3| = {float(worst):.4f}" if ok
+                           else "; ".join(problems))
 
 
 def survivors(table: dict[SeedClass, tuple[SeedReport, ...]]) -> list[SeedReport]:
@@ -279,8 +275,8 @@ def check_seed_table(art: Artifacts) -> CriterionResult:
         problems.append(f"(1,3,3) shift {shifted.get((1, 3, 3))} != 2")
 
     ok = not problems
-    return _result(9, "seed survey table", ok,
-                   "all 27 classifications match" if ok else "; ".join(problems))
+    return CriterionResult(9, "seed survey table", ok,
+                           "all 27 classifications match" if ok else "; ".join(problems))
 
 
 def check_growth(art: Artifacts) -> CriterionResult:
@@ -297,7 +293,7 @@ def check_growth(art: Artifacts) -> CriterionResult:
     detail = (f"{checked} long-lived seeds within 0.1 of the n/2 slope at H=1e6" if ok
               else f"{checked - len(failures)} of {checked} within 0.1; "
                    + "; ".join(failures) + " exceeds the stated bound")
-    return _result(10, "survivor growth law", ok, detail)
+    return CriterionResult(10, "survivor growth law", ok, detail)
 
 
 def check_renorm_split(art: Artifacts) -> CriterionResult:
@@ -310,20 +306,22 @@ def check_renorm_split(art: Artifacts) -> CriterionResult:
     detail = f"max|odd residual| = {odd_max} < max|even residual| = {even_max} (k <= {k_hi:,})"
     if not recorded:
         detail += f", expected {RENORM_SPLIT_MAXIMA_250K}"
-    return _result(11, "renormalization parity split", ok, detail)
+    return CriterionResult(11, "renormalization parity split", ok, detail)
 
 
 def check_performance(art: Artifacts) -> CriterionResult:
     title = "performance envelope (1e8 terms)"
     if art.probe_output is None:
-        return _result(PERF_CRITERION, title, False, f"probe exceeded {PROBE_TIMEOUT_S:.0f} s")
+        return CriterionResult(PERF_CRITERION, title, False,
+                               f"probe exceeded {PROBE_TIMEOUT_S:.0f} s")
     returncode, stdout, stderr = art.probe_output
     if returncode != 0:
-        return _result(PERF_CRITERION, title, False, f"probe failed: {stderr.strip()[-200:]}")
+        return CriterionResult(PERF_CRITERION, title, False,
+                               f"probe failed: {stderr.strip()[-200:]}")
     stats = json.loads(stdout)
     if stats["kernel"] != "native":
-        return _result(PERF_CRITERION, title, False,
-                       f"probe ran the Python fallback: {stats['reason']}")
+        return CriterionResult(PERF_CRITERION, title, False,
+                               f"probe ran the Python fallback: {stats['reason']}")
     problems = []
     if stats["endpoint"] != ENDPOINT_1E8:
         problems.append(f"endpoint {stats['endpoint']} != {ENDPOINT_1E8}")
@@ -334,7 +332,7 @@ def check_performance(art: Artifacts) -> CriterionResult:
     ok = not problems
     detail = (f"{stats['seconds']:.1f} s, {stats['peak_mb']:.0f} MB peak "
               f"(budget {TIME_BUDGET_SECONDS:.0f} s / {MEMORY_BUDGET_MB:.0f} MB), endpoint verified")
-    return _result(PERF_CRITERION, title, ok, detail if ok else "; ".join(problems))
+    return CriterionResult(PERF_CRITERION, title, ok, detail if ok else "; ".join(problems))
 
 
 def check_round_trip(art: Artifacts) -> CriterionResult:
@@ -354,9 +352,9 @@ def check_round_trip(art: Artifacts) -> CriterionResult:
     if extend(short, 10**6) != full:
         problems.append("extend(1e5 -> 1e6) differs from a fresh run")
     ok = not problems
-    return _result(13, "checkpoint round-trip and resume", ok,
-                   "save/load bit-identical, resume matches fresh run" if ok
-                   else "; ".join(problems))
+    return CriterionResult(13, "checkpoint round-trip and resume", ok,
+                           "save/load bit-identical, resume matches fresh run" if ok
+                           else "; ".join(problems))
 
 
 CRITERIA = (

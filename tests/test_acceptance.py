@@ -312,11 +312,59 @@ def with_counts(table, field, changes):
     return dataclasses.replace(table, **{field: memoryview(counts).toreadonly()})
 
 
+@pytest.mark.parametrize("check,detail", [
+    (check_first_values, "got [1, 1, 1, 3, 3, 3, 7, 5, 5, 7, 5, 9, 7, 9, 7, 11, 9, 11, 11, 11]"),
+    (check_difference_prefix, "got [0, 0, 2, 0, 0, 4, -2, 0, 2, -2, 4, -2, 2, -2, 4, -2]"),
+    (check_subsequence_prefixes,
+     "odd=[1, 1, 3, 7, 5, 5, 7, 7, 9, 11] even=[1, 3, 3, 5, 7, 9, 9, 11, 11]"),
+], ids=["01", "02", "03"])
+def test_criteria_01_to_03_fail_on_one_value_raised(short_trace, check, detail):
+    """Q(7) = 5 raised to 7: the value itself, D(6) and D(7) around it, and
+    A(4) = Q(7) of the odd subsequence."""
+    result = check(forged(short_trace=one_value_changed(short_trace, 7)))
+    assert not result.passed
+    assert result.detail == detail
+
+
 def test_criterion_04_fails_on_an_even_value():
     trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=1000))
     result = check_parity(forged(main_trace=with_values(trace, {777: 400})))
     assert not result.passed
     assert result.detail == "even value Q(777)=400"
+
+
+def test_criterion_05_fails_on_one_value_raised():
+    """Q(1001) raised by 2 breaks the identities of every k that reads it:
+    the detail names the first five."""
+    trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=2 * 10**6))
+    result = check_identities(forged(main_trace=one_value_changed(trace, 1001)))
+    assert not result.passed
+    assert result.detail == "violated at k=[501, 502, 926, 927, 1087]..."
+
+
+def test_criterion_06_fails_on_a_block_5_count_raised(freq_table):
+    """m = 32 seen 4 times instead of 3: block 5's histogram moves one m
+    from count 3 to count 4, and block 6's stays."""
+    assert freq_table.counts[32] == 3
+    result = check_block_histograms(forged(freq_table=with_counts(freq_table, "counts",
+                                                                  {32: 4})))
+    assert not result.passed
+    assert result.detail == ("k5={3: 15, 4: 9, 5: 4, 6: 2, 7: 1, 8: 1}"
+                             " k6={3: 32, 4: 16, 5: 8, 6: 4, 7: 2, 8: 1, 9: 1}")
+
+
+@pytest.mark.parametrize("changes,detail", [
+    ({1024: 4, 1029: 4}, "k=10 deviates {3: (511, 512), 4: (258, 256), 5: (127, 128)}"),
+    ({1024: 4}, "k=10 deviates {3: (511, 512), 4: (257, 256)}; k=10 total 4096 != 4095"),
+], ids=["count-moved", "count-raised"])
+def test_criterion_07_fails_on_a_block_10_count_changed(freq_table, changes, detail):
+    """Block 10's m = 1024 (count 3) and 1029 (count 5) both set to 4 keep
+    the block's total, so the law alone fails; m = 1024 alone raised to 4
+    also adds one to the total."""
+    assert (freq_table.counts[1024], freq_table.counts[1029]) == (3, 5)
+    result = check_dyadic_blocks(forged(freq_table=with_counts(freq_table, "counts", changes)))
+    assert not result.passed
+    assert result.detail == detail
 
 
 def test_criterion_07_fails_on_a_block_made_incomplete(freq_table):
@@ -338,6 +386,20 @@ def test_criterion_08_fails_on_a_tied_peak(freq_table):
     assert result.detail == "k=9 peak tied 2 ways"
 
 
+@pytest.mark.parametrize("changes,detail", [
+    ({2732: 15}, "peaks k=5..11 are [43, 86, 171, 342, 683, 1366, 2732]"),
+    ({4096: 16}, "k=12 ratio 1.0000 off 4/3 by 0.3333"),
+], ids=["peak-moved", "ratio-off"])
+def test_criterion_08_fails_on_a_peak_moved(freq_table, changes, detail):
+    """Block 11's peak moved one m up, to 2732, stays within the ratio's
+    tolerance, so only the peak list fails; block 12's moved to its first
+    m, 4096, is past the list but its ratio is 1."""
+    assert (freq_table.counts[2731], freq_table.counts[5462]) == (14, 15)
+    result = check_peaks(forged(freq_table=with_counts(freq_table, "counts", changes)))
+    assert not result.passed
+    assert result.detail == detail
+
+
 def test_criterion_09_fails_on_one_seed_reclassified(artifacts):
     """(1,3,3) filed as original instead of shifted by 2."""
     table = dict(artifacts.survey)
@@ -350,6 +412,31 @@ def test_criterion_09_fails_on_one_seed_reclassified(artifacts):
     assert result.detail == ("original group [(1, 1, 1), (1, 3, 3)] != [(1, 1, 1)];"
                              " shifted_original group [] != [(1, 3, 3)];"
                              " (1,3,3) shift None != 2")
+
+
+def test_criterion_09_fails_on_a_strong_death_filed_as_weak(artifacts):
+    """(3,3,3), dead at step 5, filed as a weak death: it leaves the
+    strong-death set and joins the weak deaths."""
+    table = dict(artifacts.survey)
+    *strong, last = table[SeedClass.STRONG_DEATH]
+    table[SeedClass.STRONG_DEATH] = tuple(strong)
+    table[SeedClass.WEAK_DEATH] += (dataclasses.replace(last,
+                                                        classification=SeedClass.WEAK_DEATH),)
+    result = check_seed_table(forged(survey=table))
+    assert not result.passed
+    assert result.detail == (
+        "strong-death set mismatch: [(1, 1, 3), (1, 2, 2), (1, 3, 2), (2, 1, 3), (2, 2, 2),"
+        " (2, 2, 3), (2, 3, 2), (2, 3, 3), (3, 1, 3), (3, 2, 2), (3, 2, 3), (3, 3, 1),"
+        " (3, 3, 2)]; weak deaths {(1, 2, 1): 41, (1, 2, 3): 7, (3, 2, 1): 6, (3, 3, 3): 5}")
+
+
+def test_criterion_09_fails_on_a_strong_death_past_step_5(artifacts):
+    table = dict(artifacts.survey)
+    first, *strong = table[SeedClass.STRONG_DEATH]
+    table[SeedClass.STRONG_DEATH] = (dataclasses.replace(first, death_step=6), *strong)
+    result = check_seed_table(forged(survey=table))
+    assert not result.passed
+    assert result.detail == "1,1,3 strong death at 6 != 5"
 
 
 @pytest.mark.parametrize("residual", [4001, 70001])

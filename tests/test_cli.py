@@ -22,7 +22,7 @@ from qseq.cli import (
     main,
 )
 from qseq.diagnostics import SERIES_CODES, Series, selfsim_profile, series
-from qseq.engine import RecursionConfig, Seed, run
+from qseq.engine import OutcomeKind, RecursionConfig, Seed, run
 from qseq.errors import (
     CheckpointChecksumError,
     CheckpointError,
@@ -255,6 +255,27 @@ def test_stored_death_answers_a_longer_or_shorter_request(tmp_path, capsys):
     assert main(dying + ["--horizon", "40"]) == EXIT_OK
     assert trace_path.read_bytes() == stored
     capsys.readouterr()
+
+
+def test_a_t2_death_is_stored_and_reported_as_t2(tmp_path, capsys):
+    """Seed (5,1) dies at step 3 on t2 = 3 - Q(1) alone: the line names t2,
+    the header's flags byte holds bit 2 alone, load returns that outcome,
+    and the run served from the file says the same."""
+    trace_path = tmp_path / "t.qtr"
+    dying = ["compute", "--seed", "5,1", "--horizon", "100", "--trace", str(trace_path)]
+    line = "strong death at step 3 (non-positive feedback index: t2); 2 of 100 values computed\n"
+    assert main(dying) == EXIT_DEATH
+    assert capsys.readouterr() == (f"wrote checkpoint {trace_path} (2 values)\n", line)
+    stored = trace_path.read_bytes()
+    magic, version, width, pert, kind, flags, *_ = checkpoint._HEADER.unpack_from(stored)
+    assert (pert, flags) == (1, 2)
+    out = checkpoint.load(trace_path).outcome
+    assert (out.kind, out.step, out.bad_t1, out.bad_t2) == (OutcomeKind.STRONG_DEATH, 3, False,
+                                                            True)
+    assert out.bad_indices == ("t2",)
+    assert main(dying) == EXIT_DEATH
+    assert capsys.readouterr() == (f"reusing checkpoint {trace_path}\n", line)
+    assert trace_path.read_bytes() == stored
 
 
 def test_other_configuration_is_replaced_without_loading_it(tmp_path, monkeypatch, capsys):

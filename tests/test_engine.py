@@ -305,7 +305,7 @@ from array import array
 spec = importlib.util.spec_from_file_location("qseq._qkernel", sys.argv[1])
 kernel = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(kernel)
-print(kernel.advance(array("Q", [0, 2**63 - 1, 2, 3, 4, 0, 0, 0]), 5, 1, -1)[0])
+print(kernel.advance(array("Q", [0, 2**63 - 1, 2, 3, 4, 0, 0, 0]), 5, True)[0])
 """
 
 

@@ -36,24 +36,24 @@ def same_error(c_error):
     return pytest.raises(ValueError, match=f"^{re.escape(str(c_error.value))}$")
 
 
-def advance(module, seed, horizon, width=4, eps=(1, -1)):
+def advance(module, seed, horizon, width=4, perturbed=True):
     """One advance call on a fresh value buffer: (result, the buffer's values)."""
     q = np.zeros(horizon + 1, dtype=f"<u{width}")
     q[1 : len(seed) + 1] = seed
-    result = module.advance(q, len(seed) + 1, *eps)
+    result = module.advance(q, len(seed) + 1, perturbed)
     return result, q.tolist()
 
 
-@pytest.mark.parametrize("seed,horizon,width,eps,status", [
-    ((1, 1), 2000, 4, (1, -1), ST_OK),
-    ((1, 1), 2000, 8, (0, 0), ST_OK),
-    ((2, 2, 2), 100, 4, (1, -1), ST_DEATH),
-    ((1, 2, 1), 100, 4, (1, -1), ST_DEATH),
-    ((2**31, 2**31 + 1, 3, 4), 5, 4, (1, -1), ST_OVERFLOW),
+@pytest.mark.parametrize("seed,horizon,width,perturbed,status", [
+    ((1, 1), 2000, 4, True, ST_OK),
+    ((1, 1), 2000, 8, False, ST_OK),
+    ((2, 2, 2), 100, 4, True, ST_DEATH),
+    ((1, 2, 1), 100, 4, True, ST_DEATH),
+    ((2**31, 2**31 + 1, 3, 4), 5, 4, True, ST_OVERFLOW),
 ], ids=["live", "live-classical-wide", "strong-death", "weak-death", "overflow"])
-def test_advance_agrees(kernel, seed, horizon, width, eps, status):
-    got = advance(kernel, seed, horizon, width, eps)
-    assert got == advance(C, seed, horizon, width, eps)
+def test_advance_agrees(kernel, seed, horizon, width, perturbed, status):
+    got = advance(kernel, seed, horizon, width, perturbed)
+    assert got == advance(C, seed, horizon, width, perturbed)
     assert got[0][0] == status
 
 
@@ -62,27 +62,24 @@ def read_only(buffer):
 
 
 @pytest.mark.parametrize("buffer,start,rest", [
-    (lambda: np.zeros(10, dtype=np.uint16), 3, (1, -1)),
-    (lambda: np.zeros(10, dtype=np.uint32), 0, (1, -1)),
-    (lambda: np.zeros(10, dtype=np.uint32), 1, (1, -1)),
-    (lambda: np.zeros(10, dtype=np.uint32), 11, (1, -1)),
-    (lambda: np.array([0, 1, 2**63, 0], dtype=np.uint64), 3, (1, -1)),
-    (lambda: np.array([0, 1, 2**64 - 1, 0], dtype=np.uint64), 3, (1, -1)),
-    (lambda: np.array([0, 2**63 - 1, 2**63 - 1, 3, 4, 0], dtype=np.uint64), 5, (3, 3)),
-    (lambda: np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, (-2, 0)),
-    (lambda: read_only(np.array([0, 1, 1, 0, 0], dtype=np.uint32)), 3, (1, -1)),
-    (lambda: np.zeros(20, dtype=np.uint32)[::2], 3, (1, -1)),
-    (lambda: np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, (1, -1, "not callable", 2)),
-    (lambda: np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, (1, -1, print, 0)),
-    (lambda: np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, (1, -1, print)),
+    (lambda: np.zeros(10, dtype=np.uint16), 3, (True,)),
+    (lambda: np.zeros(10, dtype=np.uint32), 0, (True,)),
+    (lambda: np.zeros(10, dtype=np.uint32), 1, (True,)),
+    (lambda: np.zeros(10, dtype=np.uint32), 11, (True,)),
+    (lambda: np.array([0, 1, 2**63, 0], dtype=np.uint64), 3, (True,)),
+    (lambda: np.array([0, 1, 2**64 - 1, 0], dtype=np.uint64), 3, (True,)),
+    (lambda: read_only(np.array([0, 1, 1, 0, 0], dtype=np.uint32)), 3, (True,)),
+    (lambda: np.zeros(20, dtype=np.uint32)[::2], 3, (True,)),
+    (lambda: np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, (True, "not callable", 2)),
+    (lambda: np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, (True, print, 0)),
+    (lambda: np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, (True, print)),
 ], ids=["two-byte-items", "start-0", "start-1", "start-past-horizon", "8-byte-seed-at-2**63",
-        "8-byte-seed-past-2**63", "eps-3-wraps-8-byte-slots", "eps-minus-2", "read-only-values",
-        "strided-values", "on_chunk-not-callable", "chunk-0", "on_chunk-without-chunk"])
+        "8-byte-seed-past-2**63", "read-only-values", "strided-values", "on_chunk-not-callable",
+        "chunk-0", "on_chunk-without-chunk"])
 def test_advance_errors_agree(kernel, buffer, start, rest):
     """Both kernels refuse the same input with the same message, before any
     read: an 8-byte value before start past 2^63 - 1 would otherwise run as
-    a negative number in C and as itself in the twin, and an eps of 3 would
-    carry C's unsigned sum past 2^64."""
+    a negative number in C and as itself in the twin."""
     with pytest.raises(ValueError) as c_error:
         C.advance(buffer(), start, *rest)
     got = buffer()
@@ -92,18 +89,17 @@ def test_advance_errors_agree(kernel, buffer, start, rest):
 
 
 @pytest.mark.parametrize("entry,args", [
-    ("advance", lambda: (np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, 0.5, 0)),
-    ("advance", lambda: (np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3.0, 1, -1)),
-    ("advance", lambda: (np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, 1, -1, print, 2.0)),
+    ("advance", lambda: (np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3.0, True)),
+    ("advance", lambda: (np.array([0, 1, 1, 0, 0], dtype=np.uint32), 3, True, print, 2.0)),
     ("linear_series", lambda: (ones(9), 1.0, flat(()), 0, np.zeros(3, dtype=np.int64))),
     ("linear_series", lambda: (ones(9), 1, flat(()), 0.5, np.zeros(3, dtype=np.int64))),
     ("linear_series", lambda: (ones(9), 1, flat(()), 0, np.zeros(3), 2.0)),
     ("interleave_violations", lambda: (ones(9), 2.0, np.zeros(3, dtype=np.int64))),
-], ids=["float-eps", "float-start", "float-chunk", "float-lo", "float-slope", "float-den", "float-k_lo"])
+], ids=["float-start", "float-chunk", "float-lo", "float-slope", "float-den", "float-k_lo"])
 def test_a_float_for_an_integer_argument_is_refused_alike(kernel, entry, args):
     """An integer argument is read as C's "L" format reads it, so a float is
-    the same TypeError in both kernels, before any write: an eps of 0.5 is
-    otherwise inside [-1, 1]."""
+    the same TypeError in both kernels, before any write: a start of 3.0
+    is otherwise a valid start."""
     with pytest.raises(TypeError) as c_error:
         getattr(C, entry)(*args())
     got = args()
@@ -125,16 +121,16 @@ def forged(slot, value):
 # forged at the slot's own cap ("top", and "top-k" k below it), whose next
 # value passes that cap at the first step, even (4) or odd (5), or inside
 # the pair loop, at an even (6) or an odd (7) step; and two live prefixes
-# with Q(11) or Q(12) forged 5 below the cap, to resume at step 15.  With
-# eps (1, -1) the first step that reads the forged slot, 22 or 23, passes
-# the cap; with (0, 0) the step that reads it writes the cap itself, and
+# with Q(11) or Q(12) forged 5 below the cap, to resume at step 15.
+# Perturbed, the first step that reads the forged slot, 22 or 23, passes
+# the cap; unperturbed, the step that reads it writes the cap itself, and
 # step 22 or 23 dies, its Q(n-1) - Q(n-3) being neither 0 nor 2.  Both
 # stops fall on predicted steps of the pair loop, 7 or 8 steps past start.
 TWIN_SEEDS = [verify.FIRST_20[:k] for k in range(2, 9)] + [
     (3, 2, 1), (1, 2, 3),
     ("top-1", 2, 3), ("top", 2, 3, 4), (1, "top-1", 2, 4), (1, "top-1", 1, 3, 5),
     forged(11, "top-5"), forged(12, "top-5")]
-# Stops some seed must reach, with either eps.
+# Stops some seed must reach, perturbed or not.
 TWIN_STOPS = {(3, 2, 1): {(ST_DEATH, 6)}, (1, 2, 3): {(ST_DEATH, 7)},
               ("top-1", 2, 3): {(ST_OVERFLOW, 4)}, ("top", 2, 3, 4): {(ST_OVERFLOW, 5)},
               (1, "top-1", 2, 4): {(ST_OVERFLOW, 6)}, (1, "top-1", 1, 3, 5): {(ST_OVERFLOW, 7)},
@@ -157,13 +153,13 @@ def test_advance_matches_the_twin(seed, width):
     the slot past the buffer it is given too."""
     start, stops = len(seed) + 1, set()
     for horizon in (start - 1, start, start + 1, start + 2, 1000):
-        for eps in ((1, -1), (0, 0)):
+        for perturbed in (True, False):
             q = np.full(horizon + 2, UNTOUCHED, dtype=f"<u{width}")
             q[:start] = (0, *seed_values(seed, width))
             want, got = q.copy(), q.copy()
-            result = C.advance(got[:-1], start, *eps)
-            assert result == _pykernel.advance(want[:-1], start, *eps)
-            assert got.tolist() == want.tolist(), (horizon, eps)
+            result = C.advance(got[:-1], start, perturbed)
+            assert result == _pykernel.advance(want[:-1], start, perturbed)
+            assert got.tolist() == want.tolist(), (horizon, perturbed)
             assert got[-1] == UNTOUCHED
             stops.add(result[:2])
     assert TWIN_STOPS.get(seed, set()) <= stops
@@ -203,7 +199,7 @@ def test_advance_reports_each_chunk_and_writes_what_one_pass_writes(kernel, case
     seed, horizon, width, start, chunk = CHUNK_CASES[case]
     one_pass = np.zeros(horizon + 1, dtype=f"<u{width}")
     one_pass[1 : len(seed) + 1] = seed
-    result = C.advance(one_pass, len(seed) + 1, 1, -1)
+    result = C.advance(one_pass, len(seed) + 1, True)
     stop = result[1] if result[0] != ST_OK else horizon + 1
     q = np.full(horizon + 1, UNTOUCHED, dtype=f"<u{width}")
     q[:start] = one_pass[:start]
@@ -214,7 +210,7 @@ def test_advance_reports_each_chunk_and_writes_what_one_pass_writes(kernel, case
         assert set(q[end + 1 :].tolist()) <= {UNTOUCHED}
         ends.append(end)
 
-    assert kernel.advance(q, start, 1, -1, on_chunk, chunk) == result
+    assert kernel.advance(q, start, True, on_chunk, chunk) == result
     assert ends == report_ends(start, min(stop, horizon), chunk)
     assert q[:stop].tolist() == one_pass[:stop].tolist()
     assert set(q[stop:].tolist()) <= {UNTOUCHED}
@@ -223,9 +219,8 @@ def test_advance_reports_each_chunk_and_writes_what_one_pass_writes(kernel, case
 @settings(deadline=None, max_examples=300, derandomize=True)
 @given(seed=st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=6),
        horizon=st.integers(min_value=2, max_value=120), width=st.sampled_from([4, 8]),
-       eps=st.sampled_from([(1, -1), (0, 0)]), chunk=st.none() | st.integers(1, 5),
-       data=st.data())
-def test_advance_resumed_anywhere_matches_the_twin(seed, horizon, width, eps, chunk, data):
+       perturbed=st.booleans(), chunk=st.none() | st.integers(1, 5), data=st.data())
+def test_advance_resumed_anywhere_matches_the_twin(seed, horizon, width, perturbed, chunk, data):
     """Resumed at any start of a one-pass prefix, and called back at every
     chunk of 1..5 steps, so that each sub-call's entry steps fall at every
     offset of the pair loop, the C loop writes what the twin writes, slot
@@ -235,7 +230,7 @@ def test_advance_resumed_anywhere_matches_the_twin(seed, horizon, width, eps, ch
     horizon = max(horizon, len(seed))
     one_pass = np.full(horizon + 1, UNTOUCHED, dtype=f"<u{width}")
     one_pass[: len(seed) + 1] = (0, *seed)
-    result = _pykernel.advance(one_pass, len(seed) + 1, *eps)
+    result = _pykernel.advance(one_pass, len(seed) + 1, perturbed)
     stop = result[1] if result[0] != ST_OK else horizon + 1
     start = data.draw(st.sampled_from(range(len(seed) + 1, stop + 1)), label="start")
     runs = []
@@ -244,7 +239,7 @@ def test_advance_resumed_anywhere_matches_the_twin(seed, horizon, width, eps, ch
         q[:start] = one_pass[:start]
         ends = []
         callback = () if chunk is None else (ends.append, chunk)
-        runs.append((module.advance(q, start, *eps, *callback), q.tolist(), ends))
+        runs.append((module.advance(q, start, perturbed, *callback), q.tolist(), ends))
     assert runs[0] == runs[1]
     assert runs[0][0] == result
     assert runs[0][2] == ([] if chunk is None else report_ends(start, min(stop, horizon), chunk))
@@ -259,18 +254,18 @@ def test_an_exception_at_a_chunk_boundary_stops_advance(kernel, width):
     q = np.full(3001, UNTOUCHED, dtype=f"<u{width}")
     q[: len(seed) + 1] = (0, *seed)
     one_pass = q.copy()
-    C.advance(one_pass, len(seed) + 1, 1, -1)
+    C.advance(one_pass, len(seed) + 1, True)
 
     def on_chunk(end):
         if end == 1024:
             raise KeyboardInterrupt(end)
 
     with pytest.raises(KeyboardInterrupt, match="^1024$"):
-        kernel.advance(q, len(seed) + 1, 1, -1, on_chunk, 256)
+        kernel.advance(q, len(seed) + 1, True, on_chunk, 256)
     assert q[:1025].tolist() == one_pass[:1025].tolist()
     assert set(q[1025:].tolist()) == {UNTOUCHED}
     with pytest.raises(TypeError):  # list.insert needs two arguments
-        kernel.advance(q, 1025, 1, -1, [].insert, 256)
+        kernel.advance(q, 1025, True, [].insert, 256)
     assert set(q[1281:].tolist()) == {UNTOUCHED}
 
 
@@ -763,10 +758,10 @@ def test_every_entry_goes_through_the_binding(tmp_path, monkeypatch, capsys):
     def recorded(name):
         def call(*args):
             calls.append(name)
-            if name == "advance" and len(args) > 4:
-                on_chunk = args[4]
-                args = (*args[:4], lambda end: (calls.append("on_chunk"), on_chunk(end))[1],
-                        *args[5:])
+            if name == "advance" and len(args) > 3:
+                on_chunk = args[3]
+                args = (*args[:3], lambda end: (calls.append("on_chunk"), on_chunk(end))[1],
+                        *args[4:])
             return getattr(_pykernel, name)(*args)
         return call
 

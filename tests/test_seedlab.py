@@ -7,7 +7,7 @@ import pytest
 
 import frozen_values as frozen
 from qseq.cli import seed_row
-from qseq.engine import Perturbation, RecursionConfig, Seed, run
+from qseq.engine import Perturbation, RecursionConfig, Seed, Trace, run
 from qseq.errors import ConfigError
 from qseq.seedlab import (
     MAX_SHIFT,
@@ -117,6 +117,24 @@ def test_detect_merge_none_for_irregular(main_trace):
     assert detect_merge(trace, main_trace) is None
 
 
+@pytest.mark.parametrize("horizon,changed", [
+    (2 * 10**4, 513), (2 * 10**4, 1000), (2 * 10**4, 1024), (3 * 10**4, 2 * 10**4),
+], ids=["a-gallop-step-past", "inside-a-gallop-step", "a-gallop-step's-last-slot",
+        "the-probe-window's-first-slot"])
+def test_detect_merge_finds_a_merge_deep_in_the_window(horizon, changed):
+    """The (1,1) trace with Q(changed) raised by 2 merges into itself from
+    changed + 1.  The search gallops to the power of two past the merge
+    (to 1024; to the window's end past 16384) and bisects back: to its
+    first slot, inside it, to its last slot; and to 20001, the first slot
+    of the trailing window a merge claim needs."""
+    trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=horizon))
+    values = memoryview(bytearray(trace.values)).cast(trace.config.dtype)
+    values[changed] += 2
+    forged = Trace(trace.config, values, trace.outcome)
+    assert detect_merge(forged, trace) == (0, changed + 1)
+    assert detect_merge(trace, forged) == (0, changed + 1)
+
+
 def test_detect_merge_window_larger_than_overlap(main_trace):
     trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=100))
     assert detect_merge(trace, main_trace) is None  # 100 terms < PROBE_WINDOW
@@ -129,6 +147,14 @@ def test_detect_ramp_orbit():
 
 def test_detect_ramp_orbit_false_on_reference(short_trace):
     assert not detect_ramp_orbit(short_trace)
+
+
+def test_detect_ramp_orbit_false_on_an_empty_window():
+    """Up to Q(4) the window of m in [2, (len - 1) // 2] is empty, so even
+    the ramp seed is not on the orbit; Q(5) = 2 puts it there."""
+    ramp = RecursionConfig(seed=Seed((1, 1, 2)), horizon=4)
+    assert not detect_ramp_orbit(run(ramp))
+    assert detect_ramp_orbit(run(dataclasses.replace(ramp, horizon=5)))
 
 
 @pytest.fixture(scope="module")
