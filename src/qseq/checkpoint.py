@@ -28,9 +28,13 @@ A checkpoint is written in place.  reserve() allocates the temp file at its
 full size and maps it shared, and the kernel runs straight into the mapped
 slots, so the values reach the page cache without a copy.  While the kernel
 computes, it reports each chunk of CHUNK slots it finishes, and the
-mapping's worker thread checksums that chunk, starts its writeback, and
+mapping's worker thread checksums that chunk, starts its writeback,
 faults in the pages of the chunk after the one the kernel is writing, so
-that the kernel itself takes few page faults.  save() fsyncs the values,
+that the kernel itself takes few page faults, and gives back the pages of
+the slots outside the run's read window, near half the step (the paper's
+heuristic), so that a run keeps about a sixth of its slots resident, not
+all of them.  A page given back keeps its data in the page cache, and a
+later read maps it again.  save() fsyncs the values,
 which finds little left to write, checksums the chunks of the tail past
 the last report, then writes the header, the seed, the table and the
 trailer (shrinking the file first if the run died) and commits the file.
@@ -53,6 +57,7 @@ step; the stored Q(1..seed_len) equal the seed.
 from __future__ import annotations
 
 import contextlib
+import math
 import mmap
 import os
 import struct
@@ -91,6 +96,15 @@ _HEADER = struct.Struct("<8sHBBBBHQQQ")
 _MADV_POPULATE_WRITE = getattr(mmap, "MADV_POPULATE_WRITE",
                                23 if sys.platform.startswith("linux") else None)
 _READ_CHUNK = 1 << 22  # bytes of load's two CRC buffers: the CRC runs over each read while cached
+# The read window of a run into a checkpoint, as fractions of the step n:
+# the recursion's dominant indices n - Q(n-1) and n - Q(n-2) lie near n/2,
+# and for the paper's seed (1,1) never below 0.4679 n past n = 2^20.  At a
+# report of end, the run reads on until about end + 2 * CHUNK, so the
+# worker keeps the slots [0.44 end, 0.6 (end + 2 * CHUNK)] mapped and gives
+# back the rest up to end.  The bounds are fixed: a seed that reads outside
+# them ((3,1,2) reads down to 0.36 n) only faults its pages in again, and a
+# window taken from the data costs a pass over every value.
+_WINDOW_LOW, _WINDOW_HIGH = 0.44, 0.6
 
 _PERT_FROM = {p.bit: p for p in Perturbation}
 _KIND_CODES = {OutcomeKind.ALIVE: 0, OutcomeKind.WEAK_DEATH: 1, OutcomeKind.STRONG_DEATH: 2}
@@ -157,22 +171,41 @@ def _chunk_crcs(values: memoryview, first: int) -> list[int]:
     return [crc32(values[lo : lo + CHUNK]) for lo in range(1 + CHUNK * first, len(values), CHUNK)]
 
 
+def _hint(advise: Callable[..., object], *args) -> None:
+    """advise(*args), a hint to the OS about pages or their writeback.  A
+    hint changes no byte of any file, so its OSError is ignored: it never
+    fails a run or a save."""
+    with contextlib.suppress(OSError):
+        advise(*args)
+
+
 class _Draft(ReservedMapping):
     """A shared mapping of a checkpoint's temp file at its full size, made
     by reserve() and finished by save().
 
     Its chunk is CHUNK, so a run into it reports (on_chunk) the end of each
-    chunk of the file's table it closes, slots [1, end] being final.  Its
-    worker thread appends the CRC of each chunk that a report closes and
-    starts the writeback of their whole pages with POSIX_FADV_DONTNEED, a
-    hint that leaves the pages mapped and cached.  Before that it faults in
-    the pages of slots (end + CHUNK, end + 2 * CHUNK] for writing
-    (MADV_POPULATE_WRITE), one chunk ahead of the run, which writes slots
-    (end, end + CHUNK] meanwhile: so a long run finds its pages mapped, and
-    their page faults, which allocate and zero the page cache's folios, run
-    on the worker's core instead of the run's.  join() ends the worker;
-    then crcs are the CRCs of the chunks up to the last report, or error is
-    what the worker raised.
+    chunk of the file's table it closes, slots [1, end] being final.  At
+    each report its worker thread
+    - faults in the pages of slots (end + CHUNK, end + 2 * CHUNK] for
+      writing (MADV_POPULATE_WRITE), one chunk ahead of the run, which
+      writes slots (end, end + CHUNK] meanwhile: so a long run finds its
+      pages mapped, and their page faults, which allocate and zero the
+      page cache's folios, run on the worker's core instead of the run's;
+    - appends the CRC of each chunk that the report closes;
+    - starts the writeback of their whole pages with POSIX_FADV_DONTNEED,
+      which leaves mapped pages cached;
+    - then gives back (MADV_DONTNEED) the pages of slots [1, end] outside
+      the read window [_WINDOW_LOW * end, _WINDOW_HIGH * (end + 2 * CHUNK)],
+      never the first page, nor one that holds a slot past end.  Their data
+      stays in the page cache, dirty until written back, and a later read
+      maps the page again.  The drop comes after the writeback's advice on
+      the same pages: on a page no longer mapped, that advice would evict
+      it, and the later read would go to the disk.
+    The fault-in, the advice and the drop are hints (_hint): an OSError
+    from any of them is ignored, so the run and its file are the same
+    without them.  join() ends the
+    worker; then crcs are the CRCs of the chunks up to the last report, or
+    error is what the worker raised.
     """
 
     temp: _TempFile
@@ -203,12 +236,26 @@ class _Draft(ReservedMapping):
             while (end := self._todo.get()) is not None:
                 self._fault_in(slots, end + CHUNK, end + 2 * CHUNK)
                 self.crcs += _chunk_crcs(slots[: end + 1], len(self.crcs))
-                pages_end = (self.offset + slots.itemsize * end) & -mmap.PAGESIZE
+                pages_end = self._byte(slots, end) & -mmap.PAGESIZE  # the page of slot end + 1
                 if hasattr(os, "posix_fadvise") and pages_end > written:
-                    os.posix_fadvise(fd, written, pages_end - written, os.POSIX_FADV_DONTNEED)
+                    _hint(os.posix_fadvise, fd, written, pages_end - written,
+                          os.POSIX_FADV_DONTNEED)
                     written = pages_end
+                low = int(_WINDOW_LOW * end)  # the read window's first slot and its last
+                high = math.ceil(_WINDOW_HIGH * (end + 2 * CHUNK))
+                self._drop(mmap.PAGESIZE, self._byte(slots, low - 1) & -mmap.PAGESIZE)
+                self._drop(-(-self._byte(slots, high) & -mmap.PAGESIZE), pages_end)
         except BaseException as exc:  # raised by _finish
             self.error = exc
+
+    def _byte(self, slots: memoryview, n: int) -> int:
+        """Where slot n ends in the file."""
+        return self.offset + slots.itemsize * n
+
+    def _drop(self, start: int, stop: int) -> None:
+        """Give back the pages of bytes [start, stop), both page-aligned."""
+        if start < stop:
+            _hint(self.madvise, mmap.MADV_DONTNEED, start, stop - start)
 
     def _fault_in(self, slots: memoryview, lo: int, hi: int) -> None:
         """Fault the pages of slots (lo, hi] in for writing, where the
@@ -216,9 +263,9 @@ class _Draft(ReservedMapping):
         hi = min(hi, len(slots) - 1)
         if _MADV_POPULATE_WRITE is None or lo >= hi:
             return
-        start = (self.offset + slots.itemsize * lo) & -mmap.PAGESIZE
-        with contextlib.suppress(OSError):  # EINVAL before Linux 5.14
-            self.madvise(_MADV_POPULATE_WRITE, start, self.offset + slots.itemsize * hi - start)
+        start = self._byte(slots, lo) & -mmap.PAGESIZE
+        _hint(self.madvise, _MADV_POPULATE_WRITE, start,  # EINVAL before Linux 5.14
+              self._byte(slots, hi) - start)
 
 
 @contextlib.contextmanager
@@ -232,7 +279,8 @@ def reserve(path: str | Path, config: RecursionConfig,
     disk space is allocated first, so that a full disk raises OSError here
     instead of SIGBUS in the kernel.  Slot 0 overlays the last seed bytes:
     nothing may write it.  The mapping's worker checksums and starts writing
-    back each chunk the run reports; it ends with the block.  Leaving
+    back each chunk the run reports, and gives back the pages outside the
+    run's read window (_Draft); it ends with the block.  Leaving
     the block without save() removes the temp file, and path keeps its old
     file.
     """
@@ -343,7 +391,7 @@ def _finish(draft: _Draft, trace: Trace, flush: Callable[[], None]) -> Trace:
     draft.flush()
     values = _mapped_values(fd, cfg, trace.len, draft.offset)
     draft.temp.commit()
-    draft.madvise(mmap.MADV_DONTNEED)
+    _hint(draft.madvise, mmap.MADV_DONTNEED)
     return Trace(cfg, values, out)
 
 

@@ -28,6 +28,11 @@ from .errors import ConfigError, RangeError, TraceStateError, ValueOverflowError
 
 MAX_SEED_LEN = 8
 
+# The slots extend copies at a time: a source mapped from a checkpoint gives
+# back each piece's pages once copied, so the two copies of the prefix are
+# never resident at once.
+_COPY_PIECE = 1 << 20
+
 # The struct typecode of a slot, by width in bytes, in the native byte order
 # the kernel writes (little-endian, as the checkpoint format requires, on
 # every host qseq is built for).
@@ -273,7 +278,8 @@ def extend(trace: Trace, new_horizon: int, out=None) -> Trace:
 
     A target at or below the computed length returns the trace unchanged.
     The result is identical to a fresh run at new_horizon.  A trace mapped
-    from a checkpoint gives its pages back to the OS once copied.
+    from a checkpoint gives its pages back to the OS as they are copied, in
+    pieces of _COPY_PIECE slots.
     """
     if not trace.outcome.is_alive:
         raise TraceStateError(
@@ -283,10 +289,15 @@ def extend(trace: Trace, new_horizon: int, out=None) -> Trace:
         return trace
     config = replace(trace.config, horizon=new_horizon)
     arr = _slots(config, out)
-    arr[1 : trace.len + 1] = trace.values[1:]
     mapped = trace.values.obj
-    if isinstance(mapped, FileMapping) and len(mapped) > mmap.PAGESIZE:
-        # a page read again comes back from the file; the first one holds
-        # slot 0, zeroed in a private copy that MADV_DONTNEED would drop
-        mapped.madvise(mmap.MADV_DONTNEED, mmap.PAGESIZE)
+    for lo in range(1, trace.len + 1, _COPY_PIECE):
+        hi = min(lo + _COPY_PIECE, trace.len + 1)
+        arr[lo:hi] = trace.values[lo:hi]
+        if isinstance(mapped, FileMapping):
+            # a page read again comes back from the file; the first one holds
+            # slot 0, zeroed in a private copy that MADV_DONTNEED would drop.
+            # Slot hi starts at byte width * hi of the mapping or later.
+            stop = len(mapped) if hi > trace.len else (config.width * hi) & -mmap.PAGESIZE
+            if stop > mmap.PAGESIZE:
+                mapped.madvise(mmap.MADV_DONTNEED, mmap.PAGESIZE, stop - mmap.PAGESIZE)
     return _run_from(config, arr, trace.len + 1)

@@ -1,5 +1,7 @@
 """Checkpoint format: round trips, determinism, corruption detection."""
 
+import errno
+import math
 import mmap
 import os
 import re
@@ -503,6 +505,36 @@ def test_extending_a_loaded_trace_leaves_it_readable(tmp_path):
     assert path.read_bytes() == fresh.read_bytes()
 
 
+def test_extend_gives_back_the_source_as_it_copies(tmp_path, monkeypatch):
+    """extend copies a loaded trace in pieces and, after each, gives back
+    the source's pages up to the piece's end, from the second page on, and
+    after the last the whole mapping past the first page: no page it drops
+    holds a slot not yet copied, and the extended file is the fresh run's."""
+    from qseq import engine
+
+    piece = 3000
+    monkeypatch.setattr(engine, "_COPY_PIECE", piece)
+    config = RecursionConfig(seed=Seed((1, 1)), horizon=30_000)
+    short = run(replace(config, horizon=10_000))
+    loaded, path = roundtrip(short, tmp_path)
+    mapped, spans = loaded.values.obj, []
+    monkeypatch.setattr(engine.FileMapping, "madvise",
+                        lambda self, option, *span: spans.append((option, *span)))
+    longer = extend(loaded, config.horizon)
+    page, offset = mmap.PAGESIZE, values_end(path.read_bytes())[0]
+    copied = [min(lo + piece, short.len + 1) for lo in range(1, short.len + 1, piece)]
+    assert [s[0] for s in spans] == [mmap.MADV_DONTNEED] * len(spans)
+    assert [s[1] for s in spans] == [page] * len(spans)
+    stops = [start + length for _, start, length in spans]
+    assert stops == sorted(stops) and stops[-1] == len(mapped)
+    assert all(stop <= offset + 4 * (hi - 1) for stop, hi in zip(stops, copied[:-1]))
+    assert len(spans) == len(copied)
+    assert loaded == short
+    checkpoint.save(longer, path)
+    _, fresh = roundtrip(run(config), tmp_path, "fresh.qtr")
+    assert path.read_bytes() == fresh.read_bytes()
+
+
 # ------------------------------------------------------------- computing into the file
 
 @pytest.mark.parametrize("config", [
@@ -653,6 +685,160 @@ def test_the_worker_faults_in_the_chunk_after_the_one_the_run_writes(
             for end in ends if end + chunk < horizon]
     assert asked == (want if value is not None else [])
     assert want and (trace.outcome.step is None or ends[-1] + chunk >= trace.outcome.step)
+
+
+# (seed, horizon of a first run that is extended or None, horizon, width,
+# checkpoint.CHUNK), a chunk being a page of slots: seed (1,6,4,2,1) dies at
+# step 12291, (3,1,2) reads below the window, and the ramp orbit (1,1,2)
+# reads near slot 1 throughout.
+WINDOW_RUNS = {
+    "width-4": ((1, 1), None, 30_000, 4, 1024),
+    "width-8": ((1, 1), None, 30_000, 8, 512),
+    "death": ((1, 6, 4, 2, 1), None, 30_000, 4, 1024),
+    "extension": ((1, 1), 10_000, 30_000, 4, 1024),
+    "irregular": ((3, 1, 2), None, 30_000, 4, 1024),
+    "ramp-orbit": ((1, 1, 2), None, 30_000, 4, 1024),
+}
+SAVE_WORKER = "qseq-save-chunks"
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_fadvise"), reason="no posix_fadvise")
+@pytest.mark.parametrize("case", sorted(WINDOW_RUNS))
+def test_the_worker_gives_back_the_pages_outside_the_read_window(tmp_path, monkeypatch, kernel,
+                                                                 case):
+    """At each report of end, once it has advised the writeback of the
+    chunks the report closes, the worker gives back the pages of slots
+    [1, end] outside the read window [_WINDOW_LOW end, _WINDOW_HIGH (end +
+    2 CHUNK)]: never the first page, nor one that holds a slot past end, nor
+    one not yet advised.  A run that reads a page given back maps it again
+    from the page cache, so every file is the one-pass file under the same
+    CHUNK."""
+    seed, first, horizon, width, chunk = WINDOW_RUNS[case]
+    monkeypatch.setattr(checkpoint, "CHUNK", chunk)
+    config = RecursionConfig(seed=Seed(seed), horizon=horizon, width=width)
+    one_pass = tmp_path / "one-pass.qtr"
+    checkpoint.save(run(config), one_pass)
+    path = tmp_path / "reserved.qtr"
+    stored = None
+    if first is not None:
+        with checkpoint.reserve(path, replace(config, horizon=first)) as slots:
+            stored = checkpoint.save(run(replace(config, horizon=first), slots), path)
+    events = []  # the worker's, in order: each report's CRCs, advice and drops
+    chunk_crcs, fadvise = checkpoint._chunk_crcs, os.posix_fadvise
+    madvise = checkpoint._Draft.madvise
+
+    def on_worker(event):
+        if threading.current_thread().name == SAVE_WORKER:
+            events.append(event)
+
+    def crcs(values, first):
+        on_worker(("report", len(values) - 1))
+        return chunk_crcs(values, first)
+
+    def posix_fadvise(fd, offset, length, advice):
+        on_worker(("advise", offset + length))
+        return fadvise(fd, offset, length, advice)
+
+    def record(draft, option, *span):
+        if option == mmap.MADV_DONTNEED:
+            on_worker(("drop", *span))
+        return madvise(draft, option, *span)
+
+    monkeypatch.setattr(checkpoint, "_chunk_crcs", crcs)
+    monkeypatch.setattr(checkpoint.os, "posix_fadvise", posix_fadvise)
+    monkeypatch.setattr(checkpoint._Draft, "madvise", record)
+    with checkpoint.reserve(path, config) as slots:
+        offset = slots.obj.offset
+        trace = run(config, slots) if stored is None else extend(stored, horizon, slots)
+        trace = checkpoint.save(trace, path)
+    assert path.read_bytes() == one_pass.read_bytes()
+
+    def byte(n):  # where slot n ends in the file
+        return offset + width * n
+
+    page, advised, drops, want = mmap.PAGESIZE, 0, [], []
+    for kind, *span in events:
+        if kind == "report":
+            [end] = span
+            low = int(checkpoint._WINDOW_LOW * end)
+            high = math.ceil(checkpoint._WINDOW_HIGH * (end + 2 * chunk))
+            want += [(lo, hi) for lo, hi in [(page, byte(low - 1) & -page),
+                                             (-(-byte(high) & -page), byte(end) & -page)]
+                     if lo < hi]
+        elif kind == "advise":
+            [advised] = span
+        else:
+            start, length = span
+            assert page <= start < start + length <= min(byte(end) & -page, advised), (end, span)
+            drops.append((start, start + length))
+    assert drops == want
+    assert len(drops) > horizon // chunk // 2
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_fadvise"), reason="no posix_fadvise")
+@pytest.mark.parametrize("hint", ["posix_fadvise", "drop"])
+def test_a_failing_hint_never_loses_a_run(tmp_path, monkeypatch, capsys, hint):
+    """An OSError from the writeback's advice, or from giving back pages
+    (the worker's drops and save's), is ignored: compute exits 0, writes
+    the one-pass file, and leaves no temp file and no thread."""
+    from qseq.cli import main
+
+    monkeypatch.setattr(checkpoint, "CHUNK", 1024)
+    one_pass = tmp_path / "one-pass.qtr"
+    checkpoint.save(run(RecursionConfig(seed=Seed((1, 1)), horizon=30_000)), one_pass)
+    failed = []
+
+    def fail(*args):
+        failed.append(threading.current_thread().name)
+        raise OSError(errno.EIO, "Input/output error")
+
+    if hint == "posix_fadvise":
+        monkeypatch.setattr(checkpoint.os, "posix_fadvise", fail)
+    else:
+        madvise = checkpoint._Draft.madvise
+        monkeypatch.setattr(checkpoint._Draft, "madvise", lambda draft, option, *span: (
+            fail() if option == mmap.MADV_DONTNEED else madvise(draft, option, *span)))
+    path = tmp_path / "store" / "t.qtr"
+    threads = threading.active_count()
+    assert main(["compute", "--horizon", "30000", "--trace", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert SAVE_WORKER in failed
+    assert path.read_bytes() == one_pass.read_bytes()
+    assert threading.active_count() == threads
+    assert [p.name for p in path.parent.iterdir()] == ["t.qtr"]
+
+
+RUN_INTO_A_CHECKPOINT = (
+    "import sys\nfrom qseq import checkpoint\n"
+    "from qseq.engine import RecursionConfig, Seed, run\n"
+    "def status(key):\n"
+    "    for line in open('/proc/self/status'):\n"
+    "        if line.startswith(key):\n"
+    "            return int(line.split()[1]) * 1024\n"
+    "config = RecursionConfig(Seed(tuple(map(int, sys.argv[2].split(',')))), int(sys.argv[3]))\n"
+    "before = status('VmRSS:')\n"
+    "with checkpoint.reserve(sys.argv[1], config) as slots:\n"
+    "    trace = checkpoint.save(run(config, slots), sys.argv[1])\n"
+    "print(status('VmHWM:') - before, trace.len)")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("seed", ["1,1", "3,1,2"])
+def test_a_run_into_a_checkpoint_keeps_only_its_read_window_resident(tmp_path, seed):
+    """In a fresh interpreter, reserve, run and save 3·10^7 terms (114 MB of
+    slots): the peak RSS rises by at most half of that, for seed (1,1),
+    whose reads stay inside the window, and for (3,1,2), whose reads go
+    below it and fault those pages in again.  Keeping every slot mapped
+    until save raised it by 114.6 MB."""
+    horizon = 3 * 10**7
+    env = dict(os.environ, PYTHONPATH=str(Path(checkpoint.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", RUN_INTO_A_CHECKPOINT, tmp_path / "t.qtr",
+                          seed, str(horizon)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    growth, length = map(int, out.stdout.split())
+    assert length == horizon
+    assert growth <= 4 * horizon // 2, f"{growth / 2**20:.1f} MB"
 
 
 def test_a_run_stopped_at_a_chunk_boundary_leaves_no_temp_or_thread(tmp_path, monkeypatch,
