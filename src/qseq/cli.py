@@ -43,6 +43,7 @@ from . import _native, checkpoint
 from .diagnostics import (
     SERIES_CODES,
     Series,
+    read_floor,
     selfsim_profile,
     selfsim_window,
     series,
@@ -57,6 +58,7 @@ from .engine import (
     Seed,
     Trace,
     extend,
+    give_back,
     run,
 )
 from .errors import (
@@ -97,11 +99,16 @@ class SeriesText(Sequence):
 
     rows(a, b) returns the Series of rows [a, b).  A block is computed and
     formatted only when it is read, so write_text streams a long series in
-    O(BLOCK_ROWS) memory.
+    O(BLOCK_ROWS) memory.  Rows that walk a trace forward name it, with
+    floor(b), the lowest slot that rows b and later read: once rows [a, b)
+    are computed, the trace's slots below floor(b) are given back
+    (give_back), so that a walk over a trace mapped from a checkpoint keeps
+    about one block's slots resident, not the whole trace.
     """
 
-    def __init__(self, count: int, rows: Callable[[int, int], Series]):
-        self.count, self.rows = count, rows
+    def __init__(self, count: int, rows: Callable[[int, int], Series],
+                 trace: Trace | None = None, floor: Callable[[int], int] | None = None):
+        self.count, self.rows, self.trace, self.floor = count, rows, trace, floor
 
     @classmethod
     def of(cls, x, y, halves: bool = False) -> "SeriesText":
@@ -125,7 +132,11 @@ class SeriesText(Sequence):
         if not 0 <= i < len(self):
             raise IndexError(i)
         a = i * BLOCK_ROWS
-        return format_series_lines(self.rows(a, min(a + BLOCK_ROWS, self.count)))
+        b = min(a + BLOCK_ROWS, self.count)
+        ser = self.rows(a, b)
+        if self.trace is not None:
+            give_back(self.trace.values, 0, self.floor(b))
+        return format_series_lines(ser)
 
 
 def write_text(path: Path, lines: Sequence[str | bytes]) -> None:
@@ -247,7 +258,8 @@ def cmd_compute(args) -> int:
             args, args.export or None,
             f"values_{trace_tag(config)}_n{config.horizon}.dat",
         )
-        write_text(export_path, SeriesText(trace.len, lambda a, b: value_rows(trace, a + 1, b)))
+        write_text(export_path, SeriesText(trace.len, lambda a, b: value_rows(trace, a + 1, b),
+                                           trace, lambda b: b + 1))
         print(f"wrote {export_path} ({trace.len} lines)")
     if not trace.outcome.is_alive:
         raise RunDied(trace)
@@ -264,7 +276,8 @@ def cmd_diagnose(args) -> int:
         ser = series(trace, code, samples_per_octave=args.samples_per_octave)
         text = SeriesText.of(ser.x, ser.y, ser.halves)
     else:
-        text = SeriesText(hi - lo + 1, lambda a, b: series(trace, code, lo + a, lo + b - 1))
+        text = SeriesText(hi - lo + 1, lambda a, b: series(trace, code, lo + a, lo + b - 1),
+                          trace, lambda b: read_floor(code, lo + b))
     out_path = resolve(
         args, args.out,
         f"series_{code}_{trace_tag(config)}_n{config.horizon}.dat",
@@ -300,7 +313,8 @@ def cmd_selfsim(args) -> int:
     counts = {k: selfsim_window(config.horizon, k)[1] for k in parse_levels(args.levels)}
     trace = live_trace(args, config)
     for k, count in counts.items():
-        text = SeriesText(count, lambda a, b: selfsim_profile(trace, k, a + 1, b))
+        text = SeriesText(count, lambda a, b: selfsim_profile(trace, k, a + 1, b),
+                          trace, lambda b: read_floor(k, b + 1))
         if args.out_dir is not None:
             out_path = Path(args.out_dir) / f"selfsim_k{k}.dat"
         else:

@@ -16,6 +16,7 @@ Which of the two indices failed is recorded separately.
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 from array import array
 from collections.abc import Callable
@@ -28,9 +29,8 @@ from .errors import ConfigError, RangeError, TraceStateError, ValueOverflowError
 
 MAX_SEED_LEN = 8
 
-# The slots extend copies at a time: a source mapped from a checkpoint gives
-# back each piece's pages once copied, so the two copies of the prefix are
-# never resident at once.
+# The slots extend copies at a time into a buffer that takes no reports: a
+# source mapped from a checkpoint gives back each piece's pages once copied.
 _COPY_PIECE = 1 << 20
 
 # The struct typecode of a slot, by width in bytes, in the native byte order
@@ -146,11 +146,14 @@ class Outcome:
 
 
 class FileMapping(mmap.mmap):
-    """A file mapped copy-on-write, as checkpoint.load maps a checkpoint: a
-    page given back to the OS is read again from the file."""
+    """A checkpoint mapped from its file, slot 1 at byte offset: copy-on-write,
+    as checkpoint.load maps it, or shared (ReservedMapping).  A page given
+    back to the OS (give_back) is read again from the file."""
+
+    offset: int
 
 
-class ReservedMapping(mmap.mmap):
+class ReservedMapping(FileMapping):
     """A file mapped shared for a run to fill, as checkpoint.reserve maps a
     new checkpoint: the run calls on_chunk(end) just after it writes each
     multiple end of chunk before its horizon, slots [0, end] of its buffer
@@ -158,6 +161,35 @@ class ReservedMapping(mmap.mmap):
 
     chunk: int
     on_chunk: Callable[[int], None]
+
+
+def give_back(values: memoryview, lo: int = 0, hi: int | None = None) -> None:
+    """Give back to the OS (MADV_DONTNEED) the whole pages of values'
+    mapping that lie between the start of slot lo and the start of slot hi:
+    from the mapping's first byte if lo is 0, to its last if hi is None.
+    values are a trace's slots, slot 0 first.
+
+    Only a FileMapping gives pages back, and a later read maps them again
+    from the page cache, so a caller that gives back a slot it reads again
+    pays a minor fault, never a wrong value.  Any other buffer is left as
+    it is: an anonymous page given back would read as zeros.  The first
+    page of a copy-on-write mapping, which holds slot 0's zeroed private
+    copy, is never given back.  Like every hint, an OSError is ignored.
+    """
+    mapped = values.obj
+    if not isinstance(mapped, FileMapping):
+        return
+    page = mmap.PAGESIZE
+    start = -(-(mapped.offset + values.itemsize * (lo - 1)) & -page) if lo else 0
+    if not isinstance(mapped, ReservedMapping):
+        start = max(start, page)
+    if hi is None:
+        stop = len(mapped)
+    else:
+        stop = (mapped.offset + values.itemsize * (min(hi, len(values)) - 1)) & -page
+    if start < stop:
+        with contextlib.suppress(OSError):
+            mapped.madvise(mmap.MADV_DONTNEED, start, stop - start)
 
 
 class Trace:
@@ -277,9 +309,12 @@ def extend(trace: Trace, new_horizon: int, out=None) -> Trace:
     """Resume a live trace up to new_horizon, into out if given (as for run).
 
     A target at or below the computed length returns the trace unchanged.
-    The result is identical to a fresh run at new_horizon.  A trace mapped
-    from a checkpoint gives its pages back to the OS as they are copied, in
-    pieces of _COPY_PIECE slots.
+    The result is identical to a fresh run at new_horizon.  The prefix is
+    copied in pieces of _COPY_PIECE slots, or of the chunk of a
+    ReservedMapping out, which hears on_chunk(end) once each whole chunk is
+    copied, so an extension reports the ends a fresh run reports.  A trace
+    mapped from a checkpoint gives back each piece's pages once copied
+    (give_back), so the two copies of the prefix are never resident at once.
     """
     if not trace.outcome.is_alive:
         raise TraceStateError(
@@ -289,15 +324,12 @@ def extend(trace: Trace, new_horizon: int, out=None) -> Trace:
         return trace
     config = replace(trace.config, horizon=new_horizon)
     arr = _slots(config, out)
-    mapped = trace.values.obj
-    for lo in range(1, trace.len + 1, _COPY_PIECE):
-        hi = min(lo + _COPY_PIECE, trace.len + 1)
+    draft = arr.obj if isinstance(arr.obj, ReservedMapping) else None
+    piece = _COPY_PIECE if draft is None else draft.chunk
+    for lo in range(1, trace.len + 1, piece):
+        hi = min(lo + piece, trace.len + 1)
         arr[lo:hi] = trace.values[lo:hi]
-        if isinstance(mapped, FileMapping):
-            # a page read again comes back from the file; the first one holds
-            # slot 0, zeroed in a private copy that MADV_DONTNEED would drop.
-            # Slot hi starts at byte width * hi of the mapping or later.
-            stop = len(mapped) if hi > trace.len else (config.width * hi) & -mmap.PAGESIZE
-            if stop > mmap.PAGESIZE:
-                mapped.madvise(mmap.MADV_DONTNEED, mmap.PAGESIZE, stop - mmap.PAGESIZE)
+        give_back(trace.values, 0, hi)
+        if draft is not None and hi - lo == piece and hi > len(config.seed) + 1:
+            draft.on_chunk(hi - 1)  # as the kernel reports: past the seed, before the horizon
     return _run_from(config, arr, trace.len + 1)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import _native
 from ._native import ST_COUNT_OVERFLOW, ST_PARITY
-from .engine import Trace, zeroed_slots
+from .engine import Trace, give_back, zeroed_slots
 from .errors import (
     ConfigError,
     CountOverflowError,
@@ -29,6 +29,10 @@ from .errors import (
     RangeError,
     SaturationError,
 )
+
+# Slots build_frequency counts at a time: 4 MB of 4-byte slots, each piece's
+# pages given back once counted.
+_PIECE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -60,20 +64,33 @@ def table_m_cap(n_max: int, cap: int, m_cap: int | None = None) -> int:
 
 def build_frequency(trace: Trace, m_cap: int | None = None) -> FrequencyTable:
     """Two counts: over the whole trace, Q(1..n_max) with n_max = trace.len,
-    then over its second half, the view whose slot 0 is Q(n_max//2)."""
+    and over its second half, Q(n_max//2 + 1..n_max).
+
+    One forward pass counts Q(lo + 1..hi) for each piece (lo, hi] of
+    _PIECE slots, the view of values[lo : hi + 1] whose slot 0 is Q(lo),
+    into counts, then its part past n_max//2 into late_counts, and gives
+    back the piece's pages (give_back): a trace mapped from a checkpoint
+    keeps about one piece resident, not the whole trace.  The errors and
+    the overflow tally are those of one count over the whole trace.
+    """
     n_max = trace.len
     m_cap = table_m_cap(n_max, trace.config.cap, m_cap)
     counts, late = zeroed_slots(m_cap + 1, "B"), zeroed_slots(m_cap + 1, "B")
-    status, aux = _native.kernel.count_values(trace.values, counts)
-
-    if status == ST_PARITY:
-        raise ParityError(f"even value Q({aux})={trace.value_at(int(aux))}")
-    if status == ST_COUNT_OVERFLOW:
-        raise CountOverflowError(f"count slot for m={aux} passed 255")
-    # cannot fail: these are some of the values the first count accepted
-    _native.kernel.count_values(trace.values[n_max // 2 :], late)
+    count_values, overflow = _native.kernel.count_values, 0
+    for lo in range(0, n_max, _PIECE):
+        hi = min(lo + _PIECE, n_max)
+        status, aux = count_values(trace.values[lo : hi + 1], counts)
+        if status == ST_PARITY:
+            raise ParityError(f"even value Q({lo + aux})={trace.value_at(lo + int(aux))}")
+        if status == ST_COUNT_OVERFLOW:
+            raise CountOverflowError(f"count slot for m={aux} passed 255")
+        overflow += aux
+        if hi > n_max // 2:
+            # cannot fail: these are some of the values the first count accepted
+            count_values(trace.values[max(lo, n_max // 2) : hi + 1], late)
+        give_back(trace.values, 0, hi + 1)
     return FrequencyTable(n_max=n_max, m_cap=m_cap, counts=counts.toreadonly(),
-                          late_counts=late.toreadonly(), overflow_count=int(aux))
+                          late_counts=late.toreadonly(), overflow_count=overflow)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: exit codes, file formats, checkpoint reuse."""
 
 import errno
+import mmap
 import os
 import stat
 import threading
@@ -10,7 +11,7 @@ import pytest
 
 import frozen_values as frozen
 import oracle
-from qseq import _native, _pykernel, checkpoint, cli
+from qseq import _native, _pykernel, checkpoint, cli, engine
 from qseq.cli import (
     EXIT_CONFIG,
     EXIT_DEATH,
@@ -541,6 +542,52 @@ def test_blocks_write_the_whole_series(short_trace, tmp_path, monkeypatch, capsy
     for k in range(4):
         assert (tmp_path / f"selfsim_k{k}.dat").read_bytes() == format_series_lines(
             selfsim_profile(short_trace, k))
+    capsys.readouterr()
+
+
+WALKS = {**{f"diagnose-{code}": ["diagnose", "--series", code]
+            for code in SERIES_CODES if code != "G"},
+         "selfsim": ["selfsim", "--levels", "0..5"], "export": ["compute", "--export"]}
+
+
+@pytest.mark.parametrize("walk", sorted(WALKS))
+def test_a_walk_over_a_checkpoint_gives_back_the_slots_behind_it(tmp_path, monkeypatch, capsys,
+                                                                  walk):
+    """A series writer over a loaded checkpoint gives back, block by block,
+    the pages below the lowest slot a later row reads, never the first
+    page: it writes the files of a walk over a run held in memory, and the
+    loaded trace still reads its values and a zero in slot 0 (at width 8,
+    slot 0 overlays the stored seed entry 2)."""
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 1000)
+    flags = ["--seed", "3,1,2", "--horizon", "30000", "--width", "8"]
+    path = tmp_path / "t.qtr"
+    assert main(["compute", *flags, "--trace", str(path)]) == EXIT_OK
+    loaded, load = [], checkpoint.load
+    monkeypatch.setattr(checkpoint, "load", lambda p: loaded.append(load(p)) or loaded[-1])
+    drops, madvise = [], engine.FileMapping.madvise
+
+    def record(mapped, option, *span):
+        if option == mmap.MADV_DONTNEED:
+            drops.append(span)
+        return madvise(mapped, option, *span)
+
+    monkeypatch.setattr(engine.FileMapping, "madvise", record)
+    verb = WALKS[walk]
+    assert main(["--data-dir", str(tmp_path / "mapped"), *verb, *flags,
+                 "--trace", str(path)]) == EXIT_OK
+    [trace] = loaded
+    assert drops and all(start == mmap.PAGESIZE for start, _ in drops)
+    assert trace.values[0] == 0
+    assert trace == run(trace.config)
+    monkeypatch.undo()
+    assert main(["--data-dir", str(tmp_path / "memory"), *verb, *flags,
+                 *(["--trace", str(tmp_path / "fresh.qtr")] if verb[0] == "compute" else [])]
+                ) == EXIT_OK
+    written = sorted(p.name for p in (tmp_path / "mapped").iterdir())
+    assert written and written == sorted(p.name for p in (tmp_path / "memory").iterdir())
+    for name in written:
+        assert (tmp_path / "mapped" / name).read_bytes() == (
+            tmp_path / "memory" / name).read_bytes(), name
     capsys.readouterr()
 
 

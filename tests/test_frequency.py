@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 
 import frozen_values as frozen
 import oracle
-from qseq import frequency
+from qseq import checkpoint, frequency
 from qseq.engine import Outcome, Perturbation, RecursionConfig, Seed, Trace, run
 from qseq.errors import (
     ConfigError,
@@ -97,6 +98,77 @@ def test_small_m_cap_overflows_but_conserves(short_trace):
     assert table.overflow_count > 0
     total = int(np.asarray(table.counts).sum(dtype=np.int64))
     assert total + table.overflow_count == short_trace.len
+
+
+PIECE = 7  # a piece of slots (4998, 5005] straddles 10_001 // 2
+
+
+def stored_as(trace, stored, tmp_path):
+    """trace itself, in run's anonymous mapping, or saved to a checkpoint and
+    loaded, its values then mapped from the file."""
+    if stored == "anonymous":
+        return trace
+    checkpoint.save(trace, tmp_path / "trace.qtr")
+    return checkpoint.load(tmp_path / "trace.qtr")
+
+
+def writable(trace):
+    """The slots of a trace run into anonymous memory, to forge in place."""
+    return memoryview(trace.values.obj).cast(trace.config.dtype)
+
+
+def tables_by_piece(monkeypatch, trace, **kwargs):
+    """build_frequency's outcome in one piece, then in pieces of PIECE slots:
+    the table, or the message of the error raised."""
+    outcomes = []
+    for piece in (trace.len, PIECE):
+        monkeypatch.setattr(frequency, "_PIECE", piece)
+        try:
+            table = build_frequency(trace, **kwargs)
+        except (ParityError, CountOverflowError) as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((table.counts.tobytes(), table.late_counts.tobytes(),
+                             table.overflow_count))
+    return outcomes
+
+
+@pytest.mark.parametrize("stored", ["anonymous", "loaded"])
+def test_a_table_counted_in_pieces_is_the_table_of_one_count(tmp_path, monkeypatch, kernel,
+                                                             stored):
+    """build_frequency counts each piece into both tables, the late one
+    only past n_max // 2, and gives the piece's pages back: the table,
+    overflow tally included, is the one count's (m_cap 2000 bins some late
+    values and tallies others), and the trace still reads its values and a
+    zero in slot 0 (at width 8, slot 0 overlays the stored seed entry 1)."""
+    config = RecursionConfig(seed=Seed((1, 1)), horizon=10_001, width=8)
+    trace = stored_as(run(config), stored, tmp_path)
+    whole, pieces = tables_by_piece(monkeypatch, trace, m_cap=2000)
+    assert pieces == whole
+    assert any(whole[1]) and whole[2] > 0  # late counts and an overflow tally
+    assert trace.values[0] == 0
+    assert trace == run(config)
+
+
+@pytest.mark.parametrize("stored", ["anonymous", "loaded"])
+@pytest.mark.parametrize("n", [3001, 8002], ids=["first-half", "second-half"])
+def test_pieces_raise_the_parity_error_of_one_count(tmp_path, monkeypatch, kernel, stored, n):
+    """An even value forged in a later piece, in either half, is named by
+    its own index, in pieces as in one count."""
+    trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=10_001))
+    writable(trace)[n] = even = 2 * trace.values[n]
+    trace = stored_as(trace, stored, tmp_path)
+    assert tables_by_piece(monkeypatch, trace) == [(ParityError, f"even value Q({n})={even}")] * 2
+
+
+@pytest.mark.parametrize("stored", ["anonymous", "loaded"])
+def test_pieces_raise_the_count_overflow_of_one_count(tmp_path, monkeypatch, kernel, stored):
+    """Q(3..600) = 3 fills bin m = 2 past 255 at n = 258, in the 37th piece."""
+    trace = run(RecursionConfig(seed=Seed((1, 1)), horizon=600))
+    writable(trace)[3:] = array("I", [3] * 598)
+    trace = stored_as(trace, stored, tmp_path)
+    assert tables_by_piece(monkeypatch, trace) == [
+        (CountOverflowError, "count slot for m=2 passed 255")] * 2
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
