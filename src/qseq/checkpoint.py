@@ -50,8 +50,8 @@ tell which run a file holds without reading its values.  load checks the
 trailer, then the chunks, half of them on a second thread, and maps the
 file copy-on-write, so a trace keeps in memory only the terms a caller
 reads; a caller that walks the values forward (build_frequency, the CLI's
-series writers, extend) gives back the pages it has passed, so it keeps
-only the slots it still reads.
+series writers, extend) gives back the whole mapping after each piece or
+block, so it keeps about the slots of one resident.
 Both reject a header that contradicts itself: a live trace holds exactly
 `horizon` values; a dead one holds `step - 1`, dies after its seed and by
 its horizon, and has the strong/weak kind that Outcome.death gives its
@@ -513,8 +513,9 @@ def load(path: str | Path) -> Trace:
 
     The values are then a copy-on-write mapping of the file, so a caller
     keeps in memory only the pages it reads, and a forward walk gives back
-    (engine.give_back) those it has passed: freq, diagnose E and compute
-    --export over a 3·10^7 checkpoint peak at about 27-31 MB, not 143 MB.
+    (engine.give_back) the whole mapping after each piece or block:
+    diagnose and compute --export over a 3·10^7 checkpoint peak at about
+    29-34 MB and selfsim at 20-30 MB, not 143 MB.
     Slot 0 overlays the last seed bytes; it is zeroed in a private page,
     which give_back never drops, and the file is never written.
 

@@ -43,7 +43,6 @@ from . import _native, checkpoint
 from .diagnostics import (
     SERIES_CODES,
     Series,
-    read_floor,
     selfsim_profile,
     selfsim_window,
     series,
@@ -95,20 +94,20 @@ def format_series_lines(ser) -> bytes:
 
 
 class SeriesText(Sequence):
-    """The text of count rows as a sequence of blocks of BLOCK_ROWS rows.
+    """The text of count rows as a sequence of blocks of block rows (default:
+    BLOCK_ROWS, read at each call).
 
     rows(a, b) returns the Series of rows [a, b).  A block is computed and
     formatted only when it is read, so write_text streams a long series in
-    O(BLOCK_ROWS) memory.  Rows that walk a trace forward name it, with
-    floor(b), the lowest slot that rows b and later read: once rows [a, b)
-    are computed, the trace's slots below floor(b) are given back
-    (give_back), so that a walk over a trace mapped from a checkpoint keeps
-    about one block's slots resident, not the whole trace.
+    O(block) memory.  Rows that walk a trace forward name it: once a block's
+    rows are computed, the trace's whole mapping is given back (give_back),
+    so that a walk over a trace mapped from a checkpoint keeps about the
+    slots of one block resident, not the whole trace.
     """
 
     def __init__(self, count: int, rows: Callable[[int, int], Series],
-                 trace: Trace | None = None, floor: Callable[[int], int] | None = None):
-        self.count, self.rows, self.trace, self.floor = count, rows, trace, floor
+                 trace: Trace | None = None, block: int | None = None):
+        self.count, self.rows, self.trace, self.block = count, rows, trace, block
 
     @classmethod
     def of(cls, x, y, halves: bool = False) -> "SeriesText":
@@ -126,16 +125,16 @@ class SeriesText(Sequence):
         return cls(len(y), rows)
 
     def __len__(self) -> int:
-        return -(-self.count // BLOCK_ROWS)
+        return -(-self.count // (self.block or BLOCK_ROWS))
 
     def __getitem__(self, i: int) -> bytes:
         if not 0 <= i < len(self):
             raise IndexError(i)
-        a = i * BLOCK_ROWS
-        b = min(a + BLOCK_ROWS, self.count)
-        ser = self.rows(a, b)
+        block = self.block or BLOCK_ROWS
+        a = i * block
+        ser = self.rows(a, min(a + block, self.count))
         if self.trace is not None:
-            give_back(self.trace.values, 0, self.floor(b))
+            give_back(self.trace.values)
         return format_series_lines(ser)
 
 
@@ -259,7 +258,7 @@ def cmd_compute(args) -> int:
             f"values_{trace_tag(config)}_n{config.horizon}.dat",
         )
         write_text(export_path, SeriesText(trace.len, lambda a, b: value_rows(trace, a + 1, b),
-                                           trace, lambda b: b + 1))
+                                           trace))
         print(f"wrote {export_path} ({trace.len} lines)")
     if not trace.outcome.is_alive:
         raise RunDied(trace)
@@ -277,7 +276,7 @@ def cmd_diagnose(args) -> int:
         text = SeriesText.of(ser.x, ser.y, ser.halves)
     else:
         text = SeriesText(hi - lo + 1, lambda a, b: series(trace, code, lo + a, lo + b - 1),
-                          trace, lambda b: read_floor(code, lo + b))
+                          trace)
     out_path = resolve(
         args, args.out,
         f"series_{code}_{trace_tag(config)}_n{config.horizon}.dat",
@@ -313,8 +312,9 @@ def cmd_selfsim(args) -> int:
     counts = {k: selfsim_window(config.horizon, k)[1] for k in parse_levels(args.levels)}
     trace = live_trace(args, config)
     for k, count in counts.items():
+        # level k reads one slot in 2^k, so a block spans BLOCK_ROWS slots at every level
         text = SeriesText(count, lambda a, b: selfsim_profile(trace, k, a + 1, b),
-                          trace, lambda b: read_floor(k, b + 1))
+                          trace, max(1, BLOCK_ROWS >> k))
         if args.out_dir is not None:
             out_path = Path(args.out_dir) / f"selfsim_k{k}.dat"
         else:

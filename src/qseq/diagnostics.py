@@ -15,11 +15,9 @@ series_window() gives a code's domain on a trace of a given length, or
 checks a window [lo, hi] of it, so a caller can refuse a window before it
 computes the trace; series() evaluates the formula on that window, and
 selfsim_profile() takes the same window over its samples, so a caller can
-evaluate a long series one block of rows at a time, as the CLI does;
-read_floor() gives the lowest slot that the rows from n on read, so that
-the CLI gives back the slots behind each block.  G is a log grid, not a
-window: series() builds it whole, in Python, and sets its default density
-of 64 samples per octave.
+evaluate a long series one block of rows at a time, as the CLI does.  G
+is a log grid, not a window: series() builds it whole, in Python, and sets
+its default density of 64 samples per octave.
 
 A Series holds its columns as read-only memoryviews, and no series needs
 NumPy.  The parity and identity checks are the kernel's count_values,
@@ -108,21 +106,6 @@ _SERIES = {
     "d": (lambda L: (1, L // 2), True, 0, ((1, 2, 0), (-1, 2, -1))),
 }
 SERIES_CODES = (*_SERIES, "G")
-
-
-def read_floor(code: str | int, n: int) -> int:
-    """The lowest slot that rows n and later read, of series code or, for an
-    int code k, of selfsim level k, so that a forward walk over the rows may
-    give back every slot below it.  A linear code reads m*n + a for each of
-    its terms (c, m, a), all with m >= 1; S reads what t1 and t2 read, n - 1
-    and n - 2; level k reads 2^k n.  A code that reads two streams at
-    different rates, as R reads n and 2n, keeps the span between them."""
-    if isinstance(code, int):
-        return n << code
-    _, _, slope, terms = _SERIES[code]
-    if slope is None:
-        return min(read_floor(row, n) for row in terms)
-    return min(m * n + a for _, m, a in terms)
 
 
 def _evaluate(trace: Trace, lo: int, hi: int, slope: int, terms=(),

@@ -29,9 +29,10 @@ from .errors import ConfigError, RangeError, TraceStateError, ValueOverflowError
 
 MAX_SEED_LEN = 8
 
-# The slots extend copies at a time into a buffer that takes no reports: a
-# source mapped from a checkpoint gives back each piece's pages once copied.
-_COPY_PIECE = 1 << 20
+# Slots a forward walk handles at a time, 4 MB of 4-byte slots: extend's copy
+# into a buffer that takes no reports, and build_frequency's count.  After
+# each piece, a trace mapped from a checkpoint gives back its whole mapping.
+PIECE = 1 << 20
 
 # The struct typecode of a slot, by width in bytes, in the native byte order
 # the kernel writes (little-endian, as the checkpoint format requires, on
@@ -167,7 +168,10 @@ def give_back(values: memoryview, lo: int = 0, hi: int | None = None) -> None:
     """Give back to the OS (MADV_DONTNEED) the whole pages of values'
     mapping that lie between the start of slot lo and the start of slot hi:
     from the mapping's first byte if lo is 0, to its last if hi is None.
-    values are a trace's slots, slot 0 first.
+    values are a trace's slots, slot 0 first.  A forward walk gives back
+    the whole mapping after each piece or block it reads: a page ahead of
+    it is not mapped yet, so dropping it costs nothing.  Only a run's read
+    window (checkpoint._Draft) passes bounds.
 
     Only a FileMapping gives pages back, and a later read maps them again
     from the page cache, so a caller that gives back a slot it reads again
@@ -310,11 +314,11 @@ def extend(trace: Trace, new_horizon: int, out=None) -> Trace:
 
     A target at or below the computed length returns the trace unchanged.
     The result is identical to a fresh run at new_horizon.  The prefix is
-    copied in pieces of _COPY_PIECE slots, or of the chunk of a
-    ReservedMapping out, which hears on_chunk(end) once each whole chunk is
-    copied, so an extension reports the ends a fresh run reports.  A trace
-    mapped from a checkpoint gives back each piece's pages once copied
-    (give_back), so the two copies of the prefix are never resident at once.
+    copied in pieces of PIECE slots, or of the chunk of a ReservedMapping
+    out, which hears on_chunk(end) once each whole chunk is copied, so an
+    extension reports the ends a fresh run reports.  A trace mapped from a
+    checkpoint gives back its whole mapping after each piece (give_back),
+    so the two copies of the prefix are never resident at once.
     """
     if not trace.outcome.is_alive:
         raise TraceStateError(
@@ -325,11 +329,11 @@ def extend(trace: Trace, new_horizon: int, out=None) -> Trace:
     config = replace(trace.config, horizon=new_horizon)
     arr = _slots(config, out)
     draft = arr.obj if isinstance(arr.obj, ReservedMapping) else None
-    piece = _COPY_PIECE if draft is None else draft.chunk
+    piece = PIECE if draft is None else draft.chunk
     for lo in range(1, trace.len + 1, piece):
         hi = min(lo + piece, trace.len + 1)
         arr[lo:hi] = trace.values[lo:hi]
-        give_back(trace.values, 0, hi)
+        give_back(trace.values)
         if draft is not None and hi - lo == piece and hi > len(config.seed) + 1:
             draft.on_chunk(hi - 1)  # as the kernel reports: past the seed, before the horizon
     return _run_from(config, arr, trace.len + 1)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _native
+from . import _native, engine
 from ._native import ST_COUNT_OVERFLOW, ST_PARITY
 from .engine import Trace, give_back, zeroed_slots
 from .errors import (
@@ -29,10 +29,6 @@ from .errors import (
     RangeError,
     SaturationError,
 )
-
-# Slots build_frequency counts at a time: 4 MB of 4-byte slots, each piece's
-# pages given back once counted.
-_PIECE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -67,18 +63,19 @@ def build_frequency(trace: Trace, m_cap: int | None = None) -> FrequencyTable:
     and over its second half, Q(n_max//2 + 1..n_max).
 
     One forward pass counts Q(lo + 1..hi) for each piece (lo, hi] of
-    _PIECE slots, the view of values[lo : hi + 1] whose slot 0 is Q(lo),
-    into counts, then its part past n_max//2 into late_counts, and gives
-    back the piece's pages (give_back): a trace mapped from a checkpoint
-    keeps about one piece resident, not the whole trace.  The errors and
-    the overflow tally are those of one count over the whole trace.
+    engine.PIECE slots, the view of values[lo : hi + 1] whose slot 0 is
+    Q(lo), into counts, then its part past n_max//2 into late_counts, and
+    gives back the whole mapping (give_back): a trace mapped from a
+    checkpoint keeps about one piece resident, not the whole trace.  The
+    errors and the overflow tally are those of one count over the whole
+    trace.
     """
     n_max = trace.len
     m_cap = table_m_cap(n_max, trace.config.cap, m_cap)
     counts, late = zeroed_slots(m_cap + 1, "B"), zeroed_slots(m_cap + 1, "B")
-    count_values, overflow = _native.kernel.count_values, 0
-    for lo in range(0, n_max, _PIECE):
-        hi = min(lo + _PIECE, n_max)
+    count_values, overflow, piece = _native.kernel.count_values, 0, engine.PIECE
+    for lo in range(0, n_max, piece):
+        hi = min(lo + piece, n_max)
         status, aux = count_values(trace.values[lo : hi + 1], counts)
         if status == ST_PARITY:
             raise ParityError(f"even value Q({lo + aux})={trace.value_at(lo + int(aux))}")
@@ -88,7 +85,7 @@ def build_frequency(trace: Trace, m_cap: int | None = None) -> FrequencyTable:
         if hi > n_max // 2:
             # cannot fail: these are some of the values the first count accepted
             count_values(trace.values[max(lo, n_max // 2) : hi + 1], late)
-        give_back(trace.values, 0, hi + 1)
+        give_back(trace.values)
     return FrequencyTable(n_max=n_max, m_cap=m_cap, counts=counts.toreadonly(),
                           late_counts=late.toreadonly(), overflow_count=overflow)
 

@@ -507,13 +507,13 @@ def test_extending_a_loaded_trace_leaves_it_readable(tmp_path):
 
 def test_extend_gives_back_the_source_as_it_copies(tmp_path, monkeypatch):
     """extend copies a loaded trace in pieces and, after each, gives back
-    the source's whole pages from the second one up to the start of the
-    next slot to copy: no page it drops holds a slot not yet copied, and
-    the extended file is the fresh run's."""
+    the source's whole mapping from its second page to its end: a page not
+    yet copied is mapped again when read, and the extended file is the
+    fresh run's."""
     from qseq import engine
 
     piece = 3000
-    monkeypatch.setattr(engine, "_COPY_PIECE", piece)
+    monkeypatch.setattr(engine, "PIECE", piece)
     config = RecursionConfig(seed=Seed((1, 1)), horizon=30_000)
     short = run(replace(config, horizon=10_000))
     loaded, path = roundtrip(short, tmp_path)
@@ -521,10 +521,8 @@ def test_extend_gives_back_the_source_as_it_copies(tmp_path, monkeypatch):
     monkeypatch.setattr(engine.FileMapping, "madvise",
                         lambda self, option, *span: spans.append((option, *span)))
     longer = extend(loaded, config.horizon)
-    page, offset = mmap.PAGESIZE, values_end(path.read_bytes())[0]
-    copied = [min(lo + piece, short.len + 1) for lo in range(1, short.len + 1, piece)]
-    assert spans == [(mmap.MADV_DONTNEED, page, ((offset + 4 * (hi - 1)) & -page) - page)
-                     for hi in copied]
+    page, size = mmap.PAGESIZE, len(loaded.values.obj)
+    assert spans == [(mmap.MADV_DONTNEED, page, size - page)] * len(range(1, short.len + 1, piece))
     assert loaded == short
     checkpoint.save(longer, path)
     _, fresh = roundtrip(run(config), tmp_path, "fresh.qtr")
@@ -866,15 +864,24 @@ def peak_growth(*argv) -> int:
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-@pytest.mark.parametrize("verb", [["freq"], ["diagnose", "--series", "E"]],
-                         ids=["freq", "diagnose-E"])
+@pytest.mark.parametrize("verb", [
+    ["freq"],
+    ["diagnose", "--series", "E"],
+    ["diagnose", "--series", "R"],
+    ["diagnose", "--series", "Reven"],
+    ["selfsim", "--levels", "8"],
+    ["selfsim", "--levels", "0..5"],
+], ids=["freq", "diagnose-E", "diagnose-R", "diagnose-Reven", "selfsim-8", "selfsim-0..5"])
 def test_a_walk_over_a_loaded_checkpoint_keeps_a_few_pieces_resident(tmp_path, verb):
-    """In a fresh interpreter, freq (build_frequency) and diagnose --series
-    E over a loaded 3·10^7 checkpoint (114 MB of slots) raise the peak RSS
-    by at most 32 MB: freq's two tables (the bins the values reach, about
-    11 MB), load's two CRC buffers, and a few pieces or blocks of slots,
-    given back once passed.  Keeping every slot read raised it by 128-134
-    MB."""
+    """In a fresh interpreter, freq (build_frequency), diagnose and selfsim
+    over a loaded 3·10^7 checkpoint (114 MB of slots) raise the peak RSS by
+    at most 32 MB: freq's two tables (the bins the values reach, about 11
+    MB), load's two CRC buffers, and the slots of a few pieces or blocks,
+    the whole mapping given back after each.  Keeping every slot read
+    raised it by 128-134 MB; giving back only the slots below the lowest
+    one a later row reads, by 70 MB for R and Reven, which read two
+    streams, and by 116 MB for selfsim level 8, whose blocks of 2^18 rows
+    spanned 2^26 slots."""
     horizon = ["--horizon", 3 * 10**7]
     path = tmp_path / "t.qtr"
     peak_growth("compute", *horizon, "--trace", path)

@@ -554,10 +554,10 @@ WALKS = {**{f"diagnose-{code}": ["diagnose", "--series", code]
 def test_a_walk_over_a_checkpoint_gives_back_the_slots_behind_it(tmp_path, monkeypatch, capsys,
                                                                   walk):
     """A series writer over a loaded checkpoint gives back, block by block,
-    the pages below the lowest slot a later row reads, never the first
-    page: it writes the files of a walk over a run held in memory, and the
-    loaded trace still reads its values and a zero in slot 0 (at width 8,
-    slot 0 overlays the stored seed entry 2)."""
+    the whole mapping but its first page: it writes the files of a walk
+    over a run held in memory, and the loaded trace still reads its values
+    and a zero in slot 0 (at width 8, slot 0 overlays the stored seed entry
+    2)."""
     monkeypatch.setattr(cli, "BLOCK_ROWS", 1000)
     flags = ["--seed", "3,1,2", "--horizon", "30000", "--width", "8"]
     path = tmp_path / "t.qtr"
@@ -568,7 +568,7 @@ def test_a_walk_over_a_checkpoint_gives_back_the_slots_behind_it(tmp_path, monke
 
     def record(mapped, option, *span):
         if option == mmap.MADV_DONTNEED:
-            drops.append(span)
+            drops.append((*span, len(mapped)))
         return madvise(mapped, option, *span)
 
     monkeypatch.setattr(engine.FileMapping, "madvise", record)
@@ -576,7 +576,8 @@ def test_a_walk_over_a_checkpoint_gives_back_the_slots_behind_it(tmp_path, monke
     assert main(["--data-dir", str(tmp_path / "mapped"), *verb, *flags,
                  "--trace", str(path)]) == EXIT_OK
     [trace] = loaded
-    assert drops and all(start == mmap.PAGESIZE for start, _ in drops)
+    assert drops and all(start == mmap.PAGESIZE and start + length == size
+                         for start, length, size in drops)
     assert trace.values[0] == 0
     assert trace == run(trace.config)
     monkeypatch.undo()

@@ -13,13 +13,10 @@ from qseq.diagnostics import (
     assert_all_odd,
     check_subsequence_identities,
     log_grid,
-    read_floor,
     selfsim_profile,
-    selfsim_window,
     series,
     series_window,
 )
-from qseq.engine import Trace
 from qseq.errors import ConfigError, ParityError, RangeError
 
 
@@ -28,29 +25,6 @@ def oracle_values(short_trace):
     q, death = oracle.naive_run((1, 1), short_trace.len)
     assert death is None
     return q
-
-
-@pytest.mark.parametrize("code", [*(c for c in SERIES_CODES if c != "G"), 0, 1, 4])
-def test_rows_read_nothing_below_their_read_floor(short_trace, code):
-    """Rows n and later of a series (an int code: of a selfsim level) are
-    the same with every slot below read_floor(code, n) overwritten, and
-    row n changes with that slot itself."""
-    if isinstance(code, int):
-        lo, hi = selfsim_window(short_trace.len, code)
-        rows = lambda trace, n: selfsim_profile(trace, code, n, hi).y.tolist()  # noqa: E731
-    else:
-        lo, hi = series_window(short_trace.len, code)
-        rows = lambda trace, n: series(trace, code, n, hi).y.tolist()  # noqa: E731
-
-    def overwritten(stop):
-        values = np.array(short_trace.values)
-        values[:stop] = 7777
-        return Trace(short_trace.config, values, short_trace.outcome)
-
-    for n in (lo, lo + 1, (lo + hi) // 2, hi):
-        floor = read_floor(code, n)
-        assert rows(overwritten(floor), n) == rows(short_trace, n), (code, n)
-        assert rows(overwritten(floor + 1), n)[0] != rows(short_trace, n)[0], (code, n)
 
 
 def test_series_range_checks(short_trace):

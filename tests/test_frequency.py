@@ -12,7 +12,7 @@ import pytest
 
 import frozen_values as frozen
 import oracle
-from qseq import checkpoint, frequency
+from qseq import checkpoint, engine, frequency
 from qseq.engine import Outcome, Perturbation, RecursionConfig, Seed, Trace, run
 from qseq.errors import (
     ConfigError,
@@ -122,7 +122,7 @@ def tables_by_piece(monkeypatch, trace, **kwargs):
     the table, or the message of the error raised."""
     outcomes = []
     for piece in (trace.len, PIECE):
-        monkeypatch.setattr(frequency, "_PIECE", piece)
+        monkeypatch.setattr(engine, "PIECE", piece)
         try:
             table = build_frequency(trace, **kwargs)
         except (ParityError, CountOverflowError) as exc:
