@@ -28,22 +28,23 @@ A checkpoint is written in place.  reserve() allocates the temp file at its
 full size and maps it shared, and the kernel runs straight into the mapped
 slots, so the values reach the page cache without a copy.  While the kernel
 computes, it reports each chunk of CHUNK slots it finishes, and the
-mapping's worker thread checksums that chunk, starts its writeback,
-faults in the pages of the chunk after the one the kernel is writing, so
-that the kernel itself takes few page faults, and gives back the pages of
-the slots outside the run's read window, near half the step (the paper's
-heuristic), so that a run keeps about a sixth of its slots resident, not
-all of them.  An extension into such a file reports each chunk of the
-prefix it copies in the same way.  A page given back (engine.give_back)
-keeps its data in the page cache, and a later read maps it again.
-save() fsyncs the values, which finds little left to write, checksums
-the chunks of the tail past the last report, then writes the header, the
-seed, the table and the trailer (shrinking the file first if the run
-died) and commits the file.
+mapping's worker thread checksums that chunk, starts its writeback, gives
+back the pages of the slots outside the run's read window, near half the
+step (the paper's heuristic), so that a run keeps about a sixth of its
+slots resident, not all of them, and then faults in the pages of the chunk
+after the one the kernel is writing, so that the kernel itself takes few
+page faults.  The kernel's next report waits for that give-back, so the
+run is never more than one report ahead of the worker.  An extension into
+such a file reports each chunk of the prefix it copies in the same way.
+A page given back (engine.give_back) keeps its data in the page cache,
+and a later read maps it again.  save() fsyncs the values, which finds
+little left to write, checksums the chunks of the tail past the last
+report, then writes the header, the seed, the table and the trailer
+(shrinking the file first if the run died) and commits the file.
 A trace held in memory is written into such a file and then checksummed,
-to the same bytes.  An exception at a report, Ctrl-C among them, ends the
-run there and removes the temp file.  Every CRC is the kernel's crc32,
-which equals zlib.crc32.
+to the same bytes.  An exception at a report, Ctrl-C's or the worker's
+among them, ends the run there and removes the temp file.  Every CRC is
+the kernel's crc32, which equals zlib.crc32.
 
 read_header parses and checks the header and seed alone, so a caller can
 tell which run a file holds without reading its values.  load checks the
@@ -191,26 +192,34 @@ class _Draft(ReservedMapping):
     Its chunk is CHUNK, so a run into it reports (on_chunk) the end of each
     chunk of the file's table it closes, slots [1, end] being final.  At
     each report its worker thread
-    - faults in the pages of slots (end + CHUNK, end + 2 * CHUNK] for
-      writing (MADV_POPULATE_WRITE), one chunk ahead of the run, which
-      writes slots (end, end + CHUNK] meanwhile: so a long run finds its
-      pages mapped, and their page faults, which allocate and zero the
-      page cache's folios, run on the worker's core instead of the run's;
     - appends the CRC of each chunk that the report closes;
     - starts the writeback of their whole pages with POSIX_FADV_DONTNEED,
       which leaves mapped pages cached;
-    - then gives back (give_back) the pages of slots [1, end] outside the
-      read window [_WINDOW_LOW * end, _WINDOW_HIGH * (end + 2 * CHUNK)],
-      never the first page, nor one that holds a slot past end.  Their data
-      stays in the page cache, dirty until written back, and a later read
-      maps the page again.  The drop comes after the writeback's advice on
-      the same pages: on a page no longer mapped, that advice would evict
-      it, and the later read would go to the disk.
+    - gives back (give_back) the pages of slots [1, end] outside the read
+      window [_WINDOW_LOW * end, _WINDOW_HIGH * (end + 2 * CHUNK)], never
+      the first page, nor one that holds a slot past end.  Their data stays
+      in the page cache, dirty until written back, and a later read maps
+      the page again.  The drop comes after the writeback's advice on the
+      same pages: on a page no longer mapped, that advice would evict it,
+      and the later read would go to the disk;
+    - then lets the run report its next chunk, and only after that faults
+      in the pages of slots (end + CHUNK, end + 2 * CHUNK] for writing
+      (MADV_POPULATE_WRITE), one chunk ahead of the run, which writes slots
+      (end, end + CHUNK] meanwhile: so a long run finds its pages mapped,
+      and their page faults, which allocate and zero the page cache's
+      folios, run on the worker's core instead of the run's.
+    A report waits in on_chunk until the worker has given back the one
+    before, so the run, or an extension's copy, is never more than one
+    report ahead of the worker, and past the read window about two chunks
+    are mapped at a time, the one the worker holds and the one the run
+    writes, whether the worker keeps up or not.  A report that finds the
+    worker failed raises what it raised.  The wait holds no GIL, and
+    Ctrl-C ends it.
     The fault-in, the advice and the drop are hints (_hint, give_back): an
     OSError from any of them is ignored, so the run and its file are the
-    same without them.  join() ends the
-    worker; then crcs are the CRCs of the chunks up to the last report, or
-    error is what the worker raised.
+    same without them.  join() ends the worker once it has finished the
+    report it holds; then crcs are the CRCs of the chunks up to the last
+    report, or error is what the worker raised.
     """
 
     temp: _TempFile
@@ -218,27 +227,40 @@ class _Draft(ReservedMapping):
     error: BaseException | None
 
     def start(self, temp: _TempFile, offset: int, slots: memoryview) -> None:
-        import queue  # about 0.12 MB, which only a process writing a checkpoint needs
-
         self.temp, self.offset, self.chunk = temp, offset, CHUNK
         self.crcs, self.error = [], None
-        self._todo = queue.SimpleQueue()
+        self._slot = threading.Condition()  # guards error, _end and _closed
+        self._end = None  # the report handed over and not yet given back
+        self._closed = False  # set by join
         self._worker = threading.Thread(target=self._work, args=(slots,),
                                         name="qseq-save-chunks")
         self._worker.start()
 
     def on_chunk(self, end: int) -> None:
-        self._todo.put(end)
+        """Hand end to the worker once it has given back the previous
+        report; raise what the worker raised instead, if it did."""
+        with self._slot:
+            self._slot.wait_for(lambda: self._end is None or self.error is not None)
+            if self.error is not None:
+                raise self.error
+            self._end = end
+            self._slot.notify_all()
 
     def join(self) -> None:
-        self._todo.put(None)
+        with self._slot:
+            self._closed = True
+            self._slot.notify_all()
         self._worker.join()
 
     def _work(self, slots: memoryview) -> None:
         fd, written = self.temp.fh.fileno(), 0
         try:
-            while (end := self._todo.get()) is not None:
-                self._fault_in(slots, end + CHUNK, end + 2 * CHUNK)
+            while True:
+                with self._slot:
+                    self._slot.wait_for(lambda: self._end is not None or self._closed)
+                    end = self._end
+                if end is None:
+                    return
                 self.crcs += _chunk_crcs(slots[: end + 1], len(self.crcs))
                 pages_end = self._byte(slots, end) & -mmap.PAGESIZE  # the page of slot end + 1
                 if hasattr(os, "posix_fadvise") and pages_end > written:
@@ -249,8 +271,14 @@ class _Draft(ReservedMapping):
                 high = math.ceil(_WINDOW_HIGH * (end + 2 * CHUNK))
                 give_back(slots, 1, low)
                 give_back(slots, high + 1, end + 1)
-        except BaseException as exc:  # raised by _finish
-            self.error = exc
+                with self._slot:  # the run may report the next chunk
+                    self._end = None
+                    self._slot.notify_all()
+                self._fault_in(slots, end + CHUNK, end + 2 * CHUNK)
+        except BaseException as exc:  # raised by on_chunk or _finish
+            with self._slot:
+                self.error = exc
+                self._slot.notify_all()
 
     def _byte(self, slots: memoryview, n: int) -> int:
         """Where slot n ends in the file."""

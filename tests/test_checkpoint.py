@@ -776,6 +776,133 @@ def test_the_worker_gives_back_the_pages_outside_the_read_window(tmp_path, monke
     assert len(drops) > horizon // chunk // 2
 
 
+@pytest.mark.parametrize("first", [None, 10_000], ids=["fresh", "extension"])
+def test_the_run_waits_for_each_give_back_and_the_worker_faults_in_after_it(
+        tmp_path, monkeypatch, first):
+    """At a page-sized CHUNK and with a worker slowed to 2 ms a report and
+    2 ms a fault-in, the run (or the copy of an extension) reports end +
+    CHUNK only once the worker has checksummed and given back the report
+    of end, and the worker faults in the pages after (end + CHUNK) only
+    after that give-back.  The run does not wait for the fault-in: some
+    report comes while the worker faults in for the one before.  Each
+    report closes one chunk, whose CRC is the worker's next crc32 call."""
+    chunk, width = 1024, 4
+    monkeypatch.setattr(checkpoint, "CHUNK", chunk)
+    # asked for even where the system lacks it: the refusal is ignored, as every hint's is
+    monkeypatch.setattr(checkpoint, "_MADV_POPULATE_WRITE", checkpoint._MADV_POPULATE_WRITE or 23)
+    config = RecursionConfig(seed=Seed((1, 1)), horizon=30_000, width=width)
+    path = tmp_path / "reserved.qtr"
+    stored = None
+    if first is not None:
+        with checkpoint.reserve(path, replace(config, horizon=first)) as slots:
+            stored = checkpoint.save(run(replace(config, horizon=first), slots), path)
+    events = []  # ("report", end) from the run; the worker's crc32 calls, drops and fault-ins
+    kernel, report, madvise = _native.kernel, checkpoint._Draft.on_chunk, checkpoint._Draft.madvise
+
+    def on_worker():
+        return threading.current_thread().name == SAVE_WORKER
+
+    def crc32(data, value=0):
+        if on_worker():
+            events.append(("crc",))
+            time.sleep(0.002)
+        return kernel.crc32(data, value)
+
+    def on_chunk(draft, end):
+        report(draft, end)
+        events.append(("report", end))
+
+    def record(draft, option, *span):
+        fault = option == checkpoint._MADV_POPULATE_WRITE and on_worker()
+        if fault:
+            events.append(("fault", span[0]))
+            time.sleep(0.002)
+        result = madvise(draft, option, *span)
+        if fault:
+            events.append(("faulted",))
+        elif option == mmap.MADV_DONTNEED and on_worker():
+            events.append(("drop",))
+        return result
+
+    monkeypatch.setattr(_native, "kernel", SimpleNamespace(advance=kernel.advance, crc32=crc32))
+    monkeypatch.setattr(checkpoint._Draft, "on_chunk", on_chunk)
+    monkeypatch.setattr(checkpoint._Draft, "madvise", record)
+    with checkpoint.reserve(path, config) as slots:
+        offset = slots.obj.offset
+        trace = run(config, slots) if stored is None else extend(stored, config.horizon, slots)
+        checkpoint.save(trace, path)
+
+    ends = list(range(chunk, config.horizon, chunk))
+    assert [e[1] for e in events if e[0] == "report"] == ends
+    assert sum(e[0] == "crc" for e in events) == len(ends)
+    # by the worker's report: where its give-back ends, where its fault-in ends, its events
+    given_back, faulted, kinds, end = {}, {}, {}, 0
+    for i, (kind, *span) in enumerate(events):
+        if kind == "report":
+            continue
+        if kind == "crc":
+            end += chunk
+        if kind == "faulted":
+            faulted[end] = i
+            continue
+        if kind == "fault":
+            assert span[0] == (offset + width * (end + chunk)) & -mmap.PAGESIZE
+        else:
+            given_back[end] = i
+        kinds.setdefault(end, []).append(kind)
+    reported = {span[0]: i for i, (kind, *span) in enumerate(events) if kind == "report"}
+    early = [end for end, i in reported.items() if end > chunk and given_back[end - chunk] > i]
+    assert early == [], "reported before the worker gave back the report before"
+    assert any(reported[end + chunk] < i for end, i in faulted.items())
+    assert all(k[0] == "crc" and "fault" not in k[:-1] for k in kinds.values()), kinds
+    assert sum(k.count("drop") for k in kinds.values()) > len(ends) // 2
+    assert sum(k[-1] == "fault" for k in kinds.values()) == len(ends) - 1
+
+
+def test_runs_on_more_threads_than_cores_hand_each_report_over_once(tmp_path, monkeypatch):
+    """Three runs into checkpoints at once, each with its own worker, a
+    report every 64 slots and a thread switch every microsecond: every
+    run ends, each file is the one-pass file, and the workers take exactly
+    the reports the runs made, none lost or taken twice."""
+    monkeypatch.setattr(checkpoint, "CHUNK", 64)
+    config = RecursionConfig(seed=Seed((1, 1)), horizon=20_000)
+    one_pass = tmp_path / "one-pass.qtr"
+    checkpoint.save(run(config), one_pass)
+    reported, taken = [], []
+    report, chunk_crcs = checkpoint._Draft.on_chunk, checkpoint._chunk_crcs
+
+    def on_chunk(draft, end):
+        report(draft, end)
+        reported.append(end)
+
+    def crcs(values, first):
+        if threading.current_thread().name == SAVE_WORKER:
+            taken.append(len(values) - 1)
+        return chunk_crcs(values, first)
+
+    def save(path):
+        with checkpoint.reserve(path, config) as slots:
+            checkpoint.save(run(config, slots), path)
+
+    monkeypatch.setattr(checkpoint._Draft, "on_chunk", on_chunk)
+    monkeypatch.setattr(checkpoint, "_chunk_crcs", crcs)
+    paths = [tmp_path / f"t{k}.qtr" for k in range(3)]
+    runs = [threading.Thread(target=save, args=(path,), daemon=True) for path in paths]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in runs:
+            thread.start()
+        for thread in runs:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in runs)
+    assert all(path.read_bytes() == one_pass.read_bytes() for path in paths)
+    assert len(reported) == 3 * (config.horizon // 64)
+    assert sorted(taken) == sorted(reported)
+
+
 @pytest.mark.skipif(not hasattr(os, "posix_fadvise"), reason="no posix_fadvise")
 @pytest.mark.parametrize("hint", ["posix_fadvise", "drop"])
 def test_a_failing_hint_never_loses_a_run(tmp_path, monkeypatch, capsys, hint):
@@ -816,7 +943,8 @@ RUN_INTO_A_CHECKPOINT = (
     "    for line in open('/proc/self/status'):\n"
     "        if line.startswith(key):\n"
     "            return int(line.split()[1]) * 1024\n"
-    "config = RecursionConfig(Seed(tuple(map(int, sys.argv[2].split(',')))), int(sys.argv[3]))\n"
+    "config = RecursionConfig(Seed(tuple(map(int, sys.argv[2].split(',')))), int(sys.argv[3]),\n"
+    "                         width=int(sys.argv[4]))\n"
     "before = status('VmRSS:')\n"
     "with checkpoint.reserve(sys.argv[1], config) as slots:\n"
     "    trace = checkpoint.save(run(config, slots), sys.argv[1])\n"
@@ -824,22 +952,32 @@ RUN_INTO_A_CHECKPOINT = (
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-@pytest.mark.parametrize("seed", ["1,1", "3,1,2"])
-def test_a_run_into_a_checkpoint_keeps_only_its_read_window_resident(tmp_path, seed):
-    """In a fresh interpreter, reserve, run and save 3·10^7 terms (114 MB of
-    slots): the peak RSS rises by at most half of that, for seed (1,1),
-    whose reads stay inside the window, and for (3,1,2), whose reads go
-    below it and fault those pages in again.  Keeping every slot mapped
-    until save raised it by 114.6 MB."""
+@pytest.mark.parametrize("seed,width,bound", [
+    pytest.param("1,1", 4, 6 * 10**7, id="1,1"),  # half of the 4-byte slots
+    pytest.param("3,1,2", 4, 6 * 10**7, id="3,1,2"),
+    pytest.param("1,1", 8, 52 << 20, id="1,1-width-8"),
+])
+def test_a_run_into_a_checkpoint_keeps_only_its_read_window_resident(tmp_path, seed, width,
+                                                                       bound):
+    """In a fresh interpreter, reserve, run and save 3·10^7 terms (114 MB
+    of 4-byte slots, 229 MB of 8-byte ones): in 4-byte slots the peak RSS
+    rises by at most half of that, for seed (1,1), whose reads stay inside
+    the window, and for (3,1,2), whose reads go below it and fault those
+    pages in again; keeping every slot mapped until save raised it by
+    114.6 MB.  In 8-byte slots a chunk is 8 MB, and (1,1) rises by 44-46
+    MB, alone or beside two busy cores, as the run waits for the worker's
+    give-back of each report before it reports the next; letting the
+    reports queue up, with the worker faulting in ahead before its
+    give-back, raised it by 60-73 MB."""
     horizon = 3 * 10**7
     env = dict(os.environ, PYTHONPATH=str(Path(checkpoint.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", RUN_INTO_A_CHECKPOINT, tmp_path / "t.qtr",
-                          seed, str(horizon)],
+                          seed, str(horizon), str(width)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     growth, length = map(int, out.stdout.split())
     assert length == horizon
-    assert growth <= 4 * horizon // 2, f"{growth / 2**20:.1f} MB"
+    assert growth <= bound, f"{growth / 2**20:.1f} MB"
 
 
 CLI_IN_A_CHILD = (
@@ -892,17 +1030,18 @@ def test_a_walk_over_a_loaded_checkpoint_keeps_a_few_pieces_resident(tmp_path, v
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_an_extension_into_a_checkpoint_peaks_near_a_fresh_run(tmp_path, main_trace):
     """In a fresh interpreter, extending a 10^7 checkpoint to 3·10^7 raises
-    the peak RSS by at most 24 MB more than a fresh run of 3·10^7 terms
-    into a checkpoint: the copy reports each chunk, so the worker advises
-    and gives back the copied prefix while the copy goes on.  The extension
-    raised it by 0-18 MB more than the fresh run (about 40 against 28 MB,
-    alone or beside two busy cores), and by 44 MB more while the copy made
-    no report."""
+    the peak RSS by at most 8 MB more than a fresh run of 3·10^7 terms into
+    a checkpoint: the copy reports each chunk and waits for the worker's
+    give-back of the one before, so the worker advises and gives back the
+    copied prefix as fast as the copy goes.  The extension raised it by
+    -2 to 2 MB more than the fresh run (about 22-24 MB each, alone or
+    beside two busy cores); by 12-14 MB more alone while the copy ran ahead
+    of the worker, and by 44 MB more while the copy made no report."""
     horizon = ["--horizon", 3 * 10**7]
     extended, fresh = tmp_path / "extended.qtr", tmp_path / "fresh.qtr"
     checkpoint.save(main_trace, extended)
     growth = peak_growth("compute", *horizon, "--trace", extended)
-    assert growth <= peak_growth("compute", *horizon, "--trace", fresh) + (24 << 20), (
+    assert growth <= peak_growth("compute", *horizon, "--trace", fresh) + (8 << 20), (
         f"{growth / 2**20:.1f} MB")
     assert extended.read_bytes() == fresh.read_bytes()
 
@@ -962,6 +1101,47 @@ def test_a_run_stopped_at_a_chunk_boundary_leaves_no_temp_or_thread(tmp_path, mo
     with pytest.raises(KeyboardInterrupt), checkpoint.reserve(path, config) as slots:
         checkpoint.save(run(config, slots), path)
     assert ends == [256, 512, 768, 1024]
+    assert threading.active_count() == threads
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.qtr"]
+
+
+def test_a_worker_failing_at_the_first_report_stops_the_run_at_the_next(tmp_path, monkeypatch,
+                                                                         capsys):
+    """The worker's CRC raises an OSError at the first report: the run's
+    next report raises it instead of waiting for the worker, so compute
+    ends at once with EXIT_IO and one line on stderr, the old checkpoint
+    stays byte for byte, and no temp file and no thread outlive it.  The
+    failure is injected through the kernel binding, which every CRC goes
+    through."""
+    from qseq.cli import main
+
+    path = tmp_path / "trace.qtr"
+    checkpoint.save(run(RecursionConfig(seed=Seed((1, 1)), horizon=100)), path)
+    old = path.read_bytes()
+    kernel, report, ends = _native.kernel, checkpoint._Draft.on_chunk, []
+
+    def crc32(data, value=0):
+        if threading.current_thread().name == SAVE_WORKER:
+            raise OSError(errno.EIO, "Input/output error")
+        return kernel.crc32(data, value)
+
+    def on_chunk(draft, end):
+        ends.append(end)
+        report(draft, end)
+
+    monkeypatch.setattr(_native, "kernel", SimpleNamespace(advance=kernel.advance, crc32=crc32))
+    monkeypatch.setattr(checkpoint._Draft, "on_chunk", on_chunk)
+    monkeypatch.setattr(checkpoint, "CHUNK", 1024)
+    threads, codes = threading.active_count(), []
+    compute = threading.Thread(target=lambda: codes.append(
+        main(["compute", "--horizon", "30000", "--trace", str(path)])), daemon=True)
+    compute.start()
+    compute.join(timeout=60)
+    assert not compute.is_alive(), "compute still waits for a worker that failed"
+    assert codes == [5]
+    assert capsys.readouterr().err == "error: [Errno 5] Input/output error\n"
+    assert ends == [1024, 2048]
     assert threading.active_count() == threads
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["trace.qtr"]
@@ -1093,7 +1273,8 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp_or_thread(tmp_path, m
             time.sleep(0.1)  # a slow CRC: save waits for it before going on
         return kernel.crc32(data, value)
 
-    monkeypatch.setattr(checkpoint, "threading", SimpleNamespace(Thread=Thread))
+    monkeypatch.setattr(checkpoint, "threading",
+                        SimpleNamespace(Thread=Thread, Condition=threading.Condition))
     monkeypatch.setattr(_native, "kernel", SimpleNamespace(advance=kernel.advance, crc32=crc32))
     monkeypatch.setattr(checkpoint, "CHUNK", 1 << 18)
     if failing == "mkstemp":
@@ -1188,4 +1369,39 @@ def test_ctrl_c_during_a_run_leaves_the_old_checkpoint_and_no_temp(tmp_path):
         assert loaded == old
     else:
         assert loaded.len == 3 * 10**7
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.qtr"]
+
+
+SLOW_COMPUTE_IN_CHILD = (
+    "import sys, threading, time\nfrom types import SimpleNamespace\n"
+    "from qseq import _native\nfrom qseq.cli import main\n"
+    "kernel = _native.kernel\n"
+    "def crc32(data, value=0):\n"
+    "    if threading.current_thread().name == 'qseq-save-chunks':\n"
+    "        print('checksumming', flush=True)\n"
+    "        time.sleep(0.5)\n"
+    "    return kernel.crc32(data, value)\n"
+    "_native.kernel = SimpleNamespace(advance=kernel.advance, crc32=crc32)\n"
+    "sys.exit(main(sys.argv[1:]))")
+
+
+def test_ctrl_c_while_the_run_waits_for_the_worker_stops_it(tmp_path):
+    """SIGINT to a child computing 10^7 terms into a checkpoint while the
+    run waits in on_chunk for a worker slowed to 0.5 s a report: the wait
+    ends with KeyboardInterrupt, the worker ends after its report, and the
+    temp file is removed, so the old checkpoint stays."""
+    target = tmp_path / "trace.qtr"
+    old = run(RecursionConfig(seed=Seed((1, 1)), horizon=1000))
+    checkpoint.save(old, target)
+    env = dict(os.environ, PYTHONPATH=str(Path(checkpoint.__file__).parents[1]))
+    child = subprocess.Popen([sys.executable, "-c", SLOW_COMPUTE_IN_CHILD, "compute",
+                              "--horizon", str(10**7), "--trace", str(target)],
+                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert child.stdout.readline() == "checksumming\n"  # the first report's
+    time.sleep(0.3)  # the run writes its next chunk in a few ms, then waits out the 0.5 s
+    child.send_signal(signal.SIGINT)
+    stderr = child.communicate(timeout=30)[1]
+    assert child.returncode == -signal.SIGINT, stderr
+    assert "KeyboardInterrupt" in stderr and "in on_chunk" in stderr, stderr
+    assert checkpoint.load(target) == old
     assert [p.name for p in tmp_path.iterdir()] == ["trace.qtr"]
